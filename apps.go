@@ -174,23 +174,19 @@ func GlobalClusteringCoefficient(g *Graph, opts ...Option) (float64, error) {
 func GlobalClusteringCoefficientExceeds(g *Graph, bound float64, opts ...Option) (bool, error) {
 	wedges, err := WedgeCount(g, opts...)
 	if err != nil {
-		return 0 > 1, err
+		return false, err
 	}
 	if wedges == 0 {
 		return false, nil
 	}
 	need := uint64(bound*float64(wedges)/3) + 1 // triangles required to exceed the bound
 	var seen atomic.Uint64
-	st, err := ForEachMatch(g, pattern.Clique(3), func(ctx *Ctx, m *Match) {
+	_, err = ForEachMatch(g, pattern.Clique(3), func(ctx *Ctx, m *Match) {
 		if seen.Add(1) >= need {
 			ctx.Stop()
 		}
 	}, opts...)
-	if err != nil {
-		return false, err
-	}
-	_ = st
-	return seen.Load() >= need, nil
+	return seen.Load() >= need, err
 }
 
 // EdgeCount counts single-edge matches; mostly useful to sanity-check a

@@ -32,11 +32,10 @@
 // query; graphs pinned by running jobs are never evicted.
 //
 // Concurrent count queries on the same graph are coalesced: requests
-// arriving within -coalesce-window (or until -coalesce-max requests
-// queue) merge into one shared traversal with per-request results
-// demultiplexed back; GET /v1/stats reports batches formed, requests
-// coalesced, and traversals saved. Drive the serving path with
-// cmd/peregrine-loadgen to measure it.
+// arriving within -coalesce-window merge into one shared traversal with
+// per-request results demultiplexed back; GET /v1/stats reports batches
+// formed, requests coalesced, and traversals saved. `go run ./bench
+// -workload serve_mix` measures the serving path.
 package main
 
 import (
@@ -78,15 +77,13 @@ var datasets = map[string]gen.Dataset{
 func main() {
 	var graphFlags, datasetFlags repeatable
 	addr := flag.String("addr", ":8080", "listen address")
-	jobTTL := flag.Duration("job-ttl", time.Hour, "evict finished jobs after this long (0 keeps them forever)")
+	jobTTL := flag.Duration("job-ttl", server.DefaultJobTTL, "evict finished jobs after this long (0 keeps them forever)")
 	attachTimeout := flag.Duration("stream-attach-timeout", server.DefaultStreamAttachTimeout,
 		"cancel a streaming job whose stream is not consumed within this long (0 disables)")
 	maxGraphBytes := flag.String("max-graph-bytes", "0",
 		"memory budget for loaded graphs, e.g. 512M or 2G (0 = unlimited); idle graphs evict LRU-first past it")
 	coalesceWindow := flag.Duration("coalesce-window", server.DefaultCoalesceWindow,
 		"micro-batch window: concurrent count queries on the same graph arriving within it share one traversal (0 disables coalescing)")
-	coalesceMax := flag.Int("coalesce-max", server.DefaultCoalesceMaxRequests,
-		"flush a coalescing batch once it holds this many requests")
 	hubBitsetDeg := flag.Uint("hub-bitset-deg", 0,
 		"build compressed-bitmap adjacency for vertices of at least this degree at graph load, accelerating skewed intersections at a memory cost (0 disables; ignored for sharded graphs)")
 	flag.Var(&graphFlags, "graph", "register a graph file (edge list or .pgr, auto-detected) as name=path (repeatable)")
@@ -135,7 +132,7 @@ func main() {
 	srv := server.NewServer(ctx, reg)
 	srv.Jobs().SetTTL(*jobTTL)
 	srv.SetStreamAttachTimeout(*attachTimeout)
-	srv.SetCoalescing(server.CoalesceConfig{Window: *coalesceWindow, MaxRequests: *coalesceMax})
+	srv.SetCoalescing(server.CoalesceConfig{Window: *coalesceWindow})
 	httpSrv := &http.Server{
 		Addr:              *addr,
 		Handler:           srv.Handler(),

@@ -1,0 +1,149 @@
+package peregrine
+
+import (
+	"peregrine/internal/core"
+	"peregrine/internal/plan"
+)
+
+// countBatch is the only code in this package that counts: every
+// counting entry point (Count, CountMany, PreparedQuery.Count/CountEach,
+// CountEachMerged, MotifCounts and their WithStats forms) is a shape
+// adapter over it. It counts every pattern of every query in ONE
+// traversal of g and returns, per query, the Stats rows in that query's
+// own pattern order, plus the MultiStats of the shared execution (Per
+// holds one row per unique plan). A single PreparedQuery is the
+// one-query case. The stages, in order:
+//
+//	resolve  each query's patterns to cached plans under its own options
+//	dedup    plans by identity across the batch — isomorphic patterns,
+//	         in any vertex numbering, are one *plan.Plan in the cache
+//	rewrite  plan.MorphBatch, behind the one morph gate
+//	execute  core.RunPlans: one task scan through the share trie
+//	recover  the requested counts from the executed ones (exact, linear)
+//	demux    unique-plan rows back out to each query's pattern order
+//
+// Run options (threads, task range, context) and the plan cache morph
+// relatives compile through are the first query's: a batch is one
+// execution, so its members share them.
+func countBatch(g *Graph, queries []*PreparedQuery, opts []Option) ([][]Stats, MultiStats, error) {
+	if len(queries) == 0 {
+		return nil, MultiStats{}, nil
+	}
+	var cfg config
+	noSym := false
+	idx := make(map[*plan.Plan]int)
+	var plans []*plan.Plan
+	slot := make([][]int, len(queries)) // slot[q][p]: unique-plan index serving that pattern
+	for qi, q := range queries {
+		c := q.buildConfig(opts)
+		pps, err := q.resolve(c)
+		if err != nil {
+			return nil, MultiStats{}, err
+		}
+		if qi == 0 {
+			cfg = c
+		}
+		noSym = noSym || c.opts.NoSymmetryBreaking
+		slot[qi] = make([]int, len(pps))
+		for pi := range pps {
+			p := pps[pi].plan
+			j, ok := idx[p]
+			if !ok {
+				j = len(plans)
+				idx[p] = j
+				plans = append(plans, p)
+			}
+			slot[qi][pi] = j
+		}
+	}
+
+	// The morph gate — the only one. Counting batches with anti-edge
+	// patterns execute cheaper anti-edge-free relatives and recover the
+	// requested counts algebraically, unless the caller ablated morphing,
+	// or a member runs without symmetry breaking (its counts are
+	// per-automorphism enumerations the recovery weights do not cover), or
+	// the run scans a task sub-range: a pattern and its relatives can have
+	// different cores, so one vertex set roots at different tasks and the
+	// algebra only balances over the whole task space (see WithTaskRange).
+	// Recovery is a linear map applied after execution, which is why it is
+	// a stage here rather than a property of each entry point — and why a
+	// coordinator could hoist rewrite/recover above its range fan-out.
+	exec := plans
+	var mp *plan.MorphPlan
+	if !cfg.noMorph && !noSym && !cfg.taskRanged() {
+		if mp = plan.MorphBatch(plans, cfg.cache(), plan.Options{}); mp != nil {
+			exec = mp.Exec
+		}
+	}
+	ms := core.RunPlans(g, exec, nil, cfg.opts)
+	if mp != nil {
+		ms = recoverCounts(ms, mp)
+	}
+	if ms.Err != nil {
+		return nil, ms, ms.Err
+	}
+	per := make([][]Stats, len(queries))
+	for qi := range slot {
+		per[qi] = make([]Stats, len(slot[qi]))
+		for pi, j := range slot[qi] {
+			// A copy per requesting pattern: patterns sharing a plan each
+			// get the full row (their matches ARE that plan's).
+			per[qi][pi] = ms.Per[j]
+		}
+	}
+	return per, ms, nil
+}
+
+// recoverCounts rewrites a morphed execution's statistics onto the
+// requested batch shape: executed counts are folded through the
+// recovery relations, and Per rows line up with the plans the batch
+// asked for. Plans that ran directly keep their exact traversal
+// figures; replaced ones carry the recovered count with the batch-wide
+// run figures (their traversal work happened under the executed
+// relatives).
+func recoverCounts(ms MultiStats, mp *plan.MorphPlan) MultiStats {
+	counts := mp.Recover(matchCounts(ms.Per))
+	per := make([]Stats, len(mp.Recov))
+	for i := range mp.Recov {
+		if d := mp.Recov[i].Direct; d >= 0 {
+			per[i] = ms.Per[d]
+		} else {
+			per[i] = Stats{
+				Matches:   counts[i],
+				Stopped:   ms.Stopped,
+				MatchTime: ms.MatchTime,
+				Threads:   ms.Threads,
+			}
+		}
+	}
+	ms.Per = per
+	ms.Morph = mp.Stats
+	return ms
+}
+
+// matchCounts projects Stats rows onto their match counts.
+func matchCounts(per []Stats) []uint64 {
+	counts := make([]uint64, len(per))
+	for i := range per {
+		counts[i] = per[i].Matches
+	}
+	return counts
+}
+
+// CountEachMerged executes every query of queries in a single batched
+// traversal of g — the engine-side half of request coalescing — and
+// returns, for each query, the per-pattern Stats rows in that query's
+// own pattern order (per[i][j] describes queries[i]'s j-th pattern).
+// Patterns that are isomorphic across queries — or within one — are
+// matched once, so N queries asking overlapping pattern sets cost one
+// traversal of the deduplicated union rather than N traversals.
+//
+// The returned MultiStats describes the merged execution: Per holds
+// one row per unique plan (len(ms.Per) is the deduplicated plan
+// count), and Tasks/Share/Morph/MatchTime cover the single shared
+// traversal. Queries prepared under different plan-affecting options
+// mix freely; each resolves to the plans its own preparation implies,
+// and only genuinely identical plans merge.
+func CountEachMerged(g *Graph, queries []*PreparedQuery, opts ...Option) ([][]Stats, MultiStats, error) {
+	return countBatch(g, queries, opts)
+}

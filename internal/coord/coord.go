@@ -146,8 +146,8 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 
 // handleQuery fans a count query out as per-shard task-range jobs and
 // responds with a terminal job snapshot, the same shape a node's
-// wait:true query returns — so clients (peregrine-loadgen included)
-// cannot tell a coordinator from a single node.
+// wait:true query returns — so clients cannot tell a coordinator from a
+// single node.
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -189,17 +189,12 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Created:  created,
 		Finished: &finished,
 	}
-	if err != nil {
-		info.Status = server.StatusFailed
-		info.Error = err.Error()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadGateway)
-		_ = json.NewEncoder(w).Encode(info)
-		return
-	}
-	info.Status = server.StatusDone
-	info.Result = merged
+	info.Status, info.Result = server.StatusDone, merged
 	w.Header().Set("Content-Type", "application/json")
+	if err != nil {
+		info.Status, info.Error = server.StatusFailed, err.Error()
+		w.WriteHeader(http.StatusBadGateway)
+	}
 	_ = json.NewEncoder(w).Encode(info)
 }
 
@@ -223,7 +218,7 @@ func (c *Coordinator) fanOut(ctx context.Context, req server.Request) (*server.R
 			return nil, fmt.Errorf("shard [%d,%d): %w", sh.Lo, sh.Hi, err)
 		}
 	}
-	return mergeResults(req, results), nil
+	return mergeResults(results), nil
 }
 
 // runShard executes req over shard i's task range, walking the shard's
@@ -304,77 +299,29 @@ func (c *Coordinator) postQuery(ctx context.Context, node string, body []byte) (
 }
 
 // mergeResults adds per-shard counts — exact by task-range additivity —
-// and folds the execution stats: counters sum; wall-clock match time is
-// the slowest shard (they ran concurrently).
-func mergeResults(req server.Request, parts []*server.Result) *server.Result {
+// and folds the execution stats with RunStats.Add: counters sum, while
+// wall-clock times (the shards ran concurrently), per-batch constants
+// and gauges take the max.
+func mergeResults(parts []*server.Result) *server.Result {
 	out := &server.Result{}
-	var st *server.RunStats
 	for _, p := range parts {
-		if p == nil {
-			continue
-		}
 		out.Count += p.Count
-		if p.PerPattern != nil {
-			if out.PerPattern == nil {
-				out.PerPattern = make([]server.PatternCount, len(p.PerPattern))
-				for i, pc := range p.PerPattern {
-					out.PerPattern[i].Pattern = pc.Pattern
-				}
-			}
-			for i, pc := range p.PerPattern {
-				if i < len(out.PerPattern) {
-					out.PerPattern[i].Count += pc.Count
-				}
+		if out.PerPattern == nil {
+			out.PerPattern = make([]server.PatternCount, len(p.PerPattern))
+		}
+		for i, pc := range p.PerPattern {
+			if i < len(out.PerPattern) {
+				out.PerPattern[i].Pattern = pc.Pattern
+				out.PerPattern[i].Count += pc.Count
 			}
 		}
-		if p.Stats == nil {
-			continue
-		}
-		if st == nil {
-			st = &server.RunStats{Threads: p.Stats.Threads}
-		}
-		st.Matches += p.Stats.Matches
-		st.CoreMatches += p.Stats.CoreMatches
-		st.Tasks += p.Stats.Tasks
-		st.Stopped = st.Stopped || p.Stats.Stopped
-		if p.Stats.PlanMicros > st.PlanMicros {
-			st.PlanMicros = p.Stats.PlanMicros
-		}
-		if p.Stats.MatchMicros > st.MatchMicros {
-			st.MatchMicros = p.Stats.MatchMicros
-		}
-		if sh := p.Stats.Sharing; sh != nil {
-			if st.Sharing == nil {
-				st.Sharing = &server.SharingStats{}
+		if p.Stats != nil {
+			if out.Stats == nil {
+				out.Stats = &server.RunStats{}
 			}
-			st.Sharing.TrieNodes += sh.TrieNodes
-			st.Sharing.ProgramSteps += sh.ProgramSteps
-			st.Sharing.SharedNodeVisits += sh.SharedNodeVisits
-			st.Sharing.Intersections += sh.Intersections
-			st.Sharing.IntersectionsSaved += sh.IntersectionsSaved
-		}
-		if m := p.Stats.Morphing; m != nil {
-			if st.Morphing == nil {
-				st.Morphing = &server.MorphingStats{}
-			}
-			st.Morphing.Candidates += m.Candidates
-			st.Morphing.MorphsChosen += m.MorphsChosen
-			st.Morphing.PatternsReplaced += m.PatternsReplaced
-			st.Morphing.RecoveryTerms += m.RecoveryTerms
-			st.Morphing.StepsDirect += m.StepsDirect
-			st.Morphing.StepsMorphed += m.StepsMorphed
-		}
-		if sd := p.Stats.Sharding; sd != nil {
-			if st.Sharding == nil {
-				st.Sharding = &server.ShardingStats{}
-			}
-			st.Sharding.Shards += sd.Shards
-			st.Sharding.Loads += sd.Loads
-			st.Sharding.Evictions += sd.Evictions
-			st.Sharding.ResidentBytes += sd.ResidentBytes
+			out.Stats.Add(p.Stats)
 		}
 	}
-	out.Stats = st
 	return out
 }
 

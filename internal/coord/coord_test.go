@@ -5,17 +5,25 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"peregrine/internal/gen"
+	"peregrine/internal/graph"
 	"peregrine/internal/server"
 )
 
+// testShards is the shard count of the manifest every test node serves.
+const testShards = 4
+
 // testNode is one peregrine-serve node over the shared test graph,
-// with a kill switch that aborts query connections — the "node died
-// mid-query" failure the coordinator must survive.
+// served from a testShards-fragment manifest, with a kill switch that
+// aborts query connections — the "node died mid-query" failure the
+// coordinator must survive.
 type testNode struct {
 	ts   *httptest.Server
 	down atomic.Bool
@@ -25,8 +33,13 @@ func newTestNode(t *testing.T) *testNode {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
+	manifest := filepath.Join(t.TempDir(), "g.manifest")
+	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 80, Edges: 220, Seed: 3})
+	if _, err := graph.SaveSharded(manifest, g, testShards); err != nil {
+		t.Fatalf("SaveSharded: %v", err)
+	}
 	reg := server.NewRegistry()
-	reg.AddGraph("g", "test:g", gen.ErdosRenyi(gen.ERConfig{Vertices: 80, Edges: 220, Seed: 3}))
+	reg.AddFile("g", manifest)
 	s := server.NewServer(ctx, reg)
 	n := &testNode{}
 	inner := s.Handler()
@@ -53,7 +66,7 @@ func newTestCoordinator(t *testing.T, nodes ...*testNode) *httptest.Server {
 	}
 	c, err := New(Config{
 		Graph:  "g",
-		Shards: Assign(SplitRange(80, 4), urls, 0),
+		Shards: Assign(SplitRange(80, testShards), urls, 0),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -112,6 +125,65 @@ func TestCoordinatorMergesCounts(t *testing.T) {
 	if got.Result.Stats != nil && got.Result.Stats.Tasks == 0 {
 		t.Errorf("merged stats %+v: want summed tasks > 0", got.Result.Stats)
 	}
+
+	// The merge adds what is additive and only that: per-batch constants
+	// (the manifest's shard count, the trie's shape) read as on one node
+	// rather than times the number of shard jobs, while run-time counters
+	// still sum to the whole-graph run's.
+	ws, gs := want.Result.Stats, got.Result.Stats
+	if gs.Sharding == nil || gs.Sharding.Shards != testShards {
+		t.Fatalf("merged sharding %+v: want shards == %d, the manifest's", gs.Sharding, testShards)
+	}
+	if gs.Sharding.ResidentBytes > ws.Sharding.ResidentBytes {
+		t.Errorf("merged residentBytes %d exceeds one node's fully resident %d",
+			gs.Sharding.ResidentBytes, ws.Sharding.ResidentBytes)
+	}
+	if gs.Sharing.TrieNodes != ws.Sharing.TrieNodes || gs.Sharing.ProgramSteps != ws.Sharing.ProgramSteps {
+		t.Errorf("merged trie shape %+v != single-node %+v", gs.Sharing, ws.Sharing)
+	}
+	if gs.Tasks != ws.Tasks || gs.Matches != ws.Matches || gs.Sharing.Intersections != ws.Sharing.Intersections {
+		t.Errorf("merged counters tasks=%d matches=%d intersections=%d, want the single node's %d/%d/%d",
+			gs.Tasks, gs.Matches, gs.Sharing.Intersections, ws.Tasks, ws.Matches, ws.Sharing.Intersections)
+	}
+	// Wire compatibility: the merged job status carries exactly a node's
+	// stats keys (no coalescing — ranged shard jobs never ride a batch; no
+	// morphing — these patterns have no anti-edges).
+	wantKeys := []string{
+		"coreMatches", "matchMicros", "matches", "planMicros",
+		"sharding.evictions", "sharding.loads", "sharding.residentBytes", "sharding.shards",
+		"sharing.intersections", "sharing.intersectionsSaved", "sharing.programSteps",
+		"sharing.sharedNodeVisits", "sharing.trieNodes",
+		"stopped", "tasks", "threads",
+	}
+	if keys := statsKeys(t, gs); !reflect.DeepEqual(keys, wantKeys) {
+		t.Errorf("merged result.stats keys\n got %v\nwant %v", keys, wantKeys)
+	}
+}
+
+// statsKeys returns the sorted JSON key paths of a result's stats, with
+// nested blocks flattened as "block.key".
+func statsKeys(t *testing.T, st *server.RunStats) []string {
+	t.Helper()
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k, v := range m {
+		if sub, ok := v.(map[string]any); ok {
+			for sk := range sub {
+				keys = append(keys, k+"."+sk)
+			}
+		} else {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // TestCoordinatorSurvivesNodeDeath kills one node and re-runs the

@@ -203,20 +203,32 @@ type PlanCallback func(ctx *Ctx, pat int, m *Match)
 // execution: how much of the batch's core exploration was merged into
 // shared trie nodes, and how many adjacency-intersection computations
 // that merging avoided relative to running every matching order alone.
+// The JSON tags are the wire names of a job result's stats.sharing.
 type ShareStats struct {
 	// TrieNodes is the number of step nodes in the executed trie;
 	// ProgramSteps is the number of steps across all matching orders
 	// before merging. TrieNodes < ProgramSteps means prefixes merged.
-	TrieNodes    uint64
-	ProgramSteps uint64
+	TrieNodes    uint64 `json:"trieNodes"`
+	ProgramSteps uint64 `json:"programSteps"`
 
 	// SharedNodeVisits counts node expansions whose candidate set served
 	// more than one matching order. Intersections counts candidate-set
 	// computations performed; IntersectionsSaved counts the computations
 	// unshared execution would have performed on top of that.
-	SharedNodeVisits   uint64
-	Intersections      uint64
-	IntersectionsSaved uint64
+	SharedNodeVisits   uint64 `json:"sharedNodeVisits"`
+	Intersections      uint64 `json:"intersections"`
+	IntersectionsSaved uint64 `json:"intersectionsSaved"`
+}
+
+// Add folds another part of the same batch (a worker thread's, or a
+// shard's) into s: run-time counters sum, while the trie's shape is a
+// per-batch constant every part reports alike, so it takes the max.
+func (s *ShareStats) Add(o ShareStats) {
+	s.TrieNodes = max(s.TrieNodes, o.TrieNodes)
+	s.ProgramSteps = max(s.ProgramSteps, o.ProgramSteps)
+	s.SharedNodeVisits += o.SharedNodeVisits
+	s.Intersections += o.Intersections
+	s.IntersectionsSaved += o.IntersectionsSaved
 }
 
 // MultiStats summarizes one batched execution of several plans over a
@@ -258,12 +270,23 @@ type MultiStats struct {
 }
 
 // ShardScanStats is MultiStats' out-of-core telemetry for one run over
-// a sharded graph.
+// a sharded graph. The JSON tags are the wire names of a job result's
+// stats.sharding.
 type ShardScanStats struct {
-	Shards        int    // shards in the graph's manifest
-	Loads         uint64 // fragment loads during this run
-	Evictions     uint64 // budget evictions during this run
-	ResidentBytes uint64 // resident fragment bytes at run end
+	Shards        int    `json:"shards"`        // shards in the graph's manifest
+	Loads         uint64 `json:"loads"`         // fragment loads during this run
+	Evictions     uint64 `json:"evictions"`     // budget evictions during this run
+	ResidentBytes uint64 `json:"residentBytes"` // resident fragment bytes at run end
+}
+
+// Add folds another ranged run over the same sharded graph into s:
+// loads and evictions sum; the manifest's shard count is a constant and
+// resident bytes a gauge, so both take the max.
+func (s *ShardScanStats) Add(o ShardScanStats) {
+	s.Shards = max(s.Shards, o.Shards)
+	s.Loads += o.Loads
+	s.Evictions += o.Evictions
+	s.ResidentBytes = max(s.ResidentBytes, o.ResidentBytes)
 }
 
 // MorphStats quantifies pattern-morphing decisions in a batched
@@ -447,9 +470,7 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 
 	for tid := range stats {
 		ms.Tasks += tasks[tid]
-		ms.Share.SharedNodeVisits += shares[tid].SharedNodeVisits
-		ms.Share.Intersections += shares[tid].Intersections
-		ms.Share.IntersectionsSaved += shares[tid].IntersectionsSaved
+		ms.Share.Add(shares[tid])
 		for pi, s := range stats[tid] {
 			ms.Per[pi].Matches += s.Matches
 			ms.Per[pi].CoreMatches += s.CoreMatches

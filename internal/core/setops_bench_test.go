@@ -101,8 +101,7 @@ var setOpsCases = []struct {
 	{"dense-4kx8k", 4096, 8192, 1 << 14},
 }
 
-// intsPerSec reports the custom intersections/sec metric the committed
-// BENCH_kernels.json floors track.
+// intsPerSec reports the custom intersections/sec metric.
 func intsPerSec(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ints/s")
 }
@@ -219,9 +218,7 @@ func BenchmarkSetOpsClip(b *testing.B) {
 // hub's adjacency in dense bitmap form, exactly what RunPlans executes
 // after BuildHubBitsets — must deliver >= 1.5x the intersections/sec
 // of the legacy sort.Search gallop it replaced. Measured as a ratio on
-// the same machine in the same process, so it is hardware-independent;
-// scripts/kernel_bench.sh additionally records absolute numbers in
-// BENCH_kernels.json.
+// the same machine in the same process, so it is hardware-independent.
 func TestSkewedKernelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")

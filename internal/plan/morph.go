@@ -210,14 +210,27 @@ type Recovery struct {
 // configurations, never fabricated at runtime). Morphing trades those
 // core intersections for completion-side ones over already-narrowed
 // candidate lists — MultiStats.Intersections reports that side.
+// The JSON tags are the wire names of a job result's stats.morphing.
 type MorphStats struct {
-	Candidates         uint64 // morph relatives constructed across the batch
-	MorphsChosen       uint64 // relatives added to the executed set
-	PatternsReplaced   uint64 // originals replaced by recovery relations
-	RecoveryTerms      uint64 // relation terms across all replaced patterns
-	StepsDirect        uint64 // trie program steps of the batch as given
-	StepsMorphed       uint64 // trie program steps of the executed set
-	IntersectionsSaved uint64 // core intersections vs ablation; 0 in a lone run
+	Candidates         uint64 `json:"candidates"`       // morph relatives constructed across the batch
+	MorphsChosen       uint64 `json:"morphsChosen"`     // relatives added to the executed set
+	PatternsReplaced   uint64 `json:"patternsReplaced"` // originals replaced by recovery relations
+	RecoveryTerms      uint64 `json:"recoveryTerms"`    // relation terms across all replaced patterns
+	StepsDirect        uint64 `json:"stepsDirect"`      // trie program steps of the batch as given
+	StepsMorphed       uint64 `json:"stepsMorphed"`     // trie program steps of the executed set
+	IntersectionsSaved uint64 `json:"-"`                // core intersections vs ablation; 0 in a lone run
+}
+
+// Add folds another batch's morphing decisions into s; every field is a
+// per-batch tally, so totals over several batches are plain sums.
+func (s *MorphStats) Add(o MorphStats) {
+	s.Candidates += o.Candidates
+	s.MorphsChosen += o.MorphsChosen
+	s.PatternsReplaced += o.PatternsReplaced
+	s.RecoveryTerms += o.RecoveryTerms
+	s.StepsDirect += o.StepsDirect
+	s.StepsMorphed += o.StepsMorphed
+	s.IntersectionsSaved += o.IntersectionsSaved
 }
 
 // Active reports whether morphing changed the executed set.

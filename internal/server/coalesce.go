@@ -11,6 +11,11 @@ package server
 // trie traversal (peregrine.CountEachMerged), and demultiplexed back
 // to each originating job with per-request queue/execution latency and
 // batch-level sharing attribution.
+//
+// The coalescer is also the server's only count executor: requests
+// that cannot share a traversal (an explicit thread bound, a task
+// range, coalescing switched off) run through the same execute as a
+// batch of one that skips the window.
 
 import (
 	"context"
@@ -29,24 +34,21 @@ import (
 const (
 	DefaultCoalesceWindow      = 2 * time.Millisecond
 	DefaultCoalesceMaxRequests = 32
-	DefaultCoalesceMaxPatterns = 256
+	coalesceMaxPatterns        = 256
 )
 
 // CoalesceConfig tunes the micro-batching admission layer. A batch
 // flushes when Window has elapsed since its first member was admitted,
-// or as soon as it holds MaxRequests members or MaxPatterns patterns.
+// or as soon as it holds MaxRequests members or coalesceMaxPatterns
+// patterns.
 type CoalesceConfig struct {
 	Window      time.Duration // <= 0 disables coalescing entirely
 	MaxRequests int           // flush at this many member requests (<= 0: default)
-	MaxPatterns int           // flush at this many queued patterns (<= 0: default)
 }
 
 func (c CoalesceConfig) withDefaults() CoalesceConfig {
 	if c.MaxRequests <= 0 {
 		c.MaxRequests = DefaultCoalesceMaxRequests
-	}
-	if c.MaxPatterns <= 0 {
-		c.MaxPatterns = DefaultCoalesceMaxPatterns
 	}
 	return c
 }
@@ -126,10 +128,9 @@ type Coalescer struct {
 
 	counters coalesceCounters
 
-	// morph points at the server-wide morphing totals; batch-level morph
-	// telemetry is observed once per merged execution, not once per
-	// member. Nil when the coalescer runs standalone (tests).
-	morph *morphCounters
+	// morph accumulates the server-wide morphing totals: every count
+	// executes here, so this is the one place that sees them all.
+	morph morphCounters
 }
 
 // NewCoalescer returns a coalescer whose merged executions descend
@@ -155,24 +156,29 @@ func (c *Coalescer) SetConfig(cfg CoalesceConfig) {
 	c.mu.Unlock()
 }
 
-// Enabled reports whether admission currently batches at all.
-func (c *Coalescer) Enabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cfg.Window > 0
-}
-
-// Do admits q into the micro-batch forming for its graph (starting one
-// if none is) and blocks until the merged execution delivers this
-// request's demuxed result. Cancelling ctx detaches the request from
-// its batch — Do returns ctx.Err() immediately — without disturbing
-// co-batched requests: the batch still flushes and every other member
-// gets its result. Only when every member has detached is the batch
-// itself abandoned (pending) or its merged run cancelled (executing).
+// Do runs count query q and blocks until its result is ready: it admits
+// q into the micro-batch forming for its graph (starting one if none
+// is) and waits for the merged execution to deliver this request's
+// demuxed result. Cancelling ctx detaches the request — Do returns
+// ctx.Err() immediately — without disturbing co-batched requests; only
+// when every member has detached is the batch itself abandoned
+// (pending) or its merged run cancelled (executing).
+//
+// A request that cannot ride a shared traversal — it bounds its own
+// threads, scans its own task range (fanned per-shard jobs carry
+// different ones), or coalescing is off — executes at once as a batch
+// of one under its own options and ctx, outside the window, the
+// coalescing counters and stats.coalescing.
 func (c *Coalescer) Do(ctx context.Context, q *compiledQuery) (*Result, error) {
 	m := &cmember{q: q, enq: time.Now(), res: make(chan doResult, 1)}
 	c.mu.Lock()
 	cfg := c.cfg
+	if cfg.Window <= 0 || q.req.Threads != 0 || q.req.taskRanged() {
+		c.mu.Unlock()
+		c.execute(ctx, nil, []*cmember{m})
+		r := <-m.res
+		return r.res, r.err
+	}
 	b := c.pending[q.req.Graph]
 	if b == nil {
 		c.seq++
@@ -184,7 +190,7 @@ func (c *Coalescer) Do(ctx context.Context, q *compiledQuery) (*Result, error) {
 	b.active++
 	b.npat += len(q.texts)
 	c.counters.requests.Add(1)
-	full := len(b.members) >= cfg.MaxRequests || b.npat >= cfg.MaxPatterns
+	full := len(b.members) >= cfg.MaxRequests || b.npat >= coalesceMaxPatterns
 	c.mu.Unlock()
 	if full {
 		c.flush(b)
@@ -225,7 +231,10 @@ func (c *Coalescer) flush(b *cbatch) {
 	execCtx, cancel := context.WithCancel(c.base)
 	b.execCancel = cancel
 	c.mu.Unlock()
-	go c.execute(execCtx, cancel, b, live)
+	go func() {
+		defer cancel()
+		c.execute(execCtx, b, live)
+	}()
 }
 
 // detach unhooks a cancelled member from its batch. The batch and its
@@ -255,19 +264,19 @@ func (c *Coalescer) detach(b *cbatch, m *cmember) {
 	}
 }
 
-// execute runs the batch's merged traversal and demultiplexes results
-// to the members that were still attached at flush time. A member that
-// detaches mid-run simply never reads its buffered result; the run is
-// only cancelled when all of them have.
-func (c *Coalescer) execute(ctx context.Context, cancel context.CancelFunc, b *cbatch, live []*cmember) {
-	defer cancel()
+// execute is the server's one count executor: it runs live's queries as
+// a single merged traversal and demultiplexes a Result to each member.
+// A member that detaches mid-run simply never reads its buffered
+// result. A nil b is a batch of one outside the window: the member's
+// own request options apply and no coalescing is recorded.
+func (c *Coalescer) execute(ctx context.Context, b *cbatch, live []*cmember) {
 	start := time.Now()
 	fail := func(err error) {
 		for _, m := range live {
 			m.res <- doResult{err: err}
 		}
 	}
-	g, release, err := c.acquire(b.graph)
+	g, release, err := c.acquire(live[0].q.req.Graph)
 	if err != nil {
 		fail(err)
 		return
@@ -280,72 +289,52 @@ func (c *Coalescer) execute(ctx context.Context, cancel context.CancelFunc, b *c
 		queries[i] = m.q.prepared
 		npat += len(m.q.texts)
 	}
-	per, ms, err := peregrine.CountEachMerged(g, queries, peregrine.WithContext(ctx))
+	opts := []peregrine.Option{peregrine.WithContext(ctx)}
+	if b == nil {
+		opts = live[0].q.options(ctx)
+	}
+	per, ms, err := peregrine.CountEachMerged(g, queries, opts...)
 	if err != nil {
 		fail(err)
 		return
 	}
 	exec := time.Since(start)
 
-	c.counters.batches.Add(1)
-	if len(live) > 1 {
-		c.counters.coalesced.Add(uint64(len(live)))
-	}
-	c.counters.patterns.Add(uint64(npat))
-	c.counters.uniquePlans.Add(uint64(len(ms.Per)))
-	c.counters.traversalsSaved.Add(uint64(len(live) - 1))
-	c.counters.intersections.Add(ms.Share.Intersections)
-	c.counters.intersectionsSaved.Add(ms.Share.IntersectionsSaved)
-	if c.morph != nil {
-		c.morph.observe(morphingStats(ms))
+	// Even a cancelled run's morph telemetry is real work done; batch-
+	// level, so observed once per execution, not once per member.
+	c.morph.observe(ms.Morph)
+	if b != nil {
+		c.counters.batches.Add(1)
+		if len(live) > 1 {
+			c.counters.coalesced.Add(uint64(len(live)))
+		}
+		c.counters.patterns.Add(uint64(npat))
+		c.counters.uniquePlans.Add(uint64(len(ms.Per)))
+		c.counters.traversalsSaved.Add(uint64(len(live) - 1))
+		c.counters.intersections.Add(ms.Share.Intersections)
+		c.counters.intersectionsSaved.Add(ms.Share.IntersectionsSaved)
 	}
 
+	// A cancelled run is a truncated result for every member: the result
+	// rides along with the error so jobs report cancelled, not
+	// done-with-wrong-counts. The engine's Stopped flag is authoritative —
+	// a cancel racing in just after a complete run must not demote it.
+	var rerr error
+	if ms.Stopped && ctx.Err() != nil {
+		rerr = ctx.Err()
+	}
 	for i, m := range live {
-		cs := &CoalescingStats{
-			Batch:         b.id,
-			BatchRequests: len(live),
-			BatchPatterns: npat,
-			UniquePlans:   len(ms.Per),
-			QueueMicros:   start.Sub(m.enq).Microseconds(),
-			ExecMicros:    exec.Microseconds(),
+		var cs *CoalescingStats
+		if b != nil {
+			cs = &CoalescingStats{
+				Batch:         b.id,
+				BatchRequests: len(live),
+				BatchPatterns: npat,
+				UniquePlans:   len(ms.Per),
+				QueueMicros:   start.Sub(m.enq).Microseconds(),
+				ExecMicros:    exec.Microseconds(),
+			}
 		}
-		res := m.q.coalescedResult(per[i], ms, cs)
-		// A cancelled merged run is a truncated result for every member:
-		// surface it like runCount does so jobs report cancelled, not
-		// done-with-wrong-counts.
-		var rerr error
-		if ms.Stopped && ctx.Err() != nil {
-			rerr = ctx.Err()
-		}
-		m.res <- doResult{res: res, err: rerr}
-	}
-}
-
-// CoalesceSnapshot is one flat read of the coalescer's cumulative
-// counters (see ServerStats for the field meanings).
-type CoalesceSnapshot struct {
-	Requests           uint64
-	Batches            uint64
-	Coalesced          uint64
-	Detached           uint64
-	Patterns           uint64
-	UniquePlans        uint64
-	TraversalsSaved    uint64
-	Intersections      uint64
-	IntersectionsSaved uint64
-}
-
-// Snapshot reads the cumulative counters.
-func (c *Coalescer) Snapshot() CoalesceSnapshot {
-	return CoalesceSnapshot{
-		Requests:           c.counters.requests.Load(),
-		Batches:            c.counters.batches.Load(),
-		Coalesced:          c.counters.coalesced.Load(),
-		Detached:           c.counters.detached.Load(),
-		Patterns:           c.counters.patterns.Load(),
-		UniquePlans:        c.counters.uniquePlans.Load(),
-		TraversalsSaved:    c.counters.traversalsSaved.Load(),
-		Intersections:      c.counters.intersections.Load(),
-		IntersectionsSaved: c.counters.intersectionsSaved.Load(),
+		m.res <- doResult{res: m.q.countResult(per[i], ms, cs), err: rerr}
 	}
 }

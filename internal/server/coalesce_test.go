@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -151,6 +154,64 @@ func TestCoalescedJobStatsTelemetry(t *testing.T) {
 		t.Errorf("jobs rode different batches: %q vs %q",
 			infos[0].Result.Stats.Coalescing.Batch, infos[1].Result.Stats.Coalescing.Batch)
 	}
+
+	// Wire compatibility: the golden key set of result.stats, read off the
+	// raw job-status body. A vertex-induced motif batch on a sharded graph
+	// carries every nested block; the same request with a thread bound
+	// runs as a batch of its own and drops exactly stats.coalescing.
+	_, sts := newShardTestServer(t)
+	direct := []string{
+		"coreMatches", "matchMicros", "matches",
+		"morphing.candidates", "morphing.morphsChosen", "morphing.patternsReplaced",
+		"morphing.recoveryTerms", "morphing.stepsDirect", "morphing.stepsMorphed",
+		"planMicros",
+		"sharding.evictions", "sharding.loads", "sharding.residentBytes", "sharding.shards",
+		"sharing.intersections", "sharing.intersectionsSaved", "sharing.programSteps",
+		"sharing.sharedNodeVisits", "sharing.trieNodes",
+		"stopped", "tasks", "threads",
+	}
+	coalesced := append([]string{
+		"coalescing.batch", "coalescing.batchPatterns", "coalescing.batchRequests",
+		"coalescing.execMicros", "coalescing.queueMicros", "coalescing.uniquePlans",
+	}, direct...)
+	if got := jobStatsKeys(t, sts, motifBodyVI("sharded", motifTexts(4), "")); !reflect.DeepEqual(got, coalesced) {
+		t.Errorf("coalesced result.stats keys\n got %v\nwant %v", got, coalesced)
+	}
+	if got := jobStatsKeys(t, sts, motifBodyVI("sharded", motifTexts(4), `,"threads":2`)); !reflect.DeepEqual(got, direct) {
+		t.Errorf("direct result.stats keys\n got %v\nwant %v", got, direct)
+	}
+}
+
+// jobStatsKeys posts a wait:true query and returns the sorted JSON key
+// paths of the raw response's result.stats, nested blocks flattened as
+// "block.key".
+func jobStatsKeys(t *testing.T, ts *httptest.Server, body string) []string {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var info struct {
+		Result struct {
+			Stats map[string]any `json:"stats"`
+		} `json:"result"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k, v := range info.Result.Stats {
+		if sub, ok := v.(map[string]any); ok {
+			for sk := range sub {
+				keys = append(keys, k+"."+sk)
+			}
+		} else {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // DELETE on one member of a coalesced batch detaches only that job:
@@ -330,14 +391,26 @@ func TestStatsEndpointFlat(t *testing.T) {
 			t.Errorf("stats field %q is %T, want a flat number", key, v)
 		}
 	}
-	for _, key := range []string{
-		"coalesceBatches", "coalesceRequests", "coalesceCoalesced", "coalesceTraversalsSaved",
-		"planCacheHits", "planCacheMisses", "planCacheHitRate",
-		"graphsRegistered", "graphsLoaded", "registryResidentBytes",
-	} {
-		if _, ok := flat[key]; !ok {
-			t.Errorf("stats missing %q", key)
-		}
+	// The golden key set: the endpoint's wire names, all of them.
+	golden := []string{
+		"coalesceBatches", "coalesceCoalesced", "coalesceDetached", "coalesceIntersections",
+		"coalesceIntersectionsSaved", "coalescePatterns", "coalesceRequests",
+		"coalesceTraversalsSaved", "coalesceUniquePlans",
+		"graphsLoaded", "graphsPinned", "graphsRegistered",
+		"morphCandidates", "morphPatternsReplaced", "morphRecoveryTerms", "morphRuns",
+		"morphStepsDirect", "morphStepsMorphed", "morphsChosen",
+		"planCacheEntries", "planCacheHitRate", "planCacheHits", "planCacheMisses",
+		"registryResidentBytes",
+		"shardEvictions", "shardLoads", "shardsPinned", "shardsResident",
+		"shardsResidentBytes", "shardsTotal",
+	}
+	var keys []string
+	for key := range flat {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	if !reflect.DeepEqual(keys, golden) {
+		t.Fatalf("GET /v1/stats keys\n got %v\nwant %v", keys, golden)
 	}
 	if flat["coalesceRequests"].(float64) < 2 {
 		t.Errorf("coalesceRequests = %v, want >= 2", flat["coalesceRequests"])

@@ -43,11 +43,6 @@ type Server struct {
 	// window makes admission pass straight through.
 	coalescer *Coalescer
 
-	// morph accumulates server-wide pattern-morphing totals; the
-	// coalescer shares this instance so direct and batched runs land in
-	// the same GET /v1/stats counters.
-	morph morphCounters
-
 	// streamAttachTimeout (nanoseconds) cancels a streaming job whose
 	// NDJSON stream was never consumed: its workers park on the full
 	// stream channel and would otherwise pin goroutines and the graph
@@ -65,17 +60,13 @@ const DefaultStreamAttachTimeout = time.Minute
 func NewServer(base context.Context, reg *Registry) *Server {
 	s := &Server{registry: reg, jobs: NewManager(base), plans: peregrine.NewPlanCache(0)}
 	s.coalescer = NewCoalescer(base, CoalesceConfig{Window: DefaultCoalesceWindow}, reg.Acquire)
-	s.coalescer.morph = &s.morph
 	s.streamAttachTimeout.Store(int64(DefaultStreamAttachTimeout))
 	return s
 }
 
 // SetCoalescing reconfigures the micro-batching admission layer
-// (-coalesce-window / -coalesce-max); a zero window disables it.
+// (-coalesce-window); a zero window disables it.
 func (s *Server) SetCoalescing(cfg CoalesceConfig) { s.coalescer.SetConfig(cfg) }
-
-// Coalescer exposes the admission layer (stats, tests).
-func (s *Server) Coalescer() *Coalescer { return s.coalescer }
 
 // PlanCache exposes the server's plan cache (stats, tests).
 func (s *Server) PlanCache() *peregrine.PlanCache { return s.plans }
@@ -151,43 +142,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// budget can never evict (and unmap) a graph under an in-flight
 	// query.
 	//
-	// Count queries without an explicit thread bound go through the
-	// coalescing admission layer instead: the coalescer acquires the
-	// graph once per merged batch, and the job's context cancellation
-	// detaches just this request from its batch (co-batched requests
-	// are unaffected). A per-request Threads bound can't be honored by
-	// a shared traversal, so such requests keep the direct path — as do
-	// task-ranged requests (a merged batch runs one task range; fanned
-	// per-shard jobs carry different ones).
-	var run func(ctx context.Context) (*Result, error)
-	if req.Kind == KindCount && req.Threads == 0 && !req.taskRanged() && s.coalescer.Enabled() {
-		run = func(ctx context.Context) (*Result, error) {
+	// Count queries go through the coalescer, the server's one count
+	// executor: it acquires the graph once per merged batch, and the
+	// job's context cancellation detaches just this request from its
+	// batch (co-batched requests are unaffected).
+	run := func(ctx context.Context) (*Result, error) {
+		if req.Kind == KindCount {
 			return s.coalescer.Do(ctx, q)
 		}
-	} else {
-		run = func(ctx context.Context) (*Result, error) {
-			g, release, err := s.registry.Acquire(req.Graph)
-			if err != nil {
-				if q.stream != nil {
-					close(q.stream.ch) // unblock a waiting stream consumer
-				}
-				return nil, err
+		g, release, err := s.registry.Acquire(req.Graph)
+		if err != nil {
+			if q.stream != nil {
+				close(q.stream.ch) // unblock a waiting stream consumer
 			}
-			defer release()
-			res, rerr := q.run(ctx, g)
-			// Even a cancelled run's morph telemetry is real work done;
-			// res accompanies rerr on truncated-but-delivered results.
-			if res != nil && res.Stats != nil {
-				s.morph.observe(res.Stats.Morphing)
-			}
-			return res, rerr
+			return nil, err
 		}
+		defer release()
+		return q.run(ctx, g)
 	}
-	var job *Job
+	job := s.jobs.Submit(req, q.stream, run)
 	if q.stream != nil {
-		job = s.jobs.SubmitStream(req, q.stream, run)
 		if d := time.Duration(s.streamAttachTimeout.Load()); d > 0 {
-			st := q.stream
 			time.AfterFunc(d, func() {
 				select {
 				case <-job.Done():
@@ -201,13 +176,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				// cancelling can't kill a live stream. The claim is
 				// watchdog-flavored: once the job is terminal, a late
 				// consumer may still reclaim it and drain the buffer.
-				if st.watchdogClaim() {
+				if q.stream.watchdogClaim() {
 					job.Cancel()
 				}
 			})
 		}
-	} else {
-		job = s.jobs.Submit(req, run)
 	}
 	if !req.Wait {
 		writeJSON(w, http.StatusAccepted, job.Info())

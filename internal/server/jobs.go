@@ -95,12 +95,6 @@ func (j *Job) Info() JobInfo {
 	return info
 }
 
-func (j *Job) setStatus(s Status) {
-	j.mu.Lock()
-	j.status = s
-	j.mu.Unlock()
-}
-
 func (j *Job) finish(res *Result, err error, ctx context.Context) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -134,19 +128,24 @@ type Manager struct {
 	jobs map[string]*Job
 }
 
+// DefaultJobTTL is how long a finished job stays queryable — the
+// default of NewManager and of peregrine-serve's -job-ttl alike. A
+// server that never evicts grows with its request count.
+const DefaultJobTTL = time.Hour
+
 // NewManager returns a job manager whose jobs are children of base:
 // cancelling base (server shutdown) cancels every running job.
 func NewManager(base context.Context) *Manager {
 	if base == nil {
 		base = context.Background()
 	}
-	return &Manager{base: base, jobs: make(map[string]*Job)}
+	return &Manager{base: base, ttl: DefaultJobTTL, jobs: make(map[string]*Job)}
 }
 
-// SetTTL sets how long finished jobs remain queryable before eviction.
-// Zero (the default) disables eviction. The TTL applies to jobs that
-// finish after the call; in-flight and already-finished jobs keep the
-// TTL they finished under.
+// SetTTL sets how long finished jobs remain queryable before eviction
+// (default DefaultJobTTL); zero keeps them forever. The TTL applies to
+// jobs that finish after the call; in-flight and already-finished jobs
+// keep the TTL they finished under.
 func (m *Manager) SetTTL(d time.Duration) {
 	m.mu.Lock()
 	m.ttl = d
@@ -154,19 +153,11 @@ func (m *Manager) SetTTL(d time.Duration) {
 }
 
 // Submit registers a job for req and starts run on its own goroutine.
-// run receives the job's context and must honor its cancellation.
-func (m *Manager) Submit(req Request, run func(ctx context.Context) (*Result, error)) *Job {
-	return m.submit(req, nil, run)
-}
-
-// SubmitStream is Submit for a streaming matches job: st is exposed
-// through Job.Stream for GET /v1/jobs/{id}/stream, and run is expected
-// to publish matches to it (and close it) as they are found.
-func (m *Manager) SubmitStream(req Request, st *MatchStream, run func(ctx context.Context) (*Result, error)) *Job {
-	return m.submit(req, st, run)
-}
-
-func (m *Manager) submit(req Request, st *MatchStream, run func(ctx context.Context) (*Result, error)) *Job {
+// run receives the job's context and must honor its cancellation. A
+// non-nil st makes it a streaming matches job: st is exposed through
+// Job.Stream for GET /v1/jobs/{id}/stream, and run is expected to
+// publish matches to it (and close it) as they are found.
+func (m *Manager) Submit(req Request, st *MatchStream, run func(ctx context.Context) (*Result, error)) *Job {
 	ctx, cancel := context.WithCancel(m.base)
 	j := &Job{
 		cancel:  cancel,
@@ -184,7 +175,9 @@ func (m *Manager) submit(req Request, st *MatchStream, run func(ctx context.Cont
 
 	go func() {
 		defer cancel()
-		j.setStatus(StatusRunning)
+		j.mu.Lock()
+		j.status = StatusRunning
+		j.mu.Unlock()
 		res, err := run(ctx)
 		j.finish(res, err, ctx)
 		close(j.done)

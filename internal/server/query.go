@@ -97,25 +97,30 @@ type FrequentPattern struct {
 	Support int    `json:"support"`
 }
 
-// RunStats is the JSON rendering of core.Stats. For batched
-// multi-pattern queries it aggregates across patterns; tasks counts the
-// single shared traversal, not one per pattern.
+// RunStats is the JSON rendering of one execution's statistics. For
+// batched multi-pattern queries it aggregates across patterns; tasks
+// counts the single shared traversal, not one per pattern. The nested
+// blocks are the engine's own stats types — one shape from the library
+// through node JSON to the coordinator's merge.
 type RunStats struct {
-	Matches     uint64        `json:"matches"`
-	CoreMatches uint64        `json:"coreMatches"`
-	Tasks       uint64        `json:"tasks"`
-	Threads     int           `json:"threads"`
-	Stopped     bool          `json:"stopped"`
-	PlanMicros  int64         `json:"planMicros"`
-	MatchMicros int64         `json:"matchMicros"`
-	Sharing     *SharingStats `json:"sharing,omitempty"`
+	Matches     uint64 `json:"matches"`
+	CoreMatches uint64 `json:"coreMatches"`
+	Tasks       uint64 `json:"tasks"`
+	Threads     int    `json:"threads"`
+	Stopped     bool   `json:"stopped"`
+	PlanMicros  int64  `json:"planMicros"`
+	MatchMicros int64  `json:"matchMicros"`
+	// Sharing reports how much of the batch's core exploration was merged
+	// into shared trie nodes. Present on pattern queries (count, exists,
+	// matches); absent on fsm.
+	Sharing *core.ShareStats `json:"sharing,omitempty"`
 	// Morphing is present when the batch's counting patterns were
 	// rewritten into cheaper relatives before execution (see
 	// peregrine.WithoutMorphing for the ablation). The traversal figures
 	// above describe the executed — morphed — plan set; matches and
 	// per-pattern counts are always the requested patterns' recovered
 	// counts.
-	Morphing *MorphingStats `json:"morphing,omitempty"`
+	Morphing *core.MorphStats `json:"morphing,omitempty"`
 	// Coalescing is present when the job rode a cross-request
 	// micro-batch: the whole batch's shape plus this request's own
 	// queue/execution latency split. On a coalesced job the traversal
@@ -126,128 +131,83 @@ type RunStats struct {
 	// fragment loads and budget evictions during this run, and the
 	// fragment bytes resident when it finished. Evictions > 0 means the
 	// run executed out of core.
-	Sharding *ShardingStats `json:"sharding,omitempty"`
+	Sharding *core.ShardScanStats `json:"sharding,omitempty"`
 }
 
-// ShardingStats is the JSON rendering of core.ShardScanStats.
-type ShardingStats struct {
-	Shards        int    `json:"shards"`
-	Loads         uint64 `json:"loads"`
-	Evictions     uint64 `json:"evictions"`
-	ResidentBytes uint64 `json:"residentBytes"`
+// Add folds the stats of another task range of the same query into s —
+// the coordinator's merge. Counters sum; the parts ran concurrently, so
+// wall-clock figures (and the thread count) take the max; the nested
+// blocks add themselves. Coalescing is per-request attribution and does
+// not merge.
+func (s *RunStats) Add(o *RunStats) {
+	s.Matches += o.Matches
+	s.CoreMatches += o.CoreMatches
+	s.Tasks += o.Tasks
+	s.Threads = max(s.Threads, o.Threads)
+	s.Stopped = s.Stopped || o.Stopped
+	s.PlanMicros = max(s.PlanMicros, o.PlanMicros)
+	s.MatchMicros = max(s.MatchMicros, o.MatchMicros)
+	addBlock(&s.Sharing, o.Sharing)
+	addBlock(&s.Morphing, o.Morphing)
+	addBlock(&s.Sharding, o.Sharding)
 }
 
-// shardingStats renders a run's shard-scan telemetry, or nil when the
-// graph was not sharded (so the field is omitted from the JSON).
-func shardingStats(ms peregrine.MultiStats) *ShardingStats {
-	if ms.Shards == nil {
-		return nil
+// addBlock adds an optional nested stats block into *dst, allocating it
+// on first use so blocks absent from every part stay absent.
+func addBlock[T any, P interface {
+	*T
+	Add(T)
+}](dst *P, src P) {
+	if src == nil {
+		return
 	}
-	return &ShardingStats{
-		Shards:        ms.Shards.Shards,
-		Loads:         ms.Shards.Loads,
-		Evictions:     ms.Shards.Evictions,
-		ResidentBytes: ms.Shards.ResidentBytes,
+	if *dst == nil {
+		*dst = new(T)
 	}
+	(*dst).Add(*src)
 }
 
-// SharingStats is the JSON rendering of core.ShareStats: how much of a
-// batch's core exploration was merged into shared trie nodes, and how
-// many adjacency intersections the merge avoided. Present on pattern
-// queries (count, exists, matches); absent on fsm.
-type SharingStats struct {
-	TrieNodes          uint64 `json:"trieNodes"`
-	ProgramSteps       uint64 `json:"programSteps"`
-	SharedNodeVisits   uint64 `json:"sharedNodeVisits"`
-	Intersections      uint64 `json:"intersections"`
-	IntersectionsSaved uint64 `json:"intersectionsSaved"`
-}
-
-// MorphingStats is the JSON rendering of plan.MorphStats: how a
-// counting batch was rewritten before execution. PatternsReplaced of
-// the batch's patterns were dropped in favor of RecoveryTerms cheaper
-// relatives; StepsDirect and StepsMorphed compare the share-trie
-// program of the batch as requested against the one actually executed.
-type MorphingStats struct {
-	Candidates       uint64 `json:"candidates"`
-	MorphsChosen     uint64 `json:"morphsChosen"`
-	PatternsReplaced uint64 `json:"patternsReplaced"`
-	RecoveryTerms    uint64 `json:"recoveryTerms"`
-	StepsDirect      uint64 `json:"stepsDirect"`
-	StepsMorphed     uint64 `json:"stepsMorphed"`
-}
-
-// morphingStats renders a run's morph telemetry, or nil when morphing
-// did not rewrite the batch (so the field is omitted from the JSON).
-func morphingStats(ms peregrine.MultiStats) *MorphingStats {
-	if !ms.Morph.Active() {
-		return nil
-	}
-	return &MorphingStats{
-		Candidates:       ms.Morph.Candidates,
-		MorphsChosen:     ms.Morph.MorphsChosen,
-		PatternsReplaced: ms.Morph.PatternsReplaced,
-		RecoveryTerms:    ms.Morph.RecoveryTerms,
-		StepsDirect:      ms.Morph.StepsDirect,
-		StepsMorphed:     ms.Morph.StepsMorphed,
-	}
-}
-
-// multiStats aggregates batched execution stats; plan time is the cost
-// of compiling the request's patterns at POST time, which a plan-cache
-// hit reduces to the canonicalization lookup.
-func (q *compiledQuery) multiStats(ms peregrine.MultiStats) *RunStats {
-	agg := &RunStats{
+// runStats renders an execution's statistics: matches and core matches
+// total ms.Per, everything else is the shared traversal's. Plan time is
+// the cost of compiling the request's patterns at POST time, which a
+// plan-cache hit reduces to the canonicalization lookup.
+func (q *compiledQuery) runStats(ms peregrine.MultiStats) *RunStats {
+	// The nested blocks are copied out, not pointed into ms: a finished
+	// job keeps its stats until its TTL, and must not pin the whole
+	// MultiStats (and its Per rows) with them.
+	share := ms.Share
+	st := &RunStats{
 		Matches:     ms.Matches(),
 		Tasks:       ms.Tasks,
 		Threads:     ms.Threads,
 		Stopped:     ms.Stopped,
 		PlanMicros:  q.planTime.Microseconds(),
 		MatchMicros: ms.MatchTime.Microseconds(),
-		Sharing: &SharingStats{
-			TrieNodes:          ms.Share.TrieNodes,
-			ProgramSteps:       ms.Share.ProgramSteps,
-			SharedNodeVisits:   ms.Share.SharedNodeVisits,
-			Intersections:      ms.Share.Intersections,
-			IntersectionsSaved: ms.Share.IntersectionsSaved,
-		},
-		Morphing: morphingStats(ms),
-		Sharding: shardingStats(ms),
+		Sharing:     &share,
+		Sharding:    ms.Shards,
+	}
+	if ms.Morph.Active() {
+		morph := ms.Morph
+		st.Morphing = &morph
 	}
 	for _, s := range ms.Per {
-		agg.CoreMatches += s.CoreMatches
-	}
-	return agg
-}
-
-// coalescedResult assembles this request's demuxed slice of a merged
-// batch execution: per holds the Stats row serving each of the
-// request's patterns (see peregrine.CountEachMerged), ms the batch's
-// shared-traversal figures, and cs the coalescing attribution.
-func (q *compiledQuery) coalescedResult(per []peregrine.Stats, ms peregrine.MultiStats, cs *CoalescingStats) *Result {
-	st := &RunStats{
-		Tasks:       ms.Tasks,
-		Threads:     ms.Threads,
-		Stopped:     ms.Stopped,
-		PlanMicros:  q.planTime.Microseconds(),
-		MatchMicros: ms.MatchTime.Microseconds(),
-		Sharing: &SharingStats{
-			TrieNodes:          ms.Share.TrieNodes,
-			ProgramSteps:       ms.Share.ProgramSteps,
-			SharedNodeVisits:   ms.Share.SharedNodeVisits,
-			Intersections:      ms.Share.Intersections,
-			IntersectionsSaved: ms.Share.IntersectionsSaved,
-		},
-		Morphing:   morphingStats(ms),
-		Coalescing: cs,
-		Sharding:   shardingStats(ms),
-	}
-	res := &Result{Stats: st}
-	for _, s := range per {
-		res.Count += s.Matches
-		st.Matches += s.Matches
 		st.CoreMatches += s.CoreMatches
 	}
+	return st
+}
+
+// countResult builds a count request's Result from its demuxed slice of
+// a batch execution: per holds the Stats row serving each of the
+// request's patterns (see peregrine.CountEachMerged), ms the batch's
+// shared-traversal figures, and cs the coalescing attribution (nil when
+// the request ran as a batch of its own).
+func (q *compiledQuery) countResult(per []peregrine.Stats, ms peregrine.MultiStats, cs *CoalescingStats) *Result {
+	ms.Per = per
+	st := q.runStats(ms)
+	st.Coalescing = cs
+	res := &Result{Count: st.Matches, Stats: st}
+	// Any list-form request gets per-pattern rows — even a list of one —
+	// so clients never have to special-case the list's length.
 	if len(q.req.Patterns) > 0 {
 		res.PerPattern = make([]PatternCount, len(q.texts))
 		for i, text := range q.texts {
@@ -357,13 +317,11 @@ func compile(req Request, plans *peregrine.PlanCache) (*compiledQuery, error) {
 
 // options renders the request's execution knobs as engine options; the
 // context reaches every engine worker through core.Options.Context.
+// Plan-affecting knobs are already baked into q.prepared.
 func (q *compiledQuery) options(ctx context.Context) []peregrine.Option {
 	opts := []peregrine.Option{peregrine.WithContext(ctx)}
 	if q.req.Threads > 0 {
 		opts = append(opts, peregrine.WithThreads(q.req.Threads))
-	}
-	if q.req.NoSymmetryBreaking {
-		opts = append(opts, peregrine.WithoutSymmetryBreaking())
 	}
 	if q.req.taskRanged() {
 		opts = append(opts, peregrine.WithTaskRange(q.req.TaskLo, q.req.TaskHi))
@@ -371,29 +329,12 @@ func (q *compiledQuery) options(ctx context.Context) []peregrine.Option {
 	return opts
 }
 
-// perPattern renders per-pattern counts for list-form (patterns)
-// requests; single-pattern string-form results keep their original
-// shape.
-func (q *compiledQuery) perPattern(ms peregrine.MultiStats) []PatternCount {
-	// Any list-form request gets per-pattern rows — even a list of one —
-	// so clients never have to special-case the list's length.
-	if len(q.req.Patterns) == 0 {
-		return nil
-	}
-	out := make([]PatternCount, len(q.texts))
-	for i, text := range q.texts {
-		out[i] = PatternCount{Pattern: text, Count: ms.Per[i].Matches}
-	}
-	return out
-}
-
-// run executes the compiled query on g, honoring ctx cancellation.
+// run executes a non-count query on g, honoring ctx cancellation.
+// Counts have one executor of their own: Coalescer.Do.
 func (q *compiledQuery) run(ctx context.Context, g *graph.Graph) (*Result, error) {
 	var res *Result
 	var err error
 	switch q.req.Kind {
-	case KindCount:
-		res, err = q.runCount(ctx, g)
 	case KindExists:
 		res, err = q.runExists(ctx, g)
 	case KindMatches:
@@ -421,14 +362,6 @@ func (q *compiledQuery) run(ctx context.Context, g *graph.Graph) (*Result, error
 	return res, nil
 }
 
-func (q *compiledQuery) runCount(ctx context.Context, g *graph.Graph) (*Result, error) {
-	_, ms, err := q.prepared.CountEachWithStats(g, q.options(ctx)...)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Count: ms.Matches(), PerPattern: q.perPattern(ms), Stats: q.multiStats(ms)}, nil
-}
-
 func (q *compiledQuery) runExists(ctx context.Context, g *graph.Graph) (*Result, error) {
 	var found atomic.Bool
 	ms, err := q.prepared.ForEach(g, func(c *peregrine.Ctx, pat int, m *peregrine.Match) {
@@ -439,7 +372,7 @@ func (q *compiledQuery) runExists(ctx context.Context, g *graph.Graph) (*Result,
 		return nil, err
 	}
 	f := found.Load()
-	return &Result{Exists: &f, Count: ms.Matches(), Stats: q.multiStats(ms)}, nil
+	return &Result{Exists: &f, Count: ms.Matches(), Stats: q.runStats(ms)}, nil
 }
 
 func (q *compiledQuery) runMatches(ctx context.Context, g *graph.Graph) (*Result, error) {
@@ -463,7 +396,7 @@ func (q *compiledQuery) runMatches(ctx context.Context, g *graph.Graph) (*Result
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Count: ms.Matches(), Matches: matches, Stats: q.multiStats(ms)}, nil
+	return &Result{Count: ms.Matches(), Matches: matches, Stats: q.runStats(ms)}, nil
 }
 
 // runStream mines matches into the job's stream channel. Engine
@@ -508,7 +441,7 @@ func (q *compiledQuery) runStream(ctx context.Context, g *graph.Graph) (*Result,
 	// delivered to the stream, drainable until the job's TTL, not the
 	// racy engine-side tally of matches found before the stop flag
 	// propagated; the engine figures stay visible under stats.
-	res := &Result{Stats: q.multiStats(ms)}
+	res := &Result{Stats: q.runStats(ms)}
 	for i := range delivered {
 		res.Count += delivered[i].Load()
 	}

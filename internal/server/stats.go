@@ -6,35 +6,31 @@ package server
 // registry gauges (graphsLoaded, graphsPinned, registryResidentBytes),
 // which are point-in-time.
 
-import "sync/atomic"
+import (
+	"sync"
+
+	"peregrine/internal/core"
+)
 
 // morphCounters accumulate pattern-morphing totals across every count
-// execution — direct runs and coalesced batches both feed the same
-// instance, so GET /v1/stats shows one server-wide view of how much
+// execution, so GET /v1/stats shows one server-wide view of how much
 // the morphing layer rewrote.
 type morphCounters struct {
-	runs             atomic.Uint64 // executions where morphing rewrote the batch
-	candidates       atomic.Uint64 // morph candidates considered
-	chosen           atomic.Uint64 // candidates the cost model selected
-	patternsReplaced atomic.Uint64 // requested patterns executed via relatives
-	recoveryTerms    atomic.Uint64 // relative-pattern terms in recovery relations
-	stepsDirect      atomic.Uint64 // share-trie steps of the batches as requested
-	stepsMorphed     atomic.Uint64 // share-trie steps actually executed
+	mu    sync.Mutex
+	runs  uint64          // executions where morphing rewrote the batch
+	total core.MorphStats // their summed telemetry
 }
 
-// observe folds one run's morph telemetry into the totals; a nil st
-// (morphing inactive on that run) is a no-op.
-func (m *morphCounters) observe(st *MorphingStats) {
-	if st == nil {
+// observe folds one run's morph telemetry into the totals; a run that
+// morphing left as given is a no-op.
+func (m *morphCounters) observe(st core.MorphStats) {
+	if !st.Active() {
 		return
 	}
-	m.runs.Add(1)
-	m.candidates.Add(st.Candidates)
-	m.chosen.Add(st.MorphsChosen)
-	m.patternsReplaced.Add(st.PatternsReplaced)
-	m.recoveryTerms.Add(st.RecoveryTerms)
-	m.stepsDirect.Add(st.StepsDirect)
-	m.stepsMorphed.Add(st.StepsMorphed)
+	m.mu.Lock()
+	m.runs++
+	m.total.Add(st)
+	m.mu.Unlock()
 }
 
 // ServerStats is the body of GET /v1/stats.
@@ -96,24 +92,28 @@ type ServerStats struct {
 // Stats assembles the server-wide counter snapshot.
 func (s *Server) Stats() ServerStats {
 	var st ServerStats
-	cs := s.coalescer.Snapshot()
-	st.CoalesceBatches = cs.Batches
-	st.CoalesceRequests = cs.Requests
-	st.CoalesceCoalesced = cs.Coalesced
-	st.CoalesceDetached = cs.Detached
-	st.CoalescePatterns = cs.Patterns
-	st.CoalesceUniquePlans = cs.UniquePlans
-	st.CoalesceTraversalsSaved = cs.TraversalsSaved
-	st.CoalesceIntersections = cs.Intersections
-	st.CoalesceIntersectionsSaved = cs.IntersectionsSaved
+	cc := &s.coalescer.counters
+	st.CoalesceBatches = cc.batches.Load()
+	st.CoalesceRequests = cc.requests.Load()
+	st.CoalesceCoalesced = cc.coalesced.Load()
+	st.CoalesceDetached = cc.detached.Load()
+	st.CoalescePatterns = cc.patterns.Load()
+	st.CoalesceUniquePlans = cc.uniquePlans.Load()
+	st.CoalesceTraversalsSaved = cc.traversalsSaved.Load()
+	st.CoalesceIntersections = cc.intersections.Load()
+	st.CoalesceIntersectionsSaved = cc.intersectionsSaved.Load()
 
-	st.MorphRuns = s.morph.runs.Load()
-	st.MorphCandidates = s.morph.candidates.Load()
-	st.MorphsChosen = s.morph.chosen.Load()
-	st.MorphPatternsReplaced = s.morph.patternsReplaced.Load()
-	st.MorphRecoveryTerms = s.morph.recoveryTerms.Load()
-	st.MorphStepsDirect = s.morph.stepsDirect.Load()
-	st.MorphStepsMorphed = s.morph.stepsMorphed.Load()
+	mc := &s.coalescer.morph
+	mc.mu.Lock()
+	runs, mt := mc.runs, mc.total
+	mc.mu.Unlock()
+	st.MorphRuns = runs
+	st.MorphCandidates = mt.Candidates
+	st.MorphsChosen = mt.MorphsChosen
+	st.MorphPatternsReplaced = mt.PatternsReplaced
+	st.MorphRecoveryTerms = mt.RecoveryTerms
+	st.MorphStepsDirect = mt.StepsDirect
+	st.MorphStepsMorphed = mt.StepsMorphed
 
 	hits, misses := s.plans.Stats()
 	st.PlanCacheHits = hits

@@ -21,6 +21,7 @@ import (
 	"peregrine/internal/graph"
 	"peregrine/internal/pattern"
 	"peregrine/internal/plan"
+	"peregrine/internal/ref"
 )
 
 // morphGraphs extends the differential graphs with labeled variants:
@@ -119,6 +120,26 @@ func TestDifferentialMorphedVertexInduced(t *testing.T) {
 						t.Errorf("size %d pattern %v solo: morphed-path = %d, baseline = %d",
 							size, skels[i], solo[0], want)
 					}
+					if size <= 4 {
+						checkOneCountPath(t, tc.g, skels[i], vips[i], want)
+					}
+				}
+				// MotifCounts is the same batch through the same pipeline:
+				// same counts, same morph decision, same trie.
+				if size <= 4 {
+					motifs, mms, err := MotifCountsWithStats(tc.g, size, WithThreads(4))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range motifs {
+						if motifs[i].Count != morphed[i] {
+							t.Errorf("size %d MotifCounts[%d] = %d, CountMany = %d", size, i, motifs[i].Count, morphed[i])
+						}
+					}
+					if mms.Morph != ms.Morph || mms.Share != ms.Share {
+						t.Errorf("size %d MotifCounts stats morph %+v share %+v, CountMany %+v %+v",
+							size, mms.Morph, mms.Share, ms.Morph, ms.Share)
+					}
 				}
 				// Per keeps the batch's shape through morphing: one row per
 				// requested pattern, with the recovered matches.
@@ -134,6 +155,95 @@ func TestDifferentialMorphedVertexInduced(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkOneCountPath asserts there is one count path: every entry point
+// that can count the single vertex-induced pattern vip (skeleton skel)
+// returns want — also the brute-force oracle's answer — with identical
+// morph and share figures, and a task-range split of the same count
+// sums to it without morphing any part.
+func checkOneCountPath(t *testing.T, g *graph.Graph, skel, vip *Pattern, want uint64) {
+	t.Helper()
+	if r := ref.CountVertexInduced(g, skel); r != want {
+		t.Errorf("%v: internal/ref = %d, baseline = %d", skel, r, want)
+	}
+	q, err := Prepare(vip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		name  string
+		count uint64
+		ms    MultiStats
+		err   error
+	}
+	var rows []outcome
+	n, st, err := CountWithStats(g, vip, WithThreads(4))
+	rows = append(rows, outcome{name: "Count", count: n, err: err})
+	many, ms, err := CountManyWithStats(g, []*Pattern{vip}, WithThreads(4))
+	rows = append(rows, outcome{"CountMany", many[0], ms, err})
+	// Count reports a bare Stats row: it must be the one-pattern batch's
+	// row, morphed or not — not a separate un-morphed traversal's.
+	if !sameWork(st, ms.Per[0]) {
+		t.Errorf("%v: Count ran %+v, CountMany([p]) ran %+v", skel, st, ms.Per[0])
+	}
+	total, err := q.Count(g, WithThreads(4))
+	rows = append(rows, outcome{name: "Prepare.Count", count: total, err: err})
+	each, ms, err := q.CountEachWithStats(g, WithThreads(4))
+	rows = append(rows, outcome{"Prepare.CountEach", each[0], ms, err})
+	per, ms, err := CountEachMerged(g, []*PreparedQuery{q}, WithThreads(4))
+	rows = append(rows, outcome{"CountEachMerged", per[0][0].Matches, ms, err})
+	first := -1 // first row carrying batch statistics
+	for i, r := range rows {
+		if r.err != nil {
+			t.Fatalf("%v via %s: %v", skel, r.name, r.err)
+		}
+		if r.count != want {
+			t.Errorf("%v via %s = %d, want %d", skel, r.name, r.count, want)
+		}
+		if r.ms.Threads == 0 {
+			continue // entry point returns no MultiStats
+		}
+		if first < 0 {
+			first = i
+		} else if r.ms.Morph != rows[first].ms.Morph || r.ms.Share != rows[first].ms.Share {
+			t.Errorf("%v via %s: morph %+v share %+v, via %s: %+v %+v", skel, r.name,
+				r.ms.Morph, r.ms.Share, rows[first].name, rows[first].ms.Morph, rows[first].ms.Share)
+		}
+	}
+	// Three cuts, four task ranges: counts are additive over ranges, and
+	// ranged parts run as given — recovery only balances over the whole
+	// task space.
+	v := uint32(g.NumVertices())
+	cuts := []uint32{0, v / 4, v / 2, 3 * v / 4, 0}
+	var sum uint64
+	for i := 0; i+1 < len(cuts); i++ {
+		lo, hi := cuts[i], cuts[i+1]
+		n, st, err := CountWithStats(g, vip, WithThreads(4), WithTaskRange(lo, hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ms, err := CountManyWithStats(g, []*Pattern{vip}, WithThreads(4), WithTaskRange(lo, hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ms.Morph.Active() {
+			t.Errorf("%v range [%d,%d): ranged part morphed: %+v", skel, lo, hi, ms.Morph)
+		}
+		if !sameWork(st, ms.Per[0]) {
+			t.Errorf("%v range [%d,%d): Count ran %+v, CountMany ran %+v", skel, lo, hi, st, ms.Per[0])
+		}
+		sum += n
+	}
+	if sum != want {
+		t.Errorf("%v: task-range parts sum to %d, want %d", skel, sum, want)
+	}
+}
+
+// sameWork compares the deterministic figures of two Stats rows.
+func sameWork(a, b Stats) bool {
+	return a.Matches == b.Matches && a.CoreMatches == b.CoreMatches &&
+		a.Tasks == b.Tasks && a.Intersections == b.Intersections
 }
 
 // TestDifferentialMorphedLabeledPatterns checks fully labeled

@@ -297,10 +297,25 @@ func Count(g *Graph, p *Pattern, opts ...Option) (uint64, error) {
 	return n, err
 }
 
-// CountWithStats returns the match count along with execution statistics.
+// CountWithStats returns the match count along with execution
+// statistics. It is the one-pattern case of CountMany and counts the
+// same way: a pattern with anti-edges may execute as cheaper relatives
+// (see WithoutMorphing), in which case Stats carries the recovered
+// count with the run's time and thread figures only.
 func CountWithStats(g *Graph, p *Pattern, opts ...Option) (uint64, Stats, error) {
-	st, err := ForEachMatch(g, p, nil, opts...)
-	return st.Matches, st, err
+	t0 := time.Now()
+	q, err := PrepareWith(opts, p)
+	if err != nil {
+		return 0, Stats{}, err
+	}
+	planTime := time.Since(t0)
+	_, ms, err := q.CountEachWithStats(g, opts...)
+	if err != nil {
+		return 0, Stats{}, err
+	}
+	st := ms.Per[0]
+	st.PlanTime = planTime
+	return st.Matches, st, nil
 }
 
 // Exists reports whether p has at least one match in g, terminating the

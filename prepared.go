@@ -121,14 +121,10 @@ func PrepareWith(opts []Option, patterns ...*Pattern) (*PreparedQuery, error) {
 // plan-affecting options (vertex-induced conversion, symmetry
 // breaking).
 func compilePatterns(ps []*Pattern, c config) ([]preparedPattern, error) {
-	cache := c.planCache
-	if cache == nil {
-		cache = defaultPlanCache
-	}
 	out := make([]preparedPattern, len(ps))
 	for i, p := range ps {
 		eff := c.pattern(p)
-		cached, err := cache.Get(eff, plan.Options{NoSymmetryBreaking: c.opts.NoSymmetryBreaking})
+		cached, err := c.cache().Get(eff, c.planOptions())
 		if err != nil {
 			return nil, fmt.Errorf("peregrine: pattern %d (%v): %w", i, p, err)
 		}
@@ -249,69 +245,22 @@ func (q *PreparedQuery) CountEach(g *Graph, opts ...Option) ([]uint64, error) {
 }
 
 // CountEachWithStats is CountEach along with the batched execution
-// statistics (per-pattern counts plus the shared traversal figures).
+// statistics (per-pattern rows plus the shared traversal figures).
 //
 // Counting is where pattern morphing applies: patterns with anti-edges
 // may be rewritten into cheaper edge-induced relatives whose counts
-// recover the requested ones exactly (plan.MorphBatch), morphing first
+// recover the requested ones exactly (see countBatch), morphing first
 // and then sharing what remains through the trie. The returned counts
 // are always the requested patterns'; MultiStats.Morph reports the
 // rewriting and WithoutMorphing disables it. Entry points that deliver
 // real embeddings (ForEach, Exists, Matches) never morph.
 func (q *PreparedQuery) CountEachWithStats(g *Graph, opts ...Option) ([]uint64, MultiStats, error) {
-	c := q.buildConfig(opts)
-	pps, err := q.resolve(c)
+	per, ms, err := countBatch(g, []*PreparedQuery{q}, opts)
 	if err != nil {
-		return nil, MultiStats{}, err
+		return nil, ms, err
 	}
-	plans := plansOf(pps)
-	// Morph recovery is only valid over the whole task space; ranged
-	// executions (sharded/distributed partitions) run the batch as
-	// given. See WithTaskRange.
-	if !c.noMorph && !c.taskRanged() {
-		if mp := plan.MorphBatch(plans, c.cache(), c.planOptions()); mp != nil {
-			ms := core.RunPlans(g, mp.Exec, nil, c.opts)
-			counts, ms := recoverCounts(ms, mp)
-			return counts, ms, ms.Err
-		}
-	}
-	ms := core.RunPlans(g, plans, nil, c.opts)
-	counts := make([]uint64, len(ms.Per))
-	for i := range ms.Per {
-		counts[i] = ms.Per[i].Matches
-	}
-	return counts, ms, ms.Err
-}
-
-// recoverCounts rewrites a morphed execution's statistics onto the
-// original batch shape: executed counts are folded through the
-// recovery relations, and Per rows line up with the patterns the
-// caller asked for. Patterns that ran directly keep their exact
-// traversal figures; replaced patterns carry the recovered count with
-// the batch-wide run figures (their traversal work happened under the
-// executed relatives).
-func recoverCounts(ms core.MultiStats, mp *plan.MorphPlan) ([]uint64, core.MultiStats) {
-	execCounts := make([]uint64, len(ms.Per))
-	for i := range ms.Per {
-		execCounts[i] = ms.Per[i].Matches
-	}
-	counts := mp.Recover(execCounts)
-	per := make([]core.Stats, len(mp.Recov))
-	for i := range mp.Recov {
-		if d := mp.Recov[i].Direct; d >= 0 {
-			per[i] = ms.Per[d]
-		} else {
-			per[i] = core.Stats{
-				Matches:   counts[i],
-				Stopped:   ms.Stopped,
-				MatchTime: ms.MatchTime,
-				Threads:   ms.Threads,
-			}
-		}
-	}
-	ms.Per = per
-	ms.Morph = mp.Stats
-	return counts, ms
+	ms.Per = per[0] // one row per requested pattern, duplicates included
+	return matchCounts(ms.Per), ms, nil
 }
 
 // Count returns the total number of matches across all prepared
@@ -319,15 +268,12 @@ func recoverCounts(ms core.MultiStats, mp *plan.MorphPlan) ([]uint64, core.Multi
 // execute morphed relatives of the prepared patterns and recover the
 // requested counts algebraically.
 func (q *PreparedQuery) Count(g *Graph, opts ...Option) (uint64, error) {
-	counts, _, err := q.CountEachWithStats(g, opts...)
-	if err != nil {
-		return 0, err
-	}
+	counts, err := q.CountEach(g, opts...)
 	var total uint64
 	for _, n := range counts {
 		total += n
 	}
-	return total, nil
+	return total, err
 }
 
 // Exists reports whether any prepared pattern has at least one match in
