@@ -616,6 +616,63 @@ func BenchmarkMorphedVsDirect(b *testing.B) {
 	}
 }
 
+// BenchmarkCountVsEnumerate isolates count mode's last-level aggregate:
+// the same executed plans over the same graph with cb == nil (the last
+// completion level contributes its size) versus a callback that does
+// nothing (every match is walked). The batches are the benchmark's two
+// library workloads: the morphed vertex-induced 4- and 5-motifs on a
+// flat graph, and triangle + 4-clique on a power-law one. matches/s is
+// the same count either way, so it compares directly.
+func BenchmarkCountVsEnumerate(b *testing.B) {
+	var motifs []*plan.Plan
+	for _, size := range []int{4, 5} {
+		for _, m := range pattern.GenerateAllVertexInduced(size) {
+			pl, err := plan.New(pattern.VertexInduced(m), plan.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			motifs = append(motifs, pl)
+		}
+	}
+	mp := plan.MorphBatch(motifs, plan.NewCache(), plan.Options{})
+	if mp == nil {
+		b.Fatal("motif batch did not morph")
+	}
+	var cliques []*plan.Plan
+	for _, k := range []int{3, 4} {
+		pl, err := plan.New(pattern.Clique(k), plan.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cliques = append(cliques, pl)
+	}
+	for _, batch := range []struct {
+		name string
+		g    *Graph
+		pls  []*plan.Plan
+	}{
+		{"motifs-4-5", gen.ErdosRenyi(gen.ERConfig{Vertices: 512, Edges: 2560, MaxDegree: 100, Seed: 1}), mp.Exec},
+		{"cliques-3-4", gen.RMAT(gen.RMATConfig{Vertices: 4096, Edges: 50000, Seed: 1}), cliques},
+	} {
+		for _, mode := range []struct {
+			name string
+			cb   core.PlanCallback
+		}{
+			{"count", nil},
+			{"enumerate", func(*core.Ctx, int, *core.Match) {}},
+		} {
+			b.Run(batch.name+"/"+mode.name, func(b *testing.B) {
+				var matches uint64
+				for i := 0; i < b.N; i++ {
+					ms := core.RunPlans(batch.g, batch.pls, mode.cb, core.Options{})
+					matches += ms.Matches()
+				}
+				b.ReportMetric(float64(matches)/b.Elapsed().Seconds(), "matches/s")
+			})
+		}
+	}
+}
+
 // BenchmarkPlanCache isolates the compile-once claim: a cache hit is a
 // canonicalization plus a map lookup, a miss pays full pattern analysis
 // (symmetry breaking, core extraction, matching orders).

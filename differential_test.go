@@ -10,6 +10,7 @@ package peregrine
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"peregrine/internal/baseline"
@@ -17,6 +18,8 @@ import (
 	"peregrine/internal/gen"
 	"peregrine/internal/graph"
 	"peregrine/internal/pattern"
+	"peregrine/internal/plan"
+	"peregrine/internal/ref"
 )
 
 // differentialGraphs are small seeded random graphs spanning the two
@@ -26,13 +29,23 @@ func differentialGraphs() []struct {
 	name string
 	g    *graph.Graph
 } {
+	return labeledDifferentialGraphs(0)
+}
+
+// labeledDifferentialGraphs are differentialGraphs with uniform vertex
+// labels in [0, labels): labels are drawn after the edges, so the
+// structure is the same graph's.
+func labeledDifferentialGraphs(labels int) []struct {
+	name string
+	g    *graph.Graph
+} {
 	return []struct {
 		name string
 		g    *graph.Graph
 	}{
-		{"er-48", gen.ErdosRenyi(gen.ERConfig{Vertices: 48, Edges: 110, Seed: 11})},
-		{"er-64", gen.ErdosRenyi(gen.ERConfig{Vertices: 64, Edges: 140, Seed: 12})},
-		{"rmat-64", gen.RMAT(gen.RMATConfig{Vertices: 64, Edges: 160, Seed: 13})},
+		{"er-48", gen.ErdosRenyi(gen.ERConfig{Vertices: 48, Edges: 110, Seed: 11, Labels: labels})},
+		{"er-64", gen.ErdosRenyi(gen.ERConfig{Vertices: 64, Edges: 140, Seed: 12, Labels: labels})},
+		{"rmat-64", gen.RMAT(gen.RMATConfig{Vertices: 64, Edges: 160, Seed: 13, Labels: labels})},
 	}
 }
 
@@ -149,6 +162,94 @@ func TestDifferentialUnorderedAgainstReference(t *testing.T) {
 				if unbroken != broken*autos {
 					t.Errorf("pattern %v: unbroken = %d, want broken(%d) x |Aut|(%d) = %d",
 						p, unbroken, broken, autos, broken*autos)
+				}
+			}
+		})
+	}
+}
+
+// countForms are the constraint kinds the engine completes differently,
+// each derived from one connected unlabeled pattern: as given; with
+// anti-edges (its vertex-induced form); with a mix of concrete and
+// wildcard labels; with an anti-vertex.
+func countForms(p *pattern.Pattern) map[string]*pattern.Pattern {
+	labeled := p.Clone()
+	labeled.SetLabel(0, 0)
+	labeled.SetLabel(p.N()-1, 1)
+	anti := p.Clone()
+	a := anti.AddVertex()
+	anti.AddAntiEdge(0, a)
+	anti.AddAntiEdge(p.N()-1, a)
+	return map[string]*pattern.Pattern{
+		"plain":          p,
+		"vertex-induced": pattern.VertexInduced(p),
+		"labeled":        labeled,
+		"anti-vertex":    anti,
+	}
+}
+
+// TestDifferentialCountVsEnumerate is the count-mode axis: with no
+// callback the engine adds up the last completion level's size instead
+// of visiting its members, so for every connected pattern of 2..5
+// vertices in every form of countForms, with and without symmetry
+// breaking, RunPlans(cb == nil).Matches must equal the number of
+// callback invocations of an enumerating run and the brute-force oracle
+// — on the graph as built, on its degree-descending renumbering with
+// hub bitsets, and on a sharded copy — and three disjoint task ranges
+// must sum to it exactly.
+func TestDifferentialCountVsEnumerate(t *testing.T) {
+	for gi, tc := range labeledDifferentialGraphs(2) {
+		// The oracle is O(V^k) per pattern form: the 5-vertex patterns run
+		// on the smallest graph only.
+		maxSize := 4
+		if gi == 0 && !testing.Short() {
+			maxSize = 5
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			desc, err := RenumberDescending(tc.g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			desc.BuildHubBitsets(4)
+			layouts := map[string]*graph.Graph{
+				"built":           tc.g,
+				"descending+hubs": desc,
+				"sharded":         shardedCopy(t, tc.g, 3, 0),
+			}
+			n := tc.g.NumVertices()
+			for size := 2; size <= maxSize; size++ {
+				for _, base := range pattern.GenerateAllVertexInduced(size) {
+					for form, p := range countForms(base) {
+						for _, noSym := range []bool{false, true} {
+							want := ref.CountUnique(tc.g, p)
+							if noSym {
+								want = ref.CountAll(tc.g, p)
+							}
+							opt := core.Options{Threads: 4, NoSymmetryBreaking: noSym}
+							pl, err := core.PlanFor(p, opt)
+							if err != nil {
+								t.Fatalf("%s %v: %v", form, p, err)
+							}
+							pls := []*plan.Plan{pl}
+							for layout, g := range layouts {
+								var calls atomic.Uint64
+								core.RunPlans(g, pls, func(*core.Ctx, int, *core.Match) { calls.Add(1) }, opt)
+								counted := core.RunPlans(g, pls, nil, opt).Per[0].Matches
+								if counted != want || calls.Load() != want {
+									t.Errorf("%s %v noSym=%v on %s: counted %d, enumerated %d, oracle %d",
+										form, p, noSym, layout, counted, calls.Load(), want)
+								}
+							}
+							var sum uint64
+							for _, cut := range [][2]uint32{{0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}} {
+								opt.TaskLo, opt.TaskHi = cut[0], cut[1]
+								sum += core.RunPlans(tc.g, pls, nil, opt).Per[0].Matches
+							}
+							if sum != want {
+								t.Errorf("%s %v noSym=%v: task ranges sum to %d, oracle %d", form, p, noSym, sum, want)
+							}
+						}
+					}
 				}
 			}
 		})

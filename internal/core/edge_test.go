@@ -66,16 +66,21 @@ func TestSingleVertexCorePatterns(t *testing.T) {
 	}
 }
 
-func TestHubGraph(t *testing.T) {
-	// One hub connected to everything plus a ring: exercises the degree
-	// ordering (hub gets the highest id) and high-to-low task order.
+// hubGraph is one hub connected to everything plus a ring.
+func hubGraph() *graph.Graph {
 	b := graph.NewBuilder()
 	const n = 50
 	for i := uint32(1); i <= n; i++ {
 		b.AddEdge(0, i)
 		b.AddEdge(i, i%n+1)
 	}
-	g := b.Build()
+	return b.Build()
+}
+
+func TestHubGraph(t *testing.T) {
+	// Exercises the degree ordering (hub gets the highest id) and
+	// high-to-low task order.
+	g := hubGraph()
 	for _, p := range []*pattern.Pattern{pattern.Clique(3), pattern.Star(4), pattern.Cycle(4)} {
 		want := ref.CountUnique(g, p)
 		got, err := Count(g, p, Options{Threads: 4})
@@ -84,6 +89,53 @@ func TestHubGraph(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("%v on hub graph = %d, want %d", p, got, want)
+		}
+	}
+}
+
+// TestCountModeSubtractsAssigned pins the term count mode subtracts from
+// the last level's set size: vertices already in the match that are
+// members of that set. On the hub graph every
+// leaf and tail candidate list is the hub's adjacency, so earlier
+// leaves sit inside it — inside the window too once symmetry breaking
+// is off — and a wrong subtraction changes the count. The 4-star's
+// last leaf is also the shape whose window is bounded by an earlier
+// non-core vertex rather than a core one.
+func TestCountModeSubtractsAssigned(t *testing.T) {
+	g := hubGraph()
+	star := pattern.Star(4)
+	pl, err := PlanFor(star, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := pl.NonCore[len(pl.NonCore)-1]
+	boundedByNonCore := false
+	for _, pv := range append(append([]int(nil), last.LowerBound...), last.UpperBound...) {
+		for _, st := range pl.NonCore[:len(pl.NonCore)-1] {
+			boundedByNonCore = boundedByNonCore || st.V == pv
+		}
+	}
+	if !boundedByNonCore {
+		t.Fatalf("star(4): last non-core step %+v is not bounded by an earlier non-core vertex", last)
+	}
+	for _, p := range []*pattern.Pattern{
+		star,
+		pattern.Star(5),
+		pattern.MustParse("0-1 1-2 2-0 0-3 0-4"), // triangle, two tails on one corner
+		pattern.MustParse("0-1 1-2 2-0 0-3 1-4"), // triangle, tails on two corners
+	} {
+		for _, noSym := range []bool{false, true} {
+			want := ref.CountUnique(g, p)
+			if noSym {
+				want = ref.CountAll(g, p)
+			}
+			got, err := countBothWays(t, g, p, Options{Threads: 4, NoSymmetryBreaking: noSym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%v noSym=%v on hub graph = %d, want %d", p, noSym, got, want)
+			}
 		}
 	}
 }

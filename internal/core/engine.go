@@ -11,6 +11,18 @@
 // match to the user callback. Partial state lives only on the recursion
 // stack — the engine never materializes intermediate match sets, which
 // is the source of the paper's memory advantage (Figure 13).
+//
+// Count mode: a run with no callback needs how many matches there are,
+// never which. Non-core vertices are an independent set, so the last
+// one's candidate set is fixed before it is visited and — when the plan
+// has no anti-vertex check — each member is exactly one match. Such a
+// run adds that level's contribution to Stats.Matches in one step: no
+// per-candidate distinctness scan, recursion or match slot update. With
+// only an id window and distinctness to satisfy, the contribution is
+// the candidate set's size minus the already-assigned vertices in it; a
+// label or anti-edge filter on the last vertex still reads the
+// candidates but counts them in place.
+// Runs with a callback (Exists, Matches, ForEach, FSM) enumerate.
 package core
 
 import (
@@ -131,16 +143,22 @@ type Options struct {
 // (its start-label gate passed), so a label-constrained plan in a batch
 // reports only its own share of the scan.
 type Stats struct {
-	Matches     uint64 // complete matches found (callback invocations, or counted matches)
+	// Matches is the number of complete matches: callback invocations,
+	// or, with no callback, the same number reached without visiting the
+	// last completion level's members (see the package comment).
+	Matches     uint64
 	CoreMatches uint64 // matches of the pattern core
 	Tasks       uint64 // start vertices this plan was attempted on
 	// Intersections counts the multi-list adjacency intersections this
 	// plan performed outside the shared core walk: non-core completion
 	// candidate sets and anti-vertex common-neighborhood checks that
 	// merged two or more lists (single-list candidate sets are zero-copy
-	// views, not set computations). Together with the batch-level
-	// ShareStats.Intersections this makes total set-intersection work
-	// attributable — the figure pattern morphing trades against.
+	// views, not set computations). A set that count mode only sizes is
+	// one computation like a materialised one, so the figure does not
+	// depend on whether a callback was given. Together with the
+	// batch-level ShareStats.Intersections this makes total
+	// set-intersection work attributable — the figure pattern morphing
+	// trades against.
 	Intersections uint64
 	Stopped       bool          // true if exploration terminated early
 	PlanTime      time.Duration // exploration-plan generation time
@@ -700,6 +718,11 @@ type worker struct {
 	hubs   bool
 	bitArg []*bitset.Bitmap
 
+	// countLast marks count mode: nobody reads the embeddings (no
+	// callback) and a complete assignment is a match without further
+	// checks, so the last completion level is aggregated, not walked.
+	countLast bool
+
 	m     Match // reused callback argument
 	stats Stats
 	tb    *profile.ThreadBreakdown
@@ -719,6 +742,8 @@ func newWorker(g *graph.Graph, pl *plan.Plan, cb Callback, ctx *Ctx, tb *profile
 		listArg:  make([][]uint32, 0, n),
 		hubs:     g.HasHubBits(),
 		tb:       tb,
+
+		countLast: cb == nil && len(pl.Checks) == 0,
 	}
 	if w.hubs {
 		w.bitArg = make([]*bitset.Bitmap, 0, n)
@@ -815,6 +840,23 @@ func (w *worker) completeFrom(i int) {
 		}
 	}
 
+	// Count mode: with no callback and no anti-vertex check, every
+	// candidate of the last level is exactly one match, so the level
+	// contributes a number and nothing below it needs visiting. With
+	// only distinctness left to satisfy that number is the set's size
+	// minus the already-assigned vertices in it.
+	last := w.countLast && i == len(w.pl.NonCore)-1
+	if last && st.Label == pattern.Wildcard && len(st.CoreAnti) == 0 {
+		n := len(cands)
+		for _, used := range w.assigned {
+			if containsSorted(cands, used) {
+				n--
+			}
+		}
+		w.stats.Matches += uint64(n)
+		return
+	}
+
 	// Candidate filtering, distinctness, and anti-edge rejection are all
 	// part of completing the match (Figure 11's "Non-Core" stage).
 outer:
@@ -834,6 +876,10 @@ outer:
 			if w.g.HasEdge(c, w.match[pv]) {
 				continue outer
 			}
+		}
+		if last {
+			w.stats.Matches++ // a filtered last level counts in place
+			continue
 		}
 		w.match[st.V] = c
 		w.assigned = append(w.assigned, c)

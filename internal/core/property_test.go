@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -65,10 +66,30 @@ func randomQueryPattern(rng *rand.Rand) *pattern.Pattern {
 	return p
 }
 
+// countBothWays counts p's matches in count mode (no callback: the last
+// completion level is added up, not visited) and by counting callback
+// invocations, and fails the test if the two disagree.
+func countBothWays(tb testing.TB, g *graph.Graph, p *pattern.Pattern, opt Options) (uint64, error) {
+	tb.Helper()
+	counted, err := Count(g, p, opt)
+	if err != nil {
+		return 0, err
+	}
+	var calls atomic.Uint64
+	if _, err := Run(g, p, func(*Ctx, *Match) { calls.Add(1) }, opt); err != nil {
+		return 0, err
+	}
+	if counted != calls.Load() {
+		tb.Errorf("pattern %v (%+v): counted %d matches, enumerated %d", p, opt, counted, calls.Load())
+	}
+	return counted, nil
+}
+
 // TestPropertyEngineEqualsBruteForce is the central randomized
 // correctness property: for random (graph, pattern) pairs spanning
-// anti-edges, anti-vertices, and labels, the engine count equals the
-// brute-force oracle count, with and without symmetry breaking.
+// anti-edges, anti-vertices, and labels, the engine count — taken both
+// in count mode and by enumeration — equals the brute-force oracle
+// count, with and without symmetry breaking.
 func TestPropertyEngineEqualsBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -78,7 +99,7 @@ func TestPropertyEngineEqualsBruteForce(t *testing.T) {
 			return true // skip degenerate randomizations
 		}
 		wantUnique := ref.CountUnique(g, p)
-		gotUnique, err := Count(g, p, Options{Threads: 2})
+		gotUnique, err := countBothWays(t, g, p, Options{Threads: 2})
 		if err != nil {
 			t.Logf("plan error for %v: %v", p, err)
 			return false
@@ -88,7 +109,7 @@ func TestPropertyEngineEqualsBruteForce(t *testing.T) {
 			return false
 		}
 		wantAll := ref.CountAll(g, p)
-		gotAll, err := Count(g, p, Options{Threads: 2, NoSymmetryBreaking: true})
+		gotAll, err := countBothWays(t, g, p, Options{Threads: 2, NoSymmetryBreaking: true})
 		if err != nil {
 			return false
 		}

@@ -95,7 +95,9 @@ func (j *Job) Info() JobInfo {
 	return info
 }
 
-func (j *Job) finish(res *Result, err error, ctx context.Context) {
+// finish records the job's terminal state and returns when it was
+// reached.
+func (j *Job) finish(res *Result, err error, ctx context.Context) time.Time {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finished = time.Now()
@@ -113,19 +115,30 @@ func (j *Job) finish(res *Result, err error, ctx context.Context) {
 	default:
 		j.status = StatusDone
 	}
+	return j.finished
 }
 
 // Manager tracks all jobs of one server. Submitted jobs run immediately
 // on their own goroutine; the engine's own scheduler bounds parallelism
-// per query via Request.Threads. Finished jobs are evicted after the
-// configured TTL so the job map stays bounded under sustained traffic.
+// per query via Request.Threads. A job finished more than the TTL ago is
+// gone: every Submit, Get and List first drops such jobs from the map,
+// so the map stays bounded under sustained traffic — and an idle server
+// that is only being polled still sheds them — without a timer per job.
 type Manager struct {
 	base context.Context
 
-	mu   sync.Mutex
-	seq  uint64
-	ttl  time.Duration
-	jobs map[string]*Job
+	mu       sync.Mutex
+	seq      uint64
+	ttl      time.Duration
+	jobs     map[string]*Job
+	finished []finishedJob // in finish order; prune pops the expired heads
+}
+
+// finishedJob is the manager's own record of when a job finished, so
+// expiry never needs the job's lock.
+type finishedJob struct {
+	id string
+	at time.Time
 }
 
 // DefaultJobTTL is how long a finished job stays queryable — the
@@ -142,14 +155,27 @@ func NewManager(base context.Context) *Manager {
 	return &Manager{base: base, ttl: DefaultJobTTL, jobs: make(map[string]*Job)}
 }
 
-// SetTTL sets how long finished jobs remain queryable before eviction
-// (default DefaultJobTTL); zero keeps them forever. The TTL applies to
-// jobs that finish after the call; in-flight and already-finished jobs
-// keep the TTL they finished under.
+// SetTTL sets how long finished jobs remain queryable (default
+// DefaultJobTTL); zero keeps them forever. The TTL in force when a job
+// is looked up decides, whenever the job finished.
 func (m *Manager) SetTTL(d time.Duration) {
 	m.mu.Lock()
 	m.ttl = d
 	m.mu.Unlock()
+}
+
+// prune drops the jobs that finished more than the TTL ago. Callers
+// hold m.mu.
+func (m *Manager) prune(now time.Time) {
+	if m.ttl <= 0 {
+		return
+	}
+	n := 0
+	for n < len(m.finished) && now.Sub(m.finished[n].at) > m.ttl {
+		delete(m.jobs, m.finished[n].id)
+		n++
+	}
+	m.finished = m.finished[n:]
 }
 
 // Submit registers a job for req and starts run on its own goroutine.
@@ -168,6 +194,7 @@ func (m *Manager) Submit(req Request, st *MatchStream, run func(ctx context.Cont
 		created: time.Now(),
 	}
 	m.mu.Lock()
+	m.prune(j.created)
 	m.seq++
 	j.id = fmt.Sprintf("job-%d", m.seq)
 	m.jobs[j.id] = j
@@ -179,29 +206,20 @@ func (m *Manager) Submit(req Request, st *MatchStream, run func(ctx context.Cont
 		j.status = StatusRunning
 		j.mu.Unlock()
 		res, err := run(ctx)
-		j.finish(res, err, ctx)
+		at := j.finish(res, err, ctx)
 		close(j.done)
 		m.mu.Lock()
-		ttl := m.ttl
+		m.finished = append(m.finished, finishedJob{j.id, at})
 		m.mu.Unlock()
-		if ttl > 0 {
-			time.AfterFunc(ttl, func() { m.evict(j.id) })
-		}
 	}()
 	return j
-}
-
-// evict drops a finished job from the map; GETs return 404 afterwards.
-func (m *Manager) evict(id string) {
-	m.mu.Lock()
-	delete(m.jobs, id)
-	m.mu.Unlock()
 }
 
 // Get returns the job with the given id.
 func (m *Manager) Get(id string) (*Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.prune(time.Now())
 	j, ok := m.jobs[id]
 	return j, ok
 }
@@ -212,6 +230,7 @@ func (m *Manager) Get(id string) (*Job, bool) {
 // large buffered results.
 func (m *Manager) List() []JobSummary {
 	m.mu.Lock()
+	m.prune(time.Now())
 	jobs := make([]*Job, 0, len(m.jobs))
 	for _, j := range m.jobs {
 		jobs = append(jobs, j)

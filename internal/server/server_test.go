@@ -558,6 +558,53 @@ func TestJobTTLEviction(t *testing.T) {
 	}
 }
 
+// Expiry needs no timer and no further Submit: once its TTL has passed
+// a finished job is 404 on GET, absent from the listing, and dropped
+// from the manager's map by that very lookup.
+func TestJobExpiresWithoutTimer(t *testing.T) {
+	s, ts := newTestServer(t)
+	m := s.Jobs()
+	m.SetTTL(50 * time.Millisecond)
+
+	_, info := postQuery(t, ts, `{"graph":"tri2","kind":"count","pattern":"0-1 1-2 2-0","wait":true}`)
+	job, ok := m.Get(info.ID)
+	if !ok {
+		t.Fatal("job not queryable right after finish")
+	}
+	// The retention record is appended just after Done closes.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		m.mu.Lock()
+		recorded := len(m.finished) == 1
+		m.mu.Unlock()
+		if recorded {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("finished job never recorded for retention")
+		}
+	}
+	time.Sleep(time.Until(job.Info().Finished.Add(60 * time.Millisecond)))
+
+	if code, _ := getJob(t, ts, info.ID); code != http.StatusNotFound {
+		t.Fatalf("GET after the TTL = %d, want 404", code)
+	}
+	if rows := m.List(); len(rows) != 0 {
+		t.Fatalf("listing after the TTL = %+v, want empty", rows)
+	}
+	m.mu.Lock()
+	held, records := len(m.jobs), len(m.finished)
+	m.mu.Unlock()
+	if held != 0 || records != 0 {
+		t.Fatalf("after the TTL the manager still holds %d jobs and %d finish records, want none", held, records)
+	}
+
+	// The next job is unaffected by the pruning before it.
+	_, next := postQuery(t, ts, `{"graph":"tri2","kind":"exists","pattern":"0-1","wait":true}`)
+	if _, ok := m.Get(next.ID); !ok {
+		t.Fatal("job submitted after the prune is not queryable")
+	}
+}
+
 func openStream(t *testing.T, ts *httptest.Server, id string) *http.Response {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
