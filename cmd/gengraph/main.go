@@ -24,8 +24,8 @@
 // -shards N partitions the graph into N contiguous vertex ranges,
 // balanced by adjacency size, and writes one .pgr fragment per shard
 // next to -o plus the manifest at -o itself. The manifest loads like
-// any other graph file, paging fragments in on demand — the out-of-core
-// format — and seeds peregrine-coord's fan-out ranges.
+// any other graph file — every fragment mapped, as a .pgr is — and
+// seeds peregrine-coord's fan-out ranges.
 package main
 
 import (

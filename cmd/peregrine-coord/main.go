@@ -14,7 +14,7 @@
 //
 // Shard ranges come from a shard manifest (-manifest, the file
 // gengraph -shards writes) so the fan-out boundaries match the on-disk
-// fragments each node pages in, or from -shards N which splits the
+// fragments, or from -shards N which splits the
 // graph's vertex space evenly (the vertex count is probed from the
 // first node's GET /v1/graphs). Each shard is assigned round-robin
 // with -replicas failover nodes; a node that dies mid-query costs one

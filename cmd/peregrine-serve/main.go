@@ -19,9 +19,10 @@
 // Finished jobs are evicted -job-ttl after completion (0 disables).
 //
 // Graph files are text edge lists ("src dst" lines, optional "v id
-// label" lines, '#' comments) or .pgr binaries (gengraph -format pgr),
-// detected from the content; .pgr graphs are mmap-loaded and report
-// full metadata in GET /v1/graphs before their first query. Dataset
+// label" lines, '#' comments), .pgr binaries (gengraph -format pgr) or
+// shard manifests (gengraph -shards N), detected from the content; .pgr
+// graphs and manifest fragments are mmap-loaded and report full
+// metadata in GET /v1/graphs before their first query. Dataset
 // specs are name=dataset[@scale] over the built-in synthetics
 // (mico-lite, patents-lite, patents-labeled, orkut-lite,
 // friendster-lite).
@@ -29,7 +30,9 @@
 // -max-graph-bytes (accepts K/M/G/T suffixes) bounds the total
 // resident size of loaded graphs: past the budget, idle graphs are
 // evicted least-recently-used first and lazily reload on their next
-// query; graphs pinned by running jobs are never evicted.
+// query; graphs pinned by running jobs are never evicted. A sharded
+// graph is one graph to the budget: charged all its fragments, pinned
+// and evicted whole.
 //
 // Concurrent count queries on the same graph are coalesced: requests
 // arriving within -coalesce-window merge into one shared traversal with
@@ -85,8 +88,8 @@ func main() {
 	coalesceWindow := flag.Duration("coalesce-window", server.DefaultCoalesceWindow,
 		"micro-batch window: concurrent count queries on the same graph arriving within it share one traversal (0 disables coalescing)")
 	hubBitsetDeg := flag.Uint("hub-bitset-deg", 0,
-		"build compressed-bitmap adjacency for vertices of at least this degree at graph load, accelerating skewed intersections at a memory cost (0 disables; ignored for sharded graphs)")
-	flag.Var(&graphFlags, "graph", "register a graph file (edge list or .pgr, auto-detected) as name=path (repeatable)")
+		"build compressed-bitmap adjacency for vertices of at least this degree at graph load, accelerating skewed intersections at a memory cost (0 disables)")
+	flag.Var(&graphFlags, "graph", "register a graph file (edge list, .pgr or shard manifest, auto-detected) as name=path (repeatable)")
 	flag.Var(&datasetFlags, "dataset", "register a built-in dataset as name=dataset[@scale] (repeatable)")
 	flag.Parse()
 

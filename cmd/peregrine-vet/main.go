@@ -4,17 +4,13 @@
 //
 //	labeltrunc  truncating conversions of pattern labels (the PR 5/PR 7
 //	            16-bit collision bug class, enforced forever)
-//	pinrelease  pin-release funcs from Acquire/PinShard must run on
-//	            every path (leaked pins defeat -max-graph-bytes)
+//	pinrelease  pin-release funcs from Acquire must run on every path
+//	            (leaked pins defeat -max-graph-bytes)
 //	atomicmix   fields accessed both via sync/atomic and plainly
 //	lockheld    blocking operations inside mutex critical sections
 //	ctxthread   context.Context parameters threaded, never dropped
 //
-// Run standalone:
-//
-//	go run ./cmd/peregrine-vet ./...
-//
-// or through the toolchain (build caching, test packages included):
+// Run it through the toolchain (build caching, test packages included):
 //
 //	go build -o /tmp/pvet ./cmd/peregrine-vet
 //	go vet -vettool=/tmp/pvet ./...

@@ -79,9 +79,6 @@ func countBatch(g *Graph, queries []*PreparedQuery, opts []Option) ([][]Stats, M
 	if mp != nil {
 		ms = recoverCounts(ms, mp)
 	}
-	if ms.Err != nil {
-		return nil, ms, ms.Err
-	}
 	per := make([][]Stats, len(queries))
 	for qi := range slot {
 		per[qi] = make([]Stats, len(slot[qi]))

@@ -195,8 +195,8 @@ func countForms(p *pattern.Pattern) map[string]*pattern.Pattern {
 // breaking, RunPlans(cb == nil).Matches must equal the number of
 // callback invocations of an enumerating run and the brute-force oracle
 // — on the graph as built, on its degree-descending renumbering with
-// hub bitsets, and on a sharded copy — and three disjoint task ranges
-// must sum to it exactly.
+// hub bitsets, and on a sharded copy plain, with hub bitsets and
+// renumbered — and three disjoint task ranges must sum to it exactly.
 func TestDifferentialCountVsEnumerate(t *testing.T) {
 	for gi, tc := range labeledDifferentialGraphs(2) {
 		// The oracle is O(V^k) per pattern form: the 5-vertex patterns run
@@ -211,10 +211,18 @@ func TestDifferentialCountVsEnumerate(t *testing.T) {
 				t.Fatal(err)
 			}
 			desc.BuildHubBitsets(4)
+			shardedHubs := shardedCopy(t, tc.g, 3)
+			shardedHubs.BuildHubBitsets(4)
+			shardedDesc, err := RenumberDescending(shardedCopy(t, tc.g, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
 			layouts := map[string]*graph.Graph{
-				"built":           tc.g,
-				"descending+hubs": desc,
-				"sharded":         shardedCopy(t, tc.g, 3, 0),
+				"built":              tc.g,
+				"descending+hubs":    desc,
+				"sharded":            shardedCopy(t, tc.g, 3),
+				"sharded+hubs":       shardedHubs,
+				"renumbered sharded": shardedDesc,
 			}
 			n := tc.g.NumVertices()
 			for size := 2; size <= maxSize; size++ {

@@ -1,10 +1,10 @@
 // Package atomicmix flags struct fields accessed through sync/atomic
 // in one place and by plain load/store in another. Mixed access is a
 // data race the race detector only catches if both sides execute in
-// the same run; the engine's shardSet fast path and the server's
-// counter structs live exactly on this edge (they avoid it today by
-// using the typed atomic.Uint64/atomic.Pointer API, which makes plain
-// access inexpressible — this analyzer holds any future function-style
+// the same run; the engine's task counter and the server's counter
+// structs live exactly on this edge (they avoid it today by using the
+// typed atomic.Uint64/atomic.Int64 API, which makes plain access
+// inexpressible — this analyzer holds any future function-style
 // atomics to the same standard).
 package atomicmix
 

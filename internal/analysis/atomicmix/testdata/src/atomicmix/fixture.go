@@ -1,4 +1,4 @@
-// Fixtures for atomicmix: the shardSet/ServerStats shape — counters
+// Fixtures for atomicmix: the server counters' shape — counters
 // updated on a hot path — with the access discipline violated.
 package atomicmix
 

@@ -1,10 +1,8 @@
-// Package driver runs peregrine-vet's analyzers in the two modes the
-// toolchain expects: a standalone multichecker over package patterns
-// (`peregrine-vet ./...`), and the `go vet -vettool` protocol, where
-// cmd/go probes the tool with -V=full and -flags and then invokes it
-// once per package with a JSON .cfg file naming sources and export
-// data (see unitchecker.go). Both modes share the same analyzer runs
-// and the same //pvet:ignore suppression filtering.
+// Package driver runs peregrine-vet's analyzers under the
+// `go vet -vettool` protocol: cmd/go probes the tool with -V=full and
+// -flags and then invokes it once per package with a JSON .cfg file
+// naming sources and export data (see unitchecker.go). Findings pass
+// through the //pvet:ignore suppression filtering before they print.
 package driver
 
 import (
@@ -40,8 +38,7 @@ func Main(analyzers []*analysis.Analyzer) {
 
 	fs := flag.NewFlagSet("peregrine-vet", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: peregrine-vet [-flags] [package pattern ...]\n")
-		fmt.Fprintf(fs.Output(), "       (or, via the toolchain: go vet -vettool=$(which peregrine-vet) ./...)\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "usage: go vet -vettool=$(which peregrine-vet) [-flags] ./...\n\nAnalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(fs.Output(), "  %-12s %s\n", a.Name, firstLine(a.Doc))
 		}
@@ -70,34 +67,11 @@ func Main(analyzers []*analysis.Analyzer) {
 	}
 
 	args := fs.Args()
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(unitcheck(args[0], active, *jsonOut))
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
+		fs.Usage()
+		os.Exit(exitError)
 	}
-	if len(args) == 0 {
-		args = []string{"./..."}
-	}
-	os.Exit(standalone(args, active, *jsonOut))
-}
-
-// standalone loads patterns from the current directory and analyzes
-// them.
-func standalone(patterns []string, analyzers []*analysis.Analyzer, jsonOut bool) int {
-	pkgs, err := load.Load(".", patterns...)
-	if err != nil {
-		log.Print(err)
-		return exitError
-	}
-	found := false
-	for _, pkg := range pkgs {
-		diags := analyze(pkg.Fset, pkg.Files, pkg, analyzers)
-		if emit(pkg.Fset, pkg.ImportPath, diags, jsonOut) {
-			found = true
-		}
-	}
-	if found {
-		return exitDiags
-	}
-	return exitClean
+	os.Exit(unitcheck(args[0], active, *jsonOut))
 }
 
 // analyze runs the analyzers over one package and applies suppression

@@ -1,8 +1,9 @@
 // Package load type-checks Go packages for peregrine-vet without
-// golang.org/x/tools: `go list -deps -export` names each package's
-// sources and its dependencies' compiler export data, the sources are
-// parsed with go/parser, and imports resolve through go/importer's gc
-// importer reading that export data. The result is the same
+// golang.org/x/tools: the caller names a package's sources and its
+// dependencies' compiler export data (the vet .cfg does; for fixtures,
+// `go list -deps -export` does), the sources are parsed with go/parser,
+// and imports resolve through go/importer's gc importer reading that
+// export data. The result is the same
 // (*ast.File, *types.Package, *types.Info) triple a go/packages driver
 // would hand an analyzer, built entirely from the standard library and
 // the already-installed toolchain — no network, no module downloads.
@@ -26,72 +27,24 @@ import (
 
 // Package is one type-checked package ready for analysis.
 type Package struct {
-	ImportPath string
-	Name       string
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Types      *types.Package
-	Info       *types.Info
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
 }
 
 // listedPackage is the subset of `go list -json` output the loader
 // consumes.
 type listedPackage struct {
 	ImportPath string
-	Name       string
-	Dir        string
-	GoFiles    []string
 	Export     string
-	DepOnly    bool
 	Error      *struct{ Err string }
-}
-
-// Load lists patterns in dir (module-aware), builds export data for
-// every dependency, and type-checks the matched packages from source.
-// Test files are not included; the `go vet -vettool` path covers those
-// through the vet cfg protocol, which lists them explicitly.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(dir, []string{"-deps", "-export"}, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string)
-	var targets []*listedPackage
-	for _, p := range listed {
-		if p.Error != nil {
-			return nil, fmt.Errorf("load %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-		if !p.DepOnly {
-			targets = append(targets, p)
-		}
-	}
-
-	fset := token.NewFileSet()
-	imp := NewImporter(fset, func(path string) (string, bool) {
-		f, ok := exports[path]
-		return f, ok
-	})
-	var out []*Package
-	for _, p := range targets {
-		if len(p.GoFiles) == 0 {
-			continue
-		}
-		pkg, err := check(fset, imp, p.ImportPath, p.Dir, p.GoFiles)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	return out, nil
 }
 
 // goList runs `go list <flags> -json=<fields> -- <patterns>` in dir
 // and decodes the stream of package objects.
 func goList(dir string, flags, patterns []string) ([]*listedPackage, error) {
-	fields := "-json=ImportPath,Name,Dir,GoFiles,Export,DepOnly,Error"
+	fields := "-json=ImportPath,Export,Error"
 	args := append([]string{"list", fields}, flags...)
 	args = append(args, "--")
 	args = append(args, patterns...)
@@ -142,12 +95,8 @@ func NewImporter(fset *token.FileSet, lookup ExportLookup) types.Importer {
 
 // Check parses files (absolute, or relative to dir) and type-checks
 // them as one package resolving imports through imp. Shared by the
-// standalone loader, the vet-cfg driver, and the fixture test harness.
+// vet-cfg driver and the fixture test harness.
 func Check(fset *token.FileSet, imp types.Importer, path, dir string, files []string) (*Package, error) {
-	return check(fset, imp, path, dir, files)
-}
-
-func check(fset *token.FileSet, imp types.Importer, path, dir string, files []string) (*Package, error) {
 	var parsed []*ast.File
 	for _, name := range files {
 		if !filepath.IsAbs(name) {
@@ -181,18 +130,7 @@ func check(fset *token.FileSet, imp types.Importer, path, dir string, files []st
 	if len(typeErrs) > 0 {
 		return nil, fmt.Errorf("type-checking %s:\n\t%s", path, strings.Join(typeErrs, "\n\t"))
 	}
-	name := path
-	if len(parsed) > 0 {
-		name = parsed[0].Name.Name
-	}
-	return &Package{
-		ImportPath: path,
-		Name:       name,
-		Fset:       fset,
-		Files:      parsed,
-		Types:      tpkg,
-		Info:       info,
-	}, nil
+	return &Package{Fset: fset, Files: parsed, Types: tpkg, Info: info}, nil
 }
 
 // Exports resolves the direct import paths' export data files via

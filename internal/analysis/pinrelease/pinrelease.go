@@ -1,6 +1,6 @@
 // Package pinrelease enforces the registry's pin protocol: the release
-// func returned by Registry.Acquire / Graph.PinShard must run on every
-// path out of the acquiring function. A leaked pin never crashes —
+// func returned by Registry.Acquire must run on every path out of the
+// acquiring function. A leaked pin never crashes —
 // release is idempotent and the registry tolerates it — it just marks
 // the graph permanently in-use, silently defeating -max-graph-bytes
 // eviction until the pins exhaust memory. That failure mode is
@@ -22,8 +22,8 @@ import (
 // paths.
 var Analyzer = &analysis.Analyzer{
 	Name: "pinrelease",
-	Doc: "ensure pin-release funcs from Acquire/PinShard run on every path\n\n" +
-		"A call to a method named Acquire or PinShard that returns a func()\n" +
+	Doc: "ensure pin-release funcs from Acquire run on every path\n\n" +
+		"A call to a method named Acquire that returns a func()\n" +
 		"hands back a pin release. The release must be deferred, called on\n" +
 		"every return path, or escape (stored, passed, or returned) so some\n" +
 		"other owner is accountable for it. Returns on the acquire's own\n" +
@@ -42,14 +42,11 @@ var allowlist = map[string]bool{
 	"server.(*Registry).Get": true,
 }
 
-// acquireNames are the pin-granting methods. Matching is by method
-// name plus a func() in the results, so the fixtures and any future
-// pin-granting API are held to the same rule without a hard dependency
-// on the server/graph packages.
-var acquireNames = map[string]bool{
-	"Acquire":  true,
-	"PinShard": true,
-}
+// acquireName is the pin-granting method. Matching is by method name
+// plus a func() anywhere in the results, so the fixtures and any other
+// Acquire are held to the same rule without a hard dependency on the
+// server package.
+const acquireName = "Acquire"
 
 func run(pass *analysis.Pass) (any, error) {
 	for _, file := range pass.Files {
@@ -90,7 +87,7 @@ type acquire struct {
 	rel     types.Object // the release variable, nil if untracked
 	errObj  types.Object // the acquire's error result variable, if any
 	pos     token.Pos    // position after which paths must release
-	name    string       // Acquire / PinShard, for diagnostics
+	name    string       // the method's name, for diagnostics
 	escaped bool
 }
 
@@ -141,7 +138,7 @@ func findAcquires(pass *analysis.Pass, body *ast.BlockStmt) []*acquire {
 // returns the index of the func() among its results.
 func acquireCall(pass *analysis.Pass, call *ast.CallExpr) (int, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || !acquireNames[sel.Sel.Name] {
+	if !ok || sel.Sel.Name != acquireName {
 		return 0, false
 	}
 	sig, ok := pass.TypesInfo.Types[call.Fun].Type.(*types.Signature)

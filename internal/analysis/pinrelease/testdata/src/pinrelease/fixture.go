@@ -1,6 +1,6 @@
-// Fixtures for pinrelease: a mini registry/graph with the same
-// pin-granting shapes as peregrine/internal/server.Registry.Acquire
-// and peregrine/internal/graph.Graph.PinShard.
+// Fixtures for pinrelease: a mini registry with the pin-granting shape
+// of peregrine/internal/server.Registry.Acquire, and a second Acquire
+// whose release func sits elsewhere in the result tuple.
 package pinrelease
 
 import "errors"
@@ -13,7 +13,9 @@ func (r *Registry) Acquire(name string) (*Graph, func(), error) {
 	return &Graph{}, func() {}, nil
 }
 
-func (g *Graph) PinShard(v uint32) (lo, hi uint32, release func(), err error) {
+type Pool struct{}
+
+func (p *Pool) Acquire(v uint32) (lo, hi uint32, release func(), err error) {
 	return 0, 0, func() {}, nil
 }
 
@@ -66,14 +68,14 @@ func leakInBranch(r *Registry) {
 	}
 } // want `pin from Acquire at .* is not released on this path`
 
-// pinShardLeak: same protocol, second provider.
-func pinShardLeak(g *Graph) error {
-	lo, hi, release, err := g.PinShard(7)
+// poolLeak: same protocol, the release third of four results.
+func poolLeak(p *Pool) error {
+	lo, hi, release, err := p.Acquire(7)
 	if err != nil {
 		return err
 	}
 	if lo > hi {
-		return errors.New("bad range") // want `pin from PinShard at .* is not released on this path`
+		return errors.New("bad range") // want `pin from Acquire at .* is not released on this path`
 	}
 	release()
 	return nil

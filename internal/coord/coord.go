@@ -10,14 +10,17 @@
 // coordinator therefore needs no cross-node communication at all: one
 // HTTP round per shard, then addition. Each shard carries a replica
 // list of nodes that can serve it; a node that fails mid-query (the
-// connection drops, the process dies) costs one retry of that shard's
-// range on the next replica, not the whole query.
+// connection drops, the process dies, it answers for the wrong range)
+// costs one retry of that shard's range on the next replica, not the
+// whole query. A node's 4xx is the client's error and goes back to the
+// client as it is: no replica would answer a bad request differently.
 package coord
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -189,6 +192,11 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Created:  created,
 		Finished: &finished,
 	}
+	var ce *clientError
+	if errors.As(err, &ce) {
+		httpError(w, ce.code, "%s", ce.msg)
+		return
+	}
 	info.Status, info.Result = server.StatusDone, merged
 	w.Header().Set("Content-Type", "application/json")
 	if err != nil {
@@ -224,7 +232,8 @@ func (c *Coordinator) fanOut(ctx context.Context, req server.Request) (*server.R
 // runShard executes req over shard i's task range, walking the shard's
 // replica list until a node answers. A replica that fails is demoted:
 // later queries start from the survivor instead of re-discovering the
-// failure per request.
+// failure per request. A clientError ends the walk at once, demoting
+// nobody.
 func (c *Coordinator) runShard(ctx context.Context, req server.Request, i int) (*server.Result, error) {
 	sh := c.cfg.Shards[i]
 	sub := req
@@ -243,7 +252,11 @@ func (c *Coordinator) runShard(ctx context.Context, req server.Request, i int) (
 	var lastErr error
 	for attempt := 0; attempt < len(sh.Nodes); attempt++ {
 		ri := (start + attempt) % len(sh.Nodes)
-		res, err := c.postQuery(ctx, sh.Nodes[ri], body)
+		res, err := c.postQuery(ctx, sh.Nodes[ri], sub, body)
+		var ce *clientError
+		if errors.As(err, &ce) {
+			return nil, err
+		}
 		if err == nil {
 			if attempt > 0 {
 				c.mu.Lock()
@@ -261,8 +274,17 @@ func (c *Coordinator) runShard(ctx context.Context, req server.Request, i int) (
 	return nil, fmt.Errorf("all %d replicas failed: %w", len(sh.Nodes), lastErr)
 }
 
-// postQuery runs one synchronous per-shard job against a node.
-func (c *Coordinator) postQuery(ctx context.Context, node string, body []byte) (*server.Result, error) {
+// clientError is a node's 4xx answer to a shard job.
+type clientError struct {
+	code int
+	msg  string
+}
+
+func (e *clientError) Error() string { return fmt.Sprintf("status %d: %s", e.code, e.msg) }
+
+// postQuery runs one synchronous per-shard job — sub, encoded as body —
+// against a node, and accepts only an answer to exactly that job.
+func (c *Coordinator) postQuery(ctx context.Context, node string, sub server.Request, body []byte) (*server.Result, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
 	defer cancel()
 	hr, err := http.NewRequestWithContext(ctx, http.MethodPost,
@@ -280,6 +302,9 @@ func (c *Coordinator) postQuery(ctx context.Context, node string, body []byte) (
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		return nil, fmt.Errorf("bad response: %w", err)
 	}
+	if resp.StatusCode >= 400 && resp.StatusCode < 500 {
+		return nil, &clientError{code: resp.StatusCode, msg: info.Error}
+	}
 	if resp.StatusCode != http.StatusOK {
 		if info.Error != "" {
 			return nil, fmt.Errorf("status %d: %s", resp.StatusCode, info.Error)
@@ -295,13 +320,22 @@ func (c *Coordinator) postQuery(ctx context.Context, node string, body []byte) (
 	if info.Result == nil {
 		return nil, fmt.Errorf("done job carried no result")
 	}
+	// Merging is addition, so a part that is not what was asked for —
+	// another range, another number of patterns — would be a wrong sum.
+	if got := info.Request; got.TaskLo != sub.TaskLo || got.TaskHi != sub.TaskHi {
+		return nil, fmt.Errorf("answered for task range [%d,%d), asked for [%d,%d)", got.TaskLo, got.TaskHi, sub.TaskLo, sub.TaskHi)
+	}
+	if got, want := len(info.Result.PerPattern), len(sub.Patterns); got != want {
+		return nil, fmt.Errorf("answered with %d per-pattern rows, asked for %d patterns", got, want)
+	}
 	return info.Result, nil
 }
 
-// mergeResults adds per-shard counts — exact by task-range additivity —
-// and folds the execution stats with RunStats.Add: counters sum, while
-// wall-clock times (the shards ran concurrently), per-batch constants
-// and gauges take the max.
+// mergeResults adds per-shard counts — exact by task-range additivity,
+// postQuery having checked each part's range and shape — and folds the
+// execution stats with RunStats.Add: counters sum, while wall-clock
+// times (the shards ran concurrently) and per-batch constants take the
+// max.
 func mergeResults(parts []*server.Result) *server.Result {
 	out := &server.Result{}
 	for _, p := range parts {
@@ -310,10 +344,8 @@ func mergeResults(parts []*server.Result) *server.Result {
 			out.PerPattern = make([]server.PatternCount, len(p.PerPattern))
 		}
 		for i, pc := range p.PerPattern {
-			if i < len(out.PerPattern) {
-				out.PerPattern[i].Pattern = pc.Pattern
-				out.PerPattern[i].Count += pc.Count
-			}
+			out.PerPattern[i].Pattern = pc.Pattern
+			out.PerPattern[i].Count += pc.Count
 		}
 		if p.Stats != nil {
 			if out.Stats == nil {

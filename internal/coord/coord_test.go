@@ -25,8 +25,9 @@ const testShards = 4
 // aborts query connections — the "node died mid-query" failure the
 // coordinator must survive.
 type testNode struct {
-	ts   *httptest.Server
-	down atomic.Bool
+	ts      *httptest.Server
+	down    atomic.Bool
+	queries atomic.Int64 // POST /v1/query requests received
 }
 
 func newTestNode(t *testing.T) *testNode {
@@ -44,6 +45,9 @@ func newTestNode(t *testing.T) *testNode {
 	n := &testNode{}
 	inner := s.Handler()
 	n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/query") {
+			n.queries.Add(1)
+		}
 		if n.down.Load() && strings.HasPrefix(r.URL.Path, "/v1/query") {
 			// Drop the connection without a response: the client sees a
 			// mid-request network error, exactly what a killed process
@@ -56,14 +60,10 @@ func newTestNode(t *testing.T) *testNode {
 	return n
 }
 
-// newTestCoordinator builds a coordinator over the nodes with 4 shards
-// and full replication, served by its own httptest server.
-func newTestCoordinator(t *testing.T, nodes ...*testNode) *httptest.Server {
+// newTestCoordinator builds a coordinator over the node URLs with 4
+// shards and full replication, served by its own httptest server.
+func newTestCoordinator(t *testing.T, urls ...string) *httptest.Server {
 	t.Helper()
-	urls := make([]string, len(nodes))
-	for i, n := range nodes {
-		urls[i] = n.ts.URL
-	}
 	c, err := New(Config{
 		Graph:  "g",
 		Shards: Assign(SplitRange(80, testShards), urls, 0),
@@ -97,7 +97,7 @@ const countBody = `{"kind":"count","patterns":["0-1 1-2 2-0","0-1 0-2 0-3"],"wai
 // node mining the whole graph.
 func TestCoordinatorMergesCounts(t *testing.T) {
 	a, b := newTestNode(t), newTestNode(t)
-	coord := newTestCoordinator(t, a, b)
+	coord := newTestCoordinator(t, a.ts.URL, b.ts.URL)
 
 	code, want := postCount(t, a.ts.URL, `{"graph":"g",`+countBody[1:])
 	if code != http.StatusOK || want.Status != server.StatusDone {
@@ -127,17 +127,10 @@ func TestCoordinatorMergesCounts(t *testing.T) {
 	}
 
 	// The merge adds what is additive and only that: per-batch constants
-	// (the manifest's shard count, the trie's shape) read as on one node
-	// rather than times the number of shard jobs, while run-time counters
-	// still sum to the whole-graph run's.
+	// (the trie's shape) read as on one node rather than times the number
+	// of shard jobs, while run-time counters still sum to the whole-graph
+	// run's.
 	ws, gs := want.Result.Stats, got.Result.Stats
-	if gs.Sharding == nil || gs.Sharding.Shards != testShards {
-		t.Fatalf("merged sharding %+v: want shards == %d, the manifest's", gs.Sharding, testShards)
-	}
-	if gs.Sharding.ResidentBytes > ws.Sharding.ResidentBytes {
-		t.Errorf("merged residentBytes %d exceeds one node's fully resident %d",
-			gs.Sharding.ResidentBytes, ws.Sharding.ResidentBytes)
-	}
 	if gs.Sharing.TrieNodes != ws.Sharing.TrieNodes || gs.Sharing.ProgramSteps != ws.Sharing.ProgramSteps {
 		t.Errorf("merged trie shape %+v != single-node %+v", gs.Sharing, ws.Sharing)
 	}
@@ -150,7 +143,6 @@ func TestCoordinatorMergesCounts(t *testing.T) {
 	// morphing — these patterns have no anti-edges).
 	wantKeys := []string{
 		"coreMatches", "matchMicros", "matches", "planMicros",
-		"sharding.evictions", "sharding.loads", "sharding.residentBytes", "sharding.shards",
 		"sharing.intersections", "sharing.intersectionsSaved", "sharing.programSteps",
 		"sharing.sharedNodeVisits", "sharing.trieNodes",
 		"stopped", "tasks", "threads",
@@ -191,7 +183,7 @@ func statsKeys(t *testing.T, st *server.RunStats) []string {
 // are unchanged.
 func TestCoordinatorSurvivesNodeDeath(t *testing.T) {
 	a, b := newTestNode(t), newTestNode(t)
-	coord := newTestCoordinator(t, a, b)
+	coord := newTestCoordinator(t, a.ts.URL, b.ts.URL)
 
 	code, want := postCount(t, coord.URL, countBody)
 	if code != http.StatusOK || want.Status != server.StatusDone {
@@ -208,29 +200,8 @@ func TestCoordinatorSurvivesNodeDeath(t *testing.T) {
 	}
 
 	// /v1/coord records the failovers and the demoted preference.
-	resp, err := http.Get(coord.URL + "/v1/coord")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var view struct {
-		Graph  string `json:"graph"`
-		Shards []struct {
-			Lo        uint32   `json:"lo"`
-			Hi        uint32   `json:"hi"`
-			Nodes     []string `json:"nodes"`
-			Failovers uint64   `json:"failovers"`
-		} `json:"shards"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		t.Fatal(err)
-	}
-	var failovers uint64
-	for _, sh := range view.Shards {
-		failovers += sh.Failovers
-	}
-	if failovers == 0 {
-		t.Fatalf("coordinator view %+v records no failovers", view)
+	if failovers(t, coord.URL) == 0 {
+		t.Fatalf("coordinator view records no failovers")
 	}
 
 	// Recovery: the node comes back and later queries still succeed
@@ -251,10 +222,13 @@ func TestCoordinatorSurvivesNodeDeath(t *testing.T) {
 }
 
 // TestCoordinatorRejects checks request validation: non-count kinds,
-// caller-set task ranges, wrong graph names.
+// caller-set task ranges, wrong graph names — and a request only the
+// nodes can refuse (a disconnected pattern), which must come back as
+// the node's 400 after one request per shard, not as a 502 after every
+// replica was tried and demoted.
 func TestCoordinatorRejects(t *testing.T) {
-	a := newTestNode(t)
-	coord := newTestCoordinator(t, a)
+	a, b := newTestNode(t), newTestNode(t)
+	coord := newTestCoordinator(t, a.ts.URL, b.ts.URL)
 	for _, tc := range []struct {
 		name, body string
 		code       int
@@ -262,6 +236,7 @@ func TestCoordinatorRejects(t *testing.T) {
 		{"matches kind", `{"kind":"matches","pattern":"0-1","wait":true}`, http.StatusBadRequest},
 		{"caller range", `{"kind":"count","pattern":"0-1","taskLo":3,"wait":true}`, http.StatusBadRequest},
 		{"wrong graph", `{"graph":"other","kind":"count","pattern":"0-1","wait":true}`, http.StatusNotFound},
+		{"disconnected pattern", `{"kind":"count","pattern":"0-1 2-3","wait":true}`, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(coord.URL+"/v1/query", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -272,13 +247,74 @@ func TestCoordinatorRejects(t *testing.T) {
 			t.Errorf("%s: code %d, want %d", tc.name, resp.StatusCode, tc.code)
 		}
 	}
+	if n := a.queries.Load() + b.queries.Load(); n > testShards {
+		t.Errorf("the nodes saw %d requests, want at most one per shard (%d)", n, testShards)
+	}
+	if n := failovers(t, coord.URL); n != 0 {
+		t.Errorf("a client error counted %d failovers", n)
+	}
+}
+
+// TestCoordinatorRefusesWrongParts: a replica that answers for another
+// task range, or with another number of per-pattern rows, has failed —
+// the shard fails over to a good replica, and with none left the query
+// is an error, never a short sum.
+func TestCoordinatorRefusesWrongParts(t *testing.T) {
+	good := newTestNode(t)
+	_, want := postCount(t, good.ts.URL, `{"graph":"g",`+countBody[1:])
+	for name, mutate := range map[string]func(*server.JobInfo){
+		"wrong range":         func(info *server.JobInfo) { info.Request.TaskLo++ },
+		"wrong pattern count": func(info *server.JobInfo) { info.Result.PerPattern = info.Result.PerPattern[:1] },
+	} {
+		stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			info := server.JobInfo{Status: server.StatusDone, Result: &server.Result{Count: 1}}
+			if err := json.NewDecoder(r.Body).Decode(&info.Request); err != nil {
+				t.Error(err)
+			}
+			for _, p := range info.Request.Patterns {
+				info.Result.PerPattern = append(info.Result.PerPattern, server.PatternCount{Pattern: p, Count: 1})
+			}
+			mutate(&info)
+			_ = json.NewEncoder(w).Encode(info)
+		}))
+		t.Cleanup(stub.Close)
+		code, got := postCount(t, newTestCoordinator(t, stub.URL, good.ts.URL).URL, countBody)
+		if code != http.StatusOK || got.Result.Count != want.Result.Count {
+			t.Errorf("%s beside a good replica: code %d, %+v; want the good node's count %d", name, code, got.Result, want.Result.Count)
+		}
+		if code, got := postCount(t, newTestCoordinator(t, stub.URL).URL, countBody); code != http.StatusBadGateway || got.Result != nil {
+			t.Errorf("%s with no other replica: code %d, result %+v; want 502 and no result", name, code, got.Result)
+		}
+	}
+}
+
+// failovers sums the per-shard failover counts GET /v1/coord reports.
+func failovers(t *testing.T, coordURL string) (n uint64) {
+	t.Helper()
+	resp, err := http.Get(coordURL + "/v1/coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var view struct {
+		Shards []struct {
+			Failovers uint64 `json:"failovers"`
+		} `json:"shards"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range view.Shards {
+		n += sh.Failovers
+	}
+	return n
 }
 
 // TestCoordinatorStats checks the fleet-summed /v1/stats still decodes
 // as one node's flat ServerStats.
 func TestCoordinatorStats(t *testing.T) {
 	a, b := newTestNode(t), newTestNode(t)
-	coord := newTestCoordinator(t, a, b)
+	coord := newTestCoordinator(t, a.ts.URL, b.ts.URL)
 	if code, info := postCount(t, coord.URL, countBody); code != http.StatusOK || info.Status != server.StatusDone {
 		t.Fatalf("query: code %d, %+v", code, info)
 	}

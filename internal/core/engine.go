@@ -127,7 +127,7 @@ type Options struct {
 	// core vertex), so counts from disjoint ranges sum to the full-graph
 	// count exactly — with or without symmetry breaking. This is the
 	// partitioning seam the distributed coordinator (internal/coord)
-	// fans out over, and what shard-scan mode iterates shard by shard.
+	// fans out over.
 	//
 	// Morph recovery is NOT valid under a task range: a pattern and its
 	// morphed relatives can have different cores, hence different root
@@ -238,9 +238,10 @@ type ShareStats struct {
 	IntersectionsSaved uint64 `json:"intersectionsSaved"`
 }
 
-// Add folds another part of the same batch (a worker thread's, or a
-// shard's) into s: run-time counters sum, while the trie's shape is a
-// per-batch constant every part reports alike, so it takes the max.
+// Add folds another part of the same batch (a worker thread's, or
+// another task range's) into s: run-time counters sum, while the trie's
+// shape is a per-batch constant every part reports alike, so it takes
+// the max.
 func (s *ShareStats) Add(o ShareStats) {
 	s.TrieNodes = max(s.TrieNodes, o.TrieNodes)
 	s.ProgramSteps = max(s.ProgramSteps, o.ProgramSteps)
@@ -273,38 +274,6 @@ type MultiStats struct {
 	// executed morphed plans, reported per original only when it ran
 	// directly.
 	Morph plan.MorphStats
-
-	// Shards describes out-of-core fragment activity during this run,
-	// nil when the graph is not sharded. Loads and Evictions are deltas
-	// for this run; Evictions > 0 means the graph mined under a budget
-	// smaller than its working set.
-	Shards *ShardScanStats
-
-	// Err records a storage failure observed during the run — a shard
-	// fragment that failed to load serves empty adjacency from that
-	// point on, so counts are unreliable when Err is non-nil. Callers
-	// above the engine surface it as the query error.
-	Err error
-}
-
-// ShardScanStats is MultiStats' out-of-core telemetry for one run over
-// a sharded graph. The JSON tags are the wire names of a job result's
-// stats.sharding.
-type ShardScanStats struct {
-	Shards        int    `json:"shards"`        // shards in the graph's manifest
-	Loads         uint64 `json:"loads"`         // fragment loads during this run
-	Evictions     uint64 `json:"evictions"`     // budget evictions during this run
-	ResidentBytes uint64 `json:"residentBytes"` // resident fragment bytes at run end
-}
-
-// Add folds another ranged run over the same sharded graph into s:
-// loads and evictions sum; the manifest's shard count is a constant and
-// resident bytes a gauge, so both take the max.
-func (s *ShardScanStats) Add(o ShardScanStats) {
-	s.Shards = max(s.Shards, o.Shards)
-	s.Loads += o.Loads
-	s.Evictions += o.Evictions
-	s.ResidentBytes = max(s.ResidentBytes, o.ResidentBytes)
 }
 
 // MorphStats quantifies pattern-morphing decisions in a batched
@@ -396,21 +365,13 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 	// high-degree (expensive, heavily-pruned) tasks run first to avoid
 	// stragglers (§5.2). With Build's ascending order hubs sit at the
 	// high end and the scan walks down; on a RenumberDescending graph
-	// they sit at the low end and the scan walks up. Either way the scan
-	// is monotone, so for a sharded graph consecutive tasks fall in the
-	// same fragment and a worker re-pins only at shard boundaries.
+	// they sit at the low end and the scan walks up.
 	hubsLow := g.DegreeDescending()
 	next := new(atomic.Int64)
 	if hubsLow {
 		next.Store(lo - 1)
 	} else {
 		next.Store(hi)
-	}
-
-	var shard0 graph.ShardCounters
-	sharded := false
-	if c, ok := g.ShardCounters(); ok {
-		shard0, sharded = c, true
 	}
 
 	stats := make([][]Stats, threads)
@@ -430,13 +391,6 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 			// Accumulate locally: adjacent tasks[] slots share cache
 			// lines, and this counter bumps once per claimed vertex.
 			var done uint64
-			// Shard-scan pinning: hold the fragment owning the current
-			// task range resident so the scan's own rows can't thrash
-			// out from under the budget; deeper traversal hops fault
-			// fragments in unpinned. pinHi < pinLo forces a pin on the
-			// first claimed task.
-			var pinLo, pinHi int64 = 0, -1
-			var unpin func()
 			for {
 				var i int64
 				if hubsLow {
@@ -453,25 +407,8 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 				if stop.Load() {
 					break
 				}
-				if sharded && (i < pinLo || i >= pinHi) {
-					if unpin != nil {
-						unpin()
-						unpin = nil
-					}
-					plo, phi, rel, err := g.PinShard(uint32(i))
-					if err != nil {
-						// The shard set is poisoned; ms.Err reports it
-						// after the run. Stop all workers now.
-						stop.Store(true)
-						break
-					}
-					pinLo, pinHi, unpin = int64(plo), int64(phi), rel
-				}
 				mw.runTask(uint32(i))
 				done++
-			}
-			if unpin != nil {
-				unpin()
 			}
 			tasks[tid] = done
 			tb.Close()
@@ -506,16 +443,6 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 	}
 	ms.Stopped = stop.Load()
 	ms.MatchTime = time.Since(start)
-	if sharded {
-		c, _ := g.ShardCounters()
-		ms.Shards = &ShardScanStats{
-			Shards:        c.Shards,
-			Loads:         c.Loads - shard0.Loads,
-			Evictions:     c.Evictions - shard0.Evictions,
-			ResidentBytes: c.ResidentBytes,
-		}
-		ms.Err = g.ShardErr()
-	}
 	return ms
 }
 

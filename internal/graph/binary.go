@@ -49,6 +49,7 @@ import (
 	"io"
 	"math/bits"
 	"os"
+	"unsafe"
 )
 
 // binaryMagic identifies a .pgr file. The trailing version byte is
@@ -72,7 +73,7 @@ const (
 var ErrBadFormat = errors.New("graph: bad .pgr data")
 
 // errMmapUnsupported signals that this platform (or host byte order)
-// cannot alias the file; LoadBinary falls back to ReadBinary.
+// cannot alias the file; loadImage falls back to reading and decoding.
 var errMmapUnsupported = errors.New("graph: mmap unsupported")
 
 func badFormat(format string, args ...any) error {
@@ -297,15 +298,92 @@ func SaveBinary(path string, g *Graph) error {
 	return saveAtomic(path, func(w io.Writer) error { return WriteBinary(w, g) })
 }
 
-// ReadBinary parses a complete .pgr stream into a heap-backed Graph.
-// It is the portable load path — mmap-incapable platforms, big-endian
-// hosts, and the FuzzReadBinary target all go through it — so it
-// decodes field by field and never aliases r's bytes.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("graph: read .pgr: %w", err)
+// sections are the arrays of one .pgr image, whole graph or fragment.
+type sections struct {
+	offsets             []uint64
+	adj, labels, origID []uint32
+}
+
+// readSections carves the sections h describes out of a complete image
+// whose size decodeHeader has already matched against h. With alias
+// unset it copies them out field by field: the portable reader —
+// mmap-incapable platforms, big-endian hosts and the fuzz targets all
+// go through it — which never aliases data. With alias set it views
+// them in place, for a read-only mapping on a little-endian host (see
+// loadImage): the mapping is page-aligned and the 64-byte header keeps
+// the uint64 offsets section 8-aligned, so the unsafe casts are
+// well-defined.
+func readSections(data []byte, h binaryHeader, alias bool) sections {
+	pos := uint64(headerSize)
+	var s sections
+	if alias {
+		s.offsets = unsafe.Slice((*uint64)(unsafe.Pointer(&data[pos])), uint64(h.n)+1)
+	} else {
+		s.offsets = make([]uint64, uint64(h.n)+1)
+		for i := range s.offsets {
+			s.offsets[i] = binary.LittleEndian.Uint64(data[pos+8*uint64(i):])
+		}
 	}
+	pos += 8 * uint64(len(s.offsets))
+	u32s := func(count uint64) (v []uint32) {
+		if alias && count > 0 {
+			v = unsafe.Slice((*uint32)(unsafe.Pointer(&data[pos])), count)
+		} else {
+			v = make([]uint32, count)
+			for i := range v {
+				v[i] = binary.LittleEndian.Uint32(data[pos+4*uint64(i):])
+			}
+		}
+		pos += 4 * count
+		return v
+	}
+	s.adj = u32s(h.adjLen)
+	if h.hasLabels() {
+		s.labels = u32s(uint64(h.n))
+	}
+	if h.hasOrigID() {
+		s.origID = u32s(uint64(h.n))
+	}
+	return s
+}
+
+// loadImage is the one file-to-memory path of whole graphs and shard
+// fragments. Where the platform can map files (and the host is
+// little-endian, matching the on-disk encoding) the file is mapped
+// read-only and from is told to alias it: no heap copy is made,
+// the kernel pages data in on demand and drops clean pages under
+// pressure, and processes mapping the same file share one copy in the
+// page cache. unmap releases the mapping; it is nil on the fallback
+// path, which reads the file and decodes it into the heap.
+//
+// The mapping is released by an explicit Close only — never by a GC
+// cleanup. Slices returned by Adj alias the mapping without keeping
+// their owner reachable, so unmapping on collection could fault a
+// caller still ranging over a neighbor list. A value dropped without
+// Close simply keeps its (read-only, page-cache-shared) mapping until
+// process exit.
+func loadImage[T any](path string, from func(data []byte, alias bool) (*T, error)) (v *T, unmap func() error, err error) {
+	data, unmap, err := mapFile(path)
+	if errors.Is(err, errMmapUnsupported) {
+		if data, err = os.ReadFile(path); err != nil {
+			return nil, nil, fmt.Errorf("graph: %w", err)
+		}
+		v, err = from(data, false)
+		return v, nil, err
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if v, err = from(data, true); err != nil {
+		_ = unmap()
+		return nil, nil, err
+	}
+	return v, unmap, nil
+}
+
+// graphFromImage builds a Graph from a complete whole-graph .pgr image,
+// aliasing it or not (see readSections).
+func graphFromImage(data []byte, alias bool) (*Graph, error) {
 	h, err := decodeHeader(data, uint64(len(data)))
 	if err != nil {
 		return nil, err
@@ -313,32 +391,15 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	if h.fragment() {
 		return nil, badFormat("file is a shard fragment; load it through its manifest")
 	}
+	s := readSections(data, h, alias)
 	g := &Graph{
-		offsets:    make([]uint64, uint64(h.n)+1),
-		adj:        make([]uint32, h.adjLen),
+		offsets:    s.offsets,
+		adj:        s.adj,
+		labels:     s.labels,
+		origID:     s.origID,
 		numEdge:    h.numEdges,
 		labelCount: int(h.labelCount),
 		degDesc:    h.descDegree(),
-	}
-	pos := uint64(headerSize)
-	for i := range g.offsets {
-		g.offsets[i] = binary.LittleEndian.Uint64(data[pos:])
-		pos += 8
-	}
-	read32 := func(dst []uint32) {
-		for i := range dst {
-			dst[i] = binary.LittleEndian.Uint32(data[pos:])
-			pos += 4
-		}
-	}
-	read32(g.adj)
-	if h.hasLabels() {
-		g.labels = make([]uint32, h.n)
-		read32(g.labels)
-	}
-	if h.hasOrigID() {
-		g.origID = make([]uint32, h.n)
-		read32(g.origID)
 	}
 	if err := g.validate(); err != nil {
 		return nil, err
@@ -346,43 +407,62 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	return g, nil
 }
 
-// validate checks the CSR invariants the engine depends on, so a
-// corrupt or hand-forged .pgr file fails loading instead of crashing a
-// worker mid-mine: offsets monotone and spanning adj exactly, every
-// neighbor id in range, adjacency lists sorted, strict (no self-loops,
-// no duplicates), and the edge count consistent.
-func (g *Graph) validate() error {
-	n := uint64(g.NumVertices())
-	if g.offsets[0] != 0 {
-		return badFormat("offsets[0] = %d, want 0", g.offsets[0])
+// ReadBinary parses a complete .pgr stream into a heap-backed Graph.
+func ReadBinary(r io.Reader) (*Graph, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("graph: read .pgr: %w", err)
 	}
-	if last := g.offsets[n]; last != uint64(len(g.adj)) {
-		return badFormat("offsets end %d != adj length %d", last, len(g.adj))
+	return graphFromImage(data, false)
+}
+
+// validateCSR sweeps the rows of vertices [lo, lo+len(offsets)-1) for
+// the invariants the engine depends on, so a corrupt or hand-forged
+// file fails loading instead of crashing a worker mid-mine: offsets
+// monotone and spanning adj exactly, every neighbor id below total,
+// adjacency lists sorted and strict (no self-loops, no duplicates).
+func validateCSR(offsets []uint64, adj []uint32, lo uint32, total uint64) error {
+	n := uint64(len(offsets) - 1)
+	if offsets[0] != 0 {
+		return badFormat("offsets[0] = %d, want 0", offsets[0])
+	}
+	if last := offsets[n]; last != uint64(len(adj)) {
+		return badFormat("offsets end %d != adj length %d", last, len(adj))
 	}
 	// Bound every offset before slicing with any of them: monotonicity
 	// up to v does not bound offsets[v+1] until the whole array is
 	// known to be monotone and to end at len(adj).
-	for v := uint64(0); v < n; v++ {
-		if g.offsets[v] > g.offsets[v+1] {
-			return badFormat("offsets not monotone at vertex %d", v)
+	for i := uint64(0); i < n; i++ {
+		if offsets[i] > offsets[i+1] {
+			return badFormat("offsets not monotone at vertex %d", uint64(lo)+i)
 		}
-		if g.offsets[v+1] > uint64(len(g.adj)) {
-			return badFormat("offsets[%d] = %d exceeds adj length %d", v+1, g.offsets[v+1], len(g.adj))
+		if offsets[i+1] > uint64(len(adj)) {
+			return badFormat("offsets[%d] = %d exceeds adj length %d", i+1, offsets[i+1], len(adj))
 		}
 	}
-	for v := uint64(0); v < n; v++ {
-		list := g.adj[g.offsets[v]:g.offsets[v+1]]
-		for i, u := range list {
-			if uint64(u) >= n {
+	for i := uint64(0); i < n; i++ {
+		v := uint64(lo) + i
+		list := adj[offsets[i]:offsets[i+1]]
+		for j, u := range list {
+			if uint64(u) >= total {
 				return badFormat("vertex %d: neighbor %d out of range", v, u)
 			}
 			if uint64(u) == v {
 				return badFormat("vertex %d: self-loop", v)
 			}
-			if i > 0 && list[i-1] >= u {
+			if j > 0 && list[j-1] >= u {
 				return badFormat("vertex %d: adjacency not strictly sorted", v)
 			}
 		}
+	}
+	return nil
+}
+
+// validate checks a whole graph: the CSR sweep, plus edge and label
+// counts consistent with the arrays.
+func (g *Graph) validate() error {
+	if err := validateCSR(g.offsets, g.adj, 0, uint64(g.NumVertices())); err != nil {
+		return err
 	}
 	if uint64(len(g.adj)) != 2*g.numEdge {
 		return badFormat("adj length %d != 2*numEdges %d", len(g.adj), g.numEdge)
@@ -401,22 +481,16 @@ func (g *Graph) validate() error {
 	return nil
 }
 
-// LoadBinary loads a .pgr file. On platforms with mmap support (and a
-// little-endian host, matching the on-disk encoding) the returned
-// Graph's slices alias the read-only mapping: loading costs no heap
-// and the page cache shares the data across processes; Close unmaps
-// it. Elsewhere it falls back to the portable ReadBinary copy.
+// LoadBinary loads a .pgr file through loadImage: mapped where the
+// platform allows — the returned Graph's slices alias the read-only
+// mapping and Close unmaps it — and decoded into the heap elsewhere.
 func LoadBinary(path string) (*Graph, error) {
-	g, err := loadBinaryMmap(path)
-	if err == nil || !errors.Is(err, errMmapUnsupported) {
-		return g, err
-	}
-	f, err := os.Open(path)
+	g, unmap, err := loadImage(path, graphFromImage)
 	if err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
+		return nil, err
 	}
-	defer f.Close()
-	return ReadBinary(f)
+	g.release = unmap
+	return g, nil
 }
 
 // StatBinary reads only the .pgr header of path: graph metadata (and

@@ -257,9 +257,10 @@ func TestMemorySourceRejectsClosedGraph(t *testing.T) {
 	}
 }
 
-// FuzzReadBinary hardens the decoder against arbitrary bytes: it must
-// never panic, and anything it accepts must satisfy the CSR invariants
-// the engine relies on and re-encode to an equivalent graph.
+// FuzzReadBinary hardens the decoder against arbitrary bytes, as a
+// whole graph and as a shard fragment: neither reader may panic, and
+// anything one accepts must satisfy the CSR invariants the engine
+// relies on (a whole graph must also re-encode to an equivalent one).
 func FuzzReadBinary(f *testing.F) {
 	// Seeds: valid graphs plus each corruption class.
 	for _, g := range []*Graph{
@@ -283,8 +284,25 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	f.Add([]byte("PGRCSR\x00\x01"))
 	f.Add(bytes.Repeat([]byte{0}, headerSize))
+	for _, fr := range SplitGraph(randomGraph(f, 5, 40, 120, true), 2) {
+		var buf bytes.Buffer
+		if err := WriteFragment(&buf, fr); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if fr, err := ReadFragment(bytes.NewReader(data)); err == nil {
+			for v := fr.Lo; v < fr.Hi(); v++ {
+				for i, u := range fr.Adj(v) {
+					if u >= fr.Total || u == v || (i > 0 && fr.Adj(v)[i-1] >= u) {
+						t.Fatalf("accepted fragment has bad adjacency at %d: %v", v, fr.Adj(v))
+					}
+				}
+			}
+			return
+		}
 		g, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -61,8 +61,8 @@ type Graph struct {
 	release func() error
 
 	// sh is non-nil for manifest-backed sharded graphs (LoadSharded):
-	// the CSR slices above stay nil and every accessor routes through
-	// the shard set, which faults fragments in on demand. See shard.go.
+	// the CSR slices above stay nil and every accessor routes to the
+	// fragment owning the vertex. See shard.go.
 	sh *shardSet
 }
 
@@ -110,10 +110,8 @@ func (g *Graph) Label(v uint32) uint32 {
 }
 
 // Adj returns the sorted adjacency list of v. The returned slice is a
-// view into the graph's storage and must not be modified. For a
-// sharded graph the view stays valid across eviction of its fragment
-// (fragments are heap-backed; the collector keeps referenced arrays
-// alive).
+// view into the graph's storage: it must not be modified, and is valid
+// until Close.
 func (g *Graph) Adj(v uint32) []uint32 {
 	if g.sh != nil {
 		return g.sh.adj(v)
@@ -189,12 +187,8 @@ const hubDenseChunkMin = 512
 // (chunked bitmap AND); the sorted CSR lists remain the source of
 // truth and are unaffected. minDeg 0 disables (and drops any existing
 // bitsets). Not concurrency-safe with graph use — call it at load
-// time, like Close. Sharded graphs are unsupported (fragments evict
-// under a byte budget; pinning bitmaps would defeat it) and return 0.
+// time, like Close.
 func (g *Graph) BuildHubBitsets(minDeg uint32) int {
-	if g.sh != nil {
-		return 0
-	}
 	g.hubBits, g.hubBytes = nil, 0
 	if minDeg == 0 {
 		return 0
@@ -242,13 +236,16 @@ func (g *Graph) AvgDegree() float64 {
 }
 
 // Bytes returns the resident size of the graph's CSR arrays — for an
-// mmap-backed graph, the size of the mapping. Registries use it for
+// mmap-backed graph, the size of the mapping; for a sharded graph, of
+// all its fragments — plus any hub bitsets. Registries use it for
 // memory-budget accounting.
 func (g *Graph) Bytes() uint64 {
 	if g.sh != nil {
-		// Only resident fragments cost memory; the budget keeps this
-		// bounded regardless of total graph size.
-		return g.sh.resident.Load()
+		total := g.hubBytes
+		for _, f := range g.sh.frags {
+			total += f.Bytes()
+		}
+		return total
 	}
 	return 8*uint64(len(g.offsets)) +
 		4*uint64(len(g.adj)) +
@@ -258,14 +255,15 @@ func (g *Graph) Bytes() uint64 {
 }
 
 // Close releases the graph's backing storage. For mmap-backed graphs
-// (LoadBinary) it unmaps the file — any use of the graph or of Adj
-// views after Close faults — and for heap-backed graphs it is a no-op.
-// Close is idempotent but not concurrency-safe with graph use: callers
-// that share a graph must pin it (see internal/server's registry).
+// (LoadBinary, and every fragment of LoadSharded) it unmaps the files —
+// any use of the graph or of Adj views after Close faults — and for
+// heap-backed graphs it is a no-op. Close is idempotent but not
+// concurrency-safe with graph use: callers that share a graph must pin
+// it (see internal/server's registry).
 func (g *Graph) Close() error {
 	if g.sh != nil {
-		g.sh.close()
-		return nil
+		g.hubBits, g.hubBytes = nil, 0
+		return g.sh.close()
 	}
 	if g.release == nil {
 		return nil
@@ -291,13 +289,10 @@ func (g *Graph) Close() error {
 // result names exactly the same underlying graph — counts and
 // OrigID-mapped match streams are identical to g's (the engine's
 // symmetry breaking only needs *a* total order). The copy is
-// heap-backed regardless of g's backing and carries no hub bitsets;
-// rebuild them with BuildHubBitsets if wanted. Sharded graphs cannot be
-// renumbered in place — renumber before sharding (gengraph -renumber).
+// heap-backed regardless of g's backing — a sharded g comes back whole —
+// and carries no hub bitsets; rebuild them with BuildHubBitsets if
+// wanted. The error is always nil.
 func RenumberDescending(g *Graph) (*Graph, error) {
-	if g.sh != nil {
-		return nil, fmt.Errorf("graph: cannot renumber a sharded graph; renumber before sharding")
-	}
 	n := g.NumVertices()
 	order := make([]uint32, n) // new id -> old id
 	for i := range order {
@@ -317,8 +312,8 @@ func RenumberDescending(g *Graph) (*Graph, error) {
 	}
 
 	out := &Graph{
-		numEdge:    g.numEdge,
-		labelCount: g.labelCount,
+		numEdge:    g.NumEdges(),
+		labelCount: g.NumLabels(),
 		degDesc:    true,
 	}
 	offsets := make([]uint64, n+1)
@@ -339,10 +334,10 @@ func RenumberDescending(g *Graph) (*Graph, error) {
 	out.offsets = offsets
 	out.adj = adj
 
-	if g.labels != nil {
+	if g.Labeled() {
 		labels := make([]uint32, n)
 		for v := uint32(0); v < n; v++ {
-			labels[v] = g.labels[order[v]]
+			labels[v] = g.Label(order[v])
 		}
 		out.labels = labels
 	}

@@ -9,91 +9,31 @@ import (
 	"unsafe"
 )
 
-// loadBinaryMmap maps a .pgr file read-only and builds a Graph whose
-// CSR slices alias the mapping directly: no heap copy is made, the
-// kernel pages data in on demand, and concurrent processes mapping the
-// same file share one copy in the page cache. Graph.Close unmaps it,
-// which is why the server registry refcounts loaded graphs before
-// evicting them.
-//
-// The on-disk encoding is little-endian; a big-endian host cannot
-// alias it and reports errMmapUnsupported so LoadBinary falls back to
-// the decoding ReadBinary path.
-func loadBinaryMmap(path string) (*Graph, error) {
+// mapFile maps path read-only and returns the image with the call that
+// unmaps it. A big-endian host cannot alias the little-endian encoding
+// and reports errMmapUnsupported, like a platform without mmap.
+func mapFile(path string) (data []byte, unmap func() error, err error) {
 	if !hostLittleEndian() {
-		return nil, errMmapUnsupported
+		return nil, nil, errMmapUnsupported
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
+		return nil, nil, fmt.Errorf("graph: %w", err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
+		return nil, nil, fmt.Errorf("graph: %w", err)
 	}
 	size := fi.Size()
 	if size < headerSize {
-		return nil, badFormat("file is %d bytes, smaller than the header", size)
+		return nil, nil, badFormat("file is %d bytes, smaller than the header", size)
 	}
-	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+	data, err = syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
-		return nil, fmt.Errorf("graph: mmap %s: %w", path, err)
+		return nil, nil, fmt.Errorf("graph: mmap %s: %w", path, err)
 	}
-	g, err := graphFromMapping(data)
-	if err != nil {
-		_ = syscall.Munmap(data)
-		return nil, err
-	}
-	// The mapping is released by explicit Close only — never by a GC
-	// cleanup. Slices returned by Adj alias the mapping without keeping
-	// the Graph reachable, so unmapping when the Graph is collected
-	// could fault a caller still ranging over a neighbor list. A graph
-	// that is dropped without Close simply keeps its (read-only,
-	// page-cache-shared) mapping until process exit.
-	g.release = func() error { return syscall.Munmap(data) }
-	return g, nil
-}
-
-// graphFromMapping aliases the sections of a complete .pgr image as
-// the Graph's slices. The mapping is page-aligned and the 64-byte
-// header keeps the uint64 offsets section 8-aligned, so the unsafe
-// casts are well-defined.
-func graphFromMapping(data []byte) (*Graph, error) {
-	h, err := decodeHeader(data, uint64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	if h.fragment() {
-		return nil, badFormat("file is a shard fragment; load it through its manifest")
-	}
-	g := &Graph{
-		numEdge:    h.numEdges,
-		labelCount: int(h.labelCount),
-		degDesc:    h.descDegree(),
-	}
-	pos := uint64(headerSize)
-	g.offsets = unsafe.Slice((*uint64)(unsafe.Pointer(&data[pos])), uint64(h.n)+1)
-	pos += 8 * (uint64(h.n) + 1)
-	take32 := func(count uint64) []uint32 {
-		if count == 0 {
-			return []uint32{}
-		}
-		s := unsafe.Slice((*uint32)(unsafe.Pointer(&data[pos])), count)
-		pos += 4 * count
-		return s
-	}
-	g.adj = take32(h.adjLen)
-	if h.hasLabels() {
-		g.labels = take32(uint64(h.n))
-	}
-	if h.hasOrigID() {
-		g.origID = take32(uint64(h.n))
-	}
-	if err := g.validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return data, func() error { return syscall.Munmap(data) }, nil
 }
 
 // hostLittleEndian reports whether the host matches the file encoding.

@@ -187,20 +187,7 @@ func TestRenumberedShardedRoundTrip(t *testing.T) {
 		t.Fatal("sharded graph does not report DegreeDescending")
 	}
 	// Adjacency and OrigID must agree vertex by vertex with the source.
-	for v := uint32(0); v < rg.NumVertices(); v++ {
-		a, b := rg.Adj(v), sg.Adj(v)
-		if len(a) != len(b) {
-			t.Fatalf("vertex %d: degree %d vs %d", v, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("vertex %d: adjacency differs at %d", v, i)
-			}
-		}
-		if rg.OrigID(v) != sg.OrigID(v) {
-			t.Fatalf("vertex %d: OrigID %d vs %d", v, rg.OrigID(v), sg.OrigID(v))
-		}
-	}
+	checkShardedEquals(t, rg, sg)
 	// A default-ordered graph's manifest must stay in the 5-field format.
 	m2path := filepath.Join(dir, "asc.manifest")
 	if _, err := SaveSharded(m2path, g, 2); err != nil {
@@ -212,23 +199,6 @@ func TestRenumberedShardedRoundTrip(t *testing.T) {
 	}
 	if bytes.Contains(raw2, []byte("desc")) {
 		t.Fatal("ascending manifest gained a desc token")
-	}
-}
-
-func TestRenumberShardedRejected(t *testing.T) {
-	g := randomBuilderGraph(5, 40, 120, 0)
-	dir := t.TempDir()
-	mpath := filepath.Join(dir, "g.manifest")
-	if _, err := SaveSharded(mpath, g, 2); err != nil {
-		t.Fatal(err)
-	}
-	sg, err := LoadSharded(mpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sg.Close()
-	if _, err := RenumberDescending(sg); err == nil {
-		t.Fatal("renumbering a sharded graph must fail")
 	}
 }
 

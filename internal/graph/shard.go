@@ -26,16 +26,17 @@ package graph
 // fragments reconstructs the full CSR exactly.
 //
 // A loaded sharded graph is an ordinary *Graph whose accessors route
-// through a shardSet: fragments load lazily on first touch, stay
-// heap-backed (never mmap — see shardSet), and evict under a byte
-// budget with approximate LRU. Mining a graph larger than memory works
-// because the engine pins only the fragment owning the current task
-// range (Graph.PinShard) while deeper traversal hops fault fragments
-// in and out on demand.
+// through a shardSet: LoadSharded loads and validates every fragment
+// exactly like a whole .pgr (loadImage: mapped read-only where the
+// platform allows, decoded into the heap elsewhere) and keeps them all
+// behind a routing table until Close. Residency is decided one level
+// up and by whole graph — the server registry charges a sharded graph
+// its fragment bytes, pins it per query and evicts it idle. A mapped
+// graph larger than memory still mines, paged by the kernel; a decoded
+// one must fit.
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -45,7 +46,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // manifestMagic begins every manifest file; the version follows it.
@@ -301,6 +301,10 @@ type Fragment struct {
 	labels     []uint32 // owned-range labels, nil when unlabeled
 	origID     []uint32 // owned-range original ids, nil when absent
 	labelCount uint32   // whole-graph distinct label count
+
+	// release unmaps the file behind a mapped fragment (LoadFragment);
+	// nil for decoded fragments and SplitGraph views. Consumed by Close.
+	release func() error
 }
 
 // Owned returns the number of vertices this fragment owns.
@@ -332,7 +336,8 @@ func (f *Fragment) OrigIDOf(v uint32) uint32 {
 	return f.origID[v-f.Lo]
 }
 
-// Bytes returns the heap footprint of the fragment's arrays.
+// Bytes returns the resident size of the fragment's arrays — for a
+// mapped fragment, the size of the mapping less its header.
 func (f *Fragment) Bytes() uint64 {
 	return 8*uint64(len(f.offsets)) +
 		4*uint64(len(f.adj)) +
@@ -340,44 +345,17 @@ func (f *Fragment) Bytes() uint64 {
 		4*uint64(len(f.origID))
 }
 
-// validate checks the fragment-level CSR invariants, mirroring
-// Graph.validate: offsets monotone and spanning adj exactly, neighbors
-// in global range, lists strictly sorted, no self-loops.
-func (f *Fragment) validate() error {
-	owned := uint64(f.Owned())
-	if uint64(f.Lo)+owned > uint64(f.Total) {
-		return badFormat("fragment range [%d,%d) exceeds total %d", f.Lo, uint64(f.Lo)+owned, f.Total)
+// Close unmaps a mapped fragment and is a no-op for any other. Like
+// Graph.Close it is idempotent, not concurrency-safe with use, and
+// drops the aliasing slices so a use after Close fails fast.
+func (f *Fragment) Close() error {
+	if f.release == nil {
+		return nil
 	}
-	if f.offsets[0] != 0 {
-		return badFormat("fragment offsets[0] = %d, want 0", f.offsets[0])
-	}
-	if last := f.offsets[owned]; last != uint64(len(f.adj)) {
-		return badFormat("fragment offsets end %d != adj length %d", last, len(f.adj))
-	}
-	for i := uint64(0); i < owned; i++ {
-		if f.offsets[i] > f.offsets[i+1] {
-			return badFormat("fragment offsets not monotone at vertex %d", f.Lo+uint32(i))
-		}
-		if f.offsets[i+1] > uint64(len(f.adj)) {
-			return badFormat("fragment offsets[%d] = %d exceeds adj length %d", i+1, f.offsets[i+1], len(f.adj))
-		}
-	}
-	for i := uint64(0); i < owned; i++ {
-		v := f.Lo + uint32(i)
-		list := f.adj[f.offsets[i]:f.offsets[i+1]]
-		for j, u := range list {
-			if uint64(u) >= uint64(f.Total) {
-				return badFormat("fragment vertex %d: neighbor %d out of range", v, u)
-			}
-			if u == v {
-				return badFormat("fragment vertex %d: self-loop", v)
-			}
-			if j > 0 && list[j-1] >= u {
-				return badFormat("fragment vertex %d: adjacency not strictly sorted", v)
-			}
-		}
-	}
-	return nil
+	rel := f.release
+	f.release = nil
+	f.offsets, f.adj, f.labels, f.origID = []uint64{0}, nil, nil, nil
+	return rel()
 }
 
 // WriteFragment writes f as a flagFragment .pgr stream.
@@ -408,16 +386,10 @@ func SaveFragment(path string, f *Fragment) error {
 	return saveAtomic(path, func(w io.Writer) error { return WriteFragment(w, f) })
 }
 
-// ReadFragment parses a complete fragment .pgr stream. Like
-// ReadBinary it copies field by field, so fragments are always
-// heap-backed — which is what makes mid-query eviction safe: dropping
-// a fragment just unpublishes the pointer, and in-flight Adj views
-// stay valid until the collector reclaims them.
-func ReadFragment(r io.Reader) (*Fragment, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("graph: read fragment: %w", err)
-	}
+// fragmentFromImage builds a Fragment from a complete fragment .pgr
+// image, aliasing it or not (see readSections), and sweeps its rows
+// like a whole graph's (validateCSR).
+func fragmentFromImage(data []byte, alias bool) (*Fragment, error) {
 	h, err := decodeHeader(data, uint64(len(data)))
 	if err != nil {
 		return nil, err
@@ -425,52 +397,43 @@ func ReadFragment(r io.Reader) (*Fragment, error) {
 	if !h.fragment() {
 		return nil, badFormat("file is a whole graph, not a shard fragment")
 	}
+	s := readSections(data, h, alias)
 	f := &Fragment{
 		Lo:         h.fragLo,
 		Total:      h.fragTotal,
 		DegDesc:    h.descDegree(),
-		offsets:    make([]uint64, uint64(h.n)+1),
-		adj:        make([]uint32, h.adjLen),
+		offsets:    s.offsets,
+		adj:        s.adj,
+		labels:     s.labels,
+		origID:     s.origID,
 		labelCount: h.labelCount,
 	}
-	pos := uint64(headerSize)
-	for i := range f.offsets {
-		f.offsets[i] = binary.LittleEndian.Uint64(data[pos:])
-		pos += 8
-	}
-	read32 := func(dst []uint32) {
-		for i := range dst {
-			dst[i] = binary.LittleEndian.Uint32(data[pos:])
-			pos += 4
-		}
-	}
-	read32(f.adj)
-	if h.hasLabels() {
-		f.labels = make([]uint32, h.n)
-		read32(f.labels)
-	}
-	if h.hasOrigID() {
-		f.origID = make([]uint32, h.n)
-		read32(f.origID)
-	}
-	if err := f.validate(); err != nil {
+	if err := validateCSR(f.offsets, f.adj, f.Lo, uint64(f.Total)); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// LoadFragment reads the fragment at path into the heap.
-func LoadFragment(path string) (*Fragment, error) {
-	f, err := os.Open(path)
+// ReadFragment parses a complete fragment .pgr stream into the heap.
+func ReadFragment(r io.Reader) (*Fragment, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
+		return nil, fmt.Errorf("graph: read fragment: %w", err)
 	}
-	defer f.Close()
-	frag, err := ReadFragment(f)
+	return fragmentFromImage(data, false)
+}
+
+// LoadFragment loads the fragment at path the way LoadBinary loads a
+// whole graph: mapped read-only where the platform allows, decoded
+// into the heap elsewhere. The caller owns the result and releases it
+// with Close.
+func LoadFragment(path string) (*Fragment, error) {
+	f, unmap, err := loadImage(path, fragmentFromImage)
 	if err != nil {
 		return nil, fmt.Errorf("%w (%s)", err, path)
 	}
-	return frag, nil
+	f.release = unmap
+	return f, nil
 }
 
 // SplitGraph cuts g into at most shards contiguous vertex-range
@@ -564,321 +527,106 @@ func SaveSharded(manifestPath string, g *Graph, shards int) (*Manifest, error) {
 	return m, nil
 }
 
-// ShardCounters is a snapshot of a sharded graph's fragment activity.
-type ShardCounters struct {
-	Shards        int    // shards in the manifest
-	Resident      int    // fragments currently loaded
-	Pinned        int    // fragments pinned by in-flight task scans
-	Loads         uint64 // cumulative fragment loads (> Shards means reloads after eviction)
-	Evictions     uint64 // cumulative budget evictions
-	ResidentBytes uint64 // bytes held by resident fragments
-}
-
-// shardSet is the runtime behind a sharded *Graph: it routes vertex
-// accesses to lazily-loaded fragments and evicts them under a byte
-// budget.
-//
-// Fragments are always heap-backed (LoadFragment, never mmap), which
-// is the whole eviction-safety story: the canonical reference is an
-// atomic.Pointer, eviction just stores nil, and any Adj slice a worker
-// is still ranging over keeps its fragment alive until GC. There is no
-// unmap to fault on, and the atomic publish gives readers a
-// happens-before on the fully-built fragment.
+// shardSet is the storage behind a sharded *Graph: every fragment of
+// the manifest, loaded, and the routing table that finds a vertex's
+// owner. It is immutable between LoadSharded and Close, so readers need
+// no synchronization.
 type shardSet struct {
-	dir   string
 	stat  Stat
-	lo    []uint32 // shard i owns [lo[i], hiOf(i))
-	files []string
-
-	frags []atomic.Pointer[Fragment]
-
-	mu      sync.Mutex // guards loads, evictions, pins, lastUse, err
-	pins    []int32
-	lastUse []uint64
-	clock   uint64
-	err     error // sticky first load/validation failure
-
-	resident  atomic.Uint64
-	budget    atomic.Uint64 // 0 = unlimited
-	loads     atomic.Uint64
-	evictions atomic.Uint64
+	lo    []uint32 // fragment i owns [lo[i], lo[i+1]); the last runs to stat.Vertices
+	frags []*Fragment
 }
 
-func newShardSet(dir string, m *Manifest) *shardSet {
-	s := &shardSet{
-		dir:     dir,
-		stat:    m.Stat,
-		lo:      make([]uint32, len(m.Shards)),
-		files:   make([]string, len(m.Shards)),
-		frags:   make([]atomic.Pointer[Fragment], len(m.Shards)),
-		pins:    make([]int32, len(m.Shards)),
-		lastUse: make([]uint64, len(m.Shards)),
-	}
-	for i, sh := range m.Shards {
-		s.lo[i] = sh.Lo
-		s.files[i] = sh.File
-	}
-	return s
-}
-
-// owner returns the index of the shard owning vertex v. Ranges are
+// owner returns the index of the fragment owning vertex v. Ranges are
 // contiguous from 0, so this is a binary search over the lo array.
 func (s *shardSet) owner(v uint32) int {
 	return sort.Search(len(s.lo), func(i int) bool { return s.lo[i] > v }) - 1
 }
 
-func (s *shardSet) hiOf(i int) uint32 {
-	if i+1 < len(s.lo) {
-		return s.lo[i+1]
-	}
-	return s.stat.Vertices
-}
+// The routed accessors behind Graph.Adj/Label/OrigID. They are methods
+// rather than expressions in those accessors so the search stays out
+// of line there: Graph.Label and Graph.OrigID fit the compiler's
+// inlining budget for whole graphs only while the sharded branch is a
+// single call.
+func (s *shardSet) adj(v uint32) []uint32    { return s.frags[s.owner(v)].Adj(v) }
+func (s *shardSet) label(v uint32) uint32    { return s.frags[s.owner(v)].Label(v) }
+func (s *shardSet) origIDOf(v uint32) uint32 { return s.frags[s.owner(v)].OrigIDOf(v) }
 
-// fragOf returns the loaded fragment owning v, faulting it in on
-// demand. A load failure poisons the set (see loadErr) and returns
-// nil; callers see an empty adjacency and the error surfaces after the
-// run.
-func (s *shardSet) fragOf(v uint32) *Fragment {
-	si := s.owner(v)
-	if f := s.frags[si].Load(); f != nil {
-		return f
+// close releases every fragment and empties the set, so the graph
+// reports no data afterwards, like a closed whole graph.
+func (s *shardSet) close() error {
+	var first error
+	for _, f := range s.frags {
+		if err := f.Close(); err != nil && first == nil {
+			first = err
+		}
 	}
-	return s.require(si)
-}
-
-func (s *shardSet) adj(v uint32) []uint32 {
-	f := s.fragOf(v)
-	if f == nil {
-		return nil
-	}
-	return f.Adj(v)
-}
-
-func (s *shardSet) label(v uint32) uint32 {
-	if !s.stat.Labeled {
-		return NoLabel
-	}
-	f := s.fragOf(v)
-	if f == nil {
-		return NoLabel
-	}
-	return f.Label(v)
-}
-
-func (s *shardSet) origIDOf(v uint32) uint32 {
-	f := s.fragOf(v)
-	if f == nil {
-		return v
-	}
-	return f.OrigIDOf(v)
-}
-
-// require loads shard si under the lock, double-checking first.
-func (s *shardSet) require(si int) *Fragment {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requireLocked(si)
-}
-
-func (s *shardSet) requireLocked(si int) *Fragment {
-	if f := s.frags[si].Load(); f != nil {
-		s.touchLocked(si)
-		return f
-	}
-	if s.err != nil {
-		return nil
-	}
-	f, err := LoadFragment(filepath.Join(s.dir, s.files[si]))
-	if err == nil {
-		err = s.checkFragment(si, f)
-	}
-	if err != nil {
-		s.err = fmt.Errorf("graph: shard %d: %w", si, err)
-		return nil
-	}
-	s.frags[si].Store(f)
-	s.resident.Add(f.Bytes())
-	s.loads.Add(1)
-	s.touchLocked(si)
-	s.evictLocked(si)
-	return f
+	*s = shardSet{}
+	return first
 }
 
 // checkFragment verifies a loaded fragment matches its manifest entry,
 // so a swapped or stale file fails loudly instead of mis-routing.
-func (s *shardSet) checkFragment(si int, f *Fragment) error {
-	if f.Lo != s.lo[si] || f.Hi() != s.hiOf(si) {
-		return badFormat("fragment range [%d,%d) does not match manifest [%d,%d)", f.Lo, f.Hi(), s.lo[si], s.hiOf(si))
+func checkFragment(m *Manifest, i int, f *Fragment) error {
+	sh := m.Shards[i]
+	if f.Lo != sh.Lo || f.Hi() != sh.Hi {
+		return badFormat("fragment range [%d,%d) does not match manifest [%d,%d)", f.Lo, f.Hi(), sh.Lo, sh.Hi)
 	}
-	if f.Total != s.stat.Vertices {
-		return badFormat("fragment total %d does not match manifest %d vertices", f.Total, s.stat.Vertices)
+	if f.Total != m.Stat.Vertices {
+		return badFormat("fragment total %d does not match manifest %d vertices", f.Total, m.Stat.Vertices)
 	}
-	if (f.labels != nil) != s.stat.Labeled {
+	if (f.labels != nil) != m.Stat.Labeled {
 		return badFormat("fragment label section does not match manifest")
 	}
-	if f.DegDesc != s.stat.DegreeDesc {
+	if f.DegDesc != m.Stat.DegreeDesc {
 		return badFormat("fragment degree-order flag does not match manifest")
 	}
 	return nil
 }
 
-func (s *shardSet) touchLocked(si int) {
-	s.clock++
-	s.lastUse[si] = s.clock
-}
-
-// evictLocked drops least-recently-loaded fragments until the set fits
-// its budget. Pinned fragments and keep (the one just faulted in for
-// the caller) are exempt — so a single fragment larger than the budget
-// still mines, it just lives alone. LRU here is approximate: lastUse
-// advances on load and pin, not on every Adj fast-path hit, keeping
-// the hot loop free of shared-counter traffic.
-func (s *shardSet) evictLocked(keep int) {
-	budget := s.budget.Load()
-	if budget == 0 {
-		return
-	}
-	for s.resident.Load() > budget {
-		victim, best := -1, uint64(0)
-		for i := range s.frags {
-			if i == keep || s.pins[i] != 0 || s.frags[i].Load() == nil {
-				continue
-			}
-			if victim == -1 || s.lastUse[i] < best {
-				victim, best = i, s.lastUse[i]
-			}
-		}
-		if victim < 0 {
-			return
-		}
-		f := s.frags[victim].Load()
-		s.frags[victim].Store(nil)
-		s.resident.Add(^(f.Bytes() - 1)) // atomic subtract
-		s.evictions.Add(1)
-	}
-}
-
-// pin loads the shard owning v and holds it resident until release is
-// called. The engine pins the fragment of the task range it is
-// scanning; deeper traversal hops are served unpinned.
-func (s *shardSet) pin(v uint32) (lo, hi uint32, release func(), err error) {
-	si := s.owner(v)
-	s.mu.Lock()
-	f := s.requireLocked(si)
-	if f == nil {
-		err := s.err
-		s.mu.Unlock()
-		if err == nil {
-			err = errors.New("graph: shard load failed")
-		}
-		return 0, 0, nil, err
-	}
-	s.pins[si]++
-	s.mu.Unlock()
-	return s.lo[si], s.hiOf(si), func() {
-		s.mu.Lock()
-		s.pins[si]--
-		s.mu.Unlock()
-	}, nil
-}
-
-func (s *shardSet) setBudget(b uint64) {
-	s.budget.Store(b)
-	s.mu.Lock()
-	s.evictLocked(-1)
-	s.mu.Unlock()
-}
-
-func (s *shardSet) loadErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-func (s *shardSet) counters() ShardCounters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := ShardCounters{
-		Shards:        len(s.frags),
-		Loads:         s.loads.Load(),
-		Evictions:     s.evictions.Load(),
-		ResidentBytes: s.resident.Load(),
-	}
-	for i := range s.frags {
-		if s.frags[i].Load() != nil {
-			c.Resident++
-		}
-		if s.pins[i] != 0 {
-			c.Pinned++
-		}
-	}
-	return c
-}
-
-func (s *shardSet) close() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.frags {
-		s.frags[i].Store(nil)
-	}
-	s.resident.Store(0)
-}
-
-// LoadSharded opens the manifest at path and returns a sharded Graph.
-// No fragment is read yet; they fault in on first access and evict
-// under the budget set by SetShardBudget.
+// LoadSharded opens the manifest at path and loads every fragment it
+// names (see LoadFragment), checking each against its manifest entry
+// before returning: a missing, truncated, corrupt or swapped fragment
+// is this call's error, and nothing stays mapped behind it.
 func LoadSharded(path string) (*Graph, error) {
 	m, err := LoadManifest(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Graph{sh: newShardSet(filepath.Dir(path), m)}, nil
-}
-
-// Sharded reports whether g routes through sharded storage.
-func (g *Graph) Sharded() bool { return g.sh != nil }
-
-// SetShardBudget bounds the bytes of resident shard fragments; 0 means
-// unlimited. Shrinking the budget evicts immediately. No-op for
-// non-sharded graphs.
-func (g *Graph) SetShardBudget(bytes uint64) {
-	if g.sh != nil {
-		g.sh.setBudget(bytes)
+	s := &shardSet{stat: m.Stat}
+	for i, sh := range m.Shards {
+		f, err := LoadFragment(filepath.Join(filepath.Dir(path), sh.File))
+		if err == nil {
+			s.lo = append(s.lo, sh.Lo)
+			s.frags = append(s.frags, f) // before the check, so a mismatch is unmapped too
+			err = checkFragment(m, i, f)
+		}
+		if err != nil {
+			_ = s.close()
+			return nil, fmt.Errorf("graph: shard %d: %w", i, err)
+		}
 	}
+	return &Graph{sh: s}, nil
 }
 
-// ShardCounters snapshots fragment activity; ok is false for
+// ShardCounters is the fragment count of a loaded sharded graph. Every
+// fragment is loaded for as long as the graph is, so there is nothing
+// finer to count.
+type ShardCounters struct {
+	Shards int // fragments in the manifest
+}
+
+// ShardCounters describes a sharded graph's storage; ok is false for
 // non-sharded graphs.
 func (g *Graph) ShardCounters() (ShardCounters, bool) {
 	if g.sh == nil {
 		return ShardCounters{}, false
 	}
-	return g.sh.counters(), true
-}
-
-// PinShard pins the shard fragment owning v resident and returns its
-// owned range. For a non-sharded graph it trivially "pins" the whole
-// graph. release must be called exactly once.
-func (g *Graph) PinShard(v uint32) (lo, hi uint32, release func(), err error) {
-	if g.sh == nil {
-		return 0, g.NumVertices(), func() {}, nil
-	}
-	return g.sh.pin(v)
-}
-
-// ShardErr returns the sticky fragment load error, if any access has
-// failed. A poisoned sharded graph serves empty adjacency for the
-// failed range; the engine surfaces this error after the run.
-func (g *Graph) ShardErr() error {
-	if g.sh == nil {
-		return nil
-	}
-	return g.sh.loadErr()
+	return ShardCounters{Shards: len(g.sh.frags)}, true
 }
 
 // ShardedSource serves a sharded graph described by a manifest file.
-// Stat comes from the manifest alone; Load returns a lazy sharded
-// Graph whose fragments page in on demand.
+// Stat comes from the manifest alone; Load is LoadSharded.
 func ShardedSource(path string) Source { return &shardedSource{path: path} }
 
 type shardedSource struct {
@@ -913,8 +661,7 @@ func (s *shardedSource) Stat() (Stat, error) {
 
 func (s *shardedSource) Load() (*Graph, error) { return LoadSharded(s.path) }
 
-// Bytes sums the on-disk fragment sizes: the worst-case resident cost
-// of a load with no budget.
+// Bytes sums the on-disk fragment sizes: what a load maps.
 func (s *shardedSource) Bytes() uint64 {
 	m, err := s.manifest()
 	if err != nil {

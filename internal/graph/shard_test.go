@@ -2,12 +2,16 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -35,32 +39,25 @@ func randomTestGraph(t *testing.T, n uint32, edges int, labels uint32, seed int6
 // identically to g — the union of the fragments IS the original CSR.
 func checkShardedEquals(t *testing.T, g, sg *Graph) {
 	t.Helper()
-	if sg.NumVertices() != g.NumVertices() || sg.NumEdges() != g.NumEdges() {
-		t.Fatalf("size mismatch: V %d/%d, E %d/%d",
-			sg.NumVertices(), g.NumVertices(), sg.NumEdges(), g.NumEdges())
-	}
-	if sg.Labeled() != g.Labeled() || sg.NumLabels() != g.NumLabels() {
-		t.Fatalf("label shape mismatch")
-	}
-	for v := uint32(0); v < g.NumVertices(); v++ {
-		if !bytes.Equal(u32bytes(sg.Adj(v)), u32bytes(g.Adj(v))) {
-			t.Fatalf("Adj(%d): sharded %v != whole %v", v, sg.Adj(v), g.Adj(v))
-		}
-		if g.Labeled() && sg.Label(v) != g.Label(v) {
-			t.Fatalf("Label(%d): %d != %d", v, sg.Label(v), g.Label(v))
-		}
-		if sg.OrigID(v) != g.OrigID(v) {
-			t.Fatalf("OrigID(%d): %d != %d", v, sg.OrigID(v), g.OrigID(v))
-		}
+	if err := shardedDiff(g, sg); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func u32bytes(s []uint32) []byte {
-	out := make([]byte, 0, 4*len(s))
-	for _, v := range s {
-		out = append(out, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+// shardedDiff returns the first accessor on which sg and g disagree.
+func shardedDiff(g, sg *Graph) error {
+	if StatOf(sg) != StatOf(g) {
+		return fmt.Errorf("stat mismatch: sharded %+v, whole %+v", StatOf(sg), StatOf(g))
 	}
-	return out
+	for v := uint32(0); v < g.NumVertices(); v++ {
+		if !slices.Equal(sg.Adj(v), g.Adj(v)) {
+			return fmt.Errorf("Adj(%d): sharded %v != whole %v", v, sg.Adj(v), g.Adj(v))
+		}
+		if sg.Label(v) != g.Label(v) || sg.OrigID(v) != g.OrigID(v) {
+			return fmt.Errorf("vertex %d: label %d/%d, origID %d/%d", v, sg.Label(v), g.Label(v), sg.OrigID(v), g.OrigID(v))
+		}
+	}
+	return nil
 }
 
 func TestSplitGraphUnionReconstructsOriginal(t *testing.T) {
@@ -78,17 +75,15 @@ func TestSplitGraphUnionReconstructsOriginal(t *testing.T) {
 				// Fragments cover [0, n) contiguously and agree with the
 				// original adjacency on every owned vertex.
 				next := uint32(0)
-				var adjTotal uint64
 				for _, f := range frags {
 					if f.Lo != next {
 						t.Fatalf("fragment starts at %d, want %d", f.Lo, next)
 					}
 					for v := f.Lo; v < f.Hi(); v++ {
-						if !bytes.Equal(u32bytes(f.Adj(v)), u32bytes(g.Adj(v))) {
+						if !slices.Equal(f.Adj(v), g.Adj(v)) {
 							t.Fatalf("shards=%d Adj(%d) mismatch", shards, v)
 						}
 					}
-					adjTotal += uint64(len(f.Adj(f.Lo))) // touch; real total below
 					next = f.Hi()
 				}
 				if next != g.NumVertices() {
@@ -120,8 +115,8 @@ func TestSaveShardedRoundTrip(t *testing.T) {
 				t.Fatalf("LoadSharded: %v", err)
 			}
 			defer sg.Close()
-			if !sg.Sharded() {
-				t.Fatalf("loaded graph not sharded")
+			if sc, ok := sg.ShardCounters(); !ok || sc.Shards != 4 {
+				t.Fatalf("loaded graph reports shard counters %+v, %v", sc, ok)
 			}
 			checkShardedEquals(t, g, sg)
 
@@ -140,58 +135,16 @@ func TestSaveShardedRoundTrip(t *testing.T) {
 			if sc, ok := src.(ShardCounter); !ok || sc.ShardCount() != 4 {
 				t.Fatalf("source shard count probe failed")
 			}
+
+			// Every fragment stays mapped until Close, and only until then.
+			if n := mappingsUnder(dir); runtime.GOOS == "linux" && n != 4 {
+				t.Fatalf("loaded graph holds %d fragment mappings, want 4", n)
+			}
+			if err := sg.Close(); err != nil || mappingsUnder(dir) != 0 {
+				t.Fatalf("Close: err %v, %d mappings left", err, mappingsUnder(dir))
+			}
 		})
 	}
-}
-
-func TestShardBudgetEvictsAndReloads(t *testing.T) {
-	g := randomTestGraph(t, 400, 1600, 0, 11)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.manifest")
-	if _, err := SaveSharded(path, g, 8); err != nil {
-		t.Fatalf("SaveSharded: %v", err)
-	}
-	sg, err := LoadSharded(path)
-	if err != nil {
-		t.Fatalf("LoadSharded: %v", err)
-	}
-	defer sg.Close()
-
-	// Budget of one fragment's worth: a full scan must page every
-	// fragment in and evict along the way, yet answer identically.
-	frags := SplitGraph(g, 8)
-	sg.SetShardBudget(frags[0].Bytes() + 1)
-	checkShardedEquals(t, g, sg)
-	c, ok := sg.ShardCounters()
-	if !ok {
-		t.Fatalf("ShardCounters not available")
-	}
-	if c.Shards != 8 || c.Loads < 8 {
-		t.Fatalf("counters %+v: want 8 shards all loaded", c)
-	}
-	if c.Evictions == 0 {
-		t.Fatalf("counters %+v: want evictions > 0 under a one-fragment budget", c)
-	}
-	if c.Resident >= 8 {
-		t.Fatalf("counters %+v: want fewer resident fragments than total", c)
-	}
-
-	// Pinning keeps a fragment resident through pressure from the rest.
-	lo, hi, release, err := sg.PinShard(0)
-	if err != nil {
-		t.Fatalf("PinShard: %v", err)
-	}
-	if lo != 0 || hi == 0 {
-		t.Fatalf("PinShard range [%d,%d)", lo, hi)
-	}
-	for v := uint32(0); v < g.NumVertices(); v++ {
-		_ = sg.Adj(v) // churn every other fragment through the budget
-	}
-	if got := sg.Adj(0); !bytes.Equal(u32bytes(got), u32bytes(g.Adj(0))) {
-		t.Fatalf("pinned fragment answered wrong adjacency")
-	}
-	release()
-	release() // idempotent
 }
 
 func TestShardScanConcurrentChurn(t *testing.T) {
@@ -206,39 +159,17 @@ func TestShardScanConcurrentChurn(t *testing.T) {
 		t.Fatalf("LoadSharded: %v", err)
 	}
 	defer sg.Close()
-	frags := SplitGraph(g, 6)
-	sg.SetShardBudget(2*frags[0].Bytes() + 1)
 
-	// Concurrent full scans from different starting shards force
-	// load/evict races; every reader must still see the exact CSR.
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			n := g.NumVertices()
-			start := uint32(w) * n / 8
-			for i := uint32(0); i < n; i++ {
-				v := (start + i) % n
-				if !bytes.Equal(u32bytes(sg.Adj(v)), u32bytes(g.Adj(v))) {
-					errs <- fmt.Sprintf("worker %d: Adj(%d) mismatch", w, v)
-					return
-				}
-				if sg.Label(v) != g.Label(v) {
-					errs <- fmt.Sprintf("worker %d: Label(%d) mismatch", w, v)
-					return
-				}
-			}
-		}(w)
+	// Concurrent full scans (run under -race): every reader must see
+	// the exact CSR.
+	errs := make(chan error, 8)
+	for w := 0; w < cap(errs); w++ {
+		go func() { errs <- shardedDiff(g, sg) }()
 	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	if err := sg.ShardErr(); err != nil {
-		t.Fatalf("ShardErr: %v", err)
+	for w := 0; w < cap(errs); w++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -341,74 +272,83 @@ func TestFragmentRejectedByPlainLoaders(t *testing.T) {
 	if _, err := LoadBinary(fragPath); err == nil {
 		t.Fatalf("LoadBinary accepted a shard fragment")
 	}
-	// And the fragment reader rejects whole graphs.
-	var whole bytes.Buffer
-	if err := WriteBinary(&whole, g); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	if _, err := ReadFragment(bytes.NewReader(whole.Bytes())); err == nil {
-		t.Fatalf("ReadFragment accepted a whole-graph .pgr")
-	}
 }
 
+// TestFragmentFileRoundTrip checks the two fragment readers against
+// each other and the source: for every fragment of a labeled and an
+// unlabeled split, the mapped LoadFragment, the decoding ReadFragment
+// and the SplitGraph view that was saved are equal field for field.
 func TestFragmentFileRoundTrip(t *testing.T) {
-	g := randomTestGraph(t, 120, 500, 9, 13)
-	frags := SplitGraph(g, 3)
-	dir := t.TempDir()
-	for i, f := range frags {
-		path := filepath.Join(dir, fmt.Sprintf("f%d.pgr", i))
-		if err := SaveFragment(path, f); err != nil {
-			t.Fatalf("SaveFragment: %v", err)
-		}
-		got, err := LoadFragment(path)
-		if err != nil {
-			t.Fatalf("LoadFragment: %v", err)
-		}
-		if got.Lo != f.Lo || got.Total != f.Total || got.Owned() != f.Owned() {
-			t.Fatalf("fragment %d shape mismatch", i)
-		}
-		for v := f.Lo; v < f.Hi(); v++ {
-			if !bytes.Equal(u32bytes(got.Adj(v)), u32bytes(f.Adj(v))) {
-				t.Fatalf("fragment %d Adj(%d) mismatch", i, v)
+	for _, labels := range []uint32{0, 9} {
+		g := randomTestGraph(t, 120, 500, labels, 13)
+		for i, f := range SplitGraph(g, 3) {
+			path := filepath.Join(t.TempDir(), "f.pgr")
+			if err := SaveFragment(path, f); err != nil {
+				t.Fatalf("SaveFragment: %v", err)
 			}
-			if got.Label(v) != f.Label(v) || got.OrigIDOf(v) != f.OrigIDOf(v) {
-				t.Fatalf("fragment %d labels/origID mismatch at %d", i, v)
+			got, err := LoadFragment(path)
+			if err != nil {
+				t.Fatalf("LoadFragment: %v", err)
+			}
+			raw, _ := os.ReadFile(path)
+			ref, err := ReadFragment(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatalf("ReadFragment: %v", err)
+			}
+			mapped := *got
+			mapped.release = nil // the unmap func; funcs never compare equal
+			if !reflect.DeepEqual(&mapped, ref) || !reflect.DeepEqual(ref, f) || got.Bytes() != f.Bytes() {
+				t.Fatalf("labels=%d fragment %d: LoadFragment, ReadFragment and the saved view disagree", labels, i)
+			}
+			if err := got.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
 			}
 		}
 	}
 }
 
+// mappingsUnder counts this process's memory mappings of files under
+// dir (0 where /proc is unavailable).
+func mappingsUnder(dir string) int {
+	maps, _ := os.ReadFile("/proc/self/maps")
+	return strings.Count(string(maps), dir)
+}
+
+// TestShardSetSurfacesMissingFragment: every way a fragment file can be
+// wrong fails LoadSharded itself with a typed error — there is no graph
+// for FSM or a match stream to answer short from — and the fragments
+// mapped before the bad one are unmapped again.
 func TestShardSetSurfacesMissingFragment(t *testing.T) {
 	g := randomTestGraph(t, 200, 600, 0, 17)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.manifest")
-	m, err := SaveSharded(path, g, 4)
-	if err != nil {
-		t.Fatalf("SaveSharded: %v", err)
-	}
-	// Truncate one fragment file after the manifest was written.
-	victim := filepath.Join(dir, m.Shards[2].File)
-	if err := os.Truncate(victim, 10); err != nil {
-		t.Fatalf("truncate: %v", err)
-	}
-	sg, err := LoadSharded(path)
-	if err != nil {
-		t.Fatalf("LoadSharded: %v", err)
-	}
-	defer sg.Close()
-	// Shards 0 and 1 still answer; shard 2 poisons the set.
-	_ = sg.Adj(0)
-	if sg.ShardErr() != nil {
-		t.Fatalf("healthy shard poisoned the set: %v", sg.ShardErr())
-	}
-	if adj := sg.Adj(m.Shards[2].Lo); adj != nil {
-		t.Fatalf("broken shard returned adjacency %v", adj)
-	}
-	if sg.ShardErr() == nil {
-		t.Fatalf("broken fragment did not surface through ShardErr")
-	}
-	//pvet:ignore pinrelease asserting the failure path; PinShard grants no release func on error
-	if _, _, _, err := sg.PinShard(m.Shards[2].Lo); err == nil {
-		t.Fatalf("PinShard succeeded on a broken fragment")
+	for name, breakIt := range map[string]func(frag2, frag1 string) error{
+		"missing":        func(f2, _ string) error { return os.Remove(f2) },
+		"truncated":      func(f2, _ string) error { return os.Truncate(f2, 100) },
+		"header corrupt": func(f2, _ string) error { return os.WriteFile(f2, make([]byte, 4096), 0o644) },
+		"another shard's range": func(f2, f1 string) error {
+			raw, err := os.ReadFile(f1)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(f2, raw, 0o644)
+		},
+		"whole graph in place of fragment": func(f2, _ string) error { return SaveBinary(f2, g) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "g.manifest")
+			m, err := SaveSharded(path, g, 4)
+			if err != nil {
+				t.Fatalf("SaveSharded: %v", err)
+			}
+			if err := breakIt(filepath.Join(dir, m.Shards[2].File), filepath.Join(dir, m.Shards[1].File)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadSharded(path); !errors.Is(err, ErrBadFormat) && !errors.Is(err, fs.ErrNotExist) {
+				t.Fatalf("LoadSharded error %v wraps neither ErrBadFormat nor fs.ErrNotExist", err)
+			}
+			if n := mappingsUnder(dir); n != 0 {
+				t.Fatalf("failed LoadSharded left %d fragment mappings behind", n)
+			}
+		})
 	}
 }

@@ -159,13 +159,12 @@ func TestCoalescedJobStatsTelemetry(t *testing.T) {
 	// raw job-status body. A vertex-induced motif batch on a sharded graph
 	// carries every nested block; the same request with a thread bound
 	// runs as a batch of its own and drops exactly stats.coalescing.
-	_, sts := newShardTestServer(t)
+	_, sts, _ := newShardTestServer(t)
 	direct := []string{
 		"coreMatches", "matchMicros", "matches",
 		"morphing.candidates", "morphing.morphsChosen", "morphing.patternsReplaced",
 		"morphing.recoveryTerms", "morphing.stepsDirect", "morphing.stepsMorphed",
 		"planMicros",
-		"sharding.evictions", "sharding.loads", "sharding.residentBytes", "sharding.shards",
 		"sharing.intersections", "sharing.intersectionsSaved", "sharing.programSteps",
 		"sharing.sharedNodeVisits", "sharing.trieNodes",
 		"stopped", "tasks", "threads",
@@ -401,8 +400,7 @@ func TestStatsEndpointFlat(t *testing.T) {
 		"morphStepsDirect", "morphStepsMorphed", "morphsChosen",
 		"planCacheEntries", "planCacheHitRate", "planCacheHits", "planCacheMisses",
 		"registryResidentBytes",
-		"shardEvictions", "shardLoads", "shardsPinned", "shardsResident",
-		"shardsResidentBytes", "shardsTotal",
+		"shardEvictions", "shardLoads", "shardsTotal",
 	}
 	var keys []string
 	for key := range flat {

@@ -127,11 +127,6 @@ type RunStats struct {
 	// figures above (tasks, matchMicros, sharing) describe the merged
 	// batch execution, not this request alone.
 	Coalescing *CoalescingStats `json:"coalescing,omitempty"`
-	// Sharding is present when the run scanned a sharded graph:
-	// fragment loads and budget evictions during this run, and the
-	// fragment bytes resident when it finished. Evictions > 0 means the
-	// run executed out of core.
-	Sharding *core.ShardScanStats `json:"sharding,omitempty"`
 }
 
 // Add folds the stats of another task range of the same query into s —
@@ -149,7 +144,6 @@ func (s *RunStats) Add(o *RunStats) {
 	s.MatchMicros = max(s.MatchMicros, o.MatchMicros)
 	addBlock(&s.Sharing, o.Sharing)
 	addBlock(&s.Morphing, o.Morphing)
-	addBlock(&s.Sharding, o.Sharding)
 }
 
 // addBlock adds an optional nested stats block into *dst, allocating it
@@ -184,7 +178,6 @@ func (q *compiledQuery) runStats(ms peregrine.MultiStats) *RunStats {
 		PlanMicros:  q.planTime.Microseconds(),
 		MatchMicros: ms.MatchTime.Microseconds(),
 		Sharing:     &share,
-		Sharding:    ms.Shards,
 	}
 	if ms.Morph.Active() {
 		morph := ms.Morph

@@ -38,16 +38,10 @@ type GraphInfo struct {
 	// graph is never evicted by the memory budget.
 	Pinned int `json:"pinned,omitempty"`
 
-	// Shard-aware counters, present only for manifest-backed sharded
-	// graphs: the manifest's shard count, plus — when loaded — the
-	// fragments currently resident/pinned and the cumulative fragment
-	// loads and budget evictions, so out-of-core churn is observable
-	// per graph.
-	Shards         int    `json:"shards,omitempty"`
-	ShardsResident int    `json:"shardsResident,omitempty"`
-	ShardsPinned   int    `json:"shardsPinned,omitempty"`
-	ShardLoads     uint64 `json:"shardLoads,omitempty"`
-	ShardEvictions uint64 `json:"shardEvictions,omitempty"`
+	// Shards is the manifest's shard count, present only for
+	// manifest-backed sharded graphs. A sharded graph is loaded, charged,
+	// pinned and evicted whole, so the columns above say the rest.
+	Shards int `json:"shards,omitempty"`
 }
 
 // graphEntry is one named graph behind its Source. The Source is the
@@ -83,8 +77,9 @@ type graphEntry struct {
 //
 // With a byte budget set (SetMaxBytes / -max-graph-bytes), the
 // registry evicts least-recently-used idle graphs once resident bytes
-// exceed it: the victim's mmap (if any) is unmapped and the next query
-// for it reloads through the Source. Two kinds of graph are never
+// exceed it: the victim's mmap (if any — every fragment's, for a
+// sharded graph) is unmapped and the next query for it reloads through
+// the Source. Two kinds of graph are never
 // evicted: graphs pinned by in-flight queries (a running job can't
 // have its graph unmapped underneath it), and shared memory-source
 // graphs (AddGraph), which the registry doesn't own and whose source
@@ -97,6 +92,10 @@ type Registry struct {
 	resident uint64 // total bytes of loaded graphs
 	clock    uint64 // LRU tick, advanced per Acquire
 	hubDeg   uint32 // BuildHubBitsets threshold applied at load (0 = off)
+
+	// Fragments of sharded graphs mapped by loads and unmapped by budget
+	// evictions so far (see ShardCounters).
+	shardLoads, shardEvictions uint64
 }
 
 // NewRegistry returns an empty registry with no memory budget.
@@ -111,13 +110,6 @@ func (r *Registry) SetMaxBytes(n uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.maxBytes = n
-	// Loaded sharded graphs bound their resident fragments with the
-	// same budget; keep them in step.
-	for _, e := range r.entries {
-		if e.g != nil && e.g.Sharded() {
-			e.g.SetShardBudget(n)
-		}
-	}
 	r.evictLocked()
 }
 
@@ -126,7 +118,7 @@ func (r *Registry) SetMaxBytes(n uint64) {
 // the engine's skewed intersections at the cost of extra resident bytes
 // (counted against the memory budget). 0 (the default) disables.
 // Applies to graphs loaded after the call; already-resident graphs are
-// not rebuilt. Sharded graphs never get hub bitsets (fragments evict).
+// not rebuilt.
 func (r *Registry) SetHubBitsetDeg(minDeg uint32) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -275,22 +267,17 @@ func (r *Registry) load(e *graphEntry) (*graph.Graph, error) {
 	}
 	// Hub bitsets are built here, under loadMu but outside r.mu, so the
 	// CPU work doesn't stall the registry; Bytes() below includes them.
-	// (No-op for sharded graphs — see BuildHubBitsets.)
 	if deg := r.hubBitsetDeg(); deg > 0 {
 		g.BuildHubBitsets(deg)
 	}
 	st := graph.StatOf(g)
 	r.mu.Lock()
-	// A sharded graph pages fragments under its own byte budget — the
-	// same budget the registry enforces across whole graphs. Entry
-	// bytes stay at the (initially zero) resident-fragment size; the
-	// shard budget, not registry eviction, bounds its growth.
-	if g.Sharded() {
-		g.SetShardBudget(r.maxBytes)
-	}
 	e.g = g
 	e.stat = &st
 	e.loads++
+	if sc, ok := g.ShardCounters(); ok {
+		r.shardLoads += uint64(sc.Shards)
+	}
 	if r.entries[e.name] == e {
 		e.bytes = g.Bytes()
 		// A real load is also the best size estimate for the entry's
@@ -352,6 +339,9 @@ func (r *Registry) evictLocked() {
 		}
 		// Closing is safe here: pins == 0 means no acquirer holds the
 		// graph, and every future use must Acquire under r.mu first.
+		if sc, ok := victim.g.ShardCounters(); ok {
+			r.shardEvictions += uint64(sc.Shards)
+		}
 		_ = victim.g.Close()
 		victim.g = nil
 		r.resident -= victim.bytes
@@ -394,11 +384,12 @@ func (r *Registry) Counters() (registered, loaded, pinned int, resident uint64) 
 	return registered, loaded, pinned, r.resident
 }
 
-// ShardCounters aggregates fragment activity across every loaded
-// sharded graph for GET /v1/stats: total shards, fragments resident
-// and pinned right now, and cumulative fragment loads and budget
-// evictions. All zeros when no sharded graph is resident.
-func (r *Registry) ShardCounters() (c graph.ShardCounters) {
+// ShardCounters counts fragments for GET /v1/stats: those of the
+// sharded graphs loaded right now, and — cumulative over the registry's
+// life — those mapped by loads and unmapped by budget evictions. A
+// sharded graph loads and evicts whole, so both move by a graph's full
+// fragment count at a time.
+func (r *Registry) ShardCounters() (shards int, loads, evictions uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range r.entries {
@@ -406,15 +397,10 @@ func (r *Registry) ShardCounters() (c graph.ShardCounters) {
 			continue
 		}
 		if sc, ok := e.g.ShardCounters(); ok {
-			c.Shards += sc.Shards
-			c.Resident += sc.Resident
-			c.Pinned += sc.Pinned
-			c.Loads += sc.Loads
-			c.Evictions += sc.Evictions
-			c.ResidentBytes += sc.ResidentBytes
+			shards += sc.Shards
 		}
 	}
-	return c
+	return shards, r.shardLoads, r.shardEvictions
 }
 
 // LoadCount returns how many times name's source has been loaded —
@@ -449,13 +435,6 @@ func (r *Registry) List() []GraphInfo {
 			if sc, ok := e.g.ShardCounters(); ok {
 				e.shards = sc.Shards
 				info.Shards = sc.Shards
-				info.ShardsResident = sc.Resident
-				info.ShardsPinned = sc.Pinned
-				info.ShardLoads = sc.Loads
-				info.ShardEvictions = sc.Evictions
-				// A sharded entry's registry bytes stay 0 (fragments live
-				// under the shard budget); report what is resident now.
-				info.Bytes = sc.ResidentBytes
 			}
 		} else {
 			info.Bytes = e.srcBytes

@@ -15,6 +15,13 @@ import (
 // sources are the realistic eviction case: evicting one unmaps real
 // memory, so a pin bug shows up as a fault, not just a failed assert.
 func pgrSource(t testing.TB, dir string, seed int64, edges int) (graph.Source, uint64) {
+	return fileSource(t, dir, seed, edges, 0)
+}
+
+// fileSource is pgrSource with a shard count: above 0 the graph is
+// written as that many fragment files behind a manifest, which the
+// registry must treat as one graph like any other.
+func fileSource(t testing.TB, dir string, seed int64, edges, shards int) (graph.Source, uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	b := graph.NewBuilder()
@@ -24,7 +31,11 @@ func pgrSource(t testing.TB, dir string, seed int64, edges int) (graph.Source, u
 	}
 	g := b.Build()
 	path := filepath.Join(dir, fmt.Sprintf("g%d.pgr", seed))
-	if err := graph.SaveBinary(path, g); err != nil {
+	err := graph.SaveBinary(path, g)
+	if shards > 0 {
+		_, err = graph.SaveSharded(path, g, shards)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	src, err := graph.OpenPath(path)
@@ -45,13 +56,14 @@ func loadedSet(r *Registry) map[string]bool {
 }
 
 // Under a byte budget the registry must evict the least-recently-used
-// idle graph, and an evicted graph must lazily reload on next use.
+// idle graph, and an evicted graph must lazily reload on next use. One
+// of the three is sharded: it is charged, evicted and reloaded whole.
 func TestRegistryLRUEviction(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRegistry()
 	var size uint64
 	for i, name := range []string{"a", "b", "c"} {
-		src, bytes := pgrSource(t, dir, int64(i+1), 2000)
+		src, bytes := fileSource(t, dir, int64(i+1), 2000, map[string]int{"a": 4}[name])
 		r.AddSource(name, src)
 		if bytes > size {
 			size = bytes
@@ -93,16 +105,20 @@ func TestRegistryLRUEviction(t *testing.T) {
 	if n := r.LoadCount("c"); n != 1 {
 		t.Fatalf("c loaded %d times, want 1 (never evicted)", n)
 	}
+	if mapped, loads, evictions := r.ShardCounters(); mapped != 4 || loads != 8 || evictions != 4 {
+		t.Fatalf("fragments mapped/loaded/evicted = %d/%d/%d, want 4/8/4 (a: two loads, one eviction)", mapped, loads, evictions)
+	}
 }
 
 // A graph pinned by an in-flight acquisition must never be the
-// eviction victim, even when it is the least recently used.
+// eviction victim, even when it is the least recently used — here a
+// sharded one, no fragment of which may be unmapped.
 func TestRegistryPinnedGraphSurvives(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRegistry()
 	var size uint64
 	for i, name := range []string{"a", "b", "c"} {
-		src, bytes := pgrSource(t, dir, int64(10+i), 2000)
+		src, bytes := fileSource(t, dir, int64(10+i), 2000, map[string]int{"a": 4}[name])
 		r.AddSource(name, src)
 		if bytes > size {
 			size = bytes

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"peregrine/internal/gen"
@@ -15,57 +17,70 @@ import (
 
 // shardedFixture writes a sharded copy of a seeded random graph and
 // registers both forms: "whole" in memory and "sharded" behind its
-// manifest file source.
-func shardedFixture(t *testing.T) (*Registry, *graph.Graph) {
+// manifest file source, g.manifest with fragments g.shard<i>.pgr in dir.
+func shardedFixture(t *testing.T) (reg *Registry, g *graph.Graph, dir string) {
 	t.Helper()
-	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 96, Edges: 260, Seed: 9})
+	g = gen.ErdosRenyi(gen.ERConfig{Vertices: 96, Edges: 260, Seed: 9})
 	path := filepath.Join(t.TempDir(), "g.manifest")
 	if _, err := graph.SaveSharded(path, g, 4); err != nil {
 		t.Fatalf("SaveSharded: %v", err)
 	}
-	reg := NewRegistry()
+	reg = NewRegistry()
 	reg.AddGraph("whole", "test:whole", g)
 	reg.AddFile("sharded", path)
-	return reg, g
+	return reg, g, filepath.Dir(path)
 }
 
-func newShardTestServer(t *testing.T) (*Server, *httptest.Server) {
+func newShardTestServer(t *testing.T) (*Server, *httptest.Server, string) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	reg, _ := shardedFixture(t)
+	reg, _, dir := shardedFixture(t)
 	s := NewServer(ctx, reg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
-	return s, ts
+	return s, ts, dir
 }
 
 // TestShardedGraphQueries checks that a manifest-registered graph
-// serves counts identical to its whole in-memory twin and reports
-// shard telemetry in the result and the listing.
+// serves counts identical to its whole in-memory twin — after a first
+// query that fails, typed, because a fragment file is missing, and
+// succeeds unchanged once the file is back — and shows up whole in the
+// listing and the stats.
 func TestShardedGraphQueries(t *testing.T) {
-	_, ts := newShardTestServer(t)
+	s, ts, dir := newShardTestServer(t)
 	body := `{"graph":%q,"kind":"count","pattern":"0-1 1-2 2-0","wait":true}`
 	code, whole := postQuery(t, ts, fmt.Sprintf(body, "whole"))
 	if code != http.StatusOK || whole.Status != StatusDone {
 		t.Fatalf("whole query: code %d, %+v", code, whole)
 	}
+
+	// A load that cannot map every fragment is the job's error; nothing
+	// is cached or left pinned, so the next query retries the load.
+	frag := filepath.Join(dir, "g.shard2.pgr")
+	if err := os.Rename(frag, frag+".away"); err != nil {
+		t.Fatal(err)
+	}
+	code, failed := postQuery(t, ts, fmt.Sprintf(body, "sharded"))
+	if code != http.StatusOK || failed.Status != StatusFailed || !strings.Contains(failed.Error, "no such file") {
+		t.Fatalf("query with a fragment missing: code %d, %+v; want a failed job naming the file error", code, failed)
+	}
+	if _, loaded, pinned, _ := s.registry.Counters(); loaded != 1 || pinned != 0 {
+		t.Fatalf("after the failed load: %d graphs loaded, %d pinned; want only the memory graph, unpinned", loaded, pinned)
+	}
+	if err := os.Rename(frag+".away", frag); err != nil {
+		t.Fatal(err)
+	}
 	code, sharded := postQuery(t, ts, fmt.Sprintf(body, "sharded"))
 	if code != http.StatusOK || sharded.Status != StatusDone {
-		t.Fatalf("sharded query: code %d, %+v", code, sharded)
+		t.Fatalf("sharded query with the file restored: code %d, %+v", code, sharded)
 	}
 	if whole.Result.Count != sharded.Result.Count {
 		t.Fatalf("counts differ: whole %d, sharded %d", whole.Result.Count, sharded.Result.Count)
 	}
-	if whole.Result.Stats.Sharding != nil {
-		t.Errorf("whole graph reported sharding stats %+v", whole.Result.Stats.Sharding)
-	}
-	sh := sharded.Result.Stats.Sharding
-	if sh == nil || sh.Shards != 4 || sh.Loads == 0 {
-		t.Fatalf("sharded run stats %+v: want 4 shards with loads > 0", sh)
-	}
 
-	// GET /v1/graphs: the sharded entry carries shard counters.
+	// GET /v1/graphs: the sharded entry is one loaded graph charged its
+	// fragments' bytes.
 	resp, err := http.Get(ts.URL + "/v1/graphs")
 	if err != nil {
 		t.Fatal(err)
@@ -84,15 +99,15 @@ func TestShardedGraphQueries(t *testing.T) {
 			continue
 		}
 		found = true
-		if !gi.Loaded || gi.Shards != 4 || gi.ShardsResident == 0 || gi.ShardLoads == 0 {
-			t.Errorf("sharded listing %+v: want loaded with 4 shards and resident fragments", gi)
+		if !gi.Loaded || gi.Shards != 4 || gi.Bytes == 0 {
+			t.Errorf("sharded listing %+v: want loaded with 4 shards and their bytes", gi)
 		}
 	}
 	if !found {
 		t.Fatalf("sharded graph missing from listing")
 	}
 
-	// GET /v1/stats: fleet shard gauges follow the loaded instance.
+	// GET /v1/stats: the one successful load mapped four fragments.
 	stResp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +117,8 @@ func TestShardedGraphQueries(t *testing.T) {
 	if err := json.NewDecoder(stResp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.ShardsTotal != 4 || st.ShardLoads == 0 {
-		t.Errorf("server stats %+v: want 4 shards with loads > 0", st)
+	if st.ShardsTotal != 4 || st.ShardLoads != 4 || st.ShardEvictions != 0 {
+		t.Errorf("server stats %+v: want 4 shards, 4 loads, no evictions", st)
 	}
 }
 
@@ -111,7 +126,7 @@ func TestShardedGraphQueries(t *testing.T) {
 // query loads the graph, the listing already knows its shard count and
 // metadata from the manifest alone.
 func TestShardedUnloadedListing(t *testing.T) {
-	reg, g := shardedFixture(t)
+	reg, g, _ := shardedFixture(t)
 	for _, gi := range reg.List() {
 		if gi.Name != "sharded" {
 			continue
@@ -134,7 +149,7 @@ func TestShardedUnloadedListing(t *testing.T) {
 // ranges sum to the whole count, ranged requests skip coalescing and
 // morphing, and invalid or unsupported ranges are rejected.
 func TestTaskRangeQueries(t *testing.T) {
-	_, ts := newShardTestServer(t)
+	_, ts, _ := newShardTestServer(t)
 	code, whole := postQuery(t, ts,
 		`{"graph":"whole","kind":"count","pattern":"0-1 1-2 2-0","wait":true}`)
 	if code != http.StatusOK || whole.Status != StatusDone {

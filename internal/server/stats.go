@@ -76,17 +76,13 @@ type ServerStats struct {
 	GraphsPinned          int    `json:"graphsPinned"`
 	RegistryResidentBytes uint64 `json:"registryResidentBytes"`
 
-	// Shard gauges and totals, summed over every loaded sharded graph.
-	// ShardsTotal/ShardsResident/ShardsPinned are point-in-time;
-	// ShardLoads/ShardEvictions are cumulative per loaded instance, so
-	// loads > total shards means fragments were reloaded after budget
-	// eviction — the signature of out-of-core operation.
-	ShardsTotal         int    `json:"shardsTotal"`
-	ShardsResident      int    `json:"shardsResident"`
-	ShardsPinned        int    `json:"shardsPinned"`
-	ShardLoads          uint64 `json:"shardLoads"`
-	ShardEvictions      uint64 `json:"shardEvictions"`
-	ShardsResidentBytes uint64 `json:"shardsResidentBytes"`
+	// Fragments of sharded graphs, which load and evict whole:
+	// ShardsTotal counts those of the graphs loaded now, ShardLoads
+	// every fragment a load has mapped and ShardEvictions every one the
+	// memory budget has unmapped since the registry was created.
+	ShardsTotal    int    `json:"shardsTotal"`
+	ShardLoads     uint64 `json:"shardLoads"`
+	ShardEvictions uint64 `json:"shardEvictions"`
 }
 
 // Stats assembles the server-wide counter snapshot.
@@ -125,12 +121,6 @@ func (s *Server) Stats() ServerStats {
 
 	st.GraphsRegistered, st.GraphsLoaded, st.GraphsPinned, st.RegistryResidentBytes = s.registry.Counters()
 
-	sc := s.registry.ShardCounters()
-	st.ShardsTotal = sc.Shards
-	st.ShardsResident = sc.Resident
-	st.ShardsPinned = sc.Pinned
-	st.ShardLoads = sc.Loads
-	st.ShardEvictions = sc.Evictions
-	st.ShardsResidentBytes = sc.ResidentBytes
+	st.ShardsTotal, st.ShardLoads, st.ShardEvictions = s.registry.ShardCounters()
 	return st
 }

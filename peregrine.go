@@ -204,7 +204,7 @@ func WithoutMorphing() Option { return func(c *config) { c.noMorph = true } }
 // vertex lies in [lo, hi); hi == 0 means NumVertices. Every match is
 // rooted at exactly one task (its maximum-id core vertex), so counts
 // from disjoint ranges sum to the full-graph count exactly — the
-// partitioning seam sharded and distributed execution fan out over.
+// partitioning seam distributed execution fans out over.
 //
 // Ranged counting executions run without pattern morphing: a pattern
 // and its morphed relatives can have different cores, so the same

@@ -233,8 +233,7 @@ func (q *PreparedQuery) ForEach(g *Graph, f func(ctx *Ctx, pat int, m *Match), o
 	if err != nil {
 		return MultiStats{}, err
 	}
-	ms := core.RunPlans(g, plansOf(pps), adaptCallback(pps, c.opts.Threads, f), c.opts)
-	return ms, ms.Err
+	return core.RunPlans(g, plansOf(pps), adaptCallback(pps, c.opts.Threads, f), c.opts), nil
 }
 
 // CountEach returns per-pattern match counts, in pattern order, from a

@@ -6,11 +6,12 @@
 #   flat .pgr in degree-descending layout; one node serves both and the
 #   fixed pattern counts must match exactly (layout invariance).
 #
-#   Stage 1 — out-of-core + failover. Two peregrine-serve nodes run
-#   under a byte budget smaller than the fragment set, so full scans
-#   must evict fragments mid-query. The coordinator's merged counts
-#   must equal a single node's whole-graph counts, before AND after one
-#   node is killed mid-fleet (per-shard failover to the replica).
+#   Stage 1 — coordinator + failover. A node started with one
+#   fragment file removed must answer the query with a 200 "failed"
+#   job: not a hang, not a count. Then two peregrine-serve nodes serve
+#   the manifest; the coordinator's merged counts must equal a single
+#   node's whole-graph counts, before AND after one node is killed
+#   mid-fleet (per-shard failover to the replica).
 #
 # Serving numbers through a coordinator come from `go run ./bench
 # -workload coord_sharded`, not from this script.
@@ -99,12 +100,24 @@ if [ -z "$FLAT" ] || [ "$FLAT" != "$DESC" ]; then
 fi
 stop_all
 
-# ---- Stage 1: out-of-core + failover ------------------------------------
-# ~350K budget vs ~420K of fragments: at most three of the four can be
-# resident at once, so full scans must evict to finish.
-say "stage 1: starting two budgeted serve nodes + coordinator"
-start_node "$NODE_A" -max-graph-bytes 350K
-start_node "$NODE_B" -max-graph-bytes 350K
+# ---- Stage 1: coordinator + failover -------------------------------------
+say "stage 1: a node missing one fragment file fails the query"
+mv "$WORK/patents.shard2.pgr" "$WORK/patents.shard2.pgr.away"
+start_node "$NODE_A"
+BROKEN=$(curl -s --max-time 30 -o "$WORK/broken.json" -w '%{http_code}' -X POST \
+  "http://127.0.0.1:$NODE_A/v1/query" \
+  -d "{\"graph\":\"patents\",\"kind\":\"count\",\"patterns\":$PATTERNS,\"wait\":true}")
+if [ "$BROKEN" != 200 ] || ! grep -q '"status":"failed"' "$WORK/broken.json" \
+  || grep -q '"count":' "$WORK/broken.json"; then
+  say "FAIL: want a 200 failed job without a count, got $BROKEN: $(cat "$WORK/broken.json")"
+  exit 1
+fi
+stop_all
+mv "$WORK/patents.shard2.pgr.away" "$WORK/patents.shard2.pgr"
+
+say "starting two serve nodes + coordinator"
+start_node "$NODE_A"
+start_node "$NODE_B"
 start_coord
 
 say "comparing merged counts against a single node"
@@ -113,15 +126,6 @@ MERGED=$(count "http://127.0.0.1:$COORD")
 say "single-node count=$SINGLE merged count=$MERGED"
 if [ -z "$SINGLE" ] || [ "$SINGLE" != "$MERGED" ]; then
   say "FAIL: merged counts diverge from single node"
-  exit 1
-fi
-
-say "checking the nodes ran out of core (shard evictions > 0)"
-EVICTIONS=$(curl -sf "http://127.0.0.1:$NODE_A/v1/stats" \
-  | grep -o '"shardEvictions":[0-9]*' | cut -d: -f2)
-say "node A shardEvictions=$EVICTIONS"
-if [ -z "$EVICTIONS" ] || [ "$EVICTIONS" -lt 1 ]; then
-  say "FAIL: no shard evictions under the byte budget"
   exit 1
 fi
 
@@ -143,4 +147,4 @@ if [ -z "$FAILOVERS" ] || [ "$FAILOVERS" -lt 1 ]; then
 fi
 stop_all
 
-say "OK: merged counts exact, out-of-core evictions observed, failover survived"
+say "OK: missing fragment failed the job, merged counts exact, failover survived"

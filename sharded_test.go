@@ -1,15 +1,17 @@
 package peregrine
 
-// Differential tests for the sharding subsystem: the same graph mined
-// three ways — whole in memory, sharded out-of-core under a byte
-// budget small enough to force fragment eviction mid-query, and the
+// Differential tests for sharded storage: the same graph mined three
+// ways — whole in memory, through a shard manifest, and by the
 // pattern-oblivious baselines — must agree exactly, for unlabeled and
 // labeled patterns alike. Task-range additivity (the scale-out
 // primitive) is checked as a property: disjoint ranges' counts sum to
 // the whole-graph counts.
 
 import (
+	"fmt"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -19,41 +21,31 @@ import (
 )
 
 // shardedCopy writes g as a sharded manifest in a temp dir and loads
-// it back with a budget of roughly budgetShards fragments, so scans
-// must evict and reload to finish.
-func shardedCopy(t *testing.T, g *Graph, shards int, budgetShards int) *Graph {
+// it back.
+func shardedCopy(t *testing.T, g *Graph, shards int) *Graph {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.manifest")
 	if err := SaveShardedGraph(path, g, shards); err != nil {
 		t.Fatalf("SaveShardedGraph: %v", err)
 	}
-	src, err := Open(path)
+	sg, err := LoadGraph(path)
 	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	sg, err := src.Load()
-	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("LoadGraph: %v", err)
 	}
 	t.Cleanup(func() { sg.Close() })
-	if budgetShards > 0 {
-		total := src.Bytes()
-		sg.SetShardBudget(total*uint64(budgetShards)/uint64(shards) + 1)
-	}
 	return sg
 }
 
 // TestDifferentialShardedUnlabeled mines every connected vertex-induced
-// pattern of 2..5 vertices on the whole graph, on its sharded
-// out-of-core copy, and through the baseline motif census; all three
-// must agree, and the sharded run must actually have evicted.
+// pattern of 2..5 vertices on the whole graph, on its sharded copy, and
+// through the baseline motif census; all three must agree.
 func TestDifferentialShardedUnlabeled(t *testing.T) {
 	maxSize := 5
 	if testing.Short() {
 		maxSize = 4
 	}
 	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 64, Edges: 140, Seed: 12})
-	sg := shardedCopy(t, g, 8, 2)
+	sg := shardedCopy(t, g, 8)
 	for size := 2; size <= maxSize; size++ {
 		want, _ := baseline.MotifCountsDFS(g, size, 4)
 		for _, p := range pattern.GenerateAllVertexInduced(size) {
@@ -73,23 +65,15 @@ func TestDifferentialShardedUnlabeled(t *testing.T) {
 			}
 		}
 	}
-	st, ok := GraphShardStats(sg)
-	if !ok {
-		t.Fatalf("sharded graph reports no shard stats")
-	}
-	if st.Evictions == 0 {
-		t.Fatalf("shard stats %+v: want evictions > 0 under a 2-of-8-fragment budget", st)
-	}
-	if st.Loads <= uint64(st.Shards) {
-		t.Errorf("shard stats %+v: want reloads (loads > shards) for an out-of-core run", st)
-	}
 }
 
 // TestDifferentialShardedLabeled repeats the three-way check with fully
-// labeled 4-vertex patterns against the labeled-subgraph baseline.
+// labeled 4-vertex patterns against the labeled-subgraph baseline, then
+// compares the entry points that enumerate instead of counting: the
+// match set of a pattern and the frequent patterns of FSM.
 func TestDifferentialShardedLabeled(t *testing.T) {
 	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 48, Edges: 110, Seed: 11, Labels: 3})
-	sg := shardedCopy(t, g, 6, 2)
+	sg := shardedCopy(t, g, 6)
 	for _, skel := range pattern.GenerateAllVertexInduced(4) {
 		for variant := 0; variant < 3; variant++ {
 			lab := skel.Clone()
@@ -112,8 +96,31 @@ func TestDifferentialShardedLabeled(t *testing.T) {
 			}
 		}
 	}
-	if st, _ := GraphShardStats(sg); st.Evictions == 0 {
-		t.Fatalf("shard stats %+v: want evictions > 0", st)
+
+	enumerate := func(g *Graph) (matches []string, frequent map[string]int) {
+		var mu sync.Mutex
+		if _, err := ForEachMatch(g, mustParse(t, "0-1 1-2 2-0"), func(_ *Ctx, m *Match) {
+			mu.Lock()
+			matches = append(matches, fmt.Sprint(m.Mapping))
+			mu.Unlock()
+		}, WithThreads(4)); err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(matches)
+		res, err := FSM(g, 2, 3, WithThreads(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frequent = make(map[string]int)
+		for _, f := range res.Frequent {
+			frequent[f.Pattern.CanonicalCode()] = f.Support
+		}
+		return matches, frequent
+	}
+	wantM, wantF := enumerate(g)
+	gotM, gotF := enumerate(sg)
+	if len(wantM) == 0 || len(wantF) == 0 || !reflect.DeepEqual(gotM, wantM) || !reflect.DeepEqual(gotF, wantF) {
+		t.Errorf("sharded: %d matches, frequent %v; in memory: %d matches, frequent %v", len(gotM), gotF, len(wantM), wantF)
 	}
 }
 
@@ -122,7 +129,7 @@ func TestDifferentialShardedLabeled(t *testing.T) {
 // without symmetry breaking, on whole and sharded graphs.
 func TestTaskRangeAdditivity(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Vertices: 64, Edges: 160, Seed: 13, Labels: 2})
-	sg := shardedCopy(t, g, 4, 2)
+	sg := shardedCopy(t, g, 4)
 	pats := []*Pattern{
 		mustParse(t, "0-1 1-2 2-0"),
 		mustParse(t, "0-1 0-2 0-3"),
@@ -170,12 +177,11 @@ func TestTaskRangeAdditivity(t *testing.T) {
 	}
 }
 
-// TestShardedConcurrentQueries churns fragments through a tight budget
-// with concurrent queries — the -race stress for eviction and reload
-// mid-query.
+// TestShardedConcurrentQueries runs concurrent queries over one sharded
+// graph — the -race check of the shared fragment set.
 func TestShardedConcurrentQueries(t *testing.T) {
 	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 96, Edges: 300, Seed: 7})
-	sg := shardedCopy(t, g, 8, 1)
+	sg := shardedCopy(t, g, 8)
 	tri := mustParse(t, "0-1 1-2 2-0")
 	want, err := Count(g, tri, WithThreads(2))
 	if err != nil {
@@ -194,7 +200,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 					return
 				}
 				if got != want {
-					errs <- errCount{got, want}
+					errs <- fmt.Errorf("concurrent sharded count %d, want %d", got, want)
 					return
 				}
 			}
@@ -205,15 +211,6 @@ func TestShardedConcurrentQueries(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if st, _ := GraphShardStats(sg); st.Evictions == 0 {
-		t.Fatalf("shard stats %+v: want evictions under concurrent load", st)
-	}
-}
-
-type errCount struct{ got, want uint64 }
-
-func (e errCount) Error() string {
-	return "sharded count mismatch under churn"
 }
 
 func mustParse(t *testing.T, s string) *Pattern {

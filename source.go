@@ -42,9 +42,9 @@ const (
 	FormatBinary GraphFormat = "pgr"
 	// FormatSharded is a shard manifest mapping contiguous vertex
 	// ranges to per-shard .pgr fragment files (SaveShardedGraph,
-	// gengraph -shards N). Loading yields a graph whose fragments page
-	// in on demand and evict under a byte budget — out-of-core mining
-	// for graphs larger than memory.
+	// gengraph -shards N). Loading maps every fragment, like a .pgr;
+	// where files can be mapped the kernel pages a graph larger than
+	// memory, elsewhere the fragments are decoded and must fit.
 	FormatSharded GraphFormat = "sharded"
 )
 
@@ -131,17 +131,8 @@ func SaveGraphAs(path string, g *Graph, f GraphFormat) error {
 // fragments, balanced by adjacency size, written as
 // "<base>.shard<i>.pgr" files next to manifestPath plus the manifest
 // itself. The manifest opens with Open/LoadGraph like any other graph
-// file; loading pages fragments in on demand (see FormatSharded).
+// file (see FormatSharded).
 func SaveShardedGraph(manifestPath string, g *Graph, shards int) error {
 	_, err := graph.SaveSharded(manifestPath, g, shards)
 	return err
 }
-
-// ShardStats snapshots a sharded graph's fragment activity: shards
-// resident and pinned, cumulative loads and budget evictions, resident
-// bytes. The second return of GraphShardStats is false for non-sharded
-// graphs.
-type ShardStats = graph.ShardCounters
-
-// GraphShardStats reports fragment activity for a sharded graph.
-func GraphShardStats(g *Graph) (ShardStats, bool) { return g.ShardCounters() }
