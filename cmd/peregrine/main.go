@@ -8,8 +8,9 @@
 //	peregrine -graph g.txt fsm -edges 3 -support 300
 //	peregrine -graph g.txt cc -bound 0.3
 //
-// The graph file is an edge list ("src dst" lines, optional
-// "v id label" label lines, '#' comments).
+// The graph file is any format LoadGraph detects: a text edge list
+// ("src dst" lines, optional "v id label" label lines, '#' comments), a
+// .pgr binary graph, or a shard manifest.
 package main
 
 import (
@@ -22,7 +23,7 @@ import (
 )
 
 func main() {
-	graphPath := flag.String("graph", "", "path to the data graph (edge-list format)")
+	graphPath := flag.String("graph", "", "path to the data graph (edge list, .pgr, or shard manifest)")
 	threads := flag.Int("threads", 0, "worker threads (default GOMAXPROCS)")
 	noSym := flag.Bool("no-symmetry-breaking", false, "disable symmetry breaking (PRG-U mode)")
 	flag.Parse()
@@ -124,6 +125,9 @@ func main() {
 		for _, lvl := range res.Levels {
 			fmt.Fprintf(os.Stderr, "level %d: %d queries, %d labeled, %d frequent (%.3fs)\n",
 				lvl.Edges, lvl.QueriesMatched, lvl.LabeledDiscovered, lvl.LabeledFrequent, lvl.Elapsed.Seconds())
+		}
+		if res.Stopped {
+			fmt.Fprintln(os.Stderr, "peregrine: fsm was cut short; no frequent patterns reported")
 		}
 		for _, f := range res.Frequent {
 			fmt.Printf("%-40v support=%d\n", f.Pattern, f.Support)

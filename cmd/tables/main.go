@@ -1,7 +1,8 @@
 // Command tables regenerates the paper's evaluation tables and figures
-// on the synthetic stand-in datasets (DESIGN.md §3–4). Each experiment
+// on the synthetic stand-in datasets (README "Reproducing the paper's
+// tables"): it prints internal/harness's Experiments. Each experiment
 // prints one row per measured cell; "(oom)" and "(limit)" cells mark
-// baseline runs that exceeded the resource budget, mirroring the
+// runs that exceeded the resource budget or the deadline, mirroring the
 // paper's "—" (out of memory) and "×" (did not finish) entries.
 //
 // Usage:
@@ -21,7 +22,13 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "experiment to run: 1, 3, 4, 5, 6, fig1b, fig1c, fig10, fig11, fig12a, fig12b, fig13, loadbalance, all")
+	runners := make(map[string]func(harness.Config) []harness.Row)
+	var names []string
+	for _, e := range harness.Experiments {
+		runners[e.Name] = e.Run
+		names = append(names, e.Name)
+	}
+	table := flag.String("table", "all", "experiments to run, comma-separated: "+strings.Join(names, ", ")+", or all")
 	scale := flag.Int("scale", 0, "dataset scale multiplier (default: PEREGRINE_SCALE or 1)")
 	threads := flag.Int("threads", 0, "worker threads (default: GOMAXPROCS)")
 	budget := flag.Int("budget", 0, "baseline resource budget in embeddings/tuples (default 4M)")
@@ -38,33 +45,13 @@ func main() {
 		cfg.Budget = *budget
 	}
 
-	runners := map[string]func(harness.Config) []harness.Row{
-		"1":           harness.Table1,
-		"3":           harness.Table3,
-		"4":           harness.Table4,
-		"5":           harness.Table5,
-		"6":           harness.Table6,
-		"fig1b":       func(c harness.Config) []harness.Row { return harness.Fig1(c, false) },
-		"fig1c":       func(c harness.Config) []harness.Row { return harness.Fig1(c, true) },
-		"fig10":       harness.Fig10,
-		"fig11":       harness.Fig11,
-		"fig12a":      harness.Fig12a,
-		"fig12b":      harness.Fig12b,
-		"fig13":       harness.Fig13,
-		"loadbalance": harness.LoadBalanceRows,
+	if *table != "all" {
+		names = strings.Split(*table, ",")
 	}
-	order := []string{"fig1b", "fig1c", "3", "4", "5", "6", "fig10", "fig11", "fig12a", "fig12b", "fig13", "loadbalance", "1"}
-
-	var names []string
-	if *table == "all" {
-		names = order
-	} else {
-		for _, t := range strings.Split(*table, ",") {
-			if _, ok := runners[t]; !ok {
-				fmt.Fprintf(os.Stderr, "tables: unknown experiment %q\n", t)
-				os.Exit(2)
-			}
-			names = append(names, t)
+	for _, name := range names {
+		if runners[name] == nil {
+			fmt.Fprintf(os.Stderr, "tables: unknown experiment %q\n", name)
+			os.Exit(2)
 		}
 	}
 

@@ -49,6 +49,17 @@ func labeledDifferentialGraphs(labels int) []struct {
 	}
 }
 
+// engineCount is the engine, direct: p compiled as given and run as a
+// one-plan batch — no plan cache, no morphing.
+func engineCount(t *testing.T, g *graph.Graph, p *pattern.Pattern, noSym bool) uint64 {
+	t.Helper()
+	pl, err := plan.New(p, plan.Options{NoSymmetryBreaking: noSym})
+	if err != nil {
+		t.Fatalf("pattern %v: %v", p, err)
+	}
+	return core.RunPlans(g, []*plan.Plan{pl}, nil, core.Options{Threads: 4, NoSymmetryBreaking: noSym}).Per[0].Matches
+}
+
 // TestDifferentialVertexInduced checks, for every connected pattern of
 // 2..5 vertices, that the engine's vertex-induced count (Theorem 3.1
 // anti-edge conversion) equals the Fractal-style baseline's census of
@@ -64,10 +75,7 @@ func TestDifferentialVertexInduced(t *testing.T) {
 				want, _ := baseline.MotifCountsDFS(tc.g, size, 4)
 				var engineTotal, baselineTotal uint64
 				for _, p := range pattern.GenerateAllVertexInduced(size) {
-					got, err := core.Count(tc.g, pattern.VertexInduced(p), core.Options{Threads: 4})
-					if err != nil {
-						t.Fatalf("size %d pattern %v: %v", size, p, err)
-					}
+					got := engineCount(t, tc.g, pattern.VertexInduced(p), false)
 					if got != want[p.CanonicalCode()] {
 						t.Errorf("size %d pattern %v: engine = %d, baseline = %d",
 							size, p, got, want[p.CanonicalCode()])
@@ -123,10 +131,7 @@ func TestDifferentialEdgeInduced(t *testing.T) {
 					},
 				})
 				for _, p := range pattern.GenerateAllEdgeInduced(edges) {
-					got, err := core.Count(tc.g, p, core.Options{Threads: 4})
-					if err != nil {
-						t.Fatalf("%d-edge pattern %v: %v", edges, p, err)
-					}
+					got := engineCount(t, tc.g, p, false)
 					if got != want[p.CanonicalCode()] {
 						t.Errorf("%d-edge pattern %v: engine = %d, baseline = %d",
 							edges, p, got, want[p.CanonicalCode()])
@@ -150,14 +155,8 @@ func TestDifferentialUnorderedAgainstReference(t *testing.T) {
 	for _, tc := range differentialGraphs() {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, p := range pattern.GenerateAllVertexInduced(4) {
-				broken, err := core.Count(tc.g, p, core.Options{Threads: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				unbroken, err := core.Count(tc.g, p, core.Options{Threads: 4, NoSymmetryBreaking: true})
-				if err != nil {
-					t.Fatal(err)
-				}
+				broken := engineCount(t, tc.g, p, false)
+				unbroken := engineCount(t, tc.g, p, true)
 				autos := uint64(len(p.Automorphisms()))
 				if unbroken != broken*autos {
 					t.Errorf("pattern %v: unbroken = %d, want broken(%d) x |Aut|(%d) = %d",
@@ -234,7 +233,7 @@ func TestDifferentialCountVsEnumerate(t *testing.T) {
 								want = ref.CountAll(tc.g, p)
 							}
 							opt := core.Options{Threads: 4, NoSymmetryBreaking: noSym}
-							pl, err := core.PlanFor(p, opt)
+							pl, err := plan.New(p, plan.Options{NoSymmetryBreaking: noSym})
 							if err != nil {
 								t.Fatalf("%s %v: %v", form, p, err)
 							}
@@ -267,7 +266,7 @@ func TestDifferentialCountVsEnumerate(t *testing.T) {
 func ExampleCount_differential() {
 	// The seeded er-48 graph's triangle count is stable across runs.
 	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 48, Edges: 110, Seed: 11})
-	n, _ := core.Count(g, pattern.Clique(3), core.Options{})
+	n, _ := Count(g, pattern.Clique(3))
 	fmt.Println(n > 0)
 	// Output: true
 }

@@ -22,6 +22,9 @@ type FSMLevel = fsm.Level
 // anti-monotonicity to prune. Support is the minimum node image (MNI)
 // measure (§2.1); domains are compressed bitmaps shared across
 // automorphism orbits, so symmetry breaking costs no precision (§6.6).
+//
+// WithDeadline bounds the whole mine and WithContext cancels it; a mine
+// cut short reports FSMResult.Stopped and no frequent patterns.
 func FSM(g *Graph, maxEdges, support int, opts ...Option) (*FSMResult, error) {
 	cfg := buildConfig(opts)
 	return fsm.Mine(g, maxEdges, support, cfg.opts)

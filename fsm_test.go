@@ -1,7 +1,9 @@
 package peregrine
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"peregrine/internal/gen"
 	"peregrine/internal/pattern"
@@ -150,6 +152,37 @@ func TestFSMSupportsAreAntiMonotone(t *testing.T) {
 		if !hiCodes[f.Pattern.CanonicalCode()] {
 			t.Errorf("pattern frequent at 20 missing at 5: %v", f.Pattern)
 		}
+	}
+}
+
+// TestFSMBoundedSaysSo: a deadline bounds the whole mine — not each of
+// its traversals — and a mine cut short by it, or by a cancelled
+// context, reports Stopped with no frequent set instead of passing a
+// truncated scan's supports off as the answer.
+func TestFSMBoundedSaysSo(t *testing.T) {
+	// The tables' mico stand-in: unbounded, this mine takes seconds.
+	g := gen.RMAT(gen.RMATConfig{Vertices: 1024, Edges: 9000, Seed: 1, Labels: 29})
+	const deadline = 50 * time.Millisecond
+	start := time.Now()
+	res, err := FSM(g, 3, 8, WithDeadline(deadline))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 10*deadline {
+		t.Errorf("FSM under a %v deadline ran %v", deadline, elapsed)
+	}
+	if !res.Stopped || res.Frequent != nil {
+		t.Errorf("deadline-bounded FSM: Stopped=%v with %d frequent patterns, want Stopped and none", res.Stopped, len(res.Frequent))
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err = FSM(g, 2, 8, WithContext(ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stopped || res.Frequent != nil {
+		t.Errorf("cancelled FSM: Stopped=%v with %d frequent patterns, want Stopped and none", res.Stopped, len(res.Frequent))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"peregrine/internal/gen"
 	"peregrine/internal/pattern"
+	"peregrine/internal/plan"
 )
 
 // A context cancelled before the run starts must stop the engine before
@@ -16,10 +17,7 @@ func TestContextAlreadyCancelled(t *testing.T) {
 	g := gen.Standard(gen.MicoLite, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st, err := Run(g, pattern.Clique(3), nil, Options{Context: ctx})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Run(t, g, pattern.Clique(3), nil, Options{Context: ctx})
 	if !st.Stopped {
 		t.Error("Stopped = false, want true for pre-cancelled context")
 	}
@@ -36,16 +34,13 @@ func TestContextCancelMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var calls atomic.Uint64
 	done := make(chan Stats, 1)
+	pls := []*plan.Plan{mustPlan(t, pattern.Star(7))}
 	go func() {
-		st, err := Run(g, pattern.Star(7), func(c *Ctx, m *Match) {
+		done <- RunPlans(g, pls, func(c *Ctx, _ int, m *Match) {
 			if calls.Add(1) == 1000 {
 				cancel()
 			}
-		}, Options{Context: ctx, Threads: 4})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- st
+		}, Options{Context: ctx, Threads: 4}).Per[0]
 	}()
 	select {
 	case st := <-done:
@@ -61,14 +56,8 @@ func TestContextCancelMidRun(t *testing.T) {
 func TestContextActiveMatchesUncancelled(t *testing.T) {
 	g := gen.Standard(gen.PatentsLite, 1)
 	p := pattern.Clique(3)
-	want, err := Count(g, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Count(g, p, Options{Context: context.Background()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := Count(t, g, p, Options{})
+	got := Count(t, g, p, Options{Context: context.Background()})
 	if got != want {
 		t.Errorf("count with context = %d, want %d", got, want)
 	}

@@ -12,10 +12,7 @@ import (
 
 func TestEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder().Build()
-	n, err := Count(g, pattern.Clique(3), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := Count(t, g, pattern.Clique(3), Options{})
 	if n != 0 {
 		t.Fatalf("empty graph count = %d", n)
 	}
@@ -23,10 +20,7 @@ func TestEmptyGraph(t *testing.T) {
 
 func TestGraphSmallerThanPattern(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{{Src: 0, Dst: 1}})
-	n, err := Count(g, pattern.Clique(4), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := Count(t, g, pattern.Clique(4), Options{})
 	if n != 0 {
 		t.Fatalf("count = %d, want 0", n)
 	}
@@ -36,10 +30,7 @@ func TestSingleEdgePattern(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{
 		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 0, Dst: 2}, {Src: 2, Dst: 3},
 	})
-	n, err := Count(g, pattern.Chain(2), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := Count(t, g, pattern.Chain(2), Options{})
 	if n != g.NumEdges() {
 		t.Fatalf("edge count = %d, want %d", n, g.NumEdges())
 	}
@@ -56,10 +47,7 @@ func TestSingleVertexCorePatterns(t *testing.T) {
 	for k := 3; k <= 5; k++ {
 		p := pattern.Star(k)
 		want := ref.CountUnique(g, p)
-		got, err := Count(g, p, Options{Threads: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := Count(t, g, p, Options{Threads: 2})
 		if got != want {
 			t.Fatalf("star(%d) = %d, want %d", k, got, want)
 		}
@@ -83,10 +71,7 @@ func TestHubGraph(t *testing.T) {
 	g := hubGraph()
 	for _, p := range []*pattern.Pattern{pattern.Clique(3), pattern.Star(4), pattern.Cycle(4)} {
 		want := ref.CountUnique(g, p)
-		got, err := Count(g, p, Options{Threads: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := Count(t, g, p, Options{Threads: 4})
 		if got != want {
 			t.Fatalf("%v on hub graph = %d, want %d", p, got, want)
 		}
@@ -104,10 +89,7 @@ func TestHubGraph(t *testing.T) {
 func TestCountModeSubtractsAssigned(t *testing.T) {
 	g := hubGraph()
 	star := pattern.Star(4)
-	pl, err := PlanFor(star, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustPlan(t, star)
 	last := pl.NonCore[len(pl.NonCore)-1]
 	boundedByNonCore := false
 	for _, pv := range append(append([]int(nil), last.LowerBound...), last.UpperBound...) {
@@ -129,10 +111,7 @@ func TestCountModeSubtractsAssigned(t *testing.T) {
 			if noSym {
 				want = ref.CountAll(g, p)
 			}
-			got, err := countBothWays(t, g, p, Options{Threads: 4, NoSymmetryBreaking: noSym})
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := countBothWays(t, g, p, Options{Threads: 4, NoSymmetryBreaking: noSym})
 			if got != want {
 				t.Errorf("%v noSym=%v on hub graph = %d, want %d", p, noSym, got, want)
 			}
@@ -146,10 +125,7 @@ func TestDisconnectedDataGraph(t *testing.T) {
 		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0},
 		{Src: 10, Dst: 11}, {Src: 11, Dst: 12}, {Src: 12, Dst: 10},
 	})
-	n, err := Count(g, pattern.Clique(3), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := Count(t, g, pattern.Clique(3), Options{})
 	if n != 2 {
 		t.Fatalf("two disjoint triangles counted as %d", n)
 	}
@@ -165,10 +141,7 @@ func TestAntiEdgeBetweenCoreVertices(t *testing.T) {
 		{Src: 4, Dst: 5}, {Src: 5, Dst: 6}, {Src: 6, Dst: 7}, {Src: 7, Dst: 4}, {Src: 4, Dst: 6}, // chorded C4
 	})
 	p := pattern.VertexInduced(pattern.Cycle(4))
-	n, err := Count(g, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := Count(t, g, p, Options{})
 	if n != 1 {
 		t.Fatalf("chordless squares = %d, want 1", n)
 	}
@@ -191,10 +164,7 @@ func TestMultipleAntiVertices(t *testing.T) {
 		{Src: 3, Dst: 4}, {Src: 4, Dst: 5}, {Src: 4, Dst: 6},
 	})
 	want := ref.CountUnique(g, p)
-	got, err := Count(g, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := Count(t, g, p, Options{})
 	if got != want {
 		t.Fatalf("two-anti-vertex pattern = %d, want %d", got, want)
 	}
@@ -212,18 +182,12 @@ func TestLargeCliquePatternOnCliqueGraph(t *testing.T) {
 	g := graph.FromEdges(edges)
 	want := map[int]uint64{3: 220, 6: 924, 10: 66, 12: 1}
 	for k, w := range want {
-		got, err := Count(g, pattern.Clique(k), Options{Threads: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := Count(t, g, pattern.Clique(k), Options{Threads: 2})
 		if got != w {
 			t.Fatalf("K12 %d-cliques = %d, want %d", k, got, w)
 		}
 	}
-	ok, err := Exists(g, pattern.Clique(13), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := Exists(t, g, pattern.Clique(13), Options{})
 	if ok {
 		t.Fatal("found a 13-clique in K12")
 	}
@@ -233,10 +197,7 @@ func TestStatsFields(t *testing.T) {
 	g := graph.FromEdges([]graph.Edge{
 		{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0},
 	})
-	st, err := Run(g, pattern.Clique(3), nil, Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Run(t, g, pattern.Clique(3), nil, Options{Threads: 2})
 	if st.Matches != 1 || st.Tasks != 3 || st.Threads != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -257,10 +218,7 @@ func TestWildcardAndConcreteLabelMix(t *testing.T) {
 	// Wedge with labeled center (2) and wildcard endpoints.
 	p := pattern.MustParse("0-1 1-2 [1:2]")
 	want := ref.CountUnique(g, p)
-	got, err := Count(g, p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := Count(t, g, p, Options{})
 	if got != want {
 		t.Fatalf("wildcard-mix wedge = %d, want %d", got, want)
 	}

@@ -166,52 +166,6 @@ type Stats struct {
 	Threads       int
 }
 
-// Run finds every match of p in g and invokes cb for each. A nil cb
-// counts matches without callback overhead; the count is in
-// Stats.Matches either way.
-func Run(g *graph.Graph, p *pattern.Pattern, cb Callback, opt Options) (Stats, error) {
-	t0 := time.Now()
-	pl, err := plan.New(p, plan.Options{NoSymmetryBreaking: opt.NoSymmetryBreaking})
-	if err != nil {
-		return Stats{}, err
-	}
-	st := RunPlan(g, pl, cb, opt)
-	st.PlanTime = time.Since(t0) - st.MatchTime
-	return st, nil
-}
-
-// Count returns the number of matches of p in g.
-func Count(g *graph.Graph, p *pattern.Pattern, opt Options) (uint64, error) {
-	st, err := Run(g, p, nil, opt)
-	if err != nil {
-		return 0, err
-	}
-	return st.Matches, nil
-}
-
-// Exists reports whether at least one match of p exists in g, stopping
-// exploration at the first match (§5.3).
-func Exists(g *graph.Graph, p *pattern.Pattern, opt Options) (bool, error) {
-	found := new(atomic.Bool)
-	_, err := Run(g, p, func(ctx *Ctx, m *Match) {
-		found.Store(true)
-		ctx.Stop()
-	}, opt)
-	return found.Load(), err
-}
-
-// RunPlan runs a precomputed plan. Reusing a plan across graphs or
-// repeated runs skips plan generation.
-func RunPlan(g *graph.Graph, pl *plan.Plan, cb Callback, opt Options) Stats {
-	var pcb PlanCallback
-	if cb != nil {
-		pcb = func(ctx *Ctx, _ int, m *Match) { cb(ctx, m) }
-	}
-	// RunPlans ships every Per[i] as a complete Stats snapshot, early
-	// returns included, so Per[0] is the whole answer.
-	return RunPlans(g, []*plan.Plan{pl}, pcb, opt).Per[0]
-}
-
 // PlanCallback processes one match from a batched multi-plan run; pat
 // is the index into the plan slice of the plan that produced it. Like
 // Callback, implementations must be safe for concurrent invocation.
@@ -314,7 +268,7 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 	ms := MultiStats{Per: make([]Stats, len(pls)), Threads: threads}
 	for i := range ms.Per {
 		// Early returns below ship these snapshots as-is, and callers
-		// like RunPlan read Per[i] as a complete Stats.
+		// read Per[i] as a complete Stats.
 		ms.Per[i].Threads = threads
 	}
 	n := int64(g.NumVertices())
@@ -863,12 +817,6 @@ func (w *worker) checkAntiVertices() bool {
 		}
 	}
 	return true
-}
-
-// PlanFor exposes plan generation with the engine's options, for tools
-// and tests that inspect plans.
-func PlanFor(p *pattern.Pattern, opt Options) (*plan.Plan, error) {
-	return plan.New(p, plan.Options{NoSymmetryBreaking: opt.NoSymmetryBreaking})
 }
 
 // String renders stats compactly for logs and tables.

@@ -121,10 +121,7 @@ func TestEngineMatchesBruteForce(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/%s", gn, pn), func(t *testing.T) {
 				want := ref.CountUnique(g, p)
-				got, err := Count(g, p, Options{Threads: 4})
-				if err != nil {
-					t.Fatalf("Count: %v", err)
-				}
+				got := Count(t, g, p, Options{Threads: 4})
 				if got != want {
 					t.Fatalf("engine count = %d, brute force = %d (pattern %v)", got, want, p)
 				}
@@ -143,10 +140,7 @@ func TestEngineNoSymmetryBreakingMatchesAllIsomorphisms(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/%s", gn, pn), func(t *testing.T) {
 				want := ref.CountAll(g, p)
-				got, err := Count(g, p, Options{Threads: 4, NoSymmetryBreaking: true})
-				if err != nil {
-					t.Fatalf("Count: %v", err)
-				}
+				got := Count(t, g, p, Options{Threads: 4, NoSymmetryBreaking: true})
 				if got != want {
 					t.Fatalf("PRG-U count = %d, brute force all = %d (pattern %v)", got, want, p)
 				}
@@ -161,10 +155,7 @@ func TestPaperFigure6Example(t *testing.T) {
 	p := pattern.MustParse("0-1 1-2 2-3 3-0 1-3")
 	g := paperDataGraph()
 	want := ref.CountUnique(g, p)
-	got, err := Count(g, p, Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := Count(t, g, p, Options{Threads: 2})
 	if got != want {
 		t.Fatalf("figure 6 pattern count = %d, want %d", got, want)
 	}
@@ -179,7 +170,7 @@ func TestMatchMappingsAreValid(t *testing.T) {
 		p := p
 		t.Run(pn, func(t *testing.T) {
 			reg := p.RegularVertices()
-			_, err := Run(g, p, func(ctx *Ctx, m *Match) {
+			Run(t, g, p, func(ctx *Ctx, m *Match) {
 				seen := make(map[uint32]bool)
 				for _, v := range reg {
 					d := m.Mapping[v]
@@ -211,27 +202,18 @@ func TestMatchMappingsAreValid(t *testing.T) {
 					}
 				}
 			}, Options{Threads: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
 		})
 	}
 }
 
 func TestExistsStopsEarly(t *testing.T) {
 	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 500, Edges: 3000, Seed: 3})
-	ok, err := Exists(g, pattern.Clique(3), Options{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok := Exists(t, g, pattern.Clique(3), Options{Threads: 4})
 	if !ok {
 		t.Fatal("expected a triangle to exist")
 	}
 	// A pattern that cannot exist: a 9-clique in a sparse graph.
-	ok, err = Exists(g, pattern.Clique(9), Options{Threads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ok = Exists(t, g, pattern.Clique(9), Options{Threads: 4})
 	if ok {
 		t.Fatal("found a 9-clique in a graph that cannot contain one")
 	}
@@ -240,13 +222,10 @@ func TestExistsStopsEarly(t *testing.T) {
 func TestStopTerminatesQuickly(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Vertices: 1 << 12, Edges: 80000, Seed: 5})
 	var calls int
-	st, err := Run(g, pattern.Clique(3), func(ctx *Ctx, m *Match) {
+	st := Run(t, g, pattern.Clique(3), func(ctx *Ctx, m *Match) {
 		calls++
 		ctx.Stop()
 	}, Options{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !st.Stopped {
 		t.Fatal("stats should report early termination")
 	}
@@ -258,15 +237,9 @@ func TestStopTerminatesQuickly(t *testing.T) {
 func TestThreadCountsAgree(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Vertices: 1 << 10, Edges: 20000, Seed: 6})
 	p := pattern.Clique(4)
-	base, err := Count(g, p, Options{Threads: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := Count(t, g, p, Options{Threads: 1})
 	for _, threads := range []int{2, 3, 8} {
-		got, err := Count(g, p, Options{Threads: threads})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := Count(t, g, p, Options{Threads: threads})
 		if got != base {
 			t.Fatalf("threads=%d count=%d, want %d", threads, got, base)
 		}
@@ -286,17 +259,11 @@ func TestLabeledMatching(t *testing.T) {
 	b.SetLabel(3, 2)
 	g := b.Build()
 
-	cnt, err := Count(g, pattern.MustParse("0-1 [0:1] [1:2]"), Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cnt := Count(t, g, pattern.MustParse("0-1 [0:1] [1:2]"), Options{Threads: 2})
 	if cnt != 4 {
 		t.Fatalf("labeled edge count = %d, want 4", cnt)
 	}
-	cnt, err = Count(g, pattern.MustParse("0-1 [0:1] [1:3]"), Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cnt = Count(t, g, pattern.MustParse("0-1 [0:1] [1:3]"), Options{Threads: 2})
 	if cnt != 0 {
 		t.Fatalf("labeled edge with absent label count = %d, want 0", cnt)
 	}

@@ -46,14 +46,7 @@ func TestPropertyCountInvariantUnderRelabeling(t *testing.T) {
 		g1 := build(id)
 		g2 := build(rng.Perm(n))
 		for _, p := range pats {
-			c1, err := Count(g1, p, Options{Threads: 2})
-			if err != nil {
-				return false
-			}
-			c2, err := Count(g2, p, Options{Threads: 2})
-			if err != nil {
-				return false
-			}
+			c1, c2 := Count(t, g1, p, Options{Threads: 2}), Count(t, g2, p, Options{Threads: 2})
 			if c1 != c2 {
 				t.Logf("count changed under relabeling: %d vs %d (pattern %v)", c1, c2, p)
 				return false
@@ -77,7 +70,7 @@ func TestPropertyMatchesAreDistinctSets(t *testing.T) {
 	} {
 		seen := make(map[string]bool)
 		dup := false
-		_, err := Run(g, p, func(ctx *Ctx, m *Match) {
+		Run(t, g, p, func(ctx *Ctx, m *Match) {
 			key := make([]byte, 0, len(m.Mapping)*4)
 			for _, v := range m.Mapping {
 				key = append(key, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
@@ -87,9 +80,6 @@ func TestPropertyMatchesAreDistinctSets(t *testing.T) {
 			}
 			seen[string(key)] = true
 		}, Options{Threads: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if dup {
 			t.Fatalf("duplicate match delivered for %v", p)
 		}

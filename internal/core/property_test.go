@@ -69,20 +69,15 @@ func randomQueryPattern(rng *rand.Rand) *pattern.Pattern {
 // countBothWays counts p's matches in count mode (no callback: the last
 // completion level is added up, not visited) and by counting callback
 // invocations, and fails the test if the two disagree.
-func countBothWays(tb testing.TB, g *graph.Graph, p *pattern.Pattern, opt Options) (uint64, error) {
+func countBothWays(tb testing.TB, g *graph.Graph, p *pattern.Pattern, opt Options) uint64 {
 	tb.Helper()
-	counted, err := Count(g, p, opt)
-	if err != nil {
-		return 0, err
-	}
+	counted := Count(tb, g, p, opt)
 	var calls atomic.Uint64
-	if _, err := Run(g, p, func(*Ctx, *Match) { calls.Add(1) }, opt); err != nil {
-		return 0, err
-	}
+	Run(tb, g, p, func(*Ctx, *Match) { calls.Add(1) }, opt)
 	if counted != calls.Load() {
 		tb.Errorf("pattern %v (%+v): counted %d matches, enumerated %d", p, opt, counted, calls.Load())
 	}
-	return counted, nil
+	return counted
 }
 
 // TestPropertyEngineEqualsBruteForce is the central randomized
@@ -99,20 +94,13 @@ func TestPropertyEngineEqualsBruteForce(t *testing.T) {
 			return true // skip degenerate randomizations
 		}
 		wantUnique := ref.CountUnique(g, p)
-		gotUnique, err := countBothWays(t, g, p, Options{Threads: 2})
-		if err != nil {
-			t.Logf("plan error for %v: %v", p, err)
-			return false
-		}
+		gotUnique := countBothWays(t, g, p, Options{Threads: 2})
 		if gotUnique != wantUnique {
 			t.Logf("unique mismatch: got %d want %d (pattern %v, graph %v)", gotUnique, wantUnique, p, g)
 			return false
 		}
 		wantAll := ref.CountAll(g, p)
-		gotAll, err := countBothWays(t, g, p, Options{Threads: 2, NoSymmetryBreaking: true})
-		if err != nil {
-			return false
-		}
+		gotAll := countBothWays(t, g, p, Options{Threads: 2, NoSymmetryBreaking: true})
 		if gotAll != wantAll {
 			t.Logf("all mismatch: got %d want %d (pattern %v)", gotAll, wantAll, p)
 			return false
@@ -144,11 +132,7 @@ func TestPropertyVertexInducedTheorem(t *testing.T) {
 				}
 			}
 		}
-		got, err := Count(g, pattern.VertexInduced(p), Options{Threads: 2})
-		if err != nil {
-			return false
-		}
-		return got == ref.CountVertexInduced(g, p)
+		return Count(t, g, pattern.VertexInduced(p), Options{Threads: 2}) == ref.CountVertexInduced(g, p)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -165,11 +149,7 @@ func TestPropertyMotifPartition(t *testing.T) {
 		for _, size := range []int{3, 4} {
 			var motifTotal uint64
 			for _, m := range pattern.GenerateAllVertexInduced(size) {
-				n, err := Count(g, pattern.VertexInduced(m), Options{Threads: 2})
-				if err != nil {
-					return false
-				}
-				motifTotal += n
+				motifTotal += Count(t, g, pattern.VertexInduced(m), Options{Threads: 2})
 			}
 			if motifTotal != countConnectedSets(g, size) {
 				t.Logf("motif total %d != connected %d-sets %d", motifTotal, size, countConnectedSets(g, size))
@@ -230,10 +210,7 @@ func connected(g *graph.Graph, set []uint32) bool {
 // that produces no matches (the stop flag cannot rely on callbacks).
 func TestDeadlineStopsUnproductiveSearch(t *testing.T) {
 	g := gen.RMAT(gen.RMATConfig{Vertices: 1 << 11, Edges: 120000, Seed: 99})
-	st, err := Run(g, pattern.Clique(14), nil, Options{Threads: 2, Deadline: 50 * 1e6}) // 50ms
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := Run(t, g, pattern.Clique(14), nil, Options{Threads: 2, Deadline: 50 * 1e6}) // 50ms
 	if !st.Stopped && st.MatchTime.Seconds() > 5 {
 		t.Fatalf("deadline did not stop the search: %v", st)
 	}

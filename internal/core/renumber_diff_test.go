@@ -26,7 +26,7 @@ func matchStream(tb testing.TB, g *graph.Graph, p *pattern.Pattern, canonical bo
 	tb.Helper()
 	var mu sync.Mutex
 	var out []string
-	_, err := Run(g, p, func(ctx *Ctx, m *Match) {
+	Run(tb, g, p, func(ctx *Ctx, m *Match) {
 		mapped := m.OrigMapping(g)
 		if canonical {
 			sort.Slice(mapped, func(i, j int) bool { return mapped[i] < mapped[j] })
@@ -36,9 +36,6 @@ func matchStream(tb testing.TB, g *graph.Graph, p *pattern.Pattern, canonical bo
 		out = append(out, s)
 		mu.Unlock()
 	}, opt)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	sort.Strings(out)
 	return out
 }
@@ -159,17 +156,11 @@ func TestTaskRangesCoverDescending(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pattern.Clique(3)
-	full, err := Count(rg, p, Options{Threads: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := Count(t, rg, p, Options{Threads: 3})
 	n := rg.NumVertices()
 	var sum uint64
 	for _, cut := range [][2]uint32{{0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}} {
-		c, err := Count(rg, p, Options{Threads: 3, TaskLo: cut[0], TaskHi: cut[1]})
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := Count(t, rg, p, Options{Threads: 3, TaskLo: cut[0], TaskHi: cut[1]})
 		sum += c
 	}
 	if sum != full {

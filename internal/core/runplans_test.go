@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"peregrine/internal/gen"
@@ -10,6 +11,33 @@ import (
 	"peregrine/internal/pattern"
 	"peregrine/internal/plan"
 )
+
+// Run is the tests' one-pattern form of RunPlans: compile p, run it as
+// a batch of one, read Per[0]. Count and Exists are its two shapes.
+func Run(tb testing.TB, g *graph.Graph, p *pattern.Pattern, cb Callback, opt Options) Stats {
+	tb.Helper()
+	pl, err := plan.New(p, plan.Options{NoSymmetryBreaking: opt.NoSymmetryBreaking})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var pcb PlanCallback
+	if cb != nil {
+		pcb = func(ctx *Ctx, _ int, m *Match) { cb(ctx, m) }
+	}
+	return RunPlans(g, []*plan.Plan{pl}, pcb, opt).Per[0]
+}
+
+func Count(tb testing.TB, g *graph.Graph, p *pattern.Pattern, opt Options) uint64 {
+	tb.Helper()
+	return Run(tb, g, p, nil, opt).Matches
+}
+
+func Exists(tb testing.TB, g *graph.Graph, p *pattern.Pattern, opt Options) bool {
+	tb.Helper()
+	var found atomic.Bool
+	Run(tb, g, p, func(ctx *Ctx, _ *Match) { found.Store(true); ctx.Stop() }, opt)
+	return found.Load()
+}
 
 func mustPlan(t *testing.T, p *pattern.Pattern) *plan.Plan {
 	t.Helper()
@@ -36,7 +64,7 @@ func TestRunPlansMatchesSerialCounts(t *testing.T) {
 	var serialTasks uint64
 	for i, p := range pats {
 		pls[i] = mustPlan(t, p)
-		st := RunPlan(g, pls[i], nil, Options{})
+		st := RunPlans(g, pls[i:i+1], nil, Options{}).Per[0]
 		want[i] = st.Matches
 		serialTasks += st.Tasks
 	}

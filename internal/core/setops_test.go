@@ -347,9 +347,7 @@ func TestEngineDoesNotScribbleAdjacency(t *testing.T) {
 		pattern.MustParse("0-1 0-2 1!2"),
 	}
 	for _, p := range pats {
-		if _, err := Count(g, p, Options{Threads: 4}); err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
+		Count(t, g, p, Options{Threads: 4})
 	}
 	for v := uint32(0); v < n; v++ {
 		if !equalU32(g.Adj(v), snapshot[v]) {

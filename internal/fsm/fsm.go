@@ -5,6 +5,7 @@
 package fsm
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
@@ -14,6 +15,7 @@ import (
 	"peregrine/internal/graph"
 	"peregrine/internal/mni"
 	"peregrine/internal/pattern"
+	"peregrine/internal/plan"
 )
 
 // FrequentPattern is one result: a fully labeled pattern and its MNI
@@ -36,14 +38,19 @@ type Level struct {
 // per-level statistics.
 type Result struct {
 	Frequent    []FrequentPattern
-	Levels      []Level
-	DomainBytes int // peak bitmap memory across levels (Figure 13 accounting)
+	Levels      []Level // the levels that ran to completion
+	DomainBytes int     // peak bitmap memory across levels (Figure 13 accounting)
+	// Stopped reports that a deadline or a cancelled context cut a level
+	// short. Supports computed from a truncated scan are not supports, so
+	// Frequent is nil: "nothing is frequent" is Stopped == false.
+	Stopped bool
 }
 
 // Mine returns the labeled patterns with exactly maxEdges edges whose
 // MNI support in g is at least support. It starts from the single
 // unlabeled edge, discovers frequent labelings dynamically, and grows
 // frequent patterns edge by edge, relying on MNI's anti-monotonicity.
+// opts.Deadline bounds the whole mine, not each level.
 func Mine(g *graph.Graph, maxEdges, support int, opts core.Options) (*Result, error) {
 	if !g.Labeled() {
 		return nil, fmt.Errorf("fsm: requires a labeled graph")
@@ -54,19 +61,32 @@ func Mine(g *graph.Graph, maxEdges, support int, opts core.Options) (*Result, er
 	if support < 1 {
 		return nil, fmt.Errorf("fsm: needs support >= 1")
 	}
-	threads := opts.Threads
-	if threads <= 0 {
-		threads = runtime.GOMAXPROCS(0)
+	if opts.Threads <= 0 {
+		opts.Threads = runtime.GOMAXPROCS(0)
 	}
-	opts.Threads = threads
+	if opts.Deadline > 0 {
+		// The engine arms Deadline afresh on every run; one context
+		// deadline spans the levels.
+		ctx := opts.Context
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		ctx, cancel := context.WithTimeout(ctx, opts.Deadline)
+		defer cancel()
+		opts.Context, opts.Deadline = ctx, 0
+	}
 
 	res := &Result{}
 	queries := pattern.GenerateAllEdgeInduced(1) // the single unlabeled edge
 	for edges := 1; edges <= maxEdges; edges++ {
 		lvlStart := time.Now()
-		table, err := matchLevel(g, queries, threads, opts)
+		table, stopped, err := matchLevel(g, queries, opts)
 		if err != nil {
 			return nil, err
+		}
+		if stopped {
+			res.Stopped = true
+			break
 		}
 		if sz := table.SizeBytes(); sz > res.DomainBytes {
 			res.DomainBytes = sz
@@ -103,13 +123,33 @@ func Mine(g *graph.Graph, maxEdges, support int, opts core.Options) (*Result, er
 	return res, nil
 }
 
-// matchLevel matches every query pattern of one FSM level and aggregates
-// MNI domains keyed by discovered labeled pattern. Aggregation follows
-// the paper's on-the-fly design (§5.4): workers accumulate into
-// thread-local tables and periodically publish them to an asynchronous
-// aggregator; the matching threads never block.
-func matchLevel(g *graph.Graph, queries []*pattern.Pattern, threads int, opts core.Options) (*mni.Table, error) {
-	agg := core.NewOnTheFly[mni.Table](threads, 0, func() *mni.Table {
+// levelChunk is how many query patterns of a level share one traversal.
+// A level's time is MNI aggregation in the callback, not the scan, so
+// the batch size hardly moves it (64, 256 and a whole 2,000-query level
+// measured alike); what grows with the batch is memory — the per-thread
+// remap caches, and thread-local tables whose matches spread over every
+// labeling of the batch between publishes.
+const levelChunk = 64
+
+// matchLevel matches every query pattern of one FSM level — levelChunk
+// of them per traversal of g, through the share trie — and aggregates
+// MNI domains keyed by discovered labeled pattern; it also reports
+// whether a traversal was cut short. Aggregation follows the paper's
+// on-the-fly design (§5.4): workers accumulate into thread-local tables
+// and periodically publish them to an asynchronous aggregator; the
+// matching threads never block.
+func matchLevel(g *graph.Graph, queries []*pattern.Pattern, opts core.Options) (*mni.Table, bool, error) {
+	plans := make([]*plan.Plan, len(queries))
+	regs := make([][]int, len(queries))
+	for i, q := range queries {
+		pl, err := plan.New(q, plan.Options{NoSymmetryBreaking: opts.NoSymmetryBreaking})
+		if err != nil {
+			return nil, false, err
+		}
+		plans[i], regs[i] = pl, q.RegularVertices()
+	}
+
+	agg := core.NewOnTheFly[mni.Table](opts.Threads, 0, func() *mni.Table {
 		return mni.NewTable()
 	}, func(dst, src *mni.Table) {
 		mni.Merge(dst, src)
@@ -118,37 +158,41 @@ func matchLevel(g *graph.Graph, queries []*pattern.Pattern, threads int, opts co
 	type worker struct {
 		local   *mni.Table
 		pending int
-		// Per-(query,labels) cache of the canonical remapping, so each
-		// distinct labeling pays the canonicalization cost once.
-		remaps map[string]*labelRemap
+		// Per-query caches of the canonical remapping by discovered label
+		// vector, so each distinct labeling pays the canonicalization cost
+		// once. One cache per query: the same label vector names different
+		// structures under different queries.
+		remaps []map[string]*labelRemap
 		key    []byte
 		mapped []uint32
 	}
-	workers := make([]*worker, threads)
+	workers := make([]*worker, opts.Threads)
 	for i := range workers {
-		workers[i] = &worker{local: mni.NewTable(), remaps: make(map[string]*labelRemap)}
+		workers[i] = &worker{local: mni.NewTable(), remaps: make([]map[string]*labelRemap, min(len(queries), levelChunk))}
 	}
 
-	for _, q := range queries {
-		q := q
-		reg := q.RegularVertices()
-		// The remap cache is valid for one query pattern only: the same
-		// label vector names different structures under different queries.
+	stopped := false
+	for lo := 0; lo < len(queries) && !stopped; lo += levelChunk {
+		hi := min(lo+levelChunk, len(queries))
 		for _, w := range workers {
 			clear(w.remaps)
 		}
-		cb := func(ctx *core.Ctx, m *core.Match) {
+		ms := core.RunPlans(g, plans[lo:hi], func(ctx *core.Ctx, pat int, m *core.Match) {
 			w := workers[ctx.Thread]
+			q, reg := queries[lo+pat], regs[lo+pat]
 			// Label-discovery key: the labels of the matched vertices.
 			w.key = w.key[:0]
 			for _, v := range reg {
 				l := g.Label(m.Mapping[v])
 				w.key = append(w.key, byte(l>>8), byte(l))
 			}
-			rm, ok := w.remaps[string(w.key)]
+			if w.remaps[pat] == nil {
+				w.remaps[pat] = make(map[string]*labelRemap)
+			}
+			rm, ok := w.remaps[pat][string(w.key)]
 			if !ok {
 				rm = newLabelRemap(g, q, m.Mapping)
-				w.remaps[string(w.key)] = rm
+				w.remaps[pat][string(w.key)] = rm
 			}
 			if cap(w.mapped) < q.N() {
 				w.mapped = make([]uint32, q.N())
@@ -163,16 +207,13 @@ func matchLevel(g *graph.Graph, queries []*pattern.Pattern, threads int, opts co
 				w.local = agg.Publish(ctx.Thread, w.local)
 				w.pending = 0
 			}
-		}
-		if _, err := core.Run(g, q, cb, opts); err != nil {
-			agg.Close()
-			return nil, err
-		}
+		}, opts)
+		stopped = ms.Stopped
 	}
 	for i, w := range workers {
 		agg.Flush(i, w.local)
 	}
-	return agg.Close(), nil
+	return agg.Close(), stopped, nil
 }
 
 // labelRemap caches, for one (query pattern, discovered labeling) pair,

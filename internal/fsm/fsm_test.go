@@ -6,6 +6,7 @@ import (
 	"peregrine/internal/core"
 	"peregrine/internal/gen"
 	"peregrine/internal/graph"
+	"peregrine/internal/mni"
 	"peregrine/internal/pattern"
 )
 
@@ -93,30 +94,80 @@ func TestMineLevelStatsAndDomains(t *testing.T) {
 
 func TestMineWithoutSymmetryBreakingAgrees(t *testing.T) {
 	// PRG-U mode revisits automorphic matches; domains are sets, so the
-	// frequent patterns and supports must be identical.
-	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 60, Edges: 150, Seed: 52, Labels: 2})
-	a, err := Mine(g, 2, 5, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Mine(g, 2, 5, core.Options{NoSymmetryBreaking: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Frequent) != len(b.Frequent) {
-		t.Fatalf("PRG %d frequent vs PRG-U %d", len(a.Frequent), len(b.Frequent))
-	}
-	supports := func(fs []FrequentPattern) map[string]int {
-		m := make(map[string]int)
-		for _, f := range fs {
-			m[f.Pattern.CanonicalCode()] = f.Support
+	// frequent patterns and supports must be identical. The second case
+	// has a level of several hundred query patterns — more than one
+	// levelChunk — whose discovered label vectors collide across queries.
+	for _, tc := range []struct {
+		g              *graph.Graph
+		edges, support int
+		minQueries     int
+	}{
+		{gen.ErdosRenyi(gen.ERConfig{Vertices: 60, Edges: 150, Seed: 52, Labels: 2}), 2, 5, 1},
+		{gen.ErdosRenyi(gen.ERConfig{Vertices: 80, Edges: 240, Seed: 52, Labels: 6}), 3, 2, levelChunk + 50},
+	} {
+		a, err := Mine(tc.g, tc.edges, tc.support, core.Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return m
+		b, err := Mine(tc.g, tc.edges, tc.support, core.Options{NoSymmetryBreaking: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := a.Levels[len(a.Levels)-1].QueriesMatched; got < tc.minQueries {
+			t.Fatalf("last level matched %d queries, want >= %d", got, tc.minQueries)
+		}
+		if len(a.Frequent) == 0 || len(a.Frequent) != len(b.Frequent) {
+			t.Fatalf("PRG %d frequent vs PRG-U %d", len(a.Frequent), len(b.Frequent))
+		}
+		sb := make(map[string]int)
+		for _, f := range b.Frequent {
+			sb[f.Pattern.CanonicalCode()] = f.Support
+		}
+		for _, f := range a.Frequent {
+			if code := f.Pattern.CanonicalCode(); sb[code] != f.Support {
+				t.Fatalf("support mismatch for %q: %d vs %d", code, f.Support, sb[code])
+			}
+		}
 	}
-	sa, sb := supports(a.Frequent), supports(b.Frequent)
-	for code, s := range sa {
-		if sb[code] != s {
-			t.Fatalf("support mismatch for %q: %d vs %d", code, s, sb[code])
+}
+
+// TestBatchedLevelEqualsPerQuery runs one large level both ways: all
+// queries through matchLevel's shared traversals, and one matchLevel per
+// query — each with remap caches of its own — merged. Every discovered
+// labeling must get the same support.
+func TestBatchedLevelEqualsPerQuery(t *testing.T) {
+	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 80, Edges: 240, Seed: 52, Labels: 6})
+	opts := core.Options{Threads: 3}
+	res, err := Mine(g, 2, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wedges []*pattern.Pattern
+	for _, f := range res.Frequent {
+		wedges = append(wedges, f.Pattern)
+	}
+	queries := pattern.ExtendByEdge(wedges)
+	if len(queries) <= levelChunk {
+		t.Fatalf("level has %d queries, want more than one chunk (%d)", len(queries), levelChunk)
+	}
+	batched, _, err := matchLevel(g, queries, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial := mni.NewTable()
+	for i := range queries {
+		one, _, err := matchLevel(g, queries[i:i+1], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mni.Merge(serial, one)
+	}
+	if len(batched.ByCode) != len(serial.ByCode) {
+		t.Fatalf("batched level discovered %d labelings, per-query %d", len(batched.ByCode), len(serial.ByCode))
+	}
+	for code, d := range serial.ByCode {
+		if got := batched.ByCode[code]; got == nil || got.Support() != d.Support() {
+			t.Errorf("labeling %q: per-query support %d, batched %v", code, d.Support(), got)
 		}
 	}
 }

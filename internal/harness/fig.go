@@ -5,10 +5,8 @@ import (
 	"runtime"
 	"time"
 
+	"peregrine"
 	"peregrine/internal/baseline"
-	"peregrine/internal/core"
-	"peregrine/internal/fsm"
-	"peregrine/internal/pattern"
 	"peregrine/internal/profile"
 )
 
@@ -17,82 +15,56 @@ import (
 // Fig10 runs 4-motif counting and the FSM support sweep with and without
 // symmetry breaking. PRG-U models systems that are not fully
 // pattern-aware (AutoMine): it enumerates every automorphic variant of
-// every match.
-func Fig10(cfg Config) []Row {
-	var rows []Row
-	add := func(app, ds, system string, secs float64, count uint64) {
-		rows = append(rows, Row{Experiment: "fig10", App: app, Dataset: ds, System: system,
-			Seconds: secs, Count: count})
+// every match. The two bars of a cell differ in that one option only:
+// both count un-morphed (PRG-U cannot morph), in count mode, and the
+// motif bars under the same deadline.
+func Fig10(cfg Config) []Row { return measure("fig10", fig10Cells(cfg)) }
+
+func fig10Cells(cfg Config) []cell {
+	var cells []cell
+	bars := []struct {
+		system string
+		opts   []peregrine.Option
+	}{
+		{"PRG", cfg.prg()},
+		{"PRG-U", cfg.prg(peregrine.WithoutSymmetryBreaking())},
 	}
 	for _, ds := range []string{"mico", "patents", "orkut"} {
-		g := BenchDataset(ds, cfg.Scale)
-		var n uint64
-		secs := timeIt(func() { n = prgMotifs(g, 4, cfg) })
-		add("4-motifs", ds, "PRG", secs, n)
-
-		var nu uint64
-		timedOut := false
-		secsU := timeIt(func() {
-			deadline := cfg.Deadline
-			for _, m := range pattern.GenerateAllVertexInduced(4) {
-				c, cut := countWithDeadline(g, pattern.VertexInduced(m), core.Options{
-					Threads: cfg.Threads, NoSymmetryBreaking: true,
-				}, deadline)
-				nu += c
-				if cut {
-					timedOut = true
-					break
-				}
-			}
-		})
-		failed := ""
-		if timedOut {
-			failed = "limit"
+		g := cfg.graph(ds)
+		for _, bar := range bars {
+			cells = append(cells, cell{"4-motifs", ds, bar.system, func() (uint64, string) {
+				return prgMotifCensus(g, 4, append(bar.opts, peregrine.WithoutMorphing(), peregrine.WithDeadline(cfg.Deadline)))
+			}})
 		}
-		rows = append(rows, Row{Experiment: "fig10", App: "4-motifs", Dataset: ds,
-			System: "PRG-U", Seconds: secsU, Count: nu, Failed: failed})
 	}
 	// FSM: PRG-U pays redundant domain writes per automorphic match. The
 	// unbroken engine still reports exact supports because domains are
 	// idempotent sets.
 	for _, ds := range []string{"mico", "patents-labeled"} {
-		g := BenchDataset(ds, cfg.Scale)
+		g := cfg.graph(ds)
 		for _, tau := range fsmSupports(ds, cfg) {
-			app := fmt.Sprintf("fsm τ=%d", tau)
-			n, secs := prgFSM(g, 3, tau, cfg)
-			add(app, ds, "PRG", secs, uint64(n))
-			var nU int
-			secsU := timeIt(func() {
-				res, err := fsm.Mine(g, 3, tau, core.Options{Threads: cfg.Threads, NoSymmetryBreaking: true})
-				if err != nil {
-					panic(err)
-				}
-				nU = len(res.Frequent)
-			})
-			add(app, ds, "PRG-U", secsU, uint64(nU))
+			for _, bar := range bars {
+				cells = append(cells, cell{fmt.Sprintf("fsm τ=%d", tau), ds, bar.system, func() (uint64, string) {
+					return uint64(len(prgMine(g, tau, bar.opts).Frequent)), ""
+				}})
+			}
 		}
 	}
-	return rows
+	return cells
 }
 
 // --- Figure 11: execution-time breakdown --------------------------------
 
 // Fig11 measures the PO / Core / Non-Core / Other time split during
-// 4-motif counting.
+// 4-motif counting, un-morphed: the stages are those of the motifs' own
+// plans.
 func Fig11(cfg Config) []Row {
 	var rows []Row
 	for _, ds := range []string{"mico", "orkut"} {
-		g := BenchDataset(ds, cfg.Scale)
-		bd := &profile.Breakdown{}
+		g := cfg.graph(ds)
+		bd := &peregrine.Breakdown{}
 		secs := timeIt(func() {
-			for _, m := range pattern.GenerateAllVertexInduced(4) {
-				_, err := core.Run(g, pattern.VertexInduced(m), nil, core.Options{
-					Threads: cfg.Threads, Breakdown: bd,
-				})
-				if err != nil {
-					panic(err)
-				}
-			}
+			prgMotifCensus(g, 4, cfg.prg(peregrine.WithBreakdown(bd), peregrine.WithoutMorphing()))
 		})
 		metrics := make(map[string]float64)
 		for stage, ratio := range bd.Ratios() {
@@ -109,8 +81,7 @@ func Fig11(cfg Config) []Row {
 // Fig12a measures speedup matching p1 on the orkut stand-in across
 // thread counts.
 func Fig12a(cfg Config) []Row {
-	g := BenchDataset("orkut", cfg.Scale)
-	p := pattern.VertexInduced(evalPattern("p1"))
+	g := cfg.graph("orkut")
 	maxThreads := runtime.GOMAXPROCS(0)
 	counts := []int{1, 2, 4}
 	for t := 8; t <= maxThreads; t *= 2 {
@@ -122,14 +93,11 @@ func Fig12a(cfg Config) []Row {
 	var rows []Row
 	var base float64
 	for _, t := range counts {
-		var secs float64
 		// Repeat and take the best of 3 to stabilize small-scale timing.
 		best := -1.0
 		for rep := 0; rep < 3; rep++ {
-			secs = timeIt(func() {
-				if _, err := core.Count(g, p, core.Options{Threads: t}); err != nil {
-					panic(err)
-				}
+			secs := timeIt(func() {
+				prgMatch(g, peregrine.P1, []peregrine.Option{peregrine.WithThreads(t), peregrine.VertexInduced()})
 			})
 			if best < 0 || secs < best {
 				best = secs
@@ -150,13 +118,8 @@ func Fig12a(cfg Config) []Row {
 // Fig12b samples runtime statistics while matching p1: goroutine count
 // (CPU-utilization proxy) and allocation rate (bandwidth proxy).
 func Fig12b(cfg Config) []Row {
-	g := BenchDataset("orkut", cfg.Scale)
-	p := pattern.VertexInduced(evalPattern("p1"))
-	samples := profile.SampleCPU(2*time.Millisecond, func() {
-		if _, err := core.Count(g, p, core.Options{Threads: cfg.Threads}); err != nil {
-			panic(err)
-		}
-	})
+	g := cfg.graph("orkut")
+	samples := profile.SampleCPU(2*time.Millisecond, func() { prgMatch(g, peregrine.P1, cfg.prg(peregrine.VertexInduced())) })
 	rows := make([]Row, 0, len(samples))
 	for i, s := range samples {
 		rows = append(rows, Row{
@@ -186,14 +149,10 @@ func Fig13(cfg Config) []Row {
 			Failed: failed, Metrics: map[string]float64{"peakMB": float64(bytes) / (1 << 20)}})
 	}
 	for _, ds := range []string{"mico", "patents"} {
-		g := BenchDataset(ds, cfg.Scale)
+		g := cfg.graph(ds)
 		for _, k := range []int{3, 4, 5} {
 			app := fmt.Sprintf("%d-cliques", k)
-			add(app, ds, "PRG", measurePeak(func() {
-				if _, err := core.Count(g, pattern.Clique(k), cfg.coreOpts()); err != nil {
-					panic(err)
-				}
-			}), "")
+			add(app, ds, "PRG", measurePeak(func() { prgCliques(g, k, cfg.prg()) }), "")
 			m := baseline.BFS(g, baseline.BFSOptions{Size: k, Filter: cliqueFilter(g), MaxStored: cfg.Budget})
 			add(app, ds, "ABQ", m.PeakStoredBytes, failReason(m))
 			md := baseline.DFS(g, baseline.DFSOptions{Size: k, Threads: cfg.Threads, Filter: cliqueFilter(g), MaxExplored: uint64(cfg.Budget)})
@@ -203,7 +162,7 @@ func Fig13(cfg Config) []Row {
 		}
 		for _, size := range []int{3, 4} {
 			app := fmt.Sprintf("%d-motifs", size)
-			add(app, ds, "PRG", measurePeak(func() { prgMotifs(g, size, cfg) }), "")
+			add(app, ds, "PRG", measurePeak(func() { prgMotifCensus(g, size, cfg.prg()) }), "")
 			m := baseline.BFS(g, baseline.BFSOptions{Size: size, Classify: true, MaxStored: cfg.Budget})
 			add(app, ds, "ABQ", m.PeakStoredBytes, failReason(m))
 			md := baseline.DFS(g, baseline.DFSOptions{Size: size, Threads: cfg.Threads, Classify: true, MaxExplored: uint64(cfg.Budget)})
@@ -215,14 +174,10 @@ func Fig13(cfg Config) []Row {
 	// FSM memory: Peregrine's peak is dominated by MNI domain bitmaps,
 	// reported directly; the BFS baseline holds embedding levels too.
 	for _, ds := range []string{"mico", "patents-labeled"} {
-		g := BenchDataset(ds, cfg.Scale)
+		g := cfg.graph(ds)
 		tau := fsmSupports(ds, cfg)[0]
 		app := fmt.Sprintf("fsm τ=%d", tau)
-		res, err := fsm.Mine(g, 3, tau, cfg.coreOpts())
-		if err != nil {
-			panic(err)
-		}
-		add(app, ds, "PRG", uint64(res.DomainBytes), "")
+		add(app, ds, "PRG", uint64(prgMine(g, tau, cfg.prg()).DomainBytes), "")
 		_, m := baseline.FSMBFS(g, 3, tau)
 		add(app, ds, "ABQ", m.PeakStoredBytes, failReason(m))
 	}
@@ -240,7 +195,8 @@ func measurePeak(f func()) uint64 {
 // --- §6.7: load balance ---------------------------------------------------
 
 // LoadBalanceRows measures the spread between worker finish times while
-// matching p1 on each dataset (the paper reports at most 71 ms).
+// matching p1 on each dataset (the paper reports at most 71 ms). The
+// spread is p1's own plan's, so the run is un-morphed.
 func LoadBalanceRows(cfg Config) []Row {
 	var rows []Row
 	threads := cfg.Threads
@@ -248,13 +204,12 @@ func LoadBalanceRows(cfg Config) []Row {
 		threads = runtime.GOMAXPROCS(0)
 	}
 	for _, ds := range []string{"mico", "patents", "orkut", "friendster"} {
-		g := BenchDataset(ds, cfg.Scale)
-		lb := profile.NewLoadBalance(threads)
-		p := pattern.VertexInduced(evalPattern("p1"))
+		g := cfg.graph(ds)
+		lb := peregrine.NewLoadBalance(threads)
 		secs := timeIt(func() {
-			if _, err := core.Count(g, p, core.Options{Threads: threads, LoadBalance: lb}); err != nil {
-				panic(err)
-			}
+			prgMatch(g, peregrine.P1, []peregrine.Option{
+				peregrine.WithThreads(threads), peregrine.VertexInduced(), peregrine.WithLoadBalance(lb), peregrine.WithoutMorphing(),
+			})
 		})
 		rows = append(rows, Row{
 			Experiment: "loadbalance", App: "match p1", Dataset: ds, System: "PRG",
@@ -269,11 +224,12 @@ func LoadBalanceRows(cfg Config) []Row {
 }
 
 // Table1 derives the paper's headline speedup summary from the
-// comparative tables: min and max PRG speedup against each system.
+// comparative tables and Figure 10: the min and max PRG speedup against
+// each other system, over the cells both finished.
 func Table1(cfg Config) []Row {
 	type bounds struct{ lo, hi float64 }
 	acc := map[string]*bounds{}
-	fold := func(rows []Row, base string) {
+	for _, rows := range [][]Row{Table3(cfg), Table4(cfg), Table5(cfg), Fig10(cfg)} {
 		// Index PRG times by (app, dataset).
 		prg := map[string]float64{}
 		for _, r := range rows {
@@ -282,11 +238,8 @@ func Table1(cfg Config) []Row {
 			}
 		}
 		for _, r := range rows {
-			if r.System == "PRG" || r.System == "PRG-U" || r.Failed != "" {
-				continue
-			}
 			p, ok := prg[r.App+"|"+r.Dataset]
-			if !ok || p <= 0 {
+			if r.System == "PRG" || r.Failed != "" || !ok || p <= 0 {
 				continue
 			}
 			sp := r.Seconds / p
@@ -295,43 +248,7 @@ func Table1(cfg Config) []Row {
 				b = &bounds{lo: sp, hi: sp}
 				acc[r.System] = b
 			}
-			if sp < b.lo {
-				b.lo = sp
-			}
-			if sp > b.hi {
-				b.hi = sp
-			}
-		}
-		_ = base
-	}
-	fold(Table3(cfg), "ABQ/RS")
-	fold(Table4(cfg), "FCL")
-	fold(Table5(cfg), "GM")
-	// PRG-U comparison from Figure 10.
-	f10 := Fig10(cfg)
-	prg := map[string]float64{}
-	for _, r := range f10 {
-		if r.System == "PRG" {
-			prg[r.App+"|"+r.Dataset] = r.Seconds
-		}
-	}
-	for _, r := range f10 {
-		if r.System != "PRG-U" {
-			continue
-		}
-		if p, ok := prg[r.App+"|"+r.Dataset]; ok && p > 0 {
-			sp := r.Seconds / p
-			b, ok := acc["PRG-U"]
-			if !ok {
-				b = &bounds{lo: sp, hi: sp}
-				acc["PRG-U"] = b
-			}
-			if sp < b.lo {
-				b.lo = sp
-			}
-			if sp > b.hi {
-				b.hi = sp
-			}
+			b.lo, b.hi = min(b.lo, sp), max(b.hi, sp)
 		}
 	}
 	var rows []Row

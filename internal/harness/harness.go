@@ -1,26 +1,35 @@
-// Package harness defines the experiment runners that regenerate every
-// table and figure of the paper's evaluation (§6): the workloads, the
-// dataset stand-ins at benchmark scale, the baseline-system
-// configurations, and structured result rows. Both cmd/tables and the
-// repository's bench_test.go drive experiments through this package so
-// the numbers in EXPERIMENTS.md and the benchmarks stay in sync.
+// Package harness is the one encoding of the paper's evaluation (§6):
+// the experiments that regenerate every table and figure, the dataset
+// stand-ins at benchmark scale, the baseline-system configurations, and
+// structured result rows. cmd/tables prints the Experiments list and
+// BenchmarkPaper times it; see README "Reproducing the paper's tables".
+//
+// Every PRG cell is a call of the public peregrine API — the programs of
+// the paper's Figure 4 as a user would write them — so the tables time
+// the system the library is. One rule decides a cell's options. Cells
+// that compare systems (Figure 1, Tables 3–6, Figures 12 and 13) run the
+// library's defaults. Cells that isolate one mechanism (Figure 10 and
+// with it Table 1's PRG-U row, Figure 11, load balance, and Figure 1's
+// "explored" column, which reads CoreMatches — a figure recovered rows
+// do not carry) hold everything else equal with the library's ablation
+// options: WithoutMorphing on both bars, count mode on both bars,
+// WithDeadline and Stats.Stopped for "limit".
 package harness
 
 import (
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
-	"sync"
-
+	"peregrine"
 	"peregrine/internal/baseline"
-	"peregrine/internal/core"
-	"peregrine/internal/fsm"
 	"peregrine/internal/gen"
 	"peregrine/internal/graph"
-	"peregrine/internal/pattern"
 )
 
 // Config controls experiment scale and parallelism.
@@ -37,37 +46,23 @@ type Config struct {
 	// without exhausting the machine. Expressed in stored embeddings /
 	// tuples (BFS, RStream) and explored embeddings (DFS).
 	Budget int
-	// Deadline bounds individual PRG-U ablation cells; runs that exceed
-	// it report "limit", like the paper's PRG-U-on-Orkut 4-motifs, which
-	// "did not finish ... within 5 hours". Zero means no deadline.
+	// Deadline bounds the PRG cells whose search can explode — Figure
+	// 10's 4-motif bars and Table 6; runs that exceed it report "limit",
+	// like the paper's PRG-U-on-Orkut 4-motifs, which "did not finish ...
+	// within 5 hours". Zero means no deadline.
 	Deadline time.Duration
+
+	// data, when set, replaces BenchDataset: the package's tests run the
+	// tables' cells on graphs small enough for the brute-force oracle.
+	data func(name string) *graph.Graph
 }
 
-// countWithDeadline counts matches, stopping early once the deadline
-// passes. The bool result reports whether the run was cut short.
-func countWithDeadline(g *graph.Graph, p *pattern.Pattern, opts core.Options, d time.Duration) (uint64, bool) {
-	if d <= 0 {
-		n, err := core.Count(g, p, opts)
-		if err != nil {
-			panic(err)
-		}
-		return n, false
+// graph returns the named dataset stand-in at the configured scale.
+func (c Config) graph(name string) *graph.Graph {
+	if c.data != nil {
+		return c.data(name)
 	}
-	start := time.Now()
-	cut := false
-	var n uint64
-	st, err := core.Run(g, p, func(ctx *core.Ctx, m *core.Match) {
-		n++
-		if n%8192 == 0 && time.Since(start) > d {
-			cut = true
-			ctx.Stop()
-		}
-	}, opts)
-	if err != nil {
-		panic(err)
-	}
-	_ = st
-	return n, cut
+	return BenchDataset(name, c.Scale)
 }
 
 // Default returns the standard configuration, honoring PEREGRINE_SCALE.
@@ -79,6 +74,27 @@ func Default() Config {
 		}
 	}
 	return cfg
+}
+
+// Experiments lists every table and figure of §6 in the paper's order;
+// Table 1, which summarizes the others, comes last.
+var Experiments = []struct {
+	Name string
+	Run  func(Config) []Row
+}{
+	{"fig1b", func(c Config) []Row { return Fig1(c, false) }},
+	{"fig1c", func(c Config) []Row { return Fig1(c, true) }},
+	{"3", Table3},
+	{"4", Table4},
+	{"5", Table5},
+	{"6", Table6},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"fig12a", Fig12a},
+	{"fig12b", Fig12b},
+	{"fig13", Fig13},
+	{"loadbalance", LoadBalanceRows},
+	{"1", Table1},
 }
 
 // Row is one measured cell of a table or figure.
@@ -141,8 +157,81 @@ func timeIt(f func()) float64 {
 	return time.Since(t0).Seconds()
 }
 
-func (c Config) coreOpts() core.Options {
-	return core.Options{Threads: c.Threads}
+// cell is one cell of a comparative table — a system running an
+// application on a dataset — not yet run: run returns the cell's count
+// and, for a run that hit its budget or deadline, why.
+type cell struct {
+	app, ds, system string
+	run             func() (count uint64, failed string)
+}
+
+// measure runs and times each cell.
+func measure(exp string, cells []cell) []Row {
+	rows := make([]Row, len(cells))
+	for i, c := range cells {
+		r := Row{Experiment: exp, App: c.app, Dataset: c.ds, System: c.system}
+		r.Seconds = timeIt(func() { r.Count, r.Failed = c.run() })
+		rows[i] = r
+	}
+	return rows
+}
+
+// prg returns the options of a PRG cell: the configured thread count
+// plus the cell's own. Clipped, so cells that append to a shared option
+// list each get their own copy.
+func (c Config) prg(extra ...peregrine.Option) []peregrine.Option {
+	return slices.Clip(append([]peregrine.Option{peregrine.WithThreads(c.Threads)}, extra...))
+}
+
+// must unwraps a library call; the harness only issues valid queries.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// limit renders a PRG run's Stopped flag as a Row.Failed value.
+func limit(stopped bool) string {
+	if stopped {
+		return "limit"
+	}
+	return ""
+}
+
+// The PRG side of the tables: the paper's Figure 4 programs, each one
+// call of the public API. They return a cell's (count, failed).
+
+// prgMotifCensus counts all motifs of a size (Figure 4e).
+func prgMotifCensus(g *graph.Graph, size int, opts []peregrine.Option) (uint64, string) {
+	counts, ms, err := peregrine.MotifCountsWithStats(g, size, opts...)
+	if err != nil {
+		panic(err)
+	}
+	var t uint64
+	for _, mc := range counts {
+		t += mc.Count
+	}
+	return t, limit(ms.Stopped)
+}
+
+// prgCliques counts k-cliques (Figure 4d).
+func prgCliques(g *graph.Graph, k int, opts []peregrine.Option) (uint64, string) {
+	return must(peregrine.CliqueCount(g, k, opts...)), ""
+}
+
+// prgMatch counts one of the Figure 9 patterns.
+func prgMatch(g *graph.Graph, name peregrine.EvalPattern, opts []peregrine.Option) (uint64, string) {
+	_, st, err := peregrine.CountWithStats(g, peregrine.NewEvalPattern(name), opts...)
+	if err != nil {
+		panic(err)
+	}
+	return st.Matches, limit(st.Stopped)
+}
+
+// prgMine mines the frequent 3-edge patterns (Figure 4a).
+func prgMine(g *graph.Graph, tau int, opts []peregrine.Option) *peregrine.FSMResult {
+	return must(peregrine.FSM(g, 3, tau, opts...))
 }
 
 // --- Figure 1b / 1c: profiling pattern-oblivious systems ---------------
@@ -152,20 +241,16 @@ func (c Config) coreOpts() core.Options {
 // explored, canonicality checks, and isomorphism checks, plus the result
 // size — the paper's core motivation numbers.
 func Fig1(cfg Config, motifs bool) []Row {
-	g := BenchDataset("patents", cfg.Scale)
+	g := cfg.graph("patents")
 	exp, app := "fig1b", "4-cliques"
 	if motifs {
 		exp, app = "fig1c", "3-motifs"
 	}
 	var rows []Row
 	add := func(system string, secs float64, count uint64, m baseline.Metrics) {
-		failed := ""
-		if m.Aborted {
-			failed = m.AbortReason
-		}
 		rows = append(rows, Row{
 			Experiment: exp, App: app, Dataset: "patents", System: system,
-			Seconds: secs, Count: count, Failed: failed,
+			Seconds: secs, Count: count, Failed: failReason(m),
 			Metrics: map[string]float64{
 				"explored":     float64(m.Explored),
 				"canonicality": float64(m.CanonicalityChecks),
@@ -196,32 +281,35 @@ func Fig1(cfg Config, motifs bool) []Row {
 
 	// Peregrine for reference: pattern-aware exploration generates only
 	// matching subgraphs and performs zero canonicality/isomorphism
-	// checks during exploration.
-	var prgCount uint64
-	var prgStats core.Stats
+	// checks during exploration. The explored column is the patterns'
+	// own core matches, so the run is un-morphed.
+	var per []peregrine.Stats
 	prgSec := timeIt(func() {
+		opts := cfg.prg(peregrine.WithoutMorphing())
 		if motifs {
-			for _, m := range pattern.GenerateAllVertexInduced(3) {
-				st, err := core.Run(g, pattern.VertexInduced(m), nil, cfg.coreOpts())
-				if err != nil {
-					panic(err)
-				}
-				prgCount += st.Matches
-				prgStats.CoreMatches += st.CoreMatches
-			}
-		} else {
-			st, err := core.Run(g, pattern.Clique(4), nil, cfg.coreOpts())
+			_, ms, err := peregrine.MotifCountsWithStats(g, 3, opts...)
 			if err != nil {
 				panic(err)
 			}
-			prgCount, prgStats = st.Matches, st
+			per = ms.Per
+		} else {
+			_, st, err := peregrine.CountWithStats(g, peregrine.GenerateClique(4), opts...)
+			if err != nil {
+				panic(err)
+			}
+			per = []peregrine.Stats{st}
 		}
 	})
+	var count, explored uint64
+	for _, st := range per {
+		count += st.Matches
+		explored += st.CoreMatches
+	}
 	rows = append(rows, Row{
 		Experiment: exp, App: app, Dataset: "patents", System: "PRG",
-		Seconds: prgSec, Count: prgCount,
+		Seconds: prgSec, Count: count,
 		Metrics: map[string]float64{
-			"explored":     float64(prgStats.CoreMatches), // partial matches: core matches only
+			"explored":     float64(explored), // partial matches: core matches only
 			"canonicality": 0,
 			"isomorphism":  0,
 		},
@@ -241,86 +329,71 @@ func total(m map[string]uint64) uint64 {
 
 // Table3 runs motif counting, clique counting, and FSM for Peregrine,
 // the Arabesque-style BFS system, and the RStream-style join system.
-func Table3(cfg Config) []Row {
-	var rows []Row
-	add := func(app, ds, system string, secs float64, count uint64, failed string) {
-		rows = append(rows, Row{Experiment: "table3", App: app, Dataset: ds, System: system,
-			Seconds: secs, Count: count, Failed: failed})
-	}
-	motifSizes := map[string]int{"3-motifs": 3, "4-motifs": 4}
+func Table3(cfg Config) []Row { return measure("table3", table3Cells(cfg)) }
+
+func table3Cells(cfg Config) []cell {
+	var cells []cell
 	for _, ds := range []string{"mico", "patents", "orkut"} {
-		g := BenchDataset(ds, cfg.Scale)
-		for app, size := range motifSizes {
-			size := size
-			var prgN uint64
-			prgSec := timeIt(func() { prgN = prgMotifs(g, size, cfg) })
-			add(app, ds, "PRG", prgSec, prgN, "")
-
-			var bfsC map[string]uint64
-			var bfsM baseline.Metrics
-			bfsSec := timeIt(func() {
-				bfsC, bfsM = motifsBFSBudget(g, size, cfg.Budget)
-			})
-			add(app, ds, "ABQ", bfsSec, total(bfsC), failReason(bfsM))
-
-			var rsC map[string]uint64
-			var rsM baseline.Metrics
-			rsSec := timeIt(func() { rsC, rsM = motifsRStreamBudget(g, size, cfg.Budget) })
-			add(app, ds, "RS", rsSec, total(rsC), failReason(rsM))
+		g := cfg.graph(ds)
+		for _, size := range []int{3, 4} {
+			app := fmt.Sprintf("%d-motifs", size)
+			cells = append(cells,
+				cell{app, ds, "PRG", func() (uint64, string) { return prgMotifCensus(g, size, cfg.prg()) }},
+				cell{app, ds, "ABQ", func() (uint64, string) {
+					counts := make(map[string]uint64)
+					m := baseline.BFS(g, baseline.BFSOptions{
+						Size: size, Classify: true, MaxStored: cfg.Budget,
+						Visit: func(_ []uint32, code string) { counts[code]++ },
+					})
+					return total(counts), failReason(m)
+				}},
+				cell{app, ds, "RS", func() (uint64, string) {
+					counts := make(map[string]uint64)
+					m := baseline.RStream(g, baseline.RStreamOptions{
+						Size: size, Classify: true, MaxRows: cfg.Budget,
+						Visit: func(_ []uint32, code string) { counts[code]++ },
+					})
+					return total(counts), failReason(m)
+				}})
 		}
 		for _, k := range []int{3, 4, 5} {
-			k := k
 			app := fmt.Sprintf("%d-cliques", k)
-			var prgN uint64
-			prgSec := timeIt(func() {
-				var err error
-				prgN, err = core.Count(g, pattern.Clique(k), cfg.coreOpts())
-				if err != nil {
-					panic(err)
-				}
-			})
-			add(app, ds, "PRG", prgSec, prgN, "")
-
-			var bfsN uint64
-			var bfsM baseline.Metrics
-			bfsSec := timeIt(func() {
-				bfsM = baseline.BFS(g, baseline.BFSOptions{
-					Size:      k,
-					Filter:    cliqueFilter(g),
-					Visit:     func([]uint32, string) { bfsN++ },
-					MaxStored: cfg.Budget,
-				})
-			})
-			add(app, ds, "ABQ", bfsSec, bfsN, failReason(bfsM))
-
-			var rsN uint64
-			var rsM baseline.Metrics
-			rsSec := timeIt(func() {
-				rsM = baseline.RStream(g, baseline.RStreamOptions{
-					Size: k, CliqueFilter: true,
-					Visit:   func([]uint32, string) { rsN++ },
-					MaxRows: cfg.Budget,
-				})
-			})
-			add(app, ds, "RS", rsSec, rsN, failReason(rsM))
+			cells = append(cells,
+				cell{app, ds, "PRG", func() (uint64, string) { return prgCliques(g, k, cfg.prg()) }},
+				cell{app, ds, "ABQ", func() (n uint64, failed string) {
+					m := baseline.BFS(g, baseline.BFSOptions{
+						Size: k, Filter: cliqueFilter(g), MaxStored: cfg.Budget,
+						Visit: func([]uint32, string) { n++ },
+					})
+					return n, failReason(m)
+				}},
+				cell{app, ds, "RS", func() (n uint64, failed string) {
+					m := baseline.RStream(g, baseline.RStreamOptions{
+						Size: k, CliqueFilter: true, MaxRows: cfg.Budget,
+						Visit: func([]uint32, string) { n++ },
+					})
+					return n, failReason(m)
+				}})
 		}
 	}
 	// FSM with a support sweep on the labeled datasets (the paper's
 	// 2K/3K/4K-FSM on Mico, 20K..23K-FSM on Patents, scaled to our
 	// dataset sizes).
 	for _, ds := range []string{"mico", "patents-labeled"} {
-		g := BenchDataset(ds, cfg.Scale)
+		g := cfg.graph(ds)
 		for _, tau := range fsmSupports(ds, cfg) {
 			app := fmt.Sprintf("fsm τ=%d", tau)
-			prgN, prgSec := prgFSM(g, 3, tau, cfg)
-			add(app, ds, "PRG", prgSec, uint64(prgN), "")
-			var abqN int
-			var abqM baseline.Metrics
-			abqSec := timeIt(func() { abqN, abqM = baseline.FSMBFSBudget(g, 3, tau, cfg.Budget) })
-			add(app, ds, "ABQ", abqSec, uint64(abqN), failReason(abqM))
+			cells = append(cells,
+				cell{app, ds, "PRG", func() (uint64, string) {
+					return uint64(len(prgMine(g, tau, cfg.prg()).Frequent)), ""
+				}},
+				cell{app, ds, "ABQ", func() (uint64, string) {
+					n, m := baseline.FSMBFSBudget(g, 3, tau, cfg.Budget)
+					return uint64(n), failReason(m)
+				}})
 		}
 	}
-	return rows
+	return cells
 }
 
 // fsmSupports picks the support sweep per dataset. The stand-ins' MNI
@@ -333,30 +406,6 @@ func fsmSupports(ds string, cfg Config) []int {
 		return []int{8 * cfg.Scale, 12 * cfg.Scale, 16 * cfg.Scale}
 	}
 	return []int{8 * cfg.Scale, 12 * cfg.Scale}
-}
-
-func prgMotifs(g *graph.Graph, size int, cfg Config) uint64 {
-	var totalN uint64
-	for _, m := range pattern.GenerateAllVertexInduced(size) {
-		n, err := core.Count(g, pattern.VertexInduced(m), cfg.coreOpts())
-		if err != nil {
-			panic(err)
-		}
-		totalN += n
-	}
-	return totalN
-}
-
-func prgFSM(g *graph.Graph, edges, tau int, cfg Config) (int, float64) {
-	n := 0
-	secs := timeIt(func() {
-		res, err := fsm.Mine(g, edges, tau, cfg.coreOpts())
-		if err != nil {
-			panic(err)
-		}
-		n = len(res.Frequent)
-	})
-	return n, secs
 }
 
 func cliqueFilter(g *graph.Graph) func([]uint32) bool {
@@ -378,101 +427,57 @@ func failReason(m baseline.Metrics) string {
 	return ""
 }
 
-func motifsBFSBudget(g *graph.Graph, size, budget int) (map[string]uint64, baseline.Metrics) {
-	counts := make(map[string]uint64)
-	m := baseline.BFS(g, baseline.BFSOptions{
-		Size:      size,
-		Classify:  true,
-		Visit:     func(_ []uint32, code string) { counts[code]++ },
-		MaxStored: budget,
-	})
-	return counts, m
-}
-
-func motifsRStreamBudget(g *graph.Graph, size, budget int) (map[string]uint64, baseline.Metrics) {
-	counts := make(map[string]uint64)
-	m := baseline.RStream(g, baseline.RStreamOptions{
-		Size:     size,
-		Classify: true,
-		Visit:    func(_ []uint32, code string) { counts[code]++ },
-		MaxRows:  budget,
-	})
-	return counts, m
-}
-
 // --- Table 4: Peregrine vs depth-first Fractal --------------------------
 
 // Table4 runs the Table 3 workloads plus pattern matching p1–p6 against
 // the Fractal-style DFS system.
-func Table4(cfg Config) []Row {
-	var rows []Row
-	add := func(app, ds, system string, secs float64, count uint64, failed string) {
-		rows = append(rows, Row{Experiment: "table4", App: app, Dataset: ds, System: system,
-			Seconds: secs, Count: count, Failed: failed})
-	}
+func Table4(cfg Config) []Row { return measure("table4", table4Cells(cfg)) }
+
+func table4Cells(cfg Config) []cell {
+	var cells []cell
 	for _, ds := range []string{"mico", "patents", "orkut"} {
-		g := BenchDataset(ds, cfg.Scale)
+		g := cfg.graph(ds)
 		for _, size := range []int{3, 4} {
 			app := fmt.Sprintf("%d-motifs", size)
-			var prgN uint64
-			prgSec := timeIt(func() { prgN = prgMotifs(g, size, cfg) })
-			add(app, ds, "PRG", prgSec, prgN, "")
-			var dfsC map[string]uint64
-			var dfsM baseline.Metrics
-			dfsSec := timeIt(func() { dfsC, dfsM = dfsMotifsBudget(g, size, cfg) })
-			add(app, ds, "FCL", dfsSec, total(dfsC), failReason(dfsM))
+			cells = append(cells,
+				cell{app, ds, "PRG", func() (uint64, string) { return prgMotifCensus(g, size, cfg.prg()) }},
+				cell{app, ds, "FCL", func() (uint64, string) {
+					counts, m := dfsCensus(g, size, cfg, "")
+					return total(counts), failReason(m)
+				}})
 		}
 		for _, k := range []int{3, 4, 5} {
 			app := fmt.Sprintf("%d-cliques", k)
-			var prgN uint64
-			prgSec := timeIt(func() {
-				var err error
-				prgN, err = core.Count(g, pattern.Clique(k), cfg.coreOpts())
-				if err != nil {
-					panic(err)
-				}
-			})
-			add(app, ds, "PRG", prgSec, prgN, "")
-			var dfsN uint64
-			var dfsM baseline.Metrics
-			dfsSec := timeIt(func() {
-				dfsM = baseline.DFS(g, baseline.DFSOptions{
-					Size: k, Threads: cfg.Threads,
-					Filter:      cliqueFilter(g),
-					Visit:       func([]uint32, string) {},
-					MaxExplored: uint64(cfg.Budget),
-				})
-				dfsN = dfsM.Results
-			})
-			add(app, ds, "FCL", dfsSec, dfsN, failReason(dfsM))
+			cells = append(cells,
+				cell{app, ds, "PRG", func() (uint64, string) { return prgCliques(g, k, cfg.prg()) }},
+				cell{app, ds, "FCL", func() (uint64, string) {
+					m := baseline.DFS(g, baseline.DFSOptions{
+						Size: k, Threads: cfg.Threads, Filter: cliqueFilter(g), MaxExplored: uint64(cfg.Budget),
+						Visit: func([]uint32, string) {},
+					})
+					return m.Results, failReason(m)
+				}})
 		}
-		// Pattern matching p1–p6 (vertex-induced semantics for both
-		// systems; see EXPERIMENTS.md).
-		for _, pname := range []string{"p1", "p2", "p3", "p4", "p5", "p6"} {
-			p := evalPattern(pname)
+		// Pattern matching p1–p6, vertex-induced semantics for both
+		// systems: Fractal's census classifies connected vertex sets.
+		for _, name := range []peregrine.EvalPattern{peregrine.P1, peregrine.P2, peregrine.P3, peregrine.P4, peregrine.P5, peregrine.P6} {
+			p := peregrine.NewEvalPattern(name)
 			gg := g
 			if p.Labeled() {
-				gg = BenchDataset(labeledVariant(ds), cfg.Scale)
+				gg = cfg.graph(labeledVariant(ds))
 			}
-			app := "match " + pname
-			var prgN uint64
-			prgSec := timeIt(func() {
-				var err error
-				prgN, err = core.Count(gg, pattern.VertexInduced(p), cfg.coreOpts())
-				if err != nil {
-					panic(err)
-				}
-			})
-			add(app, ds, "PRG", prgSec, prgN, "")
-			var dfsN uint64
-			var dfsM baseline.Metrics
-			dfsSec := timeIt(func() {
-				dfsN, dfsM = patternCountDFSBudget(gg, p, cfg)
-			})
-			add(app, ds, "FCL", dfsSec, dfsN, failReason(dfsM))
+			app := "match " + string(name)
+			cells = append(cells,
+				cell{app, ds, "PRG", func() (uint64, string) {
+					return prgMatch(gg, name, cfg.prg(peregrine.VertexInduced()))
+				}},
+				cell{app, ds, "FCL", func() (uint64, string) {
+					counts, m := dfsCensus(gg, p.N(), cfg, p.CanonicalCode())
+					return total(counts), failReason(m)
+				}})
 		}
 	}
-	return rows
+	return cells
 }
 
 func labeledVariant(ds string) string {
@@ -489,75 +494,48 @@ func labeledVariant(ds string) string {
 	return ds
 }
 
-func dfsMotifsBudget(g *graph.Graph, size int, cfg Config) (map[string]uint64, baseline.Metrics) {
-	var mu protected
-	mu.m = make(map[string]uint64)
-	met := baseline.DFS(g, baseline.DFSOptions{
-		Size: size, Threads: cfg.Threads, Classify: true,
-		Visit:       func(_ []uint32, code string) { mu.inc(code) },
-		MaxExplored: uint64(cfg.Budget),
-	})
-	return mu.m, met
-}
-
-func patternCountDFSBudget(g *graph.Graph, p *pattern.Pattern, cfg Config) (uint64, baseline.Metrics) {
-	target := p.CanonicalCode()
-	var mu protected
-	mu.m = make(map[string]uint64)
-	met := baseline.DFS(g, baseline.DFSOptions{
-		Size: p.N(), Threads: cfg.Threads, Classify: true,
+// dfsCensus is the Fractal-style system's one program: classify every
+// connected vertex set of the size, within the budget, and tally the
+// classes — all of them, or just the one named.
+func dfsCensus(g *graph.Graph, size int, cfg Config, only string) (map[string]uint64, baseline.Metrics) {
+	var mu sync.Mutex
+	counts := make(map[string]uint64)
+	m := baseline.DFS(g, baseline.DFSOptions{
+		Size: size, Threads: cfg.Threads, Classify: true, MaxExplored: uint64(cfg.Budget),
 		Visit: func(_ []uint32, code string) {
-			if code == target {
-				mu.inc("n")
+			if only == "" || code == only {
+				mu.Lock()
+				counts[code]++
+				mu.Unlock()
 			}
 		},
-		MaxExplored: uint64(cfg.Budget),
 	})
-	return mu.m["n"], met
+	return counts, m
 }
 
 // --- Table 5: Peregrine vs G-Miner --------------------------------------
 
 // Table5 runs 3-clique counting and labeled p2 matching against the
 // G-Miner-style task system.
-func Table5(cfg Config) []Row {
-	var rows []Row
+func Table5(cfg Config) []Row { return measure("table5", table5Cells(cfg)) }
+
+func table5Cells(cfg Config) []cell {
+	var cells []cell
 	for _, ds := range []string{"mico", "patents", "orkut", "friendster"} {
-		g := BenchDataset(ds, cfg.Scale)
-		var prgN uint64
-		prgSec := timeIt(func() {
-			var err error
-			prgN, err = core.Count(g, pattern.Clique(3), cfg.coreOpts())
-			if err != nil {
-				panic(err)
-			}
-		})
-		rows = append(rows, Row{Experiment: "table5", App: "3-cliques", Dataset: ds, System: "PRG", Seconds: prgSec, Count: prgN})
-
-		var gmN uint64
-		gmSec := timeIt(func() { gmN, _ = baseline.GMinerTriangles(g, cfg.Threads) })
-		rows = append(rows, Row{Experiment: "table5", App: "3-cliques", Dataset: ds, System: "GM", Seconds: gmSec, Count: gmN})
-
-		lg := BenchDataset(labeledVariant(ds), cfg.Scale)
-		p2 := evalPattern("p2")
-		var prgP2 uint64
-		prgP2Sec := timeIt(func() {
-			var err error
-			prgP2, err = core.Count(lg, p2, cfg.coreOpts())
-			if err != nil {
-				panic(err)
-			}
-		})
-		rows = append(rows, Row{Experiment: "table5", App: "match p2", Dataset: ds, System: "PRG", Seconds: prgP2Sec, Count: prgP2})
-
-		var gmP2 uint64
-		gmP2Sec := timeIt(func() {
-			idx := baseline.BuildGMinerIndex(lg)
-			gmP2, _ = baseline.GMinerMatchP2(lg, idx, p2, cfg.Threads)
-		})
-		rows = append(rows, Row{Experiment: "table5", App: "match p2", Dataset: ds, System: "GM", Seconds: gmP2Sec, Count: gmP2})
+		g, lg := cfg.graph(ds), cfg.graph(labeledVariant(ds))
+		cells = append(cells,
+			cell{"3-cliques", ds, "PRG", func() (uint64, string) { return prgCliques(g, 3, cfg.prg()) }},
+			cell{"3-cliques", ds, "GM", func() (uint64, string) {
+				n, _ := baseline.GMinerTriangles(g, cfg.Threads)
+				return n, ""
+			}},
+			cell{"match p2", ds, "PRG", func() (uint64, string) { return prgMatch(lg, peregrine.P2, cfg.prg()) }},
+			cell{"match p2", ds, "GM", func() (uint64, string) {
+				n, _ := baseline.GMinerMatchP2(lg, baseline.BuildGMinerIndex(lg), peregrine.NewEvalPattern(peregrine.P2), cfg.Threads)
+				return n, ""
+			}})
 	}
-	return rows
+	return cells
 }
 
 // --- Table 6: structural constraints and existence queries --------------
@@ -567,99 +545,34 @@ func Table5(cfg Config) []Row {
 // cfg.Deadline: an exhaustive search that rules a 14-clique *out* can be
 // combinatorially explosive on dense synthetic graphs, so runs cut short
 // report "limit".
-func Table6(cfg Config) []Row {
-	var rows []Row
-	opts := cfg.coreOpts()
-	opts.Deadline = cfg.Deadline
+func Table6(cfg Config) []Row { return measure("table6", table6Cells(cfg)) }
+
+func table6Cells(cfg Config) []cell {
+	var cells []cell
+	opts := cfg.prg(peregrine.WithDeadline(cfg.Deadline))
 	for _, ds := range []string{"mico", "patents", "orkut", "friendster"} {
-		g := BenchDataset(ds, cfg.Scale)
-		for _, pname := range []string{"p7", "p8"} {
-			p := evalPattern(pname)
-			var st core.Stats
-			secs := timeIt(func() {
-				var err error
-				st, err = core.Run(g, p, nil, opts)
-				if err != nil {
-					panic(err)
+		g := cfg.graph(ds)
+		cells = append(cells,
+			cell{"anti-vertex p7", ds, "PRG", func() (uint64, string) { return prgMatch(g, peregrine.P7, opts) }},
+			cell{"anti-edge p8", ds, "PRG", func() (uint64, string) { return prgMatch(g, peregrine.P8, opts) }},
+			// The paper's existence program (Figure 4f): stop at the first
+			// match. Written over ForEachMatch because the cell also needs
+			// Stats.Stopped, which the boolean CliqueExists does not return.
+			cell{"exists 14-clique", ds, "PRG", func() (uint64, string) {
+				var found atomic.Bool
+				st := must(peregrine.ForEachMatch(g, peregrine.GenerateClique(14), func(ctx *peregrine.Ctx, _ *peregrine.Match) {
+					found.Store(true)
+					ctx.Stop()
+				}, opts...))
+				if found.Load() {
+					return 1, ""
 				}
-			})
-			app := "anti-vertex p7"
-			if pname == "p8" {
-				app = "anti-edge p8"
-			}
-			failed := ""
-			if st.Stopped {
-				failed = "limit"
-			}
-			rows = append(rows, Row{Experiment: "table6", App: app, Dataset: ds, System: "PRG",
-				Seconds: secs, Count: st.Matches, Failed: failed})
-		}
-		found := false
-		var st core.Stats
-		secs := timeIt(func() {
-			var err error
-			st, err = core.Run(g, pattern.Clique(14), func(ctx *core.Ctx, m *core.Match) {
-				found = true
-				ctx.Stop()
-			}, opts)
-			if err != nil {
-				panic(err)
-			}
-		})
-		n := uint64(0)
-		if found {
-			n = 1
-		}
-		failed := ""
-		if st.Stopped && !found {
-			failed = "limit" // deadline hit before the search space was exhausted
-		}
-		rows = append(rows, Row{Experiment: "table6", App: "exists 14-clique", Dataset: ds, System: "PRG",
-			Seconds: secs, Count: n, Failed: failed})
+				// Stopped without a match: the deadline hit before the
+				// search space was exhausted.
+				return 0, limit(st.Stopped)
+			}})
 	}
-	return rows
-}
-
-// evalPattern mirrors the root package's Figure 9 patterns; duplicated
-// here because internal packages cannot import the module root.
-func evalPattern(name string) *pattern.Pattern {
-	switch name {
-	case "p1":
-		return pattern.MustParse("0-1 1-2 2-3 3-0 0-2")
-	case "p2":
-		return pattern.MustParse("0-1 1-2 2-0 2-3 [0:1] [1:2] [2:3] [3:4]")
-	case "p3":
-		return pattern.MustParse("0-1 1-2 2-3 3-0 0-4")
-	case "p4":
-		return pattern.MustParse("0-1 1-2 2-3 3-4 4-0 1-4")
-	case "p5":
-		return pattern.MustParse("0-1 1-2 2-0 2-3 3-4 4-2")
-	case "p6":
-		p := pattern.Clique(5)
-		p.RemoveEdge(3, 4)
-		return p
-	case "p7":
-		p := pattern.Clique(3)
-		a := p.AddVertex()
-		for v := 0; v < 3; v++ {
-			p.AddAntiEdge(v, a)
-		}
-		return p
-	case "p8":
-		return pattern.MustParse("0-1 1-2 2-3 3-0 0-2 1!3")
-	}
-	panic("harness: unknown pattern " + name)
-}
-
-type protected struct {
-	mu sync.Mutex
-	m  map[string]uint64
-}
-
-func (p *protected) inc(code string) {
-	p.mu.Lock()
-	p.m[code]++
-	p.mu.Unlock()
+	return cells
 }
 
 // SortRows orders rows for stable printing.

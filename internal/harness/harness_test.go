@@ -1,13 +1,20 @@
 package harness
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"peregrine"
+	"peregrine/internal/gen"
+	"peregrine/internal/graph"
+	"peregrine/internal/ref"
 )
 
 // The harness tests run the cheapest experiments end-to-end and assert
 // structural properties of the rows: systems agree on counts, failures
-// are marked, and the paper's qualitative orderings hold.
+// are marked, the paper's qualitative orderings hold, and the PRG cells
+// are the library.
 
 func testCfg() Config {
 	return Config{Scale: 1, Budget: 1_000_000, Deadline: 5 * time.Second}
@@ -85,6 +92,149 @@ func TestTable6RowsBounded(t *testing.T) {
 		if r.App == "anti-vertex p7" && r.Failed == "" && r.Count == 0 && r.Dataset != "patents" {
 			t.Logf("note: %s has zero maximal triangles", r.Dataset)
 		}
+	}
+}
+
+// app pairs what a user of the library would call for one application
+// of the tables with the brute-force oracle's answer.
+type app struct{ lib, ref func(g *graph.Graph) uint64 }
+
+// prgApps is the motif, clique and p1–p8 applications by cell name.
+func prgApps() map[string]app {
+	apps := make(map[string]app)
+	for _, size := range []int{3, 4} {
+		apps[fmt.Sprintf("%d-motifs", size)] = app{
+			func(g *graph.Graph) (n uint64) {
+				for _, mc := range must(peregrine.MotifCounts(g, size)) {
+					n += mc.Count
+				}
+				return n
+			},
+			func(g *graph.Graph) (n uint64) {
+				for _, m := range peregrine.GenerateAllVertexInduced(size) {
+					n += ref.CountVertexInduced(g, m)
+				}
+				return n
+			},
+		}
+	}
+	for _, k := range []int{3, 4, 5} {
+		apps[fmt.Sprintf("%d-cliques", k)] = app{
+			func(g *graph.Graph) uint64 { return must(peregrine.CliqueCount(g, k)) },
+			func(g *graph.Graph) uint64 { return ref.CountUnique(g, peregrine.GenerateClique(k)) },
+		}
+	}
+	for _, name := range []peregrine.EvalPattern{peregrine.P1, peregrine.P2, peregrine.P3, peregrine.P4, peregrine.P5, peregrine.P6} {
+		p := peregrine.NewEvalPattern(name)
+		apps["match "+string(name)] = app{
+			func(g *graph.Graph) uint64 { return must(peregrine.Count(g, p, peregrine.VertexInduced())) },
+			func(g *graph.Graph) uint64 { return ref.CountVertexInduced(g, p) },
+		}
+	}
+	for name, p := range map[string]*peregrine.Pattern{
+		"anti-vertex p7": peregrine.NewEvalPattern(peregrine.P7),
+		"anti-edge p8":   peregrine.NewEvalPattern(peregrine.P8),
+	} {
+		apps[name] = app{
+			func(g *graph.Graph) uint64 { return must(peregrine.Count(g, p)) },
+			func(g *graph.Graph) uint64 { return ref.CountUnique(g, p) },
+		}
+	}
+	return apps
+}
+
+// TestTablesAreTheLibrary pins what the PRG rows are: on the patents
+// and mico stand-ins every motif, clique and p1–p8 cell of Tables 3, 4
+// and 6 reports what the corresponding peregrine call returns, and on a
+// graph small enough for it, what the brute-force oracle returns. (Of
+// the full-size cells mico's p3–p5 are left out: seconds each per run,
+// minutes under the race detector, and the same programs as patents'.)
+func TestTablesAreTheLibrary(t *testing.T) {
+	apps := prgApps()
+	slowOnMico := map[string]bool{"match p3": true, "match p4": true, "match p5": true}
+	cellsOf := func(cfg Config) []cell {
+		var out []cell
+		seen := make(map[string]bool)
+		for _, c := range append(append(table3Cells(cfg), table4Cells(cfg)...), table6Cells(cfg)...) {
+			_, known := apps[c.app]
+			wanted := c.ds == "patents" || c.ds == "mico" && !slowOnMico[c.app]
+			if key := c.app + "|" + c.ds; known && wanted && c.system == "PRG" && !seen[key] {
+				seen[key] = true
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+
+	cfg := testCfg()
+	rows := measure("t", cellsOf(cfg))
+	if want := 2*len(apps) - len(slowOnMico); len(rows) != want {
+		t.Fatalf("%d PRG cells selected, want %d", len(rows), want)
+	}
+	for _, r := range rows {
+		g := BenchDataset(r.Dataset, 1)
+		if r.App == "match p2" { // the one labeled pattern runs on the labeled variant
+			g = BenchDataset(labeledVariant(r.Dataset), 1)
+		}
+		if want := apps[r.App].lib(g); r.Count != want || r.Failed != "" {
+			t.Errorf("%s on %s: row reports %d %q, the library %d", r.App, r.Dataset, r.Count, r.Failed, want)
+		}
+	}
+
+	// Labels 0..4 so the labeled p2 (labels 1..4) has something to match.
+	small := gen.ErdosRenyi(gen.ERConfig{Vertices: 64, Edges: 220, Seed: 21, Labels: 5})
+	cfg.data = func(string) *graph.Graph { return small }
+	for _, r := range measure("t", cellsOf(cfg)) {
+		if r.Dataset != "patents" {
+			continue // every dataset name is the same small graph
+		}
+		if want := apps[r.App].ref(small); r.Count != want || r.Failed != "" {
+			t.Errorf("%s on the 64-vertex graph: row reports %d %q, the oracle %d", r.App, r.Count, r.Failed, want)
+		}
+	}
+}
+
+// TestFig10ComparesLikeWithLike checks the symmetry-breaking ablation
+// through one counting mode: with neither bar cut short, PRG is the
+// 4-motif census and PRG-U counts every match once per automorphism of
+// its motif, exactly.
+func TestFig10ComparesLikeWithLike(t *testing.T) {
+	cfg := testCfg()
+	cfg.Deadline = time.Minute
+	var cells []cell
+	for _, c := range fig10Cells(cfg) {
+		if c.ds == "patents" && c.app == "4-motifs" {
+			cells = append(cells, c)
+		}
+	}
+	counts := make(map[string]uint64)
+	for _, r := range measure("fig10", cells) {
+		if r.Failed != "" {
+			t.Skipf("%s hit the limit", r.System)
+		}
+		counts[r.System] = r.Count
+	}
+	var census, unbroken uint64
+	for _, mc := range must(peregrine.MotifCounts(BenchDataset("patents", 1), 4)) {
+		census += mc.Count
+		unbroken += uint64(len(mc.Pattern.Automorphisms())) * mc.Count
+	}
+	if len(counts) != 2 || counts["PRG"] != census || counts["PRG-U"] != unbroken {
+		t.Errorf("fig10 patents 4-motifs = %v, want PRG %d and PRG-U Σ|Aut|·count = %d", counts, census, unbroken)
+	}
+}
+
+// BenchmarkPaper times every experiment of the paper's evaluation, one
+// sub-benchmark each: `go test -run '^$' -bench 'Paper/fig1b$'
+// -benchtime=1x ./internal/harness`. Tables 3 and 4 take minutes.
+func BenchmarkPaper(b *testing.B) {
+	cfg := Default()
+	for _, e := range Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				e.Run(cfg)
+			}
+		})
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"peregrine"
 	"peregrine/internal/core"
-	"peregrine/internal/fsm"
 	"peregrine/internal/graph"
 	"peregrine/internal/pattern"
 )
@@ -310,7 +309,8 @@ func compile(req Request, plans *peregrine.PlanCache) (*compiledQuery, error) {
 
 // options renders the request's execution knobs as engine options; the
 // context reaches every engine worker through core.Options.Context.
-// Plan-affecting knobs are already baked into q.prepared.
+// Plan-affecting knobs are already baked into q.prepared (fsm, which
+// prepares nothing, adds its own).
 func (q *compiledQuery) options(ctx context.Context) []peregrine.Option {
 	opts := []peregrine.Option{peregrine.WithContext(ctx)}
 	if q.req.Threads > 0 {
@@ -345,10 +345,8 @@ func (q *compiledQuery) run(ctx context.Context, g *graph.Graph) (*Result, error
 	if cerr := ctx.Err(); cerr != nil {
 		// Report cancellation only when the result is actually truncated:
 		// a cancel racing in just after a complete run must not demote it.
-		// The engine's Stopped flag is authoritative for pattern queries;
-		// fsm carries no such flag, so a cancelled fsm is always treated
-		// as truncated.
-		if q.req.Kind == KindFSM || (res.Stats != nil && res.Stats.Stopped) {
+		// The engine's Stopped flag is authoritative for every kind.
+		if res.Stats != nil && res.Stats.Stopped {
 			return res, cerr
 		}
 	}
@@ -449,12 +447,11 @@ func (q *compiledQuery) runStream(ctx context.Context, g *graph.Graph) (*Result,
 
 func (q *compiledQuery) runFSM(ctx context.Context, g *graph.Graph) (*Result, error) {
 	start := time.Now()
-	opts := core.Options{
-		Threads:            q.req.Threads,
-		NoSymmetryBreaking: q.req.NoSymmetryBreaking,
-		Context:            ctx,
+	opts := q.options(ctx)
+	if q.req.NoSymmetryBreaking {
+		opts = append(opts, peregrine.WithoutSymmetryBreaking())
 	}
-	r, err := fsm.Mine(g, q.req.MaxEdges, q.req.Support, opts)
+	r, err := peregrine.FSM(g, q.req.MaxEdges, q.req.Support, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -462,13 +459,13 @@ func (q *compiledQuery) runFSM(ctx context.Context, g *graph.Graph) (*Result, er
 	for i, fp := range r.Frequent {
 		out[i] = FrequentPattern{Pattern: fp.Pattern.String(), Support: fp.Support}
 	}
-	threads := opts.Threads
+	threads := q.req.Threads
 	if threads <= 0 {
 		threads = runtime.GOMAXPROCS(0)
 	}
 	return &Result{
 		Count:    uint64(len(out)),
 		Frequent: out,
-		Stats:    &RunStats{Threads: threads, MatchMicros: time.Since(start).Microseconds()},
+		Stats:    &RunStats{Threads: threads, Stopped: r.Stopped, MatchMicros: time.Since(start).Microseconds()},
 	}, nil
 }

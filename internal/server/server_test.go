@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -188,6 +189,53 @@ func TestFSMQuery(t *testing.T) {
 		if fp.Support < 1 || fp.Pattern == "" {
 			t.Errorf("bad frequent pattern row %+v", fp)
 		}
+	}
+}
+
+// lateCancel is a context whose Err turns Canceled after a set number
+// of nil answers, with a Done channel that never fires: it places a
+// cancellation between two of a run's own context checks, exactly.
+type lateCancel struct {
+	context.Context
+	nils atomic.Int32
+}
+
+func (c *lateCancel) Err() error {
+	if c.nils.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// An fsm job uses the engine's Stopped flag like every other kind: a
+// cancel that lands after the mine completed must not demote it, and a
+// cancel that cut a level short must.
+func TestFSMCancelAfterCompletionStaysDone(t *testing.T) {
+	g := labeledPath()
+	q, err := compile(Request{Graph: "labeled", Kind: KindFSM, MaxEdges: 2, Support: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := q.run(context.Background(), g)
+	if err != nil || want.Count == 0 {
+		t.Fatalf("uncancelled fsm = %+v, %v", want, err)
+	}
+	completedUnderCancel := false
+	for nils := int32(0); nils <= 4; nils++ {
+		ctx := &lateCancel{Context: context.Background()}
+		ctx.nils.Store(nils)
+		res, err := q.run(ctx, g)
+		switch {
+		case err != nil && !res.Stats.Stopped:
+			t.Errorf("cancel after %d checks: %v for a mine that was not cut short", nils, err)
+		case err == nil && (res.Stats.Stopped || res.Count != want.Count):
+			t.Errorf("cancel after %d checks: reported done with stopped=%v count=%d, want %d", nils, res.Stats.Stopped, res.Count, want.Count)
+		case err == nil && ctx.Err() != nil:
+			completedUnderCancel = true
+		}
+	}
+	if !completedUnderCancel {
+		t.Error("no run completed with the cancellation already visible; the test does not reach the case it is for")
 	}
 }
 

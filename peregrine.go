@@ -351,8 +351,9 @@ func CountManyWithStats(g *Graph, ps []*Pattern, opts ...Option) ([]uint64, Mult
 	return q.CountEachWithStats(g, opts...)
 }
 
-// Dataset identifies a built-in synthetic stand-in dataset (see
-// DESIGN.md §3 for the substitutions for the paper's datasets).
+// Dataset identifies a built-in synthetic stand-in dataset (see README
+// "Reproducing the paper's tables" for the substitutions for the
+// paper's datasets).
 type Dataset = gen.Dataset
 
 // Built-in stand-in datasets for the paper's evaluation graphs.
