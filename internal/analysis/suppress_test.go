@@ -15,7 +15,7 @@ func f() {
 	a := 1 //pvet:ignore lockheld per-entry load serialization; lock order documented
 	//pvet:ignore labeltrunc key space proven 16-bit in this shard
 	b := 2
-	c := 3 //pvet:ignore atomicmix
+	c := 3 //pvet:ignore ctxthread
 	_, _, _ = a, b, c
 }
 `
@@ -35,7 +35,7 @@ func TestSuppressionsParsing(t *testing.T) {
 	sups, bad := analysis.Suppressions(fset, []*ast.File{f})
 
 	if len(bad) != 1 {
-		t.Fatalf("malformed count = %d, want 1 (the reasonless atomicmix directive)", len(bad))
+		t.Fatalf("malformed count = %d, want 1 (the reasonless ctxthread directive)", len(bad))
 	}
 	if got := fset.Position(bad[0].Pos).Line; got != 7 {
 		t.Errorf("malformed directive reported at line %d, want 7", got)

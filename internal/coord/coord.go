@@ -157,7 +157,9 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.Request
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+	dec.DisallowUnknownFields() // as a node does: a misspelt field is a 400, not a different query
+	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -90,6 +90,9 @@ func postCount(t *testing.T, base string, body string) (int, server.JobInfo) {
 	return resp.StatusCode, info
 }
 
+// misspeltBody is a valid count but for one unknown field ("threds").
+const misspeltBody = `{"graph":"g","kind":"count","pattern":"0-1","threds":4,"wait":true}`
+
 const countBody = `{"kind":"count","patterns":["0-1 1-2 2-0","0-1 0-2 0-3"],"wait":true}`
 
 // TestCoordinatorMergesCounts fans a two-pattern count across 4 shards
@@ -237,6 +240,7 @@ func TestCoordinatorRejects(t *testing.T) {
 		{"caller range", `{"kind":"count","pattern":"0-1","taskLo":3,"wait":true}`, http.StatusBadRequest},
 		{"wrong graph", `{"graph":"other","kind":"count","pattern":"0-1","wait":true}`, http.StatusNotFound},
 		{"disconnected pattern", `{"kind":"count","pattern":"0-1 2-3","wait":true}`, http.StatusBadRequest},
+		{"misspelt field", misspeltBody, http.StatusBadRequest},
 	} {
 		resp, err := http.Post(coord.URL+"/v1/query", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -252,6 +256,16 @@ func TestCoordinatorRejects(t *testing.T) {
 	}
 	if n := failovers(t, coord.URL); n != 0 {
 		t.Errorf("a client error counted %d failovers", n)
+	}
+	// Clients cannot tell a coordinator from a node: the node refuses the
+	// misspelt body the same way.
+	resp, err := http.Post(a.ts.URL+"/v1/query", "application/json", strings.NewReader(misspeltBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("node: misspelt field: code %d, want 400", resp.StatusCode)
 	}
 }
 

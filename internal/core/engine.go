@@ -519,7 +519,7 @@ func (mw *multiWorker) descend(n *plan.ShareNode) {
 			mw.bufs[d] = make([]uint32, 0, 256)
 		}
 		// cands is read-only below: with one list it aliases graph
-		// adjacency storage (see the intersectListsInto ownership
+		// adjacency storage (see the intersectSetsInto ownership
 		// contract), so nothing here may write through it.
 		cands := intersectSetsInto(mw.bufs[d], lists, bits, lo, hi)
 		if len(lists) > 1 && cap(cands) > cap(mw.bufs[d]) {
@@ -712,7 +712,7 @@ func (w *worker) completeFrom(i int) {
 		w.ncBufs[i] = make([]uint32, 0, 256)
 	}
 	// cands is read-only below: single-list results alias graph
-	// adjacency storage (intersectListsInto ownership contract).
+	// adjacency storage (intersectSetsInto ownership contract).
 	cands := intersectSetsInto(w.ncBufs[i], lists, bits, lo, hi)
 	if len(lists) > 1 {
 		w.stats.Intersections++

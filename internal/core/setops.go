@@ -15,8 +15,8 @@ import "peregrine/internal/bitset"
 //
 // # Result ownership
 //
-// intersectListsInto / intersectSetsInto have a split ownership
-// contract that every caller must respect:
+// intersectSetsInto has a split ownership contract that every caller
+// must respect:
 //
 //   - With a SINGLE input list the result is a clipped VIEW into the
 //     caller's list — for the engine, a view into graph adjacency
@@ -180,25 +180,8 @@ func intersectGallop(dst []uint32, small, big []uint32) []uint32 {
 	return dst
 }
 
-// intersect2Into writes the intersection of sorted a and b into dst and
-// returns it, choosing the kernel by length skew: galloping when the
-// lengths are badly skewed (the high-degree hub vertices of power-law
-// graphs), linear merge otherwise.
-func intersect2Into(dst []uint32, a, b []uint32) []uint32 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	if len(a) == 0 {
-		return dst
-	}
-	if len(b)/(len(a)+1) >= gallopRatio {
-		return intersectGallop(dst, a, b)
-	}
-	return intersectMerge(dst, a, b)
-}
-
 // intersectInPlace retains only the elements of dst present in sorted b,
-// compacting dst forward. Like intersect2Into it adapts to skew:
+// compacting dst forward. It adapts to skew like chooseKernel:
 // galloping probes when b dwarfs dst, a linear scan otherwise.
 func intersectInPlace(dst []uint32, b []uint32) []uint32 {
 	if len(dst) == 0 || len(b) == 0 {
@@ -274,25 +257,18 @@ func chooseKernel(small, big int, driverBits, listBits, bounded bool) setKernel 
 	return kernelMerge
 }
 
-// intersectListsInto intersects all sorted lists, clipped to (lo, hi),
+// intersectSetsInto intersects all sorted lists, clipped to (lo, hi),
 // writing the result into buf (whose contents are overwritten). lists
-// must be non-empty.
+// must be non-empty. When bits is non-nil, bits[i] (which may be nil)
+// is the compressed bitmap form of lists[i], and the kernel selection
+// will route skewed operands through the bitset∩sorted and
+// bitset∩bitset paths.
 //
 // Ownership: for a SINGLE list the result is a clipped view of that
 // list — no copy, and the caller must treat it as read-only (for the
 // engine it aliases graph adjacency storage, possibly an mmap-backed
 // read-only mapping). For two or more lists the result is caller-owned
 // buf storage. See the package comment.
-func intersectListsInto(buf []uint32, lists [][]uint32, lo, hi int64) []uint32 {
-	return intersectSetsInto(buf, lists, nil, lo, hi)
-}
-
-// intersectSetsInto is intersectListsInto with optional hub bitmaps:
-// when bits is non-nil, bits[i] (which may be nil) is the compressed
-// bitmap form of lists[i], and the kernel selection will route skewed
-// operands through the bitset∩sorted and bitset∩bitset paths. The
-// single-list ownership contract of intersectListsInto applies
-// unchanged.
 func intersectSetsInto(buf []uint32, lists [][]uint32, bits []*bitset.Bitmap, lo, hi int64) []uint32 {
 	// Start from the shortest list: intersection size is bounded by it.
 	shortest := 0

@@ -110,9 +110,10 @@ func BenchmarkSetOpsIntersect(b *testing.B) {
 	for _, c := range setOpsCases {
 		small, big := benchLists(1, c.nSmall, c.nBig, c.span)
 		buf := make([]uint32, 0, c.nSmall)
+		lists := [][]uint32{small, big}
 		b.Run(c.name+"/tuned", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				buf = intersect2Into(buf[:0], small, big)
+				buf = intersectSetsInto(buf[:0], lists, nil, noLo, noHi)
 			}
 			intsPerSec(b)
 		})

@@ -62,8 +62,8 @@ func FuzzSetOps(f *testing.F) {
 		if got := intersectGallop(nil, small, big); !equalU32(got, want) {
 			t.Fatalf("intersectGallop = %v, want %v", got, want)
 		}
-		if got := intersect2Into(nil, a, b); !equalU32(got, want) {
-			t.Fatalf("intersect2Into = %v, want %v", got, want)
+		if got := intersectSetsInto(nil, [][]uint32{a, b}, nil, noLo, noHi); !equalU32(got, want) {
+			t.Fatalf("intersectSetsInto = %v, want %v", got, want)
 		}
 		if got := intersectInPlace(append([]uint32(nil), a...), b); !equalU32(got, want) {
 			t.Fatalf("intersectInPlace = %v, want %v", got, want)
@@ -73,8 +73,8 @@ func FuzzSetOps(f *testing.F) {
 		lists := [][]uint32{a, b}
 		wantClipped := refIntersect(lists, lo, hi)
 		if len(a) > 0 || len(b) > 0 {
-			if got := intersectListsInto(make([]uint32, 0, 4), lists, lo, hi); !equalU32(got, wantClipped) {
-				t.Fatalf("intersectListsInto = %v, want %v", got, wantClipped)
+			if got := intersectSetsInto(make([]uint32, 0, 4), lists, nil, lo, hi); !equalU32(got, wantClipped) {
+				t.Fatalf("intersectSetsInto = %v, want %v", got, wantClipped)
 			}
 			// Bitset paths: bitmaps for both lists, bounded and unbounded,
 			// in both array-mode (FromSorted keeps small chunks as arrays)

@@ -170,8 +170,8 @@ func TestIntersectKernelsDifferential(t *testing.T) {
 			t.Log("intersectGallop mismatch")
 			return false
 		}
-		if !equalU32(intersect2Into(nil, a, b), want) {
-			t.Log("intersect2Into mismatch")
+		if !equalU32(intersectSetsInto(nil, [][]uint32{a, b}, nil, noLo, noHi), want) {
+			t.Log("intersectSetsInto mismatch")
 			return false
 		}
 		dst := append([]uint32(nil), a...)
@@ -202,7 +202,7 @@ func TestIntersectListsIntoDifferential(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			hi = int64(rng.Intn(int(span)))
 		}
-		got := intersectListsInto(make([]uint32, 0, 8), lists, lo, hi)
+		got := intersectSetsInto(make([]uint32, 0, 8), lists, nil, lo, hi)
 		want := refIntersect(lists, lo, hi)
 		if !equalU32(got, want) {
 			t.Logf("lists=%d lo=%d hi=%d: got %v want %v", k, lo, hi, got, want)
@@ -306,7 +306,7 @@ func TestKernelSelectionProperties(t *testing.T) {
 // callers must not write through it.
 func TestSingleListResultAliasesInput(t *testing.T) {
 	s := []uint32{2, 4, 6, 8, 10}
-	got := intersectListsInto(make([]uint32, 0, 8), [][]uint32{s}, 3, 9)
+	got := intersectSetsInto(make([]uint32, 0, 8), [][]uint32{s}, nil, 3, 9)
 	want := []uint32{4, 6, 8}
 	if !equalU32(got, want) {
 		t.Fatalf("clipped single list = %v, want %v", got, want)
@@ -316,7 +316,7 @@ func TestSingleListResultAliasesInput(t *testing.T) {
 	}
 	// Multi-list results must NOT alias either input.
 	buf := make([]uint32, 0, 8)
-	got = intersectListsInto(buf, [][]uint32{s, {4, 8}}, noLo, noHi)
+	got = intersectSetsInto(buf, [][]uint32{s, {4, 8}}, nil, noLo, noHi)
 	if &got[0] == &s[1] || &got[0] == &s[3] {
 		t.Fatal("multi-list result must be caller-owned buf storage")
 	}

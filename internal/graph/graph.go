@@ -141,10 +141,11 @@ func (g *Graph) OrigID(v uint32) uint32 {
 // HasEdge reports whether the undirected edge (u, v) exists, using
 // binary search on the smaller adjacency list.
 func (g *Graph) HasEdge(u, v uint32) bool {
-	if g.Degree(u) > g.Degree(v) {
-		u, v = v, u
+	au, av := g.Adj(u), g.Adj(v)
+	if len(au) > len(av) {
+		return contains(av, u)
 	}
-	return contains(g.Adj(u), v)
+	return contains(au, v)
 }
 
 // MaxDegree returns the maximum vertex degree.
@@ -360,8 +361,16 @@ func (g *Graph) String() string {
 
 // contains reports whether sorted slice s contains x.
 func contains(s []uint32, x uint32) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
-	return i < len(s) && s[i] == x
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(s) && s[lo] == x
 }
 
 // Contains reports whether the sorted slice s contains x. It is exported

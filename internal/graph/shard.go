@@ -609,20 +609,14 @@ func LoadSharded(path string) (*Graph, error) {
 	return &Graph{sh: s}, nil
 }
 
-// ShardCounters is the fragment count of a loaded sharded graph. Every
-// fragment is loaded for as long as the graph is, so there is nothing
-// finer to count.
-type ShardCounters struct {
-	Shards int // fragments in the manifest
-}
-
-// ShardCounters describes a sharded graph's storage; ok is false for
-// non-sharded graphs.
-func (g *Graph) ShardCounters() (ShardCounters, bool) {
+// Shards is the fragment count of a loaded sharded graph, 0 for a
+// graph that is not sharded. Every fragment is loaded for as long as
+// the graph is, so there is nothing finer to count.
+func (g *Graph) Shards() int {
 	if g.sh == nil {
-		return ShardCounters{}, false
+		return 0
 	}
-	return ShardCounters{Shards: len(g.sh.frags)}, true
+	return len(g.sh.frags)
 }
 
 // ShardedSource serves a sharded graph described by a manifest file.

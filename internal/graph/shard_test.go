@@ -56,6 +56,13 @@ func shardedDiff(g, sg *Graph) error {
 		if sg.Label(v) != g.Label(v) || sg.OrigID(v) != g.OrigID(v) {
 			return fmt.Errorf("vertex %d: label %d/%d, origID %d/%d", v, sg.Label(v), g.Label(v), sg.OrigID(v), g.OrigID(v))
 		}
+		// HasEdge, both argument orders: every neighbour (the endpoints may
+		// sit in different fragments) and one probe that is mostly a miss.
+		for _, u := range append(slices.Clone(g.Adj(v)), (v*7+3)%g.NumVertices()) {
+			if want := g.HasEdge(v, u); sg.HasEdge(v, u) != want || sg.HasEdge(u, v) != want {
+				return fmt.Errorf("HasEdge(%d, %d): sharded %v/%v, whole %v", v, u, sg.HasEdge(v, u), sg.HasEdge(u, v), want)
+			}
+		}
 	}
 	return nil
 }
@@ -115,8 +122,8 @@ func TestSaveShardedRoundTrip(t *testing.T) {
 				t.Fatalf("LoadSharded: %v", err)
 			}
 			defer sg.Close()
-			if sc, ok := sg.ShardCounters(); !ok || sc.Shards != 4 {
-				t.Fatalf("loaded graph reports shard counters %+v, %v", sc, ok)
+			if n := sg.Shards(); n != 4 || g.Shards() != 0 {
+				t.Fatalf("Shards() = %d sharded, %d whole; want 4, 0", n, g.Shards())
 			}
 			checkShardedEquals(t, g, sg)
 

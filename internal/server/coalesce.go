@@ -118,8 +118,8 @@ type cbatch struct {
 // Coalescer groups concurrent count queries per graph into
 // micro-batches. Safe for concurrent use.
 type Coalescer struct {
-	base    context.Context
-	acquire func(name string) (*graph.Graph, func(), error)
+	base context.Context
+	with func(name string, fn func(*graph.Graph) error) error
 
 	mu      sync.Mutex
 	cfg     CoalesceConfig
@@ -134,15 +134,15 @@ type Coalescer struct {
 }
 
 // NewCoalescer returns a coalescer whose merged executions descend
-// from base (server shutdown aborts them) and acquire graphs through
-// acquire (the registry's pin-for-the-run entry point).
-func NewCoalescer(base context.Context, cfg CoalesceConfig, acquire func(string) (*graph.Graph, func(), error)) *Coalescer {
+// from base (server shutdown aborts them) and reach graphs through with
+// (Registry.With: the graph is pinned for the run, and only for it).
+func NewCoalescer(base context.Context, cfg CoalesceConfig, with func(string, func(*graph.Graph) error) error) *Coalescer {
 	if base == nil {
 		base = context.Background()
 	}
 	return &Coalescer{
 		base:    base,
-		acquire: acquire,
+		with:    with,
 		cfg:     cfg.withDefaults(),
 		pending: make(map[string]*cbatch),
 	}
@@ -271,70 +271,68 @@ func (c *Coalescer) detach(b *cbatch, m *cmember) {
 // own request options apply and no coalescing is recorded.
 func (c *Coalescer) execute(ctx context.Context, b *cbatch, live []*cmember) {
 	start := time.Now()
-	fail := func(err error) {
+	// The callback returns an error only before anything was delivered,
+	// so a failed With — unknown graph, failed load, failed run — owes
+	// every member that error and nothing else.
+	err := c.with(live[0].q.req.Graph, func(g *graph.Graph) error {
+		queries := make([]*peregrine.PreparedQuery, len(live))
+		npat := 0
+		for i, m := range live {
+			queries[i] = m.q.prepared
+			npat += len(m.q.texts)
+		}
+		opts := []peregrine.Option{peregrine.WithContext(ctx)}
+		if b == nil {
+			opts = live[0].q.options(ctx)
+		}
+		per, ms, err := peregrine.CountEachMerged(g, queries, opts...)
+		if err != nil {
+			return err
+		}
+		exec := time.Since(start)
+
+		// Even a cancelled run's morph telemetry is real work done; batch-
+		// level, so observed once per execution, not once per member.
+		c.morph.observe(ms.Morph)
+		if b != nil {
+			c.counters.batches.Add(1)
+			if len(live) > 1 {
+				c.counters.coalesced.Add(uint64(len(live)))
+			}
+			c.counters.patterns.Add(uint64(npat))
+			c.counters.uniquePlans.Add(uint64(len(ms.Per)))
+			c.counters.traversalsSaved.Add(uint64(len(live) - 1))
+			c.counters.intersections.Add(ms.Share.Intersections)
+			c.counters.intersectionsSaved.Add(ms.Share.IntersectionsSaved)
+		}
+
+		// A cancelled run is a truncated result for every member: the result
+		// rides along with the error so jobs report cancelled, not
+		// done-with-wrong-counts. The engine's Stopped flag is authoritative —
+		// a cancel racing in just after a complete run must not demote it.
+		var rerr error
+		if ms.Stopped && ctx.Err() != nil {
+			rerr = ctx.Err()
+		}
+		for i, m := range live {
+			var cs *CoalescingStats
+			if b != nil {
+				cs = &CoalescingStats{
+					Batch:         b.id,
+					BatchRequests: len(live),
+					BatchPatterns: npat,
+					UniquePlans:   len(ms.Per),
+					QueueMicros:   start.Sub(m.enq).Microseconds(),
+					ExecMicros:    exec.Microseconds(),
+				}
+			}
+			m.res <- doResult{res: m.q.countResult(per[i], ms, cs), err: rerr}
+		}
+		return nil
+	})
+	if err != nil {
 		for _, m := range live {
 			m.res <- doResult{err: err}
 		}
-	}
-	g, release, err := c.acquire(live[0].q.req.Graph)
-	if err != nil {
-		fail(err)
-		return
-	}
-	defer release()
-
-	queries := make([]*peregrine.PreparedQuery, len(live))
-	npat := 0
-	for i, m := range live {
-		queries[i] = m.q.prepared
-		npat += len(m.q.texts)
-	}
-	opts := []peregrine.Option{peregrine.WithContext(ctx)}
-	if b == nil {
-		opts = live[0].q.options(ctx)
-	}
-	per, ms, err := peregrine.CountEachMerged(g, queries, opts...)
-	if err != nil {
-		fail(err)
-		return
-	}
-	exec := time.Since(start)
-
-	// Even a cancelled run's morph telemetry is real work done; batch-
-	// level, so observed once per execution, not once per member.
-	c.morph.observe(ms.Morph)
-	if b != nil {
-		c.counters.batches.Add(1)
-		if len(live) > 1 {
-			c.counters.coalesced.Add(uint64(len(live)))
-		}
-		c.counters.patterns.Add(uint64(npat))
-		c.counters.uniquePlans.Add(uint64(len(ms.Per)))
-		c.counters.traversalsSaved.Add(uint64(len(live) - 1))
-		c.counters.intersections.Add(ms.Share.Intersections)
-		c.counters.intersectionsSaved.Add(ms.Share.IntersectionsSaved)
-	}
-
-	// A cancelled run is a truncated result for every member: the result
-	// rides along with the error so jobs report cancelled, not
-	// done-with-wrong-counts. The engine's Stopped flag is authoritative —
-	// a cancel racing in just after a complete run must not demote it.
-	var rerr error
-	if ms.Stopped && ctx.Err() != nil {
-		rerr = ctx.Err()
-	}
-	for i, m := range live {
-		var cs *CoalescingStats
-		if b != nil {
-			cs = &CoalescingStats{
-				Batch:         b.id,
-				BatchRequests: len(live),
-				BatchPatterns: npat,
-				UniquePlans:   len(ms.Per),
-				QueueMicros:   start.Sub(m.enq).Microseconds(),
-				ExecMicros:    exec.Microseconds(),
-			}
-		}
-		m.res <- doResult{res: m.q.countResult(per[i], ms, cs), err: rerr}
 	}
 }

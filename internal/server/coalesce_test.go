@@ -219,7 +219,7 @@ func jobStatsKeys(t *testing.T, ts *httptest.Server, body string) []string {
 // though the merged traversal keeps running for its co-members.
 func TestCoalescedCancellationIsolation(t *testing.T) {
 	// A gated graph source makes the execution phase deterministic: the
-	// batch's executor blocks inside Acquire until the test releases the
+	// batch's executor blocks inside Registry.With until the test releases the
 	// gate, so the DELETE provably lands while the batch is executing.
 	gate := make(chan struct{})
 	loadStarted := make(chan struct{})

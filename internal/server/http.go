@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"peregrine"
+	"peregrine/internal/graph"
 )
 
 // maxBodyBytes bounds POST bodies; patterns and parameters are tiny.
@@ -59,7 +60,7 @@ const DefaultStreamAttachTimeout = time.Minute
 // cancelling base aborts every running query (graceful shutdown).
 func NewServer(base context.Context, reg *Registry) *Server {
 	s := &Server{registry: reg, jobs: NewManager(base), plans: peregrine.NewPlanCache(0)}
-	s.coalescer = NewCoalescer(base, CoalesceConfig{Window: DefaultCoalesceWindow}, reg.Acquire)
+	s.coalescer = NewCoalescer(base, CoalesceConfig{Window: DefaultCoalesceWindow}, reg.With)
 	s.streamAttachTimeout.Store(int64(DefaultStreamAttachTimeout))
 	return s
 }
@@ -137,28 +138,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// The graph is resolved inside the job so a slow first load (large
 	// edge-list file) does not block the POST: async clients get their
-	// 202 immediately and load failures surface as failed jobs. The
-	// acquisition pins the graph for the job's whole run — the memory
+	// 202 immediately and load failures surface as failed jobs.
+	// Registry.With pins the graph for the job's whole run — the memory
 	// budget can never evict (and unmap) a graph under an in-flight
 	// query.
 	//
 	// Count queries go through the coalescer, the server's one count
-	// executor: it acquires the graph once per merged batch, and the
-	// job's context cancellation detaches just this request from its
-	// batch (co-batched requests are unaffected).
+	// executor: it pins the graph once per merged batch, and the job's
+	// context cancellation detaches just this request from its batch
+	// (co-batched requests are unaffected).
 	run := func(ctx context.Context) (*Result, error) {
 		if req.Kind == KindCount {
 			return s.coalescer.Do(ctx, q)
 		}
-		g, release, err := s.registry.Acquire(req.Graph)
-		if err != nil {
-			if q.stream != nil {
-				close(q.stream.ch) // unblock a waiting stream consumer
-			}
-			return nil, err
+		var res *Result
+		ran := false
+		err := s.registry.With(req.Graph, func(g *graph.Graph) (err error) {
+			ran = true
+			res, err = q.run(ctx, g)
+			return err
+		})
+		if !ran && q.stream != nil {
+			close(q.stream.ch) // never mined: unblock a waiting stream consumer
 		}
-		defer release()
-		return q.run(ctx, g)
+		return res, err
 	}
 	job := s.jobs.Submit(req, q.stream, run)
 	if q.stream != nil {

@@ -15,7 +15,7 @@ import (
 	"peregrine/internal/graph"
 )
 
-// ErrUnknownGraph is returned by Registry.Acquire for unregistered
+// ErrUnknownGraph is returned by Registry.With for unregistered
 // names; the HTTP layer maps it to 404.
 var ErrUnknownGraph = errors.New("unknown graph")
 
@@ -60,8 +60,8 @@ type graphEntry struct {
 	// Guarded by Registry.mu:
 	g        *graph.Graph
 	bytes    uint64      // resident size of g (0 when unloaded)
-	pins     int         // in-flight acquisitions; > 0 blocks eviction
-	lastUse  uint64      // registry clock stamp of the latest Acquire
+	pins     int         // in-flight With calls; > 0 blocks eviction
+	lastUse  uint64      // registry clock stamp of the latest With
 	stat     *graph.Stat // memoized successful src.Stat
 	noStat   bool        // src.Stat returned ErrNoStat; stop re-probing
 	srcBytes uint64      // memoized src.Bytes pre-load size estimate
@@ -90,7 +90,7 @@ type Registry struct {
 	entries  map[string]*graphEntry
 	maxBytes uint64 // 0 = unlimited
 	resident uint64 // total bytes of loaded graphs
-	clock    uint64 // LRU tick, advanced per Acquire
+	clock    uint64 // LRU tick, advanced per With
 	hubDeg   uint32 // BuildHubBitsets threshold applied at load (0 = off)
 
 	// Fragments of sharded graphs mapped by loads and unmapped by budget
@@ -135,9 +135,9 @@ func (r *Registry) hubBitsetDeg() uint32 {
 // AddSource registers src under name, replacing any previous entry.
 // A replaced entry's resident graph leaves the accounting immediately
 // and — when the registry owned it (non-shared source) — its storage
-// is released: at once when idle, or by the last release of the
+// is released: at once when idle, or by the last unpin of the
 // queries still pinning it (which finish against the graph they
-// acquired).
+// were handed).
 //
 // A shared source (graph.Shared: MemorySource) is materialized
 // immediately and held permanently resident: the graph already exists
@@ -199,13 +199,28 @@ func (r *Registry) AddDataset(name string, d gen.Dataset, scale int) {
 		func() (*graph.Graph, error) { return gen.Standard(d, scale), nil }))
 }
 
-// Acquire returns the graph registered under name, loading it through
-// its Source if it is not resident, and pins it: until release is
-// called the graph cannot be evicted (and so, for mmap-backed graphs,
-// cannot be unmapped mid-query). release is idempotent. Concurrent
-// Acquires of the same unloaded graph perform one load; Acquires of
-// other graphs are never blocked by it.
-func (r *Registry) Acquire(name string) (g *graph.Graph, release func(), err error) {
+// With runs fn on the graph registered under name, loading it through
+// its Source if it is not resident. The graph is pinned for exactly the
+// length of the call — it cannot be evicted (and so, for mmap-backed
+// graphs, cannot be unmapped mid-query) while fn runs, and the pin is
+// dropped when fn returns or panics — so fn must not keep g past its
+// return. With returns fn's error; when the name is unknown or the load
+// fails it returns that error and fn never runs. Concurrent calls for
+// the same unloaded graph perform one load; calls for other graphs are
+// never blocked by it.
+func (r *Registry) With(name string, fn func(*graph.Graph) error) error {
+	e, g, err := r.acquire(name)
+	if err != nil {
+		return err
+	}
+	defer r.unpin(e)
+	return fn(g)
+}
+
+// acquire pins name's entry and returns its graph, loading it if
+// needed; on success the caller owes exactly one unpin(e). Only With
+// calls it, so a pin cannot outlive the scope that took it.
+func (r *Registry) acquire(name string) (*graphEntry, *graph.Graph, error) {
 	r.mu.Lock()
 	e, ok := r.entries[name]
 	if !ok {
@@ -217,35 +232,37 @@ func (r *Registry) Acquire(name string) (g *graph.Graph, release func(), err err
 	e.pins++
 	r.clock++
 	e.lastUse = r.clock
-	g = e.g
+	g := e.g
 	r.mu.Unlock()
 
-	unpin := func() {
-		r.mu.Lock()
-		e.pins--
-		if e.pins == 0 && r.entries[e.name] != e && e.g != nil && !e.shared {
-			// The entry was replaced (AddSource) while this query ran:
-			// nothing can reach it anymore, so the last release frees
-			// its storage. Its bytes already left the accounting.
-			// (Shared graphs stay with their owner, never Closed here.)
-			_ = e.g.Close()
-			e.g = nil
-		}
-		// A release can be what makes an over-budget graph evictable
-		// (e.g. a graph bigger than the whole budget, kept only while
-		// its query ran): settle back under the budget now rather than
-		// at the next load.
-		r.evictLocked()
-		r.mu.Unlock()
-	}
 	if g == nil {
+		var err error
 		if g, err = r.load(e); err != nil {
-			unpin()
+			r.unpin(e)
 			return nil, nil, err
 		}
 	}
-	var once sync.Once
-	return g, func() { once.Do(unpin) }, nil
+	return e, g, nil
+}
+
+// unpin drops one pin taken by acquire.
+func (r *Registry) unpin(e *graphEntry) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e.pins--
+	if e.pins == 0 && r.entries[e.name] != e && e.g != nil && !e.shared {
+		// The entry was replaced (AddSource) while this query ran:
+		// nothing can reach it anymore, so the last unpin frees its
+		// storage. Its bytes already left the accounting. (Shared
+		// graphs stay with their owner, never Closed here.)
+		_ = e.g.Close()
+		e.g = nil
+	}
+	// An unpin can be what makes an over-budget graph evictable (e.g. a
+	// graph bigger than the whole budget, kept only while its query
+	// ran): settle back under the budget now rather than at the next
+	// load.
+	r.evictLocked()
 }
 
 // load materializes e's graph, serializing concurrent loaders of the
@@ -275,9 +292,7 @@ func (r *Registry) load(e *graphEntry) (*graph.Graph, error) {
 	e.g = g
 	e.stat = &st
 	e.loads++
-	if sc, ok := g.ShardCounters(); ok {
-		r.shardLoads += uint64(sc.Shards)
-	}
+	r.shardLoads += uint64(g.Shards())
 	if r.entries[e.name] == e {
 		e.bytes = g.Bytes()
 		// A real load is also the best size estimate for the entry's
@@ -289,26 +304,6 @@ func (r *Registry) load(e *graphEntry) (*graph.Graph, error) {
 	// A stale entry (replaced by AddSource mid-load) stays unaccounted:
 	// its pins drain and the last unpin closes the graph.
 	r.mu.Unlock()
-	return g, nil
-}
-
-// Get is Acquire without holding a pin: it acquires the entry (loading
-// the graph if needed) and releases the pin before returning, so the
-// caller gets a loaded *graph.Graph it does not own. Convenient where
-// no memory budget is set (eviction disabled), but under a budget the
-// returned graph may be evicted — and an mmap-backed one unmapped — at
-// any point. Query execution paths must use Acquire.
-//
-// This acquire-then-immediately-release shape is exactly what the
-// pinrelease analyzer exists to flag; Get is its one named exemption
-// (see internal/analysis/pinrelease's allowlist). Do not copy this
-// pattern elsewhere — call Acquire and defer the release.
-func (r *Registry) Get(name string) (*graph.Graph, error) {
-	g, release, err := r.Acquire(name)
-	if err != nil {
-		return nil, err
-	}
-	release()
 	return g, nil
 }
 
@@ -337,11 +332,9 @@ func (r *Registry) evictLocked() {
 		if victim == nil {
 			return
 		}
-		// Closing is safe here: pins == 0 means no acquirer holds the
-		// graph, and every future use must Acquire under r.mu first.
-		if sc, ok := victim.g.ShardCounters(); ok {
-			r.shardEvictions += uint64(sc.Shards)
-		}
+		// Closing is safe here: pins == 0 means no With call holds the
+		// graph, and every future use must pin under r.mu first.
+		r.shardEvictions += uint64(victim.g.Shards())
 		_ = victim.g.Close()
 		victim.g = nil
 		r.resident -= victim.bytes
@@ -393,11 +386,8 @@ func (r *Registry) ShardCounters() (shards int, loads, evictions uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, e := range r.entries {
-		if e.g == nil {
-			continue
-		}
-		if sc, ok := e.g.ShardCounters(); ok {
-			shards += sc.Shards
+		if e.g != nil {
+			shards += e.g.Shards()
 		}
 	}
 	return shards, r.shardLoads, r.shardEvictions
@@ -432,9 +422,9 @@ func (r *Registry) List() []GraphInfo {
 		if e.g != nil {
 			info.Loaded = true
 			info.Bytes = e.bytes
-			if sc, ok := e.g.ShardCounters(); ok {
-				e.shards = sc.Shards
-				info.Shards = sc.Shards
+			if n := e.g.Shards(); n > 0 {
+				e.shards = n
+				info.Shards = n
 			}
 		} else {
 			info.Bytes = e.srcBytes
@@ -459,7 +449,7 @@ func (r *Registry) List() []GraphInfo {
 
 	// Source probes are filesystem reads (.pgr headers, file sizes).
 	// They run outside the registry lock so a slow disk cannot stall
-	// Acquire on other graphs, and the answers — including "this
+	// With on other graphs, and the answers — including "this
 	// format cannot stat" — are memoized so a polled listing does not
 	// re-open every cold graph file on every request.
 	out := make([]GraphInfo, 0, len(probes))

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -55,6 +56,33 @@ func loadedSet(r *Registry) map[string]bool {
 	return out
 }
 
+// use runs fn (nil: just touch the graph) on name's graph under its pin.
+func use(t testing.TB, r *Registry, name string, fn func(g *graph.Graph)) {
+	t.Helper()
+	err := r.With(name, func(g *graph.Graph) error {
+		if g.NumVertices() == 0 {
+			t.Errorf("With(%q) handed fn an empty graph", name)
+		}
+		if fn != nil {
+			fn(g)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("With(%q): %v", name, err)
+	}
+}
+
+// adjSum reads every adjacency entry of g: a fault if g's mapping is gone.
+func adjSum(g *graph.Graph) (sum uint64) {
+	for v := uint32(0); v < g.NumVertices(); v++ {
+		for _, u := range g.Adj(v) {
+			sum += uint64(u)
+		}
+	}
+	return sum
+}
+
 // Under a byte budget the registry must evict the least-recently-used
 // idle graph, and an evicted graph must lazily reload on next use. One
 // of the three is sharded: it is charged, evicted and reloaded whole.
@@ -71,21 +99,9 @@ func TestRegistryLRUEviction(t *testing.T) {
 	}
 	r.SetMaxBytes(2*size + size/2) // room for two graphs, not three
 
-	use := func(name string) {
-		t.Helper()
-		g, release, err := r.Acquire(name)
-		if err != nil {
-			t.Fatalf("Acquire(%q): %v", name, err)
-		}
-		if g.NumVertices() == 0 {
-			t.Fatalf("Acquire(%q) returned empty graph", name)
-		}
-		release()
-	}
-
-	use("a")
-	use("b")
-	use("c") // over budget: a is the LRU idle entry
+	use(t, r, "a", nil)
+	use(t, r, "b", nil)
+	use(t, r, "c", nil) // over budget: a is the LRU idle entry
 	if got := loadedSet(r); got["a"] || !got["b"] || !got["c"] {
 		t.Fatalf("after a,b,c loaded = %v, want a evicted", got)
 	}
@@ -95,7 +111,7 @@ func TestRegistryLRUEviction(t *testing.T) {
 
 	// The evicted graph reloads transparently — a second load of its
 	// source — and pushes out the now-LRU b.
-	use("a")
+	use(t, r, "a", nil)
 	if n := r.LoadCount("a"); n != 2 {
 		t.Fatalf("a loaded %d times, want 2 (evict + lazy reload)", n)
 	}
@@ -126,59 +142,68 @@ func TestRegistryPinnedGraphSurvives(t *testing.T) {
 	}
 	r.SetMaxBytes(size + size/2) // room for one graph only
 
-	ga, release, err := r.Acquire("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two more loads while a is pinned: each makes a the LRU entry,
-	// but eviction must pass over it and take the idle one instead.
-	for _, name := range []string{"b", "c"} {
-		g, rel, err := r.Acquire(name)
-		if err != nil {
-			t.Fatal(err)
+	use(t, r, "a", func(ga *graph.Graph) {
+		// Two more loads while a is pinned: each makes a the LRU entry,
+		// but eviction must pass over it and take the idle one instead.
+		use(t, r, "b", nil)
+		use(t, r, "c", nil)
+		if got := loadedSet(r); !got["a"] {
+			t.Fatalf("pinned graph a evicted: loaded = %v", got)
 		}
-		g.NumVertices()
-		rel()
-	}
-	if got := loadedSet(r); !got["a"] {
-		t.Fatalf("pinned graph a evicted: loaded = %v", got)
-	}
-	// The pinned graph must still be fully usable (would fault if its
-	// mapping had been unmapped).
-	var sum uint64
-	for v := uint32(0); v < ga.NumVertices(); v++ {
-		for _, u := range ga.Adj(v) {
-			sum += uint64(u)
+		// The pinned graph must still be fully usable (would fault if its
+		// mapping had been unmapped).
+		if adjSum(ga) == 0 {
+			t.Fatal("pinned graph unreadable")
 		}
-	}
-	if sum == 0 {
-		t.Fatal("pinned graph unreadable")
-	}
-	var pinned int
-	for _, gi := range r.List() {
-		if gi.Name == "a" {
-			pinned = gi.Pinned
+		for _, gi := range r.List() {
+			if gi.Name == "a" && gi.Pinned != 1 {
+				t.Fatalf("a reports %d pins, want 1", gi.Pinned)
+			}
 		}
-	}
-	if pinned != 1 {
-		t.Fatalf("a reports %d pins, want 1", pinned)
-	}
+	})
 
-	// After release (idempotent), a becomes evictable again.
-	release()
-	release()
-	g, rel, err := r.Acquire("b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.NumVertices()
-	rel()
+	// Once With has returned, a is evictable again.
+	use(t, r, "b", nil)
 	if got := loadedSet(r); got["a"] {
-		t.Fatalf("released graph a not evicted under pressure: loaded = %v", got)
+		t.Fatalf("unpinned graph a not evicted under pressure: loaded = %v", got)
 	}
 }
 
-// Concurrent acquire/use/release across more graphs than the budget
+// However With ends — fn panics, fn fails, the load fails — the pin is
+// gone when it does: the pin count reads 0 and a one-byte budget evicts.
+func TestWithReleasesOnPanicAndError(t *testing.T) {
+	dir := t.TempDir()
+	r := NewRegistry()
+	src, _ := pgrSource(t, dir, 60, 1000)
+	r.AddSource("g", src)
+	r.AddSource("broken", graph.FileSource(filepath.Join(dir, "missing.pgr")))
+
+	boom := errors.New("boom")
+	if err := r.With("g", func(*graph.Graph) error { return boom }); err != boom {
+		t.Fatalf("With returned %v, want fn's error", err)
+	}
+	func() {
+		defer func() {
+			if recover() != "boom" {
+				t.Error("fn's panic did not propagate out of With")
+			}
+		}()
+		_ = r.With("g", func(*graph.Graph) error { panic("boom") })
+	}()
+	if err := r.With("broken", func(*graph.Graph) error { return nil }); err == nil {
+		t.Fatal("With on an unloadable source succeeded")
+	}
+
+	if _, loaded, pinned, _ := r.Counters(); loaded != 1 || pinned != 0 {
+		t.Fatalf("after three failed Withs: %d loaded, %d pinned; want 1, 0", loaded, pinned)
+	}
+	r.SetMaxBytes(1)
+	if res := r.ResidentBytes(); res != 0 {
+		t.Fatalf("resident = %d under a one-byte budget: a pin leaked", res)
+	}
+}
+
+// Concurrent pinned use across more graphs than the budget
 // holds: every access must see a valid mapped graph (a pin bug faults
 // here), accounting must stay consistent, and the run is race-checked
 // by CI's -race pass.
@@ -198,13 +223,7 @@ func TestRegistryConcurrentEvictionChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var sum uint64
-		for v := uint32(0); v < g.NumVertices(); v++ {
-			for _, u := range g.Adj(v) {
-				sum += uint64(u)
-			}
-		}
-		sums[name] = sum
+		sums[name] = adjSum(g)
 		g.Close()
 	}
 	r.SetMaxBytes(2 * size) // roughly half the working set
@@ -220,23 +239,16 @@ func TestRegistryConcurrentEvictionChurn(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < iters; i++ {
 				name := names[rng.Intn(len(names))]
-				g, release, err := r.Acquire(name)
-				if err != nil {
-					errs <- fmt.Errorf("Acquire(%q): %w", name, err)
-					return
-				}
-				var sum uint64
-				for v := uint32(0); v < g.NumVertices(); v++ {
-					for _, u := range g.Adj(v) {
-						sum += uint64(u)
+				err := r.With(name, func(g *graph.Graph) error {
+					if sum := adjSum(g); sum != sums[name] {
+						return fmt.Errorf("graph %q corrupted under churn: sum %d, want %d", name, sum, sums[name])
 					}
-				}
-				if sum != sums[name] {
-					errs <- fmt.Errorf("graph %q corrupted under churn: sum %d, want %d", name, sum, sums[name])
-					release()
+					return nil
+				})
+				if err != nil {
+					errs <- err
 					return
 				}
-				release()
 			}
 		}(w)
 	}
@@ -245,7 +257,7 @@ func TestRegistryConcurrentEvictionChurn(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// All pins released: the registry must be able to settle under
+	// Every With has returned: the registry must be able to settle under
 	// budget, and bookkeeping must balance.
 	r.SetMaxBytes(size / 2)
 	if res := r.ResidentBytes(); res != 0 {
@@ -253,7 +265,7 @@ func TestRegistryConcurrentEvictionChurn(t *testing.T) {
 	}
 	for _, gi := range r.List() {
 		if gi.Pinned != 0 {
-			t.Fatalf("graph %q still pinned after all releases: %+v", gi.Name, gi)
+			t.Fatalf("graph %q still pinned after every With returned: %+v", gi.Name, gi)
 		}
 	}
 }
@@ -284,12 +296,7 @@ func TestRegistrySharedGraphsNeverEvicted(t *testing.T) {
 	r.SetMaxBytes(memBytes) // far under the shared graphs' footprint
 
 	// Shared entries stay loaded; only the file-backed graph cycles.
-	g, release, err := r.Acquire("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.NumVertices()
-	release()
+	use(t, r, "f", nil)
 	if got := loadedSet(r); !got["m1"] || !got["m2"] {
 		t.Fatalf("shared graphs evicted: loaded = %v", got)
 	}
@@ -299,14 +306,11 @@ func TestRegistrySharedGraphsNeverEvicted(t *testing.T) {
 		t.Fatal("shared graph was closed by eviction")
 	}
 	for _, name := range []string{"m1", "m2"} {
-		got, rel, err := r.Acquire(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != mg || got.NumVertices() == 0 {
-			t.Fatalf("Acquire(%q) = %v, want the registered shared instance", name, got)
-		}
-		rel()
+		use(t, r, name, func(got *graph.Graph) {
+			if got != mg {
+				t.Fatalf("With(%q) ran on %v, want the registered shared instance", name, got)
+			}
+		})
 	}
 	// Replacing a shared entry removes its accounting but must not
 	// Close the caller-owned graph.
@@ -318,7 +322,7 @@ func TestRegistrySharedGraphsNeverEvicted(t *testing.T) {
 
 // Re-registering a name while queries hold the old graph must keep
 // the accounting consistent: the replaced graph leaves the resident
-// total, in-flight queries finish against the graph they acquired,
+// total, in-flight queries finish against the graph they were handed,
 // and the new source serves subsequent queries.
 func TestRegistryReplaceWhilePinned(t *testing.T) {
 	dir := t.TempDir()
@@ -326,40 +330,28 @@ func TestRegistryReplaceWhilePinned(t *testing.T) {
 	src1, _ := pgrSource(t, dir, 40, 1000)
 	r.AddSource("g", src1)
 
-	old, release, err := r.Acquire("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldVerts := old.NumVertices()
-
-	src2, _ := pgrSource(t, dir, 41, 2000)
-	r.AddSource("g", src2)
-	if res := r.ResidentBytes(); res != 0 {
-		t.Fatalf("replaced graph still accounted: resident = %d", res)
-	}
-	// The pinned old graph must still be fully readable.
-	var sum uint64
-	for v := uint32(0); v < old.NumVertices(); v++ {
-		for _, u := range old.Adj(v) {
-			sum += uint64(u)
+	var oldVerts uint32
+	use(t, r, "g", func(old *graph.Graph) {
+		oldVerts = old.NumVertices()
+		src2, _ := pgrSource(t, dir, 41, 2000)
+		r.AddSource("g", src2)
+		if res := r.ResidentBytes(); res != 0 {
+			t.Fatalf("replaced graph still accounted: resident = %d", res)
 		}
-	}
-	if sum == 0 || old.NumVertices() != oldVerts {
-		t.Fatal("old graph unreadable after replacement")
-	}
-	release()
+		// The pinned old graph must still be fully readable.
+		if adjSum(old) == 0 || old.NumVertices() != oldVerts {
+			t.Fatal("old graph unreadable after replacement")
+		}
+	})
 
-	g, rel2, err := r.Acquire("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rel2()
-	if g.NumVertices() == oldVerts {
-		t.Fatal("Acquire after replacement returned the old graph")
-	}
-	if r.ResidentBytes() != g.Bytes() {
-		t.Fatalf("resident = %d, want the new graph's %d", r.ResidentBytes(), g.Bytes())
-	}
+	use(t, r, "g", func(g *graph.Graph) {
+		if g.NumVertices() == oldVerts {
+			t.Fatal("With after replacement ran on the old graph")
+		}
+		if r.ResidentBytes() != g.Bytes() {
+			t.Fatalf("resident = %d, want the new graph's %d", r.ResidentBytes(), g.Bytes())
+		}
+	})
 }
 
 // Each server compiles plans through its own cache: one server's
@@ -419,14 +411,11 @@ func TestRegistryStatBeforeLoad(t *testing.T) {
 	}
 
 	// The estimate and the real residency must agree.
-	g, release, err := r.Acquire("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	if got := g.Bytes(); got != bytes {
-		t.Fatalf("loaded Bytes = %d, want %d", got, bytes)
-	}
+	use(t, r, "g", func(g *graph.Graph) {
+		if got := g.Bytes(); got != bytes {
+			t.Fatalf("loaded Bytes = %d, want %d", got, bytes)
+		}
+	})
 }
 
 func TestRegistryHubBitsets(t *testing.T) {
@@ -436,31 +425,25 @@ func TestRegistryHubBitsets(t *testing.T) {
 	r.AddSource("g", src)
 	r.SetHubBitsetDeg(1)
 
-	g, release, err := r.Acquire("g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.HasHubBits() {
-		t.Fatal("loaded graph has no hub bitsets despite SetHubBitsetDeg")
-	}
-	if g.Bytes() <= plainBytes {
-		t.Fatal("Bytes does not include the hub bitsets")
-	}
-	// The registry's accounting must charge the bitsets too.
-	if r.ResidentBytes() != g.Bytes() {
-		t.Fatalf("resident %d != graph bytes %d", r.ResidentBytes(), g.Bytes())
-	}
-	release()
+	use(t, r, "g", func(g *graph.Graph) {
+		if !g.HasHubBits() {
+			t.Fatal("loaded graph has no hub bitsets despite SetHubBitsetDeg")
+		}
+		if g.Bytes() <= plainBytes {
+			t.Fatal("Bytes does not include the hub bitsets")
+		}
+		// The registry's accounting must charge the bitsets too.
+		if r.ResidentBytes() != g.Bytes() {
+			t.Fatalf("resident %d != graph bytes %d", r.ResidentBytes(), g.Bytes())
+		}
+	})
 
 	// Disabled threshold: the next load is bitset-free.
 	r.SetHubBitsetDeg(0)
 	r.AddSource("h", src)
-	h, release2, err := r.Acquire("h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release2()
-	if h.HasHubBits() {
-		t.Fatal("hub bitsets built with a zero threshold")
-	}
+	use(t, r, "h", func(h *graph.Graph) {
+		if h.HasHubBits() {
+			t.Fatal("hub bitsets built with a zero threshold")
+		}
+	})
 }

@@ -46,7 +46,6 @@ func labeledPath() *graph.Graph {
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	t.Cleanup(cancel)
 	reg := NewRegistry()
 	reg.AddGraph("tri2", "test:tri2", triangleGraph(2))
 	reg.AddGraph("tri5", "test:tri5", triangleGraph(5))
@@ -54,7 +53,27 @@ func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	reg.AddGraph("dense", "test:dense", gen.Standard(gen.OrkutLite, 1))
 	s := NewServer(ctx, reg)
 	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	// Every server test doubles as a pin-leak check: once the server is
+	// shut down and its jobs have ended, no graph may still be pinned.
+	t.Cleanup(func() {
+		ts.Close()
+		cancel()
+		for _, sum := range s.Jobs().List() {
+			if job, ok := s.Jobs().Get(sum.ID); ok {
+				<-job.Done()
+			}
+		}
+		// A batch whose members all detached has no job left to wait on;
+		// its cancelled run unpins within a scheduling quantum.
+		deadline := time.Now().Add(5 * time.Second)
+		for s.Stats().GraphsPinned != 0 {
+			if time.Now().After(deadline) {
+				t.Errorf("%d graphs still pinned after shutdown: %+v", s.Stats().GraphsPinned, reg.List())
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
 	return s, ts
 }
 
@@ -413,15 +432,18 @@ func TestRegistryRetriesFailedLoad(t *testing.T) {
 		}
 		return triangleGraph(1), nil
 	}))
-	if _, err := reg.Get("flaky"); err == nil {
-		t.Fatal("first Get succeeded, want transient error")
+	ran := false
+	if err := reg.With("flaky", func(*graph.Graph) error { ran = true; return nil }); err == nil || ran {
+		t.Fatalf("first With: err = %v, fn ran = %v; want the transient error and no call", err, ran)
 	}
-	g, err := reg.Get("flaky")
+	err := reg.With("flaky", func(g *graph.Graph) error {
+		if g.NumVertices() != 3 {
+			t.Errorf("retried load returned wrong graph: %v", g)
+		}
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("second Get did not retry: %v", err)
-	}
-	if g.NumVertices() != 3 {
-		t.Fatalf("retried load returned wrong graph: %v", g)
+		t.Fatalf("second With did not retry: %v", err)
 	}
 	if calls != 2 {
 		t.Fatalf("load called %d times, want 2", calls)

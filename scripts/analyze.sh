@@ -5,10 +5,11 @@
 #   1. gofmt           — formatting gate (diff listed, not rewritten)
 #   2. go vet          — the stock analyzers
 #   3. peregrine-vet   — the repo's own invariant analyzers
-#                        (labeltrunc, pinrelease, atomicmix, lockheld,
-#                        ctxthread), run through go vet -vettool so
-#                        test files are covered too
-#   4. staticcheck     — if installed; CI pins and installs its own
+#                        (labeltrunc, lockheld, ctxthread), run through
+#                        go vet -vettool so test files are covered too
+#   4. typed atomics   — no function-style integer sync/atomic calls, so
+#                        no field can mix atomic and plain access
+#   5. staticcheck     — if installed; CI pins and installs its own
 #                        copy, so locally this warns and continues
 #
 # Usage: scripts/analyze.sh
@@ -34,6 +35,12 @@ trap 'rm -f "$tool"' EXIT
 if go build -o "$tool" ./cmd/peregrine-vet; then
   go vet -vettool="$tool" ./... || fail=1
 else
+  fail=1
+fi
+
+echo "== typed atomics only =="
+if grep -rnE 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Uint64|Uintptr)\(' --include='*.go' .; then
+  echo "use atomic.Int64/Uint64/... values, not the function-style calls"
   fail=1
 fi
 
