@@ -21,7 +21,9 @@
 // retry of its shards on the next replica, not the whole query.
 // Because disjoint task ranges' counts sum exactly (see
 // peregrine.WithTaskRange), the merged counts are byte-identical to a
-// single node mining the whole graph.
+// single node mining the whole graph. Pattern morphing happens here,
+// once, above the fan-out: the nodes execute the rewritten pattern set
+// by range and the requested counts are recovered from the sums.
 package main
 
 import (

@@ -22,29 +22,59 @@ import (
 //	recover  the requested counts from the executed ones (exact, linear)
 //	demux    unique-plan rows back out to each query's pattern order
 //
+// The first three are PlanCount and the last two CountPlan.Finish, so
+// the execute stage between them can also run somewhere else (see
+// CountPlan).
+//
 // Run options (threads, task range, context) and the plan cache morph
 // relatives compile through are the first query's: a batch is one
 // execution, so its members share them.
 func countBatch(g *Graph, queries []*PreparedQuery, opts []Option) ([][]Stats, MultiStats, error) {
-	if len(queries) == 0 {
-		return nil, MultiStats{}, nil
+	cp, err := PlanCount(queries, opts...)
+	if err != nil || cp == nil {
+		return nil, MultiStats{}, err
 	}
-	var cfg config
+	per, ms := cp.Finish(core.RunPlans(g, cp.exec, nil, cp.cfg.opts))
+	return per, ms, nil
+}
+
+// CountPlan is the plan half of a counting execution: the pattern set
+// to execute in place of the one requested, and what Finish needs to
+// turn the executed set's counts back into the requested ones. Between
+// the two halves the executed set may run anywhere, in any number of
+// disjoint task ranges: recovery is a linear map over counts and ranged
+// counts of one pattern sum exactly (WithTaskRange), so recovering the
+// per-pattern sums once equals recovering a whole-graph run. A
+// coordinator does exactly that — rewrite once above its range fan-out,
+// execute by range on the nodes, sum, recover once at the merge.
+type CountPlan struct {
+	cfg  config
+	exec []*plan.Plan    // what to execute: the deduplicated plans, or their morph rewrite
+	mp   *plan.MorphPlan // nil when the batch executes as given
+	slot [][]int         // slot[q][p]: unique-plan index serving that pattern
+}
+
+// PlanCount runs countBatch's planning stages — resolve, dedup,
+// rewrite — over queries and returns the plan, or nil for no queries.
+func PlanCount(queries []*PreparedQuery, opts ...Option) (*CountPlan, error) {
+	if len(queries) == 0 {
+		return nil, nil
+	}
+	cp := &CountPlan{slot: make([][]int, len(queries))}
 	noSym := false
 	idx := make(map[*plan.Plan]int)
 	var plans []*plan.Plan
-	slot := make([][]int, len(queries)) // slot[q][p]: unique-plan index serving that pattern
 	for qi, q := range queries {
 		c := q.buildConfig(opts)
 		pps, err := q.resolve(c)
 		if err != nil {
-			return nil, MultiStats{}, err
+			return nil, err
 		}
 		if qi == 0 {
-			cfg = c
+			cp.cfg = c
 		}
 		noSym = noSym || c.opts.NoSymmetryBreaking
-		slot[qi] = make([]int, len(pps))
+		cp.slot[qi] = make([]int, len(pps))
 		for pi := range pps {
 			p := pps[pi].plan
 			j, ok := idx[p]
@@ -53,9 +83,10 @@ func countBatch(g *Graph, queries []*PreparedQuery, opts []Option) ([][]Stats, M
 				idx[p] = j
 				plans = append(plans, p)
 			}
-			slot[qi][pi] = j
+			cp.slot[qi][pi] = j
 		}
 	}
+	cfg := cp.cfg
 
 	// The morph gate — the only one. Counting batches with anti-edge
 	// patterns execute cheaper anti-edge-free relatives and recover the
@@ -67,28 +98,53 @@ func countBatch(g *Graph, queries []*PreparedQuery, opts []Option) ([][]Stats, M
 	// algebra only balances over the whole task space (see WithTaskRange).
 	// Recovery is a linear map applied after execution, which is why it is
 	// a stage here rather than a property of each entry point — and why a
-	// coordinator could hoist rewrite/recover above its range fan-out.
-	exec := plans
-	var mp *plan.MorphPlan
+	// coordinator does hoist rewrite/recover above its range fan-out.
+	cp.exec = plans
 	if !cfg.noMorph && !noSym && !cfg.taskRanged() {
-		if mp = plan.MorphBatch(plans, cfg.cache(), plan.Options{}); mp != nil {
-			exec = mp.Exec
+		if cp.mp = plan.MorphBatch(plans, cfg.cache(), plan.Options{}); cp.mp != nil {
+			cp.exec = cp.mp.Exec
 		}
 	}
-	ms := core.RunPlans(g, exec, nil, cfg.opts)
-	if mp != nil {
-		ms = recoverCounts(ms, mp)
+	return cp, nil
+}
+
+// Executed returns the patterns to execute, in the row order Finish
+// expects. They carry every constraint as written — anti-edges, labels —
+// so they run edge-induced, whatever the request's semantics were.
+func (cp *CountPlan) Executed() []*Pattern {
+	out := make([]*Pattern, len(cp.exec))
+	for i, pl := range cp.exec {
+		out[i] = pl.Pat
 	}
-	per := make([][]Stats, len(queries))
-	for qi := range slot {
-		per[qi] = make([]Stats, len(slot[qi]))
-		for pi, j := range slot[qi] {
+	return out
+}
+
+// Rewritten reports whether morphing replaced the requested set: when
+// it did not, Executed is the requested patterns less duplicates and
+// Finish only demultiplexes.
+func (cp *CountPlan) Rewritten() bool { return cp.mp != nil }
+
+// Finish runs countBatch's closing stages — recover, demux — over the
+// statistics of an execution of Executed (executed.Per holds one row
+// per executed pattern; rows summed over disjoint task ranges count as
+// one run). It returns, per query, the Stats rows in that query's own
+// pattern order, and the execution's MultiStats with Per reshaped to
+// one row per unique requested plan.
+func (cp *CountPlan) Finish(executed MultiStats) ([][]Stats, MultiStats) {
+	ms := executed
+	if cp.mp != nil {
+		ms = recoverCounts(ms, cp.mp)
+	}
+	per := make([][]Stats, len(cp.slot))
+	for qi := range cp.slot {
+		per[qi] = make([]Stats, len(cp.slot[qi]))
+		for pi, j := range cp.slot[qi] {
 			// A copy per requesting pattern: patterns sharing a plan each
 			// get the full row (their matches ARE that plan's).
 			per[qi][pi] = ms.Per[j]
 		}
 	}
-	return per, ms, nil
+	return per, ms
 }
 
 // recoverCounts rewrites a morphed execution's statistics onto the

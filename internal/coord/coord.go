@@ -8,12 +8,23 @@
 // matches rooted in that range, and disjoint ranges' counts sum to the
 // whole-graph counts — with or without symmetry breaking. The
 // coordinator therefore needs no cross-node communication at all: one
-// HTTP round per shard, then addition. Each shard carries a replica
-// list of nodes that can serve it; a node that fails mid-query (the
-// connection drops, the process dies, it answers for the wrong range)
-// costs one retry of that shard's range on the next replica, not the
-// whole query. A node's 4xx is the client's error and goes back to the
-// client as it is: no replica would answer a bad request differently.
+// HTTP round per shard, then addition.
+//
+// Pattern morphing happens here, above the fan-out, because a ranged
+// run cannot morph on its own (a pattern and its relatives root one
+// vertex set at different tasks). Its recovery is a linear map over
+// counts, so it commutes with the range sum: the coordinator plans a
+// request as a node would (server.PlanFanout: the same compile, the
+// same 400s), sends the rewritten pattern set out by range as ordinary
+// pattern text, adds the answers per executed pattern, and recovers the
+// requested counts once at the merge.
+//
+// Each shard carries a replica list of nodes that can serve it; a node
+// that fails mid-query (the connection drops, the process dies, it
+// answers for the wrong range) costs one retry of that shard's range on
+// the next replica, not the whole query. A node's 4xx is the client's
+// error and goes back to the client as it is: no replica would answer a
+// bad request differently.
 package coord
 
 import (
@@ -30,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"peregrine"
 	"peregrine/internal/server"
 )
 
@@ -62,6 +74,12 @@ type Coordinator struct {
 	cfg    Config
 	client *http.Client
 	jobSeq atomic.Uint64
+
+	// The coordinator compiles and rewrites every request itself, through
+	// its own plan cache, and tallies its rewrites for GET /v1/stats: the
+	// nodes' ranged runs never morph, so their counters cannot.
+	plans *peregrine.PlanCache
+	morph server.MorphCounters
 
 	// Per-shard failover state: preferred replica index, advanced when
 	// a replica fails so later queries skip straight to the survivor.
@@ -103,6 +121,7 @@ func New(cfg Config) (*Coordinator, error) {
 	return &Coordinator{
 		cfg:    cfg,
 		client: client,
+		plans:  peregrine.NewPlanCache(0),
 		pref:   make([]int, len(sorted)),
 		fails:  make([]uint64, len(sorted)),
 	}, nil
@@ -147,10 +166,11 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// handleQuery fans a count query out as per-shard task-range jobs and
-// responds with a terminal job snapshot, the same shape a node's
-// wait:true query returns — so clients cannot tell a coordinator from a
-// single node.
+// handleQuery plans a count query, fans its executed pattern set out as
+// per-shard task-range jobs and responds with a terminal job snapshot,
+// the same shape a node's wait:true query returns — so clients cannot
+// tell a coordinator from a single node. A request no node would run is
+// refused here, in the node's words, before any node sees it.
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
@@ -175,18 +195,27 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Graph == "" {
 		req.Graph = c.cfg.Graph
 	}
-	if req.Graph != c.cfg.Graph {
-		httpError(w, http.StatusNotFound, "coordinator serves graph %q only", c.cfg.Graph)
+	// A node's order: the request must compile (400) before its graph is
+	// looked up (404).
+	fan, err := server.PlanFanout(req, c.plans)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Stream {
-		httpError(w, http.StatusBadRequest, "coordinator queries cannot stream")
+	if req.Graph != c.cfg.Graph {
+		httpError(w, http.StatusNotFound, "coordinator serves graph %q only", c.cfg.Graph)
 		return
 	}
 
 	created := time.Now().UTC()
 	id := fmt.Sprintf("coord-%d", c.jobSeq.Add(1))
-	merged, err := c.fanOut(r.Context(), req)
+	merged, err := c.fanOut(r.Context(), fan.Request())
+	if err == nil {
+		merged = fan.Finish(merged)
+		if st := merged.Stats; st != nil && st.Morphing != nil {
+			c.morph.Observe(*st.Morphing)
+		}
+	}
 	finished := time.Now().UTC()
 	info := server.JobInfo{
 		ID:       id,
@@ -209,7 +238,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // fanOut runs req once per shard, each restricted to the shard's task
-// range, and merges the per-shard results.
+// range, and adds the per-shard results up, pattern by pattern.
 func (c *Coordinator) fanOut(ctx context.Context, req server.Request) (*server.Result, error) {
 	results := make([]*server.Result, len(c.cfg.Shards))
 	errs := make([]error, len(c.cfg.Shards))
@@ -360,27 +389,35 @@ func mergeResults(parts []*server.Result) *server.Result {
 }
 
 // handleStats sums the flat /v1/stats counters across the distinct
-// nodes, recomputing the plan-cache hit rate from the summed totals so
-// the merged body still decodes as one node's ServerStats.
+// nodes and the coordinator's own morph* tallies (the fleet's rewrites
+// happen here, not on the nodes), recomputing the plan-cache hit rate
+// from the summed totals so the merged body still decodes as one node's
+// ServerStats.
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
 	sum := make(map[string]float64)
-	for _, node := range c.Nodes() {
-		one, err := c.getJSON(r.Context(), node, "/v1/stats")
-		if err != nil {
-			// A dead node contributes nothing; the merged stats cover the
-			// reachable fleet (the query path is where failover matters).
-			continue
-		}
+	add := func(one []byte) {
 		var m map[string]float64
 		if json.Unmarshal(one, &m) != nil {
-			continue
+			return
 		}
 		for k, v := range m {
 			sum[k] += v
+		}
+	}
+	var own server.ServerStats
+	c.morph.AddTo(&own)
+	if one, err := json.Marshal(own); err == nil {
+		add(one)
+	}
+	for _, node := range c.Nodes() {
+		// A dead node contributes nothing; the merged stats cover the
+		// reachable fleet (the query path is where failover matters).
+		if one, err := c.getJSON(r.Context(), node, "/v1/stats"); err == nil {
+			add(one)
 		}
 	}
 	if hits, misses := sum["planCacheHits"], sum["planCacheMisses"]; hits+misses > 0 {

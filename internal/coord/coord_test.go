@@ -1,19 +1,25 @@
 package coord
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"peregrine"
 	"peregrine/internal/gen"
 	"peregrine/internal/graph"
+	"peregrine/internal/pattern"
+	"peregrine/internal/ref"
 	"peregrine/internal/server"
 )
 
@@ -28,15 +34,32 @@ type testNode struct {
 	ts      *httptest.Server
 	down    atomic.Bool
 	queries atomic.Int64 // POST /v1/query requests received
+
+	mu     sync.Mutex
+	bodies [][]byte // their bodies, as received
+}
+
+// received returns the query bodies the node has seen and forgets them.
+func (n *testNode) received() [][]byte {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := n.bodies
+	n.bodies = nil
+	return out
 }
 
 func newTestNode(t *testing.T) *testNode {
+	return newTestNodeOn(t, gen.ErdosRenyi(gen.ERConfig{Vertices: 80, Edges: 220, Seed: 3}), testShards)
+}
+
+// newTestNodeOn is a node serving g as "g" from a shards-fragment
+// manifest.
+func newTestNodeOn(t *testing.T, g *graph.Graph, shards int) *testNode {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
 	manifest := filepath.Join(t.TempDir(), "g.manifest")
-	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 80, Edges: 220, Seed: 3})
-	if _, err := graph.SaveSharded(manifest, g, testShards); err != nil {
+	if _, err := graph.SaveSharded(manifest, g, shards); err != nil {
 		t.Fatalf("SaveSharded: %v", err)
 	}
 	reg := server.NewRegistry()
@@ -47,6 +70,14 @@ func newTestNode(t *testing.T) *testNode {
 	n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/v1/query") {
 			n.queries.Add(1)
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			n.mu.Lock()
+			n.bodies = append(n.bodies, body)
+			n.mu.Unlock()
 		}
 		if n.down.Load() && strings.HasPrefix(r.URL.Path, "/v1/query") {
 			// Drop the connection without a response: the client sees a
@@ -94,6 +125,17 @@ func postCount(t *testing.T, base string, body string) (int, server.JobInfo) {
 const misspeltBody = `{"graph":"g","kind":"count","pattern":"0-1","threds":4,"wait":true}`
 
 const countBody = `{"kind":"count","patterns":["0-1 1-2 2-0","0-1 0-2 0-3"],"wait":true}`
+
+// morphBody is a batch the coordinator rewrites: the vertex-induced
+// 3-star and 4-path go out as anti-edge-free relatives.
+const morphBody = `{"kind":"count","patterns":["0-1 0-2 0-3","0-1 1-2 2-3"],"vertexInduced":true,"wait":true}`
+
+// rewritten reports whether a coordinator answer came from a rewritten
+// fan-out.
+func rewritten(info server.JobInfo) bool {
+	return info.Result != nil && info.Result.Stats != nil && info.Result.Stats.Morphing != nil &&
+		info.Result.Stats.Morphing.PatternsReplaced > 0
+}
 
 // TestCoordinatorMergesCounts fans a two-pattern count across 4 shards
 // on 2 nodes and checks the merged counts are byte-identical to one
@@ -185,6 +227,11 @@ func statsKeys(t *testing.T, st *server.RunStats) []string {
 // query: every shard fails over to the replica and the merged counts
 // are unchanged.
 func TestCoordinatorSurvivesNodeDeath(t *testing.T) {
+	t.Run("as given", func(t *testing.T) { testSurvivesNodeDeath(t, countBody) })
+	t.Run("rewritten", func(t *testing.T) { testSurvivesNodeDeath(t, morphBody) })
+}
+
+func testSurvivesNodeDeath(t *testing.T, countBody string) {
 	a, b := newTestNode(t), newTestNode(t)
 	coord := newTestCoordinator(t, a.ts.URL, b.ts.URL)
 
@@ -192,14 +239,21 @@ func TestCoordinatorSurvivesNodeDeath(t *testing.T) {
 	if code != http.StatusOK || want.Status != server.StatusDone {
 		t.Fatalf("healthy query: code %d, %+v", code, want)
 	}
+	_, single := postCount(t, a.ts.URL, `{"graph":"g",`+countBody[1:])
+	if single.Result == nil || want.Result.Count != single.Result.Count {
+		t.Fatalf("healthy query: count %d, single node %+v", want.Result.Count, single.Result)
+	}
 
 	a.down.Store(true)
 	code, got := postCount(t, coord.URL, countBody)
 	if code != http.StatusOK || got.Status != server.StatusDone {
 		t.Fatalf("query with node a down: code %d, %+v", code, got)
 	}
-	if got.Result.Count != want.Result.Count {
-		t.Fatalf("count changed across failover: %d != %d", got.Result.Count, want.Result.Count)
+	if got.Result.Count != want.Result.Count || !reflect.DeepEqual(got.Result.PerPattern, want.Result.PerPattern) {
+		t.Fatalf("answer changed across failover: %+v != %+v", got.Result, want.Result)
+	}
+	if rewritten(got) != (countBody == morphBody) {
+		t.Fatalf("stats.morphing = %+v for %s", got.Result.Stats.Morphing, countBody)
 	}
 
 	// /v1/coord records the failovers and the demoted preference.
@@ -224,11 +278,11 @@ func TestCoordinatorSurvivesNodeDeath(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejects checks request validation: non-count kinds,
-// caller-set task ranges, wrong graph names — and a request only the
-// nodes can refuse (a disconnected pattern), which must come back as
-// the node's 400 after one request per shard, not as a 502 after every
-// replica was tried and demoted.
+// TestCoordinatorRejects checks request validation: what only a
+// coordinator refuses (non-count kinds, caller-set task ranges, wrong
+// graph names), and what a node would refuse — which the coordinator,
+// compiling the request as a node does, refuses itself, in the node's
+// words, without a single node request.
 func TestCoordinatorRejects(t *testing.T) {
 	a, b := newTestNode(t), newTestNode(t)
 	coord := newTestCoordinator(t, a.ts.URL, b.ts.URL)
@@ -239,33 +293,45 @@ func TestCoordinatorRejects(t *testing.T) {
 		{"matches kind", `{"kind":"matches","pattern":"0-1","wait":true}`, http.StatusBadRequest},
 		{"caller range", `{"kind":"count","pattern":"0-1","taskLo":3,"wait":true}`, http.StatusBadRequest},
 		{"wrong graph", `{"graph":"other","kind":"count","pattern":"0-1","wait":true}`, http.StatusNotFound},
-		{"disconnected pattern", `{"kind":"count","pattern":"0-1 2-3","wait":true}`, http.StatusBadRequest},
-		{"misspelt field", misspeltBody, http.StatusBadRequest},
 	} {
-		resp, err := http.Post(coord.URL+"/v1/query", "application/json", strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != tc.code {
-			t.Errorf("%s: code %d, want %d", tc.name, resp.StatusCode, tc.code)
+		if code, _ := postCount(t, coord.URL, tc.body); code != tc.code {
+			t.Errorf("%s: code %d, want %d", tc.name, code, tc.code)
 		}
 	}
-	if n := a.queries.Load() + b.queries.Load(); n > testShards {
-		t.Errorf("the nodes saw %d requests, want at most one per shard (%d)", n, testShards)
+	if n := a.queries.Load() + b.queries.Load(); n != 0 {
+		t.Errorf("the nodes saw %d requests for what the coordinator refuses itself", n)
+	}
+	// Clients cannot tell a coordinator from a node: both refuse these,
+	// with the same words.
+	for name, body := range map[string]string{
+		"unparseable pattern":    `{"graph":"g","kind":"count","pattern":"0-1 1~2","wait":true}`,
+		"unparseable in a list":  `{"graph":"g","kind":"count","patterns":["0-1","1-"],"vertexInduced":true,"wait":true}`,
+		"disconnected pattern":   `{"graph":"g","kind":"count","pattern":"0-1 2-3","wait":true}`,
+		"pattern and patterns":   `{"graph":"g","kind":"count","pattern":"0-1","patterns":["0-1 1-2"],"wait":true}`,
+		"no pattern":             `{"graph":"g","kind":"count","wait":true}`,
+		"stream on a count":      `{"graph":"g","kind":"count","pattern":"0-1","stream":true}`,
+		"malformed, wrong graph": `{"graph":"other","kind":"count","pattern":"0-1 2-3","wait":true}`,
+		"misspelt field":         misspeltBody,
+	} {
+		before := a.queries.Load()
+		nodeCode, node := postCount(t, a.ts.URL, body)
+		if a.queries.Load() != before+1 {
+			t.Fatalf("%s: the direct request did not reach the node", name)
+		}
+		before = a.queries.Load() + b.queries.Load()
+		code, got := postCount(t, coord.URL, body)
+		if code != http.StatusBadRequest || nodeCode != http.StatusBadRequest {
+			t.Errorf("%s: coordinator %d, node %d, want 400 from both", name, code, nodeCode)
+		}
+		if got.Error == "" || got.Error != node.Error {
+			t.Errorf("%s: coordinator says %q, a node %q", name, got.Error, node.Error)
+		}
+		if n := a.queries.Load() + b.queries.Load() - before; n != 0 {
+			t.Errorf("%s: the nodes saw %d requests, want 0", name, n)
+		}
 	}
 	if n := failovers(t, coord.URL); n != 0 {
 		t.Errorf("a client error counted %d failovers", n)
-	}
-	// Clients cannot tell a coordinator from a node: the node refuses the
-	// misspelt body the same way.
-	resp, err := http.Post(a.ts.URL+"/v1/query", "application/json", strings.NewReader(misspeltBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("node: misspelt field: code %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -274,6 +340,13 @@ func TestCoordinatorRejects(t *testing.T) {
 // the shard fails over to a good replica, and with none left the query
 // is an error, never a short sum.
 func TestCoordinatorRefusesWrongParts(t *testing.T) {
+	t.Run("as given", func(t *testing.T) { testRefusesWrongParts(t, countBody) })
+	// A rewritten batch is recovered from the per-pattern sums: a part
+	// short of a row would be a short sum before recovery.
+	t.Run("rewritten", func(t *testing.T) { testRefusesWrongParts(t, morphBody) })
+}
+
+func testRefusesWrongParts(t *testing.T, countBody string) {
 	good := newTestNode(t)
 	_, want := postCount(t, good.ts.URL, `{"graph":"g",`+countBody[1:])
 	for name, mutate := range map[string]func(*server.JobInfo){
@@ -293,13 +366,203 @@ func TestCoordinatorRefusesWrongParts(t *testing.T) {
 		}))
 		t.Cleanup(stub.Close)
 		code, got := postCount(t, newTestCoordinator(t, stub.URL, good.ts.URL).URL, countBody)
-		if code != http.StatusOK || got.Result.Count != want.Result.Count {
-			t.Errorf("%s beside a good replica: code %d, %+v; want the good node's count %d", name, code, got.Result, want.Result.Count)
+		if code != http.StatusOK || got.Result.Count != want.Result.Count || !reflect.DeepEqual(got.Result.PerPattern, want.Result.PerPattern) {
+			t.Errorf("%s beside a good replica: code %d, %+v; want the good node's %+v", name, code, got.Result, want.Result)
+		}
+		if rewritten(got) != (countBody == morphBody) {
+			t.Errorf("%s: stats.morphing = %+v for %s", name, got.Result.Stats.Morphing, countBody)
 		}
 		if code, got := postCount(t, newTestCoordinator(t, stub.URL).URL, countBody); code != http.StatusBadGateway || got.Result != nil {
 			t.Errorf("%s with no other replica: code %d, result %+v; want 502 and no result", name, code, got.Result)
 		}
 	}
+}
+
+// TestCoordinatorMorphsAboveFanout runs requests through a 3-shard,
+// 2-node fleet with uneven ranges and checks every answer against the
+// brute-force oracle: the coordinator rewrites a batch exactly where
+// the library would on the whole graph, the nodes receive the executed
+// set as plain pattern text over their shard's range, and the answer
+// names the requested patterns with the recovered counts.
+func TestCoordinatorMorphsAboveFanout(t *testing.T) {
+	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 48, Edges: 110, Seed: 11, Labels: 2})
+	a, b := newTestNodeOn(t, g, 3), newTestNodeOn(t, g, 3)
+	ranges := []Range{{0, 5}, {5, 29}, {29, 48}}
+	c, err := New(Config{Graph: "g", Shards: Assign(ranges, []string{a.ts.URL, b.ts.URL}, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := httptest.NewServer(c.Handler())
+	t.Cleanup(coord.Close)
+
+	var small, labeled []*pattern.Pattern
+	for size := 2; size <= 4; size++ {
+		for _, p := range pattern.GenerateAllVertexInduced(size) {
+			small = append(small, p)
+			l := p.Clone()
+			l.SetLabel(0, 0)
+			l.SetLabel(p.N()-1, 1)
+			labeled = append(labeled, l)
+		}
+	}
+	five := pattern.GenerateAllVertexInduced(5)
+	five = []*pattern.Pattern{five[0], five[len(five)/2], five[len(five)-1]}
+	star, path := pattern.Star(4), pattern.Chain(4)
+
+	type tcase struct {
+		name   string
+		pats   []*pattern.Pattern
+		vi     bool
+		noSym  bool
+		single bool // the "pattern" form
+		morphs bool // the cost model rewrites it: must not pass vacuously
+	}
+	cases := []tcase{
+		{name: "all up to 4 vertices", pats: small, vi: true, morphs: true},
+		{name: "labeled mix", pats: labeled, vi: true, morphs: true},
+		{name: "5-vertex sample", pats: five, vi: true, morphs: true},
+		{name: "one pattern twice", pats: []*pattern.Pattern{star, path, star}, vi: true, morphs: true},
+		{name: "single pattern form", pats: []*pattern.Pattern{star}, vi: true, single: true, morphs: true},
+		{name: "no symmetry breaking", pats: []*pattern.Pattern{star, path}, vi: true, noSym: true},
+		{name: "edge-induced", pats: []*pattern.Pattern{star, path}},
+	}
+	for _, p := range small {
+		cases = append(cases, tcase{name: "alone " + p.String(), pats: []*pattern.Pattern{p}, vi: true})
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req := server.Request{Kind: server.KindCount, VertexInduced: tc.vi, NoSymmetryBreaking: tc.noSym, Wait: true}
+			var opts []peregrine.Option
+			if tc.noSym {
+				opts = append(opts, peregrine.WithoutSymmetryBreaking())
+			}
+			effective := make([]*pattern.Pattern, len(tc.pats))
+			var want []server.PatternCount
+			var total uint64
+			for i, p := range tc.pats {
+				effective[i] = p
+				if tc.vi {
+					effective[i] = pattern.VertexInduced(p)
+				}
+				n := ref.CountUnique(g, effective[i])
+				if tc.noSym {
+					n = ref.CountAll(g, effective[i])
+				}
+				want = append(want, server.PatternCount{Pattern: p.String(), Count: n})
+				total += n
+				req.Patterns = append(req.Patterns, p.String())
+			}
+			if tc.single {
+				req.Pattern, req.Patterns, want = req.Patterns[0], nil, nil
+			}
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a.received()
+			b.received()
+			code, got := postCount(t, coord.URL, string(body))
+			if code != http.StatusOK || got.Status != server.StatusDone {
+				t.Fatalf("code %d, %+v", code, got)
+			}
+			if got.Result.Count != total || !reflect.DeepEqual(got.Result.PerPattern, want) {
+				t.Errorf("answer %d %+v, oracle %d %+v", got.Result.Count, got.Result.PerPattern, total, want)
+			}
+			if got.Result.Stats.Matches != total {
+				t.Errorf("stats.matches = %d, want the recovered total %d", got.Result.Stats.Matches, total)
+			}
+			if !reflect.DeepEqual(got.Request.Patterns, req.Patterns) || got.Request.Pattern != req.Pattern || got.Request.VertexInduced != tc.vi {
+				t.Errorf("answer echoes request %+v, sent %+v", got.Request, req)
+			}
+
+			// Rewritten exactly where the library rewrites on the whole graph.
+			q, err := peregrine.PrepareWith(opts, effective...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := peregrine.PlanCount([]*peregrine.PreparedQuery{q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, ms, err := q.CountEachWithStats(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rewritten(got) != ms.Morph.Active() || cp.Rewritten() != ms.Morph.Active() {
+				t.Fatalf("coordinator stats.morphing %+v, library plan rewritten=%v, library run %+v",
+					got.Result.Stats.Morphing, cp.Rewritten(), ms.Morph)
+			}
+			if rewritten(got) && *got.Result.Stats.Morphing != ms.Morph {
+				t.Errorf("stats.morphing = %+v, want the one plan's %+v (not a per-shard sum)", *got.Result.Stats.Morphing, ms.Morph)
+			}
+
+			if tc.morphs && !rewritten(got) {
+				t.Errorf("not rewritten: the case checks nothing about the rewrite")
+			}
+			// What the nodes were asked: one request per range, all for the
+			// same pattern list.
+			bodies := append(a.received(), b.received()...)
+			if len(bodies) != len(ranges) {
+				t.Fatalf("the nodes saw %d requests, want one per range (%d)", len(bodies), len(ranges))
+			}
+			seen := make(map[Range]bool)
+			for _, raw := range bodies {
+				var sub server.Request
+				var keys map[string]json.RawMessage
+				if err := json.Unmarshal(raw, &sub); err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Unmarshal(raw, &keys); err != nil {
+					t.Fatal(err)
+				}
+				seen[Range{sub.TaskLo, sub.TaskHi}] = true
+				if !sub.Wait || sub.Graph != "g" || sub.NoSymmetryBreaking != tc.noSym {
+					t.Errorf("node request %s", raw)
+				}
+				if !rewritten(got) {
+					if sub.Pattern != req.Pattern || !reflect.DeepEqual(sub.Patterns, req.Patterns) || sub.VertexInduced != tc.vi {
+						t.Errorf("a batch left alone went out changed: %s", raw)
+					}
+					continue
+				}
+				if _, ok := keys["vertexInduced"]; ok || sub.Pattern != "" {
+					t.Errorf("rewritten node request carries vertexInduced or pattern: %s", raw)
+				}
+				if codes, want := canonicalCodes(t, sub.Patterns), canonicalCodesOf(cp.Executed()); !reflect.DeepEqual(codes, want) {
+					t.Errorf("node request patterns %v are not the executed set %v", sub.Patterns, cp.Executed())
+				}
+			}
+			for _, r := range ranges {
+				if !seen[r] {
+					t.Errorf("no node request for range [%d,%d): saw %v", r.Lo, r.Hi, seen)
+				}
+			}
+		})
+	}
+}
+
+// canonicalCodes parses pattern texts and returns their sorted canonical
+// codes: the set they spell, whatever the vertex numbering.
+func canonicalCodes(t *testing.T, texts []string) []string {
+	t.Helper()
+	pats := make([]*pattern.Pattern, len(texts))
+	for i, text := range texts {
+		p, err := pattern.Parse(text)
+		if err != nil {
+			t.Fatalf("pattern %q: %v", text, err)
+		}
+		pats[i] = p
+	}
+	return canonicalCodesOf(pats)
+}
+
+func canonicalCodesOf(pats []*pattern.Pattern) []string {
+	codes := make([]string, len(pats))
+	for i, p := range pats {
+		codes[i] = p.CanonicalCode()
+	}
+	sort.Strings(codes)
+	return codes
 }
 
 // failovers sums the per-shard failover counts GET /v1/coord reports.
@@ -332,17 +595,35 @@ func TestCoordinatorStats(t *testing.T) {
 	if code, info := postCount(t, coord.URL, countBody); code != http.StatusOK || info.Status != server.StatusDone {
 		t.Fatalf("query: code %d, %+v", code, info)
 	}
-	resp, err := http.Get(coord.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	fleetStats := func() (st server.ServerStats) {
+		resp, err := http.Get(coord.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatalf("merged stats do not decode as ServerStats: %v", err)
+		}
+		return st
 	}
-	defer resp.Body.Close()
-	var st server.ServerStats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("merged stats do not decode as ServerStats: %v", err)
-	}
+	st := fleetStats()
 	if st.GraphsRegistered != 2 {
 		t.Errorf("summed graphsRegistered = %d, want 2 (one per node)", st.GraphsRegistered)
+	}
+	if st.MorphRuns != 0 {
+		t.Errorf("morphRuns = %d after an edge-induced query, want 0", st.MorphRuns)
+	}
+
+	// The fleet's rewrites happen at the coordinator — the nodes' ranged
+	// runs never morph — so its own tallies are what the morph* keys show.
+	_, info := postCount(t, coord.URL, morphBody)
+	if !rewritten(info) {
+		t.Fatalf("vertex-induced pair not rewritten: %+v", info.Result)
+	}
+	st, m := fleetStats(), info.Result.Stats.Morphing
+	if st.MorphRuns != 1 || st.MorphPatternsReplaced != m.PatternsReplaced ||
+		st.MorphStepsDirect != m.StepsDirect || st.MorphStepsMorphed != m.StepsMorphed {
+		t.Errorf("fleet stats %+v after one rewritten query with %+v", st, m)
 	}
 }
 

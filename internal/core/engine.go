@@ -133,7 +133,9 @@ type Options struct {
 	// morphed relatives can have different cores, hence different root
 	// tasks for matches on the same vertex set, so the inclusion–
 	// exclusion algebra only balances over the whole graph. Callers
-	// above the engine disable morphing for ranged executions.
+	// above the engine disable morphing for ranged executions; the
+	// coordinator recovers from the relatives' counts summed over every
+	// range, which is the whole graph again.
 	TaskLo, TaskHi uint32
 }
 

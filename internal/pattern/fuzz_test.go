@@ -27,6 +27,10 @@ func FuzzParsePattern(f *testing.F) {
 		"1-2 2-3 3-1 x",
 		"[1:2",
 		"999999999999999999-0",
+		// Morph relatives as a coordinator spells them to its nodes: the
+		// labeled tailed triangle's diamond, the labeled 5-chain's clique.
+		"0-1 0-2 0-3 1-2 1-3 [0:0] [3:1]",
+		"0-1 0-2 0-3 0-4 1-2 1-3 1-4 2-3 2-4 3-4 [0:0] [1:1] [2:2] [3:0] [4:1]",
 	} {
 		f.Add(s)
 	}

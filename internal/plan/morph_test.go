@@ -259,3 +259,47 @@ func TestRecoverArithmetic(t *testing.T) {
 		t.Errorf("negative relation = %d, want clamped 0", got[0])
 	}
 }
+
+// A coordinator ships a rewritten batch's executed set to its nodes as
+// pattern text, and a node compiles text like any client's: every morph
+// relative of every vertex-induced pattern of up to 5 vertices, labeled
+// and not — and the pattern itself, which executes when the cost model
+// leaves it direct — must survive String → Parse as the same pattern
+// and pass the node's admission checks.
+func TestMorphRelativesRoundTripAsText(t *testing.T) {
+	for size := 2; size <= 5; size++ {
+		for _, skel := range pattern.GenerateAllVertexInduced(size) {
+			labeled := skel.Clone()
+			labeled.SetLabel(0, 0)
+			labeled.SetLabel(size-1, 1)
+			full := skel.Clone()
+			for v := 0; v < size; v++ {
+				full.SetLabel(v, pattern.Label(v%3))
+			}
+			for _, variant := range []*pattern.Pattern{skel, labeled, full} {
+				vip := pattern.VertexInduced(variant)
+				sent := []*pattern.Pattern{vip}
+				terms, _ := MorphTerms(vip)
+				if vip.NumAntiEdges() > 0 && len(terms) == 0 {
+					t.Fatalf("%v has no morph relatives", vip)
+				}
+				for _, tm := range terms {
+					sent = append(sent, tm.Pat)
+				}
+				for _, p := range sent {
+					text := p.String()
+					back, err := pattern.Parse(text)
+					if err != nil {
+						t.Fatalf("relative %q of %v does not parse: %v", text, vip, err)
+					}
+					if !back.Equal(p) || back.CanonicalCode() != p.CanonicalCode() {
+						t.Errorf("relative %q of %v parses to %v", text, vip, back)
+					}
+					if err := back.Validate(); err != nil || !back.ConnectedRegular() {
+						t.Errorf("a node would refuse relative %q of %v: valid %v, connected %v", text, vip, err, back.ConnectedRegular())
+					}
+				}
+			}
+		}
+	}
+}

@@ -130,7 +130,7 @@ type Coalescer struct {
 
 	// morph accumulates the server-wide morphing totals: every count
 	// executes here, so this is the one place that sees them all.
-	morph morphCounters
+	morph MorphCounters
 }
 
 // NewCoalescer returns a coalescer whose merged executions descend
@@ -293,7 +293,7 @@ func (c *Coalescer) execute(ctx context.Context, b *cbatch, live []*cmember) {
 
 		// Even a cancelled run's morph telemetry is real work done; batch-
 		// level, so observed once per execution, not once per member.
-		c.morph.observe(ms.Morph)
+		c.morph.Observe(ms.Morph)
 		if b != nil {
 			c.counters.batches.Add(1)
 			if len(live) > 1 {

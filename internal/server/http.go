@@ -117,7 +117,8 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // handleQuery validates the request synchronously — malformed bodies,
 // bad patterns (400), and unknown graphs (404) fail before a job is
 // created — then runs the mine asynchronously, or to completion when
-// the request sets Wait.
+// the request sets Wait. A waited job's response is its terminal
+// snapshot, and the job is not kept after it (see Manager).
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req Request
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))

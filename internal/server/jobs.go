@@ -124,6 +124,10 @@ func (j *Job) finish(res *Result, err error, ctx context.Context) time.Time {
 // gone: every Submit, Get and List first drops such jobs from the map,
 // so the map stays bounded under sustained traffic — and an idle server
 // that is only being polled still sheds them — without a timer per job.
+// A synchronous job (Request.Wait) is gone as soon as it finishes: its
+// terminal snapshot is the body of its own POST /v1/query response, so
+// the caller holds the answer and nobody has an id to poll. Retention
+// is for asynchronous jobs, and no number of synchronous ones evicts one.
 type Manager struct {
 	base context.Context
 
@@ -207,10 +211,16 @@ func (m *Manager) Submit(req Request, st *MatchStream, run func(ctx context.Cont
 		j.mu.Unlock()
 		res, err := run(ctx)
 		at := j.finish(res, err, ctx)
-		close(j.done)
+		// Before Done closes: once a waiting submitter has its response,
+		// its job's id is already unknown.
 		m.mu.Lock()
-		m.finished = append(m.finished, finishedJob{j.id, at})
+		if req.Wait {
+			delete(m.jobs, j.id)
+		} else {
+			m.finished = append(m.finished, finishedJob{j.id, at})
+		}
 		m.mu.Unlock()
+		close(j.done)
 	}()
 	return j
 }

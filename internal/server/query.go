@@ -64,9 +64,11 @@ type Request struct {
 	// taskHi) — the distribution primitive: disjoint ranges' counts sum
 	// to the whole-graph counts, so a coordinator fans one query out as
 	// per-shard ranged jobs and adds the answers. taskHi 0 means "to the
-	// end". Ranged count queries run without pattern morphing (recovery
-	// is only valid over the whole task space) and bypass cross-request
-	// coalescing (merged batches must share one range).
+	// end". Ranged count queries run their patterns as given, without
+	// pattern morphing (recovery is only valid over the whole task space
+	// — so a coordinator rewrites before it fans out and recovers from
+	// the summed answers, see Fanout), and bypass cross-request coalescing
+	// (merged batches must share one range).
 	TaskLo uint32 `json:"taskLo,omitempty"`
 	TaskHi uint32 `json:"taskHi,omitempty"`
 }

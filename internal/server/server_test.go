@@ -118,6 +118,28 @@ func deleteJob(t *testing.T, ts *httptest.Server, id string) (int, JobInfo) {
 	return resp.StatusCode, info
 }
 
+// runAsync submits body without wait and polls the job to a terminal
+// state — the way to hold a finished job: a waited one is not retained.
+func runAsync(t *testing.T, ts *httptest.Server, body string) JobInfo {
+	t.Helper()
+	code, info := postQuery(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("async submit of %s: status %d, want 202", body, code)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		code, cur := getJob(t, ts, info.ID)
+		if code != http.StatusOK {
+			t.Fatalf("poll %s: status %d", info.ID, code)
+		}
+		if cur.Finished != nil {
+			return cur
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %q after 10s", info.ID, cur.Status)
+		}
+	}
+}
+
 func TestCountQueryEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t)
 	code, info := postQuery(t, ts, `{"graph":"tri5","kind":"count","pattern":"0-1 1-2 2-0","wait":true}`)
@@ -570,8 +592,8 @@ func TestNoSymmetryBreakingCount(t *testing.T) {
 // full requests or buffered results.
 func TestJobListingSummaries(t *testing.T) {
 	_, ts := newTestServer(t)
-	postQuery(t, ts, `{"graph":"tri2","kind":"count","pattern":"0-1 1-2 2-0","wait":true}`)
-	postQuery(t, ts, `{"graph":"tri5","kind":"exists","pattern":"0-1","wait":true}`)
+	runAsync(t, ts, `{"graph":"tri2","kind":"count","pattern":"0-1 1-2 2-0"}`)
+	runAsync(t, ts, `{"graph":"tri5","kind":"exists","pattern":"0-1"}`)
 
 	resp, err := http.Get(ts.URL + "/v1/jobs")
 	if err != nil {
@@ -609,10 +631,7 @@ func TestJobTTLEviction(t *testing.T) {
 	s, ts := newTestServer(t)
 	s.Jobs().SetTTL(100 * time.Millisecond)
 
-	_, info := postQuery(t, ts, `{"graph":"tri2","kind":"count","pattern":"0-1 1-2 2-0","wait":true}`)
-	if code, _ := getJob(t, ts, info.ID); code != http.StatusOK {
-		t.Fatalf("job not queryable right after finish: %d", code)
-	}
+	info := runAsync(t, ts, `{"graph":"tri2","kind":"count","pattern":"0-1 1-2 2-0"}`)
 	if code, _ := deleteJob(t, ts, info.ID); code != http.StatusOK {
 		t.Fatalf("DELETE before expiry = %d, want 200", code)
 	}
@@ -636,12 +655,8 @@ func TestJobExpiresWithoutTimer(t *testing.T) {
 	m := s.Jobs()
 	m.SetTTL(50 * time.Millisecond)
 
-	_, info := postQuery(t, ts, `{"graph":"tri2","kind":"count","pattern":"0-1 1-2 2-0","wait":true}`)
-	job, ok := m.Get(info.ID)
-	if !ok {
-		t.Fatal("job not queryable right after finish")
-	}
-	// The retention record is appended just after Done closes.
+	info := runAsync(t, ts, `{"graph":"tri2","kind":"count","pattern":"0-1 1-2 2-0"}`)
+	// The retention record is written just after the job turns terminal.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		m.mu.Lock()
 		recorded := len(m.finished) == 1
@@ -653,7 +668,7 @@ func TestJobExpiresWithoutTimer(t *testing.T) {
 			t.Fatal("finished job never recorded for retention")
 		}
 	}
-	time.Sleep(time.Until(job.Info().Finished.Add(60 * time.Millisecond)))
+	time.Sleep(time.Until(info.Finished.Add(60 * time.Millisecond)))
 
 	if code, _ := getJob(t, ts, info.ID); code != http.StatusNotFound {
 		t.Fatalf("GET after the TTL = %d, want 404", code)
@@ -669,9 +684,52 @@ func TestJobExpiresWithoutTimer(t *testing.T) {
 	}
 
 	// The next job is unaffected by the pruning before it.
-	_, next := postQuery(t, ts, `{"graph":"tri2","kind":"exists","pattern":"0-1","wait":true}`)
+	next := runAsync(t, ts, `{"graph":"tri2","kind":"exists","pattern":"0-1"}`)
 	if _, ok := m.Get(next.ID); !ok {
 		t.Fatal("job submitted after the prune is not queryable")
+	}
+}
+
+// A synchronous job leaves nothing behind: its terminal snapshot is its
+// own POST response, so afterwards its id is unknown and the manager
+// holds neither the job nor a retention record — while an asynchronous
+// job stays queryable, however many synchronous ones follow it.
+func TestWaitedJobNotRetained(t *testing.T) {
+	s, ts := newTestServer(t)
+	m := s.Jobs()
+	async := runAsync(t, ts, `{"graph":"tri2","kind":"count","pattern":"0-1 1-2 2-0"}`)
+	for _, body := range []string{
+		`{"graph":"tri2","kind":"count","pattern":"0-1 1-2 2-0","wait":true}`,
+		`{"graph":"tri5","kind":"exists","pattern":"0-1","wait":true}`,
+		`{"graph":"tri5","kind":"matches","pattern":"0-1","wait":true}`,
+		`{"graph":"labeled","kind":"fsm","maxEdges":1,"support":1,"wait":true}`,
+		`{"graph":"tri2","kind":"count","patterns":["0-1 1-2 2-0"],"threads":2,"wait":true}`,
+	} {
+		code, info := postQuery(t, ts, body)
+		if code != http.StatusOK || info.Status != StatusDone || info.Result == nil {
+			t.Fatalf("%s: code %d, %+v", body, code, info)
+		}
+		if code, _ := getJob(t, ts, info.ID); code != http.StatusNotFound {
+			t.Errorf("%s: GET %s after its response = %d, want 404", body, info.ID, code)
+		}
+	}
+	if rows := m.List(); len(rows) != 1 || rows[0].ID != async.ID {
+		t.Errorf("listing = %+v, want the asynchronous job %s alone", rows, async.ID)
+	}
+	m.mu.Lock()
+	held, records := len(m.jobs), len(m.finished)
+	m.mu.Unlock()
+	if held != 1 || records != 1 {
+		t.Errorf("manager holds %d jobs and %d finish records, want the asynchronous job's 1 and 1", held, records)
+	}
+	if code, cur := getJob(t, ts, async.ID); code != http.StatusOK || cur.Result == nil || cur.Result.Count != 2 {
+		t.Errorf("asynchronous job after the synchronous ones: code %d, %+v", code, cur)
+	}
+	// ... until its TTL.
+	m.SetTTL(time.Millisecond)
+	time.Sleep(time.Until(async.Finished.Add(5 * time.Millisecond)))
+	if code, _ := getJob(t, ts, async.ID); code != http.StatusNotFound {
+		t.Errorf("asynchronous job past its TTL = %d, want 404", code)
 	}
 }
 
@@ -806,7 +864,7 @@ func TestStreamErrorPaths(t *testing.T) {
 	}
 
 	// Stream endpoint on a non-streaming job.
-	_, info := postQuery(t, ts, `{"graph":"tri2","kind":"count","pattern":"0-1","wait":true}`)
+	info := runAsync(t, ts, `{"graph":"tri2","kind":"count","pattern":"0-1"}`)
 	resp := openStream(t, ts, info.ID)
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {

@@ -12,18 +12,19 @@ import (
 	"peregrine/internal/core"
 )
 
-// morphCounters accumulate pattern-morphing totals across every count
+// MorphCounters accumulate pattern-morphing totals across every count
 // execution, so GET /v1/stats shows one server-wide view of how much
-// the morphing layer rewrote.
-type morphCounters struct {
+// the morphing layer rewrote. A coordinator keeps its own: it rewrites
+// above the fan-out, where no node's counters see it.
+type MorphCounters struct {
 	mu    sync.Mutex
 	runs  uint64          // executions where morphing rewrote the batch
 	total core.MorphStats // their summed telemetry
 }
 
-// observe folds one run's morph telemetry into the totals; a run that
+// Observe folds one run's morph telemetry into the totals; a run that
 // morphing left as given is a no-op.
-func (m *morphCounters) observe(st core.MorphStats) {
+func (m *MorphCounters) Observe(st core.MorphStats) {
 	if !st.Active() {
 		return
 	}
@@ -31,6 +32,20 @@ func (m *morphCounters) observe(st core.MorphStats) {
 	m.runs++
 	m.total.Add(st)
 	m.mu.Unlock()
+}
+
+// AddTo adds the totals to st's morph* counters.
+func (m *MorphCounters) AddTo(st *ServerStats) {
+	m.mu.Lock()
+	runs, mt := m.runs, m.total
+	m.mu.Unlock()
+	st.MorphRuns += runs
+	st.MorphCandidates += mt.Candidates
+	st.MorphsChosen += mt.MorphsChosen
+	st.MorphPatternsReplaced += mt.PatternsReplaced
+	st.MorphRecoveryTerms += mt.RecoveryTerms
+	st.MorphStepsDirect += mt.StepsDirect
+	st.MorphStepsMorphed += mt.StepsMorphed
 }
 
 // ServerStats is the body of GET /v1/stats.
@@ -99,17 +114,7 @@ func (s *Server) Stats() ServerStats {
 	st.CoalesceIntersections = cc.intersections.Load()
 	st.CoalesceIntersectionsSaved = cc.intersectionsSaved.Load()
 
-	mc := &s.coalescer.morph
-	mc.mu.Lock()
-	runs, mt := mc.runs, mc.total
-	mc.mu.Unlock()
-	st.MorphRuns = runs
-	st.MorphCandidates = mt.Candidates
-	st.MorphsChosen = mt.MorphsChosen
-	st.MorphPatternsReplaced = mt.PatternsReplaced
-	st.MorphRecoveryTerms = mt.RecoveryTerms
-	st.MorphStepsDirect = mt.StepsDirect
-	st.MorphStepsMorphed = mt.StepsMorphed
+	s.coalescer.morph.AddTo(&st)
 
 	hits, misses := s.plans.Stats()
 	st.PlanCacheHits = hits

@@ -160,8 +160,10 @@ func TestDifferentialMorphedVertexInduced(t *testing.T) {
 // checkOneCountPath asserts there is one count path: every entry point
 // that can count the single vertex-induced pattern vip (skeleton skel)
 // returns want — also the brute-force oracle's answer — with identical
-// morph and share figures, and a task-range split of the same count
-// sums to it without morphing any part.
+// morph and share figures, a task-range split of the same count sums to
+// it without morphing any part, and so does the plan/finish pair around
+// a ranged execute stage: the plan half's executed set counted over the
+// same split, summed per executed pattern, finished once.
 func checkOneCountPath(t *testing.T, g *graph.Graph, skel, vip *Pattern, want uint64) {
 	t.Helper()
 	if r := ref.CountVertexInduced(g, skel); r != want {
@@ -214,11 +216,27 @@ func checkOneCountPath(t *testing.T, g *graph.Graph, skel, vip *Pattern, want ui
 	// Three cuts, four task ranges: counts are additive over ranges, and
 	// ranged parts run as given — recovery only balances over the whole
 	// task space.
+	cp, err := PlanCount([]*PreparedQuery{q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Rewritten() != rows[first].ms.Morph.Active() {
+		t.Errorf("%v: PlanCount rewritten = %v, CountMany morphed %+v", skel, cp.Rewritten(), rows[first].ms.Morph)
+	}
+	executed := cp.Executed()
+	ranged := MultiStats{Per: make([]Stats, len(executed))}
 	v := uint32(g.NumVertices())
 	cuts := []uint32{0, v / 4, v / 2, 3 * v / 4, 0}
 	var sum uint64
 	for i := 0; i+1 < len(cuts); i++ {
 		lo, hi := cuts[i], cuts[i+1]
+		_, part, err := CountManyWithStats(g, executed, WithThreads(4), WithTaskRange(lo, hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range part.Per {
+			ranged.Per[j].Matches += part.Per[j].Matches
+		}
 		n, st, err := CountWithStats(g, vip, WithThreads(4), WithTaskRange(lo, hi))
 		if err != nil {
 			t.Fatal(err)
@@ -237,6 +255,11 @@ func checkOneCountPath(t *testing.T, g *graph.Graph, skel, vip *Pattern, want ui
 	}
 	if sum != want {
 		t.Errorf("%v: task-range parts sum to %d, want %d", skel, sum, want)
+	}
+	per, finished := cp.Finish(ranged)
+	if per[0][0].Matches != want || finished.Morph != rows[first].ms.Morph {
+		t.Errorf("%v: executed set %v by range, finished once = %d (morph %+v), want %d (morph %+v)",
+			skel, executed, per[0][0].Matches, finished.Morph, want, rows[first].ms.Morph)
 	}
 }
 

@@ -11,7 +11,10 @@
 #   job: not a hang, not a count. Then two peregrine-serve nodes serve
 #   the manifest; the coordinator's merged counts must equal a single
 #   node's whole-graph counts, before AND after one node is killed
-#   mid-fleet (per-shard failover to the replica).
+#   mid-fleet (per-shard failover to the replica) — for an edge-induced
+#   pair, which fans out as given, and for a vertex-induced pair, which
+#   the coordinator rewrites above the fan-out and recovers at the merge
+#   (its answer must say so: stats.morphing.patternsReplaced > 0).
 #
 # Serving numbers through a coordinator come from `go run ./bench
 # -workload coord_sharded`, not from this script.
@@ -30,6 +33,7 @@ NODE_A=18081
 NODE_B=18082
 COORD=18090
 PATTERNS='["0-1 1-2 2-0","0-1 0-2 0-3"]'
+VI_PATTERNS='["0-1 0-2 0-3","0-1 1-2 2-3"]'
 
 say() { echo "sharded_smoke: $*" >&2; }
 
@@ -48,6 +52,31 @@ count() {
   curl -sf -X POST "$1/v1/query" \
     -d "{\"graph\":\"$graph\",\"kind\":\"count\",\"patterns\":$PATTERNS,\"wait\":true}" \
     | grep -o '"count":[0-9]*' | head -1 | cut -d: -f2
+}
+
+# count_vi <base-url> <answer-file> — run the vertex-induced pair, keep
+# the whole answer, print its per-pattern rows
+count_vi() {
+  curl -sf -X POST "$1/v1/query" -o "$2" \
+    -d "{\"graph\":\"patents\",\"kind\":\"count\",\"patterns\":$VI_PATTERNS,\"vertexInduced\":true,\"wait\":true}"
+  grep -o '"perPattern":\[[^]]*\]' "$2" || true
+}
+
+# check_vi <when> — the coordinator's vertex-induced answer must equal
+# the single node's ($SINGLE_VI) and report its rewrite
+check_vi() {
+  local merged replaced
+  merged=$(count_vi "http://127.0.0.1:$COORD" "$WORK/vi.json")
+  replaced=$(grep -o '"patternsReplaced":[0-9]*' "$WORK/vi.json" | cut -d: -f2 || true)
+  say "$1: vertex-induced merged $merged patternsReplaced=${replaced:-none}"
+  if [ -z "$SINGLE_VI" ] || [ "$SINGLE_VI" != "$merged" ]; then
+    say "FAIL: $1: vertex-induced merged counts diverge from single node $SINGLE_VI"
+    exit 1
+  fi
+  if [ "${replaced:-0}" -lt 1 ]; then
+    say "FAIL: $1: the coordinator did not rewrite the vertex-induced pair: $(cat "$WORK/vi.json")"
+    exit 1
+  fi
 }
 
 start_node() { # port [extra serve flags...]
@@ -128,6 +157,8 @@ if [ -z "$SINGLE" ] || [ "$SINGLE" != "$MERGED" ]; then
   say "FAIL: merged counts diverge from single node"
   exit 1
 fi
+SINGLE_VI=$(count_vi "http://127.0.0.1:$NODE_A" "$WORK/vi-single.json")
+check_vi "healthy fleet"
 
 say "killing node B, re-querying through the coordinator"
 kill "${PIDS[1]}" 2>/dev/null || true
@@ -138,6 +169,7 @@ if [ "$AFTER" != "$SINGLE" ]; then
   say "FAIL: counts changed after node death ($AFTER != $SINGLE)"
   exit 1
 fi
+check_vi "after node death"
 FAILOVERS=$(curl -sf "http://127.0.0.1:$COORD/v1/coord" \
   | grep -o '"failovers":[0-9]*' | cut -d: -f2 | awk '{s+=$1} END{print s+0}')
 say "coordinator failovers=$FAILOVERS"
@@ -147,4 +179,4 @@ if [ -z "$FAILOVERS" ] || [ "$FAILOVERS" -lt 1 ]; then
 fi
 stop_all
 
-say "OK: missing fragment failed the job, merged counts exact, failover survived"
+say "OK: missing fragment failed the job, merged counts exact as given and rewritten, failover survived"
