@@ -170,13 +170,15 @@ func BenchmarkMorphedVsDirect(b *testing.B) {
 	}
 }
 
-// BenchmarkCountVsEnumerate isolates count mode's last-level aggregate:
-// the same executed plans over the same graph with cb == nil (the last
-// completion level contributes its size) versus a callback that does
-// nothing (every match is walked). The batches are the benchmark's two
-// library workloads: the morphed vertex-induced 4- and 5-motifs on a
-// flat graph, and triangle + 4-clique on a power-law one. matches/s is
-// the same count either way, so it compares directly.
+// BenchmarkCountVsEnumerate isolates count mode's aggregates: the same
+// executed plans over the same graph with cb == nil (the last completion
+// level, or the last two, contribute a number) versus a callback that
+// does nothing (every match is walked). The batches are the benchmark's
+// two library workloads — the morphed vertex-induced 4- and 5-motifs on
+// a flat graph, and triangle + 4-clique on a power-law one — plus
+// "tails", the executed motif relatives with two or more completion
+// steps (stars, paths, tailed triangles), where count mode sizes pairs.
+// matches/s is the same count either way, so it compares directly.
 func BenchmarkCountVsEnumerate(b *testing.B) {
 	var motifs []*plan.Plan
 	for _, size := range []int{4, 5} {
@@ -192,6 +194,12 @@ func BenchmarkCountVsEnumerate(b *testing.B) {
 	if mp == nil {
 		b.Fatal("motif batch did not morph")
 	}
+	var tails []*plan.Plan
+	for _, pl := range mp.Exec {
+		if len(pl.NonCore) >= 2 {
+			tails = append(tails, pl)
+		}
+	}
 	var cliques []*plan.Plan
 	for _, k := range []int{3, 4} {
 		pl, err := plan.New(pattern.Clique(k), plan.Options{})
@@ -206,6 +214,7 @@ func BenchmarkCountVsEnumerate(b *testing.B) {
 		pls  []*plan.Plan
 	}{
 		{"motifs-4-5", gen.ErdosRenyi(gen.ERConfig{Vertices: 512, Edges: 2560, MaxDegree: 100, Seed: 1}), mp.Exec},
+		{"tails", gen.ErdosRenyi(gen.ERConfig{Vertices: 512, Edges: 2560, MaxDegree: 100, Seed: 1}), tails},
 		{"cliques-3-4", gen.RMAT(gen.RMATConfig{Vertices: 4096, Edges: 50000, Seed: 1}), cliques},
 	} {
 		for _, mode := range []struct {

@@ -3,8 +3,10 @@ package core
 import (
 	"testing"
 
+	"peregrine/internal/gen"
 	"peregrine/internal/graph"
 	"peregrine/internal/pattern"
+	"peregrine/internal/plan"
 	"peregrine/internal/ref"
 )
 
@@ -114,6 +116,193 @@ func TestCountModeSubtractsAssigned(t *testing.T) {
 			got := countBothWays(t, g, p, Options{Threads: 4, NoSymmetryBreaking: noSym})
 			if got != want {
 				t.Errorf("%v noSym=%v on hub graph = %d, want %d", p, noSym, got, want)
+			}
+		}
+	}
+}
+
+// pairMode reports whether a count-mode worker for pl sizes its last two
+// completion levels together, and how it orders the two vertices.
+func pairMode(g *graph.Graph, pl *plan.Plan) (tail bool, order int) {
+	w := newWorker(g, pl, nil, &Ctx{}, nil)
+	return w.pairTail, w.pairOrder
+}
+
+// flipTail returns pl with its last two completion steps in the other
+// order, the condition between them carried over: "last above
+// second-to-last" becomes an upper bound on the new last step. plan.New
+// completes symmetric non-core vertices in id order and orients every
+// condition from the lower id, so it only ever produces the first form;
+// the plan contract allows both.
+func flipTail(t *testing.T, pl *plan.Plan) *plan.Plan {
+	t.Helper()
+	k := len(pl.NonCore)
+	prev, last := pl.NonCore[k-2], pl.NonCore[k-1]
+	var lower []int
+	for _, pv := range last.LowerBound {
+		if pv != prev.V {
+			lower = append(lower, pv)
+		}
+	}
+	if len(lower) == len(last.LowerBound) {
+		t.Fatalf("%v: last step %+v is not bounded below by the step before it", pl.Pat, last)
+	}
+	last.LowerBound = lower
+	prev.UpperBound = append(append([]int(nil), prev.UpperBound...), last.V)
+	flipped := *pl
+	flipped.NonCore = append(append([]plan.NonCoreStep(nil), pl.NonCore[:k-2]...), last, prev)
+	return &flipped
+}
+
+// TestCountModePairs pins the two-level aggregate: when the last two
+// completion steps are unfiltered, count mode sizes the admissible
+// (second-to-last, last) pairs from the two candidate sets instead of
+// walking the first. Each shape is checked against brute force with and
+// without symmetry breaking, count mode against enumeration, on the hub
+// graph — where every tail's list is the hub's adjacency, so matched
+// vertices sit inside both sets and their overlap — and on a small dense
+// graph where the id windows cut the sets unevenly.
+func TestCountModePairs(t *testing.T) {
+	graphs := []*graph.Graph{
+		hubGraph(),
+		gen.ErdosRenyi(gen.ERConfig{Vertices: 20, Edges: 80, Seed: 5}),
+	}
+	shapes := []struct {
+		text     string
+		trailing int // completion steps, at least
+	}{
+		{"0-1 1-2 2-3", 2},                 // 4-path: each end's set holds the other end's core neighbour
+		{"0-1 1-2 2-3 3-4", 2},             // 5-path
+		{"0-1 0-2 0-3", 3},                 // 3-star and up: the last bound is a non-core vertex
+		{"0-1 0-2 0-3 0-4", 4},             //
+		{"0-1 1-2 2-0 0-3", 2},             // tailed triangle
+		{"0-1 1-2 2-0 0-3 0-4", 3},         // two tails on one corner: matched vertices in A ∩ B
+		{"0-1 1-2 2-0 0-3 1-4", 3},         // tails on two corners: the third corner is in both tails' sets
+		{"0-1 1-2 2-0 0-3 1-4 2-5", 3},     // a tail per corner: an earlier tail is matched when the pair is sized
+		{"0-1 1-2 2-3 3-0 0-4 2-5", 3},     // 4-cycle with tails on opposite corners
+		{"0-1 0-2 0-3 1-4 1-5", 4},         // double star
+		{"0-1 0-2 1-2 0-3 1-3 0-4 1-4", 3}, // three vertices on one edge: nested two-list sets
+	}
+	orders := map[int]bool{}
+	for _, sh := range shapes {
+		p := pattern.MustParse(sh.text)
+		for _, noSym := range []bool{false, true} {
+			pl, err := plan.New(p, plan.Options{NoSymmetryBreaking: noSym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pl.NonCore) < sh.trailing {
+				t.Fatalf("%v: %d completion steps, want at least %d", p, len(pl.NonCore), sh.trailing)
+			}
+			tail, order := pairMode(graphs[0], pl)
+			if !tail {
+				t.Fatalf("%v noSym=%v: the last two levels are not counted as pairs", p, noSym)
+			}
+			orders[order] = true
+			var flipped *plan.Plan
+			if order > 0 {
+				flipped = flipTail(t, pl)
+				if tail, order := pairMode(graphs[0], flipped); !tail || order >= 0 {
+					t.Fatalf("%v: flipped plan has pair mode %v, order %d", p, tail, order)
+				}
+				orders[-1] = true
+			}
+			for gi, g := range graphs {
+				want := ref.CountUnique(g, p)
+				if noSym {
+					want = ref.CountAll(g, p)
+				}
+				if got := countBothWays(t, g, p, Options{Threads: 2, NoSymmetryBreaking: noSym}); got != want {
+					t.Errorf("%v noSym=%v graph %d = %d, want %d", p, noSym, gi, got, want)
+				}
+				if flipped != nil {
+					if got := countPlanBothWays(t, g, flipped, Options{Threads: 2}); got != want {
+						t.Errorf("%v with its tail flipped, graph %d = %d, want %d", p, gi, got, want)
+					}
+				}
+			}
+		}
+	}
+	for _, order := range []int{-1, 0, 1} {
+		if !orders[order] {
+			t.Errorf("no shape exercised pair order %d", order)
+		}
+	}
+
+	// Every condition plan.New emits joins two vertices an automorphism
+	// exchanges, so over a whole graph "x below y" and "y below x" count
+	// the same and a wrong direction goes unseen. Conditions added by
+	// hand between the two tails of different corners — and an upper
+	// bound on both from the third corner, a non-core vertex — make the
+	// direction, and the bounds kept on the last set, show in the total.
+	p := pattern.MustParse("0-1 1-2 2-0 0-3 1-4")
+	forward := *mustPlan(t, p)
+	forward.NonCore = append([]plan.NonCoreStep(nil), forward.NonCore...)
+	if k := len(forward.NonCore); k != 3 || forward.NonCore[0].V != 2 || forward.NonCore[1].V != 3 || forward.NonCore[2].V != 4 {
+		t.Fatalf("%v: completion order %+v, want 2, 3, 4", p, forward.NonCore)
+	}
+	forward.NonCore[1].UpperBound = []int{2}
+	forward.NonCore[2].LowerBound = []int{3}
+	forward.NonCore[2].UpperBound = []int{2}
+	backward := flipTail(t, &forward)
+	if _, order := pairMode(graphs[0], &forward); order != 1 {
+		t.Fatalf("hand-ordered plan has pair order %d, want 1", order)
+	}
+	if _, order := pairMode(graphs[0], backward); order != -1 {
+		t.Fatalf("flipped hand-ordered plan has pair order %d, want -1", order)
+	}
+	for gi, g := range graphs {
+		var want, mirrored uint64
+		ref.Enumerate(g, p, func(m []uint32) bool {
+			if m[0] < m[1] && m[3] < m[2] && m[4] < m[2] {
+				if m[3] < m[4] {
+					want++
+				} else {
+					mirrored++
+				}
+			}
+			return true
+		})
+		if want == mirrored {
+			t.Fatalf("graph %d cannot tell the two directions apart (%d either way)", gi, want)
+		}
+		if got := countPlanBothWays(t, g, &forward, Options{Threads: 2}); got != want {
+			t.Errorf("hand-ordered plan, graph %d = %d, want %d", gi, got, want)
+		}
+		if got := countPlanBothWays(t, g, backward, Options{Threads: 2}); got != want {
+			t.Errorf("hand-ordered plan with its tail flipped, graph %d = %d, want %d", gi, got, want)
+		}
+	}
+
+	// The shapes that must keep walking: a label or an anti-edge on either
+	// of the two steps, or an anti-vertex to check per match.
+	labeled := gen.ErdosRenyi(gen.ERConfig{Vertices: 20, Edges: 80, Seed: 5, Labels: 2})
+	for _, text := range []string{
+		"0-1 0-2 0-3 [3:1]",       // label on the last step
+		"0-1 0-2 0-3 [2:1]",       // label on the second-to-last
+		"0-1 1-2 2-3 0!2",         // anti-edge on the second-to-last
+		"0-1 1-2 2-3 0!2 1!3",     // anti-edges on both
+		"0-1 1-2 2-3 1!4 2!4",     // anti-vertex
+		"0-1 0-2 0-3 1!4 2!4 3!4", // anti-vertex over the leaves
+	} {
+		p := pattern.MustParse(text)
+		if len(mustPlan(t, p).NonCore) < 2 {
+			t.Fatalf("%v: fewer than two completion steps", p)
+		}
+		for _, noSym := range []bool{false, true} {
+			pl, err := plan.New(p, plan.Options{NoSymmetryBreaking: noSym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tail, _ := pairMode(labeled, pl); tail {
+				t.Fatalf("%v noSym=%v: filtered tail counted as pairs", p, noSym)
+			}
+			want := ref.CountUnique(labeled, p)
+			if noSym {
+				want = ref.CountAll(labeled, p)
+			}
+			if got := countBothWays(t, labeled, p, Options{Threads: 2, NoSymmetryBreaking: noSym}); got != want {
+				t.Errorf("%v noSym=%v = %d, want %d", p, noSym, got, want)
 			}
 		}
 	}

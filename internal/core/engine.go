@@ -22,6 +22,17 @@
 // the candidate set's size minus the already-assigned vertices in it; a
 // label or anti-edge filter on the last vertex still reads the
 // candidates but counts them in place.
+//
+// When the last two completion steps are both unfiltered the same holds
+// one level up. The last vertex's set depends on the second-to-last
+// vertex only through distinctness and, where the plan orders the two,
+// one id bound; so it is computed once per core match with every other
+// bound, next to the second-to-last level's own set, and the level pair
+// contributes the number of admissible pairs — x below y, y below x or
+// merely distinct, neither already assigned — taken from the two sorted
+// sets by one ordered merge (countPairsExcluding) instead of one sizing
+// of the last level per member of the level above. Any deeper tail, a
+// filter on either step or an anti-vertex check walks as before.
 // Runs with a callback (Exists, Matches, ForEach, FSM) enumerate.
 package core
 
@@ -147,7 +158,8 @@ type Options struct {
 type Stats struct {
 	// Matches is the number of complete matches: callback invocations,
 	// or, with no callback, the same number reached without visiting the
-	// last completion level's members (see the package comment).
+	// last one or two completion levels' members (see the package
+	// comment).
 	Matches     uint64
 	CoreMatches uint64 // matches of the pattern core
 	Tasks       uint64 // start vertices this plan was attempted on
@@ -156,8 +168,11 @@ type Stats struct {
 	// candidate sets and anti-vertex common-neighborhood checks that
 	// merged two or more lists (single-list candidate sets are zero-copy
 	// views, not set computations). A set that count mode only sizes is
-	// one computation like a materialised one, so the figure does not
-	// depend on whether a callback was given. Together with the
+	// one computation like a materialised one; but where count mode sizes
+	// the last two levels as pairs, the last set is computed once per
+	// second-to-last set rather than once per member of it, so a run
+	// without a callback reports fewer than an enumerating one wherever
+	// that last set merges two or more lists. Together with the
 	// batch-level ShareStats.Intersections this makes total
 	// set-intersection work attributable — the figure pattern morphing
 	// trades against.
@@ -390,15 +405,15 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 			ms.Intersections += s.Intersections
 		}
 	}
+	ms.Stopped = stop.Load()
+	ms.MatchTime = time.Since(start)
 	for pi := range ms.Per {
 		// Per-plan snapshots share the batch-wide traversal figures so
 		// each reads as a complete Stats on its own.
-		ms.Per[pi].Stopped = stop.Load()
-		ms.Per[pi].MatchTime = time.Since(start)
+		ms.Per[pi].Stopped = ms.Stopped
+		ms.Per[pi].MatchTime = ms.MatchTime
 		ms.Per[pi].Threads = threads
 	}
-	ms.Stopped = stop.Load()
-	ms.MatchTime = time.Since(start)
 	return ms
 }
 
@@ -606,6 +621,19 @@ type worker struct {
 	// checks, so the last completion level is aggregated, not walked.
 	countLast bool
 
+	// pairTail extends count mode one level up: the last two completion
+	// steps are both unfiltered, so the second-to-last level is not
+	// walked either — both sets are computed once per core match and the
+	// admissible pairs are sized from them (countTail). pairOrder is
+	// how the plan orders the two vertices' data ids: +1 when the last
+	// must exceed the second-to-last, -1 when it must stay below it, 0
+	// when they are only distinct. pairLower and pairUpper are the last
+	// step's bounds without the second-to-last vertex — the one bound its
+	// set cannot be clipped to before that vertex is chosen.
+	pairTail             bool
+	pairOrder            int
+	pairLower, pairUpper []int
+
 	m     Match // reused callback argument
 	stats Stats
 	tb    *profile.ThreadBreakdown
@@ -635,6 +663,24 @@ func newWorker(g *graph.Graph, pl *plan.Plan, cb Callback, ctx *Ctx, tb *profile
 		w.match[i] = NoVertex
 	}
 	w.m = Match{Pattern: pl.Pat, Mapping: w.match}
+	if k := len(pl.NonCore); w.countLast && k >= 2 && unfiltered(&pl.NonCore[k-2]) && unfiltered(&pl.NonCore[k-1]) {
+		w.pairTail = true
+		prev, last := pl.NonCore[k-2].V, &pl.NonCore[k-1]
+		for _, pv := range last.LowerBound {
+			if pv == prev {
+				w.pairOrder = 1
+			} else {
+				w.pairLower = append(w.pairLower, pv)
+			}
+		}
+		for _, pv := range last.UpperBound {
+			if pv == prev {
+				w.pairOrder = -1
+			} else {
+				w.pairUpper = append(w.pairUpper, pv)
+			}
+		}
+	}
 	return w
 }
 
@@ -692,7 +738,7 @@ func (w *worker) completeFrom(i int) {
 			hi = d
 		}
 	}
-	if lo >= hi {
+	if lo+1 >= hi { // both bounds are exclusive
 		w.tb.Enter(profile.StageOther)
 		return
 	}
@@ -723,13 +769,21 @@ func (w *worker) completeFrom(i int) {
 		}
 	}
 
+	// Count mode, two levels at once: the last level's set depends on
+	// this level's candidate only through one id bound and distinctness,
+	// so neither level is walked — see countTail.
+	if w.pairTail && i == len(w.pl.NonCore)-2 {
+		w.stats.Matches += w.countTail(cands)
+		return
+	}
+
 	// Count mode: with no callback and no anti-vertex check, every
 	// candidate of the last level is exactly one match, so the level
 	// contributes a number and nothing below it needs visiting. With
 	// only distinctness left to satisfy that number is the set's size
 	// minus the already-assigned vertices in it.
 	last := w.countLast && i == len(w.pl.NonCore)-1
-	if last && st.Label == pattern.Wildcard && len(st.CoreAnti) == 0 {
+	if last && unfiltered(st) {
 		n := len(cands)
 		for _, used := range w.assigned {
 			if containsSorted(cands, used) {
@@ -771,6 +825,90 @@ outer:
 		w.assigned = w.assigned[:len(w.assigned)-1]
 		w.match[st.V] = NoVertex
 	}
+}
+
+// unfiltered reports whether every vertex of st's candidate set that is
+// not already in the match completes it: no label to test, no anti-edge
+// to reject on.
+func unfiltered(st *plan.NonCoreStep) bool {
+	return st.Label == pattern.Wildcard && len(st.CoreAnti) == 0
+}
+
+// pairLastSet computes the last completion level's candidate set for
+// countTail, before the second-to-last vertex is chosen: completeFrom's
+// own window-and-intersect steps (kept apart from them so that the
+// enumerating path stays the code it was, call-free), with pairLower
+// and pairUpper for the step's bounds. ok is false when the id window is
+// empty. The set is read-only: it lives in the last level's ncBufs slot
+// or in graph storage.
+func (w *worker) pairLastSet() (cands []uint32, ok bool) {
+	i := len(w.pl.NonCore) - 1
+	w.tb.Enter(profile.StagePO)
+	lo, hi := noLo, noHi
+	for _, pv := range w.pairLower {
+		if d := int64(w.match[pv]); d > lo {
+			lo = d
+		}
+	}
+	for _, pv := range w.pairUpper {
+		if d := int64(w.match[pv]); d < hi {
+			hi = d
+		}
+	}
+	if lo+1 >= hi {
+		return nil, false
+	}
+
+	w.tb.Enter(profile.StageNonCore)
+	lists := w.listArg[:0]
+	var bits []*bitset.Bitmap
+	if w.hubs {
+		bits = w.bitArg[:0]
+	}
+	for _, pv := range w.pl.NonCore[i].CoreNbrs {
+		dv := w.match[pv]
+		lists = append(lists, w.g.Adj(dv))
+		if w.hubs {
+			bits = append(bits, w.g.HubBits(dv))
+		}
+	}
+	if cap(w.ncBufs[i]) == 0 {
+		w.ncBufs[i] = make([]uint32, 0, 256)
+	}
+	cands = intersectSetsInto(w.ncBufs[i], lists, bits, lo, hi)
+	if len(lists) > 1 {
+		w.stats.Intersections++
+		if cap(cands) > cap(w.ncBufs[i]) {
+			w.ncBufs[i] = cands[:0:cap(cands)]
+		}
+	}
+	return cands, true
+}
+
+// countTail returns the number of ways to complete the match from the
+// last two levels without walking either: a is the second-to-last
+// level's set, the last level's set b is computed once with every bound
+// but the one naming the second-to-last vertex (pairLower, pairUpper),
+// and the result is the number of pairs (x, y), x in a, y in b, neither
+// already in the match, distinct, and ordered as pairOrder says.
+func (w *worker) countTail(a []uint32) uint64 {
+	// No usable x, no pairs — and no need for b, which the walk this
+	// replaces would not have computed either. Core vertices adjacent to
+	// all of a level's core neighbours sit in its set on every match.
+	na := len(a)
+	for _, s := range w.assigned {
+		if containsSorted(a, s) {
+			na--
+		}
+	}
+	if na == 0 {
+		return 0
+	}
+	b, ok := w.pairLastSet()
+	if !ok || len(b) == 0 {
+		return 0
+	}
+	return countPairsExcluding(a, b, w.assigned, w.pairOrder)
 }
 
 // checkAntiVertices verifies the §4.3 constraint for every anti-vertex:

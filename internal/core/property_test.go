@@ -9,6 +9,7 @@ import (
 	"peregrine/internal/gen"
 	"peregrine/internal/graph"
 	"peregrine/internal/pattern"
+	"peregrine/internal/plan"
 	"peregrine/internal/ref"
 )
 
@@ -71,11 +72,22 @@ func randomQueryPattern(rng *rand.Rand) *pattern.Pattern {
 // invocations, and fails the test if the two disagree.
 func countBothWays(tb testing.TB, g *graph.Graph, p *pattern.Pattern, opt Options) uint64 {
 	tb.Helper()
-	counted := Count(tb, g, p, opt)
+	pl, err := plan.New(p, plan.Options{NoSymmetryBreaking: opt.NoSymmetryBreaking})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return countPlanBothWays(tb, g, pl, opt)
+}
+
+// countPlanBothWays is countBothWays for a plan already built — by
+// plan.New or by hand.
+func countPlanBothWays(tb testing.TB, g *graph.Graph, pl *plan.Plan, opt Options) uint64 {
+	tb.Helper()
+	counted := RunPlans(g, []*plan.Plan{pl}, nil, opt).Per[0].Matches
 	var calls atomic.Uint64
-	Run(tb, g, p, func(*Ctx, *Match) { calls.Add(1) }, opt)
+	RunPlans(g, []*plan.Plan{pl}, func(*Ctx, int, *Match) { calls.Add(1) }, opt)
 	if counted != calls.Load() {
-		tb.Errorf("pattern %v (%+v): counted %d matches, enumerated %d", p, opt, counted, calls.Load())
+		tb.Errorf("pattern %v (%+v): counted %d matches, enumerated %d", pl.Pat, opt, counted, calls.Load())
 	}
 	return counted
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"peregrine/internal/bitset"
 )
@@ -250,4 +252,90 @@ func TestSkewedKernelSpeedup(t *testing.T) {
 	if ratio < 1.5 {
 		t.Fatalf("tuned kernels only %.2fx legacy on skewed inputs, want >= 1.5x", ratio)
 	}
+}
+
+// walkPairs is the per-candidate walk countPairsExcluding replaced, at
+// its cheapest: for each usable x of a, one clip of b to the side of x
+// the order admits (above it for order > 0, below it otherwise) and a
+// probe of the clipped list per member of skip. The engine's walk also
+// recomputed bounds and gathered lists per candidate, and always walked
+// the second-to-last level's set, however long.
+func walkPairs(a, b, skip []uint32, order int) uint64 {
+	var n uint64
+walk:
+	for _, x := range a {
+		for _, s := range skip {
+			if s == x {
+				continue walk
+			}
+		}
+		lo, hi := int64(x), noHi
+		if order < 0 {
+			lo, hi = noLo, int64(x)
+		}
+		c := clip(b, lo, hi)
+		m := len(c)
+		for _, s := range skip {
+			if containsSorted(c, s) {
+				m--
+			}
+		}
+		n += uint64(m)
+	}
+	return n
+}
+
+// TestSkewedPairKernelNoSlower gates the pair kernel on skew: sizing a
+// 4-element set against a hub's 16k-element one, either way round, must
+// not cost more than walking the short set and clipping the long one —
+// the loop it replaced. A ratio taken in one process on one machine,
+// with 10 % allowed for noise; the kernel earns its keep on comparable
+// lengths, here it only has to do no harm.
+func TestSkewedPairKernelNoSlower(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	short, long := benchLists(7, 4, 16384, 1<<18)
+	// A partial match's worth of ids: in both lists, in one, in neither.
+	skip := []uint32{short[1], long[len(long)/3], 1<<18 + 1, 1<<18 + 2}
+	var sink uint64
+	for _, c := range []struct {
+		name string
+		a, b []uint32 // countPairsExcluding's operands, x in a below y in b
+	}{
+		{"4 x 16k", short, long},
+		{"16k x 4", long, short},
+	} {
+		// The walk iterates the short list in both cases; with the short
+		// list second it counts, for each y, the x below it.
+		walk := func() uint64 { return walkPairs(c.a, c.b, skip, 1) }
+		if len(c.a) > len(c.b) {
+			walk = func() uint64 { return walkPairs(c.b, c.a, skip, -1) }
+		}
+		if got, want := countPairsExcluding(c.a, c.b, skip, 1), walk(); got != want {
+			t.Fatalf("%s: kernel counts %d pairs, the walk %d", c.name, got, want)
+		}
+		// Alternating short trials, the fastest of each side: the minimum
+		// is what the code costs when nothing else ran.
+		const trials, calls = 40, 20000
+		kernel, legacy := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+		for trial := 0; trial < trials; trial++ {
+			start := time.Now()
+			for i := 0; i < calls; i++ {
+				sink += countPairsExcluding(c.a, c.b, skip, 1)
+			}
+			mid := time.Now()
+			for i := 0; i < calls; i++ {
+				sink += walk()
+			}
+			kernel = min(kernel, mid.Sub(start))
+			legacy = min(legacy, time.Since(mid))
+		}
+		ratio := float64(legacy) / float64(kernel)
+		t.Logf("%s: kernel %v, walk %v per %d calls, ratio %.2fx", c.name, kernel, legacy, calls, ratio)
+		if ratio < 0.9 {
+			t.Errorf("%s: pair kernel at %.2fx the speed of the walk it replaced, want >= 0.9x", c.name, ratio)
+		}
+	}
+	_ = sink
 }

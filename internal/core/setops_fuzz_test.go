@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -27,14 +28,50 @@ func decodeSortedList(data []byte) []uint32 {
 	return out
 }
 
+// naiveCountPairs is countPairsExcluding by double loop, all three
+// orders at once; with skip empty, less and eq are countPairs' results.
+func naiveCountPairs(a, b, skip []uint32) (less, eq, greater uint64) {
+	skipped := func(x uint32) bool {
+		for _, s := range skip {
+			if s == x {
+				return true
+			}
+		}
+		return false
+	}
+	for _, x := range a {
+		for _, y := range b {
+			switch {
+			case skipped(x) || skipped(y):
+			case x < y:
+				less++
+			case x > y:
+				greater++
+			default:
+				eq++
+			}
+		}
+	}
+	return less, eq, greater
+}
+
 // FuzzSetOps differentially fuzzes every intersection kernel against
 // the naive map-based reference: raw kernels, the adaptive dispatchers,
-// clipped bounds, and the bitset paths. Seed corpus lives under
+// clipped bounds, and the bitset paths — and the pair-counting kernel
+// against a double loop. Seed corpus lives under
 // testdata/fuzz/FuzzSetOps.
 func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 1, 0}, []byte{2, 0, 2, 0}, uint32(0), uint32(0))
 	f.Add([]byte{1, 0}, []byte{}, uint32(1), uint32(9))
 	f.Add([]byte{5, 0, 5, 0, 5, 0, 5, 0}, []byte{1, 0, 19, 0}, uint32(3), uint32(40))
+	// Pair-kernel shapes: both empty, disjoint (all of one list below the
+	// other), identical, nested, and one element against enough to gallop.
+	ramp := bytes.Repeat([]byte{0, 0}, 40) // 1, 2, ..., 40
+	f.Add([]byte{}, []byte{}, uint32(0), uint32(0))
+	f.Add([]byte{0, 0, 0, 0, 0, 0}, []byte{9, 0, 0, 0, 0, 0}, uint32(0), uint32(0))
+	f.Add(ramp, ramp, uint32(0), uint32(0))
+	f.Add(ramp, []byte{9, 0, 4, 0, 9, 0}, uint32(0), uint32(0))
+	f.Add([]byte{19, 0}, ramp, uint32(0), uint32(0))
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, loRaw, hiRaw uint32) {
 		a := decodeSortedList(rawA)
 		b := decodeSortedList(rawB)
@@ -67,6 +104,44 @@ func FuzzSetOps(f *testing.F) {
 		}
 		if got := intersectInPlace(append([]uint32(nil), a...), b); !equalU32(got, want) {
 			t.Fatalf("intersectInPlace = %v, want %v", got, want)
+		}
+
+		// The pair kernel, both argument orders (each order reaches the
+		// other gallop branch on skewed lengths), then with a skip set made
+		// of members of either list, of both, and of neither.
+		wantLess, wantEq, wantGreater := naiveCountPairs(a, b, nil)
+		if less, eq := countPairs(a, b); less != wantLess || eq != wantEq {
+			t.Fatalf("countPairs(%v, %v) = %d, %d, want %d, %d", a, b, less, eq, wantLess, wantEq)
+		}
+		if less, eq := countPairs(b, a); less != wantGreater || eq != wantEq {
+			t.Fatalf("countPairs(%v, %v) = %d, %d, want %d, %d", b, a, less, eq, wantGreater, wantEq)
+		}
+		picks := []uint32{loRaw, hiRaw}
+		if len(a) > 0 {
+			picks = append(picks, a[int(loRaw)%len(a)], a[int(hiRaw)%len(a)])
+		}
+		if len(b) > 0 {
+			picks = append(picks, b[int(hiRaw)%len(b)])
+		}
+		picks = append(picks, want...) // members of both lists
+		// A partial match holds no id twice and is short.
+		var skip []uint32
+	picking:
+		for _, x := range picks {
+			for _, s := range skip {
+				if s == x {
+					continue picking
+				}
+			}
+			if len(skip) < 6 {
+				skip = append(skip, x)
+			}
+		}
+		wantLess, _, wantGreater = naiveCountPairs(a, b, skip)
+		for order, wantPairs := range map[int]uint64{1: wantLess, -1: wantGreater, 0: wantLess + wantGreater} {
+			if got := countPairsExcluding(a, b, skip, order); got != wantPairs {
+				t.Fatalf("countPairsExcluding(%v, %v, %v, %d) = %d, want %d", a, b, skip, order, got, wantPairs)
+			}
 		}
 
 		// Clipped multi-list dispatcher.

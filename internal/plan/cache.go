@@ -61,6 +61,11 @@ type cacheEntry struct {
 	plan    *Plan
 	inv     []int         // canonical position -> plan pattern vertex
 	lastUse atomic.Uint64 // Cache.tick stamp of the most recent Get
+
+	// The pattern's morph relation, compiled on first use by MorphBatch
+	// (morphRelation) and dropped with the entry.
+	morphOnce sync.Once
+	morph     *morphRelation
 }
 
 // Cached is a cache lookup result: the plan plus the vertex translation
@@ -92,8 +97,18 @@ func NewCacheSize(max int) *Cache {
 // first use. Concurrent Gets are safe; a racing duplicate computation
 // is possible but only one result is retained.
 func (c *Cache) Get(p *pattern.Pattern, opt Options) (Cached, error) {
+	e, perm, err := c.entry(p, opt)
+	if err != nil {
+		return Cached{}, err
+	}
+	return Cached{Plan: e.plan, Remap: remapFor(p, perm, e)}, nil
+}
+
+// entry is Get's lookup: the cache entry for p's shape — compiled and
+// inserted on a miss — and p's canonical permutation (nil for exact,
+// own-numbering keys).
+func (c *Cache) entry(p *pattern.Pattern, opt Options) (e *cacheEntry, perm []int, err error) {
 	var code string
-	var perm []int // nil for exact (own-numbering) keys
 	if p.N() <= maxCanonicalVertices {
 		canon, cperm := p.CanonicalForm()
 		code, perm = "c"+canon, cperm
@@ -110,7 +125,7 @@ func (c *Cache) Get(p *pattern.Pattern, opt Options) (Cached, error) {
 	c.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
-		return Cached{Plan: e.plan, Remap: remapFor(p, perm, e)}, nil
+		return e, perm, nil
 	}
 
 	c.misses.Add(1)
@@ -118,7 +133,7 @@ func (c *Cache) Get(p *pattern.Pattern, opt Options) (Cached, error) {
 	if err != nil {
 		// Errors are not cached: they are rare (structurally invalid
 		// patterns) and callers surface them immediately.
-		return Cached{}, err
+		return nil, nil, err
 	}
 	e = &cacheEntry{plan: pl}
 	if perm != nil {
@@ -139,7 +154,7 @@ func (c *Cache) Get(p *pattern.Pattern, opt Options) (Cached, error) {
 	}
 	e.lastUse.Store(c.tick.Add(1))
 	c.mu.Unlock()
-	return Cached{Plan: e.plan, Remap: remapFor(p, perm, e)}, nil
+	return e, perm, nil
 }
 
 // evictLRULocked removes the entry with the oldest use stamp. Callers

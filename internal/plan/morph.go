@@ -150,6 +150,53 @@ func MorphTerms(p *pattern.Pattern) ([]MorphTerm, int64) {
 	return terms, int64(len(p.Automorphisms()))
 }
 
+// morphRelation is a pattern's recovery relation compiled against one
+// cache: MorphTerms with every relative resolved to that cache's plan
+// for it, so isomorphic relatives of different patterns are one *Plan.
+type morphRelation struct {
+	terms []compiledTerm
+	div   int64
+}
+
+type compiledTerm struct {
+	pl   *Plan
+	coef int64
+}
+
+// morphRelation returns p's compiled relation, or nil when p does not
+// morph (not Morphable, or a relative fails to compile — which
+// disqualifies the pattern from morphing, not the batch). The relation
+// depends on p's shape alone, so it is kept on the shape's cache entry:
+// expanded and canonicalised — 2^|anti-edges| subsets — once per cache,
+// not once per batch. It lives per cache rather than on the Plan because
+// MorphBatch and its callers dedup relatives by plan pointer, and a
+// pointer means one pattern only within one cache. A relative evicted
+// and recompiled while p's entry survives leaves the relation naming the
+// old plan: counts stay exact, and only the dedup against a fresh lookup
+// of that relative is lost.
+func (c *Cache) morphRelation(p *pattern.Pattern, opt Options) *morphRelation {
+	if !Morphable(p) {
+		return nil
+	}
+	e, _, err := c.entry(p, opt)
+	if err != nil {
+		return nil
+	}
+	e.morphOnce.Do(func() {
+		terms, div := MorphTerms(e.plan.Pat)
+		rel := &morphRelation{div: div, terms: make([]compiledTerm, len(terms))}
+		for i, t := range terms {
+			cached, err := c.Get(t.Pat, opt)
+			if err != nil {
+				return
+			}
+			rel.terms[i] = compiledTerm{pl: cached.Plan, coef: t.Coef}
+		}
+		e.morph = rel
+	})
+	return e.morph
+}
+
 // costGrowth is the assumed per-depth candidate branching of a guided
 // traversal. Only relative plan costs matter for morph selection, so a
 // modest constant that makes deep cores expensive is enough.
@@ -264,14 +311,9 @@ func MorphBatch(pls []*Plan, cache *Cache, opt Options) *MorphPlan {
 
 	// One selection group per distinct morphable plan; duplicates in the
 	// batch share the decision and the executed plans.
-	type cterm struct {
-		pl   *Plan
-		coef int64
-	}
 	type group struct {
-		terms []cterm
-		div   int64
-		cost  float64
+		*morphRelation
+		cost float64
 	}
 	groups := make(map[*Plan]*group)
 	var groupOrder []*Plan
@@ -281,29 +323,13 @@ func MorphBatch(pls []*Plan, cache *Cache, opt Options) *MorphPlan {
 		if _, seen := groups[pl]; seen || fixed[pl] {
 			continue
 		}
-		terms, div := MorphTerms(pl.Pat)
-		if terms == nil {
+		rel := cache.morphRelation(pl.Pat, opt)
+		if rel == nil {
 			fixed[pl] = true
 			continue
 		}
-		g := &group{div: div, cost: CostOf(pl)}
-		ok := true
-		for _, t := range terms {
-			cached, err := cache.Get(t.Pat, opt)
-			if err != nil {
-				// A relative that fails to compile disqualifies the
-				// pattern from morphing, not the batch.
-				ok = false
-				break
-			}
-			g.terms = append(g.terms, cterm{pl: cached.Plan, coef: t.Coef})
-		}
-		if !ok {
-			fixed[pl] = true
-			continue
-		}
-		stats.Candidates += uint64(len(g.terms))
-		groups[pl] = g
+		stats.Candidates += uint64(len(rel.terms))
+		groups[pl] = &group{morphRelation: rel, cost: CostOf(pl)}
 		groupOrder = append(groupOrder, pl)
 	}
 	if len(groups) == 0 {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"sync"
 	"testing"
 
 	"peregrine/internal/pattern"
@@ -168,6 +169,78 @@ func TestMorphBatchMotifs(t *testing.T) {
 		if replaced[pl] {
 			t.Errorf("replaced plan %v still in the executed set", pl.Pat)
 		}
+	}
+}
+
+// A pattern's compiled relation is kept on its cache entry: the first
+// MorphBatch through a cache expands and compiles it, later ones — from
+// any goroutine, for any numbering of the pattern — read it, and it goes
+// when the entry is evicted.
+func TestMorphRelationMemo(t *testing.T) {
+	cache := NewCache()
+	var pls []*Plan
+	for _, skel := range pattern.GenerateAllVertexInduced(4) {
+		pl, err := New(pattern.VertexInduced(skel), Options{}) // not the cache's own plans
+		if err != nil {
+			t.Fatal(err)
+		}
+		pls = append(pls, pl)
+	}
+	first := MorphBatch(pls, cache, Options{})
+	if first == nil {
+		t.Fatal("motif batch did not morph")
+	}
+	size := cache.Len()
+	hits0, misses0 := cache.Stats()
+
+	// Warm: one lookup per morphable pattern and none per relative, no
+	// compilation, the same executed plans.
+	morphable := uint64(0)
+	for _, pl := range pls {
+		if Morphable(pl.Pat) {
+			morphable++
+		}
+	}
+	var wg sync.WaitGroup
+	const callers = 8
+	got := make([]*MorphPlan, callers)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = MorphBatch(pls, cache, Options{})
+		}()
+	}
+	wg.Wait()
+	for i, mp := range got {
+		if mp == nil || len(mp.Exec) != len(first.Exec) {
+			t.Fatalf("caller %d: executed set differs from the first run's", i)
+		}
+		for j := range mp.Exec {
+			if mp.Exec[j] != first.Exec[j] {
+				t.Fatalf("caller %d: executed plan %d is not the first run's pointer", i, j)
+			}
+		}
+	}
+	hits1, misses1 := cache.Stats()
+	if misses1 != misses0 || hits1-hits0 != callers*morphable || cache.Len() != size {
+		t.Fatalf("warm batches moved the cache by %d hits, %d misses, %d entries; want %d, 0, 0",
+			hits1-hits0, misses1-misses0, cache.Len()-size, callers*morphable)
+	}
+
+	// A renumbered pattern reads the same relation.
+	vi := pattern.VertexInduced(pattern.Chain(4))
+	a, b := cache.morphRelation(vi, Options{}), cache.morphRelation(vi.Renumber([]int{2, 0, 3, 1}), Options{})
+	if a == nil || a != b {
+		t.Fatalf("relations of two numberings of %v: %p and %p", vi, a, b)
+	}
+
+	// Evicting the entry drops its relation with it.
+	small := NewCacheSize(1)
+	r1 := small.morphRelation(vi, Options{}) // compiling its relatives evicts vi's own entry
+	r2 := small.morphRelation(vi, Options{})
+	if r1 == nil || r2 == nil || r1 == r2 {
+		t.Fatalf("relation survived its entry's eviction: %p then %p", r1, r2)
 	}
 }
 
