@@ -113,8 +113,8 @@ func TestOpenStatAndFormats(t *testing.T) {
 	if st.Vertices != g.NumVertices() || st.Edges != g.NumEdges() || st.Labels != g.NumLabels() {
 		t.Fatalf("binary Stat = %+v, want %d/%d/%d", st, g.NumVertices(), g.NumEdges(), g.NumLabels())
 	}
-	if bsrc.Bytes() == 0 {
-		t.Fatal("binary source reports unknown size")
+	if st.Bytes != g.Bytes() {
+		t.Fatalf("binary source predicts %d resident bytes, the graph holds %d", st.Bytes, g.Bytes())
 	}
 
 	esrc, err := Open(txt)

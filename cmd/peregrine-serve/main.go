@@ -87,8 +87,6 @@ func main() {
 		"memory budget for loaded graphs, e.g. 512M or 2G (0 = unlimited); idle graphs evict LRU-first past it")
 	coalesceWindow := flag.Duration("coalesce-window", server.DefaultCoalesceWindow,
 		"micro-batch window: concurrent count queries on the same graph arriving within it share one traversal (0 disables coalescing)")
-	hubBitsetDeg := flag.Uint("hub-bitset-deg", 0,
-		"build compressed-bitmap adjacency for vertices of at least this degree at graph load, accelerating skewed intersections at a memory cost (0 disables)")
 	flag.Var(&graphFlags, "graph", "register a graph file (edge list, .pgr or shard manifest, auto-detected) as name=path (repeatable)")
 	flag.Var(&datasetFlags, "dataset", "register a built-in dataset as name=dataset[@scale] (repeatable)")
 	flag.Parse()
@@ -109,7 +107,6 @@ func main() {
 
 	reg := server.NewRegistry()
 	reg.SetMaxBytes(budget)
-	reg.SetHubBitsetDeg(uint32(*hubBitsetDeg))
 	for _, spec := range graphFlags {
 		name, path, err := splitSpec(spec)
 		if err != nil {

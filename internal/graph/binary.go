@@ -211,37 +211,53 @@ func decodeHeader(buf []byte, maxBytes uint64) (binaryHeader, error) {
 	return h, nil
 }
 
-// headerFor derives the .pgr header of g.
-func headerFor(g *Graph) binaryHeader {
-	h := binaryHeader{
-		n:        g.NumVertices(),
-		numEdges: g.numEdge,
-		adjLen:   uint64(len(g.adj)),
+// contiguous returns g's rows when one piece holds them all — what
+// writing an image and cutting fragments need — and an error for a
+// sharded graph, whose rows lie in several mappings: the one refusal of
+// sharded input.
+func (g *Graph) contiguous() (*rows, error) {
+	switch len(g.pieces) {
+	case 0:
+		return &rows{offsets: []uint64{0}}, nil
+	case 1:
+		return &g.pieces[0], nil
 	}
-	if g.labels != nil {
-		h.flags |= flagLabels
-		h.labelCount = uint32(g.labelCount)
-	}
-	if g.origID != nil {
-		h.flags |= flagOrigID
-	}
-	if g.degDesc {
-		h.flags |= flagDescDegree
-	}
-	return h
+	return nil, errors.New("graph: a sharded graph cannot be written or re-sharded; load it into memory first")
 }
 
 // WriteBinary writes g to w in the .pgr binary format.
-func WriteBinary(w io.Writer, g *Graph) error {
-	if g.sh != nil {
-		return errors.New("graph: cannot write a sharded graph as a single .pgr file")
-	}
-	return writeSections(w, headerFor(g), g.offsets, g.adj, g.labels, g.origID)
-}
+func WriteBinary(w io.Writer, g *Graph) error { return writeImage(w, g, false) }
 
-// writeSections writes a .pgr header followed by its offsets and
-// uint32 sections; shared by the whole-graph and fragment writers.
-func writeSections(w io.Writer, h binaryHeader, offsets []uint64, sections ...[]uint32) error {
+// WriteFragment writes the fragment f (see SplitGraph) as a
+// flagFragment .pgr stream.
+func WriteFragment(w io.Writer, f *Graph) error { return writeImage(w, f, true) }
+
+// writeImage writes the header g's one piece implies, whole graph or
+// fragment, followed by its offsets and uint32 sections.
+func writeImage(w io.Writer, g *Graph, fragment bool) error {
+	p, err := g.contiguous()
+	if err != nil {
+		return err
+	}
+	h := binaryHeader{
+		n:        uint32(len(p.offsets) - 1),
+		numEdges: g.stat.Edges,
+		adjLen:   uint64(len(p.adj)),
+	}
+	if fragment {
+		h.flags |= flagFragment
+		h.numEdges, h.fragLo, h.fragTotal = h.adjLen, p.lo, g.stat.Vertices
+	}
+	if p.labels != nil {
+		h.flags |= flagLabels
+		h.labelCount = uint32(g.stat.Labels)
+	}
+	if p.origID != nil {
+		h.flags |= flagOrigID
+	}
+	if g.stat.DegreeDesc {
+		h.flags |= flagDescDegree
+	}
 	if _, err := w.Write(h.encode()); err != nil {
 		return fmt.Errorf("graph: write .pgr header: %w", err)
 	}
@@ -274,12 +290,12 @@ func writeSections(w io.Writer, h binaryHeader, offsets []uint64, sections ...[]
 		buf = binary.LittleEndian.AppendUint32(buf, v)
 		return nil
 	}
-	for _, v := range offsets {
+	for _, v := range p.offsets {
 		if err := put64(v); err != nil {
 			return fmt.Errorf("graph: write .pgr offsets: %w", err)
 		}
 	}
-	for _, sec := range sections {
+	for _, sec := range [][]uint32{p.adj, p.labels, p.origID} {
 		for _, v := range sec {
 			if err := put32(v); err != nil {
 				return fmt.Errorf("graph: write .pgr section: %w", err)
@@ -298,13 +314,12 @@ func SaveBinary(path string, g *Graph) error {
 	return saveAtomic(path, func(w io.Writer) error { return WriteBinary(w, g) })
 }
 
-// sections are the arrays of one .pgr image, whole graph or fragment.
-type sections struct {
-	offsets             []uint64
-	adj, labels, origID []uint32
+// SaveFragment writes the fragment f to path atomically.
+func SaveFragment(path string, f *Graph) error {
+	return saveAtomic(path, func(w io.Writer) error { return WriteFragment(w, f) })
 }
 
-// readSections carves the sections h describes out of a complete image
+// readSections carves the rows h describes out of a complete image
 // whose size decodeHeader has already matched against h. With alias
 // unset it copies them out field by field: the portable reader —
 // mmap-incapable platforms, big-endian hosts and the fuzz targets all
@@ -313,9 +328,9 @@ type sections struct {
 // loadImage): the mapping is page-aligned and the 64-byte header keeps
 // the uint64 offsets section 8-aligned, so the unsafe casts are
 // well-defined.
-func readSections(data []byte, h binaryHeader, alias bool) sections {
+func readSections(data []byte, h binaryHeader, alias bool) rows {
 	pos := uint64(headerSize)
-	var s sections
+	s := rows{lo: h.fragLo}
 	if alias {
 		s.offsets = unsafe.Slice((*uint64)(unsafe.Pointer(&data[pos])), uint64(h.n)+1)
 	} else {
@@ -350,11 +365,10 @@ func readSections(data []byte, h binaryHeader, alias bool) sections {
 // loadImage is the one file-to-memory path of whole graphs and shard
 // fragments. Where the platform can map files (and the host is
 // little-endian, matching the on-disk encoding) the file is mapped
-// read-only and from is told to alias it: no heap copy is made,
-// the kernel pages data in on demand and drops clean pages under
-// pressure, and processes mapping the same file share one copy in the
-// page cache. unmap releases the mapping; it is nil on the fallback
-// path, which reads the file and decodes it into the heap.
+// read-only and aliased: no heap copy is made, the kernel pages data in
+// on demand and drops clean pages under pressure, and processes mapping
+// the same file share one copy in the page cache; Close unmaps it. On
+// the fallback path the file is read and decoded into the heap.
 //
 // The mapping is released by an explicit Close only — never by a GC
 // cleanup. Slices returned by Adj alias the mapping without keeping
@@ -362,58 +376,68 @@ func readSections(data []byte, h binaryHeader, alias bool) sections {
 // caller still ranging over a neighbor list. A value dropped without
 // Close simply keeps its (read-only, page-cache-shared) mapping until
 // process exit.
-func loadImage[T any](path string, from func(data []byte, alias bool) (*T, error)) (v *T, unmap func() error, err error) {
+func loadImage(path string, fragment bool) (*Graph, error) {
 	data, unmap, err := mapFile(path)
 	if errors.Is(err, errMmapUnsupported) {
 		if data, err = os.ReadFile(path); err != nil {
-			return nil, nil, fmt.Errorf("graph: %w", err)
+			return nil, fmt.Errorf("graph: %w", err)
 		}
-		v, err = from(data, false)
-		return v, nil, err
+		return readImage(data, false, fragment)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if v, err = from(data, true); err != nil {
+	g, err := readImage(data, true, fragment)
+	if err != nil {
 		_ = unmap()
-		return nil, nil, err
+		return nil, err
 	}
-	return v, unmap, nil
+	g.pieces[0].release = unmap
+	return g, nil
 }
 
-// graphFromImage builds a Graph from a complete whole-graph .pgr image,
-// aliasing it or not (see readSections).
-func graphFromImage(data []byte, alias bool) (*Graph, error) {
+// readImage builds a Graph from a complete .pgr image, aliasing it or
+// not (see readSections): header, sections, then the sweep of its rows.
+// A whole graph must not be a fragment file and the other way round. A
+// fragment comes back as a one-piece Graph that answers for its owned
+// range only, under the whole graph's vertex and label counts; its
+// Edges counts the directed entries it stores.
+func readImage(data []byte, alias, fragment bool) (*Graph, error) {
 	h, err := decodeHeader(data, uint64(len(data)))
 	if err != nil {
 		return nil, err
 	}
-	if h.fragment() {
+	if h.fragment() != fragment {
+		if fragment {
+			return nil, badFormat("file is a whole graph, not a shard fragment")
+		}
 		return nil, badFormat("file is a shard fragment; load it through its manifest")
 	}
-	s := readSections(data, h, alias)
-	g := &Graph{
-		offsets:    s.offsets,
-		adj:        s.adj,
-		labels:     s.labels,
-		origID:     s.origID,
-		numEdge:    h.numEdges,
-		labelCount: int(h.labelCount),
-		degDesc:    h.descDegree(),
-	}
-	if err := g.validate(); err != nil {
+	g := &Graph{stat: h.stat(), pieces: []rows{readSections(data, h, alias)}}
+	p := &g.pieces[0]
+	if err := validateCSR(p.offsets, p.adj, p.lo, uint64(g.stat.Vertices)); err != nil {
 		return nil, err
+	}
+	if !fragment {
+		if err := validateCounts(p, g.stat); err != nil {
+			return nil, err
+		}
 	}
 	return g, nil
 }
 
 // ReadBinary parses a complete .pgr stream into a heap-backed Graph.
-func ReadBinary(r io.Reader) (*Graph, error) {
+func ReadBinary(r io.Reader) (*Graph, error) { return readStream(r, false) }
+
+// ReadFragment parses a complete fragment .pgr stream into the heap.
+func ReadFragment(r io.Reader) (*Graph, error) { return readStream(r, true) }
+
+func readStream(r io.Reader, fragment bool) (*Graph, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("graph: read .pgr: %w", err)
 	}
-	return graphFromImage(data, false)
+	return readImage(data, false, fragment)
 }
 
 // validateCSR sweeps the rows of vertices [lo, lo+len(offsets)-1) for
@@ -458,24 +482,21 @@ func validateCSR(offsets []uint64, adj []uint32, lo uint32, total uint64) error 
 	return nil
 }
 
-// validate checks a whole graph: the CSR sweep, plus edge and label
+// validateCounts checks what only a whole graph can: edge and label
 // counts consistent with the arrays.
-func (g *Graph) validate() error {
-	if err := validateCSR(g.offsets, g.adj, 0, uint64(g.NumVertices())); err != nil {
-		return err
+func validateCounts(p *rows, st Stat) error {
+	if uint64(len(p.adj)) != 2*st.Edges {
+		return badFormat("adj length %d != 2*numEdges %d", len(p.adj), st.Edges)
 	}
-	if uint64(len(g.adj)) != 2*g.numEdge {
-		return badFormat("adj length %d != 2*numEdges %d", len(g.adj), g.numEdge)
-	}
-	if g.labels != nil {
+	if p.labels != nil {
 		distinct := make(map[uint32]struct{})
-		for _, l := range g.labels {
+		for _, l := range p.labels {
 			if l != NoLabel {
 				distinct[l] = struct{}{}
 			}
 		}
-		if len(distinct) != g.labelCount {
-			return badFormat("labelCount %d != %d distinct labels", g.labelCount, len(distinct))
+		if len(distinct) != st.Labels {
+			return badFormat("labelCount %d != %d distinct labels", st.Labels, len(distinct))
 		}
 	}
 	return nil
@@ -484,72 +505,57 @@ func (g *Graph) validate() error {
 // LoadBinary loads a .pgr file through loadImage: mapped where the
 // platform allows — the returned Graph's slices alias the read-only
 // mapping and Close unmaps it — and decoded into the heap elsewhere.
-func LoadBinary(path string) (*Graph, error) {
-	g, unmap, err := loadImage(path, graphFromImage)
-	if err != nil {
-		return nil, err
-	}
-	g.release = unmap
-	return g, nil
-}
+func LoadBinary(path string) (*Graph, error) { return loadImage(path, false) }
 
-// StatBinary reads only the .pgr header of path: graph metadata (and
-// the exact resident size a load would cost) without loading anything.
-func StatBinary(path string) (Stat, error) {
+// LoadFragment loads the fragment file at path the way LoadBinary loads
+// a whole graph. The caller owns the result and releases it with Close.
+func LoadFragment(path string) (*Graph, error) { return loadImage(path, true) }
+
+// StatBinary reads only the .pgr header of path: graph metadata and
+// the exact resident size a load would cost, without loading anything.
+func StatBinary(path string) (SourceStat, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return Stat{}, fmt.Errorf("graph: %w", err)
+		return SourceStat{}, fmt.Errorf("graph: %w", err)
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return Stat{}, fmt.Errorf("graph: %w", err)
+		return SourceStat{}, fmt.Errorf("graph: %w", err)
 	}
 	buf := make([]byte, headerSize)
 	if _, err := io.ReadFull(f, buf); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return Stat{}, badFormat("short header: %v", err)
+			return SourceStat{}, badFormat("short header: %v", err)
 		}
 		// A genuine read failure is not corruption; keep it out of
 		// ErrBadFormat so callers can tell transient from permanent.
-		return Stat{}, fmt.Errorf("graph: read .pgr header: %w", err)
+		return SourceStat{}, fmt.Errorf("graph: read .pgr header: %w", err)
 	}
 	h, err := decodeHeader(buf, uint64(fi.Size()))
 	if err != nil {
-		return Stat{}, err
+		return SourceStat{}, err
 	}
 	if h.fragment() {
-		return Stat{}, badFormat("file is a shard fragment; stat it through its manifest")
+		return SourceStat{}, badFormat("file is a shard fragment; stat it through its manifest")
 	}
-	return h.stat(), nil
+	// decodeHeader matched the file size against the header, so the
+	// arrays a load will hold are the file less its header.
+	return SourceStat{Stat: h.stat(), Bytes: uint64(fi.Size()) - headerSize}, nil
 }
 
+// stat is the Stat of the graph the header belongs to. A fragment knows
+// the whole graph's vertex count but only its own directed entries.
 func (h binaryHeader) stat() Stat {
-	return Stat{
+	st := Stat{
 		Vertices:   h.n,
 		Edges:      h.numEdges,
 		Labels:     int(h.labelCount),
 		Labeled:    h.hasLabels(),
 		DegreeDesc: h.descDegree(),
 	}
-}
-
-// SniffBinary reports whether path begins with the .pgr magic; used to
-// auto-detect the format of registered graph files.
-func SniffBinary(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("graph: %w", err)
+	if h.fragment() {
+		st.Vertices = h.fragTotal
 	}
-	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return false, nil // shorter than any valid .pgr: not binary
-		}
-		// A real read failure must surface, not silently classify the
-		// file as an edge list.
-		return false, fmt.Errorf("graph: %w", err)
-	}
-	return magic == binaryMagic, nil
+	return st
 }

@@ -30,19 +30,20 @@ func randomGraph(t testing.TB, seed int64, n, edges int, labeled bool) *Graph {
 // equalCSR deep-compares every component of two graphs.
 func equalCSR(t *testing.T, want, got *Graph) {
 	t.Helper()
-	if !reflect.DeepEqual(want.offsets, got.offsets) {
-		t.Errorf("offsets differ: %v vs %v", want.offsets, got.offsets)
+	w, g := want.pieces[0], got.pieces[0]
+	if !reflect.DeepEqual(w.offsets, g.offsets) {
+		t.Errorf("offsets differ: %v vs %v", w.offsets, g.offsets)
 	}
-	if !reflect.DeepEqual(want.adj, got.adj) {
+	if !reflect.DeepEqual(w.adj, g.adj) {
 		t.Errorf("adj differs")
 	}
-	if !reflect.DeepEqual(want.labels, got.labels) {
-		t.Errorf("labels differ: %v vs %v", want.labels, got.labels)
+	if !reflect.DeepEqual(w.labels, g.labels) {
+		t.Errorf("labels differ: %v vs %v", w.labels, g.labels)
 	}
-	if !reflect.DeepEqual(want.origID, got.origID) {
-		t.Errorf("origID differs: %v vs %v", want.origID, got.origID)
+	if !reflect.DeepEqual(w.origID, g.origID) {
+		t.Errorf("origID differs: %v vs %v", w.origID, g.origID)
 	}
-	if want.numEdge != got.numEdge || want.labelCount != got.labelCount {
+	if want.stat != got.stat || len(want.pieces) != 1 || len(got.pieces) != 1 {
 		t.Errorf("counts differ: %v vs %v", want, got)
 	}
 }
@@ -95,30 +96,48 @@ func TestBinaryRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("StatBinary: %v", err)
 			}
-			want := StatOf(tc.g)
-			if st != want {
+			if want := SourceStatOf(tc.g); st != want {
 				t.Errorf("StatBinary = %+v, want %+v", st, want)
 			}
 		})
 	}
 }
 
-// After Close, an mmap-backed graph must present as empty rather than
-// faulting on unmapped pages.
+// After Close a graph must present as empty rather than faulting on
+// unmapped pages — whatever held its rows: the heap, one mapping, or a
+// mapping per fragment. A second Close is a no-op, and a MemorySource
+// over the instance refuses to serve it.
 func TestBinaryCloseDropsViews(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "g.pgr")
-	if err := SaveBinary(path, randomGraph(t, 3, 50, 200, true)); err != nil {
+	dir := t.TempDir()
+	pgr, manifest := filepath.Join(dir, "g.pgr"), filepath.Join(dir, "g.manifest")
+	if err := SaveBinary(pgr, randomGraph(t, 3, 50, 200, true)); err != nil {
 		t.Fatal(err)
 	}
-	g, err := LoadBinary(path)
-	if err != nil {
+	if _, err := SaveSharded(manifest, randomGraph(t, 3, 50, 200, true), 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 0 || g.NumEdges() != 0 || g.Labeled() {
-		t.Errorf("closed graph still reports data: %v", g)
+	for name, load := range map[string]func() (*Graph, error){
+		"heap":    func() (*Graph, error) { return randomGraph(t, 3, 50, 200, true), nil },
+		"mapped":  func() (*Graph, error) { return LoadBinary(pgr) },
+		"sharded": func() (*Graph, error) { return LoadSharded(manifest) },
+	} {
+		g, err := load()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		src := MemorySource("mem:"+name, g)
+		if err := g.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", name, err)
+		}
+		if SourceStatOf(g) != (SourceStat{}) || g.MaxDegree() != 0 {
+			t.Errorf("%s: closed graph still reports data: %v, %+v", name, g, SourceStatOf(g))
+		}
+		if err := g.Close(); err != nil {
+			t.Errorf("%s: second Close: %v", name, err)
+		}
+		if _, err := src.Load(); err == nil {
+			t.Errorf("%s: a memory source served a closed graph", name)
+		}
 	}
 }
 
@@ -284,7 +303,8 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	f.Add([]byte("PGRCSR\x00\x01"))
 	f.Add(bytes.Repeat([]byte{0}, headerSize))
-	for _, fr := range SplitGraph(randomGraph(f, 5, 40, 120, true), 2) {
+	frags, _ := SplitGraph(randomGraph(f, 5, 40, 120, true), 2)
+	for _, fr := range frags {
 		var buf bytes.Buffer
 		if err := WriteFragment(&buf, fr); err != nil {
 			f.Fatal(err)
@@ -294,9 +314,9 @@ func FuzzReadBinary(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if fr, err := ReadFragment(bytes.NewReader(data)); err == nil {
-			for v := fr.Lo; v < fr.Hi(); v++ {
+			for v := fr.pieces[0].lo; v < fr.pieces[0].hi(); v++ {
 				for i, u := range fr.Adj(v) {
-					if u >= fr.Total || u == v || (i > 0 && fr.Adj(v)[i-1] >= u) {
+					if u >= fr.NumVertices() || u == v || (i > 0 && fr.Adj(v)[i-1] >= u) {
 						t.Fatalf("accepted fragment has bad adjacency at %d: %v", v, fr.Adj(v))
 					}
 				}
@@ -330,7 +350,7 @@ func FuzzReadBinary(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		if g2.NumVertices() != n || g2.NumEdges() != g.NumEdges() || g2.labelCount != g.labelCount {
+		if g2.NumVertices() != n || g2.NumEdges() != g.NumEdges() || g2.NumLabels() != g.NumLabels() {
 			t.Fatalf("re-encode changed the graph: %v vs %v", g, g2)
 		}
 	})

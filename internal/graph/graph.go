@@ -31,23 +31,41 @@ import (
 // NoLabel marks an unlabeled vertex.
 const NoLabel uint32 = 0xFFFFFFFF
 
+// rows is a CSR over the contiguous vertex range [lo, lo+len(offsets)-1):
+// the one shape graph storage takes. A whole graph is one of these with
+// lo 0; a shard fragment file is one; a sharded graph is several, end to
+// end.
+type rows struct {
+	lo      uint32   // first vertex held
+	offsets []uint64 // len = held+1, local: adjacency of v is adj[offsets[v-lo]:offsets[v-lo+1]]
+	adj     []uint32 // concatenated sorted adjacency lists; neighbor ids are global
+	labels  []uint32 // per-vertex label, nil when the graph is unlabeled
+	origID  []uint32 // id -> original id from the input, nil when they are equal
+
+	// release unmaps the file behind mapped rows (see loadImage); nil
+	// for heap-backed rows. Consumed by Graph.Close.
+	release func() error
+}
+
+// hi returns one past the last vertex held.
+func (p *rows) hi() uint32 { return p.lo + uint32(len(p.offsets)-1) }
+
 // Graph is an immutable undirected data graph in CSR form.
 //
 // The zero value is an empty graph. Construct instances with Build,
 // FromEdges, or the loaders in this package.
 type Graph struct {
-	offsets []uint64 // len = n+1; adjacency of v is adj[offsets[v]:offsets[v+1]]
-	adj     []uint32 // concatenated sorted adjacency lists
-	labels  []uint32 // per-vertex label, nil when the graph is unlabeled
-	origID  []uint32 // new id -> original id from the input
-	numEdge uint64   // number of undirected edges
+	// stat holds the whole-graph counts; the rows never need consulting
+	// for them. DegreeDesc records ids assigned in non-increasing degree
+	// order (RenumberDescending) rather than Build's default.
+	stat Stat
 
-	labelCount int // number of distinct labels (0 when unlabeled)
-
-	// degDesc records that ids are assigned in non-increasing degree
-	// order (RenumberDescending) rather than Build's non-decreasing
-	// default. Persisted in the .pgr header and shard manifest.
-	degDesc bool
+	// pieces hold the rows, ascending and contiguous from vertex 0: one
+	// for a whole graph, one per fragment file for a manifest-backed
+	// graph (sharded, see LoadSharded). Immutable until Close, so readers
+	// need no synchronization.
+	pieces  []rows
+	sharded bool
 
 	// hubBits[v] is the compressed-bitmap form of v's adjacency for
 	// vertices at or above the BuildHubBitsets degree threshold, nil
@@ -55,87 +73,64 @@ type Graph struct {
 	// hubBytes is their total heap footprint for Bytes accounting.
 	hubBits  []*bitset.Bitmap
 	hubBytes uint64
-
-	// release unmaps backing storage for mmap-backed graphs (see
-	// LoadBinary); nil for heap-backed graphs. Consumed by Close.
-	release func() error
-
-	// sh is non-nil for manifest-backed sharded graphs (LoadSharded):
-	// the CSR slices above stay nil and every accessor routes to the
-	// fragment owning the vertex. See shard.go.
-	sh *shardSet
 }
 
 // NumVertices returns |V(G)|.
-func (g *Graph) NumVertices() uint32 {
-	if g.sh != nil {
-		return g.sh.stat.Vertices
-	}
-	return uint32(len(g.offsets) - 1)
-}
+func (g *Graph) NumVertices() uint32 { return g.stat.Vertices }
 
 // NumEdges returns |E(G)| counting each undirected edge once.
-func (g *Graph) NumEdges() uint64 {
-	if g.sh != nil {
-		return g.sh.stat.Edges
-	}
-	return g.numEdge
-}
+func (g *Graph) NumEdges() uint64 { return g.stat.Edges }
 
 // Labeled reports whether the graph carries vertex labels.
-func (g *Graph) Labeled() bool {
-	if g.sh != nil {
-		return g.sh.stat.Labeled
-	}
-	return g.labels != nil
-}
+func (g *Graph) Labeled() bool { return g.stat.Labeled }
 
 // NumLabels returns the number of distinct labels, or 0 for unlabeled graphs.
-func (g *Graph) NumLabels() int {
-	if g.sh != nil {
-		return g.sh.stat.Labels
+func (g *Graph) NumLabels() int { return g.stat.Labels }
+
+// rowsOf returns the piece holding v — the one point where a vertex is
+// routed to its storage: piece 0 when there is one, otherwise the last
+// piece starting at or below v, found by scanning the bounds downwards.
+// Adj, Label, Degree and OrigID are the engine's innermost calls and
+// must stay inlinable with this inlined into them (scripts/analyze.sh
+// checks), which is why the scan is a bare loop.
+func (g *Graph) rowsOf(v uint32) *rows {
+	i := len(g.pieces) - 1
+	for i > 0 && g.pieces[i].lo > v {
+		i--
 	}
-	return g.labelCount
+	return &g.pieces[i]
 }
 
 // Label returns the label of v, or NoLabel for unlabeled graphs.
 func (g *Graph) Label(v uint32) uint32 {
-	if g.sh != nil {
-		return g.sh.label(v)
-	}
-	if g.labels == nil {
+	p := g.rowsOf(v)
+	if p.labels == nil {
 		return NoLabel
 	}
-	return g.labels[v]
+	return p.labels[v-p.lo]
 }
 
 // Adj returns the sorted adjacency list of v. The returned slice is a
 // view into the graph's storage: it must not be modified, and is valid
 // until Close.
 func (g *Graph) Adj(v uint32) []uint32 {
-	if g.sh != nil {
-		return g.sh.adj(v)
-	}
-	return g.adj[g.offsets[v]:g.offsets[v+1]]
+	p := g.rowsOf(v)
+	return p.adj[p.offsets[v-p.lo]:p.offsets[v-p.lo+1]]
 }
 
 // Degree returns the number of neighbors of v.
 func (g *Graph) Degree(v uint32) uint32 {
-	if g.sh != nil {
-		return uint32(len(g.sh.adj(v)))
-	}
-	return uint32(g.offsets[v+1] - g.offsets[v])
+	p := g.rowsOf(v)
+	return uint32(p.offsets[v-p.lo+1] - p.offsets[v-p.lo])
 }
 
 // OrigID maps a degree-ordered vertex id back to the id used in the input.
 func (g *Graph) OrigID(v uint32) uint32 {
-	if g.sh != nil {
-		return g.sh.origIDOf(v)
-	}
-	if g.origID == nil {
+	p := g.rowsOf(v)
+	if p.origID == nil {
 		return v
 	}
-	return g.origID[v]
+	return p.origID[v-p.lo]
 }
 
 // HasEdge reports whether the undirected edge (u, v) exists, using
@@ -165,12 +160,7 @@ func (g *Graph) MaxDegree() uint32 {
 // DegreeDescending reports whether vertex ids are assigned in
 // non-increasing degree order (hubs first — see RenumberDescending).
 // Build's default is non-decreasing (false).
-func (g *Graph) DegreeDescending() bool {
-	if g.sh != nil {
-		return g.sh.stat.DegreeDesc
-	}
-	return g.degDesc
-}
+func (g *Graph) DegreeDescending() bool { return g.stat.DegreeDesc }
 
 // hubDenseChunkMin is the per-chunk cardinality at which hub bitmaps
 // use dense (bitmap-mode) chunks instead of sorted 16-bit arrays. Hub
@@ -236,51 +226,35 @@ func (g *Graph) AvgDegree() float64 {
 	return float64(2*g.NumEdges()) / float64(n)
 }
 
-// Bytes returns the resident size of the graph's CSR arrays — for an
-// mmap-backed graph, the size of the mapping; for a sharded graph, of
-// all its fragments — plus any hub bitsets. Registries use it for
-// memory-budget accounting.
+// Bytes returns the resident size of the graph's CSR arrays — for
+// mapped rows, the size of the mapping less its header — plus any hub
+// bitsets. Registries use it for memory-budget accounting.
 func (g *Graph) Bytes() uint64 {
-	if g.sh != nil {
-		total := g.hubBytes
-		for _, f := range g.sh.frags {
-			total += f.Bytes()
-		}
-		return total
+	total := g.hubBytes
+	for i := range g.pieces {
+		p := &g.pieces[i]
+		total += 8*uint64(len(p.offsets)) + 4*uint64(len(p.adj)+len(p.labels)+len(p.origID))
 	}
-	return 8*uint64(len(g.offsets)) +
-		4*uint64(len(g.adj)) +
-		4*uint64(len(g.labels)) +
-		4*uint64(len(g.origID)) +
-		g.hubBytes
+	return total
 }
 
-// Close releases the graph's backing storage. For mmap-backed graphs
-// (LoadBinary, and every fragment of LoadSharded) it unmaps the files —
-// any use of the graph or of Adj views after Close faults — and for
-// heap-backed graphs it is a no-op. Close is idempotent but not
-// concurrency-safe with graph use: callers that share a graph must pin
-// it (see internal/server's registry).
+// Close releases the graph's storage — every mapped file behind it is
+// unmapped (LoadBinary's one, LoadSharded's one per fragment) — and
+// leaves the zero Graph, so a use after Close sees an empty graph
+// instead of faulting on unmapped pages: views returned by Adj are dead.
+// Close is idempotent but not concurrency-safe with graph use: callers
+// that share a graph must pin it (see internal/server's registry).
 func (g *Graph) Close() error {
-	if g.sh != nil {
-		g.hubBits, g.hubBytes = nil, 0
-		return g.sh.close()
+	var first error
+	for i := range g.pieces {
+		if rel := g.pieces[i].release; rel != nil {
+			if err := rel(); err != nil && first == nil {
+				first = err
+			}
+		}
 	}
-	if g.release == nil {
-		return nil
-	}
-	rel := g.release
-	g.release = nil
-	// Drop the aliasing slices so a use-after-Close fails fast on a nil
-	// or empty view instead of faulting on unmapped pages nondeterministically.
-	g.offsets = []uint64{0}
-	g.adj = nil
-	g.labels = nil
-	g.origID = nil
-	g.numEdge = 0
-	g.hubBits = nil
-	g.hubBytes = 0
-	return rel()
+	*g = Graph{}
+	return first
 }
 
 // RenumberDescending returns a copy of g with vertex ids reassigned in
@@ -312,11 +286,8 @@ func RenumberDescending(g *Graph) (*Graph, error) {
 		rename[o] = uint32(newID)
 	}
 
-	out := &Graph{
-		numEdge:    g.NumEdges(),
-		labelCount: g.NumLabels(),
-		degDesc:    true,
-	}
+	out := &Graph{stat: g.stat, pieces: make([]rows, 1)}
+	out.stat.DegreeDesc = true
 	offsets := make([]uint64, n+1)
 	var w uint64
 	for v := uint32(0); v < n; v++ {
@@ -332,22 +303,20 @@ func RenumberDescending(g *Graph) (*Graph, error) {
 		}
 		sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
 	}
-	out.offsets = offsets
-	out.adj = adj
+	p := &out.pieces[0]
+	p.offsets, p.adj = offsets, adj
 
 	if g.Labeled() {
-		labels := make([]uint32, n)
+		p.labels = make([]uint32, n)
 		for v := uint32(0); v < n; v++ {
-			labels[v] = g.Label(order[v])
+			p.labels[v] = g.Label(order[v])
 		}
-		out.labels = labels
 	}
 	// Compose OrigID: new id -> old id -> original input id.
-	origID := make([]uint32, n)
+	p.origID = make([]uint32, n)
 	for v := uint32(0); v < n; v++ {
-		origID[v] = g.OrigID(order[v])
+		p.origID[v] = g.OrigID(order[v])
 	}
-	out.origID = origID
 	return out, nil
 }
 
@@ -486,7 +455,6 @@ func (b *Builder) Build() *Graph {
 		rename[o] = uint32(newID)
 	}
 
-	g := &Graph{origID: order}
 	newOffsets := make([]uint64, n+1)
 	var w uint64
 	for v := uint32(0); v < n; v++ {
@@ -505,9 +473,10 @@ func (b *Builder) Build() *Graph {
 		sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
 		edges += uint64(len(dst))
 	}
-	g.offsets = newOffsets
-	g.adj = adj
-	g.numEdge = edges / 2
+	g := &Graph{
+		stat:   Stat{Vertices: n, Edges: edges / 2},
+		pieces: []rows{{offsets: newOffsets, adj: adj, origID: order}},
+	}
 
 	if len(b.labels) > 0 {
 		labels := make([]uint32, n)
@@ -526,8 +495,8 @@ func (b *Builder) Build() *Graph {
 			}
 		}
 		if len(distinct) > 0 {
-			g.labels = labels
-			g.labelCount = len(distinct)
+			g.pieces[0].labels = labels
+			g.stat.Labels, g.stat.Labeled = len(distinct), true
 		}
 	}
 	return g

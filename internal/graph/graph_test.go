@@ -289,3 +289,21 @@ func TestContains(t *testing.T) {
 		t.Error("Contains(nil, 1) = true")
 	}
 }
+
+// The zero Graph is an empty graph, as the type's doc promises.
+func TestZeroValueGraphIsEmpty(t *testing.T) {
+	g := &Graph{}
+	if g.NumVertices() != 0 || g.NumEdges() != 0 || g.MaxDegree() != 0 || g.Bytes() != 0 || g.Labeled() {
+		t.Fatalf("zero graph reports data: %v, MaxDegree %d, Bytes %d", g, g.MaxDegree(), g.Bytes())
+	}
+	if err := g.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatalf("WriteBinary: %v", err)
+	}
+	if rg, err := ReadBinary(&buf); err != nil || StatOf(rg) != (Stat{}) {
+		t.Fatalf("zero graph read back as %v, %v", rg, err)
+	}
+}

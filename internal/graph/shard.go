@@ -25,27 +25,23 @@ package graph
 // adjacency entry stored once by its owning side — so the union of the
 // fragments reconstructs the full CSR exactly.
 //
-// A loaded sharded graph is an ordinary *Graph whose accessors route
-// through a shardSet: LoadSharded loads and validates every fragment
-// exactly like a whole .pgr (loadImage: mapped read-only where the
-// platform allows, decoded into the heap elsewhere) and keeps them all
-// behind a routing table until Close. Residency is decided one level
-// up and by whole graph — the server registry charges a sharded graph
-// its fragment bytes, pins it per query and evicts it idle. A mapped
-// graph larger than memory still mines, paged by the kernel; a decoded
-// one must fit.
+// A loaded sharded graph is an ordinary *Graph with one piece of rows
+// per fragment (see Graph.pieces): LoadSharded loads and validates every
+// fragment exactly like a whole .pgr (loadImage: mapped read-only where
+// the platform allows, decoded into the heap elsewhere) and keeps them
+// all until Close. Residency is decided one level up and by whole graph
+// — the server registry charges a sharded graph its fragment bytes, pins
+// it per query and evicts it idle. A mapped graph larger than memory
+// still mines, paged by the kernel; a decoded one must fit.
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // manifestMagic begins every manifest file; the version follows it.
@@ -272,179 +268,15 @@ func LoadManifest(path string) (*Manifest, error) {
 	return m, nil
 }
 
-// SniffManifest reports whether path begins with the manifest magic.
-func SniffManifest(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, fmt.Errorf("graph: %w", err)
-	}
-	defer f.Close()
-	buf := make([]byte, len(manifestMagic)+1)
-	if _, err := io.ReadFull(f, buf); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return false, nil
-		}
-		return false, fmt.Errorf("graph: %w", err)
-	}
-	return string(buf) == manifestMagic+" ", nil
-}
-
-// Fragment is one loaded shard: the CSR rows of its owned vertex range
-// [Lo, Lo+Owned()), with neighbor ids global to the full graph.
-type Fragment struct {
-	Lo      uint32 // first owned vertex id
-	Total   uint32 // vertex count of the full graph
-	DegDesc bool   // ids of the full graph are hubs-first (RenumberDescending)
-
-	offsets    []uint64 // len Owned()+1, local to the fragment
-	adj        []uint32 // global neighbor ids
-	labels     []uint32 // owned-range labels, nil when unlabeled
-	origID     []uint32 // owned-range original ids, nil when absent
-	labelCount uint32   // whole-graph distinct label count
-
-	// release unmaps the file behind a mapped fragment (LoadFragment);
-	// nil for decoded fragments and SplitGraph views. Consumed by Close.
-	release func() error
-}
-
-// Owned returns the number of vertices this fragment owns.
-func (f *Fragment) Owned() uint32 { return uint32(len(f.offsets) - 1) }
-
-// Hi returns one past the last owned vertex id.
-func (f *Fragment) Hi() uint32 { return f.Lo + f.Owned() }
-
-// Adj returns the sorted global-id adjacency list of owned vertex v.
-func (f *Fragment) Adj(v uint32) []uint32 {
-	i := v - f.Lo
-	return f.adj[f.offsets[i]:f.offsets[i+1]]
-}
-
-// Label returns the label of owned vertex v, or NoLabel when the graph
-// is unlabeled.
-func (f *Fragment) Label(v uint32) uint32 {
-	if f.labels == nil {
-		return NoLabel
-	}
-	return f.labels[v-f.Lo]
-}
-
-// OrigIDOf maps owned vertex v back to its original input id.
-func (f *Fragment) OrigIDOf(v uint32) uint32 {
-	if f.origID == nil {
-		return v
-	}
-	return f.origID[v-f.Lo]
-}
-
-// Bytes returns the resident size of the fragment's arrays — for a
-// mapped fragment, the size of the mapping less its header.
-func (f *Fragment) Bytes() uint64 {
-	return 8*uint64(len(f.offsets)) +
-		4*uint64(len(f.adj)) +
-		4*uint64(len(f.labels)) +
-		4*uint64(len(f.origID))
-}
-
-// Close unmaps a mapped fragment and is a no-op for any other. Like
-// Graph.Close it is idempotent, not concurrency-safe with use, and
-// drops the aliasing slices so a use after Close fails fast.
-func (f *Fragment) Close() error {
-	if f.release == nil {
-		return nil
-	}
-	rel := f.release
-	f.release = nil
-	f.offsets, f.adj, f.labels, f.origID = []uint64{0}, nil, nil, nil
-	return rel()
-}
-
-// WriteFragment writes f as a flagFragment .pgr stream.
-func WriteFragment(w io.Writer, f *Fragment) error {
-	h := binaryHeader{
-		flags:      flagFragment,
-		n:          f.Owned(),
-		labelCount: f.labelCount,
-		numEdges:   uint64(len(f.adj)),
-		adjLen:     uint64(len(f.adj)),
-		fragLo:     f.Lo,
-		fragTotal:  f.Total,
-	}
-	if f.labels != nil {
-		h.flags |= flagLabels
-	}
-	if f.origID != nil {
-		h.flags |= flagOrigID
-	}
-	if f.DegDesc {
-		h.flags |= flagDescDegree
-	}
-	return writeSections(w, h, f.offsets, f.adj, f.labels, f.origID)
-}
-
-// SaveFragment writes f to path atomically.
-func SaveFragment(path string, f *Fragment) error {
-	return saveAtomic(path, func(w io.Writer) error { return WriteFragment(w, f) })
-}
-
-// fragmentFromImage builds a Fragment from a complete fragment .pgr
-// image, aliasing it or not (see readSections), and sweeps its rows
-// like a whole graph's (validateCSR).
-func fragmentFromImage(data []byte, alias bool) (*Fragment, error) {
-	h, err := decodeHeader(data, uint64(len(data)))
-	if err != nil {
-		return nil, err
-	}
-	if !h.fragment() {
-		return nil, badFormat("file is a whole graph, not a shard fragment")
-	}
-	s := readSections(data, h, alias)
-	f := &Fragment{
-		Lo:         h.fragLo,
-		Total:      h.fragTotal,
-		DegDesc:    h.descDegree(),
-		offsets:    s.offsets,
-		adj:        s.adj,
-		labels:     s.labels,
-		origID:     s.origID,
-		labelCount: h.labelCount,
-	}
-	if err := validateCSR(f.offsets, f.adj, f.Lo, uint64(f.Total)); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// ReadFragment parses a complete fragment .pgr stream into the heap.
-func ReadFragment(r io.Reader) (*Fragment, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("graph: read fragment: %w", err)
-	}
-	return fragmentFromImage(data, false)
-}
-
-// LoadFragment loads the fragment at path the way LoadBinary loads a
-// whole graph: mapped read-only where the platform allows, decoded
-// into the heap elsewhere. The caller owns the result and releases it
-// with Close.
-func LoadFragment(path string) (*Fragment, error) {
-	f, unmap, err := loadImage(path, fragmentFromImage)
-	if err != nil {
-		return nil, fmt.Errorf("%w (%s)", err, path)
-	}
-	f.release = unmap
-	return f, nil
-}
-
 // SplitGraph cuts g into at most shards contiguous vertex-range
 // fragments, balancing by adjacency entries (so a hub-heavy suffix of
-// the degree-ordered id space doesn't land in one shard). Fragments
-// alias g's arrays; they are valid as long as g is.
-func SplitGraph(g *Graph, shards int) []*Fragment {
-	if g.sh != nil {
-		// Splitting an already-sharded graph would need a materialized
-		// CSR; callers load into memory first.
-		panic("graph: SplitGraph on a sharded graph")
+// the degree-ordered id space doesn't land in one shard). A fragment is
+// a one-piece Graph as ReadFragment returns it, aliasing g's arrays: it
+// is valid as long as g is.
+func SplitGraph(g *Graph, shards int) ([]*Graph, error) {
+	p, err := g.contiguous()
+	if err != nil {
+		return nil, err
 	}
 	n := g.NumVertices()
 	if shards < 1 {
@@ -453,18 +285,15 @@ func SplitGraph(g *Graph, shards int) []*Fragment {
 	if uint64(shards) > uint64(n) {
 		shards = int(n)
 	}
-	if n == 0 {
-		return nil
-	}
-	total := uint64(len(g.adj))
-	frags := make([]*Fragment, 0, shards)
+	total := uint64(len(p.adj))
+	frags := make([]*Graph, 0, shards)
 	lo := uint32(0)
 	for s := 0; s < shards; s++ {
 		hi := n
 		if s < shards-1 {
 			target := total * uint64(s+1) / uint64(shards)
 			hi = lo + 1
-			for hi < n && g.offsets[hi] < target {
+			for hi < n && p.offsets[hi] < target {
 				hi++
 			}
 			// Leave at least one vertex for each remaining shard.
@@ -472,34 +301,23 @@ func SplitGraph(g *Graph, shards int) []*Fragment {
 				hi = max
 			}
 		}
-		frags = append(frags, fragmentOf(g, lo, hi))
+		base := p.offsets[lo]
+		cut := rows{lo: lo, offsets: make([]uint64, hi-lo+1), adj: p.adj[base:p.offsets[hi]]}
+		for i := range cut.offsets {
+			cut.offsets[i] = p.offsets[lo+uint32(i)] - base
+		}
+		if p.labels != nil {
+			cut.labels = p.labels[lo:hi]
+		}
+		if p.origID != nil {
+			cut.origID = p.origID[lo:hi]
+		}
+		f := &Graph{stat: g.stat, pieces: []rows{cut}}
+		f.stat.Edges = uint64(len(cut.adj))
+		frags = append(frags, f)
 		lo = hi
 	}
-	return frags
-}
-
-// fragmentOf cuts the rows [lo, hi) of g into a Fragment view.
-func fragmentOf(g *Graph, lo, hi uint32) *Fragment {
-	base := g.offsets[lo]
-	off := make([]uint64, hi-lo+1)
-	for i := range off {
-		off[i] = g.offsets[lo+uint32(i)] - base
-	}
-	f := &Fragment{
-		Lo:         lo,
-		Total:      g.NumVertices(),
-		DegDesc:    g.degDesc,
-		offsets:    off,
-		adj:        g.adj[base:g.offsets[hi]],
-		labelCount: uint32(g.labelCount),
-	}
-	if g.labels != nil {
-		f.labels = g.labels[lo:hi]
-	}
-	if g.origID != nil {
-		f.origID = g.origID[lo:hi]
-	}
-	return f
+	return frags, nil
 }
 
 // SaveSharded partitions g into shards fragments next to manifestPath
@@ -507,10 +325,10 @@ func fragmentOf(g *Graph, lo, hi uint32) *Fragment {
 // the manifest's base name (minus a ".manifest" suffix, if any):
 // "<base>.shard<i>.pgr". It returns the written manifest.
 func SaveSharded(manifestPath string, g *Graph, shards int) (*Manifest, error) {
-	if g.sh != nil {
-		return nil, errors.New("graph: cannot re-shard a sharded graph; load it into memory first")
+	frags, err := SplitGraph(g, shards)
+	if err != nil {
+		return nil, err
 	}
-	frags := SplitGraph(g, shards)
 	dir := filepath.Dir(manifestPath)
 	base := strings.TrimSuffix(filepath.Base(manifestPath), ".manifest")
 	m := &Manifest{Stat: StatOf(g), Shards: make([]ShardInfo, len(frags))}
@@ -519,7 +337,7 @@ func SaveSharded(manifestPath string, g *Graph, shards int) (*Manifest, error) {
 		if err := SaveFragment(filepath.Join(dir, name), f); err != nil {
 			return nil, err
 		}
-		m.Shards[i] = ShardInfo{Lo: f.Lo, Hi: f.Hi(), File: name}
+		m.Shards[i] = ShardInfo{Lo: f.pieces[0].lo, Hi: f.pieces[0].hi(), File: name}
 	}
 	if err := saveAtomic(manifestPath, func(w io.Writer) error { return WriteManifest(w, m) }); err != nil {
 		return nil, err
@@ -527,58 +345,20 @@ func SaveSharded(manifestPath string, g *Graph, shards int) (*Manifest, error) {
 	return m, nil
 }
 
-// shardSet is the storage behind a sharded *Graph: every fragment of
-// the manifest, loaded, and the routing table that finds a vertex's
-// owner. It is immutable between LoadSharded and Close, so readers need
-// no synchronization.
-type shardSet struct {
-	stat  Stat
-	lo    []uint32 // fragment i owns [lo[i], lo[i+1]); the last runs to stat.Vertices
-	frags []*Fragment
-}
-
-// owner returns the index of the fragment owning vertex v. Ranges are
-// contiguous from 0, so this is a binary search over the lo array.
-func (s *shardSet) owner(v uint32) int {
-	return sort.Search(len(s.lo), func(i int) bool { return s.lo[i] > v }) - 1
-}
-
-// The routed accessors behind Graph.Adj/Label/OrigID. They are methods
-// rather than expressions in those accessors so the search stays out
-// of line there: Graph.Label and Graph.OrigID fit the compiler's
-// inlining budget for whole graphs only while the sharded branch is a
-// single call.
-func (s *shardSet) adj(v uint32) []uint32    { return s.frags[s.owner(v)].Adj(v) }
-func (s *shardSet) label(v uint32) uint32    { return s.frags[s.owner(v)].Label(v) }
-func (s *shardSet) origIDOf(v uint32) uint32 { return s.frags[s.owner(v)].OrigIDOf(v) }
-
-// close releases every fragment and empties the set, so the graph
-// reports no data afterwards, like a closed whole graph.
-func (s *shardSet) close() error {
-	var first error
-	for _, f := range s.frags {
-		if err := f.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	*s = shardSet{}
-	return first
-}
-
 // checkFragment verifies a loaded fragment matches its manifest entry,
 // so a swapped or stale file fails loudly instead of mis-routing.
-func checkFragment(m *Manifest, i int, f *Fragment) error {
-	sh := m.Shards[i]
-	if f.Lo != sh.Lo || f.Hi() != sh.Hi {
-		return badFormat("fragment range [%d,%d) does not match manifest [%d,%d)", f.Lo, f.Hi(), sh.Lo, sh.Hi)
+func checkFragment(m *Manifest, i int, f *Graph) error {
+	sh, p := m.Shards[i], &f.pieces[0]
+	if p.lo != sh.Lo || p.hi() != sh.Hi {
+		return badFormat("fragment range [%d,%d) does not match manifest [%d,%d)", p.lo, p.hi(), sh.Lo, sh.Hi)
 	}
-	if f.Total != m.Stat.Vertices {
-		return badFormat("fragment total %d does not match manifest %d vertices", f.Total, m.Stat.Vertices)
+	if f.stat.Vertices != m.Stat.Vertices {
+		return badFormat("fragment total %d does not match manifest %d vertices", f.stat.Vertices, m.Stat.Vertices)
 	}
-	if (f.labels != nil) != m.Stat.Labeled {
+	if (p.labels != nil) != m.Stat.Labeled {
 		return badFormat("fragment label section does not match manifest")
 	}
-	if f.DegDesc != m.Stat.DegreeDesc {
+	if f.stat.DegreeDesc != m.Stat.DegreeDesc {
 		return badFormat("fragment degree-order flag does not match manifest")
 	}
 	return nil
@@ -593,97 +373,55 @@ func LoadSharded(path string) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &shardSet{stat: m.Stat}
+	g := &Graph{stat: m.Stat, sharded: true}
 	for i, sh := range m.Shards {
-		f, err := LoadFragment(filepath.Join(filepath.Dir(path), sh.File))
+		file := filepath.Join(filepath.Dir(path), sh.File)
+		f, err := LoadFragment(file)
 		if err == nil {
-			s.lo = append(s.lo, sh.Lo)
-			s.frags = append(s.frags, f) // before the check, so a mismatch is unmapped too
+			g.pieces = append(g.pieces, f.pieces[0]) // before the check, so a mismatch is unmapped too
 			err = checkFragment(m, i, f)
 		}
 		if err != nil {
-			_ = s.close()
-			return nil, fmt.Errorf("graph: shard %d: %w", i, err)
+			_ = g.Close()
+			return nil, fmt.Errorf("graph: shard %d: %w (%s)", i, err, file)
 		}
 	}
-	return &Graph{sh: s}, nil
+	return g, nil
 }
 
 // Shards is the fragment count of a loaded sharded graph, 0 for a
 // graph that is not sharded. Every fragment is loaded for as long as
 // the graph is, so there is nothing finer to count.
 func (g *Graph) Shards() int {
-	if g.sh == nil {
+	if !g.sharded {
 		return 0
 	}
-	return len(g.sh.frags)
+	return len(g.pieces)
 }
 
 // ShardedSource serves a sharded graph described by a manifest file.
-// Stat comes from the manifest alone; Load is LoadSharded.
-func ShardedSource(path string) Source { return &shardedSource{path: path} }
+// Stat reads the manifest and sizes the fragment files; Load is
+// LoadSharded.
+func ShardedSource(path string) Source { return shardedSource{path: path} }
 
-type shardedSource struct {
-	path string
+type shardedSource struct{ path string }
 
-	mu sync.Mutex
-	m  *Manifest // memoized parse; manifest files are write-once
-}
+func (s shardedSource) Name() string          { return "shard:" + s.path }
+func (s shardedSource) Load() (*Graph, error) { return LoadSharded(s.path) }
 
-func (s *shardedSource) manifest() (*Manifest, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		m, err := LoadManifest(s.path)
-		if err != nil {
-			return nil, err
-		}
-		s.m = m
-	}
-	return s.m, nil
-}
-
-func (s *shardedSource) Name() string { return "shard:" + s.path }
-
-func (s *shardedSource) Stat() (Stat, error) {
-	m, err := s.manifest()
+func (s shardedSource) Stat() (SourceStat, error) {
+	m, err := LoadManifest(s.path)
 	if err != nil {
-		return Stat{}, err
+		return SourceStat{}, err
 	}
-	return m.Stat, nil
-}
-
-func (s *shardedSource) Load() (*Graph, error) { return LoadSharded(s.path) }
-
-// Bytes sums the on-disk fragment sizes: what a load maps.
-func (s *shardedSource) Bytes() uint64 {
-	m, err := s.manifest()
-	if err != nil {
-		return 0
-	}
-	dir := filepath.Dir(s.path)
-	var total uint64
+	st := SourceStat{Stat: m.Stat, Shards: len(m.Shards)}
 	for _, sh := range m.Shards {
-		if fi, err := os.Stat(filepath.Join(dir, sh.File)); err == nil {
-			total += uint64(fi.Size())
+		// A load holds each fragment's arrays: its file less the header.
+		// A fragment that is missing right now is the load's error to
+		// report, not the listing's.
+		if fi, err := os.Stat(filepath.Join(filepath.Dir(s.path), sh.File)); err == nil && fi.Size() > headerSize {
+			st.Bytes += uint64(fi.Size()) - headerSize
 		}
 	}
-	return total
-}
-
-// ShardCount reports the number of shards in the manifest, 0 when the
-// manifest is unreadable. Used by registry listings for unloaded
-// sharded graphs.
-func (s *shardedSource) ShardCount() int {
-	m, err := s.manifest()
-	if err != nil {
-		return 0
-	}
-	return len(m.Shards)
-}
-
-// ShardCounter is implemented by sources that know their shard count
-// without a load.
-type ShardCounter interface {
-	ShardCount() int
+	return st, nil
 }

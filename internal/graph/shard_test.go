@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"math/rand"
 	"os"
@@ -75,23 +76,24 @@ func TestSplitGraphUnionReconstructsOriginal(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := randomTestGraph(t, 500, 2000, tc.labels, 42)
 			for _, shards := range []int{1, 3, 4, 7} {
-				frags := SplitGraph(g, shards)
-				if len(frags) != shards {
-					t.Fatalf("SplitGraph(%d) returned %d fragments", shards, len(frags))
+				frags, err := SplitGraph(g, shards)
+				if err != nil || len(frags) != shards {
+					t.Fatalf("SplitGraph(%d) returned %d fragments, error %v", shards, len(frags), err)
 				}
 				// Fragments cover [0, n) contiguously and agree with the
 				// original adjacency on every owned vertex.
 				next := uint32(0)
 				for _, f := range frags {
-					if f.Lo != next {
-						t.Fatalf("fragment starts at %d, want %d", f.Lo, next)
+					p := &f.pieces[0]
+					if p.lo != next {
+						t.Fatalf("fragment starts at %d, want %d", p.lo, next)
 					}
-					for v := f.Lo; v < f.Hi(); v++ {
+					for v := p.lo; v < p.hi(); v++ {
 						if !slices.Equal(f.Adj(v), g.Adj(v)) {
 							t.Fatalf("shards=%d Adj(%d) mismatch", shards, v)
 						}
 					}
-					next = f.Hi()
+					next = p.hi()
 				}
 				if next != g.NumVertices() {
 					t.Fatalf("fragments cover [0,%d), want [0,%d)", next, g.NumVertices())
@@ -101,6 +103,11 @@ func TestSplitGraphUnionReconstructsOriginal(t *testing.T) {
 	}
 }
 
+// TestSaveShardedRoundTrip is the sharded-equals-whole table: a labeled
+// and an unlabeled graph saved at every piece count that routes
+// differently — one piece, two, the usual four, an odd seven and one
+// vertex per piece — must load back answering every accessor and StatOf
+// like the whole graph.
 func TestSaveShardedRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -108,47 +115,49 @@ func TestSaveShardedRoundTrip(t *testing.T) {
 	}{{"unlabeled", 0}, {"labeled", 5}} {
 		t.Run(tc.name, func(t *testing.T) {
 			g := randomTestGraph(t, 300, 1200, tc.labels, 7)
-			dir := t.TempDir()
-			path := filepath.Join(dir, "g.manifest")
-			m, err := SaveSharded(path, g, 4)
-			if err != nil {
-				t.Fatalf("SaveSharded: %v", err)
-			}
-			if len(m.Shards) != 4 {
-				t.Fatalf("manifest has %d shards, want 4", len(m.Shards))
-			}
-			sg, err := LoadSharded(path)
-			if err != nil {
-				t.Fatalf("LoadSharded: %v", err)
-			}
-			defer sg.Close()
-			if n := sg.Shards(); n != 4 || g.Shards() != 0 {
-				t.Fatalf("Shards() = %d sharded, %d whole; want 4, 0", n, g.Shards())
-			}
-			checkShardedEquals(t, g, sg)
+			for _, shards := range []int{1, 2, 4, 7, int(g.NumVertices())} {
+				dir := t.TempDir()
+				path := filepath.Join(dir, "g.manifest")
+				m, err := SaveSharded(path, g, shards)
+				if err != nil {
+					t.Fatalf("SaveSharded(%d): %v", shards, err)
+				}
+				if len(m.Shards) != shards {
+					t.Fatalf("manifest has %d shards, want %d", len(m.Shards), shards)
+				}
+				sg, err := LoadSharded(path)
+				if err != nil {
+					t.Fatalf("LoadSharded(%d): %v", shards, err)
+				}
+				if n := sg.Shards(); n != shards || g.Shards() != 0 {
+					t.Fatalf("Shards() = %d sharded, %d whole; want %d, 0", n, g.Shards(), shards)
+				}
+				checkShardedEquals(t, g, sg)
+				// Writing and re-sharding need the rows in one piece.
+				if _, err := SplitGraph(sg, 2); (err != nil) != (shards > 1) {
+					t.Fatalf("SplitGraph of a %d-piece graph: error %v", shards, err)
+				}
+				if err := WriteBinary(io.Discard, sg); (err != nil) != (shards > 1) {
+					t.Fatalf("WriteBinary of a %d-piece graph: error %v", shards, err)
+				}
 
-			// The auto-detecting source path must find the manifest too.
-			src, err := OpenPath(path)
-			if err != nil {
-				t.Fatalf("OpenPath: %v", err)
-			}
-			st, err := src.Stat()
-			if err != nil {
-				t.Fatalf("Stat: %v", err)
-			}
-			if st.Vertices != g.NumVertices() || st.Edges != g.NumEdges() {
-				t.Fatalf("source stat %+v disagrees with graph", st)
-			}
-			if sc, ok := src.(ShardCounter); !ok || sc.ShardCount() != 4 {
-				t.Fatalf("source shard count probe failed")
-			}
+				// The auto-detecting source path must find the manifest too,
+				// and know before a load what the load will hold.
+				src, err := OpenPath(path)
+				if err != nil {
+					t.Fatalf("OpenPath: %v", err)
+				}
+				if st, err := src.Stat(); err != nil || st != SourceStatOf(sg) {
+					t.Fatalf("source stat %+v, %v; the loaded graph says %+v", st, err, SourceStatOf(sg))
+				}
 
-			// Every fragment stays mapped until Close, and only until then.
-			if n := mappingsUnder(dir); runtime.GOOS == "linux" && n != 4 {
-				t.Fatalf("loaded graph holds %d fragment mappings, want 4", n)
-			}
-			if err := sg.Close(); err != nil || mappingsUnder(dir) != 0 {
-				t.Fatalf("Close: err %v, %d mappings left", err, mappingsUnder(dir))
+				// Every fragment stays mapped until Close, and only until then.
+				if n := mappingsUnder(dir); runtime.GOOS == "linux" && n != shards {
+					t.Fatalf("loaded graph holds %d fragment mappings, want %d", n, shards)
+				}
+				if err := sg.Close(); err != nil || mappingsUnder(dir) != 0 {
+					t.Fatalf("Close: err %v, %d mappings left", err, mappingsUnder(dir))
+				}
 			}
 		})
 	}
@@ -261,7 +270,7 @@ func TestManifestWriteReadRoundTrip(t *testing.T) {
 
 func TestFragmentRejectedByPlainLoaders(t *testing.T) {
 	g := randomTestGraph(t, 100, 300, 0, 3)
-	frags := SplitGraph(g, 2)
+	frags, _ := SplitGraph(g, 2)
 	var buf bytes.Buffer
 	if err := WriteFragment(&buf, frags[0]); err != nil {
 		t.Fatalf("WriteFragment: %v", err)
@@ -279,6 +288,14 @@ func TestFragmentRejectedByPlainLoaders(t *testing.T) {
 	if _, err := LoadBinary(fragPath); err == nil {
 		t.Fatalf("LoadBinary accepted a shard fragment")
 	}
+	// And the other way round: a whole graph is no fragment.
+	buf.Reset()
+	if err := WriteBinary(&buf, g); err != nil {
+		t.Fatalf("WriteBinary: %v", err)
+	}
+	if _, err := ReadFragment(&buf); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("ReadFragment of a whole graph: %v, want ErrBadFormat", err)
+	}
 }
 
 // TestFragmentFileRoundTrip checks the two fragment readers against
@@ -288,7 +305,8 @@ func TestFragmentRejectedByPlainLoaders(t *testing.T) {
 func TestFragmentFileRoundTrip(t *testing.T) {
 	for _, labels := range []uint32{0, 9} {
 		g := randomTestGraph(t, 120, 500, labels, 13)
-		for i, f := range SplitGraph(g, 3) {
+		frags, _ := SplitGraph(g, 3)
+		for i, f := range frags {
 			path := filepath.Join(t.TempDir(), "f.pgr")
 			if err := SaveFragment(path, f); err != nil {
 				t.Fatalf("SaveFragment: %v", err)
@@ -302,11 +320,12 @@ func TestFragmentFileRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadFragment: %v", err)
 			}
-			mapped := *got
-			mapped.release = nil // the unmap func; funcs never compare equal
-			if !reflect.DeepEqual(&mapped, ref) || !reflect.DeepEqual(ref, f) || got.Bytes() != f.Bytes() {
+			unmap := got.pieces[0].release
+			got.pieces[0].release = nil // funcs never compare equal
+			if !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(ref, f) || got.Bytes() != f.Bytes() {
 				t.Fatalf("labels=%d fragment %d: LoadFragment, ReadFragment and the saved view disagree", labels, i)
 			}
+			got.pieces[0].release = unmap
 			if err := got.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
@@ -357,5 +376,31 @@ func TestShardSetSurfacesMissingFragment(t *testing.T) {
 				t.Fatalf("failed LoadSharded left %d fragment mappings behind", n)
 			}
 		})
+	}
+}
+
+// TestFormatBytesUnchanged pins the on-disk formats: one seeded graph
+// written as a .pgr and as a 4-shard manifest must come out byte for
+// byte as the files under testdata/golden, which the writers of the
+// commit before the storage types were merged produced.
+func TestFormatBytesUnchanged(t *testing.T) {
+	g := randomTestGraph(t, 60, 200, 3, 24)
+	dir := t.TempDir()
+	if err := SaveBinary(filepath.Join(dir, "seeded.pgr"), g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SaveSharded(filepath.Join(dir, "seeded.manifest"), g, 4); err != nil {
+		t.Fatal(err)
+	}
+	golden, _ := filepath.Glob(filepath.Join("testdata", "golden", "seeded.*"))
+	if len(golden) != 6 {
+		t.Fatalf("testdata/golden holds %d files, want the .pgr, the manifest and 4 fragments", len(golden))
+	}
+	for _, want := range golden {
+		a, _ := os.ReadFile(want)
+		b, err := os.ReadFile(filepath.Join(dir, filepath.Base(want)))
+		if err != nil || !bytes.Equal(a, b) {
+			t.Errorf("%s: written bytes differ from the golden file (read error %v)", filepath.Base(want), err)
+		}
 	}
 }

@@ -10,14 +10,15 @@ package graph
 // memory budget (reloading them lazily through the same Source).
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
-// Stat is the cheap metadata of a graph source, available without a
-// full load for formats that carry it (the .pgr header, an in-memory
-// graph).
+// Stat is the whole-graph metadata every graph carries, and the .pgr
+// header and shard manifest record.
 type Stat struct {
 	Vertices uint32
 	Edges    uint64
@@ -26,6 +27,19 @@ type Stat struct {
 	// DegreeDesc reports ids assigned hubs-first (RenumberDescending);
 	// false is Build's degree-ascending default.
 	DegreeDesc bool
+}
+
+// SourceStat is what a source knows before a load, in one answer: the
+// graph's Stat, and how it will sit in memory.
+type SourceStat struct {
+	Stat
+	// Bytes is the resident size a load will cost — what Graph.Bytes
+	// reports after it (the .pgr and fragment headers imply it exactly;
+	// an in-memory graph measures itself); 0 means unknown until loaded.
+	Bytes uint64
+	// Shards is the number of fragment files behind the graph
+	// (Graph.Shards after the load); 0 unless it is a shard manifest.
+	Shards int
 }
 
 // ErrNoStat is returned by Source.Stat when the format cannot report
@@ -43,17 +57,14 @@ var ErrNoStat = errors.New("graph: source metadata requires a full load")
 type Source interface {
 	// Name describes the source, e.g. "file:graphs/mico.pgr".
 	Name() string
-	// Stat returns vertex/edge/label counts without loading the graph,
-	// or ErrNoStat when the format cannot know them cheaply.
-	Stat() (Stat, error)
+	// Stat returns the counts, resident size and shard count of the
+	// graph without loading it, or ErrNoStat when the format cannot
+	// know them cheaply.
+	Stat() (SourceStat, error)
 	// Load produces the CSR graph. Unless the source is Shared, each
 	// call returns a graph owned by the caller, released with
 	// Graph.Close.
 	Load() (*Graph, error)
-	// Bytes is the expected resident size of a load, when knowable
-	// without one (the .pgr header implies it exactly; an in-memory
-	// graph measures itself); 0 means unknown until loaded.
-	Bytes() uint64
 }
 
 // SharedLoader marks sources whose Load returns one shared Graph
@@ -83,35 +94,39 @@ func StatOf(g *Graph) Stat {
 	}
 }
 
+// SourceStatOf is the SourceStat of a loaded graph: what a source that
+// could predict everything would have answered before the load.
+func SourceStatOf(g *Graph) SourceStat {
+	return SourceStat{Stat: StatOf(g), Bytes: g.Bytes(), Shards: g.Shards()}
+}
+
 // MemorySource serves an already-built in-memory graph (Build,
 // FromEdges, or a generator output) under a name. Unlike file-backed
 // sources, it cannot recreate its graph: if the instance is Closed —
 // e.g. it was mmap-backed and a registry memory budget evicted it —
 // subsequent Loads fail loudly instead of serving the gutted graph.
 func MemorySource(name string, g *Graph) Source {
-	return memSource{name: name, g: g, st: StatOf(g)}
+	return memSource{name: name, g: g, st: SourceStatOf(g)}
 }
 
 type memSource struct {
 	name string
 	g    *Graph
-	st   Stat // stat at registration, to detect a Close in between
+	st   SourceStat // stat at registration, to detect a Close in between
 }
 
-func (s memSource) Name() string        { return s.name }
-func (s memSource) Stat() (Stat, error) { return s.st, nil }
+func (s memSource) Name() string              { return s.name }
+func (s memSource) Stat() (SourceStat, error) { return s.st, nil }
 func (s memSource) Load() (*Graph, error) {
-	// For the common heap-backed graph, Close is a no-op and Load can
-	// hand out the same instance forever. An mmap-backed graph that a
-	// registry budget Closed is empty now — unrecoverable from here,
-	// so fail rather than silently matching nothing. (Register the
-	// .pgr path itself to make such a graph reloadable.)
-	if StatOf(s.g) != s.st {
+	// Load hands out the same instance forever. A graph its owner
+	// Closed is empty now — unrecoverable from here, so fail rather
+	// than silently matching nothing. (Register the .pgr path itself to
+	// make a graph reloadable.)
+	if StatOf(s.g) != s.st.Stat {
 		return nil, fmt.Errorf("graph: memory source %q: graph was closed; register its file instead to allow reload", s.name)
 	}
 	return s.g, nil
 }
-func (s memSource) Bytes() uint64    { return s.g.Bytes() }
 func (s memSource) SharedLoad() bool { return true }
 
 // FuncSource serves a graph produced by fn on every Load — the seam
@@ -127,42 +142,30 @@ type funcSource struct {
 	fn   func() (*Graph, error)
 }
 
-func (s funcSource) Name() string          { return s.name }
-func (s funcSource) Stat() (Stat, error)   { return Stat{}, ErrNoStat }
-func (s funcSource) Load() (*Graph, error) { return s.fn() }
-func (s funcSource) Bytes() uint64         { return 0 }
+func (s funcSource) Name() string              { return s.name }
+func (s funcSource) Stat() (SourceStat, error) { return SourceStat{}, ErrNoStat }
+func (s funcSource) Load() (*Graph, error)     { return s.fn() }
 
 // EdgeListSource serves a whitespace edge-list file (see LoadEdgeList).
-// Text carries no cheap metadata: Stat reports ErrNoStat and Bytes is
-// unknown until a load.
+// Text carries no cheap metadata: Stat reports ErrNoStat.
 func EdgeListSource(path string) Source { return edgeListSource{path: path} }
 
 type edgeListSource struct{ path string }
 
-func (s edgeListSource) Name() string          { return "edgelist:" + s.path }
-func (s edgeListSource) Stat() (Stat, error)   { return Stat{}, ErrNoStat }
-func (s edgeListSource) Load() (*Graph, error) { return LoadEdgeList(s.path) }
-func (s edgeListSource) Bytes() uint64         { return 0 }
+func (s edgeListSource) Name() string              { return "edgelist:" + s.path }
+func (s edgeListSource) Stat() (SourceStat, error) { return SourceStat{}, ErrNoStat }
+func (s edgeListSource) Load() (*Graph, error)     { return LoadEdgeList(s.path) }
 
-// BinarySource serves a .pgr file: Stat and Bytes come from the header
-// alone, and Load maps the file into memory where the platform allows
-// (see LoadBinary).
+// BinarySource serves a .pgr file: Stat comes from the header alone,
+// and Load maps the file into memory where the platform allows (see
+// LoadBinary).
 func BinarySource(path string) Source { return binarySource{path: path} }
 
 type binarySource struct{ path string }
 
-func (s binarySource) Name() string          { return "pgr:" + s.path }
-func (s binarySource) Stat() (Stat, error)   { return StatBinary(s.path) }
-func (s binarySource) Load() (*Graph, error) { return LoadBinary(s.path) }
-func (s binarySource) Bytes() uint64 {
-	// The file size IS the resident size of an mmap-backed load; no
-	// header decode needed.
-	fi, err := os.Stat(s.path)
-	if err != nil {
-		return 0
-	}
-	return uint64(fi.Size())
-}
+func (s binarySource) Name() string              { return "pgr:" + s.path }
+func (s binarySource) Stat() (SourceStat, error) { return StatBinary(s.path) }
+func (s binarySource) Load() (*Graph, error)     { return LoadBinary(s.path) }
 
 // FileSource serves a graph file in any supported format — .pgr
 // binary, shard manifest, or text edge list — sniffing the magic
@@ -176,28 +179,34 @@ type fileSource struct{ path string }
 
 func (s fileSource) Name() string { return "file:" + s.path }
 
+// resolve reads the head of the file once and picks the source of the
+// format whose magic it carries: the edge list's when neither does.
 func (s fileSource) resolve() (Source, error) {
-	bin, err := SniffBinary(s.path)
+	f, err := os.Open(s.path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("graph: %w", err)
 	}
-	if bin {
+	defer f.Close()
+	head := make([]byte, len(manifestMagic)+1)
+	n, err := io.ReadFull(f, head)
+	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+		// A real read failure must surface, not silently classify the
+		// file as an edge list; a short file is just not binary.
+		return nil, fmt.Errorf("graph: %w", err)
+	}
+	switch head = head[:n]; {
+	case bytes.HasPrefix(head, binaryMagic[:]):
 		return BinarySource(s.path), nil
-	}
-	sharded, err := SniffManifest(s.path)
-	if err != nil {
-		return nil, err
-	}
-	if sharded {
+	case string(head) == manifestMagic+" ":
 		return ShardedSource(s.path), nil
 	}
 	return EdgeListSource(s.path), nil
 }
 
-func (s fileSource) Stat() (Stat, error) {
+func (s fileSource) Stat() (SourceStat, error) {
 	r, err := s.resolve()
 	if err != nil {
-		return Stat{}, err
+		return SourceStat{}, err
 	}
 	return r.Stat()
 }
@@ -210,34 +219,8 @@ func (s fileSource) Load() (*Graph, error) {
 	return r.Load()
 }
 
-// ShardCount implements ShardCounter: a path currently holding a shard
-// manifest reports its shard count, anything else 0.
-func (s fileSource) ShardCount() int {
-	r, err := s.resolve()
-	if err != nil {
-		return 0
-	}
-	if sc, ok := r.(ShardCounter); ok {
-		return sc.ShardCount()
-	}
-	return 0
-}
-
-func (s fileSource) Bytes() uint64 {
-	r, err := s.resolve()
-	if err != nil {
-		return 0
-	}
-	return r.Bytes()
-}
-
 // OpenPath opens path as a graph Source, detecting the format eagerly:
 // a .pgr magic selects the binary source, a shard-manifest magic the
 // sharded source, anything else the edge-list parser. Unlike
 // FileSource, an unreadable path fails here rather than at first load.
-func OpenPath(path string) (Source, error) {
-	if _, err := os.Stat(path); err != nil {
-		return nil, fmt.Errorf("graph: %w", err)
-	}
-	return fileSource{path: path}.resolve()
-}
+func OpenPath(path string) (Source, error) { return fileSource{path: path}.resolve() }

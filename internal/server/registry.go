@@ -58,15 +58,13 @@ type graphEntry struct {
 	loadMu sync.Mutex
 
 	// Guarded by Registry.mu:
-	g        *graph.Graph
-	bytes    uint64      // resident size of g (0 when unloaded)
-	pins     int         // in-flight With calls; > 0 blocks eviction
-	lastUse  uint64      // registry clock stamp of the latest With
-	stat     *graph.Stat // memoized successful src.Stat
-	noStat   bool        // src.Stat returned ErrNoStat; stop re-probing
-	srcBytes uint64      // memoized src.Bytes pre-load size estimate
-	shards   int         // memoized manifest shard count (-1: probed, not sharded)
-	loads    uint64      // completed loads, observable via LoadCount
+	g       *graph.Graph
+	bytes   uint64            // resident size of g (0 when unloaded)
+	pins    int               // in-flight With calls; > 0 blocks eviction
+	lastUse uint64            // registry clock stamp of the latest With
+	stat    *graph.SourceStat // the latest load's SourceStatOf, else a memoized successful src.Stat
+	noStat  bool              // src.Stat returned ErrNoStat; stop re-probing
+	loads   uint64            // completed loads, observable via LoadCount
 }
 
 // Registry maps names to graph sources. Registration normally happens
@@ -91,7 +89,6 @@ type Registry struct {
 	maxBytes uint64 // 0 = unlimited
 	resident uint64 // total bytes of loaded graphs
 	clock    uint64 // LRU tick, advanced per With
-	hubDeg   uint32 // BuildHubBitsets threshold applied at load (0 = off)
 
 	// Fragments of sharded graphs mapped by loads and unmapped by budget
 	// evictions so far (see ShardCounters).
@@ -113,25 +110,6 @@ func (r *Registry) SetMaxBytes(n uint64) {
 	r.evictLocked()
 }
 
-// SetHubBitsetDeg sets the degree threshold at which loaded graphs get
-// compressed-bitmap hub adjacency (graph.BuildHubBitsets), accelerating
-// the engine's skewed intersections at the cost of extra resident bytes
-// (counted against the memory budget). 0 (the default) disables.
-// Applies to graphs loaded after the call; already-resident graphs are
-// not rebuilt.
-func (r *Registry) SetHubBitsetDeg(minDeg uint32) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hubDeg = minDeg
-}
-
-// hubBitsetDeg reads the threshold under the registry lock.
-func (r *Registry) hubBitsetDeg() uint32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hubDeg
-}
-
 // AddSource registers src under name, replacing any previous entry.
 // A replaced entry's resident graph leaves the accounting immediately
 // and — when the registry owned it (non-shared source) — its storage
@@ -148,12 +126,9 @@ func (r *Registry) AddSource(name string, src graph.Source) {
 	e := &graphEntry{name: name, src: src, shared: graph.Shared(src)}
 	if e.shared {
 		if g, err := src.Load(); err == nil {
-			if deg := r.hubBitsetDeg(); deg > 0 {
-				g.BuildHubBitsets(deg)
-			}
-			st := graph.StatOf(g)
+			st := graph.SourceStatOf(g)
 			e.g = g
-			e.bytes = g.Bytes()
+			e.bytes = st.Bytes
 			e.stat = &st
 			e.loads = 1
 		}
@@ -282,22 +257,16 @@ func (r *Registry) load(e *graphEntry) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Hub bitsets are built here, under loadMu but outside r.mu, so the
-	// CPU work doesn't stall the registry; Bytes() below includes them.
-	if deg := r.hubBitsetDeg(); deg > 0 {
-		g.BuildHubBitsets(deg)
-	}
-	st := graph.StatOf(g)
+	// A real load is also the best answer for the entry's listing after
+	// a future eviction.
+	st := graph.SourceStatOf(g)
 	r.mu.Lock()
 	e.g = g
 	e.stat = &st
 	e.loads++
-	r.shardLoads += uint64(g.Shards())
+	r.shardLoads += uint64(st.Shards)
 	if r.entries[e.name] == e {
-		e.bytes = g.Bytes()
-		// A real load is also the best size estimate for the entry's
-		// listing after a future eviction.
-		e.srcBytes = e.bytes
+		e.bytes = st.Bytes
 		r.resident += e.bytes
 		r.evictLocked()
 	}
@@ -405,98 +374,45 @@ func (r *Registry) LoadCount(name string) uint64 {
 }
 
 // List describes every registered graph, sorted by name. Metadata for
-// unloaded graphs comes from the source's Stat when it has one; stat
-// probes run outside the registry lock so a slow filesystem cannot
-// stall queries.
+// graphs never loaded comes from the source's Stat when it has one: one
+// call per cold entry, outside the registry lock so a slow filesystem
+// cannot stall With on other graphs, and the answer — including "this
+// format cannot stat" — is memoized so a polled listing does not
+// re-open every cold graph file on every request.
 func (r *Registry) List() []GraphInfo {
-	type probe struct {
-		e          *graphEntry
-		info       GraphInfo
-		needStat   bool // no memoized stat; probe the source once
-		needShards bool // sharded source with no memoized shard count
+	describe := func(e *graphEntry) GraphInfo { // with r.mu held
+		info := GraphInfo{Name: e.name, Source: e.src.Name(), Loaded: e.g != nil, Pinned: e.pins}
+		if st := e.stat; st != nil {
+			info.Vertices, info.Edges, info.Labels = st.Vertices, st.Edges, st.Labels
+			info.Bytes, info.Shards = st.Bytes, st.Shards
+		}
+		return info
 	}
 	r.mu.Lock()
-	probes := make([]probe, 0, len(r.entries))
-	for name, e := range r.entries {
-		info := GraphInfo{Name: name, Source: e.src.Name(), Pinned: e.pins}
-		if e.g != nil {
-			info.Loaded = true
-			info.Bytes = e.bytes
-			if n := e.g.Shards(); n > 0 {
-				e.shards = n
-				info.Shards = n
-			}
-		} else {
-			info.Bytes = e.srcBytes
-			if e.shards > 0 {
-				info.Shards = e.shards
-			}
+	out := make([]GraphInfo, 0, len(r.entries))
+	var cold []*graphEntry
+	for _, e := range r.entries {
+		if e.stat == nil && !e.noStat {
+			cold = append(cold, e)
+			continue
 		}
-		if st := e.stat; st != nil {
-			info.Vertices = st.Vertices
-			info.Edges = st.Edges
-			info.Labels = st.Labels
-		}
-		_, sharded := e.src.(graph.ShardCounter)
-		probes = append(probes, probe{
-			e:          e,
-			info:       info,
-			needStat:   e.stat == nil && !e.noStat && e.g == nil,
-			needShards: sharded && e.shards == 0 && e.g == nil,
-		})
+		out = append(out, describe(e))
 	}
 	r.mu.Unlock()
 
-	// Source probes are filesystem reads (.pgr headers, file sizes).
-	// They run outside the registry lock so a slow disk cannot stall
-	// With on other graphs, and the answers — including "this
-	// format cannot stat" — are memoized so a polled listing does not
-	// re-open every cold graph file on every request.
-	out := make([]GraphInfo, 0, len(probes))
-	for _, p := range probes {
-		if p.needStat {
-			st, err := p.e.src.Stat()
-			switch {
-			case err == nil:
-				p.info.Vertices = st.Vertices
-				p.info.Edges = st.Edges
-				p.info.Labels = st.Labels
-				p.info.Bytes = p.e.src.Bytes()
-				r.mu.Lock()
-				if p.e.stat == nil {
-					p.e.stat = &st
-					p.e.srcBytes = p.info.Bytes
-				}
-				r.mu.Unlock()
-			case errors.Is(err, graph.ErrNoStat):
-				r.mu.Lock()
-				p.e.noStat = true
-				r.mu.Unlock()
-			}
-			// Other errors (transient I/O) stay unmemoized: retry on
-			// the next listing.
+	for _, e := range cold {
+		st, err := e.src.Stat()
+		r.mu.Lock()
+		switch {
+		case err != nil:
+			// Transient I/O errors stay unmemoized: retry on the next
+			// listing.
+			e.noStat = errors.Is(err, graph.ErrNoStat)
+		case e.stat == nil:
+			e.stat = &st
 		}
-		if p.needShards {
-			// A manifest-backed source knows its shard count without a
-			// load; the probe result — including "not sharded" — is
-			// memoized so polled listings don't re-sniff every file.
-			if sc, ok := p.e.src.(graph.ShardCounter); ok {
-				n := sc.ShardCount()
-				if n > 0 {
-					p.info.Shards = n
-				}
-				r.mu.Lock()
-				if p.e.shards == 0 {
-					if n > 0 {
-						p.e.shards = n
-					} else {
-						p.e.shards = -1
-					}
-				}
-				r.mu.Unlock()
-			}
-		}
-		out = append(out, p.info)
+		out = append(out, describe(e))
+		r.mu.Unlock()
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

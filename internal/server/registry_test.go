@@ -384,66 +384,37 @@ func TestServersHaveIsolatedPlanCaches(t *testing.T) {
 	}
 }
 
-// GET /v1/graphs metadata for a .pgr-backed graph must be available
-// before the graph is ever loaded, straight from the header.
+// GET /v1/graphs metadata for a .pgr- or manifest-backed graph must be
+// available before the graph is ever loaded, straight from the headers,
+// and say what the load then makes true: the row before the first query
+// and the row after it differ in "loaded" alone.
 func TestRegistryStatBeforeLoad(t *testing.T) {
-	dir := t.TempDir()
-	r := NewRegistry()
-	src, bytes := pgrSource(t, dir, 30, 1000)
-	r.AddSource("g", src)
+	for _, shards := range []int{0, 4} {
+		r := NewRegistry()
+		src, _ := fileSource(t, t.TempDir(), 30, 1000, shards)
+		r.AddSource("g", src)
 
-	infos := r.List()
-	if len(infos) != 1 {
-		t.Fatalf("List returned %d rows", len(infos))
-	}
-	gi := infos[0]
-	if gi.Loaded {
-		t.Fatal("graph reported loaded before any query")
-	}
-	if gi.Vertices == 0 || gi.Edges == 0 {
-		t.Fatalf("pre-load metadata missing: %+v", gi)
-	}
-	if gi.Bytes == 0 {
-		t.Fatalf("pre-load size estimate missing: %+v", gi)
-	}
-	if n := r.LoadCount("g"); n != 0 {
-		t.Fatalf("List triggered %d loads, want 0", n)
-	}
+		before := r.List()
+		if len(before) != 1 {
+			t.Fatalf("List returned %d rows", len(before))
+		}
+		gi := before[0]
+		if gi.Loaded || gi.Vertices == 0 || gi.Edges == 0 || gi.Bytes == 0 || gi.Shards != shards {
+			t.Fatalf("shards=%d: pre-load row %+v, want unloaded with counts and a size", shards, gi)
+		}
+		if n := r.LoadCount("g"); n != 0 {
+			t.Fatalf("List triggered %d loads, want 0", n)
+		}
 
-	// The estimate and the real residency must agree.
-	use(t, r, "g", func(g *graph.Graph) {
-		if got := g.Bytes(); got != bytes {
-			t.Fatalf("loaded Bytes = %d, want %d", got, bytes)
+		// The estimate and the real residency must agree.
+		use(t, r, "g", func(g *graph.Graph) {
+			if got := g.Bytes(); got != gi.Bytes {
+				t.Fatalf("loaded Bytes = %d, the listing promised %d", got, gi.Bytes)
+			}
+		})
+		gi.Loaded = true
+		if after := r.List()[0]; after != gi {
+			t.Fatalf("shards=%d: row after the load %+v, before it %+v", shards, after, gi)
 		}
-	})
-}
-
-func TestRegistryHubBitsets(t *testing.T) {
-	dir := t.TempDir()
-	r := NewRegistry()
-	src, plainBytes := pgrSource(t, dir, 31, 1000)
-	r.AddSource("g", src)
-	r.SetHubBitsetDeg(1)
-
-	use(t, r, "g", func(g *graph.Graph) {
-		if !g.HasHubBits() {
-			t.Fatal("loaded graph has no hub bitsets despite SetHubBitsetDeg")
-		}
-		if g.Bytes() <= plainBytes {
-			t.Fatal("Bytes does not include the hub bitsets")
-		}
-		// The registry's accounting must charge the bitsets too.
-		if r.ResidentBytes() != g.Bytes() {
-			t.Fatalf("resident %d != graph bytes %d", r.ResidentBytes(), g.Bytes())
-		}
-	})
-
-	// Disabled threshold: the next load is bitset-free.
-	r.SetHubBitsetDeg(0)
-	r.AddSource("h", src)
-	use(t, r, "h", func(h *graph.Graph) {
-		if h.HasHubBits() {
-			t.Fatal("hub bitsets built with a zero threshold")
-		}
-	})
+	}
 }

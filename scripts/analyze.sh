@@ -9,7 +9,9 @@
 #                        go vet -vettool so test files are covered too
 #   4. typed atomics   — no function-style integer sync/atomic calls, so
 #                        no field can mix atomic and plain access
-#   5. staticcheck     — if installed; CI pins and installs its own
+#   5. inlinable rows  — Graph.Adj/Label/Degree/OrigID, the engine's
+#                        innermost calls, must fit the inlining budget
+#   6. staticcheck     — if installed; CI pins and installs its own
 #                        copy, so locally this warns and continues
 #
 # Usage: scripts/analyze.sh
@@ -43,6 +45,15 @@ if grep -rnE 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Ui
   echo "use atomic.Int64/Uint64/... values, not the function-style calls"
   fail=1
 fi
+
+echo "== graph accessors inlinable =="
+inl=$(go build -gcflags=-m ./internal/graph 2>&1)
+for m in Adj Label Degree OrigID; do
+  if ! grep -qF "can inline (*Graph).$m" <<<"$inl"; then
+    echo "(*Graph).$m no longer inlines: every intersection pays a call for it (see Graph.rowsOf)"
+    fail=1
+  fi
+done
 
 echo "== staticcheck =="
 if command -v staticcheck >/dev/null 2>&1; then

@@ -15,12 +15,14 @@ import (
 )
 
 // Source is a pluggable origin of one data graph: a cheap description
-// (Name, Stat, Bytes) plus an on-demand Load. See Open.
+// (Name, Stat) plus an on-demand Load. See Open.
 type Source = graph.Source
 
-// GraphStat is the metadata of a graph source, knowable without a full
-// load for formats that carry it (.pgr headers, in-memory graphs).
-type GraphStat = graph.Stat
+// GraphStat is what a Source knows without a full load, for formats
+// that carry it (.pgr headers, shard manifests, in-memory graphs): the
+// vertex, edge and label counts, the bytes a load will keep resident
+// and the number of shard files behind it.
+type GraphStat = graph.SourceStat
 
 // ErrNoStat is returned by Source.Stat when the format cannot report
 // metadata without a full load (text edge lists).
@@ -63,12 +65,12 @@ func WithFormat(f GraphFormat) OpenOption {
 
 // Open opens a graph file as a Source without loading it. The format
 // is detected from the content (or forced with WithFormat): .pgr
-// binaries report Stat and Bytes from the header alone and Load by
-// mmap, edge lists parse on Load. The path must exist; the load itself
+// binaries report Stat from the header alone and Load by mmap, edge
+// lists parse on Load. The path must exist; the load itself
 // is deferred until Source.Load.
 //
 //	src, err := peregrine.Open("graphs/mico.pgr")
-//	st, _ := src.Stat()          // vertices/edges/labels, no load
+//	st, _ := src.Stat()          // vertices/edges/labels/bytes, no load
 //	g, err := src.Load()         // mmap (or parse), then mine on g
 //	defer g.Close()
 func Open(path string, opts ...OpenOption) (Source, error) {
