@@ -177,7 +177,9 @@ func BenchmarkMorphedVsDirect(b *testing.B) {
 // two library workloads — the morphed vertex-induced 4- and 5-motifs on
 // a flat graph, and triangle + 4-clique on a power-law one — plus
 // "tails", the executed motif relatives with two or more completion
-// steps (stars, paths, tailed triangles), where count mode sizes pairs.
+// steps (stars, paths, tailed triangles), where count mode sizes pairs,
+// and "cliques-3-5", whose 5-clique completes from a slot built from the
+// 4-clique's, itself built from the triangle's (plan.Slot chains).
 // matches/s is the same count either way, so it compares directly.
 func BenchmarkCountVsEnumerate(b *testing.B) {
 	var motifs []*plan.Plan
@@ -201,13 +203,14 @@ func BenchmarkCountVsEnumerate(b *testing.B) {
 		}
 	}
 	var cliques []*plan.Plan
-	for _, k := range []int{3, 4} {
+	for _, k := range []int{3, 4, 5} {
 		pl, err := plan.New(pattern.Clique(k), plan.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		cliques = append(cliques, pl)
 	}
+	rmat := gen.RMAT(gen.RMATConfig{Vertices: 4096, Edges: 50000, Seed: 1})
 	for _, batch := range []struct {
 		name string
 		g    *Graph
@@ -215,7 +218,8 @@ func BenchmarkCountVsEnumerate(b *testing.B) {
 	}{
 		{"motifs-4-5", gen.ErdosRenyi(gen.ERConfig{Vertices: 512, Edges: 2560, MaxDegree: 100, Seed: 1}), mp.Exec},
 		{"tails", gen.ErdosRenyi(gen.ERConfig{Vertices: 512, Edges: 2560, MaxDegree: 100, Seed: 1}), tails},
-		{"cliques-3-4", gen.RMAT(gen.RMATConfig{Vertices: 4096, Edges: 50000, Seed: 1}), cliques},
+		{"cliques-3-4", rmat, cliques[:2]},
+		{"cliques-3-5", rmat, cliques},
 	} {
 		for _, mode := range []struct {
 			name string

@@ -196,6 +196,9 @@ func countForms(p *pattern.Pattern) map[string]*pattern.Pattern {
 // — on the graph as built, on its degree-descending renumbering with
 // hub bitsets, and on a sharded copy plain, with hub bitsets and
 // renumbered — and three disjoint task ranges must sum to it exactly.
+// The same holds for each size's whole batch of a form run through one
+// trie, shared and unshared: there completion slots serve every leaf
+// that names them, across plans and matching orders.
 func TestDifferentialCountVsEnumerate(t *testing.T) {
 	for gi, tc := range labeledDifferentialGraphs(2) {
 		// The oracle is O(V^k) per pattern form: the 5-vertex patterns run
@@ -224,38 +227,59 @@ func TestDifferentialCountVsEnumerate(t *testing.T) {
 				"renumbered sharded": shardedDesc,
 			}
 			n := tc.g.NumVertices()
+			// check runs pls on every layout, counting and enumerating, and
+			// over three task ranges counting; plan i must find want[i].
+			check := func(what string, pls []*plan.Plan, want []uint64, opt core.Options) {
+				t.Helper()
+				for layout, g := range layouts {
+					calls := make([]atomic.Uint64, len(pls))
+					core.RunPlans(g, pls, func(_ *core.Ctx, pi int, _ *core.Match) { calls[pi].Add(1) }, opt)
+					counted := core.RunPlans(g, pls, nil, opt)
+					for i := range pls {
+						if c, e := counted.Per[i].Matches, calls[i].Load(); c != want[i] || e != want[i] {
+							t.Errorf("%s, %v on %s: counted %d, enumerated %d, oracle %d",
+								what, pls[i].Pat, layout, c, e, want[i])
+						}
+					}
+				}
+				sum := make([]uint64, len(pls))
+				for _, cut := range [][2]uint32{{0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}} {
+					opt.TaskLo, opt.TaskHi = cut[0], cut[1]
+					for i, s := range core.RunPlans(tc.g, pls, nil, opt).Per {
+						sum[i] += s.Matches
+					}
+				}
+				for i := range pls {
+					if sum[i] != want[i] {
+						t.Errorf("%s, %v: task ranges sum to %d, oracle %d", what, pls[i].Pat, sum[i], want[i])
+					}
+				}
+			}
 			for size := 2; size <= maxSize; size++ {
-				for _, base := range pattern.GenerateAllVertexInduced(size) {
-					for form, p := range countForms(base) {
-						for _, noSym := range []bool{false, true} {
-							want := ref.CountUnique(tc.g, p)
+				bases := pattern.GenerateAllVertexInduced(size)
+				for _, form := range []string{"plain", "vertex-induced", "labeled", "anti-vertex"} {
+					for _, noSym := range []bool{false, true} {
+						pls := make([]*plan.Plan, len(bases))
+						want := make([]uint64, len(bases))
+						for i, base := range bases {
+							p := countForms(base)[form]
+							want[i] = ref.CountUnique(tc.g, p)
 							if noSym {
-								want = ref.CountAll(tc.g, p)
+								want[i] = ref.CountAll(tc.g, p)
 							}
-							opt := core.Options{Threads: 4, NoSymmetryBreaking: noSym}
 							pl, err := plan.New(p, plan.Options{NoSymmetryBreaking: noSym})
 							if err != nil {
 								t.Fatalf("%s %v: %v", form, p, err)
 							}
-							pls := []*plan.Plan{pl}
-							for layout, g := range layouts {
-								var calls atomic.Uint64
-								core.RunPlans(g, pls, func(*core.Ctx, int, *core.Match) { calls.Add(1) }, opt)
-								counted := core.RunPlans(g, pls, nil, opt).Per[0].Matches
-								if counted != want || calls.Load() != want {
-									t.Errorf("%s %v noSym=%v on %s: counted %d, enumerated %d, oracle %d",
-										form, p, noSym, layout, counted, calls.Load(), want)
-								}
-							}
-							var sum uint64
-							for _, cut := range [][2]uint32{{0, n / 3}, {n / 3, 2 * n / 3}, {2 * n / 3, n}} {
-								opt.TaskLo, opt.TaskHi = cut[0], cut[1]
-								sum += core.RunPlans(tc.g, pls, nil, opt).Per[0].Matches
-							}
-							if sum != want {
-								t.Errorf("%s %v noSym=%v: task ranges sum to %d, oracle %d", form, p, noSym, sum, want)
-							}
+							pls[i] = pl
 						}
+						opt := core.Options{Threads: 4, NoSymmetryBreaking: noSym}
+						for i := range pls {
+							check(fmt.Sprintf("%s noSym=%v", form, noSym), pls[i:i+1], want[i:i+1], opt)
+						}
+						check(fmt.Sprintf("%s noSym=%v size-%d batch", form, noSym, size), pls, want, opt)
+						opt.NoSharing = true
+						check(fmt.Sprintf("%s noSym=%v size-%d batch unshared", form, noSym, size), pls, want, opt)
 					}
 				}
 			}

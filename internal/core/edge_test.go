@@ -124,7 +124,7 @@ func TestCountModeSubtractsAssigned(t *testing.T) {
 // pairMode reports whether a count-mode worker for pl sizes its last two
 // completion levels together, and how it orders the two vertices.
 func pairMode(g *graph.Graph, pl *plan.Plan) (tail bool, order int) {
-	w := newWorker(g, pl, nil, &Ctx{}, nil)
+	w := newWorker(g, pl, nil, &multiWorker{}, nil)
 	return w.pairTail, w.pairOrder
 }
 

@@ -12,6 +12,26 @@
 // stack — the engine never materializes intermediate match sets, which
 // is the source of the paper's memory advantage (Figure 13).
 //
+// Completion slots: before the bounds that name other non-core
+// vertices, a non-core vertex's candidate set is a function of the core
+// binding alone — the intersection of some core vertices' adjacency
+// lists inside an id window set by two of them. The share trie hangs
+// each such set, as a plan.Slot, on the node binding the deepest core
+// vertex it names, once for every plan and sequence of the batch that
+// needs it; a slot over three or more lists is its prefix slot (one list
+// fewer, on a node above) intersected with one more list. A thread
+// computes a slot on the first read after its node binds, into a buffer
+// of its own, and serves it read-only to every completion below until
+// the node binds again: binding visit d bumps a per-depth generation
+// counter, and a slot is current while its stamp equals its depth's
+// counter, so invalidation costs one increment and no loop. Completion
+// clips the slot to the full window, non-core bounds included. A step
+// without a slot — one core neighbour, or the only reader of a two-list
+// set, reading it once per computation — intersects its lists itself.
+// For a triangle and a 4-clique this makes the triangle's set and the
+// 4-clique's first two lists one slot per edge, and leaves the 4-clique
+// one short two-list intersection per triangle.
+//
 // Count mode: a run with no callback needs how many matches there are,
 // never which. Non-core vertices are an independent set, so the last
 // one's candidate set is fixed before it is visited and — when the plan
@@ -164,15 +184,14 @@ type Stats struct {
 	CoreMatches uint64 // matches of the pattern core
 	Tasks       uint64 // start vertices this plan was attempted on
 	// Intersections counts the multi-list adjacency intersections this
-	// plan performed outside the shared core walk: non-core completion
-	// candidate sets and anti-vertex common-neighborhood checks that
-	// merged two or more lists (single-list candidate sets are zero-copy
-	// views, not set computations). A set that count mode only sizes is
-	// one computation like a materialised one; but where count mode sizes
-	// the last two levels as pairs, the last set is computed once per
-	// second-to-last set rather than once per member of it, so a run
-	// without a callback reports fewer than an enumerating one wherever
-	// that last set merges two or more lists. Together with the
+	// plan performed outside the shared core walk: completion slots it
+	// computed and anti-vertex common-neighborhood checks that merged two
+	// or more lists (single-list candidate sets are zero-copy views, not
+	// set computations). A slot is computed once per binding of its trie
+	// node and charged to the plan whose completion read it first; every
+	// later read, by any plan of the batch, is free — so a plan's figure
+	// depends on the batch it ran in, and counting and enumerating runs
+	// of one batch report nearly the same total. Together with the
 	// batch-level ShareStats.Intersections this makes total
 	// set-intersection work attributable — the figure pattern morphing
 	// trades against.
@@ -439,6 +458,12 @@ type multiWorker struct {
 	hubs   bool
 	bitArg []*bitset.Bitmap
 
+	// Completion slots (plan.Slot), indexed like trie.Slots. gen[d]
+	// advances whenever visit d is bound, so a new binding invalidates
+	// every slot on its node without touching them.
+	gen   []uint64
+	slots []slotState
+
 	share ShareStats
 	tb    *profile.ThreadBreakdown
 }
@@ -453,7 +478,13 @@ func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb P
 		listArg: make([][]uint32, 0, trie.MaxCore),
 		touched: make([]bool, len(pls)),
 		hubs:    g.HasHubBits(),
-		tb:      tb,
+
+		gen:   make([]uint64, trie.MaxCore),
+		slots: make([]slotState, len(trie.Slots)),
+		tb:    tb,
+	}
+	for id := range mw.slots {
+		mw.slots[id].depth = trie.Slots[id].Depth
 	}
 	if mw.hubs {
 		mw.bitArg = make([]*bitset.Bitmap, 0, trie.MaxCore)
@@ -467,7 +498,7 @@ func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb P
 			pi := pi
 			wcb = func(ctx *Ctx, m *Match) { cb(ctx, pi, m) }
 		}
-		mw.pws[pi] = newWorker(g, pl, wcb, &mw.ctx, tb)
+		mw.pws[pi] = newWorker(g, pl, wcb, mw, tb)
 	}
 	return mw
 }
@@ -493,6 +524,7 @@ func (mw *multiWorker) runTask(v uint32) {
 			}
 		}
 		mw.data[0] = v
+		mw.gen[0]++
 		for i := range root.Leaves {
 			mw.deliver(&root.Leaves[i])
 		}
@@ -560,6 +592,7 @@ func (mw *multiWorker) descend(n *plan.ShareNode) {
 				continue
 			}
 			mw.data[child.Depth] = c
+			mw.gen[child.Depth]++
 			if len(child.Leaves) > 0 {
 				for i := range child.Leaves {
 					mw.deliver(&child.Leaves[i])
@@ -581,7 +614,74 @@ func (mw *multiWorker) deliver(lf *plan.ShareLeaf) {
 	for t, pos := range lf.MO.Visit {
 		pw.coreData[pos] = mw.data[t]
 	}
-	pw.completeCore(lf.MO)
+	pw.completeCore(lf)
+}
+
+// slot returns completion slot id's set for the current binding,
+// computing it first if its node has bound since it was last computed.
+// The set is read-only: every step naming the slot reads the same
+// buffer. Intersections it takes are charged to st.
+func (mw *multiWorker) slot(id int, st *Stats) []uint32 {
+	if s := &mw.slots[id]; s.gen == mw.gen[s.depth] {
+		return s.set
+	}
+	return mw.fillSlot(id, st)
+}
+
+// slotState is one thread's copy of a completion slot: its set as last
+// computed, current while gen equals the thread's gen[depth].
+type slotState struct {
+	gen   uint64
+	depth int
+	set   []uint32
+}
+
+// fillSlot computes slot id: its prefix slot (itself computed on demand)
+// or its first operand's list, intersected with the rest inside the
+// slot's window.
+func (mw *multiWorker) fillSlot(id int, st *Stats) []uint32 {
+	sl := &mw.trie.Slots[id]
+	var prefix []uint32
+	if sl.Prefix >= 0 {
+		prefix = mw.slot(sl.Prefix, st) // before the gather: it reuses listArg
+	}
+	lo, hi := noLo, noHi
+	if sl.Step.Lo >= 0 {
+		lo = int64(mw.data[sl.Step.Lo])
+	}
+	if sl.Step.Hi >= 0 {
+		hi = int64(mw.data[sl.Step.Hi])
+	}
+	lists := mw.listArg[:0]
+	var bits []*bitset.Bitmap
+	if mw.hubs {
+		bits = mw.bitArg[:0]
+	}
+	nbr := sl.Step.Nbr
+	if sl.Prefix >= 0 {
+		lists = append(lists, prefix)
+		if mw.hubs {
+			bits = append(bits, nil)
+		}
+		nbr = nbr[len(nbr)-1:]
+	}
+	for _, t := range nbr {
+		dv := mw.data[t]
+		lists = append(lists, mw.g.Adj(dv))
+		if mw.hubs {
+			bits = append(bits, mw.g.HubBits(dv))
+		}
+	}
+	s := &mw.slots[id]
+	if cap(s.set) == 0 {
+		s.set = make([]uint32, 0, 256)
+	}
+	// Two or more lists: the result is slot storage, never a graph view,
+	// and a grown buffer is kept for the next computation.
+	s.set = intersectSetsInto(s.set, lists, bits, lo, hi)
+	s.gen = mw.gen[s.depth]
+	st.Intersections++
+	return s.set
 }
 
 // rejectAnti reports whether candidate c is adjacent to the binding of
@@ -602,11 +702,17 @@ type worker struct {
 	g   *graph.Graph
 	pl  *plan.Plan
 	cb  Callback
-	ctx *Ctx // the owning thread's context, shared across its workers
+	ctx *Ctx         // the owning thread's context, shared across its workers
+	mw  *multiWorker // the owning thread's trie walker, which holds the completion slots
 
 	match    []uint32 // pattern vertex -> data id for the current match
 	coreData []uint32 // matching-order position -> data id
 	assigned []uint32 // data ids matched so far (core + completed non-core)
+
+	// slots is the delivered leaf's slot per NonCore step under the core
+	// sequence being completed (plan.ShareLeaf.Slots); a step without
+	// one (-1) intersects its lists itself.
+	slots []int
 
 	ncBufs  [][]uint32 // scratch per completion depth
 	listArg [][]uint32 // scratch for gathering adjacency list operands
@@ -639,13 +745,14 @@ type worker struct {
 	tb    *profile.ThreadBreakdown
 }
 
-func newWorker(g *graph.Graph, pl *plan.Plan, cb Callback, ctx *Ctx, tb *profile.ThreadBreakdown) *worker {
+func newWorker(g *graph.Graph, pl *plan.Plan, cb Callback, mw *multiWorker, tb *profile.ThreadBreakdown) *worker {
 	n := pl.Pat.N()
 	w := &worker{
 		g:        g,
 		pl:       pl,
 		cb:       cb,
-		ctx:      ctx,
+		ctx:      &mw.ctx,
+		mw:       mw,
 		match:    make([]uint32, n),
 		coreData: make([]uint32, len(pl.Core)),
 		assigned: make([]uint32, 0, n),
@@ -687,12 +794,13 @@ func newWorker(g *graph.Graph, pl *plan.Plan, cb Callback, ctx *Ctx, tb *profile
 // completeCore converts the matched ordered view into core matches — one
 // per sequence (§4.1: "a match for pMi results in 1 match for pC per
 // valid vertex sequence") — and completes each.
-func (w *worker) completeCore(mo *plan.MatchingOrder) {
+func (w *worker) completeCore(lf *plan.ShareLeaf) {
 	w.tb.Enter(profile.StageOther) // remapping positions to pattern vertices
-	for _, seq := range mo.Seqs {
+	for s, seq := range lf.MO.Seqs {
 		if w.ctx.stop.Load() {
 			return
 		}
+		w.slots = lf.Slots[s]
 		w.assigned = w.assigned[:0]
 		for pos, pv := range seq {
 			w.match[pv] = w.coreData[pos]
@@ -744,28 +852,34 @@ func (w *worker) completeFrom(i int) {
 	}
 
 	w.tb.Enter(profile.StageNonCore)
-	lists := w.listArg[:0]
-	var bits []*bitset.Bitmap
-	if w.hubs {
-		bits = w.bitArg[:0]
-	}
-	for _, pv := range st.CoreNbrs {
-		dv := w.match[pv]
-		lists = append(lists, w.g.Adj(dv))
+	// cands is read-only below: a slot's set is shared by every step
+	// naming it, and single-list results alias graph adjacency storage
+	// (intersectSetsInto ownership contract).
+	var cands []uint32
+	if id := w.slots[i]; id >= 0 {
+		cands = clip(w.mw.slot(id, &w.stats), lo, hi)
+	} else {
+		lists := w.listArg[:0]
+		var bits []*bitset.Bitmap
 		if w.hubs {
-			bits = append(bits, w.g.HubBits(dv))
+			bits = w.bitArg[:0]
 		}
-	}
-	if cap(w.ncBufs[i]) == 0 {
-		w.ncBufs[i] = make([]uint32, 0, 256)
-	}
-	// cands is read-only below: single-list results alias graph
-	// adjacency storage (intersectSetsInto ownership contract).
-	cands := intersectSetsInto(w.ncBufs[i], lists, bits, lo, hi)
-	if len(lists) > 1 {
-		w.stats.Intersections++
-		if cap(cands) > cap(w.ncBufs[i]) {
-			w.ncBufs[i] = cands[:0:cap(cands)]
+		for _, pv := range st.CoreNbrs {
+			dv := w.match[pv]
+			lists = append(lists, w.g.Adj(dv))
+			if w.hubs {
+				bits = append(bits, w.g.HubBits(dv))
+			}
+		}
+		if cap(w.ncBufs[i]) == 0 {
+			w.ncBufs[i] = make([]uint32, 0, 256)
+		}
+		cands = intersectSetsInto(w.ncBufs[i], lists, bits, lo, hi)
+		if len(lists) > 1 {
+			w.stats.Intersections++
+			if cap(cands) > cap(w.ncBufs[i]) {
+				w.ncBufs[i] = cands[:0:cap(cands)]
+			}
 		}
 	}
 
@@ -839,8 +953,8 @@ func unfiltered(st *plan.NonCoreStep) bool {
 // own window-and-intersect steps (kept apart from them so that the
 // enumerating path stays the code it was, call-free), with pairLower
 // and pairUpper for the step's bounds. ok is false when the id window is
-// empty. The set is read-only: it lives in the last level's ncBufs slot
-// or in graph storage.
+// empty. The set is read-only: it is a slot's set, or lives in the last
+// level's ncBufs slot or in graph storage.
 func (w *worker) pairLastSet() (cands []uint32, ok bool) {
 	i := len(w.pl.NonCore) - 1
 	w.tb.Enter(profile.StagePO)
@@ -860,6 +974,9 @@ func (w *worker) pairLastSet() (cands []uint32, ok bool) {
 	}
 
 	w.tb.Enter(profile.StageNonCore)
+	if id := w.slots[i]; id >= 0 {
+		return clip(w.mw.slot(id, &w.stats), lo, hi), true
+	}
 	lists := w.listArg[:0]
 	var bits []*bitset.Bitmap
 	if w.hubs {

@@ -56,6 +56,13 @@ const (
 	// filtering one through the other: below it the driver is small
 	// enough that per-element filtering wins.
 	bitsetAndMin = 2048
+
+	// skipMin is the operand length from which intersectSetsInto starts
+	// a non-driver operand at the running set's first element, found by
+	// one gallop, instead of at its own first element: with the driver
+	// clipped to a symmetry-breaking window, most of a long operand lies
+	// below it, and a merge would walk all of that.
+	skipMin = 64
 )
 
 // lowerBound returns the least index i with s[i] >= x — a
@@ -398,7 +405,7 @@ func intersectSetsInto(buf []uint32, lists [][]uint32, bits []*bitset.Bitmap, lo
 	if bits != nil {
 		curBits = bits[shortest]
 	}
-	out := buf[:0]
+	out := cur // the running set; buf storage from the first kernel on
 	first := true
 	for i, l := range lists {
 		if i == shortest {
@@ -407,6 +414,11 @@ func intersectSetsInto(buf []uint32, lists [][]uint32, bits []*bitset.Bitmap, lo
 		var bi *bitset.Bitmap
 		if bits != nil {
 			bi = bits[i]
+		}
+		if len(l) >= skipMin {
+			// Nothing below the running set's first element can match. The
+			// skip lives here so that the kernels below stay inlinable.
+			l = l[gallopLowerBound(l, 0, out[0]):]
 		}
 		if first {
 			switch chooseKernel(len(cur), len(l), curBits != nil, bi != nil, bounded) {

@@ -339,3 +339,135 @@ func TestSkewedPairKernelNoSlower(t *testing.T) {
 	}
 	_ = sink
 }
+
+// unskippedIntersectSetsInto is intersectSetsInto as it was before the
+// operand skip: every non-driver operand is walked from its first
+// element. Kept verbatim as the baseline TestOperandSkipSpeedup measures
+// the skip against.
+func unskippedIntersectSetsInto(buf []uint32, lists [][]uint32, bits []*bitset.Bitmap, lo, hi int64) []uint32 {
+	shortest := 0
+	for i, l := range lists {
+		if len(l) < len(lists[shortest]) {
+			shortest = i
+		}
+	}
+	cur := clip(lists[shortest], lo, hi)
+	if len(lists) == 1 {
+		return cur
+	}
+	if len(cur) == 0 {
+		return buf[:0]
+	}
+	bounded := lo != noLo || hi != noHi
+	var curBits *bitset.Bitmap
+	if bits != nil {
+		curBits = bits[shortest]
+	}
+	out := buf[:0]
+	first := true
+	for i, l := range lists {
+		if i == shortest {
+			continue
+		}
+		var bi *bitset.Bitmap
+		if bits != nil {
+			bi = bits[i]
+		}
+		if first {
+			switch chooseKernel(len(cur), len(l), curBits != nil, bi != nil, bounded) {
+			case kernelBitsetAnd:
+				out = curBits.AndSortedInto(buf[:0], bi)
+			case kernelBitsetFilter:
+				out = bi.FilterSortedInto(buf[:0], cur)
+			case kernelGallop:
+				out = intersectGallop(buf[:0], cur, l)
+			default:
+				out = intersectMerge(buf[:0], cur, l)
+			}
+			first = false
+		} else if bi != nil && len(l)/(len(out)+1) >= bitsetFilterRatio {
+			out = bi.FilterSortedInto(out[:0], out)
+		} else {
+			out = intersectInPlace(out, l)
+		}
+		if len(out) == 0 {
+			return out
+		}
+	}
+	return out
+}
+
+// topDriver returns n ids above the 90th percentile of sorted l, half
+// of them members of l: a short list clipped to the top of the id range,
+// the shape a symmetry-breaking window leaves a completion set's driver.
+func topDriver(rng *rand.Rand, l []uint32, n int) []uint32 {
+	p90 := l[len(l)*9/10]
+	top := l[len(l)*9/10+1:]
+	seen := make(map[uint32]bool, n)
+	for len(seen) < n/2 {
+		seen[top[rng.Intn(len(top))]] = true
+	}
+	for len(seen) < n {
+		seen[p90+1+rng.Uint32()%(top[len(top)-1]-p90)] = true
+	}
+	out := make([]uint32, 0, n)
+	for x := range seen {
+		out = append(out, x)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// TestOperandSkipSpeedup gates the operand skip in intersectSetsInto
+// against the dispatcher without it, in one process (ROADMAP A(1)). Where
+// the driver sits above the 90th percentile of a list short enough to be
+// merged, the skip must pay (>= 1.5x); against a 16k-id list the
+// dispatcher gallops, whose first probe is the skip's own search, and on
+// balanced unbounded lists and ER-sized ones there is nothing below the
+// driver to skip — there it must cost nothing (>= 0.9x).
+func TestOperandSkipSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing test")
+	}
+	rng := rand.New(rand.NewSource(9))
+	mid := sortedRand(rng, 500, 1<<14)
+	big := sortedRand(rng, 16384, 1<<18)
+	bal1, bal2 := benchLists(10, 1024, 1024, 1<<14)
+	er1, er2 := benchLists(11, 10, 10, 64)
+	for _, c := range []struct {
+		name  string
+		lists [][]uint32
+		calls int // per trial: a few milliseconds' worth
+		min   float64
+	}{
+		{"32 above p90 of 500", [][]uint32{topDriver(rng, mid, 32), mid}, 20000, 1.5},
+		{"32 above p90 of 16k", [][]uint32{topDriver(rng, big, 32), big}, 20000, 0.9},
+		{"balanced 1k x 1k", [][]uint32{bal1, bal2}, 2000, 0.9},
+		{"ER 10 x 10", [][]uint32{er1, er2}, 200000, 0.9},
+	} {
+		buf := make([]uint32, 0, 1024)
+		want := refIntersect(c.lists, noLo, noHi)
+		if got := intersectSetsInto(buf, c.lists, nil, noLo, noHi); !equalU32(got, want) {
+			t.Fatalf("%s: %v, want %v", c.name, got, want)
+		}
+		// Alternating short trials, the fastest of each side.
+		skip, plain := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+		for trial := 0; trial < 40; trial++ {
+			start := time.Now()
+			for i := 0; i < c.calls; i++ {
+				buf = intersectSetsInto(buf[:0], c.lists, nil, noLo, noHi)
+			}
+			mid := time.Now()
+			for i := 0; i < c.calls; i++ {
+				buf = unskippedIntersectSetsInto(buf[:0], c.lists, nil, noLo, noHi)
+			}
+			skip = min(skip, mid.Sub(start))
+			plain = min(plain, time.Since(mid))
+		}
+		ratio := float64(plain) / float64(skip)
+		t.Logf("%s: skip %v, unskipped %v per %d calls, ratio %.2fx", c.name, skip, plain, c.calls, ratio)
+		if ratio < c.min {
+			t.Errorf("%s: skip at %.2fx the unskipped dispatcher, want >= %.2fx", c.name, ratio, c.min)
+		}
+	}
+}

@@ -72,6 +72,14 @@ func FuzzSetOps(f *testing.F) {
 	f.Add(ramp, ramp, uint32(0), uint32(0))
 	f.Add(ramp, []byte{9, 0, 4, 0, 9, 0}, uint32(0), uint32(0))
 	f.Add([]byte{19, 0}, ramp, uint32(0), uint32(0))
+	// Operand-skip shapes (skipMin = 64): a driver starting past the
+	// operand's end; a driver starting inside an operand of exactly 64
+	// elements, and of 63 (no skip); a driver clipped to start mid-way.
+	ramp64, ramp63 := bytes.Repeat([]byte{0, 0}, 64), bytes.Repeat([]byte{0, 0}, 63)
+	f.Add(ramp64, []byte{99, 0, 0, 0}, uint32(0), uint32(0))
+	f.Add(ramp64, []byte{31, 0, 9, 0, 22, 0}, uint32(0), uint32(0))
+	f.Add(ramp63, []byte{31, 0, 9, 0, 22, 0}, uint32(0), uint32(0))
+	f.Add(ramp64, ramp, uint32(31), uint32(0))
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte, loRaw, hiRaw uint32) {
 		a := decodeSortedList(rawA)
 		b := decodeSortedList(rawB)
@@ -150,6 +158,12 @@ func FuzzSetOps(f *testing.F) {
 		if len(a) > 0 || len(b) > 0 {
 			if got := intersectSetsInto(make([]uint32, 0, 4), lists, nil, lo, hi); !equalU32(got, wantClipped) {
 				t.Fatalf("intersectSetsInto = %v, want %v", got, wantClipped)
+			}
+			// A third operand takes the in-place path, skip included.
+			for _, three := range [][][]uint32{{a, b, a}, {b, a, b}} {
+				if got := intersectSetsInto(make([]uint32, 0, 4), three, nil, lo, hi); !equalU32(got, wantClipped) {
+					t.Fatalf("intersectSetsInto(3 lists) = %v, want %v", got, wantClipped)
+				}
 			}
 			// Bitset paths: bitmaps for both lists, bounded and unbounded,
 			// in both array-mode (FromSorted keeps small chunks as arrays)

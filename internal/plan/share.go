@@ -24,6 +24,20 @@ package plan
 // matching orders induce identical ordered-view prefixes (a 4-clique
 // and a triangle; most of a motif batch) stop re-walking the same
 // adjacency intersections.
+//
+// Completion sets join the trie as slots. A non-core step's candidate
+// set under one core sequence is, before its dynamic window, a function
+// of the core binding alone: the intersection of some visits' adjacency
+// lists inside a window bounded by two visits. Translated into that
+// visit-space form (a ProgStep with no anti-edges and no label), the set
+// belongs at the node binding the deepest visit it names, where every
+// leaf below the node — of any plan, any sequence — can reuse it until
+// that visit is rebound. A slot over three or more lists is its prefix
+// slot (the same window, the deepest operand left out) intersected with
+// one more list, so the expensive part sits as high in the trie as it
+// can: the triangle's completion set and the 4-clique's first two lists
+// are one slot on the depth-1 node, and each 4-clique pays one short
+// two-list intersection per triangle.
 
 import (
 	"sort"
@@ -117,6 +131,31 @@ func ProgramOf(mo *MatchingOrder) Program {
 type ShareLeaf struct {
 	Plan int
 	MO   *MatchingOrder
+	// Slots[s][i] is the ShareTrie.Slots index holding NonCore step i's
+	// set under MO.Seqs[s], or -1 when a slot would save nothing: the
+	// step reads one list (its set is a clipped view of it), or it is the
+	// only reader of a two-list set, once per computation (pruneSlots).
+	Slots [][]int
+}
+
+// Slot is one completion set computed at a trie node: the intersection
+// of the adjacency lists of the bindings of Step.Nbr, strictly between
+// the bindings of Step.Lo and Step.Hi (-1: unbounded). Step carries no
+// anti-edges and no label — completion filters candidates one by one —
+// and its window holds only bounds naming core vertices; a step's
+// bounds naming earlier non-core vertices change below the core binding
+// and are applied when the set is read. The engine computes a slot on
+// first use after its node binds and keeps it until the node binds
+// again.
+type Slot struct {
+	Step ProgStep
+	// Depth is the visit index of the deepest reference in Step (operand
+	// or bound), hence the depth of the node the slot hangs on.
+	Depth int
+	// Prefix is the index of the slot over Step.Nbr less its last (deepest)
+	// operand with the same window, from which this one is computed by
+	// one more intersection; -1 when Step has two operands.
+	Prefix int
 }
 
 // ShareNode is one node of the shared-prefix execution trie. Roots bind
@@ -153,6 +192,10 @@ type ShareTrie struct {
 	// MaxCore is the deepest binding any program makes (the largest
 	// core size in the batch); executors size per-depth scratch by it.
 	MaxCore int
+
+	// Slots are the batch's completion slots, named by index from the
+	// leaves' Slots and from one another's Prefix.
+	Slots []Slot
 }
 
 // BuildShareTrie merges the Step programs of every matching order of
@@ -175,7 +218,10 @@ func buildTrie(pls []*Plan, merge bool) *ShareTrie {
 	rootByLabel := make(map[pattern.Label]*ShareNode)
 	childByKey := make(map[*ShareNode]map[string]*ShareNode)
 	planSeen := make(map[*ShareNode]map[int]bool)
+	slotByKey := make(map[*ShareNode]map[string]int)
+	var path []*ShareNode // path[d]: the node binding visit d on the way to the current leaf
 	for pi, pl := range pls {
+		visitOf := make([]int, pl.Pat.N()) // pattern vertex -> visit index under one sequence; -1 off the core
 		for _, mo := range pl.Orders {
 			prog := ProgramOf(mo)
 			var root *ShareNode
@@ -198,6 +244,7 @@ func buildTrie(pls []*Plan, merge bool) *ShareTrie {
 			}
 			n := root
 			n.MOs++
+			path = append(path[:0], root)
 			for si := range prog.Steps {
 				st := &prog.Steps[si]
 				tr.ProgramSteps++
@@ -218,12 +265,161 @@ func buildTrie(pls []*Plan, merge bool) *ShareTrie {
 				}
 				child.MOs++
 				n = child
+				path = append(path, n)
 			}
-			n.Leaves = append(n.Leaves, ShareLeaf{Plan: pi, MO: mo})
+			lf := ShareLeaf{Plan: pi, MO: mo, Slots: make([][]int, len(mo.Seqs))}
+			for s, seq := range mo.Seqs {
+				for v := range visitOf {
+					visitOf[v] = -1
+				}
+				for t, pos := range mo.Visit {
+					visitOf[seq[pos]] = t
+				}
+				lf.Slots[s] = make([]int, len(pl.NonCore))
+				for i := range pl.NonCore {
+					lf.Slots[s][i] = -1
+					if st, ok := completionStep(&pl.NonCore[i], mo, visitOf); ok {
+						lf.Slots[s][i] = tr.slot(path, st, slotByKey)
+					}
+				}
+			}
+			n.Leaves = append(n.Leaves, lf)
 			if n.Depth+1 > tr.MaxCore {
 				tr.MaxCore = n.Depth + 1
 			}
 		}
 	}
+	tr.pruneSlots()
 	return tr
+}
+
+// pruneSlots drops the slots that save no computation: two-list slots
+// read once per computation — by one step of one sequence of one leaf,
+// the first completion step, at the leaf's own depth. Such a step
+// computes its set directly, as the slot would, without the slot's
+// bookkeeping. A slot that is another's prefix is always kept.
+func (tr *ShareTrie) pruneSlots() {
+	reads := make([]int, len(tr.Slots))
+	for _, sl := range tr.Slots {
+		if sl.Prefix >= 0 {
+			reads[sl.Prefix] += 2
+		}
+	}
+	leaves := tr.leaves()
+	for _, lf := range leaves {
+		for _, row := range lf.Slots {
+			for i, id := range row {
+				if id < 0 {
+					continue
+				}
+				// A later step is read once per candidate of the level above
+				// it, and a slot above its leaf once per binding in between.
+				reads[id]++
+				if i > 0 || tr.Slots[id].Depth < lf.depth {
+					reads[id]++
+				}
+			}
+		}
+	}
+	newID := make([]int, len(tr.Slots))
+	kept := tr.Slots[:0]
+	for id, sl := range tr.Slots {
+		newID[id] = -1
+		if sl.Prefix >= 0 || reads[id] >= 2 {
+			newID[id] = len(kept)
+			if sl.Prefix >= 0 {
+				sl.Prefix = newID[sl.Prefix] // prefixes come first and are kept
+			}
+			kept = append(kept, sl)
+		}
+	}
+	tr.Slots = kept
+	for _, lf := range leaves {
+		for _, row := range lf.Slots {
+			for i, id := range row {
+				if id >= 0 {
+					row[i] = newID[id]
+				}
+			}
+		}
+	}
+}
+
+// leafRef is a leaf and the depth of its node.
+type leafRef struct {
+	*ShareLeaf
+	depth int
+}
+
+// leaves lists every leaf of tr with its node's depth.
+func (tr *ShareTrie) leaves() []leafRef {
+	var out []leafRef
+	var walk func(n *ShareNode)
+	walk = func(n *ShareNode) {
+		for i := range n.Leaves {
+			out = append(out, leafRef{&n.Leaves[i], n.Depth})
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	for _, r := range tr.Roots {
+		walk(r)
+	}
+	return out
+}
+
+// completionStep translates non-core step st into visit space under the
+// core sequence visitOf describes (pattern vertex -> visit index, -1 off
+// the core): its core neighbours' visits, and the window its bounds on
+// core vertices impose. Matched data ids rise with position, so of the
+// core lower bounds only the highest-position one binds, and of the
+// upper bounds the lowest. ok is false for a step with one core
+// neighbour, whose set is a view of one list and needs no slot.
+func completionStep(st *NonCoreStep, mo *MatchingOrder, visitOf []int) (ps ProgStep, ok bool) {
+	if len(st.CoreNbrs) < 2 {
+		return ProgStep{}, false
+	}
+	ps = ProgStep{Lo: -1, Hi: -1, Label: pattern.Wildcard}
+	for _, pv := range st.CoreNbrs {
+		ps.Nbr = append(ps.Nbr, visitOf[pv])
+	}
+	sort.Ints(ps.Nbr)
+	for _, pv := range st.LowerBound {
+		if t := visitOf[pv]; t >= 0 && (ps.Lo < 0 || mo.Visit[t] > mo.Visit[ps.Lo]) {
+			ps.Lo = t
+		}
+	}
+	for _, pv := range st.UpperBound {
+		if t := visitOf[pv]; t >= 0 && (ps.Hi < 0 || mo.Visit[t] < mo.Visit[ps.Hi]) {
+			ps.Hi = t
+		}
+	}
+	return ps, true
+}
+
+// slot returns the index of the slot computing ps on the path to the
+// current leaf, adding it (and, for three or more operands, its prefix
+// slot) to the node binding ps's deepest reference unless that node
+// already holds one with the same descriptor.
+func (tr *ShareTrie) slot(path []*ShareNode, ps ProgStep, byKey map[*ShareNode]map[string]int) int {
+	last := len(ps.Nbr) - 1
+	n := path[max(ps.Nbr[last], ps.Lo, ps.Hi)]
+	key := ps.key()
+	if id, ok := byKey[n][key]; ok {
+		return id
+	}
+	prefix := -1
+	if last >= 2 {
+		pre := ps
+		pre.Nbr = ps.Nbr[:last:last]
+		prefix = tr.slot(path, pre, byKey)
+	}
+	id := len(tr.Slots)
+	tr.Slots = append(tr.Slots, Slot{Step: ps, Depth: n.Depth, Prefix: prefix})
+	if byKey[n] == nil {
+		byKey[n] = make(map[string]int)
+	}
+	byKey[n][key] = id
+	return id
 }

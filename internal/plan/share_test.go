@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"testing"
 
 	"peregrine/internal/pattern"
@@ -175,5 +176,151 @@ func TestShareTrieLeavesComplete(t *testing.T) {
 	}
 	if tr.Nodes >= tr.ProgramSteps {
 		t.Errorf("no sharing in 4-motif batch: nodes = %d, steps = %d", tr.Nodes, tr.ProgramSteps)
+	}
+}
+
+// leafOf returns the first leaf of plan pi in tr.
+func leafOf(t *testing.T, tr *ShareTrie, pi int) leafRef {
+	t.Helper()
+	for _, lf := range tr.leaves() {
+		if lf.Plan == pi {
+			return lf
+		}
+	}
+	t.Fatalf("no leaf for plan %d", pi)
+	return leafRef{}
+}
+
+// The triangle's completion set and the invariant part of the 4-clique's
+// are one slot: adj(v0) ∩ adj(v1) above v0 (the start vertex, the
+// highest core position) on the depth-1 node, which the 4-clique's own
+// slot extends by adj(v2) one level down.
+func TestShareTrieSlotsCliquePrefix(t *testing.T) {
+	pls := []*Plan{planFor(t, pattern.Clique(3)), planFor(t, pattern.Clique(4))}
+	tr := BuildShareTrie(pls)
+	if len(tr.Slots) != 2 {
+		t.Fatalf("slots = %+v, want 2", tr.Slots)
+	}
+	tri := leafOf(t, tr, 0)
+	k4 := leafOf(t, tr, 1)
+	if len(tri.Slots) != 1 || len(tri.Slots[0]) != 1 {
+		t.Fatalf("triangle leaf slots = %v, want one sequence, one step", tri.Slots)
+	}
+	id := tri.Slots[0][0]
+	shared := tr.Slots[id]
+	if !slices.Equal(shared.Step.Nbr, []int{0, 1}) || shared.Step.Lo != 0 || shared.Step.Hi != -1 || shared.Depth != 1 || shared.Prefix != -1 {
+		t.Errorf("triangle slot = %+v, want Nbr [0 1] above visit 0 at depth 1, no prefix", shared)
+	}
+	own := tr.Slots[k4.Slots[0][0]]
+	if !slices.Equal(own.Step.Nbr, []int{0, 1, 2}) || own.Step.Lo != 0 || own.Depth != 2 || own.Prefix != id {
+		t.Errorf("4-clique slot = %+v, want Nbr [0 1 2] above visit 0 at depth 2 from slot %d", own, id)
+	}
+}
+
+// Unshared chains are separate nodes, so nothing dedups across them: the
+// 4-clique's chain keeps its own copy of the triangle's set as its prefix
+// slot, and the triangle's chain, whose set has one reader reading it
+// once per computation, has no slot at all (pruneSlots).
+func TestShareTrieSlotsUnshared(t *testing.T) {
+	pls := []*Plan{planFor(t, pattern.Clique(3)), planFor(t, pattern.Clique(4))}
+	tr := BuildUnsharedTrie(pls)
+	if len(tr.Slots) != 2 {
+		t.Fatalf("unshared slots = %+v, want the 4-clique's two", tr.Slots)
+	}
+	if tri := leafOf(t, tr, 0); tri.Slots[0][0] != -1 {
+		t.Errorf("triangle step reads slot %d, want none", tri.Slots[0][0])
+	}
+	k4 := leafOf(t, tr, 1)
+	prefix := tr.Slots[k4.Slots[0][0]].Prefix
+	if prefix < 0 || !slices.Equal(tr.Slots[prefix].Step.Nbr, []int{0, 1}) || tr.Slots[prefix].Depth != 1 {
+		t.Errorf("4-clique prefix slot %d, want its own Nbr [0 1] slot at depth 1: %+v", prefix, tr.Slots)
+	}
+}
+
+// A 3..5-clique batch chains slots: the 5-clique's set is the 4-clique's
+// slot ∩ one list, which is the triangle's slot ∩ one list.
+func TestShareTrieSlotsChain(t *testing.T) {
+	var pls []*Plan
+	for k := 3; k <= 5; k++ {
+		pls = append(pls, planFor(t, pattern.Clique(k)))
+	}
+	tr := BuildShareTrie(pls)
+	if len(tr.Slots) != 3 {
+		t.Fatalf("slots = %d, want 3", len(tr.Slots))
+	}
+	k5 := leafOf(t, tr, 2)
+	if k5.depth != 3 {
+		t.Fatalf("5-clique leaf at depth %d, want 3", k5.depth)
+	}
+	id := k5.Slots[0][0]
+	for want := 3; want >= 1; want-- {
+		sl := tr.Slots[id]
+		if sl.Depth != want || len(sl.Step.Nbr) != want+1 {
+			t.Fatalf("chain link %+v: want depth %d over %d lists", sl, want, want+1)
+		}
+		id = sl.Prefix
+	}
+	if id != -1 {
+		t.Errorf("chain does not end at a two-list slot: prefix %d", id)
+	}
+	tri := leafOf(t, tr, 0)
+	k4 := leafOf(t, tr, 1)
+	if tr.Slots[k5.Slots[0][0]].Prefix != k4.Slots[0][0] || tr.Slots[k4.Slots[0][0]].Prefix != tri.Slots[0][0] {
+		t.Errorf("chain does not run through the smaller cliques' own slots")
+	}
+}
+
+// A bound naming an earlier non-core vertex is applied when the set is
+// read, never part of the slot: the diamond's two tips (0-1 plus two
+// common neighbours, ordered by symmetry breaking) share one slot.
+func TestShareTrieSlotsIgnoreNonCoreBounds(t *testing.T) {
+	for _, text := range []string{
+		"0-1 0-2 0-3 1-2 1-3",     // diamond: the second tip is bounded by the first
+		"0-2 0-3 0-4 1-2 1-3 1-4", // K(2,3): three tips over the same two core vertices
+	} {
+		pl := planFor(t, pattern.MustParse(text))
+		nonCoreBound := false
+		for _, st := range pl.NonCore {
+			for _, pv := range append(append([]int(nil), st.LowerBound...), st.UpperBound...) {
+				nonCoreBound = nonCoreBound || !slices.Contains(pl.Core, pv)
+			}
+		}
+		if !nonCoreBound {
+			t.Fatalf("%s: no step bounded by a non-core vertex: %+v", text, pl.NonCore)
+		}
+		tr := BuildShareTrie([]*Plan{pl})
+		for _, lf := range tr.leaves() {
+			for s, row := range lf.Slots {
+				if len(row) < 2 || row[0] < 0 {
+					t.Fatalf("%s seq %d: slots %v, want one per tip", text, s, row)
+				}
+				for i := 1; i < len(row); i++ {
+					if row[i] != row[0] {
+						t.Errorf("%s seq %d: steps use slots %v, want one shared slot", text, s, row)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A step whose operands are all bound above the leaf's depth hangs its
+// slot above the leaf, so the engine computes it once per binding of that
+// node and reads it for every candidate of the innermost core level. In
+// the triangle with a tip over two corners and a tail on the third, the
+// sequence that visits the tip's corners first puts its slot at depth 1.
+func TestShareTrieSlotsAboveLeaf(t *testing.T) {
+	pl := planFor(t, pattern.MustParse("0-1 1-2 2-0 0-3 1-3 2-4"))
+	tr := BuildShareTrie([]*Plan{pl})
+	above := false
+	for _, lf := range tr.leaves() {
+		for _, row := range lf.Slots {
+			for _, id := range row {
+				above = above || (id >= 0 && tr.Slots[id].Depth < lf.depth)
+			}
+		}
+	}
+	if !above {
+		t.Errorf("no slot above its leaf's depth: %+v", tr.Slots)
 	}
 }

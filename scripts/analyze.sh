@@ -11,7 +11,10 @@
 #                        no field can mix atomic and plain access
 #   5. inlinable rows  — Graph.Adj/Label/Degree/OrigID, the engine's
 #                        innermost calls, must fit the inlining budget
-#   6. staticcheck     — if installed; CI pins and installs its own
+#   6. inlinable kernels — intersectMerge, lowerBound, containsSorted
+#                        likewise (the operand skip lives in the
+#                        dispatcher, not in the merge)
+#   7. staticcheck     — if installed; CI pins and installs its own
 #                        copy, so locally this warns and continues
 #
 # Usage: scripts/analyze.sh
@@ -51,6 +54,15 @@ inl=$(go build -gcflags=-m ./internal/graph 2>&1)
 for m in Adj Label Degree OrigID; do
   if ! grep -qF "can inline (*Graph).$m" <<<"$inl"; then
     echo "(*Graph).$m no longer inlines: every intersection pays a call for it (see Graph.rowsOf)"
+    fail=1
+  fi
+done
+
+echo "== intersection kernels inlinable =="
+inl=$(go build -gcflags=-m ./internal/core 2>&1)
+for f in intersectMerge lowerBound containsSorted; do
+  if ! grep -qE "can inline $f( |$)" <<<"$inl"; then
+    echo "$f no longer inlines: every merge or probe pays a call for it"
     fail=1
   fi
 done
