@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"peregrine"
 	"peregrine/internal/gen"
@@ -275,6 +276,72 @@ func testSurvivesNodeDeath(t *testing.T, countBody string) {
 	code, dead := postCount(t, coord.URL, countBody)
 	if code == http.StatusOK || dead.Status == server.StatusDone {
 		t.Fatalf("query with all nodes down reported success: code %d, %+v", code, dead)
+	}
+}
+
+// A client that gives up on its query must stop the shard jobs it
+// started: the coordinator threads the request's context into every
+// outbound round trip, so each node sees the disconnect, and no
+// replica is tried or demoted on the way out.
+func TestCoordinatorCancelReachesNodes(t *testing.T) {
+	// Sized for every send: each of testShards shards asks at most two
+	// replicas, so no stub handler blocks on a send.
+	arrived, cancelled := make(chan struct{}, 2*testShards), make(chan struct{}, 2*testShards)
+	release := make(chan struct{})
+	stub := func() string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			// As a node does: a server watches for the peer hanging up
+			// only once the request body is consumed.
+			_, _ = io.Copy(io.Discard, r.Body)
+			arrived <- struct{}{}
+			select {
+			case <-r.Context().Done():
+				cancelled <- struct{}{}
+			case <-release:
+			}
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	coord := newTestCoordinator(t, stub(), stub())
+	defer close(release) // before the servers close, so a failing test still drains
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, coord.URL+"/v1/query", strings.NewReader(countBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(hr)
+		if err == nil {
+			resp.Body.Close()
+		}
+		client <- err
+	}()
+	deadline, stop := context.WithTimeout(context.Background(), 5*time.Second)
+	defer stop()
+	for i := 0; i < testShards; i++ {
+		select {
+		case <-arrived:
+		case <-deadline.Done():
+			t.Fatalf("%d of %d shard jobs reached a node", i, testShards)
+		}
+	}
+	cancel()
+	for i := 0; i < testShards; i++ {
+		select {
+		case <-cancelled:
+		case <-deadline.Done():
+			t.Fatalf("%d of %d shard jobs saw the client's cancellation within 5s", i, testShards)
+		}
+	}
+	if err := <-client; err == nil {
+		t.Error("cancelled query returned a response")
+	}
+	if n := failovers(t, coord.URL); n != 0 {
+		t.Errorf("cancellation recorded %d failovers, want 0", n)
 	}
 }
 

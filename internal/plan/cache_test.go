@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -51,38 +52,82 @@ func TestCacheSharesIsomorphicPatterns(t *testing.T) {
 	}
 }
 
-// Symmetry-breaking and unbroken plans must not alias.
+// congruentLabels pairs labels that a narrowed label encoding merges:
+// congruent mod 2^8, 2^16 and 2^24, Wildcard (-1) against 65535 (a
+// 16-bit key once handed the unlabeled pattern's plan to the labeled
+// query), and MaxInt32 against Wildcard, equal in every low bit both
+// raw and under LabelCode's +1 shift.
+var congruentLabels = [][2]pattern.Label{
+	{3, 259}, {3, 65539}, {3, 16777219}, {pattern.Wildcard, 65535}, {pattern.Wildcard, math.MaxInt32},
+}
+
+// labeledChain is Chain(n) with label l on vertex 0.
+func labeledChain(n int, l pattern.Label) *pattern.Pattern {
+	p := pattern.Chain(n)
+	p.SetLabel(0, l)
+	return p
+}
+
 // Label-distinct patterns must never share a cache entry — on either
-// key path. Label 65535 once collided with Wildcard under a 16-bit
-// label encoding, so an unlabeled pattern's plan answered the labeled
-// query.
+// key path.
 func TestCacheKeySeparatesLabels(t *testing.T) {
 	c := NewCache()
-	mk := func(n int, label pattern.Label) *pattern.Pattern {
-		p := pattern.Chain(n)
-		if label != pattern.Wildcard {
-			p.SetLabel(0, label)
-		}
-		return p
-	}
 	// n=3 exercises the canonical key, n=9 the exact (>8-vertex) key.
 	for _, n := range []int{3, 9} {
-		plain, err := c.Get(mk(n, pattern.Wildcard), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range []pattern.Label{65535, 65536, 1<<31 - 1} {
-			labeled, err := c.Get(mk(n, l), Options{})
+		for _, pair := range congruentLabels {
+			a, err := c.Get(labeledChain(n, pair[0]), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if labeled.Plan == plain.Plan {
-				t.Errorf("n=%d label %d shares the unlabeled pattern's plan", n, l)
+			b, err := c.Get(labeledChain(n, pair[1]), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Plan == b.Plan {
+				t.Errorf("n=%d: labels %d and %d share a plan", n, pair[0], pair[1])
 			}
 		}
 	}
 }
 
+// Every key built from labels must keep congruent labels apart:
+// LabelCode itself, canonical codes, exact keys, program-step keys
+// (trie nodes and slots), and matchingOrders' ordered-view grouping.
+func TestLabelKeysSeparateCongruentLabels(t *testing.T) {
+	codes := make(map[[4]byte]pattern.Label)
+	for _, pair := range congruentLabels {
+		for _, l := range pair {
+			if prev, ok := codes[pattern.LabelCode(l)]; ok && prev != l {
+				t.Errorf("LabelCode(%d) == LabelCode(%d)", l, prev)
+			}
+			codes[pattern.LabelCode(l)] = l
+		}
+	}
+	for _, pair := range congruentLabels {
+		a, b := pair[0], pair[1]
+		pa, pb := labeledChain(3, a), labeledChain(3, b)
+		if pa.CanonicalCode() == pb.CanonicalCode() {
+			t.Errorf("labels %d and %d share a canonical code", a, b)
+		}
+		if exactKey(pa) == exactKey(pb) {
+			t.Errorf("labels %d and %d share an exact key", a, b)
+		}
+		sa, sb := ProgStep{Lo: -1, Hi: -1, Label: a}, ProgStep{Lo: -1, Hi: -1, Label: b}
+		if sa.key() == sb.key() {
+			t.Errorf("labels %d and %d share a step key", a, b)
+		}
+		// The edge's two ends are automorphic but for their labels, so
+		// its two linear extensions are two ordered views, not one.
+		edge := pattern.MustParse("0-1")
+		edge.SetLabel(0, a)
+		edge.SetLabel(1, b)
+		if mos := matchingOrders(edge, []int{0, 1}, nil); len(mos) != 2 {
+			t.Errorf("labels %d and %d: %d matching orders for an edge, want 2", a, b, len(mos))
+		}
+	}
+}
+
+// Symmetry-breaking and unbroken plans must not alias.
 func TestCacheKeySeparatesOptions(t *testing.T) {
 	c := NewCache()
 	p := pattern.Clique(3)

@@ -253,7 +253,10 @@ func (r *Registry) load(e *graphEntry) (*graph.Graph, error) {
 	if g != nil {
 		return g, nil
 	}
-	g, err := e.src.Load() //pvet:ignore lockheld per-entry load serialization is the point; lock order loadMu->mu documented above
+	// Load blocks under loadMu on purpose — concurrent first queries for
+	// this graph wait for one load — but never under r.mu (lock order
+	// loadMu → mu), so the rest of the registry keeps answering.
+	g, err := e.src.Load()
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"peregrine/internal/graph"
 )
@@ -266,6 +268,91 @@ func TestRegistryConcurrentEvictionChurn(t *testing.T) {
 	for _, gi := range r.List() {
 		if gi.Pinned != 0 {
 			t.Fatalf("graph %q still pinned after every With returned: %+v", gi.Name, gi)
+		}
+	}
+}
+
+// A slow Source.Load stalls only the queries that need its graph: it
+// runs under the entry's loadMu, never under the registry lock, so
+// while it blocks every other registry call answers, and the callers
+// waiting on it share its one load.
+func TestRegistrySlowLoadBlocksOnlyItsGraph(t *testing.T) {
+	r := NewRegistry()
+	fast, _ := pgrSource(t, t.TempDir(), 70, 500)
+	r.AddSource("fast", fast)
+	slow := graph.NewBuilder()
+	slow.AddEdge(0, 1)
+	slowG := slow.Build()
+	loading, gate := make(chan struct{}, 1), make(chan struct{})
+	r.AddSource("slow", graph.FuncSource("test:slow", func() (*graph.Graph, error) {
+		select {
+		case loading <- struct{}{}:
+		default:
+		}
+		<-gate
+		return slowG, nil
+	}))
+	// However the test ends, the gate opens and every goroutine returns.
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	var openGate sync.Once
+	defer openGate.Do(func() { close(gate) })
+
+	const callers = 8
+	seen := make([]*graph.Graph, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := r.With("slow", func(g *graph.Graph) error { seen[i] = g; return nil }); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	select {
+	case <-loading:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no With call reached Source.Load")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	probes := []struct {
+		name string
+		fn   func()
+	}{
+		{"List", func() { r.List() }},
+		{"Has", func() { r.Has("fast") }},
+		{"Counters", func() { r.Counters() }},
+		{"SetMaxBytes", func() { r.SetMaxBytes(0) }},
+		{"With(fast)", func() {
+			if err := r.With("fast", func(*graph.Graph) error { return nil }); err != nil {
+				t.Error(err)
+			}
+		}},
+	}
+	done := make([]chan struct{}, len(probes))
+	for i, p := range probes {
+		done[i] = make(chan struct{})
+		wg.Add(1)
+		go func(fn func(), done chan struct{}) { defer wg.Done(); defer close(done); fn() }(p.fn, done[i])
+	}
+	for i, p := range probes {
+		select {
+		case <-done[i]:
+		case <-ctx.Done():
+			t.Errorf("%s did not return within 5s while another graph's load blocked", p.name)
+		}
+	}
+
+	openGate.Do(func() { close(gate) })
+	wg.Wait()
+	if n := r.LoadCount("slow"); n != 1 {
+		t.Errorf("slow loaded %d times by %d concurrent callers, want 1", n, callers)
+	}
+	for i, g := range seen {
+		if g != slowG {
+			t.Errorf("caller %d ran on %p, want the one loaded graph %p", i, g, slowG)
 		}
 	}
 }

@@ -3,18 +3,15 @@
 # same order, so a clean local run means a clean CI run.
 #
 #   1. gofmt           — formatting gate (diff listed, not rewritten)
-#   2. go vet          — the stock analyzers
-#   3. peregrine-vet   — the repo's own invariant analyzers
-#                        (labeltrunc, lockheld, ctxthread), run through
-#                        go vet -vettool so test files are covered too
-#   4. typed atomics   — no function-style integer sync/atomic calls, so
+#   2. go vet          — the stock analyzers, test files included
+#   3. typed atomics   — no function-style integer sync/atomic calls, so
 #                        no field can mix atomic and plain access
-#   5. inlinable rows  — Graph.Adj/Label/Degree/OrigID, the engine's
+#   4. inlinable rows  — Graph.Adj/Label/Degree/OrigID, the engine's
 #                        innermost calls, must fit the inlining budget
-#   6. inlinable kernels — intersectMerge, lowerBound, containsSorted
+#   5. inlinable kernels — intersectMerge, lowerBound, containsSorted
 #                        likewise (the operand skip lives in the
 #                        dispatcher, not in the merge)
-#   7. staticcheck     — if installed; CI pins and installs its own
+#   6. staticcheck     — if installed; CI pins and installs its own
 #                        copy, so locally this warns and continues
 #
 # Usage: scripts/analyze.sh
@@ -33,15 +30,6 @@ fi
 
 echo "== go vet =="
 go vet ./... || fail=1
-
-echo "== peregrine-vet =="
-tool=$(mktemp -t peregrine-vet.XXXXXX)
-trap 'rm -f "$tool"' EXIT
-if go build -o "$tool" ./cmd/peregrine-vet; then
-  go vet -vettool="$tool" ./... || fail=1
-else
-  fail=1
-fi
 
 echo "== typed atomics only =="
 if grep -rnE 'atomic\.(Add|Load|Store|Swap|CompareAndSwap)(Int32|Int64|Uint32|Uint64|Uintptr)\(' --include='*.go' .; then

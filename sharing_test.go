@@ -10,6 +10,7 @@ package peregrine
 // the plan batch must never change any per-pattern count).
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"peregrine/internal/gen"
 	"peregrine/internal/graph"
 	"peregrine/internal/pattern"
+	"peregrine/internal/ref"
 )
 
 // patternsUpTo4 returns every connected pattern with 2..4 vertices in
@@ -194,44 +196,53 @@ func TestDifferentialSharedLabeled(t *testing.T) {
 	}
 }
 
-// TestSharedTrieHugeLabelsNoCollision guards the trie's step keys
-// against label truncation: labels differing by a multiple of 2^16
-// (the parser allows labels up to MaxInt32) must never share a trie
-// node, or one pattern's candidates get filtered by the other's label.
+// TestSharedTrieHugeLabelsNoCollision guards the count path's label
+// keys — plan-cache codes, trie step keys, matching-order grouping —
+// against truncation: labels a narrowed encoding merges (congruent mod
+// 2^8, 2^16 and 2^24, and the Wildcard/65535/MaxInt32 extremes) must
+// never share a plan, a trie node or an ordered view, or one pattern's
+// candidates get filtered by the other's label.
 func TestSharedTrieHugeLabelsNoCollision(t *testing.T) {
-	// Two disjoint triangles carrying the huge-label vertex on opposite
-	// sides of the data-id order, so both matching orders of the shared
-	// (label-1-rooted) ordered view are exercised — a collision on
-	// either one loses or fabricates a match.
-	b := NewGraphBuilder()
-	for _, tri := range [][3]uint32{{0, 1, 2}, {3, 4, 5}} {
-		b.AddEdge(tri[0], tri[1])
-		b.AddEdge(tri[1], tri[2])
-		b.AddEdge(tri[2], tri[0])
-	}
-	b.SetLabel(0, 1)
-	b.SetLabel(1, 65539)
-	b.SetLabel(2, 100000)
-	b.SetLabel(3, 65539)
-	b.SetLabel(4, 1)
-	b.SetLabel(5, 100000)
-	g := b.Build()
-
-	p3 := MustParsePattern("0-1 1-2 2-0 [0:1] [1:3] [2:100000]")
-	p65539 := MustParsePattern("0-1 1-2 2-0 [0:1] [1:65539] [2:100000]")
-	// Both batch orders: the merged node would inherit whichever label
-	// was inserted first, so each order corrupts a different pattern.
-	for _, batch := range [][]*Pattern{{p3, p65539}, {p65539, p3}} {
-		want := []uint64{0, 2}
-		if batch[0] == p65539 {
-			want = []uint64{2, 0}
+	const x = 100000
+	for _, pair := range [][2]Label{{3, 259}, {3, 65539}, {3, 16777219}, {Wildcard, 65535}, {Wildcard, math.MaxInt32}} {
+		a, b := pair[0], pair[1]
+		// Disjoint triangles whose a- and b-labeled vertices sit on either
+		// side of the data-id order in unequal numbers, so a label taken
+		// for the other, or two ordered views taken for one, changes a
+		// count. A Wildcard data label is NoLabel: an unlabeled vertex.
+		gb := NewGraphBuilder()
+		for i, tri := range [][3]Label{{1, a, x}, {b, 1, x}, {b, 1, x}, {a, b, x}, {b, a, x}, {b, a, x}} {
+			v := uint32(3 * i)
+			gb.AddEdge(v, v+1)
+			gb.AddEdge(v+1, v+2)
+			gb.AddEdge(v+2, v)
+			for j, l := range tri {
+				gb.SetLabel(v+uint32(j), uint32(l))
+			}
 		}
-		batched, err := CountMany(g, batch, WithThreads(2))
-		if err != nil {
-			t.Fatal(err)
+		g := gb.Build()
+		triangle := func(l0, l1 Label) *Pattern {
+			p := MustParsePattern("0-1 1-2 2-0")
+			p.SetLabel(0, l0)
+			p.SetLabel(1, l1)
+			p.SetLabel(2, x)
+			return p
 		}
-		if batched[0] != want[0] || batched[1] != want[1] {
-			t.Errorf("batched counts = %v, want %v (labels 3 and 65539 must not collide)", batched, want)
+		// pab carries both labels on its core, whose two ends differ only
+		// by them.
+		pa, pb, pab := triangle(1, a), triangle(1, b), triangle(a, b)
+		// Both batch orders: a merged node inherits whichever label was
+		// inserted first, so each order corrupts a different pattern.
+		for _, batch := range [][]*Pattern{{pa, pb, pab}, {pab, pb, pa}} {
+			got, err := CountMany(g, batch, WithThreads(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range batch {
+				if want := ref.CountUnique(g, p); got[i] != want {
+					t.Errorf("labels %d/%d: %v counts %d, oracle %d", a, b, p, got[i], want)
+				}
+			}
 		}
 	}
 }
