@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"peregrine"
+	"peregrine/internal/gen"
 )
 
 // The Figure 6 data graph from the paper, used across examples.
@@ -96,4 +97,12 @@ func ExampleMotifCounts() {
 	// Output:
 	// 0-1 0-2 -> 14
 	// 0-1 0-2 1-2 -> 4
+}
+
+func ExampleCount_differential() {
+	// The seeded er-48 graph's triangle count is stable across runs.
+	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 48, Edges: 110, Seed: 11})
+	n, _ := peregrine.Count(g, peregrine.GenerateClique(3))
+	fmt.Println(n > 0)
+	// Output: true
 }

@@ -87,27 +87,6 @@ func MotifCountsRStream(g *graph.Graph, size int) (map[string]uint64, Metrics) {
 	return counts, m
 }
 
-// PatternCountDFS counts vertex-induced matches of p Fractal-style:
-// enumerate every connected embedding of |V(p)| vertices, classify each,
-// and keep those isomorphic to p. This is how a pattern-unaware
-// step-by-step system answers a pattern query — the wasted exploration
-// is the Table 4 story.
-func PatternCountDFS(g *graph.Graph, p *pattern.Pattern, threads int) (uint64, Metrics) {
-	target := p.CanonicalCode()
-	var mu chanCounter
-	m := DFS(g, DFSOptions{
-		Size:     p.N(),
-		Threads:  threads,
-		Classify: true,
-		Visit: func(emb []uint32, code string) {
-			if code == target {
-				mu.inc()
-			}
-		},
-	})
-	return mu.value(), m
-}
-
 // FSMBFS mines frequent labeled patterns with exactly maxEdges edges at
 // the given MNI support, Arabesque-style: level-synchronous edge
 // extension where every embedding of every level is materialized,
@@ -219,8 +198,9 @@ func FSMBFSBudget(g *graph.Graph, maxEdges, support, maxStored int) (int, Metric
 	return frequentCount, m
 }
 
-// edgePatternOfLabeled is edgePatternOf with deterministic vertex
-// indexing shared with embVertexIndex.
+// edgePatternOfLabeled extracts the edge-induced pattern of an edge
+// embedding, with labels and with the vertex indexing embVertexIndex
+// uses.
 func edgePatternOfLabeled(g *graph.Graph, edges [][2]uint32) *pattern.Pattern {
 	_, idxOf := embVertexIndex(edges)
 	p := pattern.New(len(idxOf))

@@ -137,28 +137,6 @@ func patternOf(g *graph.Graph, emb []uint32) *pattern.Pattern {
 	return p
 }
 
-// edgePatternOf extracts the edge-induced pattern of an edge embedding.
-func edgePatternOf(g *graph.Graph, edges [][2]uint32) *pattern.Pattern {
-	idx := make(map[uint32]int)
-	for _, e := range edges {
-		for _, v := range e {
-			if _, ok := idx[v]; !ok {
-				idx[v] = len(idx)
-			}
-		}
-	}
-	p := pattern.New(len(idx))
-	for _, e := range edges {
-		p.AddEdge(idx[e[0]], idx[e[1]])
-	}
-	if g.Labeled() {
-		for v, i := range idx {
-			p.SetLabel(i, pattern.Label(g.Label(v)))
-		}
-	}
-	return p
-}
-
 // isClique reports whether the embedding's last vertex closes a clique
 // with all earlier vertices (the incremental filter used by clique
 // applications in Arabesque/Fractal/RStream).

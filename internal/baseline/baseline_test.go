@@ -78,21 +78,6 @@ func TestMotifCountsAgreeAcrossSystems(t *testing.T) {
 	}
 }
 
-func TestPatternCountDFSAgrees(t *testing.T) {
-	g := testGraph()
-	for _, p := range []*pattern.Pattern{
-		pattern.MustParse("0-1 1-2 2-3 3-0 0-2"), // diamond
-		pattern.Cycle(4),
-		pattern.Clique(4),
-	} {
-		want := ref.CountVertexInduced(g, p)
-		got, _ := PatternCountDFS(g, p, 4)
-		if got != want {
-			t.Errorf("DFS pattern count %v = %d, want %d", p, got, want)
-		}
-	}
-}
-
 func TestGMinerP2Agrees(t *testing.T) {
 	g := labeledGraph()
 	p2 := pattern.MustParse("0-1 1-2 2-0 2-3 [0:0] [1:1] [2:2] [3:0]")

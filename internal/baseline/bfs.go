@@ -145,101 +145,6 @@ func extensionSet(g *graph.Graph, emb []uint32, buf []uint32) []uint32 {
 	}
 }
 
-// EdgeBFSOptions configures edge-based breadth-first exploration, the
-// strategy Arabesque uses for FSM (edge-induced embeddings).
-type EdgeBFSOptions struct {
-	// Edges is the target embedding size in edges.
-	Edges int
-	// Classify runs an isomorphism computation per embedding per level
-	// (FSM identifies every embedding's labeled pattern to aggregate
-	// supports).
-	Classify bool
-	// LevelVisit receives each canonical embedding of each level along
-	// with its code (empty when Classify is false). Level l embeddings
-	// have l edges. Returning false prunes the embedding from further
-	// extension — FSM prunes embeddings of infrequent patterns.
-	LevelVisit func(level int, edges [][2]uint32, code string) bool
-	// MaxStored aborts (reason "oom") when a level exceeds this many
-	// embeddings. 0 = unlimited.
-	MaxStored int
-}
-
-// EdgeBFS explores connected edge-induced embeddings level by level.
-func EdgeBFS(g *graph.Graph, opt EdgeBFSOptions) Metrics {
-	var m Metrics
-	n := g.NumVertices()
-	type emb [][2]uint32
-	var level []emb
-	// Level 1: every edge, canonical as (u, v) with u < v.
-	for u := uint32(0); u < n; u++ {
-		for _, v := range g.Adj(u) {
-			m.Explored++
-			m.CanonicalityChecks++
-			if u > v {
-				continue // non-canonical orientation
-			}
-			e := emb{{u, v}}
-			if opt.LevelVisit != nil {
-				code := ""
-				if opt.Classify {
-					m.IsomorphismChecks++
-					code = edgePatternOf(g, e).CanonicalCode()
-				}
-				if !opt.LevelVisit(1, e, code) {
-					continue
-				}
-			}
-			level = append(level, e)
-		}
-	}
-	m.noteStored(uint64(len(level)), 2)
-
-	for size := 2; size <= opt.Edges; size++ {
-		var next []emb
-		for _, cur := range level {
-			verts := embVertices(cur)
-			seen := make(map[[2]uint32]bool, len(cur)+8)
-			for _, e := range cur {
-				seen[e] = true
-			}
-			for _, u := range verts {
-				for _, w := range g.Adj(u) {
-					key := edgeKey(u, w)
-					if seen[key] {
-						continue // already in the embedding, or already tried
-					}
-					seen[key] = true
-					cand := append(append(make(emb, 0, size), cur...), key)
-					m.Explored++
-					m.CanonicalityChecks++
-					if !edgeCanonical(cand) {
-						continue
-					}
-					code := ""
-					if opt.Classify {
-						m.IsomorphismChecks++
-						code = edgePatternOf(g, cand).CanonicalCode()
-					}
-					if opt.LevelVisit != nil && !opt.LevelVisit(size, cand, code) {
-						continue
-					}
-					next = append(next, cand)
-					if opt.MaxStored > 0 && len(next) > opt.MaxStored {
-						m.noteStored(uint64(len(next)), 2*size)
-						m.Aborted = true
-						m.AbortReason = "oom"
-						return m
-					}
-				}
-			}
-		}
-		level = next
-		m.noteStored(uint64(len(level)), 2*size)
-	}
-	m.Results = uint64(len(level))
-	return m
-}
-
 func edgeKey(u, v uint32) [2]uint32 {
 	if u < v {
 		return [2]uint32{u, v}

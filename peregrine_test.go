@@ -1,6 +1,12 @@
 package peregrine
 
 import (
+	"errors"
+	"fmt"
+	"path/filepath"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"peregrine/internal/gen"
@@ -240,5 +246,130 @@ func TestPlanForExposesStructure(t *testing.T) {
 	}
 	if len(pl.Core) == 0 || len(pl.Orders) == 0 {
 		t.Fatalf("plan missing core/orders: %+v", pl)
+	}
+}
+
+// Open must classify formats correctly and report pre-load metadata
+// for the binary.
+func TestOpenStatAndFormats(t *testing.T) {
+	g := StandardDataset(MicoLite, 1)
+	dir := t.TempDir()
+	txt, pgr := filepath.Join(dir, "g.txt"), filepath.Join(dir, "g.pgr")
+	must(t, SaveGraph(txt, g))
+	must(t, SaveGraph(pgr, g))
+
+	bsrc, err := Open(pgr)
+	must(t, err)
+	st, err := bsrc.Stat()
+	must(t, err)
+	if st.Vertices != g.NumVertices() || st.Edges != g.NumEdges() || st.Labels != g.NumLabels() {
+		t.Fatalf("binary Stat = %+v, want %d/%d/%d", st, g.NumVertices(), g.NumEdges(), g.NumLabels())
+	}
+	if st.Bytes != g.Bytes() {
+		t.Fatalf("binary source predicts %d resident bytes, the graph holds %d", st.Bytes, g.Bytes())
+	}
+
+	esrc, err := Open(txt)
+	must(t, err)
+	if _, err := esrc.Stat(); !errors.Is(err, ErrNoStat) {
+		t.Fatalf("edge-list Stat error = %v, want ErrNoStat", err)
+	}
+
+	if _, err := Open(filepath.Join(dir, "missing.txt")); err == nil {
+		t.Fatal("Open of a missing path succeeded")
+	}
+	if _, err := Open(txt, WithFormat("bogus")); err == nil {
+		t.Fatal("Open with unknown format succeeded")
+	}
+	// Forcing the format skips sniffing.
+	fsrc, err := Open(pgr, WithFormat(FormatBinary))
+	must(t, err)
+	lg, err := fsrc.Load()
+	must(t, err)
+	defer lg.Close()
+	if lg.NumEdges() != g.NumEdges() {
+		t.Fatalf("forced-format load: %v, want %v", lg, g)
+	}
+}
+
+// WithPlanCache isolates compilation: queries through a private cache
+// must not touch the process-wide one.
+func TestWithPlanCacheIsolation(t *testing.T) {
+	pc := NewPlanCache(8)
+	g := GraphFromEdges([][2]uint32{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
+	// A pattern shape unlikely to be cached globally by other tests.
+	p := MustParsePattern("0-1 1-2 2-3 3-0 0-2 [0:901] [1:902] [2:903] [3:904]")
+	gh0, gm0 := PlanCacheStats()
+	_, err1 := Count(g, p, WithPlanCache(pc))
+	_, err2 := Count(g, p, WithPlanCache(pc))
+	must(t, errors.Join(err1, err2))
+	hits, misses := pc.Stats()
+	if misses != 1 || hits != 1 {
+		t.Fatalf("private cache hits/misses = %d/%d, want 1/1", hits, misses)
+	}
+	if pc.Len() != 1 {
+		t.Fatalf("private cache Len = %d, want 1", pc.Len())
+	}
+	gh1, gm1 := PlanCacheStats()
+	if gh1 != gh0 || gm1 != gm0 {
+		t.Fatalf("process-wide cache stats moved: %d/%d -> %d/%d", gh0, gm0, gh1, gm1)
+	}
+}
+
+// TestShardedMatchesAndFSMAgree compares the entry points that enumerate
+// instead of counting on a sharded copy and the graph in memory: the
+// match set of a pattern and the frequent patterns of FSM.
+func TestShardedMatchesAndFSMAgree(t *testing.T) {
+	g := matrixGraph("er-48-l3")
+	enumerate := func(g *Graph) (matches []string, frequent map[string]int) {
+		var mu sync.Mutex
+		_, err := ForEachMatch(g, MustParsePattern("0-1 1-2 2-0"), func(_ *Ctx, m *Match) {
+			mu.Lock()
+			matches = append(matches, fmt.Sprint(m.Mapping))
+			mu.Unlock()
+		}, WithThreads(4))
+		must(t, err)
+		sort.Strings(matches)
+		res, err := FSM(g, 2, 3, WithThreads(4))
+		must(t, err)
+		frequent = make(map[string]int)
+		for _, f := range res.Frequent {
+			frequent[f.Pattern.CanonicalCode()] = f.Support
+		}
+		return matches, frequent
+	}
+	wantM, wantF := enumerate(g)
+	gotM, gotF := enumerate(shardedCopy(t, g, 6))
+	if len(wantM) == 0 || len(wantF) == 0 || !reflect.DeepEqual(gotM, wantM) || !reflect.DeepEqual(gotF, wantF) {
+		t.Errorf("sharded: %d matches, frequent %v; in memory: %d matches, frequent %v", len(gotM), gotF, len(wantM), wantF)
+	}
+}
+
+// TestShardedConcurrentQueries runs concurrent queries over one sharded
+// graph — the -race check of the shared fragment set.
+func TestShardedConcurrentQueries(t *testing.T) {
+	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 96, Edges: 300, Seed: 7})
+	sg := shardedCopy(t, g, 8)
+	tri := MustParsePattern("0-1 1-2 2-0")
+	want, err := Count(g, tri, WithThreads(2))
+	must(t, err)
+	var wg sync.WaitGroup
+	errs := make(chan error, 6)
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if got, err := Count(sg, tri, WithThreads(2)); err != nil || got != want {
+					errs <- fmt.Errorf("concurrent sharded count %d (%v), want %d", got, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
