@@ -8,6 +8,7 @@ package peregrine
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"peregrine/internal/core"
 	"peregrine/internal/gen"
@@ -167,6 +168,62 @@ func BenchmarkMorphedVsDirect(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkMorphChoice holds the cost model's choices against the
+// ablation: each case counts its vertex-induced batch as the planner
+// chooses and WithoutMorphing, and reports chosen/direct — below 1 where
+// the rewrite pays, 1 where the planner runs the batch as given, above 1
+// where it chose wrong. The cases are coord_sharded's 15 pairs of
+// 4-motifs on its Erdős–Rényi graph and Table 4's p1, p4, p5 and p6 on
+// the mico stand-in (harness.BenchDataset("mico", 1)).
+func BenchmarkMorphChoice(b *testing.B) {
+	er := gen.ErdosRenyi(gen.ERConfig{Vertices: 4096, Edges: 20480, MaxDegree: 100, Seed: 1})
+	mico := gen.RMAT(gen.RMATConfig{Vertices: 1024, Edges: 9000, Seed: 1, Labels: 29})
+	type batch struct {
+		name string
+		g    *Graph
+		pats []*Pattern
+	}
+	var batches []batch
+	motifs := pattern.GenerateAllVertexInduced(4)
+	for i := range motifs {
+		for j := i + 1; j < len(motifs); j++ {
+			batches = append(batches, batch{"er/" + motifs[i].String() + "+" + motifs[j].String(), er, []*Pattern{motifs[i], motifs[j]}})
+		}
+	}
+	for _, name := range []EvalPattern{P1, P4, P5, P6} {
+		batches = append(batches, batch{"mico/" + string(name), mico, []*Pattern{NewEvalPattern(name)}})
+	}
+	for _, bt := range batches {
+		q, err := PrepareWith([]Option{VertexInduced()}, bt.pats...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bt.name, func(b *testing.B) {
+			var chosen, direct time.Duration
+			modes := []struct {
+				spent *time.Duration
+				opts  []Option
+			}{{&chosen, nil}, {&direct, []Option{WithoutMorphing()}}}
+			for _, mode := range modes { // compile both executed sets first
+				if _, err := q.CountEach(bt.g, mode.opts...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, mode := range modes {
+					start := time.Now()
+					if _, err := q.CountEach(bt.g, mode.opts...); err != nil {
+						b.Fatal(err)
+					}
+					*mode.spent += time.Since(start)
+				}
+			}
+			b.ReportMetric(float64(chosen)/float64(direct), "chosen/direct")
+		})
 	}
 }
 

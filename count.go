@@ -17,7 +17,8 @@ import (
 //	resolve  each query's patterns to cached plans under its own options
 //	dedup    plans by identity across the batch — isomorphic patterns,
 //	         in any vertex numbering, are one *plan.Plan in the cache
-//	rewrite  plan.MorphBatch, behind the one morph gate
+//	rewrite  plan.MorphBatch, behind the one morph gate, priced for g's
+//	         shape: its size, degree moments and label count
 //	execute  core.RunPlans: one task scan through the share trie
 //	recover  the requested counts from the executed ones (exact, linear)
 //	demux    unique-plan rows back out to each query's pattern order
@@ -30,7 +31,9 @@ import (
 // relatives compile through are the first query's: a batch is one
 // execution, so its members share them.
 func countBatch(g *Graph, queries []*PreparedQuery, opts []Option) ([][]Stats, MultiStats, error) {
-	cp, err := PlanCount(queries, opts...)
+	m1, m2 := g.DegreeMoments()
+	shape := plan.Shape{Vertices: g.NumVertices(), MeanDeg: m1, MeanSqDeg: m2, Labels: g.NumLabels()}
+	cp, err := planCount(queries, opts, shape)
 	if err != nil || cp == nil {
 		return nil, MultiStats{}, err
 	}
@@ -56,7 +59,16 @@ type CountPlan struct {
 
 // PlanCount runs countBatch's planning stages — resolve, dedup,
 // rewrite — over queries and returns the plan, or nil for no queries.
+// With no graph at hand it prices the rewrite for the cost model's
+// sparse default (plan.Shape's zero value): Poisson degrees of mean 8 on
+// 2²⁰ vertices. A coordinator, which never loads the graphs it fans out
+// over, plans this way.
 func PlanCount(queries []*PreparedQuery, opts ...Option) (*CountPlan, error) {
+	return planCount(queries, opts, plan.Shape{})
+}
+
+// planCount is PlanCount pricing the rewrite for a graph of shape s.
+func planCount(queries []*PreparedQuery, opts []Option, s plan.Shape) (*CountPlan, error) {
 	if len(queries) == 0 {
 		return nil, nil
 	}
@@ -101,7 +113,7 @@ func PlanCount(queries []*PreparedQuery, opts ...Option) (*CountPlan, error) {
 	// coordinator does hoist rewrite/recover above its range fan-out.
 	cp.exec = plans
 	if !cfg.noMorph && !noSym && !cfg.taskRanged() {
-		if cp.mp = plan.MorphBatch(plans, cfg.cache(), plan.Options{}); cp.mp != nil {
+		if cp.mp = plan.MorphBatch(plans, cfg.cache(), plan.Options{Shape: s}); cp.mp != nil {
 			cp.exec = cp.mp.Exec
 		}
 	}

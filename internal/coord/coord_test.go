@@ -448,7 +448,8 @@ func testRefusesWrongParts(t *testing.T, countBody string) {
 // TestCoordinatorMorphsAboveFanout runs requests through a 3-shard,
 // 2-node fleet with uneven ranges and checks every answer against the
 // brute-force oracle: the coordinator rewrites a batch exactly where
-// the library would on the whole graph, the nodes receive the executed
+// the library's PlanCount does with no graph at hand (the cost model's
+// sparse default, not the fleet's graph), the nodes receive the executed
 // set as plain pattern text over their shard's range, and the answer
 // names the requested patterns with the recovered counts.
 func TestCoordinatorMorphsAboveFanout(t *testing.T) {
@@ -542,7 +543,7 @@ func TestCoordinatorMorphsAboveFanout(t *testing.T) {
 				t.Errorf("answer echoes request %+v, sent %+v", got.Request, req)
 			}
 
-			// Rewritten exactly where the library rewrites on the whole graph.
+			// Rewritten exactly where the library plans without a graph.
 			q, err := peregrine.PrepareWith(opts, effective...)
 			if err != nil {
 				t.Fatal(err)
@@ -551,16 +552,12 @@ func TestCoordinatorMorphsAboveFanout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, ms, err := q.CountEachWithStats(g)
-			if err != nil {
-				t.Fatal(err)
+			_, planned := cp.Finish(peregrine.MultiStats{Per: make([]peregrine.Stats, len(cp.Executed()))})
+			if rewritten(got) != cp.Rewritten() {
+				t.Fatalf("coordinator stats.morphing %+v, library plan rewritten=%v", got.Result.Stats.Morphing, cp.Rewritten())
 			}
-			if rewritten(got) != ms.Morph.Active() || cp.Rewritten() != ms.Morph.Active() {
-				t.Fatalf("coordinator stats.morphing %+v, library plan rewritten=%v, library run %+v",
-					got.Result.Stats.Morphing, cp.Rewritten(), ms.Morph)
-			}
-			if rewritten(got) && *got.Result.Stats.Morphing != ms.Morph {
-				t.Errorf("stats.morphing = %+v, want the one plan's %+v (not a per-shard sum)", *got.Result.Stats.Morphing, ms.Morph)
+			if rewritten(got) && *got.Result.Stats.Morphing != planned.Morph {
+				t.Errorf("stats.morphing = %+v, want the one plan's %+v (not a per-shard sum)", *got.Result.Stats.Morphing, planned.Morph)
 			}
 
 			if tc.morphs && !rewritten(got) {

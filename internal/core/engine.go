@@ -770,7 +770,7 @@ func newWorker(g *graph.Graph, pl *plan.Plan, cb Callback, mw *multiWorker, tb *
 		w.match[i] = NoVertex
 	}
 	w.m = Match{Pattern: pl.Pat, Mapping: w.match}
-	if k := len(pl.NonCore); w.countLast && k >= 2 && unfiltered(&pl.NonCore[k-2]) && unfiltered(&pl.NonCore[k-1]) {
+	if k := len(pl.NonCore); w.countLast && k >= 2 && pl.NonCore[k-2].Unfiltered() && pl.NonCore[k-1].Unfiltered() {
 		w.pairTail = true
 		prev, last := pl.NonCore[k-2].V, &pl.NonCore[k-1]
 		for _, pv := range last.LowerBound {
@@ -897,7 +897,7 @@ func (w *worker) completeFrom(i int) {
 	// only distinctness left to satisfy that number is the set's size
 	// minus the already-assigned vertices in it.
 	last := w.countLast && i == len(w.pl.NonCore)-1
-	if last && unfiltered(st) {
+	if last && st.Unfiltered() {
 		n := len(cands)
 		for _, used := range w.assigned {
 			if containsSorted(cands, used) {
@@ -939,13 +939,6 @@ outer:
 		w.assigned = w.assigned[:len(w.assigned)-1]
 		w.match[st.V] = NoVertex
 	}
-}
-
-// unfiltered reports whether every vertex of st's candidate set that is
-// not already in the match completes it: no label to test, no anti-edge
-// to reject on.
-func unfiltered(st *plan.NonCoreStep) bool {
-	return st.Label == pattern.Wildcard && len(st.CoreAnti) == 0
 }
 
 // pairLastSet computes the last completion level's candidate set for

@@ -24,6 +24,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"peregrine/internal/bitset"
 )
@@ -73,6 +74,13 @@ type Graph struct {
 	// hubBytes is their total heap footprint for Bytes accounting.
 	hubBits  []*bitset.Bitmap
 	hubBytes uint64
+
+	// moments memoises DegreeMoments: the rows are immutable, so one pass
+	// over the offsets serves every later call.
+	moments struct {
+		once         sync.Once
+		mean, meanSq float64
+	}
 }
 
 // NumVertices returns |V(G)|.
@@ -224,6 +232,31 @@ func (g *Graph) AvgDegree() float64 {
 		return 0
 	}
 	return float64(2*g.NumEdges()) / float64(n)
+}
+
+// DegreeMoments returns the mean degree and the mean squared degree, the
+// two moments a planner needs to predict how fast a traversal branches.
+// The first call makes one pass over the offsets of every piece; later
+// calls, from any goroutine, return the memoised figures.
+func (g *Graph) DegreeMoments() (mean, meanSq float64) {
+	m := &g.moments
+	m.once.Do(func() {
+		n := g.NumVertices()
+		if n == 0 {
+			return
+		}
+		var sum, sumSq float64
+		for i := range g.pieces {
+			off := g.pieces[i].offsets
+			for j := 1; j < len(off); j++ {
+				d := float64(off[j] - off[j-1])
+				sum += d
+				sumSq += d * d
+			}
+		}
+		m.mean, m.meanSq = sum/float64(n), sumSq/float64(n)
+	})
+	return m.mean, m.meanSq
 }
 
 // Bytes returns the resident size of the graph's CSR arrays — for

@@ -273,6 +273,51 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// DegreeMoments on graphs whose degrees are known: a 4-leaf star has
+// degrees 4,1,1,1,1 (mean 8/5, mean square 20/5), a 6-cycle all 2s, and
+// an empty graph none. Concurrent first calls (run under -race) must all
+// see the one memoised pass; the sharded-equals-whole table
+// (shardedDiff) checks a multi-piece graph against its whole graph.
+func TestDegreeMoments(t *testing.T) {
+	cycle := NewBuilder()
+	for v := uint32(0); v < 6; v++ {
+		cycle.AddEdge(v, (v+1)%6)
+	}
+	for _, tc := range []struct {
+		name         string
+		g            *Graph
+		mean, meanSq float64
+	}{
+		{"star", FromAdjacency(map[uint32][]uint32{0: {1, 2, 3, 4}}), 1.6, 4},
+		{"cycle", cycle.Build(), 2, 4},
+		{"empty", NewBuilder().Build(), 0, 0},
+	} {
+		if m1, m2 := tc.g.DegreeMoments(); m1 != tc.mean || m2 != tc.meanSq {
+			t.Errorf("%s: DegreeMoments = %v, %v; want %v, %v", tc.name, m1, m2, tc.mean, tc.meanSq)
+		}
+	}
+
+	g := randomTestGraph(t, 400, 1600, 0, 3)
+	type moments struct{ m1, m2 float64 }
+	got := make(chan moments, 8)
+	for range cap(got) {
+		go func() {
+			m1, m2 := g.DegreeMoments()
+			got <- moments{m1, m2}
+		}()
+	}
+	want := moments{2 * float64(g.NumEdges()) / float64(g.NumVertices()), 0}
+	for v := uint32(0); v < g.NumVertices(); v++ {
+		want.m2 += float64(g.Degree(v)) * float64(g.Degree(v))
+	}
+	want.m2 /= float64(g.NumVertices())
+	for range cap(got) {
+		if m := <-got; m != want {
+			t.Fatalf("concurrent DegreeMoments = %+v, want %+v", m, want)
+		}
+	}
+}
+
 func TestContains(t *testing.T) {
 	s := []uint32{1, 3, 5, 9}
 	for _, x := range s {

@@ -50,6 +50,10 @@ func shardedDiff(g, sg *Graph) error {
 	if StatOf(sg) != StatOf(g) {
 		return fmt.Errorf("stat mismatch: sharded %+v, whole %+v", StatOf(sg), StatOf(g))
 	}
+	s1, s2 := sg.DegreeMoments()
+	if g1, g2 := g.DegreeMoments(); s1 != g1 || s2 != g2 {
+		return fmt.Errorf("DegreeMoments: sharded %v, %v; whole %v, %v", s1, s2, g1, g2)
+	}
 	for v := uint32(0); v < g.NumVertices(); v++ {
 		if !slices.Equal(sg.Adj(v), g.Adj(v)) {
 			return fmt.Errorf("Adj(%d): sharded %v != whole %v", v, sg.Adj(v), g.Adj(v))

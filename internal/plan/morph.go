@@ -40,13 +40,18 @@ package plan
 // edge-induced relatives match with small cores and cheap completions —
 // and across a motif batch the relatives of different patterns overlap
 // heavily, so the executed set is barely larger than the most expensive
-// single expansion. MorphBatch picks the cheaper of direct and morphed
-// execution per pattern with a cost model over matching orders, then
-// the share trie merges whatever survives.
+// single expansion. Whether it wins depends on the graph: a relative
+// with a small core can still match far more often than the pattern. So
+// MorphBatch picks the cheaper of direct and morphed execution per
+// pattern with CostOf, which prices each plan as the engine counts it on
+// a graph of the batch's Shape (its size and degree moments), and the
+// share trie merges whatever survives.
 
 import (
+	"math"
 	"math/big"
 	"math/bits"
+	"slices"
 
 	"peregrine/internal/pattern"
 )
@@ -197,38 +202,159 @@ func (c *Cache) morphRelation(p *pattern.Pattern, opt Options) *morphRelation {
 	return e.morph
 }
 
-// costGrowth is the assumed per-depth candidate branching of a guided
-// traversal. Only relative plan costs matter for morph selection, so a
-// modest constant that makes deep cores expensive is enough.
-const costGrowth = 4.0
+// Shape is what the cost model knows of a data graph: its vertex count,
+// its first two degree moments (graph.DegreeMoments) and how many labels
+// it uses. The zero Shape stands for defaultShape.
+type Shape struct {
+	Vertices  uint32
+	MeanDeg   float64 // m1, the mean degree
+	MeanSqDeg float64 // m2, the mean squared degree
+	Labels    int     // distinct vertex labels; 0 for an unlabeled graph
+}
 
-// CostOf estimates a plan's exploration cost from its matching orders:
-// each core step's intersection work is weighted by the expected number
-// of partial bindings at its depth, and completion work (non-core
-// candidates, anti-edge rejections, anti-vertex checks) is weighted at
-// core-match frequency. Anti-edges are what morphing removes, and they
-// surface here twice — as extra core depth (the cover must reach them)
-// and as per-step rejection work.
-func CostOf(pl *Plan) float64 {
-	var comp float64
-	for i := range pl.NonCore {
-		nc := &pl.NonCore[i]
-		comp += 1 + float64(len(nc.CoreNbrs)) + float64(len(nc.CoreAnti))
+// defaultShape is the graph priced when none is at hand — a coordinator
+// plans for a fleet whose graphs it never loads: Poisson degrees of mean
+// 8 (m2 = 8 + 8² = 72) on 2²⁰ vertices, a sparse graph and not any
+// benchmark's. Defaults from 4096 to 2²⁰ vertices at mean degree 8–10
+// choose identically on every pair of vertex-induced 4-motifs.
+var defaultShape = Shape{Vertices: 1 << 20, MeanDeg: 8, MeanSqDeg: 72}
+
+// costModel is a Shape reduced to the figures CostOf prices with.
+type costModel struct {
+	start  float64 // length of the start vertex's list: m1
+	reach  float64 // length of a list of a vertex reached by an edge: m2/m1
+	close  float64 // chance a candidate survives one more list
+	search float64 // one binary search in a reached list
+	label  float64 // chance a candidate passes a label test
+}
+
+func (s Shape) model() costModel {
+	if s.Vertices == 0 || s.MeanDeg <= 0 || s.MeanSqDeg <= 0 {
+		s = defaultShape
 	}
-	for i := range pl.Checks {
-		comp += 1 + float64(len(pl.Checks[i].Nbrs))
+	reach := s.MeanSqDeg / s.MeanDeg
+	label := 1.0
+	if s.Labels > 1 {
+		label = 1 / float64(s.Labels)
 	}
+	return costModel{
+		start:  s.MeanDeg,
+		reach:  reach,
+		close:  min(1, reach*reach/(s.MeanDeg*float64(s.Vertices))),
+		search: max(1, math.Log2(reach)),
+		label:  label,
+	}
+}
+
+// set is the expected size of the intersection of k adjacency lists,
+// one of them the start vertex's when fromStart, in an id window bounded
+// below when lo and above when hi: the first list's length, a closure
+// chance per further list, and half the set per bound.
+func (m costModel) set(k int, fromStart, lo, hi bool) float64 {
+	n := m.reach
+	if fromStart {
+		n = m.start
+	}
+	n *= math.Pow(m.close, float64(k-1))
+	if lo {
+		n /= 2
+	}
+	if hi {
+		n /= 2
+	}
+	return n
+}
+
+// compute is the cost of producing a k-list set of n candidates and
+// reading it: a single list is a view, so reading its candidates is all
+// there is; k lists cost a merge over k reached lists.
+func (m costModel) compute(k int, n float64) float64 {
+	if k == 1 {
+		return n
+	}
+	return float64(k) * m.reach
+}
+
+// pass is the chance a candidate passes a test for label l.
+func (m costModel) pass(l pattern.Label) float64 {
+	if l == pattern.Wildcard {
+		return 1
+	}
+	return m.label
+}
+
+// CostOf estimates the work of counting pl's matches, per task, on a
+// graph of shape s, pricing what internal/core does for a count (no
+// callback) rather than the pattern's size:
+//
+//   - Core steps, per matching order. A step from the start vertex
+//     branches m1 ways, a later one m2/m1 (the degree of a vertex
+//     reached by an edge); each list beyond the first keeps a candidate
+//     with the configuration model's closure chance (m2/m1)²/(m1·|V|),
+//     and each bound of the id window halves the set. A one-list step is
+//     a view and costs its candidates; a k-list step costs a k-list merge
+//     per binding; each anti-edge costs a binary search per candidate. A
+//     label test keeps one candidate in Labels (labels drawn uniformly).
+//   - Completion, per core match and per sequence of the order. Walked
+//     non-core levels are priced like core steps and multiply the binding
+//     count. With no anti-vertex check the last level, when Unfiltered,
+//     costs one set computation, and an Unfiltered last pair one merge of
+//     two sets — the engine's count-mode tails.
+//   - Each anti-vertex check costs one k-list intersection per match.
+//
+// Trie prefix sharing and completion slots are left out: they discount
+// plans that share work, MorphBatch's objective already charges a
+// relative shared by several patterns once, and timing every morph/direct
+// assignment of coord_sharded's pairs and serve_mix's triples puts the
+// model's choices within 1 % of the fastest (geometric mean) without
+// them. Only relative costs matter.
+func CostOf(pl *Plan, s Shape) float64 {
+	m := s.model()
 	var total float64
 	for _, mo := range pl.Orders {
-		f := 1.0
+		start := mo.Visit[0]
+		bind := m.pass(mo.Labels[start])
 		for i := range mo.Steps {
 			st := &mo.Steps[i]
-			total += f * (1 + float64(len(st.NbrVisited)) + 2*float64(len(st.AntiVisited)))
-			f *= costGrowth
+			k := len(st.NbrVisited)
+			n := m.set(k, slices.Contains(st.NbrVisited, start), st.LoPos >= 0, st.HiPos >= 0)
+			total += bind * (m.compute(k, n) + n*float64(len(st.AntiVisited))*m.search)
+			bind *= n * m.pass(st.Label)
 		}
-		total += f * (1 + comp)
+		for _, seq := range mo.Seqs {
+			total += bind * m.completion(pl, seq[start])
+		}
 	}
 	return total
+}
+
+// completion prices completing one core match whose start vertex is
+// pattern vertex start: its delivery, the non-core levels, and the
+// anti-vertex checks of every match it completes to.
+func (m costModel) completion(pl *Plan, start int) float64 {
+	nc := pl.NonCore
+	size := func(st *NonCoreStep) float64 {
+		return m.set(len(st.CoreNbrs), slices.Contains(st.CoreNbrs, start), len(st.LowerBound) > 0, len(st.UpperBound) > 0)
+	}
+	counted := len(pl.Checks) == 0 // count mode sizes unfiltered tails
+	cost, bind := 1.0, 1.0
+	for i := range nc {
+		st := &nc[i]
+		k, n := len(st.CoreNbrs), size(st)
+		switch {
+		case counted && i == len(nc)-1 && st.Unfiltered():
+			return cost + bind*m.compute(k, 1)
+		case counted && i == len(nc)-2 && st.Unfiltered() && nc[i+1].Unfiltered():
+			last := &nc[i+1]
+			return cost + bind*(m.compute(k, 1)+m.compute(len(last.CoreNbrs), 1)+n+size(last))
+		}
+		cost += bind * (m.compute(k, n) + n*float64(len(st.CoreAnti))*m.search)
+		bind *= n * m.pass(st.Label)
+	}
+	for i := range pl.Checks {
+		cost += bind * float64(len(pl.Checks[i].Nbrs)) * m.reach
+	}
+	return cost
 }
 
 // RecoveryTerm references one executed plan's count in a recovery
@@ -294,8 +420,9 @@ type MorphPlan struct {
 // MorphBatch rewrites a counting batch: for each morphable pattern it
 // weighs direct execution against executing its anti-edge-free
 // relatives (compiled and deduplicated through cache — isomorphic
-// relatives of different patterns become one plan) under CostOf, and
-// returns the cheaper equivalent execution with its recovery relations.
+// relatives of different patterns become one plan) under CostOf for
+// opt.Shape, and returns the cheaper equivalent execution with its
+// recovery relations.
 // Returns nil when nothing morphs — callers then run the batch as
 // given. Counting semantics only: callers that need real embeddings
 // (ForEach/Exists/Matches) must not morph. Batches compiled without
@@ -329,7 +456,7 @@ func MorphBatch(pls []*Plan, cache *Cache, opt Options) *MorphPlan {
 			continue
 		}
 		stats.Candidates += uint64(len(rel.terms))
-		groups[pl] = &group{morphRelation: rel, cost: CostOf(pl)}
+		groups[pl] = &group{morphRelation: rel, cost: CostOf(pl, opt.Shape)}
 		groupOrder = append(groupOrder, pl)
 	}
 	if len(groups) == 0 {
@@ -340,7 +467,7 @@ func MorphBatch(pls []*Plan, cache *Cache, opt Options) *MorphPlan {
 	for _, gp := range groupOrder {
 		for _, t := range groups[gp].terms {
 			if _, ok := termCost[t.pl]; !ok {
-				termCost[t.pl] = CostOf(t.pl)
+				termCost[t.pl] = CostOf(t.pl, opt.Shape)
 			}
 		}
 	}
@@ -479,10 +606,22 @@ func MorphBatch(pls []*Plan, cache *Cache, opt Options) *MorphPlan {
 		stats.PatternsReplaced++
 		stats.RecoveryTerms += uint64(len(r.Terms))
 	}
-	stats.StepsDirect = BuildShareTrie(pls).ProgramSteps
-	stats.StepsMorphed = BuildShareTrie(mp.Exec).ProgramSteps
+	stats.StepsDirect = programSteps(pls)
+	stats.StepsMorphed = programSteps(mp.Exec)
 	mp.Stats = stats
 	return mp
+}
+
+// programSteps is the ShareTrie.ProgramSteps of pls without building the
+// trie: the steps of every matching order of every plan, before merging.
+func programSteps(pls []*Plan) uint64 {
+	var n uint64
+	for _, pl := range pls {
+		for _, mo := range pl.Orders {
+			n += uint64(len(mo.Steps))
+		}
+	}
+	return n
 }
 
 // Recover evaluates every recovery relation over the executed counts

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -102,14 +103,149 @@ func TestMorphTermsWellFormed(t *testing.T) {
 }
 
 // Anti-edges inflate the pattern core, so a vertex-induced pattern's
-// plan must cost more under the model than its edge-induced skeleton's.
-func TestCostOfAntiEdgesDominat(t *testing.T) {
-	for _, skel := range []*pattern.Pattern{pattern.Chain(4), pattern.Star(4), pattern.Cycle(5)} {
-		direct := mustPlan(t, skel)
-		vi := mustPlan(t, pattern.VertexInduced(skel))
-		if CostOf(vi) <= CostOf(direct) {
-			t.Errorf("%v: vertex-induced cost %.1f <= edge-induced cost %.1f",
-				skel, CostOf(vi), CostOf(direct))
+// plan must cost more under the model than its edge-induced skeleton's,
+// on every shape the decision table below uses.
+func TestCostOfAntiEdgesDominate(t *testing.T) {
+	for _, s := range []Shape{{}, erShape4096, erShape512, micoShape} {
+		for _, skel := range []*pattern.Pattern{pattern.Chain(4), pattern.Star(4), pattern.Cycle(5)} {
+			direct := mustPlan(t, skel)
+			vi := mustPlan(t, pattern.VertexInduced(skel))
+			if CostOf(vi, s) <= CostOf(direct, s) {
+				t.Errorf("%+v, %v: vertex-induced cost %.1f <= edge-induced cost %.1f",
+					s, skel, CostOf(vi, s), CostOf(direct, s))
+			}
+		}
+	}
+}
+
+// The shapes of the graphs the decisions below were measured on
+// (graph.DegreeMoments, seed 1): coord_sharded's and motif_batch's
+// Erdős–Rényi graphs, and the mico stand-in of cmd/tables (RMAT).
+var (
+	erShape4096 = Shape{Vertices: 4096, MeanDeg: 9.9873, MeanSqDeg: 109.8667}
+	erShape512  = Shape{Vertices: 512, MeanDeg: 9.9102, MeanSqDeg: 107.3125}
+	micoShape   = Shape{Vertices: 1024, MeanDeg: 12.7031, MeanSqDeg: 893.3066}
+)
+
+// morphed reports, per pattern of the vertex-induced batch pats, whether
+// MorphBatch replaces it when pricing for s.
+func morphed(t *testing.T, pats []*pattern.Pattern, s Shape) []bool {
+	t.Helper()
+	cache := NewCache()
+	pls := make([]*Plan, len(pats))
+	for i, p := range pats {
+		c, err := cache.Get(pattern.VertexInduced(p), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pls[i] = c.Plan
+	}
+	out := make([]bool, len(pats))
+	if mp := MorphBatch(pls, cache, Options{Shape: s}); mp != nil {
+		for i, r := range mp.Recov {
+			out[i] = r.Direct < 0
+		}
+	}
+	return out
+}
+
+// The cost model's decisions where they were measured. Each row was
+// timed by running every morph/direct assignment of its batch with
+// core.RunPlans, one thread, on a 2-vCPU x86-64 box; the row pins the
+// fastest assignment. coord_sharded's rows hold for the zero Shape —
+// what its coordinator prices, having no graph — and for its graph's.
+func TestMorphDecisions(t *testing.T) {
+	path := pattern.Chain(4)
+	tailed := pattern.MustParse("0-1 1-2 2-0 2-3")
+	diamond := pattern.MustParse("0-1 1-2 2-3 3-0 0-2")
+	clique := pattern.Clique(4)
+	p1 := diamond
+	p5 := pattern.MustParse("0-1 1-2 2-0 2-3 3-4 4-2")
+	p6 := pattern.Clique(5)
+	p6.RemoveEdge(3, 4)
+	motifs := append(pattern.GenerateAllVertexInduced(4), pattern.GenerateAllVertexInduced(5)...)
+	withAnti := make([]bool, len(motifs))
+	for i, p := range motifs {
+		withAnti[i] = Morphable(pattern.VertexInduced(p))
+	}
+	for _, tc := range []struct {
+		name   string
+		shapes []Shape
+		pats   []*pattern.Pattern
+		want   []bool
+	}{
+		// ER 4096/20480: beside the 4-clique the 4-path costs 38.9 ms
+		// morphed and 143.0 ms direct, beside the tailed triangle 39.1 ms
+		// with both morphed and 130.5 ms with both direct; the parent model
+		// ran both pairs direct.
+		{"coord path, 4-clique", []Shape{{}, erShape4096}, []*pattern.Pattern{path, clique}, []bool{true, false}},
+		{"coord path, tailed triangle", []Shape{{}, erShape4096}, []*pattern.Pattern{path, tailed}, []bool{true, true}},
+		// ER 4096/20480: 2.7 ms direct, 11.6 ms with both morphed.
+		{"coord tailed triangle, diamond", []Shape{{}, erShape4096}, []*pattern.Pattern{tailed, diamond}, []bool{false, false}},
+		// ER 4096/20480: 2.6 ms direct, 11.7 ms morphed.
+		{"coord tailed triangle, 4-clique", []Shape{{}, erShape4096}, []*pattern.Pattern{tailed, clique}, []bool{false, false}},
+		// mico stand-in, Table 4 (vertex-induced p1, p5, p6): 71.7 → 11.3,
+		// 1305 → 700 and 238.6 → 52.1 ms morphed.
+		{"mico p1", []Shape{micoShape}, []*pattern.Pattern{p1}, []bool{true}},
+		{"mico p5", []Shape{micoShape}, []*pattern.Pattern{p5}, []bool{true}},
+		{"mico p6", []Shape{micoShape}, []*pattern.Pattern{p6}, []bool{true}},
+		// motif_batch, ER 512/2560: the parent model replaced all 25 motifs
+		// with anti-edges, which runs 27 relatives; that set stays.
+		{"motif_batch", []Shape{erShape512}, motifs, withAnti},
+	} {
+		for _, s := range tc.shapes {
+			if got := morphed(t, tc.pats, s); !slices.Equal(got, tc.want) {
+				t.Errorf("%s on %+v: morphed %v, want %v", tc.name, s, got, tc.want)
+			}
+		}
+	}
+}
+
+// Every coordinator plans for the zero Shape. The decision is not an
+// artefact of its particular figures: sparse Poisson graphs of 4096 to
+// 2²⁰ vertices at mean degree 8–10 decide every pair of vertex-induced
+// 4-motifs as it does.
+func TestMorphDefaultShapeStable(t *testing.T) {
+	motifs := pattern.GenerateAllVertexInduced(4)
+	for i := range motifs {
+		for j := i + 1; j < len(motifs); j++ {
+			pair := []*pattern.Pattern{motifs[i], motifs[j]}
+			want := morphed(t, pair, Shape{})
+			for _, v := range []uint32{4096, 1 << 16, 1 << 20} {
+				for _, m1 := range []float64{8, 9, 10} {
+					s := Shape{Vertices: v, MeanDeg: m1, MeanSqDeg: m1 + m1*m1}
+					if got := morphed(t, pair, s); !slices.Equal(got, want) {
+						t.Errorf("%v on %+v: morphed %v, the zero Shape %v", pair, s, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// StepsDirect and StepsMorphed are the share tries' ProgramSteps, summed
+// over matching orders without building either trie.
+func TestMorphStepsAreTrieProgramSteps(t *testing.T) {
+	for _, sizes := range [][]int{{4}, {5}, {4, 5}} {
+		cache := NewCache()
+		var pls []*Plan
+		for _, k := range sizes {
+			for _, skel := range pattern.GenerateAllVertexInduced(k) {
+				c, err := cache.Get(pattern.VertexInduced(skel), Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pls = append(pls, c.Plan)
+			}
+		}
+		pls = append(pls, pls[0]) // a duplicate counts twice, as in the trie
+		mp := MorphBatch(pls, cache, Options{})
+		if mp == nil {
+			t.Fatalf("%v-motifs did not morph", sizes)
+		}
+		if d, m := BuildShareTrie(pls).ProgramSteps, BuildShareTrie(mp.Exec).ProgramSteps; mp.Stats.StepsDirect != d || mp.Stats.StepsMorphed != m {
+			t.Errorf("%v-motifs: steps %d direct, %d morphed; the tries say %d, %d",
+				sizes, mp.Stats.StepsDirect, mp.Stats.StepsMorphed, d, m)
 		}
 	}
 }

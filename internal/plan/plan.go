@@ -88,6 +88,15 @@ type NonCoreStep struct {
 	Label pattern.Label
 }
 
+// Unfiltered reports whether every vertex of st's candidate set that is
+// not already in the match completes it: no label to test, no anti-edge
+// to reject on. A count sizes such a level instead of walking it when it
+// is the last, or one of the last two (internal/core's count mode), and
+// CostOf prices it that way.
+func (st *NonCoreStep) Unfiltered() bool {
+	return st.Label == pattern.Wildcard && len(st.CoreAnti) == 0
+}
+
 // AntiVertexCheck precomputes the §4.3 constraint for one anti-vertex:
 // after all regular vertices are matched, the common neighborhood of the
 // matches of Nbrs — excluding, per neighbor u, the matches of u's own
@@ -117,6 +126,11 @@ type Options struct {
 	// configuration, Figure 10 / Table 1). Every automorphic match is
 	// then enumerated.
 	NoSymmetryBreaking bool
+
+	// Shape is the data graph MorphBatch prices a batch for (see CostOf);
+	// the zero Shape is the documented sparse default. It does not change
+	// a plan, so New ignores it and it is no part of a cache key.
+	Shape Shape
 }
 
 // New computes the exploration plan for p (Figure 5's generatePlan).
