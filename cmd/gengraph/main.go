@@ -8,14 +8,7 @@
 //	gengraph -kind er   -v 300000 -e 1500000 -maxdeg 800 -o patents-like.txt
 //	gengraph -dataset mico-lite -scale 4 -format pgr -o mico.pgr
 //	gengraph -in mico-like.txt -format pgr -o mico-like.pgr   # convert
-//	gengraph -in mico-like.pgr -renumber -o mico-desc.pgr     # hubs-first ids
 //	gengraph -dataset patents-lite -shards 4 -o patents.manifest
-//
-// -renumber reassigns vertex ids in descending-degree order before
-// writing (see graph.RenumberDescending): counts and OrigID-mapped
-// matches are unchanged, but CSR hub rows pack into a dense low-id
-// prefix, which the engine's intersection kernels and hub bitsets
-// exploit. The ordering is recorded in the .pgr header and manifest.
 //
 // -format defaults to the -o extension (.pgr selects the binary),
 // else the edge list. Converting an existing graph with -in re-reads
@@ -49,7 +42,6 @@ func main() {
 	scale := flag.Int("scale", 1, "scale multiplier for -dataset")
 	in := flag.String("in", "", "convert an existing graph file (either format) instead of generating")
 	format := flag.String("format", "", "output format: edgelist | pgr (default: by -o extension)")
-	renumber := flag.Bool("renumber", false, "reassign vertex ids in descending-degree order (hubs first) before writing; recorded in the .pgr header / manifest")
 	shards := flag.Int("shards", 0, "partition into this many .pgr fragments plus a manifest at -o (requires -o)")
 	out := flag.String("o", "", "output path (default stdout)")
 	flag.Parse()
@@ -84,7 +76,12 @@ func main() {
 			os.Exit(1)
 		}
 	} else if *dataset != "" {
-		g = gen.Standard(gen.Dataset(*dataset), *scale)
+		d, err := gen.ParseDataset(*dataset)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "gengraph:", err)
+			os.Exit(2)
+		}
+		g = gen.Standard(d, *scale)
 	} else {
 		switch *kind {
 		case "rmat":
@@ -101,15 +98,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gengraph: unknown kind %q\n", *kind)
 			os.Exit(2)
 		}
-	}
-
-	if *renumber {
-		rg, err := graph.RenumberDescending(g)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gengraph:", err)
-			os.Exit(1)
-		}
-		g = rg
 	}
 
 	// The Save* paths write via temp-file-and-rename, so converting a

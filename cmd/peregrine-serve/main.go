@@ -69,14 +69,6 @@ func (r *repeatable) Set(v string) error {
 	return nil
 }
 
-var datasets = map[string]gen.Dataset{
-	string(gen.MicoLite):       gen.MicoLite,
-	string(gen.PatentsLite):    gen.PatentsLite,
-	string(gen.PatentsLabeled): gen.PatentsLabeled,
-	string(gen.OrkutLite):      gen.OrkutLite,
-	string(gen.FriendsterLite): gen.FriendsterLite,
-}
-
 func main() {
 	var graphFlags, datasetFlags repeatable
 	addr := flag.String("addr", ":8080", "listen address")
@@ -162,9 +154,9 @@ func splitSpec(spec string) (name, value string, err error) {
 
 func parseDataset(spec string) (gen.Dataset, int, error) {
 	kind, scaleStr, hasScale := strings.Cut(spec, "@")
-	ds, ok := datasets[kind]
-	if !ok {
-		return "", 0, fmt.Errorf("unknown dataset %q", kind)
+	ds, err := gen.ParseDataset(kind)
+	if err != nil {
+		return "", 0, err
 	}
 	scale := 1
 	if hasScale {

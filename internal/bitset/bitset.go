@@ -7,11 +7,12 @@
 // a large vertex set.
 //
 // Beyond the operations MNI aggregation needs (Add, Contains, Or,
-// Cardinality, size accounting), the package provides the intersection
-// kernels the matching engine's hub-bitset adjacency path runs on:
-// FromSorted (bulk construction from a sorted adjacency list),
-// FilterSortedInto (bitset∩sorted), and AndSortedInto (bitset∩bitset),
-// all emitting ascending uint32 values suitable as candidate sets.
+// Cardinality, size accounting), the package provides intersection
+// kernels over hub adjacency bitmaps: FromSorted (bulk construction from
+// a sorted adjacency list), FilterSortedInto (bitset∩sorted), and
+// AndSortedInto (bitset∩bitset), all emitting ascending uint32 values.
+// The matching engine no longer uses them; they stay only for the
+// benchmark ladder's bitset rung.
 package bitset
 
 import (
@@ -244,8 +245,7 @@ func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
 // FromSorted builds a bitmap from a strictly ascending slice in one
 // pass: values are grouped into chunks without any per-value search,
 // and chunks past the array threshold materialize directly in bitmap
-// mode. This is how hub adjacency lists become bitset form at graph
-// load time without paying Add's insertion cost per neighbor.
+// mode, without paying Add's insertion cost per value.
 func FromSorted(vals []uint32) *Bitmap {
 	return fromSorted(vals, arrayToBitmapThreshold+1)
 }
@@ -255,8 +255,8 @@ func FromSorted(vals []uint32) *Bitmap {
 // though a sorted array would be smaller. Membership tests and
 // intersections against bitmap chunks are O(1) word operations instead
 // of binary searches, so callers that probe a bitmap far more often
-// than they store it — the engine's hub-adjacency bitsets — trade up to
-// 8 KiB per chunk for constant-time lookups. denseMin values below 1
+// than they store it (graph.BuildHubBitsets) trade up to 8 KiB per chunk
+// for constant-time lookups. denseMin values below 1
 // are treated as 1 (every non-empty chunk becomes a bitmap).
 func FromSortedDense(vals []uint32, denseMin int) *Bitmap {
 	if denseMin < 1 {

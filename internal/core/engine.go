@@ -64,7 +64,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"peregrine/internal/bitset"
 	"peregrine/internal/graph"
 	"peregrine/internal/pattern"
 	"peregrine/internal/plan"
@@ -354,8 +353,9 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 	// Tasks are handed out hubs-first: ids are degree-ordered, so
 	// high-degree (expensive, heavily-pruned) tasks run first to avoid
 	// stragglers (§5.2). With Build's ascending order hubs sit at the
-	// high end and the scan walks down; on a RenumberDescending graph
-	// they sit at the low end and the scan walks up.
+	// high end and the scan walks down; on a graph whose ids descend by
+	// degree (a .pgr or manifest carrying the desc flag) they sit at the
+	// low end and the scan walks up.
 	hubsLow := g.DegreeDescending()
 	next := new(atomic.Int64)
 	if hubsLow {
@@ -452,12 +452,6 @@ type multiWorker struct {
 	listArg [][]uint32 // scratch for gathering adjacency list operands
 	touched []bool     // per-plan task-attribution flags, reset per task
 
-	// hubs caches g.HasHubBits(); bitArg gathers the hub bitmaps
-	// paralleling listArg so skewed intersections can route through the
-	// bitset kernels (nil entries for non-hub vertices).
-	hubs   bool
-	bitArg []*bitset.Bitmap
-
 	// Completion slots (plan.Slot), indexed like trie.Slots. gen[d]
 	// advances whenever visit d is bound, so a new binding invalidates
 	// every slot on its node without touching them.
@@ -477,7 +471,6 @@ func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb P
 		data:    make([]uint32, trie.MaxCore),
 		listArg: make([][]uint32, 0, trie.MaxCore),
 		touched: make([]bool, len(pls)),
-		hubs:    g.HasHubBits(),
 
 		gen:   make([]uint64, trie.MaxCore),
 		slots: make([]slotState, len(trie.Slots)),
@@ -485,9 +478,6 @@ func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb P
 	}
 	for id := range mw.slots {
 		mw.slots[id].depth = trie.Slots[id].Depth
-	}
-	if mw.hubs {
-		mw.bitArg = make([]*bitset.Bitmap, 0, trie.MaxCore)
 	}
 	if trie.MaxCore > 1 {
 		mw.bufs = make([][]uint32, trie.MaxCore-1)
@@ -552,16 +542,8 @@ func (mw *multiWorker) descend(n *plan.ShareNode) {
 		}
 		mw.tb.Enter(profile.StageCore)
 		lists := mw.listArg[:0]
-		var bits []*bitset.Bitmap
-		if mw.hubs {
-			bits = mw.bitArg[:0]
-		}
 		for _, t := range st.Nbr {
-			dv := mw.data[t]
-			lists = append(lists, mw.g.Adj(dv))
-			if mw.hubs {
-				bits = append(bits, mw.g.HubBits(dv))
-			}
+			lists = append(lists, mw.g.Adj(mw.data[t]))
 		}
 		d := child.Depth - 1
 		if cap(mw.bufs[d]) == 0 {
@@ -570,7 +552,7 @@ func (mw *multiWorker) descend(n *plan.ShareNode) {
 		// cands is read-only below: with one list it aliases graph
 		// adjacency storage (see the intersectSetsInto ownership
 		// contract), so nothing here may write through it.
-		cands := intersectSetsInto(mw.bufs[d], lists, bits, lo, hi)
+		cands := intersectSetsInto(mw.bufs[d], lists, lo, hi)
 		if len(lists) > 1 && cap(cands) > cap(mw.bufs[d]) {
 			// Keep the grown buffer for future tasks. Single-list results
 			// are views into graph storage and must not be adopted.
@@ -653,24 +635,13 @@ func (mw *multiWorker) fillSlot(id int, st *Stats) []uint32 {
 		hi = int64(mw.data[sl.Step.Hi])
 	}
 	lists := mw.listArg[:0]
-	var bits []*bitset.Bitmap
-	if mw.hubs {
-		bits = mw.bitArg[:0]
-	}
 	nbr := sl.Step.Nbr
 	if sl.Prefix >= 0 {
 		lists = append(lists, prefix)
-		if mw.hubs {
-			bits = append(bits, nil)
-		}
 		nbr = nbr[len(nbr)-1:]
 	}
 	for _, t := range nbr {
-		dv := mw.data[t]
-		lists = append(lists, mw.g.Adj(dv))
-		if mw.hubs {
-			bits = append(bits, mw.g.HubBits(dv))
-		}
+		lists = append(lists, mw.g.Adj(mw.data[t]))
 	}
 	s := &mw.slots[id]
 	if cap(s.set) == 0 {
@@ -678,7 +649,7 @@ func (mw *multiWorker) fillSlot(id int, st *Stats) []uint32 {
 	}
 	// Two or more lists: the result is slot storage, never a graph view,
 	// and a grown buffer is kept for the next computation.
-	s.set = intersectSetsInto(s.set, lists, bits, lo, hi)
+	s.set = intersectSetsInto(s.set, lists, lo, hi)
 	s.gen = mw.gen[s.depth]
 	st.Intersections++
 	return s.set
@@ -717,11 +688,6 @@ type worker struct {
 	ncBufs  [][]uint32 // scratch per completion depth
 	listArg [][]uint32 // scratch for gathering adjacency list operands
 
-	// Hub-bitmap gathering, mirroring multiWorker: bitArg parallels
-	// listArg when the graph carries hub bitsets.
-	hubs   bool
-	bitArg []*bitset.Bitmap
-
 	// countLast marks count mode: nobody reads the embeddings (no
 	// callback) and a complete assignment is a match without further
 	// checks, so the last completion level is aggregated, not walked.
@@ -758,13 +724,9 @@ func newWorker(g *graph.Graph, pl *plan.Plan, cb Callback, mw *multiWorker, tb *
 		assigned: make([]uint32, 0, n),
 		ncBufs:   make([][]uint32, len(pl.NonCore)+1),
 		listArg:  make([][]uint32, 0, n),
-		hubs:     g.HasHubBits(),
 		tb:       tb,
 
 		countLast: cb == nil && len(pl.Checks) == 0,
-	}
-	if w.hubs {
-		w.bitArg = make([]*bitset.Bitmap, 0, n)
 	}
 	for i := range w.match {
 		w.match[i] = NoVertex
@@ -860,21 +822,13 @@ func (w *worker) completeFrom(i int) {
 		cands = clip(w.mw.slot(id, &w.stats), lo, hi)
 	} else {
 		lists := w.listArg[:0]
-		var bits []*bitset.Bitmap
-		if w.hubs {
-			bits = w.bitArg[:0]
-		}
 		for _, pv := range st.CoreNbrs {
-			dv := w.match[pv]
-			lists = append(lists, w.g.Adj(dv))
-			if w.hubs {
-				bits = append(bits, w.g.HubBits(dv))
-			}
+			lists = append(lists, w.g.Adj(w.match[pv]))
 		}
 		if cap(w.ncBufs[i]) == 0 {
 			w.ncBufs[i] = make([]uint32, 0, 256)
 		}
-		cands = intersectSetsInto(w.ncBufs[i], lists, bits, lo, hi)
+		cands = intersectSetsInto(w.ncBufs[i], lists, lo, hi)
 		if len(lists) > 1 {
 			w.stats.Intersections++
 			if cap(cands) > cap(w.ncBufs[i]) {
@@ -971,21 +925,13 @@ func (w *worker) pairLastSet() (cands []uint32, ok bool) {
 		return clip(w.mw.slot(id, &w.stats), lo, hi), true
 	}
 	lists := w.listArg[:0]
-	var bits []*bitset.Bitmap
-	if w.hubs {
-		bits = w.bitArg[:0]
-	}
 	for _, pv := range w.pl.NonCore[i].CoreNbrs {
-		dv := w.match[pv]
-		lists = append(lists, w.g.Adj(dv))
-		if w.hubs {
-			bits = append(bits, w.g.HubBits(dv))
-		}
+		lists = append(lists, w.g.Adj(w.match[pv]))
 	}
 	if cap(w.ncBufs[i]) == 0 {
 		w.ncBufs[i] = make([]uint32, 0, 256)
 	}
-	cands = intersectSetsInto(w.ncBufs[i], lists, bits, lo, hi)
+	cands = intersectSetsInto(w.ncBufs[i], lists, lo, hi)
 	if len(lists) > 1 {
 		w.stats.Intersections++
 		if cap(cands) > cap(w.ncBufs[i]) {
@@ -1031,23 +977,15 @@ func (w *worker) checkAntiVertices() bool {
 		// Intersect adjacency lists of the matched neighbors, smallest
 		// first, streaming the exclusion test.
 		lists := w.listArg[:0]
-		var bits []*bitset.Bitmap
-		if w.hubs {
-			bits = w.bitArg[:0]
-		}
 		for _, u := range chk.Nbrs {
-			dv := w.match[u]
-			lists = append(lists, w.g.Adj(dv))
-			if w.hubs {
-				bits = append(bits, w.g.HubBits(dv))
-			}
+			lists = append(lists, w.g.Adj(w.match[u]))
 		}
 		if cap(w.ncBufs[len(w.pl.NonCore)]) == 0 {
 			w.ncBufs[len(w.pl.NonCore)] = make([]uint32, 0, 256)
 		}
 		// common is only iterated, never written: with one list it is a
 		// view of that vertex's adjacency (ownership contract).
-		common := intersectSetsInto(w.ncBufs[len(w.pl.NonCore)], lists, bits, noLo, noHi)
+		common := intersectSetsInto(w.ncBufs[len(w.pl.NonCore)], lists, noLo, noHi)
 		if len(lists) > 1 {
 			w.stats.Intersections++
 		}

@@ -1,7 +1,5 @@
 package core
 
-import "peregrine/internal/bitset"
-
 // Sorted-set primitives over adjacency lists. The engine's inner loops
 // are intersections and differences of sorted uint32 slices (paper §4.1:
 // "identifying matches using simple graph traversals and adjacency list
@@ -10,8 +8,7 @@ import "peregrine/internal/bitset"
 // allocation-free (callers pass destination buffers reused across
 // recursion levels), and selected adaptively by size skew — a
 // branch-lean linear merge for comparable lengths, galloping when one
-// list dwarfs the other, and bitset paths when a hub vertex's adjacency
-// is available in compressed-bitmap form (see graph.Graph.HubBits).
+// list dwarfs the other. Sorted lists are the only adjacency form.
 //
 // # Result ownership
 //
@@ -39,23 +36,12 @@ const (
 
 // Kernel-selection thresholds. These are deliberately named constants
 // so the selection policy is testable on its own (see
-// TestKernelSelection* in setops_test.go).
+// TestKernelSelectionProperties in setops_test.go).
 const (
 	// gallopRatio is the length skew |big|/(|small|+1) at which probing
 	// each element of the small list into the big one (galloping
 	// exponential search) beats the linear merge.
 	gallopRatio = 16
-
-	// bitsetFilterRatio is the skew at which membership-filtering the
-	// small list through the big list's hub bitmap beats galloping over
-	// the big sorted list.
-	bitsetFilterRatio = 8
-
-	// bitsetAndMin is the minimum driver length at which intersecting
-	// two hub bitmaps chunk-by-chunk (bitset∩bitset) is preferred over
-	// filtering one through the other: below it the driver is small
-	// enough that per-element filtering wins.
-	bitsetAndMin = 2048
 
 	// skipMin is the operand length from which intersectSetsInto starts
 	// a non-driver operand at the running set's first element, found by
@@ -188,7 +174,7 @@ func intersectGallop(dst []uint32, small, big []uint32) []uint32 {
 }
 
 // intersectInPlace retains only the elements of dst present in sorted b,
-// compacting dst forward. It adapts to skew like chooseKernel:
+// compacting dst forward. It adapts to skew like intersectSetsInto:
 // galloping probes when b dwarfs dst, a linear scan otherwise.
 func intersectInPlace(dst []uint32, b []uint32) []uint32 {
 	if len(dst) == 0 || len(b) == 0 {
@@ -342,50 +328,22 @@ func countPairsExcluding(a, b, skip []uint32, order int) uint64 {
 	return n
 }
 
-// setKernel names the two-list kernel chooseKernel selects.
-type setKernel uint8
-
-const (
-	kernelMerge setKernel = iota
-	kernelGallop
-	kernelBitsetFilter
-	kernelBitsetAnd
-)
-
-// chooseKernel picks the kernel for intersecting a driver of length
-// small against a list of length big. driverBits/listBits report hub
-// bitmap availability for each side; bounded reports whether the driver
-// was clipped to a symmetry-breaking range (a clipped driver no longer
-// corresponds to its own bitmap, so bitset∩bitset is only sound
-// unbounded).
-func chooseKernel(small, big int, driverBits, listBits, bounded bool) setKernel {
-	if listBits {
-		if !bounded && driverBits && small >= bitsetAndMin {
-			return kernelBitsetAnd
-		}
-		if big/(small+1) >= bitsetFilterRatio {
-			return kernelBitsetFilter
-		}
-	}
-	if big/(small+1) >= gallopRatio {
-		return kernelGallop
-	}
-	return kernelMerge
-}
+// gallops reports whether intersecting a driver of length small against
+// a list of length big should gallop through the list rather than merge.
+func gallops(small, big int) bool { return big/(small+1) >= gallopRatio }
 
 // intersectSetsInto intersects all sorted lists, clipped to (lo, hi),
 // writing the result into buf (whose contents are overwritten). lists
-// must be non-empty. When bits is non-nil, bits[i] (which may be nil)
-// is the compressed bitmap form of lists[i], and the kernel selection
-// will route skewed operands through the bitset∩sorted and
-// bitset∩bitset paths.
+// must be non-empty. The shortest list drives: the first operand is
+// galloped or merged against it as gallops says, and every later one
+// filters the running set in place.
 //
 // Ownership: for a SINGLE list the result is a clipped view of that
 // list — no copy, and the caller must treat it as read-only (for the
 // engine it aliases graph adjacency storage, possibly an mmap-backed
 // read-only mapping). For two or more lists the result is caller-owned
 // buf storage. See the package comment.
-func intersectSetsInto(buf []uint32, lists [][]uint32, bits []*bitset.Bitmap, lo, hi int64) []uint32 {
+func intersectSetsInto(buf []uint32, lists [][]uint32, lo, hi int64) []uint32 {
 	// Start from the shortest list: intersection size is bounded by it.
 	shortest := 0
 	for i, l := range lists {
@@ -400,45 +358,26 @@ func intersectSetsInto(buf []uint32, lists [][]uint32, bits []*bitset.Bitmap, lo
 	if len(cur) == 0 {
 		return buf[:0]
 	}
-	bounded := lo != noLo || hi != noHi
-	var curBits *bitset.Bitmap
-	if bits != nil {
-		curBits = bits[shortest]
-	}
 	out := cur // the running set; buf storage from the first kernel on
 	first := true
 	for i, l := range lists {
 		if i == shortest {
 			continue
 		}
-		var bi *bitset.Bitmap
-		if bits != nil {
-			bi = bits[i]
-		}
 		if len(l) >= skipMin {
 			// Nothing below the running set's first element can match. The
 			// skip lives here so that the kernels below stay inlinable.
 			l = l[gallopLowerBound(l, 0, out[0]):]
 		}
-		if first {
-			switch chooseKernel(len(cur), len(l), curBits != nil, bi != nil, bounded) {
-			case kernelBitsetAnd:
-				out = curBits.AndSortedInto(buf[:0], bi)
-			case kernelBitsetFilter:
-				out = bi.FilterSortedInto(buf[:0], cur)
-			case kernelGallop:
-				out = intersectGallop(buf[:0], cur, l)
-			default:
-				out = intersectMerge(buf[:0], cur, l)
-			}
-			first = false
-		} else if bi != nil && len(l)/(len(out)+1) >= bitsetFilterRatio {
-			// In-place membership filter: the write index never passes
-			// the read index (see bitset.FilterSortedInto).
-			out = bi.FilterSortedInto(out[:0], out)
-		} else {
+		switch {
+		case !first:
 			out = intersectInPlace(out, l)
+		case gallops(len(out), len(l)):
+			out = intersectGallop(buf[:0], out, l)
+		default:
+			out = intersectMerge(buf[:0], out, l)
 		}
+		first = false
 		if len(out) == 0 {
 			return out
 		}

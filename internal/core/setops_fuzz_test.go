@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
-
-	"peregrine/internal/bitset"
 )
 
 // decodeSortedList turns fuzz bytes into a strictly ascending uint32
@@ -56,9 +54,9 @@ func naiveCountPairs(a, b, skip []uint32) (less, eq, greater uint64) {
 }
 
 // FuzzSetOps differentially fuzzes every intersection kernel against
-// the naive map-based reference: raw kernels, the adaptive dispatchers,
-// clipped bounds, and the bitset paths — and the pair-counting kernel
-// against a double loop. Seed corpus lives under
+// the naive map-based reference: raw kernels, the adaptive dispatchers
+// and clipped bounds — and the pair-counting kernel against a double
+// loop. Seed corpus lives under
 // testdata/fuzz/FuzzSetOps.
 func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 1, 0}, []byte{2, 0, 2, 0}, uint32(0), uint32(0))
@@ -107,7 +105,7 @@ func FuzzSetOps(f *testing.F) {
 		if got := intersectGallop(nil, small, big); !equalU32(got, want) {
 			t.Fatalf("intersectGallop = %v, want %v", got, want)
 		}
-		if got := intersectSetsInto(nil, [][]uint32{a, b}, nil, noLo, noHi); !equalU32(got, want) {
+		if got := intersectSetsInto(nil, [][]uint32{a, b}, noLo, noHi); !equalU32(got, want) {
 			t.Fatalf("intersectSetsInto = %v, want %v", got, want)
 		}
 		if got := intersectInPlace(append([]uint32(nil), a...), b); !equalU32(got, want) {
@@ -156,43 +154,13 @@ func FuzzSetOps(f *testing.F) {
 		lists := [][]uint32{a, b}
 		wantClipped := refIntersect(lists, lo, hi)
 		if len(a) > 0 || len(b) > 0 {
-			if got := intersectSetsInto(make([]uint32, 0, 4), lists, nil, lo, hi); !equalU32(got, wantClipped) {
+			if got := intersectSetsInto(make([]uint32, 0, 4), lists, lo, hi); !equalU32(got, wantClipped) {
 				t.Fatalf("intersectSetsInto = %v, want %v", got, wantClipped)
 			}
 			// A third operand takes the in-place path, skip included.
 			for _, three := range [][][]uint32{{a, b, a}, {b, a, b}} {
-				if got := intersectSetsInto(make([]uint32, 0, 4), three, nil, lo, hi); !equalU32(got, wantClipped) {
+				if got := intersectSetsInto(make([]uint32, 0, 4), three, lo, hi); !equalU32(got, wantClipped) {
 					t.Fatalf("intersectSetsInto(3 lists) = %v, want %v", got, wantClipped)
-				}
-			}
-			// Bitset paths: bitmaps for both lists, bounded and unbounded,
-			// in both array-mode (FromSorted keeps small chunks as arrays)
-			// and dense bitmap-mode (FromSortedDense(.., 1) — the hub
-			// adjacency form) chunks.
-			for _, bits := range [][]*bitset.Bitmap{
-				{bitset.FromSorted(a), bitset.FromSorted(b)},
-				{bitset.FromSortedDense(a, 1), bitset.FromSortedDense(b, 1)},
-			} {
-				if got := intersectSetsInto(make([]uint32, 0, 4), lists, bits, lo, hi); !equalU32(got, wantClipped) {
-					t.Fatalf("intersectSetsInto(bits) = %v, want %v", got, wantClipped)
-				}
-				if got := intersectSetsInto(make([]uint32, 0, 4), lists, bits, noLo, noHi); !equalU32(got, want) {
-					t.Fatalf("intersectSetsInto(bits, unbounded) = %v, want %v", got, want)
-				}
-			}
-			// Bitset membership against the linear reference, both layouts.
-			for _, bb := range []*bitset.Bitmap{bitset.FromSorted(b), bitset.FromSortedDense(b, 1)} {
-				for _, x := range a {
-					inB := false
-					for _, y := range b {
-						if y == x {
-							inB = true
-							break
-						}
-					}
-					if bb.Contains(x) != inB {
-						t.Fatalf("Contains(%d) = %v, want %v", x, bb.Contains(x), inB)
-					}
 				}
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"peregrine/internal/bitset"
 	"peregrine/internal/gen"
 	"peregrine/internal/pattern"
 )
@@ -170,7 +169,7 @@ func TestIntersectKernelsDifferential(t *testing.T) {
 			t.Log("intersectGallop mismatch")
 			return false
 		}
-		if !equalU32(intersectSetsInto(nil, [][]uint32{a, b}, nil, noLo, noHi), want) {
+		if !equalU32(intersectSetsInto(nil, [][]uint32{a, b}, noLo, noHi), want) {
 			t.Log("intersectSetsInto mismatch")
 			return false
 		}
@@ -202,7 +201,7 @@ func TestIntersectListsIntoDifferential(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			hi = int64(rng.Intn(int(span)))
 		}
-		got := intersectSetsInto(make([]uint32, 0, 8), lists, nil, lo, hi)
+		got := intersectSetsInto(make([]uint32, 0, 8), lists, lo, hi)
 		want := refIntersect(lists, lo, hi)
 		if !equalU32(got, want) {
 			t.Logf("lists=%d lo=%d hi=%d: got %v want %v", k, lo, hi, got, want)
@@ -215,84 +214,22 @@ func TestIntersectListsIntoDifferential(t *testing.T) {
 	}
 }
 
-func TestIntersectSetsIntoBitsetPaths(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		span := uint32(1 << 16)
-		// A big hub list vs a small leaf list drives the filter path; two
-		// big lists with bitmaps and no bounds drive bitset∩bitset.
-		hub := sortedRand(rng, bitsetAndMin*4, span)
-		hub2 := sortedRand(rng, bitsetAndMin*4, span)
-		leaf := sortedRand(rng, 1+rng.Intn(60), span)
-		mk := func(ls ...[]uint32) []*bitset.Bitmap {
-			bs := make([]*bitset.Bitmap, len(ls))
-			for i, l := range ls {
-				bs[i] = bitset.FromSorted(l)
-			}
-			return bs
-		}
-		cases := []struct {
-			lists [][]uint32
-			bits  []*bitset.Bitmap
-			lo    int64
-			hi    int64
-		}{
-			{[][]uint32{leaf, hub}, mk(leaf, hub), noLo, noHi},                       // filter
-			{[][]uint32{leaf, hub}, []*bitset.Bitmap{nil, mk(hub)[0]}, noLo, noHi},   // filter, leaf has no bitmap
-			{[][]uint32{hub, hub2}, mk(hub, hub2), noLo, noHi},                       // bitset AND
-			{[][]uint32{hub, hub2}, mk(hub, hub2), int64(span / 4), int64(span / 2)}, // bounded: AND must not fire
-			{[][]uint32{leaf, hub, hub2}, mk(leaf, hub, hub2), noLo, noHi},           // chained filters
-			{[][]uint32{leaf, hub}, nil, noLo, noHi},                                 // no bitmaps at all
-		}
-		for ci, c := range cases {
-			got := intersectSetsInto(make([]uint32, 0, 8), c.lists, c.bits, c.lo, c.hi)
-			want := refIntersect(c.lists, c.lo, c.hi)
-			if !equalU32(got, want) {
-				t.Logf("case %d: got %d elems, want %d", ci, len(got), len(want))
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestKernelSelectionProperties pins the dispatcher's one choice: gallop
+// exactly from gallopRatio·(driver+1) operand elements up, so the choice
+// is monotone — more operand, or less driver, never turns galloping off —
+// and lists of comparable length always merge.
 func TestKernelSelectionProperties(t *testing.T) {
-	f := func(smallRaw, bigRaw uint16, driverBits, listBits, bounded bool) bool {
-		small, big := int(smallRaw), int(bigRaw)
-		k := chooseKernel(small, big, driverBits, listBits, bounded)
-		switch k {
-		case kernelBitsetAnd:
-			// Sound only when both bitmaps exist and the driver is
-			// unclipped; chosen only for big drivers.
-			if !listBits || !driverBits || bounded || small < bitsetAndMin {
-				return false
-			}
-		case kernelBitsetFilter:
-			if !listBits || big/(small+1) < bitsetFilterRatio {
-				return false
-			}
-		case kernelGallop:
-			if big/(small+1) < gallopRatio {
-				return false
-			}
-		case kernelMerge:
-			// Merge is the fallback: no skew large enough for galloping
-			// unless a bitset path claimed the pair first.
-			if big/(small+1) >= gallopRatio && !listBits {
-				return false
-			}
-		default:
+	f := func(smallRaw, bigRaw, moreRaw uint16) bool {
+		small, big, more := int(smallRaw), int(bigRaw), int(moreRaw)
+		edge := gallopRatio * (small + 1)
+		if !gallops(small, edge) || gallops(small, edge-1) {
 			return false
 		}
-		// Without any bitmap the choice is purely the gallop threshold.
-		if !listBits {
-			wantGallop := big/(small+1) >= gallopRatio
-			if (k == kernelGallop) != wantGallop {
-				return false
-			}
+		if big <= small && gallops(small, big) {
+			return false
+		}
+		if gallops(small, big) {
+			return gallops(small, big+more) && gallops(max(small-more, 0), big)
 		}
 		return true
 	}
@@ -306,7 +243,7 @@ func TestKernelSelectionProperties(t *testing.T) {
 // callers must not write through it.
 func TestSingleListResultAliasesInput(t *testing.T) {
 	s := []uint32{2, 4, 6, 8, 10}
-	got := intersectSetsInto(make([]uint32, 0, 8), [][]uint32{s}, nil, 3, 9)
+	got := intersectSetsInto(make([]uint32, 0, 8), [][]uint32{s}, 3, 9)
 	want := []uint32{4, 6, 8}
 	if !equalU32(got, want) {
 		t.Fatalf("clipped single list = %v, want %v", got, want)
@@ -316,7 +253,7 @@ func TestSingleListResultAliasesInput(t *testing.T) {
 	}
 	// Multi-list results must NOT alias either input.
 	buf := make([]uint32, 0, 8)
-	got = intersectSetsInto(buf, [][]uint32{s, {4, 8}}, nil, noLo, noHi)
+	got = intersectSetsInto(buf, [][]uint32{s, {4, 8}}, noLo, noHi)
 	if &got[0] == &s[1] || &got[0] == &s[3] {
 		t.Fatal("multi-list result must be caller-owned buf storage")
 	}
@@ -336,8 +273,7 @@ func TestEngineDoesNotScribbleAdjacency(t *testing.T) {
 	}
 	// Star patterns produce single-list candidate sets (one core
 	// neighbor); cliques and anti-vertex patterns cover the multi-list
-	// and unbounded-check call sites. Hub bitsets cover the bitset paths.
-	g.BuildHubBitsets(8)
+	// and unbounded-check call sites.
 	pats := []*pattern.Pattern{
 		pattern.Star(3),
 		pattern.Star(4),

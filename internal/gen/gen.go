@@ -18,6 +18,9 @@
 package gen
 
 import (
+	"fmt"
+	"strings"
+
 	"peregrine/internal/graph"
 )
 
@@ -164,6 +167,22 @@ const (
 	OrkutLite      Dataset = "orkut-lite"      // Orkut: dense power-law, avg deg ~76
 	FriendsterLite Dataset = "friendster-lite" // Friendster: large sparse power-law
 )
+
+// Datasets lists every stand-in.
+var Datasets = []Dataset{MicoLite, PatentsLite, PatentsLabeled, OrkutLite, FriendsterLite}
+
+// ParseDataset returns the stand-in called name. Any other name,
+// including "", is an error that lists the valid ones.
+func ParseDataset(name string) (Dataset, error) {
+	names := make([]string, len(Datasets))
+	for i, d := range Datasets {
+		if string(d) == name {
+			return d, nil
+		}
+		names[i] = string(d)
+	}
+	return "", fmt.Errorf("unknown dataset %q (want %s)", name, strings.Join(names, " | "))
+}
 
 // Standard builds a stand-in dataset at the given scale. Scale 1 targets
 // quick unit tests (seconds); the paper-shape properties (degree skew,

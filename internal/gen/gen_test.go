@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -71,7 +72,7 @@ func TestLabelsAssigned(t *testing.T) {
 }
 
 func TestStandardDatasets(t *testing.T) {
-	for _, d := range []Dataset{MicoLite, PatentsLite, PatentsLabeled, OrkutLite, FriendsterLite} {
+	for _, d := range Datasets {
 		g := Standard(d, 1)
 		if g.NumVertices() == 0 || g.NumEdges() == 0 {
 			t.Errorf("dataset %s is empty", d)
@@ -94,5 +95,25 @@ func TestStandardDatasets(t *testing.T) {
 	// Scale grows the graph.
 	if Standard(MicoLite, 2).NumVertices() <= mico.NumVertices() {
 		t.Error("scale 2 should be larger than scale 1")
+	}
+}
+
+// TestParseDataset: a known name maps to its stand-in; anything else —
+// a typo, or no name at all — is an error naming every valid choice
+// rather than Standard's fallback graph.
+func TestParseDataset(t *testing.T) {
+	if d, err := ParseDataset("orkut-lite"); err != nil || d != OrkutLite {
+		t.Fatalf(`ParseDataset("orkut-lite") = %q, %v; want %q, nil`, d, err, OrkutLite)
+	}
+	for _, name := range []string{"orkut-light", ""} {
+		d, err := ParseDataset(name)
+		if err == nil {
+			t.Fatalf("ParseDataset(%q) = %q, want an error", name, d)
+		}
+		for _, want := range Datasets {
+			if !strings.Contains(err.Error(), string(want)) {
+				t.Errorf("ParseDataset(%q) error %q does not name %s", name, err, want)
+			}
+		}
 	}
 }

@@ -10,15 +10,12 @@
 // directly, and the paper's §5.2 load-balancing scheme ("order vertices
 // by their degree") becomes a simple integer comparison.
 //
-// RenumberDescending flips the assignment to non-increasing degree
-// order (hubs first, recorded in the .pgr header and shard manifest),
-// which packs the high-degree CSR rows into a dense prefix of the id
-// space: symmetry-breaking upper bounds against early-matched hub ids
-// clip candidate lists to that dense prefix, and the hub-bitset
-// adjacency (BuildHubBitsets) covers a contiguous id range. Either
-// direction is a total order by degree, so counts and match sets are
-// identical — only layout and traversal order change. DegreeDescending
-// reports which direction a graph uses.
+// A graph may instead carry ids in non-increasing degree order (hubs
+// first), recorded by a flag in the .pgr header and shard manifest:
+// files written that way still load. Either direction is a total order
+// by degree, so counts and match sets are identical — only layout and
+// traversal order change. DegreeDescending reports which direction a
+// graph uses.
 package graph
 
 import (
@@ -58,7 +55,7 @@ func (p *rows) hi() uint32 { return p.lo + uint32(len(p.offsets)-1) }
 type Graph struct {
 	// stat holds the whole-graph counts; the rows never need consulting
 	// for them. DegreeDesc records ids assigned in non-increasing degree
-	// order (RenumberDescending) rather than Build's default.
+	// order (a file's desc flag) rather than Build's default.
 	stat Stat
 
 	// pieces hold the rows, ascending and contiguous from vertex 0: one
@@ -71,7 +68,8 @@ type Graph struct {
 	// hubBits[v] is the compressed-bitmap form of v's adjacency for
 	// vertices at or above the BuildHubBitsets degree threshold, nil
 	// elsewhere; the whole slice is nil when hub bitsets are disabled.
-	// hubBytes is their total heap footprint for Bytes accounting.
+	// hubBytes is their total heap footprint for Bytes accounting. The
+	// engine never reads them.
 	hubBits  []*bitset.Bitmap
 	hubBytes uint64
 
@@ -166,27 +164,22 @@ func (g *Graph) MaxDegree() uint32 {
 }
 
 // DegreeDescending reports whether vertex ids are assigned in
-// non-increasing degree order (hubs first — see RenumberDescending).
-// Build's default is non-decreasing (false).
+// non-increasing degree order (hubs first, as a file carrying the desc
+// flag records). Build's default is non-decreasing (false).
 func (g *Graph) DegreeDescending() bool { return g.stat.DegreeDesc }
 
 // hubDenseChunkMin is the per-chunk cardinality at which hub bitmaps
-// use dense (bitmap-mode) chunks instead of sorted 16-bit arrays. Hub
-// bitmaps are probed by the engine's inner intersection loops far more
-// often than they are built, so they trade space for O(1) membership
-// well below the Roaring space break-even of 4096: a 512-entry chunk
-// costs 8 KiB as a bitmap vs 1 KiB as an array, an 8x overcharge paid
-// only on hub vertices.
+// use dense (bitmap-mode) chunks instead of sorted 16-bit arrays,
+// trading space for O(1) membership well below the Roaring space
+// break-even of 4096.
 const hubDenseChunkMin = 512
 
 // BuildHubBitsets materializes compressed-bitmap adjacency for every
-// vertex of degree >= minDeg and returns how many vertices got one.
-// The engine's intersection kernels use these bitmaps for hub-vs-leaf
-// skewed intersections (membership filtering) and hub-vs-hub ones
-// (chunked bitmap AND); the sorted CSR lists remain the source of
-// truth and are unaffected. minDeg 0 disables (and drops any existing
-// bitsets). Not concurrency-safe with graph use — call it at load
-// time, like Close.
+// vertex of degree >= minDeg and returns how many vertices got one; the
+// sorted CSR lists are unaffected. minDeg 0 disables (and drops any
+// existing bitsets). Not concurrency-safe with graph use — call it at
+// load time, like Close.
+// It stays only for the benchmark ladder's layout and bitset rungs.
 func (g *Graph) BuildHubBitsets(minDeg uint32) int {
 	g.hubBits, g.hubBytes = nil, 0
 	if minDeg == 0 {
@@ -212,12 +205,9 @@ func (g *Graph) BuildHubBitsets(minDeg uint32) int {
 	return count
 }
 
-// HasHubBits reports whether BuildHubBitsets materialized any hub
-// bitmaps on this graph.
-func (g *Graph) HasHubBits() bool { return g.hubBits != nil }
-
 // HubBits returns the compressed-bitmap adjacency of v, or nil when v
 // is below the hub threshold or hub bitsets are disabled.
+// It stays only for the benchmark ladder's bitset rung.
 func (g *Graph) HubBits(v uint32) *bitset.Bitmap {
 	if g.hubBits == nil {
 		return nil
@@ -298,8 +288,8 @@ func (g *Graph) Close() error {
 // OrigID-mapped match streams are identical to g's (the engine's
 // symmetry breaking only needs *a* total order). The copy is
 // heap-backed regardless of g's backing — a sharded g comes back whole —
-// and carries no hub bitsets; rebuild them with BuildHubBitsets if
-// wanted. The error is always nil.
+// and carries no hub bitsets. The error is always nil.
+// It stays only for the benchmark ladder's layout rungs.
 func RenumberDescending(g *Graph) (*Graph, error) {
 	n := g.NumVertices()
 	order := make([]uint32, n) // new id -> old id

@@ -216,9 +216,6 @@ func TestBuildHubBitsets(t *testing.T) {
 	if count != wantCount {
 		t.Fatalf("BuildHubBitsets = %d, want %d", count, wantCount)
 	}
-	if wantCount > 0 != g.HasHubBits() {
-		t.Fatal("HasHubBits inconsistent with built count")
-	}
 	for v := uint32(0); v < g.NumVertices(); v++ {
 		hb := g.HubBits(v)
 		if (g.Degree(v) >= minDeg) != (hb != nil) {
@@ -240,7 +237,7 @@ func TestBuildHubBitsets(t *testing.T) {
 		t.Fatal("Bytes does not account for hub bitsets")
 	}
 	g.BuildHubBitsets(0)
-	if g.HasHubBits() || g.Bytes() != base {
+	if g.HubBits(g.NumVertices()-1) != nil || g.Bytes() != base {
 		t.Fatal("BuildHubBitsets(0) must drop the bitsets and their accounting")
 	}
 }

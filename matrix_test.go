@@ -29,6 +29,7 @@ import (
 
 	"peregrine/internal/core"
 	"peregrine/internal/gen"
+	"peregrine/internal/graph"
 	"peregrine/internal/pattern"
 	"peregrine/internal/plan"
 	"peregrine/internal/ref"
@@ -39,7 +40,7 @@ import (
 const axLayout, axEntry, axSym, axShare, axMorph, axRange, axNumber, axBatch, numAxes = 0, 1, 2, 3, 4, 5, 6, 7, 8
 
 var axisValues = [numAxes][]string{
-	axLayout: {"built", "edgelist", "pgr", "shards3", "desc+hubs", "renumbered-shards3"},
+	axLayout: {"built", "edgelist", "pgr", "shards3", "desc", "renumbered-shards3"},
 	axEntry:  {"RunPlans-count", "RunPlans-enumerate", "CountMany", "CountEach", "CountEachMerged", "PlanCount", "MotifCounts"},
 	axSym:    {"sym", "no-sym"},
 	axShare:  {"trie", "unshared"},
@@ -50,7 +51,7 @@ var axisValues = [numAxes][]string{
 }
 
 // Axis values by name.
-const atBuilt, atEdgeList, atPGR, atShards, atDescHubs, atRenumShards = 0, 1, 2, 3, 4, 5
+const atBuilt, atEdgeList, atPGR, atShards, atDesc, atRenumShards = 0, 1, 2, 3, 4, 5
 const viaRunCount, viaRunEnum, viaCountMany, viaCountEach, viaMerged, viaPlanCount, viaMotifs = 0, 1, 2, 3, 4, 5, 6
 const overWhole, overThirds, overUneven = 0, 1, 2
 const asSolo, asSize, asSubset, asPairs = 0, 1, 2, 3
@@ -260,7 +261,7 @@ var (
 	morphOn                       = append(on("er-48", "er-64", "rmat-64"), sub{"er-48-labeled", "er-48-l3"}, sub{"rmat-64-labeled", "rmat-64-l4"})
 	fourForms                     = []form{plainForm, viForm, mixedForm, antiForm}
 	plain, vi, labeledVI          = []form{plainForm}, []form{viForm}, []form{labeledVIForm}
-	fourWays                      = []int{atBuilt, atShards, atDescHubs, atRenumShards}
+	fourWays                      = []int{atBuilt, atShards, atDesc, atRenumShards}
 )
 
 // matrixRows are the named rows.
@@ -310,10 +311,10 @@ var matrixRows = map[string]row{
 		[]block{{plain, ax{axEntry: {viaMerged}, axNumber: both, axBatch: {asSize, asSubset}}}}},
 	// Renumbered layouts: the same counts and the same OrigID-mapped matches.
 	"TestRenumberingDifferential": {on("rmat-64", "rmat-64-l4", "er-48"),
-		[]block{{[]form{plainForm, viForm}, ax{axLayout: {atDescHubs}, axEntry: {viaRunEnum}, axSym: both, axMorph: direct}}}},
+		[]block{{[]form{plainForm, viForm}, ax{axLayout: {atDesc}, axEntry: {viaRunEnum}, axSym: both, axMorph: direct}}}},
 	"TestRenumberingDifferentialSharded": {on("rmat-64", "rmat-64-l4"),
 		[]block{{plain, ax{axLayout: {atRenumShards}, axEntry: {viaRunEnum}, axSym: both, axMorph: direct}}}},
-	"TestTaskRangesCoverDescending": {on("rmat-64"), []block{{plain, ax{axLayout: {atDescHubs}, axRange: {overThirds}}}}},
+	"TestTaskRangesCoverDescending": {on("rmat-64"), []block{{plain, ax{axLayout: {atDesc}, axRange: {overThirds}}}}},
 }
 
 func TestDifferentialVertexInduced(t *testing.T)             { runRow(t) }
@@ -501,8 +502,8 @@ func (ls *layouts) get(key string, l int) *Graph {
 	}
 	g := matrixGraph(key)
 	var err error
-	if l == atDescHubs || l == atRenumShards {
-		if g, err = RenumberDescending(g); err != nil {
+	if l == atDesc || l == atRenumShards {
+		if g, err = graph.RenumberDescending(g); err != nil {
 			ls.tb.Fatal(err)
 		}
 	}
@@ -513,9 +514,6 @@ func (ls *layouts) get(key string, l int) *Graph {
 		g = reload(ls.tb, g, "g.pgr", SaveGraph)
 	case atShards, atRenumShards:
 		g = shardedCopy(ls.tb, g, 3)
-	}
-	if l == atDescHubs || l == atRenumShards {
-		g.BuildHubBitsets(4)
 	}
 	ls.m[k] = g
 	return g

@@ -73,16 +73,6 @@ func GraphFromEdges(edges [][2]uint32) *Graph {
 	return b.Build()
 }
 
-// RenumberDescending returns a copy of g with vertex ids reassigned
-// hubs-first (descending degree). Counts and OrigID-mapped matches are
-// identical to g's; the relayout packs high-degree CSR rows into a
-// dense low-id prefix, which helps the intersection kernels and hub
-// bitsets. Persist the result with gengraph or graph.SaveBinary — the
-// ordering is recorded in the .pgr header.
-func RenumberDescending(g *Graph) (*Graph, error) {
-	return graph.RenumberDescending(g)
-}
-
 // Pattern is a graph pattern: a small labeled graph with regular edges,
 // anti-edges, and anti-vertices, treated as a first-class value.
 type Pattern = pattern.Pattern

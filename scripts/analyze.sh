@@ -11,7 +11,10 @@
 #   5. inlinable kernels — intersectMerge, lowerBound, containsSorted
 #                        likewise (the operand skip lives in the
 #                        dispatcher, not in the merge)
-#   6. staticcheck     — if installed; CI pins and installs its own
+#   6. sorted lists only — internal/core (tests included) must not
+#                        import internal/bitset: the engine intersects
+#                        sorted lists alone
+#   7. staticcheck     — if installed; CI pins and installs its own
 #                        copy, so locally this warns and continues
 #
 # Usage: scripts/analyze.sh
@@ -54,6 +57,14 @@ for f in intersectMerge lowerBound containsSorted; do
     fail=1
   fi
 done
+
+echo "== engine free of bitmaps =="
+# Direct imports: internal/graph still imports internal/bitset for the
+# benchmark ladder's BuildHubBitsets, so go list -deps would list it.
+if go list -f '{{join .Imports "\n"}}{{"\n"}}{{join .TestImports "\n"}}' ./internal/core | grep -qx 'peregrine/internal/bitset'; then
+  echo "internal/core imports internal/bitset: the engine intersects sorted lists only"
+  fail=1
+fi
 
 echo "== staticcheck =="
 if command -v staticcheck >/dev/null 2>&1; then

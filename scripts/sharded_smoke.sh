@@ -1,20 +1,15 @@
 #!/usr/bin/env bash
 # Sharded + distributed serving smoke (CI) over the 4-shard
-# patents-lite manifest written by gengraph:
+# patents-lite manifest written by gengraph: coordinator + failover.
 #
-#   Stage 0 — renumbering round-trip. gengraph -renumber rewrites the
-#   flat .pgr in degree-descending layout; one node serves both and the
-#   fixed pattern counts must match exactly (layout invariance).
-#
-#   Stage 1 — coordinator + failover. A node started with one
-#   fragment file removed must answer the query with a 200 "failed"
-#   job: not a hang, not a count. Then two peregrine-serve nodes serve
-#   the manifest; the coordinator's merged counts must equal a single
-#   node's whole-graph counts, before AND after one node is killed
-#   mid-fleet (per-shard failover to the replica) — for an edge-induced
-#   pair, which fans out as given, and for a vertex-induced pair, which
-#   the coordinator rewrites above the fan-out and recovers at the merge
-#   (its answer must say so: stats.morphing.patternsReplaced > 0).
+# A node started with one fragment file removed must answer the query
+# with a 200 "failed" job: not a hang, not a count. Then two
+# peregrine-serve nodes serve the manifest; the coordinator's merged
+# counts must equal a single node's whole-graph counts, before AND after
+# one node is killed mid-fleet (per-shard failover to the replica) — for
+# an edge-induced pair, which fans out as given, and for a vertex-induced
+# pair, which the coordinator rewrites above the fan-out and recovers at
+# the merge (its answer must say so: stats.morphing.patternsReplaced > 0).
 #
 # Serving numbers through a coordinator come from `go run ./bench
 # -workload coord_sharded`, not from this script.
@@ -46,11 +41,10 @@ wait_healthy() { # url
   return 1
 }
 
-# count <base-url> [graph] — run the fixed two-pattern count, print total count
+# count <base-url> — run the fixed two-pattern count, print total count
 count() {
-  local graph=${2:-patents}
   curl -sf -X POST "$1/v1/query" \
-    -d "{\"graph\":\"$graph\",\"kind\":\"count\",\"patterns\":$PATTERNS,\"wait\":true}" \
+    -d "{\"graph\":\"patents\",\"kind\":\"count\",\"patterns\":$PATTERNS,\"wait\":true}" \
     | grep -o '"count":[0-9]*' | head -1 | cut -d: -f2
 }
 
@@ -110,27 +104,7 @@ go build -o "$WORK/bin/" ./cmd/gengraph ./cmd/peregrine-serve ./cmd/peregrine-co
 say "writing 4-shard patents-lite manifest"
 "$WORK/bin/gengraph" -dataset patents-lite -shards 4 -o "$WORK/patents.manifest"
 
-# ---- Stage 0: gengraph -renumber round-trip -----------------------------
-# Degree-descending renumbering is a pure relabeling: serving the same
-# graph in flat and renumbered layouts must produce identical counts.
-say "stage 0: gengraph -renumber round-trip (counts layout-invariant)"
-"$WORK/bin/gengraph" -dataset patents-lite -o "$WORK/patents-flat.pgr"
-"$WORK/bin/gengraph" -in "$WORK/patents-flat.pgr" -renumber -o "$WORK/patents-desc.pgr"
-"$WORK/bin/peregrine-serve" -addr "127.0.0.1:$NODE_A" \
-  -graph "flat=$WORK/patents-flat.pgr" -graph "desc=$WORK/patents-desc.pgr" &
-PIDS+=($!)
-wait_healthy "http://127.0.0.1:$NODE_A"
-FLAT=$(count "http://127.0.0.1:$NODE_A" flat)
-DESC=$(count "http://127.0.0.1:$NODE_A" desc)
-say "flat count=$FLAT renumbered count=$DESC"
-if [ -z "$FLAT" ] || [ "$FLAT" != "$DESC" ]; then
-  say "FAIL: renumbered counts diverge from flat layout"
-  exit 1
-fi
-stop_all
-
-# ---- Stage 1: coordinator + failover -------------------------------------
-say "stage 1: a node missing one fragment file fails the query"
+say "a node missing one fragment file fails the query"
 mv "$WORK/patents.shard2.pgr" "$WORK/patents.shard2.pgr.away"
 start_node "$NODE_A"
 BROKEN=$(curl -s --max-time 30 -o "$WORK/broken.json" -w '%{http_code}' -X POST \
