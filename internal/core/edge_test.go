@@ -57,15 +57,7 @@ func TestSingleVertexCorePatterns(t *testing.T) {
 }
 
 // hubGraph is one hub connected to everything plus a ring.
-func hubGraph() *graph.Graph {
-	b := graph.NewBuilder()
-	const n = 50
-	for i := uint32(1); i <= n; i++ {
-		b.AddEdge(0, i)
-		b.AddEdge(i, i%n+1)
-	}
-	return b.Build()
-}
+func hubGraph() *graph.Graph { return wheel(50) }
 
 func TestHubGraph(t *testing.T) {
 	// Exercises the degree ordering (hub gets the highest id) and
@@ -151,6 +143,7 @@ func flipTail(t *testing.T, pl *plan.Plan) *plan.Plan {
 	prev.UpperBound = append(append([]int(nil), prev.UpperBound...), last.V)
 	flipped := *pl
 	flipped.NonCore = append(append([]plan.NonCoreStep(nil), pl.NonCore[:k-2]...), last, prev)
+	flipped.Tail = plan.TailOf(&flipped)
 	return &flipped
 }
 
@@ -244,6 +237,9 @@ func TestCountModePairs(t *testing.T) {
 	forward.NonCore[1].UpperBound = []int{2}
 	forward.NonCore[2].LowerBound = []int{3}
 	forward.NonCore[2].UpperBound = []int{2}
+	if forward.Tail = plan.TailOf(&forward); forward.Tail != nil {
+		t.Fatalf("hand-ordered plan: orders across sets, yet a tail from step %d", forward.Tail.Start)
+	}
 	backward := flipTail(t, &forward)
 	if _, order := pairMode(graphs[0], &forward); order != 1 {
 		t.Fatalf("hand-ordered plan has pair order %d, want 1", order)

@@ -51,8 +51,22 @@
 // contributes the number of admissible pairs — x below y, y below x or
 // merely distinct, neither already assigned — taken from the two sorted
 // sets by one ordered merge (countPairsExcluding) instead of one sizing
-// of the last level per member of the level above. Any deeper tail, a
-// filter on either step or an anti-vertex check walks as before.
+// of the last level per member of the level above.
+//
+// A longer unfiltered tail is sized whole when its plan has a plan.Tail:
+// three or more steps grouped into classes that share one candidate set,
+// with every order between two tail vertices inside a class. At the
+// tail's first level a count computes one set per class (its slot, or
+// its own intersection, clipped to the class's window), sizes the
+// intersection of every class subset the Tail's terms name by one merge,
+// subtracts the already-assigned vertices each holds, and evaluates the
+// terms — signed products of those sizes over the set partitions of the
+// tail, divided by Π (class size)! — in 128-bit arithmetic. No level of
+// the tail is walked. A graph whose largest degree could overflow the
+// terms walks instead (tailFits). The one- and two-level paths stay: the
+// pair path is the only one that handles an order between two levels
+// with different sets, which respelled patterns produce. A filter on a
+// tail step or an anti-vertex check walks as before.
 // Runs with a callback (Exists, Matches, ForEach, FSM) enumerate.
 package core
 
@@ -177,16 +191,17 @@ type Options struct {
 type Stats struct {
 	// Matches is the number of complete matches: callback invocations,
 	// or, with no callback, the same number reached without visiting the
-	// last one or two completion levels' members (see the package
-	// comment).
+	// members of the last one or two completion levels, or of a plan's
+	// whole Tail (see the package comment).
 	Matches     uint64
 	CoreMatches uint64 // matches of the pattern core
 	Tasks       uint64 // start vertices this plan was attempted on
 	// Intersections counts the multi-list adjacency intersections this
 	// plan performed outside the shared core walk: completion slots it
-	// computed and anti-vertex common-neighborhood checks that merged two
-	// or more lists (single-list candidate sets are zero-copy views, not
-	// set computations). A slot is computed once per binding of its trie
+	// computed, anti-vertex common-neighborhood checks that merged two
+	// or more lists, and a count-mode Tail's merges of two or more class
+	// sets (single-list candidate sets are zero-copy views, not set
+	// computations). A slot is computed once per binding of its trie
 	// node and charged to the plan whose completion read it first; every
 	// later read, by any plan of the batch, is free — so a plan's figure
 	// depends on the batch it ran in, and counting and enumerating runs
@@ -706,6 +721,11 @@ type worker struct {
 	pairOrder            int
 	pairLower, pairUpper []int
 
+	// tail extends count mode to the plan's Tail, three or more levels
+	// sized in closed form from one set per class (sizeTail); nil without
+	// one, or when the graph's degrees could overflow its terms.
+	tail *tailCounter
+
 	m     Match // reused callback argument
 	stats Stats
 	tb    *profile.ThreadBreakdown
@@ -750,6 +770,9 @@ func newWorker(g *graph.Graph, pl *plan.Plan, cb Callback, mw *multiWorker, tb *
 			}
 		}
 	}
+	if w.countLast && pl.Tail != nil && tailFits(pl.Tail, g.MaxDegree()) {
+		w.tail = newTailCounter(pl.Tail)
+	}
 	return w
 }
 
@@ -792,6 +815,11 @@ func (w *worker) completeFrom(i int) {
 		return
 	}
 	if w.ctx.stop.Load() {
+		return
+	}
+	// Count mode, the whole tail at once: see sizeTail.
+	if w.tail != nil && i == w.tail.tl.Start {
+		w.stats.Matches += w.sizeTail()
 		return
 	}
 	st := &w.pl.NonCore[i]
@@ -895,23 +923,22 @@ outer:
 	}
 }
 
-// pairLastSet computes the last completion level's candidate set for
-// countTail, before the second-to-last vertex is chosen: completeFrom's
-// own window-and-intersect steps (kept apart from them so that the
-// enumerating path stays the code it was, call-free), with pairLower
-// and pairUpper for the step's bounds. ok is false when the id window is
-// empty. The set is read-only: it is a slot's set, or lives in the last
-// level's ncBufs slot or in graph storage.
-func (w *worker) pairLastSet() (cands []uint32, ok bool) {
-	i := len(w.pl.NonCore) - 1
+// levelSet computes completion level i's candidate set before the level
+// is reached, for the count-mode tails: completeFrom's own
+// window-and-intersect steps (kept apart from them so that the
+// enumerating path stays the code it was, call-free), with lower and
+// upper for the step's bounds — those on vertices already matched. ok
+// is false when the id window is empty. The set is read-only: it is a
+// slot's set, or lives in level i's ncBufs slot or in graph storage.
+func (w *worker) levelSet(i int, lower, upper []int) (cands []uint32, ok bool) {
 	w.tb.Enter(profile.StagePO)
 	lo, hi := noLo, noHi
-	for _, pv := range w.pairLower {
+	for _, pv := range lower {
 		if d := int64(w.match[pv]); d > lo {
 			lo = d
 		}
 	}
-	for _, pv := range w.pairUpper {
+	for _, pv := range upper {
 		if d := int64(w.match[pv]); d < hi {
 			hi = d
 		}
@@ -939,32 +966,6 @@ func (w *worker) pairLastSet() (cands []uint32, ok bool) {
 		}
 	}
 	return cands, true
-}
-
-// countTail returns the number of ways to complete the match from the
-// last two levels without walking either: a is the second-to-last
-// level's set, the last level's set b is computed once with every bound
-// but the one naming the second-to-last vertex (pairLower, pairUpper),
-// and the result is the number of pairs (x, y), x in a, y in b, neither
-// already in the match, distinct, and ordered as pairOrder says.
-func (w *worker) countTail(a []uint32) uint64 {
-	// No usable x, no pairs — and no need for b, which the walk this
-	// replaces would not have computed either. Core vertices adjacent to
-	// all of a level's core neighbours sit in its set on every match.
-	na := len(a)
-	for _, s := range w.assigned {
-		if containsSorted(a, s) {
-			na--
-		}
-	}
-	if na == 0 {
-		return 0
-	}
-	b, ok := w.pairLastSet()
-	if !ok || len(b) == 0 {
-		return 0
-	}
-	return countPairsExcluding(a, b, w.assigned, w.pairOrder)
 }
 
 // checkAntiVertices verifies the §4.3 constraint for every anti-vertex:

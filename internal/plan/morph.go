@@ -299,7 +299,9 @@ func (m costModel) pass(l pattern.Label) float64 {
 //     non-core levels are priced like core steps and multiply the binding
 //     count. With no anti-vertex check the last level, when Unfiltered,
 //     costs one set computation, and an Unfiltered last pair one merge of
-//     two sets — the engine's count-mode tails.
+//     two sets; a plan's Tail costs one set per class and, for each
+//     subset of two or more classes its terms name, a merge of those
+//     classes' sets — the engine's count-mode tails.
 //   - Each anti-vertex check costs one k-list intersection per match.
 //
 // Trie prefix sharing and completion slots are left out: they discount
@@ -342,6 +344,8 @@ func (m costModel) completion(pl *Plan, start int) float64 {
 		st := &nc[i]
 		k, n := len(st.CoreNbrs), size(st)
 		switch {
+		case pl.Tail != nil && i == pl.Tail.Start:
+			return cost + bind*m.tail(pl, start)
 		case counted && i == len(nc)-1 && st.Unfiltered():
 			return cost + bind*m.compute(k, 1)
 		case counted && i == len(nc)-2 && st.Unfiltered() && nc[i+1].Unfiltered():
@@ -353,6 +357,28 @@ func (m costModel) completion(pl *Plan, start int) float64 {
 	}
 	for i := range pl.Checks {
 		cost += bind * float64(len(pl.Checks[i].Nbrs)) * m.reach
+	}
+	return cost
+}
+
+// tail prices sizing pl.Tail once, for a core match whose start vertex is
+// pattern vertex start: each class's set, then a merge over the sets of
+// every subset of two or more classes.
+func (m costModel) tail(pl *Plan, start int) float64 {
+	tl := pl.Tail
+	sets := make([]float64, len(tl.Classes))
+	var cost float64
+	for c, cl := range tl.Classes {
+		nbrs := pl.NonCore[cl.Step].CoreNbrs
+		sets[c] = m.set(len(nbrs), slices.Contains(nbrs, start), len(cl.Lower) > 0, len(cl.Upper) > 0)
+		cost += m.compute(len(nbrs), 1)
+	}
+	for _, mask := range tl.Subsets[len(tl.Classes):] {
+		for c := range tl.Classes {
+			if mask>>c&1 == 1 {
+				cost += sets[c]
+			}
+		}
 	}
 	return cost
 }

@@ -12,7 +12,8 @@
 //   - matching orders: deduplicated ordered views of the core, one per
 //     group of linear extensions of the partial order (§4.1);
 //   - precomputed completion metadata for non-core vertices and
-//     anti-vertex checks.
+//     anti-vertex checks, and the closed form a count sizes a
+//     completion tail by (tail.go).
 //
 // All computation here is on the pattern only (never the data graph),
 // so plans are cheap: microseconds for the pattern sizes mining systems
@@ -91,8 +92,8 @@ type NonCoreStep struct {
 // Unfiltered reports whether every vertex of st's candidate set that is
 // not already in the match completes it: no label to test, no anti-edge
 // to reject on. A count sizes such a level instead of walking it when it
-// is the last, or one of the last two (internal/core's count mode), and
-// CostOf prices it that way.
+// is the last, one of the last two, or in the plan's Tail (internal/core's
+// count mode), and CostOf prices it that way.
 func (st *NonCoreStep) Unfiltered() bool {
 	return st.Label == pattern.Wildcard && len(st.CoreAnti) == 0
 }
@@ -117,6 +118,10 @@ type Plan struct {
 	Orders  []*MatchingOrder
 	NonCore []NonCoreStep // in completion order
 	Checks  []AntiVertexCheck
+
+	// Tail is the suffix of NonCore a count sizes in closed form, or nil
+	// (see TailOf).
+	Tail *Tail
 }
 
 // Options configures plan generation.
@@ -156,6 +161,7 @@ func New(p *pattern.Pattern, opt Options) (*Plan, error) {
 	}
 	pl.NonCore = nonCoreSteps(p, core, pl.Conds)
 	pl.Checks = antiChecks(p)
+	pl.Tail = TailOf(pl)
 	return pl, nil
 }
 

@@ -320,30 +320,25 @@ func TestConcurrentQueriesDistinctGraphs(t *testing.T) {
 	}
 }
 
-// DELETE on a running job must observably stop its engine workers: the
-// 7-star count on the dense graph would run far beyond the test timeout
-// if cancellation did not reach the workers' stop flag.
+// DELETE on a running job must observably stop its engine workers. The
+// test holds them mid-mine: a streamed 7-star matches job on the dense
+// graph, attached and then left unread after its first row, blocks its
+// workers on the full stream, where only cancellation can release them.
 func TestCancelMidMineStopsWorkers(t *testing.T) {
 	s, ts := newTestServer(t)
 	code, info := postQuery(t, ts,
-		`{"graph":"dense","kind":"count","pattern":"0-1 0-2 0-3 0-4 0-5 0-6"}`)
+		`{"graph":"dense","kind":"matches","pattern":"0-1 0-2 0-3 0-4 0-5 0-6","stream":true}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status = %d, want 202", code)
 	}
-
-	// Wait until the job is actually mining so the DELETE lands mid-run.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		_, cur := getJob(t, ts, info.ID)
-		if cur.Status == StatusRunning {
-			break
-		}
-		if cur.Status != StatusPending || time.Now().After(deadline) {
-			t.Fatalf("job reached %q before running", cur.Status)
-		}
-		time.Sleep(time.Millisecond)
+	resp := openStream(t, ts, info.ID)
+	defer resp.Body.Close()
+	if !bufio.NewScanner(resp.Body).Scan() {
+		t.Fatal("no first row: the job is not mining")
 	}
-	time.Sleep(50 * time.Millisecond) // let workers descend into the mine
+	if _, cur := getJob(t, ts, info.ID); cur.Status != StatusRunning {
+		t.Fatalf("status after the first row = %q, want running", cur.Status)
+	}
 
 	code, _ = deleteJob(t, ts, info.ID)
 	if code != http.StatusOK {
@@ -472,7 +467,10 @@ func TestRegistryRetriesFailedLoad(t *testing.T) {
 	}
 }
 
-// Server shutdown (base context cancellation) aborts running jobs.
+// Server shutdown (base context cancellation) aborts running jobs. The
+// job is a streamed 7-star matches job on the dense graph that nobody
+// reads: its workers block once the stream fills, so it cannot finish
+// before the shutdown.
 func TestShutdownCancelsJobs(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	reg := NewRegistry()
@@ -481,7 +479,7 @@ func TestShutdownCancelsJobs(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	_, info := postQuery(t, ts, `{"graph":"dense","kind":"count","pattern":"0-1 0-2 0-3 0-4 0-5 0-6"}`)
+	_, info := postQuery(t, ts, `{"graph":"dense","kind":"matches","pattern":"0-1 0-2 0-3 0-4 0-5 0-6","stream":true}`)
 	job, ok := s.Jobs().Get(info.ID)
 	if !ok {
 		t.Fatal("job not registered")

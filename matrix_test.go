@@ -4,7 +4,8 @@ package peregrine
 // checked against one oracle, internal/ref's brute-force matcher. A cell
 // fixes a seeded graph, a pattern form and a value on each axis below,
 // counts every connected 2–4-vertex pattern of that form (5-vertex too on
-// er-48, the smallest graph, unless -short) and compares with the oracle.
+// er-48, the smallest graph, unless -short; the tail form counts
+// tailPatterns instead) and compares with the oracle.
 // A row of the table is graphs × a union of products of axis values, run
 // as the test of its name; TestCountMatrix adds cells until every pair of
 // values of two axes co-occurs, which TestCountMatrixCoversAllPairs
@@ -57,12 +58,31 @@ const overWhole, overThirds, overUneven = 0, 1, 2
 const asSolo, asSize, asSubset, asPairs = 0, 1, 2, 3
 
 // A form derives the patterns a cell counts from a connected unlabeled
-// skeleton.
+// skeleton; the tail form counts tailPatterns instead.
 type form int
 
-const plainForm, viForm, mixedForm, antiForm, labeledVIForm, bothForm form = 0, 1, 2, 3, 4, 5
+const plainForm, viForm, mixedForm, antiForm, labeledVIForm, bothForm, tailForm form = 0, 1, 2, 3, 4, 5, 6
 
-var formNames = []string{"plain", "vertex-induced", "mixed-labels", "anti-vertex", "labeled-vertex-induced", "plain+vertex-induced"}
+var formNames = []string{"plain", "vertex-induced", "mixed-labels", "anti-vertex", "labeled-vertex-induced", "plain+vertex-induced", "tails"}
+
+// tailPatterns have completion tails of three or more levels, which a
+// count sizes in closed form (plan.Tail), and spellings whose orders
+// join two of the tail's classes, so that a shorter tail runs or the
+// last two levels are sized as pairs.
+var tailPatterns = sync.OnceValue(func() (out []*Pattern) {
+	for _, text := range []string{
+		"0-1 0-2 0-3 0-4 0-5",     // K1,5: one class of five leaves
+		"0-1 0-2 0-3 0-4 0-5 0-6", // K1,6
+		"0-1 1-2 0-3 3-4 0-5",     // spider: three classes of one
+		"0-2 1-2 0-4 3-4 0-5",     // the spider, its first two leaves ordered: no tail
+		"0-1 0-3 2-3 0-4 4-5",     // the spider, its last two leaves ordered: sized as pairs
+		"0-1 0-2 0-3 1-4 1-5",     // double star: a leaf ordered below the other three, then a tail of three
+		"0-1 0-2 0-3 0-4 1-5 1-6", // double star, three leaves and two
+	} {
+		out = append(out, pattern.MustParse(text))
+	}
+	return out
+})
 
 func (f form) of(s *Pattern) []*Pattern {
 	p := s.Clone()
@@ -136,23 +156,28 @@ func (c cell) String() string {
 }
 
 // batches is c's corpus — every skeleton of 2..4 vertices in c's form,
-// and of 5 on er-48, respelled in a renumbered cell — split the way c's
-// batch axis asks: one pattern per batch, one batch per size, seeded draws
-// with duplicates each followed by its shuffle, or every pair of 2–4-vertex
-// patterns.
+// and of 5 on er-48, or the tail patterns, respelled in a renumbered
+// cell — split the way c's batch axis asks: one pattern per batch, one
+// batch per size, seeded draws with duplicates each followed by its
+// shuffle, or every pair of 2–4-vertex patterns.
 func (c cell) batches() [][]*Pattern {
 	sizes := 3
 	if strings.HasPrefix(c.graph, "er-48") && !testing.Short() {
 		sizes = 4
 	}
-	bySize := make([][]*Pattern, sizes)
-	for i, ss := range skeletons()[:sizes] {
-		for _, s := range ss {
-			for _, p := range c.form.of(s) {
-				if c.v[axNumber] == 1 {
-					p = spell(p)
-				}
-				bySize[i] = append(bySize[i], p)
+	bySize := [][]*Pattern{slices.Clone(tailPatterns())}
+	if c.form != tailForm {
+		bySize = make([][]*Pattern, sizes)
+		for i, ss := range skeletons()[:sizes] {
+			for _, s := range ss {
+				bySize[i] = append(bySize[i], c.form.of(s)...)
+			}
+		}
+	}
+	for _, ps := range bySize {
+		for i, p := range ps {
+			if c.v[axNumber] == 1 {
+				ps[i] = spell(p)
 			}
 		}
 	}
@@ -278,6 +303,12 @@ var matrixRows = map[string]row{
 		{fourForms, ax{axSym: both, axShare: both, axMorph: direct, axRange: {overThirds}, axBatch: {asSize}}},
 		{fourForms, ax{axSym: both, axMorph: direct, axRange: {overThirds}}},
 	}},
+	// Tails sized in closed form, and their respellings that fall back, on
+	// the count and the enumeration alike.
+	"TestDifferentialCountTails": {on("er-48"), []block{
+		{[]form{tailForm}, ax{axEntry: {viaRunCount, viaRunEnum, viaCountMany}, axSym: both, axShare: both, axNumber: both,
+			axBatch: {asSolo, asSize}}},
+	}},
 	"TestDifferentialSharedBatches": {plainOn, []block{
 		{vi, ax{axEntry: {viaCountMany}, axShare: unshared}},
 		{vi, ax{axEntry: {viaCountMany}, axMorph: direct, axBatch: {asSize, asSubset}}},
@@ -321,6 +352,7 @@ func TestDifferentialVertexInduced(t *testing.T)             { runRow(t) }
 func TestDifferentialEdgeInduced(t *testing.T)               { runRow(t) }
 func TestDifferentialUnorderedAgainstReference(t *testing.T) { runRow(t) }
 func TestDifferentialCountVsEnumerate(t *testing.T)          { runRow(t) }
+func TestDifferentialCountTails(t *testing.T)                { runRow(t) }
 func TestDifferentialSharedBatches(t *testing.T)             { runRow(t) }
 func TestDifferentialSharedPairs(t *testing.T)               { runRow(t) }
 func TestDifferentialSharedLabeled(t *testing.T)             { runRow(t) }
@@ -473,7 +505,7 @@ func fillerCells(base []cell) []cell {
 			c.v[x] = best
 		}
 		i := len(out)
-		c.form = form(i % len(formNames))
+		c.form = form(i % int(tailForm)) // the skeleton forms
 		if c.v[axEntry] == viaMotifs {
 			c.form = viForm
 		} else if c.v[axBatch] == asPairs && c.form == labeledVIForm {
