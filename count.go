@@ -32,7 +32,7 @@ import (
 // execution, so its members share them.
 func countBatch(g *Graph, queries []*PreparedQuery, opts []Option) ([][]Stats, MultiStats, error) {
 	m1, m2 := g.DegreeMoments()
-	shape := plan.Shape{Vertices: g.NumVertices(), MeanDeg: m1, MeanSqDeg: m2, Labels: g.NumLabels()}
+	shape := plan.Shape{Vertices: g.NumVertices(), MeanDeg: m1, MeanSqDeg: m2, Labels: g.NumLabels(), MaxDeg: g.MaxDegree()}
 	cp, err := planCount(queries, opts, shape)
 	if err != nil || cp == nil {
 		return nil, MultiStats{}, err
@@ -167,7 +167,7 @@ func (cp *CountPlan) Finish(executed MultiStats) ([][]Stats, MultiStats) {
 // run figures (their traversal work happened under the executed
 // relatives).
 func recoverCounts(ms MultiStats, mp *plan.MorphPlan) MultiStats {
-	counts := mp.Recover(matchCounts(ms.Per))
+	counts := mp.RecoverWide(matchCounts(ms.Per), ms.MatchesHi)
 	per := make([]Stats, len(mp.Recov))
 	for i := range mp.Recov {
 		if d := mp.Recov[i].Direct; d >= 0 {
@@ -177,11 +177,11 @@ func recoverCounts(ms MultiStats, mp *plan.MorphPlan) MultiStats {
 				Matches:   counts[i],
 				Stopped:   ms.Stopped,
 				MatchTime: ms.MatchTime,
-				Threads:   ms.Threads,
+				Threads:   int32(ms.Threads),
 			}
 		}
 	}
-	ms.Per = per
+	ms.Per, ms.MatchesHi = per, nil
 	ms.Morph = mp.Stats
 	return ms
 }

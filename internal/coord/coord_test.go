@@ -605,6 +605,45 @@ func TestCoordinatorMorphsAboveFanout(t *testing.T) {
 	}
 }
 
+// A node counting vertex-induced 5-motifs over its whole graph decomposes
+// some of their relatives at a vertex cut; the coordinator, which plans
+// with no graph and fans out by range, never does. Their counts must
+// agree, pattern by pattern.
+func TestCoordinatorVI5MotifsMatchSingleNode(t *testing.T) {
+	a, b := newTestNode(t), newTestNode(t)
+	coord := newTestCoordinator(t, a.ts.URL, b.ts.URL)
+	req := server.Request{Kind: server.KindCount, VertexInduced: true, Wait: true}
+	for _, p := range pattern.GenerateAllVertexInduced(5) {
+		req.Patterns = append(req.Patterns, p.String())
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, got := postCount(t, coord.URL, string(body))
+	if code != http.StatusOK || got.Status != server.StatusDone {
+		t.Fatalf("coordinator: code %d, %+v", code, got)
+	}
+	req.Graph = "g"
+	nodeBody, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, single := postCount(t, a.ts.URL, string(nodeBody))
+	if code != http.StatusOK || single.Status != server.StatusDone {
+		t.Fatalf("node: code %d, %+v", code, single)
+	}
+	if m := single.Result.Stats.Morphing; m == nil || m.Decomposed == 0 {
+		t.Errorf("the node's whole-graph count decomposed nothing: %+v", m)
+	}
+	if m := got.Result.Stats.Morphing; m == nil || m.Decomposed != 0 {
+		t.Errorf("the coordinator's rewrite: %+v, want morphing without decomposition", m)
+	}
+	if !reflect.DeepEqual(got.Result.PerPattern, single.Result.PerPattern) || got.Result.Count != single.Result.Count {
+		t.Errorf("coordinator %d %+v\nsingle node %d %+v", got.Result.Count, got.Result.PerPattern, single.Result.Count, single.Result.PerPattern)
+	}
+}
+
 // canonicalCodes parses pattern texts and returns their sorted canonical
 // codes: the set they spell, whatever the vertex numbering.
 func canonicalCodes(t *testing.T, texts []string) []string {

@@ -67,6 +67,21 @@
 // pair path is the only one that handles an order between two levels
 // with different sets, which respelled patterns produce. A filter on a
 // tail step or an anti-vertex check walks as before.
+//
+// A decomposed plan (plan.Cut, chosen by plan.MorphBatch for in-process
+// counts only) has no core: it runs in the same task scan, after the
+// trie, with no symmetry breaking. The task binds the cut's first vertex;
+// the second, if any, is bound from its list when the two are adjacent.
+// Each component of the pattern less the cut — one or two vertices — is
+// counted by a short rooted walk over the set kernels that avoids the
+// cut's vertices, its last level sized rather than walked, and the
+// components' counts multiply. When the second cut vertex is not adjacent
+// to the first, each component's walk binds it on the way instead and
+// tallies its counts per candidate in per-thread vertex-indexed arrays,
+// reset through a touched list, and the task adds Σ_c Π_i tally_i[c]. The
+// sum over tasks is V, in 128 bits (MultiStats.MatchesHi), from which the
+// rewrite recovers the pattern's count.
+//
 // Runs with a callback (Exists, Matches, ForEach, FSM) enumerate.
 package core
 
@@ -193,14 +208,19 @@ type Stats struct {
 	// or, with no callback, the same number reached without visiting the
 	// members of the last one or two completion levels, or of a plan's
 	// whole Tail (see the package comment).
+	//
+	// A decomposed plan (plan.Cut) yields no matches: Matches holds the
+	// low 64 bits of its tuple count V, which MorphBatch's recovery turns
+	// into its pattern's count, and MultiStats.MatchesHi the high 64.
 	Matches     uint64
 	CoreMatches uint64 // matches of the pattern core
 	Tasks       uint64 // start vertices this plan was attempted on
 	// Intersections counts the multi-list adjacency intersections this
 	// plan performed outside the shared core walk: completion slots it
 	// computed, anti-vertex common-neighborhood checks that merged two
-	// or more lists, and a count-mode Tail's merges of two or more class
-	// sets (single-list candidate sets are zero-copy views, not set
+	// or more lists, a count-mode Tail's merges of two or more class
+	// sets, and a decomposed plan's walk levels that merged two or more
+	// lists (single-list candidate sets are zero-copy views, not set
 	// computations). A slot is computed once per binding of its trie
 	// node and charged to the plan whose completion read it first; every
 	// later read, by any plan of the batch, is free — so a plan's figure
@@ -210,10 +230,14 @@ type Stats struct {
 	// set-intersection work attributable — the figure pattern morphing
 	// trades against.
 	Intersections uint64
-	Stopped       bool          // true if exploration terminated early
 	PlanTime      time.Duration // exploration-plan generation time
 	MatchTime     time.Duration // wall time of the parallel exploration
-	Threads       int
+
+	// Threads is the run's worker count, an int32 so that with Stopped it
+	// fills one word: a row is 56 bytes, and a count returns — and its
+	// callers often keep — one per requested pattern.
+	Threads int32
+	Stopped bool // true if exploration terminated early
 }
 
 // PlanCallback processes one match from a batched multi-plan run; pat
@@ -264,6 +288,13 @@ type MultiStats struct {
 	MatchTime time.Duration // wall time of the parallel exploration
 	Threads   int
 
+	// MatchesHi is indexed like Per when the batch holds a decomposed plan
+	// (plan.Cut), and nil otherwise: a decomposed plan's tuple count V can
+	// pass 64 bits before its pattern's count does, so its row's Matches
+	// holds V's low 64 bits and MatchesHi its high 64; 0 for every other
+	// plan. Recovery consumes it (peregrine's CountPlan.Finish drops it).
+	MatchesHi []uint64
+
 	// Intersections totals the completion-side adjacency intersections of
 	// every plan actually executed. Unlike summing Per (whose rows morph
 	// recovery re-synthesizes for the patterns the caller asked about),
@@ -309,7 +340,8 @@ func (ms *MultiStats) Matches() uint64 {
 //
 // Matches are tagged with the index of the plan that produced them via
 // cb's pat argument. The same plan pointer may appear more than once in
-// pls; each occurrence is matched and counted independently.
+// pls; each occurrence is matched and counted independently. A
+// decomposed plan (plan.Cut) only counts: it delivers nothing to cb.
 func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) MultiStats {
 	threads := opt.Threads
 	if threads <= 0 {
@@ -319,7 +351,7 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 	for i := range ms.Per {
 		// Early returns below ship these snapshots as-is, and callers
 		// read Per[i] as a complete Stats.
-		ms.Per[i].Threads = threads
+		ms.Per[i].Threads = int32(threads)
 	}
 	n := int64(g.NumVertices())
 	lo, hi := int64(opt.TaskLo), n
@@ -380,6 +412,7 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 	}
 
 	stats := make([][]Stats, threads)
+	cuts := make([][]*cutCounter, threads)
 	shares := make([]ShareStats, threads)
 	tasks := make([]uint64, threads)
 	var wg sync.WaitGroup
@@ -424,6 +457,7 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 				stats[tid][pi] = pw.stats
 			}
 			shares[tid] = mw.share
+			cuts[tid] = mw.cuts
 		}(t)
 	}
 	wg.Wait()
@@ -439,6 +473,16 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 			ms.Intersections += s.Intersections
 		}
 	}
+	// A decomposed plan's V, summed over threads in 128 bits.
+	for _, ccs := range cuts {
+		for _, cc := range ccs {
+			if ms.MatchesHi == nil {
+				ms.MatchesHi = make([]uint64, len(pls))
+			}
+			v, _ := u128{ms.MatchesHi[cc.plan], ms.Per[cc.plan].Matches}.add(cc.v)
+			ms.MatchesHi[cc.plan], ms.Per[cc.plan].Matches = v.hi, v.lo
+		}
+	}
 	ms.Stopped = stop.Load()
 	ms.MatchTime = time.Since(start)
 	for pi := range ms.Per {
@@ -446,7 +490,7 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 		// each reads as a complete Stats on its own.
 		ms.Per[pi].Stopped = ms.Stopped
 		ms.Per[pi].MatchTime = ms.MatchTime
-		ms.Per[pi].Threads = threads
+		ms.Per[pi].Threads = int32(threads)
 	}
 	return ms
 }
@@ -460,7 +504,10 @@ type multiWorker struct {
 	g    *graph.Graph
 	trie *plan.ShareTrie
 	ctx  Ctx
-	pws  []*worker // per-plan completion state, indexed like the plan slice
+	pws  []*worker     // per-plan completion state, indexed like the plan slice
+	cuts []*cutCounter // the decomposed plans', run once per task after the trie
+
+	cutScratch *cutScratch // shared by cuts; nil without them
 
 	data    []uint32   // visit index -> data id for the current partial binding
 	bufs    [][]uint32 // candidate scratch per trie depth (bufs[d-1] for depth d)
@@ -504,6 +551,12 @@ func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb P
 			wcb = func(ctx *Ctx, m *Match) { cb(ctx, pi, m) }
 		}
 		mw.pws[pi] = newWorker(g, pl, wcb, mw, tb)
+		if pl.Cut != nil {
+			if mw.cutScratch == nil {
+				mw.cutScratch = new(cutScratch)
+			}
+			mw.cuts = append(mw.cuts, &cutCounter{g: g, cut: pl.Cut, plan: pi, st: &mw.pws[pi].stats, sc: mw.cutScratch})
+		}
 	}
 	return mw
 }
@@ -534,6 +587,13 @@ func (mw *multiWorker) runTask(v uint32) {
 			mw.deliver(&root.Leaves[i])
 		}
 		mw.descend(root)
+	}
+	if len(mw.cuts) > 0 {
+		mw.tb.Enter(profile.StageNonCore)
+		for _, cc := range mw.cuts {
+			cc.st.Tasks++
+			cc.task(v)
+		}
 	}
 }
 

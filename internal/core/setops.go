@@ -44,10 +44,10 @@ const (
 	gallopRatio = 16
 
 	// skipMin is the operand length from which intersectSetsInto starts
-	// a non-driver operand at the running set's first element, found by
-	// one gallop, instead of at its own first element: with the driver
-	// clipped to a symmetry-breaking window, most of a long operand lies
-	// below it, and a merge would walk all of that.
+	// a non-driver operand it merges at the running set's first element,
+	// found by one gallop, instead of at its own first element: with the
+	// driver clipped to a symmetry-breaking window, most of a long operand
+	// lies below it, and a merge would walk all of that.
 	skipMin = 64
 )
 
@@ -227,11 +227,16 @@ func containsSorted(s []uint32, x uint32) bool {
 // intersection kernels it adapts to skew: past gallopRatio it walks the
 // shorter list and gallops through the longer, so the cost follows the
 // shorter side; comparable lengths merge linearly.
-func countPairs(a, b []uint32) (less, eq uint64) {
+func countPairs(a, b []uint32) (less, eq uint64) { return countPairsSkew(a, b, gallopRatio) }
+
+// countPairsSkew is countPairs galloping from length skew ratio on:
+// gallopRatio, or, for the test that times the skew branches against the
+// merge in this same body, never.
+func countPairsSkew(a, b []uint32, ratio int) (less, eq uint64) {
 	switch {
 	case len(a) == 0 || len(b) == 0:
 		return 0, 0
-	case len(b)/(len(a)+1) >= gallopRatio:
+	case len(b)/(len(a)+1) >= ratio:
 		// Few x, many y: each x is below everything in b past its slot.
 		j := 0
 		for _, x := range a {
@@ -247,7 +252,7 @@ func countPairs(a, b []uint32) (less, eq uint64) {
 			less += uint64(above)
 		}
 		return less, eq
-	case len(a)/(len(b)+1) >= gallopRatio:
+	case len(a)/(len(b)+1) >= ratio:
 		// Many x, few y: each y is above everything in a before its slot.
 		i := 0
 		for _, y := range b {
@@ -344,6 +349,13 @@ func gallops(small, big int) bool { return big/(small+1) >= gallopRatio }
 // read-only mapping). For two or more lists the result is caller-owned
 // buf storage. See the package comment.
 func intersectSetsInto(buf []uint32, lists [][]uint32, lo, hi int64) []uint32 {
+	return intersectSetsSkip(buf, lists, lo, hi, skipMin)
+}
+
+// intersectSetsSkip is intersectSetsInto skipping into operands from
+// length skip on: skipMin, or, for the test that times the skip against
+// this same body without it, never.
+func intersectSetsSkip(buf []uint32, lists [][]uint32, lo, hi int64, skip int) []uint32 {
 	// Start from the shortest list: intersection size is bounded by it.
 	shortest := 0
 	for i, l := range lists {
@@ -364,9 +376,11 @@ func intersectSetsInto(buf []uint32, lists [][]uint32, lo, hi int64) []uint32 {
 		if i == shortest {
 			continue
 		}
-		if len(l) >= skipMin {
-			// Nothing below the running set's first element can match. The
-			// skip lives here so that the kernels below stay inlinable.
+		if len(l) >= skip && !gallops(len(out), len(l)) {
+			// Nothing below the running set's first element can match, and a
+			// merge would walk all of it (a gallop's first probe skips it
+			// anyway). The skip lives here so that the kernels below stay
+			// inlinable.
 			l = l[gallopLowerBound(l, 0, out[0]):]
 		}
 		switch {

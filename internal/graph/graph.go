@@ -73,11 +73,12 @@ type Graph struct {
 	hubBits  []*bitset.Bitmap
 	hubBytes uint64
 
-	// moments memoises DegreeMoments: the rows are immutable, so one pass
-	// over the offsets serves every later call.
+	// moments memoises DegreeMoments and MaxDegree: the rows are
+	// immutable, so one pass over the offsets serves every later call.
 	moments struct {
 		once         sync.Once
 		mean, meanSq float64
+		max          uint32
 	}
 }
 
@@ -149,18 +150,12 @@ func (g *Graph) HasEdge(u, v uint32) bool {
 	return contains(au, v)
 }
 
-// MaxDegree returns the maximum vertex degree.
+// MaxDegree returns the maximum vertex degree. It is read off the
+// degrees themselves, in DegreeMoments' pass, never off an end of the id
+// order: a loaded file's ids need only form a valid CSR.
 func (g *Graph) MaxDegree() uint32 {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0
-	}
-	// Ids are degree-ordered, so the maximum sits at whichever end the
-	// ordering direction puts the hubs.
-	if g.DegreeDescending() {
-		return g.Degree(0)
-	}
-	return g.Degree(n - 1)
+	g.degreePass()
+	return g.moments.max
 }
 
 // DegreeDescending reports whether vertex ids are assigned in
@@ -229,6 +224,12 @@ func (g *Graph) AvgDegree() float64 {
 // The first call makes one pass over the offsets of every piece; later
 // calls, from any goroutine, return the memoised figures.
 func (g *Graph) DegreeMoments() (mean, meanSq float64) {
+	g.degreePass()
+	return g.moments.mean, g.moments.meanSq
+}
+
+// degreePass fills g.moments on its first call.
+func (g *Graph) degreePass() {
 	m := &g.moments
 	m.once.Do(func() {
 		n := g.NumVertices()
@@ -239,14 +240,15 @@ func (g *Graph) DegreeMoments() (mean, meanSq float64) {
 		for i := range g.pieces {
 			off := g.pieces[i].offsets
 			for j := 1; j < len(off); j++ {
-				d := float64(off[j] - off[j-1])
+				deg := off[j] - off[j-1]
+				d := float64(deg)
 				sum += d
 				sumSq += d * d
+				m.max = max(m.max, uint32(deg))
 			}
 		}
 		m.mean, m.meanSq = sum/float64(n), sumSq/float64(n)
 	})
-	return m.mean, m.meanSq
 }
 
 // Bytes returns the resident size of the graph's CSR arrays — for

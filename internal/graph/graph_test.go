@@ -273,6 +273,30 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// A .pgr file need only hold a valid CSR, not Build's degree order: a
+// 4-leaf star written with its center at id 0 loads, and MaxDegree must
+// still find the center (reading an end of the id order finds a leaf).
+func TestMaxDegreeIgnoresIdOrder(t *testing.T) {
+	star := &Graph{
+		stat:   Stat{Vertices: 5, Edges: 4},
+		pieces: []rows{{offsets: []uint64{0, 4, 5, 6, 7, 8}, adj: []uint32{1, 2, 3, 4, 0, 0, 0, 0}}},
+	}
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, star); err != nil {
+		t.Fatal(err)
+	}
+	g, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Degree(0) != 4 || g.Degree(4) != 1 {
+		t.Fatalf("the star did not load as written: degrees %d at 0, %d at 4", g.Degree(0), g.Degree(4))
+	}
+	if got := g.MaxDegree(); got != 4 {
+		t.Fatalf("MaxDegree = %d, want 4", got)
+	}
+}
+
 // DegreeMoments on graphs whose degrees are known: a 4-leaf star has
 // degrees 4,1,1,1,1 (mean 8/5, mean square 20/5), a 6-cycle all 2s, and
 // an empty graph none. Concurrent first calls (run under -race) must all

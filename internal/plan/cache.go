@@ -66,6 +66,11 @@ type cacheEntry struct {
 	// (morphRelation) and dropped with the entry.
 	morphOnce sync.Once
 	morph     *morphRelation
+
+	// The pattern's decompositions, compiled on first use by MorphBatch
+	// (cutRelations).
+	cutOnce sync.Once
+	cuts    []*morphRelation
 }
 
 // Cached is a cache lookup result: the plan plus the vertex translation

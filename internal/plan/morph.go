@@ -203,13 +203,18 @@ func (c *Cache) morphRelation(p *pattern.Pattern, opt Options) *morphRelation {
 }
 
 // Shape is what the cost model knows of a data graph: its vertex count,
-// its first two degree moments (graph.DegreeMoments) and how many labels
-// it uses. The zero Shape stands for defaultShape.
+// its first two degree moments (graph.DegreeMoments), how many labels it
+// uses and its largest degree. The zero Shape stands for defaultShape.
 type Shape struct {
 	Vertices  uint32
 	MeanDeg   float64 // m1, the mean degree
 	MeanSqDeg float64 // m2, the mean squared degree
 	Labels    int     // distinct vertex labels; 0 for an unlabeled graph
+
+	// MaxDeg is the largest degree (graph.MaxDegree). It bounds a
+	// decomposed count's tally (cutFits); 0, unknown, rules decomposition
+	// out and prices nothing else.
+	MaxDeg uint32
 }
 
 // defaultShape is the graph priced when none is at hand — a coordinator
@@ -303,6 +308,13 @@ func (m costModel) pass(l pattern.Label) float64 {
 //     subset of two or more classes its terms name, a merge of those
 //     classes' sets — the engine's count-mode tails.
 //   - Each anti-vertex check costs one k-list intersection per match.
+//   - A decomposed plan (pl.Cut) costs, per task, its components' walks
+//     for each binding of the cut: m1 bindings of an adjacent second cut
+//     vertex, one otherwise. A walk's levels are priced like completion
+//     steps, its last level sized in one set computation; a scatter (a
+//     non-adjacent cut) also pays a pass over the candidates the first
+//     walk tallied. Every unit is weighted by cutUnit, what a decomposed
+//     walk was measured to cost per unit against a trie plan.
 //
 // Trie prefix sharing and completion slots are left out: they discount
 // plans that share work, MorphBatch's objective already charges a
@@ -312,6 +324,9 @@ func (m costModel) pass(l pattern.Label) float64 {
 // them. Only relative costs matter.
 func CostOf(pl *Plan, s Shape) float64 {
 	m := s.model()
+	if pl.Cut != nil {
+		return m.cut(pl.Cut)
+	}
 	var total float64
 	for _, mo := range pl.Orders {
 		start := mo.Visit[0]
@@ -383,10 +398,10 @@ func (m costModel) tail(pl *Plan, start int) float64 {
 	return cost
 }
 
-// RecoveryTerm references one executed plan's count in a recovery
-// relation.
+// RecoveryTerm references one count in a recovery relation: an executed
+// plan's, or one MorphPlan.Derived recovers.
 type RecoveryTerm struct {
-	Exec int   // index into MorphPlan.Exec
+	Exec int   // index into MorphPlan.Exec, or len(Exec)+k for Derived[k]
 	Coef int64 // signed weight (multiplicity × |Aut| of the relative)
 }
 
@@ -411,13 +426,14 @@ type Recovery struct {
 // candidate lists — MultiStats.Intersections reports that side.
 // The JSON tags are the wire names of a job result's stats.morphing.
 type MorphStats struct {
-	Candidates         uint64 `json:"candidates"`       // morph relatives constructed across the batch
-	MorphsChosen       uint64 `json:"morphsChosen"`     // relatives added to the executed set
-	PatternsReplaced   uint64 `json:"patternsReplaced"` // originals replaced by recovery relations
-	RecoveryTerms      uint64 `json:"recoveryTerms"`    // relation terms across all replaced patterns
-	StepsDirect        uint64 `json:"stepsDirect"`      // trie program steps of the batch as given
-	StepsMorphed       uint64 `json:"stepsMorphed"`     // trie program steps of the executed set
-	IntersectionsSaved uint64 `json:"-"`                // core intersections vs ablation; 0 in a lone run
+	Candidates         uint64 `json:"candidates"`           // morph relatives constructed across the batch
+	MorphsChosen       uint64 `json:"morphsChosen"`         // relatives added to the executed set
+	PatternsReplaced   uint64 `json:"patternsReplaced"`     // originals replaced by recovery relations
+	RecoveryTerms      uint64 `json:"recoveryTerms"`        // relation terms across all replaced patterns
+	StepsDirect        uint64 `json:"stepsDirect"`          // trie program steps of the batch as given
+	StepsMorphed       uint64 `json:"stepsMorphed"`         // trie program steps of the executed set
+	Decomposed         uint64 `json:"decomposed,omitempty"` // plans that ran decomposed (MorphPlan.Derived)
+	IntersectionsSaved uint64 `json:"-"`                    // core intersections vs ablation; 0 in a lone run
 }
 
 // Add folds another batch's morphing decisions into s; every field is a
@@ -429,6 +445,7 @@ func (s *MorphStats) Add(o MorphStats) {
 	s.RecoveryTerms += o.RecoveryTerms
 	s.StepsDirect += o.StepsDirect
 	s.StepsMorphed += o.StepsMorphed
+	s.Decomposed += o.Decomposed
 	s.IntersectionsSaved += o.IntersectionsSaved
 }
 
@@ -440,20 +457,32 @@ func (s *MorphStats) Active() bool { return s.PatternsReplaced > 0 }
 type MorphPlan struct {
 	Exec  []*Plan    // deduplicated executed plan set
 	Recov []Recovery // one per original batch position
+
+	// Derived recovers, in order and before Recov, the counts of the plans
+	// the rewrite ran decomposed: Derived[k] is count number len(Exec)+k,
+	// a relation over the executed counts and the Derived before it.
+	Derived []Recovery
+
 	Stats MorphStats
 }
 
-// MorphBatch rewrites a counting batch: for each morphable pattern it
-// weighs direct execution against executing its anti-edge-free
-// relatives (compiled and deduplicated through cache — isomorphic
-// relatives of different patterns become one plan) under CostOf for
-// opt.Shape, and returns the cheaper equivalent execution with its
-// recovery relations.
-// Returns nil when nothing morphs — callers then run the batch as
-// given. Counting semantics only: callers that need real embeddings
-// (ForEach/Exists/Matches) must not morph. Batches compiled without
-// symmetry breaking are not morphed: their counts are per-automorphism
-// enumerations and the |Aut| weights above do not apply.
+// MorphBatch rewrites a counting batch in two passes, each choosing by
+// CostOf for opt.Shape. First, for each morphable pattern it weighs
+// direct execution against executing its anti-edge-free relatives
+// (compiled and deduplicated through cache — isomorphic relatives of
+// different patterns become one plan). Then, for each plan that would
+// execute, it weighs running it against running one of its
+// decompositions (Decompositions) and the shrinkage patterns the set does
+// not count already — where the shape bounds a decomposed count's tally
+// (cutFits), which a Shape without MaxDeg never does. The morph choice
+// prices relatives as direct plans: a relative's decomposition does not
+// draw the first pass towards morphing.
+// It returns the cheaper equivalent execution with its recovery
+// relations, or nil when neither pass changed anything — callers then
+// run the batch as given. Counting semantics only: callers that need
+// real embeddings (ForEach/Exists/Matches) must not morph. Batches
+// compiled without symmetry breaking are not morphed: their counts are
+// per-automorphism enumerations and the |Aut| weights above do not apply.
 func MorphBatch(pls []*Plan, cache *Cache, opt Options) *MorphPlan {
 	if opt.NoSymmetryBreaking || len(pls) == 0 {
 		return nil
@@ -461,13 +490,21 @@ func MorphBatch(pls []*Plan, cache *Cache, opt Options) *MorphPlan {
 	if cache == nil {
 		cache = NewCache()
 	}
+	mp := morph(pls, cache, opt)
+	mp.decompose(cache, opt.Shape)
+	if !mp.Stats.Active() {
+		return nil
+	}
+	mp.Stats.StepsDirect = programSteps(pls)
+	mp.Stats.StepsMorphed = programSteps(mp.Exec)
+	return mp
+}
 
+// morph is MorphBatch's first pass. Its plan runs pls as given, less
+// duplicates, where no pattern morphs.
+func morph(pls []*Plan, cache *Cache, opt Options) *MorphPlan {
 	// One selection group per distinct morphable plan; duplicates in the
 	// batch share the decision and the executed plans.
-	type group struct {
-		*morphRelation
-		cost float64
-	}
 	groups := make(map[*Plan]*group)
 	var groupOrder []*Plan
 	fixed := make(map[*Plan]bool) // plans that execute regardless
@@ -485,111 +522,7 @@ func MorphBatch(pls []*Plan, cache *Cache, opt Options) *MorphPlan {
 		groups[pl] = &group{morphRelation: rel, cost: CostOf(pl, opt.Shape)}
 		groupOrder = append(groupOrder, pl)
 	}
-	if len(groups) == 0 {
-		return nil
-	}
-
-	termCost := make(map[*Plan]float64)
-	for _, gp := range groupOrder {
-		for _, t := range groups[gp].terms {
-			if _, ok := termCost[t.pl]; !ok {
-				termCost[t.pl] = CostOf(t.pl, opt.Shape)
-			}
-		}
-	}
-
-	// Select the assignment (morph vs direct per group) by steepest-
-	// descent hill climbing on total executed cost. Shared relatives make
-	// the objective non-separable — a relative costs once however many
-	// patterns use it, and costs nothing if a non-morphable batch member
-	// already executes it — so descent runs from both extreme starts:
-	// all-morph converges right when relatives overlap (motif batches),
-	// all-direct when they don't (a lone expensive expansion).
-	objective := func(assign map[*Plan]bool) float64 {
-		total := 0.0
-		use := make(map[*Plan]bool)
-		for _, gp := range groupOrder {
-			if !assign[gp] {
-				total += groups[gp].cost
-				continue
-			}
-			for _, t := range groups[gp].terms {
-				if !fixed[t.pl] && !use[t.pl] {
-					use[t.pl] = true
-					total += termCost[t.pl]
-				}
-			}
-		}
-		return total
-	}
-	descend := func(start bool) (map[*Plan]bool, float64) {
-		assign := make(map[*Plan]bool, len(groups))
-		use := make(map[*Plan]int)
-		for _, gp := range groupOrder {
-			assign[gp] = start
-			if start {
-				for _, t := range groups[gp].terms {
-					use[t.pl]++
-				}
-			}
-		}
-		for {
-			var best *Plan
-			bestDelta := 0.0
-			for _, gp := range groupOrder {
-				g := groups[gp]
-				var delta float64
-				if assign[gp] {
-					// morph -> direct: pay the plan, drop sole-use relatives.
-					delta = g.cost
-					for _, t := range g.terms {
-						if !fixed[t.pl] && use[t.pl] == 1 {
-							delta -= termCost[t.pl]
-						}
-					}
-				} else {
-					// direct -> morph: pay unshared relatives, drop the plan.
-					delta = -g.cost
-					for _, t := range g.terms {
-						if !fixed[t.pl] && use[t.pl] == 0 {
-							delta += termCost[t.pl]
-						}
-					}
-				}
-				if delta < bestDelta {
-					best, bestDelta = gp, delta
-				}
-			}
-			if best == nil {
-				break
-			}
-			d := 1
-			if assign[best] {
-				d = -1
-			}
-			assign[best] = !assign[best]
-			for _, t := range groups[best].terms {
-				use[t.pl] += d
-			}
-		}
-		return assign, objective(assign)
-	}
-	fromMorph, costMorph := descend(true)
-	fromDirect, costDirect := descend(false)
-	assign := fromMorph
-	if costDirect < costMorph {
-		assign = fromDirect
-	}
-	anyMorph := false
-	for _, gp := range groupOrder {
-		if assign[gp] {
-			anyMorph = true
-			break
-		}
-	}
-	if !anyMorph {
-		return nil
-	}
+	assign := choose(groupOrder, groups, fixed, opt.Shape)
 
 	// Assemble the executed set: originals that still run (in batch
 	// order, deduplicated), then chosen relatives in first-use order.
@@ -632,10 +565,207 @@ func MorphBatch(pls []*Plan, cache *Cache, opt Options) *MorphPlan {
 		stats.PatternsReplaced++
 		stats.RecoveryTerms += uint64(len(r.Terms))
 	}
-	stats.StepsDirect = programSteps(pls)
-	stats.StepsMorphed = programSteps(mp.Exec)
 	mp.Stats = stats
 	return mp
+}
+
+// decompose is MorphBatch's second pass: each executed plan with a
+// decomposition the shape admits is a group whose relation is its
+// cheapest decomposition, every executed plan's count is at hand — run or
+// recovered — and choose picks the plans to replace. A replaced plan's
+// count moves to Derived, fewest vertices first, since a shrinkage
+// pattern has fewer vertices than the plan that names it, and every
+// reference to it follows.
+func (mp *MorphPlan) decompose(cache *Cache, s Shape) {
+	groups := make(map[*Plan]*group)
+	var groupOrder []*Plan
+	fixed := make(map[*Plan]bool, len(mp.Exec))
+	for _, pl := range mp.Exec {
+		fixed[pl] = true
+	}
+	for _, pl := range mp.Exec {
+		if pl.Pat.N() < cutMinVertices || !cutFits(pl.Pat.N(), s) {
+			continue
+		}
+		var best *morphRelation
+		bestCost := 0.0
+		for _, rel := range cache.cutRelations(pl.Pat, Options{}) {
+			cost := 0.0
+			for _, t := range rel.terms {
+				if !fixed[t.pl] {
+					cost += CostOf(t.pl, s)
+				}
+			}
+			if best == nil || cost < bestCost {
+				best, bestCost = rel, cost
+			}
+		}
+		if best != nil {
+			groups[pl] = &group{morphRelation: best, cost: CostOf(pl, s)}
+			groupOrder = append(groupOrder, pl)
+		}
+	}
+	assign := choose(groupOrder, groups, fixed, s)
+	var cut []*Plan
+	for _, pl := range groupOrder {
+		if assign[pl] {
+			cut = append(cut, pl)
+		}
+	}
+	if len(cut) == 0 {
+		return
+	}
+	slices.SortStableFunc(cut, func(a, b *Plan) int { return a.Pat.N() - b.Pat.N() })
+
+	old := mp.Exec
+	mp.Exec = nil
+	at := make(map[*Plan]int) // executed plan, or replaced one once derived -> its count's index
+	add := func(pl *Plan) {
+		if _, ok := at[pl]; !ok {
+			at[pl] = len(mp.Exec)
+			mp.Exec = append(mp.Exec, pl)
+		}
+	}
+	for _, pl := range old {
+		if !assign[pl] {
+			add(pl)
+		}
+	}
+	for _, pl := range cut {
+		for _, t := range groups[pl].terms {
+			if !fixed[t.pl] {
+				add(t.pl)
+			}
+		}
+	}
+	for _, pl := range cut {
+		g := groups[pl]
+		r := Recovery{Direct: -1, Div: g.div, Terms: make([]RecoveryTerm, len(g.terms))}
+		for ti, t := range g.terms {
+			r.Terms[ti] = RecoveryTerm{Exec: at[t.pl], Coef: t.coef}
+		}
+		at[pl] = len(mp.Exec) + len(mp.Derived)
+		mp.Derived = append(mp.Derived, r)
+	}
+	for i := range mp.Recov {
+		r := &mp.Recov[i]
+		if r.Direct < 0 {
+			for ti := range r.Terms {
+				r.Terms[ti].Exec = at[old[r.Terms[ti].Exec]]
+			}
+			continue
+		}
+		if pl := old[r.Direct]; assign[pl] {
+			*r = Recovery{Direct: -1, Div: 1, Terms: []RecoveryTerm{{Exec: at[pl], Coef: 1}}}
+			mp.Stats.PatternsReplaced++
+			mp.Stats.RecoveryTerms++
+		} else {
+			r.Direct = at[pl]
+		}
+	}
+	mp.Stats.Decomposed = uint64(len(cut))
+}
+
+// group is one plan's alternative to running directly: a relation whose
+// terms run instead.
+type group struct {
+	*morphRelation
+	cost float64 // CostOf running the plan directly
+}
+
+// choose decides, per group of order, between running its plan (false)
+// and running its relation's terms (true), for the least total CostOf
+// over shape s of what executes: steepest-descent hill climbing.
+// Shared terms make the objective non-separable — a term costs once
+// however many groups use it, and costs nothing if it is fixed (it
+// executes, or its count is at hand, regardless) — so descent runs from
+// both extreme starts: all-relation converges right when terms overlap
+// (motif batches), all-direct when they don't (a lone expensive
+// expansion).
+func choose(order []*Plan, groups map[*Plan]*group, fixed map[*Plan]bool, s Shape) map[*Plan]bool {
+	termCost := make(map[*Plan]float64)
+	for _, gp := range order {
+		for _, t := range groups[gp].terms {
+			if _, ok := termCost[t.pl]; !ok {
+				termCost[t.pl] = CostOf(t.pl, s)
+			}
+		}
+	}
+	objective := func(assign map[*Plan]bool) float64 {
+		total := 0.0
+		use := make(map[*Plan]bool)
+		for _, gp := range order {
+			if !assign[gp] {
+				total += groups[gp].cost
+				continue
+			}
+			for _, t := range groups[gp].terms {
+				if !fixed[t.pl] && !use[t.pl] {
+					use[t.pl] = true
+					total += termCost[t.pl]
+				}
+			}
+		}
+		return total
+	}
+	descend := func(start bool) (map[*Plan]bool, float64) {
+		assign := make(map[*Plan]bool, len(groups))
+		use := make(map[*Plan]int)
+		for _, gp := range order {
+			assign[gp] = start
+			if start {
+				for _, t := range groups[gp].terms {
+					use[t.pl]++
+				}
+			}
+		}
+		for {
+			var best *Plan
+			bestDelta := 0.0
+			for _, gp := range order {
+				g := groups[gp]
+				var delta float64
+				if assign[gp] {
+					// relation -> direct: pay the plan, drop sole-use terms.
+					delta = g.cost
+					for _, t := range g.terms {
+						if !fixed[t.pl] && use[t.pl] == 1 {
+							delta -= termCost[t.pl]
+						}
+					}
+				} else {
+					// direct -> relation: pay unshared terms, drop the plan.
+					delta = -g.cost
+					for _, t := range g.terms {
+						if !fixed[t.pl] && use[t.pl] == 0 {
+							delta += termCost[t.pl]
+						}
+					}
+				}
+				if delta < bestDelta {
+					best, bestDelta = gp, delta
+				}
+			}
+			if best == nil {
+				break
+			}
+			d := 1
+			if assign[best] {
+				d = -1
+			}
+			assign[best] = !assign[best]
+			for _, t := range groups[best].terms {
+				use[t.pl] += d
+			}
+		}
+		return assign, objective(assign)
+	}
+	fromRel, costRel := descend(true)
+	fromDirect, costDirect := descend(false)
+	if costDirect < costRel {
+		return fromDirect
+	}
+	return fromRel
 }
 
 // programSteps is the ShareTrie.ProgramSteps of pls without building the
@@ -656,27 +786,49 @@ func programSteps(pls []*Plan) uint64 {
 // on dense graphs long before the recovered counts do. On a truncated
 // (Stopped) run the relations no longer describe complete counts; a
 // negative evaluation is clamped to zero rather than wrapped.
-func (mp *MorphPlan) Recover(counts []uint64) []uint64 {
+func (mp *MorphPlan) Recover(counts []uint64) []uint64 { return mp.RecoverWide(counts, nil) }
+
+// RecoverWide is Recover over executed counts of up to 128 bits: hi holds
+// their high 64 bits, where a decomposed plan's V passes 64 bits before
+// the count does, or is nil when every count fits in lo.
+func (mp *MorphPlan) RecoverWide(lo, hi []uint64) []uint64 {
+	vals := make([]big.Int, len(lo)+len(mp.Derived))
+	for i, n := range lo {
+		vals[i].SetUint64(n)
+		if hi != nil && hi[i] != 0 {
+			var h big.Int
+			vals[i].Or(&vals[i], h.Lsh(h.SetUint64(hi[i]), 64))
+		}
+	}
+	var tmp, coef big.Int
+	// eval sets acc to r's value, or to zero and reports false when that
+	// would be negative.
+	eval := func(r *Recovery, acc *big.Int) bool {
+		acc.SetInt64(0)
+		for _, t := range r.Terms {
+			acc.Add(acc, tmp.Mul(&vals[t.Exec], coef.SetInt64(t.Coef)))
+		}
+		if acc.Sign() < 0 {
+			acc.SetInt64(0)
+			return false // truncated run: no complete count to report
+		}
+		acc.Quo(acc, coef.SetInt64(r.Div))
+		return true
+	}
+	for k := range mp.Derived {
+		eval(&mp.Derived[k], &vals[len(lo)+k])
+	}
 	out := make([]uint64, len(mp.Recov))
-	var acc, tmp, coef big.Int
+	var acc big.Int
 	for i := range mp.Recov {
 		r := &mp.Recov[i]
 		if r.Direct >= 0 {
-			out[i] = counts[r.Direct]
+			out[i] = lo[r.Direct]
 			continue
 		}
-		acc.SetInt64(0)
-		for _, t := range r.Terms {
-			tmp.SetUint64(counts[t.Exec])
-			coef.SetInt64(t.Coef)
-			tmp.Mul(&tmp, &coef)
-			acc.Add(&acc, &tmp)
+		if !eval(r, &acc) {
+			continue
 		}
-		if acc.Sign() < 0 {
-			continue // truncated run: no complete count to report
-		}
-		coef.SetInt64(r.Div)
-		acc.Quo(&acc, &coef)
 		if acc.IsUint64() {
 			out[i] = acc.Uint64()
 		} else {

@@ -122,6 +122,11 @@ type Plan struct {
 	// Tail is the suffix of NonCore a count sizes in closed form, or nil
 	// (see TailOf).
 	Tail *Tail
+
+	// Cut, when set, makes this a decomposed plan (see Decompositions):
+	// it has no core, orders or completion, and what a count of it
+	// yields is the tuple count V, from which MorphBatch recovers Pat's.
+	Cut *Cut
 }
 
 // Options configures plan generation.

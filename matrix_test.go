@@ -4,8 +4,8 @@ package peregrine
 // checked against one oracle, internal/ref's brute-force matcher. A cell
 // fixes a seeded graph, a pattern form and a value on each axis below,
 // counts every connected 2–4-vertex pattern of that form (5-vertex too on
-// er-48, the smallest graph, unless -short; the tail form counts
-// tailPatterns instead) and compares with the oracle.
+// er-48, the smallest graph, unless -short; the tail and cut forms count
+// tailPatterns and cutPatterns instead) and compares with the oracle.
 // A row of the table is graphs × a union of products of axis values, run
 // as the test of its name; TestCountMatrix adds cells until every pair of
 // values of two axes co-occurs, which TestCountMatrixCoversAllPairs
@@ -58,12 +58,13 @@ const overWhole, overThirds, overUneven = 0, 1, 2
 const asSolo, asSize, asSubset, asPairs = 0, 1, 2, 3
 
 // A form derives the patterns a cell counts from a connected unlabeled
-// skeleton; the tail form counts tailPatterns instead.
+// skeleton; the tail and cut forms count tailPatterns and cutPatterns
+// instead.
 type form int
 
-const plainForm, viForm, mixedForm, antiForm, labeledVIForm, bothForm, tailForm form = 0, 1, 2, 3, 4, 5, 6
+const plainForm, viForm, mixedForm, antiForm, labeledVIForm, bothForm, tailForm, cutForm form = 0, 1, 2, 3, 4, 5, 6, 7
 
-var formNames = []string{"plain", "vertex-induced", "mixed-labels", "anti-vertex", "labeled-vertex-induced", "plain+vertex-induced", "tails"}
+var formNames = []string{"plain", "vertex-induced", "mixed-labels", "anti-vertex", "labeled-vertex-induced", "plain+vertex-induced", "tails", "cuts"}
 
 // tailPatterns have completion tails of three or more levels, which a
 // count sizes in closed form (plan.Tail), and spellings whose orders
@@ -80,6 +81,26 @@ var tailPatterns = sync.OnceValue(func() (out []*Pattern) {
 		"0-1 0-2 0-3 0-4 1-5 1-6", // double star, three leaves and two
 	} {
 		out = append(out, pattern.MustParse(text))
+	}
+	return out
+})
+
+// cutPatterns have a vertex cut the count can decompose at (plan.Cut):
+// the 5-cycle, P5, the 6-cycle, the house and the bull, each in two
+// spellings, edge- and vertex-induced — the latter morph first, and their
+// relatives decompose.
+var cutPatterns = sync.OnceValue(func() (out []*Pattern) {
+	for _, text := range []string{
+		"0-1 1-2 2-3 3-4 4-0",     // C5: two non-adjacent vertices
+		"0-1 1-2 2-3 3-4",         // P5: its middle vertex
+		"0-1 1-2 2-3 3-4 4-5 5-0", // C6: two opposite vertices
+		"0-1 1-2 2-3 3-0 0-4 1-4", // the house
+		"0-1 1-2 2-0 0-3 1-4",     // the bull: its triangle's edge
+	} {
+		p := pattern.MustParse(text)
+		for _, q := range []*Pattern{p, p.Renumber(rand.New(rand.NewSource(int64(p.N()))).Perm(p.N()))} {
+			out = append(out, q, pattern.VertexInduced(q))
+		}
 	}
 	return out
 })
@@ -166,7 +187,9 @@ func (c cell) batches() [][]*Pattern {
 		sizes = 4
 	}
 	bySize := [][]*Pattern{slices.Clone(tailPatterns())}
-	if c.form != tailForm {
+	if c.form == cutForm {
+		bySize = [][]*Pattern{slices.Clone(cutPatterns())}
+	} else if c.form != tailForm {
 		bySize = make([][]*Pattern, sizes)
 		for i, ss := range skeletons()[:sizes] {
 			for _, s := range ss {
@@ -370,6 +393,20 @@ func TestRenumberingDifferential(t *testing.T)               { runRow(t) }
 func TestRenumberingDifferentialSharded(t *testing.T)        { runRow(t) }
 func TestTaskRangesCoverDescending(t *testing.T)             { runRow(t) }
 
+// cutRow counts what in-process counting decomposes at a vertex cut, and
+// the paths that must not decompose — task ranges, no symmetry breaking,
+// a coordinator's PlanCount — on the same patterns. It adds no pair of
+// axis values the rows lack, so it stays out of matrixRows, from whose
+// cells TestCountMatrix plans its filler: the filler keeps its cells.
+var cutRow = row{plainOn, []block{
+	{[]form{cutForm}, ax{axEntry: {viaCountMany, viaCountEach, viaMerged, viaPlanCount}, axMorph: both, axNumber: both,
+		axBatch: {asSolo, asSize}}},
+	{[]form{cutForm}, ax{axLayout: {atShards}, axEntry: {viaCountMany}, axSym: both, axShare: both, axBatch: {asSize}}},
+	{[]form{cutForm}, ax{axEntry: {viaCountMany, viaRunCount}, axRange: {overThirds}, axBatch: {asSize}}},
+}}
+
+func TestDifferentialCountCuts(t *testing.T) { runRowOf(t, cutRow) }
+
 // TestCountMatrix runs the cells no row holds that every pair of axis
 // values needs.
 func TestCountMatrix(t *testing.T) {
@@ -395,6 +432,10 @@ func runRow(t *testing.T) {
 	if !ok {
 		t.Fatal("matrixRows has no row of this name")
 	}
+	runRowOf(t, r)
+}
+
+func runRowOf(t *testing.T, r row) {
 	for _, s := range r.on {
 		t.Run(s.name, func(t *testing.T) {
 			ls := &layouts{t, map[string]*Graph{}}
@@ -859,13 +900,18 @@ func matchHash(g *Graph, m []uint32, sorted bool) uint64 {
 
 // FuzzCountMatrix counts a parsed pattern of up to 5 vertices in the cell
 // pick selects, on er-48 or its labeled copy, with a respelling and a
-// duplicate in a batch other than solo. On a morphing cell the oracle's
-// counts of MorphTerms' relatives, weighted and divided, must give p's.
+// duplicate in a batch other than solo, and, as pick draws, a pattern of
+// the cut form beside it. On a morphing cell the oracle's counts of
+// MorphTerms' relatives, weighted and divided, must give p's.
 func FuzzCountMatrix(f *testing.F) {
 	for _, s := range []string{"0-1 1-2 0!2", "0-1 1-2 2-3 0!2 0!3 1!3", "0-1 1-2 2-0 0-3 1!3 2!3",
 		"0-1 0-2 0-3 0-4 1!2 3!4", "0-1 1-2 2-3 3-4 4-0 0!2 1!3"} {
 		f.Add(uint64(0), s)
 	}
+	// Past every axis (6912 cells) and the graph, pick draws a cut pattern:
+	// the 5-cycle beside a triangle, the 6-cycle beside a vertex-induced P4.
+	f.Add(uint64(6912*2*1), "0-1 1-2 2-0")
+	f.Add(uint64(6912*2*(1+2*8)), "0-1 1-2 2-3 0!2 0!3 1!3")
 	f.Fuzz(func(t *testing.T, pick uint64, text string) {
 		p, err := ParsePattern(text)
 		if err != nil || p.Validate() != nil || !p.ConnectedRegular() || p.N() < 2 || p.N() > 5 {
@@ -882,9 +928,14 @@ func FuzzCountMatrix(f *testing.F) {
 		if pick%2 == 1 {
 			c.graph = "er-48-l3"
 		}
+		pick /= 2
 		b := []*Pattern{p}
 		if c.v[axBatch] != asSolo {
 			b = append(b, spell(p), p)
+		}
+		if pick%2 == 1 {
+			c.form = cutForm
+			b = append(b, cutPatterns()[pick/2%uint64(len(cutPatterns()))])
 		}
 		if c.v[axNumber] == 1 {
 			b[0] = spell(p)
