@@ -229,14 +229,15 @@ func BenchmarkMorphChoice(b *testing.B) {
 
 // BenchmarkCountVsEnumerate isolates count mode's aggregates: the same
 // executed plans over the same graph with cb == nil (the last completion
-// level, or the last two, contribute a number) versus a callback that
+// level, or a plan's Tail, contributes a number) versus a callback that
 // does nothing (every match is walked). The batches are the benchmark's
 // two library workloads — the morphed vertex-induced 4- and 5-motifs on
 // a flat graph, and triangle + 4-clique on a power-law one — plus
-// "tails", the executed motif relatives with two or more completion
-// steps (stars, paths, tailed triangles), where count mode sizes pairs,
-// and "cliques-3-5", whose 5-clique completes from a slot built from the
-// 4-clique's, itself built from the triangle's (plan.Slot chains).
+// "tails", the executed motif relatives whose Tail has two steps (the
+// 4-path, the tailed triangle, the diamond …), which count mode sizes
+// from one set per class, and "cliques-3-5", whose 5-clique completes
+// from a slot built from the 4-clique's, itself built from the
+// triangle's (plan.Slot chains).
 // matches/s is the same count either way, so it compares directly.
 func BenchmarkCountVsEnumerate(b *testing.B) {
 	var motifs []*plan.Plan
@@ -255,9 +256,12 @@ func BenchmarkCountVsEnumerate(b *testing.B) {
 	}
 	var tails []*plan.Plan
 	for _, pl := range mp.Exec {
-		if len(pl.NonCore) >= 2 {
+		if pl.Tail != nil && len(pl.NonCore)-pl.Tail.Start == 2 {
 			tails = append(tails, pl)
 		}
+	}
+	if len(tails) == 0 {
+		b.Fatal("no executed plan has a two-step tail")
 	}
 	var cliques []*plan.Plan
 	for _, k := range []int{3, 4, 5} {

@@ -19,8 +19,9 @@ func wideMatches(ms MultiStats, i int) *big.Int {
 	return v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(ms.Per[i].Matches))
 }
 
-// Every decomposition of every connected pattern of five and six vertices
-// — each cut, each choice of the task's vertex — counts, as its V, what
+// Every decomposition of every connected pattern of five and six
+// vertices, and of the 7-vertex spiders and double stars — each cut, each
+// choice of the task's vertex — counts, as its V, what
 // its relation says: |Aut(P)|·count(P) plus each shrinkage pattern's
 // coefficient times its count (plan's TestShrinkageIdentity checks the
 // relation against brute force). The decomposed plans run in one batch
@@ -32,51 +33,62 @@ func TestCutTuplesMatchRelation(t *testing.T) {
 		"er":    gen.ErdosRenyi(gen.ERConfig{Vertices: 40, Edges: 120, Seed: 6}),
 		"rmat":  gen.RMAT(gen.RMATConfig{Vertices: 64, Edges: 200, Seed: 7}),
 	}
-	sizes := []int{5, 6}
-	if testing.Short() {
-		sizes = sizes[:1]
+	pats := pattern.GenerateAllVertexInduced(5)
+	if !testing.Short() {
+		pats = append(pats, pattern.GenerateAllVertexInduced(6)...)
+		for _, text := range []string{
+			"0-1 1-2 0-3 3-4 0-5 5-6", // spider, legs 2 2 2
+			"0-1 1-2 0-3 3-4 0-5 0-6", // spider, legs 2 2 1 1
+			"0-1 1-2 0-3 0-4 0-5 0-6", // spider, legs 2 1 1 1 1
+			"0-1 0-2 1-3 1-4 1-5 1-6", // double star, leaves 1 and 4
+			"0-1 0-2 0-3 1-4 1-5 1-6", // double star, leaves 2 and 3
+		} {
+			p := pattern.MustParse(text)
+			if len(plan.Decompositions(p)) == 0 {
+				t.Fatalf("%v: no decomposition", p)
+			}
+			pats = append(pats, p)
+		}
 	}
 	checked := 0
-	for _, size := range sizes {
-		for _, p := range pattern.GenerateAllVertexInduced(size) {
-			ds := plan.Decompositions(p)
-			if len(ds) == 0 {
-				continue
-			}
-			pls := []*plan.Plan{mustPlan(t, p)}
-			at := map[string]int{} // shrinkage pattern's canonical code -> its plan's index
-			for _, d := range ds {
-				for _, tm := range d.Terms {
-					if _, ok := at[tm.Pat.CanonicalCode()]; !ok {
-						at[tm.Pat.CanonicalCode()] = len(pls)
-						pls = append(pls, mustPlan(t, tm.Pat))
-					}
+	for _, p := range pats {
+		ds := plan.Decompositions(p)
+		if len(ds) == 0 {
+			continue
+		}
+		pls := []*plan.Plan{mustPlan(t, p)}
+		at := map[string]int{} // shrinkage pattern's canonical code -> its plan's index
+		for _, d := range ds {
+			for _, tm := range d.Terms {
+				if _, ok := at[tm.Pat.CanonicalCode()]; !ok {
+					at[tm.Pat.CanonicalCode()] = len(pls)
+					pls = append(pls, mustPlan(t, tm.Pat))
 				}
 			}
-			first := len(pls)
-			for _, d := range ds {
-				pls = append(pls, d.Plan)
-			}
-			for name, g := range graphs {
-				for _, opt := range []Options{{Threads: 1}, {Threads: 3, NoSharing: true}} {
-					ms := RunPlans(g, pls, nil, opt)
-					count := func(i int) *big.Int { return new(big.Int).SetUint64(ms.Per[i].Matches) }
-					for di, d := range ds {
-						want := new(big.Int).Mul(count(0), big.NewInt(d.Div))
-						for _, tm := range d.Terms {
-							c := count(at[tm.Pat.CanonicalCode()])
-							want.Add(want, c.Mul(c, big.NewInt(tm.Coef)))
-						}
-						row := ms.Per[first+di]
-						if got := wideMatches(ms, first+di); got.Cmp(want) != 0 {
-							t.Errorf("%s %+v: %v cut at %v: V = %v, relation gives %v", name, opt, p, d.Plan.Cut.Verts, got, want)
-						}
-						if row.Tasks != uint64(g.NumVertices()) || row.CoreMatches != 0 {
-							t.Errorf("%s: %v cut at %v: tasks %d, core matches %d; want every task, none", name, p, d.Plan.Cut.Verts, row.Tasks, row.CoreMatches)
-						}
+		}
+		first := len(pls)
+		for _, d := range ds {
+			pls = append(pls, d.Plan)
+		}
+		for name, g := range graphs {
+			for _, opt := range []Options{{Threads: 1}, {Threads: 3, NoSharing: true}} {
+				ms := RunPlans(g, pls, nil, opt)
+				count := func(i int) *big.Int { return new(big.Int).SetUint64(ms.Per[i].Matches) }
+				for di, d := range ds {
+					want := new(big.Int).Mul(count(0), big.NewInt(d.Div))
+					for _, tm := range d.Terms {
+						c := count(at[tm.Pat.CanonicalCode()])
+						want.Add(want, c.Mul(c, big.NewInt(tm.Coef)))
 					}
-					checked += len(ds)
+					row := ms.Per[first+di]
+					if got := wideMatches(ms, first+di); got.Cmp(want) != 0 {
+						t.Errorf("%s %+v: %v cut at %v: V = %v, relation gives %v", name, opt, p, d.Plan.Cut.Verts, got, want)
+					}
+					if row.Tasks != uint64(g.NumVertices()) || row.CoreMatches != 0 {
+						t.Errorf("%s: %v cut at %v: tasks %d, core matches %d; want every task, none", name, p, d.Plan.Cut.Verts, row.Tasks, row.CoreMatches)
+					}
 				}
+				checked += len(ds)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"peregrine/internal/gen"
@@ -113,11 +114,13 @@ func TestCountModeSubtractsAssigned(t *testing.T) {
 	}
 }
 
-// pairMode reports whether a count-mode worker for pl sizes its last two
-// completion levels together, and how it orders the two vertices.
-func pairMode(g *graph.Graph, pl *plan.Plan) (tail bool, order int) {
-	w := newWorker(g, pl, nil, &multiWorker{}, nil)
-	return w.pairTail, w.pairOrder
+// tailStart returns the completion level from which a count-mode worker
+// for pl sizes a Tail, or -1 when it sizes none.
+func tailStart(g *graph.Graph, pl *plan.Plan) int {
+	if w := newWorker(g, pl, nil, &multiWorker{}, nil); w.tail != nil {
+		return w.tail.tl.Start
+	}
+	return -1
 }
 
 // flipTail returns pl with its last two completion steps in the other
@@ -143,62 +146,56 @@ func flipTail(t *testing.T, pl *plan.Plan) *plan.Plan {
 	prev.UpperBound = append(append([]int(nil), prev.UpperBound...), last.V)
 	flipped := *pl
 	flipped.NonCore = append(append([]plan.NonCoreStep(nil), pl.NonCore[:k-2]...), last, prev)
-	flipped.Tail = plan.TailOf(&flipped)
+	flipped.Tail = plan.TailOf(&flipped, 0)
 	return &flipped
 }
 
-// TestCountModePairs pins the two-level aggregate: when the last two
-// completion steps are unfiltered, count mode sizes the admissible
-// (second-to-last, last) pairs from the two candidate sets instead of
-// walking the first. Each shape is checked against brute force with and
-// without symmetry breaking, count mode against enumeration, on the hub
-// graph — where every tail's list is the hub's adjacency, so matched
-// vertices sit inside both sets and their overlap — and on a small dense
-// graph where the id windows cut the sets unevenly.
-func TestCountModePairs(t *testing.T) {
+// TestCountModeTwoStepTails pins count mode's shortest tails: when the
+// last two or more completion steps are unfiltered, a count sizes them
+// from their classes' sets instead of walking any of them — one chained
+// class, an unordered one (no symmetry breaking) or classes of one. Each
+// shape is checked against brute force with and without symmetry
+// breaking, count mode against enumeration, on the hub graph — where
+// every tail's list is the hub's adjacency, so matched vertices sit
+// inside the sets and their overlap — and on a small dense graph where
+// the id windows cut the sets unevenly. A plan whose last two steps chain
+// is checked again with them in the other order (flipTail).
+func TestCountModeTwoStepTails(t *testing.T) {
 	graphs := []*graph.Graph{
 		hubGraph(),
 		gen.ErdosRenyi(gen.ERConfig{Vertices: 20, Edges: 80, Seed: 5}),
 	}
-	shapes := []struct {
-		text     string
-		trailing int // completion steps, at least
-	}{
-		{"0-1 1-2 2-3", 2},                 // 4-path: each end's set holds the other end's core neighbour
-		{"0-1 1-2 2-3 3-4", 2},             // 5-path
-		{"0-1 0-2 0-3", 3},                 // 3-star and up: the last bound is a non-core vertex
-		{"0-1 0-2 0-3 0-4", 4},             //
-		{"0-1 1-2 2-0 0-3", 2},             // tailed triangle
-		{"0-1 1-2 2-0 0-3 0-4", 3},         // two tails on one corner: matched vertices in A ∩ B
-		{"0-1 1-2 2-0 0-3 1-4", 3},         // tails on two corners: the third corner is in both tails' sets
-		{"0-1 1-2 2-0 0-3 1-4 2-5", 3},     // a tail per corner: an earlier tail is matched when the pair is sized
-		{"0-1 1-2 2-3 3-0 0-4 2-5", 3},     // 4-cycle with tails on opposite corners
-		{"0-1 0-2 0-3 1-4 1-5", 4},         // double star
-		{"0-1 0-2 1-2 0-3 1-3 0-4 1-4", 3}, // three vertices on one edge: nested two-list sets
-	}
-	orders := map[int]bool{}
-	for _, sh := range shapes {
-		p := pattern.MustParse(sh.text)
+	flips := 0
+	for _, text := range []string{
+		"0-1 1-2 2-3",                 // 4-path: each end's set holds the other end's core neighbour
+		"0-1 1-2 2-3 3-4",             // 5-path
+		"0-1 0-2 0-3",                 // 3-star and up: one class
+		"0-1 0-2 0-3 0-4",             //
+		"0-1 1-2 2-0 0-3",             // tailed triangle
+		"0-1 1-2 2-0 0-3 0-4",         // two tails on one corner: matched vertices in A ∩ B
+		"0-1 1-2 2-0 0-3 1-4",         // tails on two corners: the third corner is in both tails' sets
+		"0-1 1-2 2-0 0-3 1-4 2-5",     // a tail per corner
+		"0-1 1-2 2-3 3-0 0-4 2-5",     // 4-cycle with tails on opposite corners
+		"0-1 0-2 0-3 1-4 1-5",         // double star: two chained pairs
+		"0-1 0-2 1-2 0-3 1-3 0-4 1-4", // three vertices on one edge: nested two-list sets
+	} {
+		p := pattern.MustParse(text)
 		for _, noSym := range []bool{false, true} {
 			pl, err := plan.New(p, plan.Options{NoSymmetryBreaking: noSym})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(pl.NonCore) < sh.trailing {
-				t.Fatalf("%v: %d completion steps, want at least %d", p, len(pl.NonCore), sh.trailing)
+			k := len(pl.NonCore)
+			if start := tailStart(graphs[0], pl); start < 0 || start > k-2 {
+				t.Fatalf("%v noSym=%v: tail from level %d of %d, want one over the last two at least", p, noSym, start, k)
 			}
-			tail, order := pairMode(graphs[0], pl)
-			if !tail {
-				t.Fatalf("%v noSym=%v: the last two levels are not counted as pairs", p, noSym)
-			}
-			orders[order] = true
 			var flipped *plan.Plan
-			if order > 0 {
+			if slices.Contains(pl.NonCore[k-1].LowerBound, pl.NonCore[k-2].V) {
 				flipped = flipTail(t, pl)
-				if tail, order := pairMode(graphs[0], flipped); !tail || order >= 0 {
-					t.Fatalf("%v: flipped plan has pair mode %v, order %d", p, tail, order)
+				if start := tailStart(graphs[0], flipped); start < 0 || start > k-2 {
+					t.Fatalf("%v: flipped plan's tail from level %d of %d", p, start, k)
 				}
-				orders[-1] = true
+				flips++
 			}
 			for gi, g := range graphs {
 				want := ref.CountUnique(g, p)
@@ -216,10 +213,8 @@ func TestCountModePairs(t *testing.T) {
 			}
 		}
 	}
-	for _, order := range []int{-1, 0, 1} {
-		if !orders[order] {
-			t.Errorf("no shape exercised pair order %d", order)
-		}
+	if flips == 0 {
+		t.Error("no shape's last two steps chain")
 	}
 
 	// Every condition plan.New emits joins two vertices an automorphism
@@ -227,7 +222,9 @@ func TestCountModePairs(t *testing.T) {
 	// the same and a wrong direction goes unseen. Conditions added by
 	// hand between the two tails of different corners — and an upper
 	// bound on both from the third corner, a non-core vertex — make the
-	// direction, and the bounds kept on the last set, show in the total.
+	// direction, and the bounds on the last set, show in the total. No
+	// Tail holds an order across sets, so count mode walks the levels
+	// above the last.
 	p := pattern.MustParse("0-1 1-2 2-0 0-3 1-4")
 	forward := *mustPlan(t, p)
 	forward.NonCore = append([]plan.NonCoreStep(nil), forward.NonCore...)
@@ -237,15 +234,10 @@ func TestCountModePairs(t *testing.T) {
 	forward.NonCore[1].UpperBound = []int{2}
 	forward.NonCore[2].LowerBound = []int{3}
 	forward.NonCore[2].UpperBound = []int{2}
-	if forward.Tail = plan.TailOf(&forward); forward.Tail != nil {
-		t.Fatalf("hand-ordered plan: orders across sets, yet a tail from step %d", forward.Tail.Start)
-	}
+	forward.Tail = plan.TailOf(&forward, 0)
 	backward := flipTail(t, &forward)
-	if _, order := pairMode(graphs[0], &forward); order != 1 {
-		t.Fatalf("hand-ordered plan has pair order %d, want 1", order)
-	}
-	if _, order := pairMode(graphs[0], backward); order != -1 {
-		t.Fatalf("flipped hand-ordered plan has pair order %d, want -1", order)
+	if forward.Tail != nil || backward.Tail != nil {
+		t.Fatalf("hand-ordered plan: orders across sets, yet a tail")
 	}
 	for gi, g := range graphs {
 		var want, mirrored uint64
@@ -271,7 +263,7 @@ func TestCountModePairs(t *testing.T) {
 	}
 
 	// The shapes that must keep walking: a label or an anti-edge on either
-	// of the two steps, or an anti-vertex to check per match.
+	// of the last two steps, or an anti-vertex to check per match.
 	labeled := gen.ErdosRenyi(gen.ERConfig{Vertices: 20, Edges: 80, Seed: 5, Labels: 2})
 	for _, text := range []string{
 		"0-1 0-2 0-3 [3:1]",       // label on the last step
@@ -290,8 +282,8 @@ func TestCountModePairs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tail, _ := pairMode(labeled, pl); tail {
-				t.Fatalf("%v noSym=%v: filtered tail counted as pairs", p, noSym)
+			if start := tailStart(labeled, pl); start >= 0 {
+				t.Fatalf("%v noSym=%v: filtered steps sized as a tail from level %d", p, noSym, start)
 			}
 			want := ref.CountUnique(labeled, p)
 			if noSym {

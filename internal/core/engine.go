@@ -43,30 +43,21 @@
 // label or anti-edge filter on the last vertex still reads the
 // candidates but counts them in place.
 //
-// When the last two completion steps are both unfiltered the same holds
-// one level up. The last vertex's set depends on the second-to-last
-// vertex only through distinctness and, where the plan orders the two,
-// one id bound; so it is computed once per core match with every other
-// bound, next to the second-to-last level's own set, and the level pair
-// contributes the number of admissible pairs — x below y, y below x or
-// merely distinct, neither already assigned — taken from the two sorted
-// sets by one ordered merge (countPairsExcluding) instead of one sizing
-// of the last level per member of the level above.
-//
-// A longer unfiltered tail is sized whole when its plan has a plan.Tail:
-// three or more steps grouped into classes that share one candidate set,
-// with every order between two tail vertices inside a class. At the
-// tail's first level a count computes one set per class (its slot, or
-// its own intersection, clipped to the class's window), sizes the
-// intersection of every class subset the Tail's terms name by one merge,
-// subtracts the already-assigned vertices each holds, and evaluates the
-// terms — signed products of those sizes over the set partitions of the
-// tail, divided by Π (class size)! — in 128-bit arithmetic. No level of
-// the tail is walked. A graph whose largest degree could overflow the
-// terms walks instead (tailFits). The one- and two-level paths stay: the
-// pair path is the only one that handles an order between two levels
-// with different sets, which respelled patterns produce. A filter on a
-// tail step or an anti-vertex check walks as before.
+// An unfiltered suffix of two or more levels is sized whole when its
+// plan has a plan.Tail: steps grouped into classes that share one
+// candidate set, with every order between two tail vertices inside a
+// class. plan.BreakSymmetries fixes the core first, so a plan.New plan's
+// unfiltered suffix is one, up to eight steps of it. At the tail's first
+// level a count computes one set per class (its slot, or its own
+// intersection, clipped to the class's window), sizes the intersection
+// of every class subset the Tail's terms name by one merge, subtracts
+// the already-assigned vertices each holds, and evaluates the terms —
+// signed products of those sizes over the set partitions of the tail,
+// divided by Π (chained class size)! — in 128-bit arithmetic. No level
+// of the tail is walked. On a graph whose largest degree could overflow
+// the terms a worker sizes the longest suffix that fits instead
+// (fitTail); two steps always fit. A filter on a tail step or an
+// anti-vertex check walks as before.
 //
 // A decomposed plan (plan.Cut, chosen by plan.MorphBatch for in-process
 // counts only) has no core: it runs in the same task scan, after the
@@ -206,8 +197,8 @@ type Options struct {
 type Stats struct {
 	// Matches is the number of complete matches: callback invocations,
 	// or, with no callback, the same number reached without visiting the
-	// members of the last one or two completion levels, or of a plan's
-	// whole Tail (see the package comment).
+	// members of the last completion level, or of a plan's whole Tail
+	// (see the package comment).
 	//
 	// A decomposed plan (plan.Cut) yields no matches: Matches holds the
 	// low 64 bits of its tuple count V, which MorphBatch's recovery turns
@@ -768,22 +759,10 @@ type worker struct {
 	// checks, so the last completion level is aggregated, not walked.
 	countLast bool
 
-	// pairTail extends count mode one level up: the last two completion
-	// steps are both unfiltered, so the second-to-last level is not
-	// walked either — both sets are computed once per core match and the
-	// admissible pairs are sized from them (countTail). pairOrder is
-	// how the plan orders the two vertices' data ids: +1 when the last
-	// must exceed the second-to-last, -1 when it must stay below it, 0
-	// when they are only distinct. pairLower and pairUpper are the last
-	// step's bounds without the second-to-last vertex — the one bound its
-	// set cannot be clipped to before that vertex is chosen.
-	pairTail             bool
-	pairOrder            int
-	pairLower, pairUpper []int
-
-	// tail extends count mode to the plan's Tail, three or more levels
-	// sized in closed form from one set per class (sizeTail); nil without
-	// one, or when the graph's degrees could overflow its terms.
+	// tail extends count mode to a Tail, two or more levels sized in
+	// closed form from one set per class (sizeTail): the plan's, or the
+	// longest suffix of it whose terms fit the graph (fitTail); nil
+	// without one.
 	tail *tailCounter
 
 	m     Match // reused callback argument
@@ -812,26 +791,10 @@ func newWorker(g *graph.Graph, pl *plan.Plan, cb Callback, mw *multiWorker, tb *
 		w.match[i] = NoVertex
 	}
 	w.m = Match{Pattern: pl.Pat, Mapping: w.match}
-	if k := len(pl.NonCore); w.countLast && k >= 2 && pl.NonCore[k-2].Unfiltered() && pl.NonCore[k-1].Unfiltered() {
-		w.pairTail = true
-		prev, last := pl.NonCore[k-2].V, &pl.NonCore[k-1]
-		for _, pv := range last.LowerBound {
-			if pv == prev {
-				w.pairOrder = 1
-			} else {
-				w.pairLower = append(w.pairLower, pv)
-			}
+	if w.countLast {
+		if tl := fitTail(pl, g.MaxDegree()); tl != nil {
+			w.tail = newTailCounter(tl)
 		}
-		for _, pv := range last.UpperBound {
-			if pv == prev {
-				w.pairOrder = -1
-			} else {
-				w.pairUpper = append(w.pairUpper, pv)
-			}
-		}
-	}
-	if w.countLast && pl.Tail != nil && tailFits(pl.Tail, g.MaxDegree()) {
-		w.tail = newTailCounter(pl.Tail)
 	}
 	return w
 }
@@ -925,14 +888,6 @@ func (w *worker) completeFrom(i int) {
 		}
 	}
 
-	// Count mode, two levels at once: the last level's set depends on
-	// this level's candidate only through one id bound and distinctness,
-	// so neither level is walked — see countTail.
-	if w.pairTail && i == len(w.pl.NonCore)-2 {
-		w.stats.Matches += w.countTail(cands)
-		return
-	}
-
 	// Count mode: with no callback and no anti-vertex check, every
 	// candidate of the last level is exactly one match, so the level
 	// contributes a number and nothing below it needs visiting. With
@@ -984,7 +939,7 @@ outer:
 }
 
 // levelSet computes completion level i's candidate set before the level
-// is reached, for the count-mode tails: completeFrom's own
+// is reached, for a count-mode tail: completeFrom's own
 // window-and-intersect steps (kept apart from them so that the
 // enumerating path stays the code it was, call-free), with lower and
 // upper for the step's bounds — those on vertices already matched. ok

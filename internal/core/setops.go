@@ -219,115 +219,49 @@ func containsSorted(s []uint32, x uint32) bool {
 	return i < len(s) && s[i] == x
 }
 
-// countPairs sizes the cross product of sorted a and b by order without
-// walking it: less is the number of pairs (x, y), x in a, y in b, with
-// x < y, and eq is |a ∩ b|; the pairs with x > y are the remainder,
-// len(a)*len(b) - less - eq. One pass serves all three, which is what
-// count mode needs to size two completion levels at once. Like the
-// intersection kernels it adapts to skew: past gallopRatio it walks the
-// shorter list and gallops through the longer, so the cost follows the
-// shorter side; comparable lengths merge linearly.
-func countPairs(a, b []uint32) (less, eq uint64) { return countPairsSkew(a, b, gallopRatio) }
+// intersectCount returns |a ∩ b| for sorted a and b without writing the
+// intersection: what a count-mode tail needs of every class subset it
+// merges. Like the intersection kernels it adapts to skew: past
+// gallopRatio it walks the shorter list and gallops through the longer,
+// so the cost follows the shorter side; comparable lengths merge
+// linearly.
+func intersectCount(a, b []uint32) uint64 { return intersectCountSkew(a, b, gallopRatio) }
 
-// countPairsSkew is countPairs galloping from length skew ratio on:
-// gallopRatio, or, for the test that times the skew branches against the
+// intersectCountSkew is intersectCount galloping from length skew ratio
+// on: gallopRatio, or, for the test that times the gallop against the
 // merge in this same body, never.
-func countPairsSkew(a, b []uint32, ratio int) (less, eq uint64) {
-	switch {
-	case len(a) == 0 || len(b) == 0:
-		return 0, 0
-	case len(b)/(len(a)+1) >= ratio:
-		// Few x, many y: each x is below everything in b past its slot.
+func intersectCountSkew(a, b []uint32, ratio int) (n uint64) {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	if len(a) == 0 {
+		return 0
+	}
+	if len(b)/(len(a)+1) >= ratio {
 		j := 0
 		for _, x := range a {
 			j = gallopLowerBound(b, j, x)
 			if j == len(b) {
 				break
 			}
-			above := len(b) - j
 			if b[j] == x {
-				eq++
-				above--
-			}
-			less += uint64(above)
-		}
-		return less, eq
-	case len(a)/(len(b)+1) >= ratio:
-		// Many x, few y: each y is above everything in a before its slot.
-		i := 0
-		for _, y := range b {
-			i = gallopLowerBound(a, i, y)
-			less += uint64(i)
-			if i < len(a) && a[i] == y {
-				eq++
+				n++
+				j++
 			}
 		}
-		return less, eq
+		return n
 	}
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		x, y := a[i], b[j]
 		if x < y {
 			i++
-			continue
-		}
-		less += uint64(i) // a[:i] is exactly the part of a below y
-		if x == y {
-			eq++
-		}
-		j++
-	}
-	// a is exhausted: every remaining y is above all of it.
-	less += uint64(len(b)-j) * uint64(len(a))
-	return less, eq
-}
-
-// countPairsExcluding returns the number of pairs (x, y), x in sorted a
-// and y in sorted b, that use no member of skip and are ordered x < y
-// (order > 0), x > y (order < 0) or merely distinct (order == 0). skip
-// is a partial match — short, unsorted, no id twice — so it is never
-// removed from the lists: the pairs are sized over the raw lists by
-// countPairs and corrected by a few binary searches per member of skip.
-func countPairsExcluding(a, b, skip []uint32, order int) uint64 {
-	if order == 0 {
-		// |A'|·|B'| − |A' ∩ B'|, where X' is X less skip.
-		_, both := countPairs(a, b)
-		na, nb := uint64(len(a)), uint64(len(b))
-		for _, s := range skip {
-			inA, inB := containsSorted(a, s), containsSorted(b, s)
-			if inA {
-				na--
-			}
-			if inB {
-				nb--
-			}
-			if inA && inB {
-				both--
-			}
-		}
-		return na*nb - both
-	}
-	if order < 0 {
-		a, b = b, a // x > y over (a, b) is x < y over (b, a)
-	}
-	// Pairs x < y over the raw lists, less those with a member of skip on
-	// either side, plus those with one on both (taken out twice). uint64
-	// wrap-around between the steps is harmless: the final value is a
-	// count.
-	n, _ := countPairs(a, b)
-	for _, s := range skip {
-		i, j := lowerBound(a, s), lowerBound(b, s)
-		if j < len(b) && b[j] == s {
-			n -= uint64(i) // (x, s) for x < s
+		} else if x > y {
 			j++
-		}
-		if i < len(a) && a[i] == s {
-			n -= uint64(len(b) - j) // (s, y) for y > s
-			for _, t := range skip {
-				if t > s && containsSorted(b, t) {
-					n++ // (s, t)
-				}
-			}
+		} else {
+			n++
+			i++
+			j++
 		}
 	}
 	return n

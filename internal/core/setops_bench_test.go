@@ -181,13 +181,13 @@ func fastest(trials int, f, g func()) (tf, tg time.Duration) {
 	return tf, tg
 }
 
-// TestSkewedPairKernelNoSlower gates countPairs' skew branches: sizing a
-// 4-element set against a hub's 16k-element one, either way round, must
-// cost at most a quarter of the linear merge the same body runs with
-// galloping turned off (countPairsSkew's ratio argument). Both sides run
-// one function, so where the linker places it moves them alike; the
-// margin is wide because galloping reads a few dozen elements where the
-// merge reads thousands.
+// TestSkewedPairKernelNoSlower gates intersectCount's skew branch:
+// sizing the intersection of a 4-element set and a hub's 16k-element one,
+// either way round, must cost at most a quarter of the linear merge the
+// same body runs with galloping turned off (intersectCountSkew's ratio
+// argument). Both sides run one function, so where the linker places it
+// moves them alike; the margin is wide because galloping reads a few
+// dozen elements where the merge reads thousands.
 func TestSkewedPairKernelNoSlower(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -201,21 +201,17 @@ func TestSkewedPairKernelNoSlower(t *testing.T) {
 		{"4 x 16k", short, long},
 		{"16k x 4", long, short},
 	} {
-		l1, e1 := countPairs(c.a, c.b)
-		l2, e2 := countPairsSkew(c.a, c.b, math.MaxInt)
-		if l1 != l2 || e1 != e2 {
-			t.Fatalf("%s: galloping sizes (%d, %d), the merge (%d, %d)", c.name, l1, e1, l2, e2)
+		if g, m := intersectCount(c.a, c.b), intersectCountSkew(c.a, c.b, math.MaxInt); g != m {
+			t.Fatalf("%s: galloping sizes %d, the merge %d", c.name, g, m)
 		}
 		const calls = 2000
 		kernel, merge := fastest(40, func() {
 			for range calls {
-				l, _ := countPairs(c.a, c.b)
-				sink += l
+				sink += intersectCount(c.a, c.b)
 			}
 		}, func() {
 			for range calls {
-				l, _ := countPairsSkew(c.a, c.b, math.MaxInt)
-				sink += l
+				sink += intersectCountSkew(c.a, c.b, math.MaxInt)
 			}
 		})
 		ratio := float64(merge) / float64(kernel)

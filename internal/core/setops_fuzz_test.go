@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 )
 
@@ -26,43 +27,15 @@ func decodeSortedList(data []byte) []uint32 {
 	return out
 }
 
-// naiveCountPairs is countPairsExcluding by double loop, all three
-// orders at once; with skip empty, less and eq are countPairs' results.
-func naiveCountPairs(a, b, skip []uint32) (less, eq, greater uint64) {
-	skipped := func(x uint32) bool {
-		for _, s := range skip {
-			if s == x {
-				return true
-			}
-		}
-		return false
-	}
-	for _, x := range a {
-		for _, y := range b {
-			switch {
-			case skipped(x) || skipped(y):
-			case x < y:
-				less++
-			case x > y:
-				greater++
-			default:
-				eq++
-			}
-		}
-	}
-	return less, eq, greater
-}
-
 // FuzzSetOps differentially fuzzes every intersection kernel against
-// the naive map-based reference: raw kernels, the adaptive dispatchers
-// and clipped bounds — and the pair-counting kernel against a double
-// loop. Seed corpus lives under
+// the naive map-based reference: raw kernels, the adaptive dispatchers,
+// clipped bounds and the |a ∩ b| kernel. Seed corpus lives under
 // testdata/fuzz/FuzzSetOps.
 func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 1, 0}, []byte{2, 0, 2, 0}, uint32(0), uint32(0))
 	f.Add([]byte{1, 0}, []byte{}, uint32(1), uint32(9))
 	f.Add([]byte{5, 0, 5, 0, 5, 0, 5, 0}, []byte{1, 0, 19, 0}, uint32(3), uint32(40))
-	// Pair-kernel shapes: both empty, disjoint (all of one list below the
+	// |a ∩ b| shapes: both empty, disjoint (all of one list below the
 	// other), identical, nested, and one element against enough to gallop.
 	ramp := bytes.Repeat([]byte{0, 0}, 40) // 1, 2, ..., 40
 	f.Add([]byte{}, []byte{}, uint32(0), uint32(0))
@@ -112,41 +85,14 @@ func FuzzSetOps(f *testing.F) {
 			t.Fatalf("intersectInPlace = %v, want %v", got, want)
 		}
 
-		// The pair kernel, both argument orders (each order reaches the
-		// other gallop branch on skewed lengths), then with a skip set made
-		// of members of either list, of both, and of neither.
-		wantLess, wantEq, wantGreater := naiveCountPairs(a, b, nil)
-		if less, eq := countPairs(a, b); less != wantLess || eq != wantEq {
-			t.Fatalf("countPairs(%v, %v) = %d, %d, want %d, %d", a, b, less, eq, wantLess, wantEq)
-		}
-		if less, eq := countPairs(b, a); less != wantGreater || eq != wantEq {
-			t.Fatalf("countPairs(%v, %v) = %d, %d, want %d, %d", b, a, less, eq, wantGreater, wantEq)
-		}
-		picks := []uint32{loRaw, hiRaw}
-		if len(a) > 0 {
-			picks = append(picks, a[int(loRaw)%len(a)], a[int(hiRaw)%len(a)])
-		}
-		if len(b) > 0 {
-			picks = append(picks, b[int(hiRaw)%len(b)])
-		}
-		picks = append(picks, want...) // members of both lists
-		// A partial match holds no id twice and is short.
-		var skip []uint32
-	picking:
-		for _, x := range picks {
-			for _, s := range skip {
-				if s == x {
-					continue picking
-				}
+		// The |a ∩ b| kernel, both argument orders, galloping where the
+		// lengths are skewed and with the gallop turned off.
+		for _, ab := range [][2][]uint32{{a, b}, {b, a}} {
+			if got := intersectCount(ab[0], ab[1]); got != uint64(len(want)) {
+				t.Fatalf("intersectCount(%v, %v) = %d, want %d", ab[0], ab[1], got, len(want))
 			}
-			if len(skip) < 6 {
-				skip = append(skip, x)
-			}
-		}
-		wantLess, _, wantGreater = naiveCountPairs(a, b, skip)
-		for order, wantPairs := range map[int]uint64{1: wantLess, -1: wantGreater, 0: wantLess + wantGreater} {
-			if got := countPairsExcluding(a, b, skip, order); got != wantPairs {
-				t.Fatalf("countPairsExcluding(%v, %v, %v, %d) = %d, want %d", a, b, skip, order, got, wantPairs)
+			if got := intersectCountSkew(ab[0], ab[1], math.MaxInt); got != uint64(len(want)) {
+				t.Fatalf("intersectCountSkew(%v, %v, never) = %d, want %d", ab[0], ab[1], got, len(want))
 			}
 		}
 

@@ -9,32 +9,6 @@ import (
 	"peregrine/internal/plan"
 )
 
-// countTail returns the number of ways to complete the match from the
-// last two levels without walking either: a is the second-to-last
-// level's set, the last level's set b is computed once with every bound
-// but the one naming the second-to-last vertex (pairLower, pairUpper),
-// and the result is the number of pairs (x, y), x in a, y in b, neither
-// already in the match, distinct, and ordered as pairOrder says.
-func (w *worker) countTail(a []uint32) uint64 {
-	// No usable x, no pairs — and no need for b, which the walk this
-	// replaces would not have computed either. Core vertices adjacent to
-	// all of a level's core neighbours sit in its set on every match.
-	na := len(a)
-	for _, s := range w.assigned {
-		if containsSorted(a, s) {
-			na--
-		}
-	}
-	if na == 0 {
-		return 0
-	}
-	b, ok := w.levelSet(len(w.pl.NonCore)-1, w.pairLower, w.pairUpper)
-	if !ok || len(b) == 0 {
-		return 0
-	}
-	return countPairsExcluding(a, b, w.assigned, w.pairOrder)
-}
-
 // sizeTail returns the number of ways to complete the match through the
 // plan's Tail, which starts at the current level, without walking any of
 // it: one set per class, the class's slot or its own intersection
@@ -116,7 +90,7 @@ func (tc *tailCounter) count(skip []uint32) (n, merges uint64) {
 			a = intersectSetsInto(tc.buf, lists[:len(lists)-1], noLo, noHi)
 			tc.buf = a[:0] // two or more lists: buf storage, kept however grown
 		}
-		_, m := countPairs(a, b)
+		m := intersectCount(a, b)
 		for _, in := range tc.member {
 			if in&mask == mask {
 				m--
@@ -127,6 +101,19 @@ func (tc *tailCounter) count(skip []uint32) (n, merges uint64) {
 	}
 	n, _ = evalTail(tl, tc.size)
 	return n, merges
+}
+
+// fitTail returns the tail a count-mode worker sizes for pl on a graph
+// whose largest degree is maxDeg: pl.Tail when its terms fit 128 bits
+// there (tailFits), else the longest suffix of it that fits — a
+// two-step one always does — or nil when pl has no Tail. It runs once
+// per worker, never per core match.
+func fitTail(pl *plan.Plan, maxDeg uint32) *plan.Tail {
+	tl := pl.Tail
+	for tl != nil && !tailFits(tl, maxDeg) {
+		tl = plan.TailOf(pl, tl.Start+1)
+	}
+	return tl
 }
 
 // tailFits reports whether evalTail is exact for tl on a graph whose

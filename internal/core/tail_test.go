@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -106,14 +107,18 @@ func TestTailCountExactPast64Bits(t *testing.T) {
 }
 
 // A worker sizes a tail only where tailFits proves 128 bits enough: an
-// 8-star's terms on a hub of 2¹⁷ leaves reach 8!·2¹³⁶, so it walks; a
-// 3-star's stay small.
+// 8-star's terms on a hub of 2¹⁷ leaves reach 8!·2¹³⁶, so it sizes the
+// longest suffix that fits — the last seven leaves, terms to 2¹¹⁹ — and
+// walks the first; a 3-star's whole tail stays small. The 8-star's count
+// there, C(2¹⁷, 8) ≈ 2¹²¹, keeps its low 64 bits, as a walk's uint64
+// tally would.
 func TestTailFitsGate(t *testing.T) {
 	g := star(1 << 17)
 	for _, tc := range []struct {
-		p    *pattern.Pattern
-		fits bool
-	}{{pattern.Star(4), true}, {pattern.Star(9), false}} {
+		p     *pattern.Pattern
+		fits  bool
+		start int // the level the worker's tail starts at
+	}{{pattern.Star(4), true, 0}, {pattern.Star(9), false, 1}} {
 		pl := mustPlan(t, tc.p)
 		if pl.Tail == nil {
 			t.Fatalf("%v: no tail", tc.p)
@@ -121,9 +126,14 @@ func TestTailFitsGate(t *testing.T) {
 		if fits := tailFits(pl.Tail, g.MaxDegree()); fits != tc.fits {
 			t.Errorf("%v on max degree %d: fits %v, want %v", tc.p, g.MaxDegree(), fits, tc.fits)
 		}
-		if w := newWorker(g, pl, nil, &multiWorker{}, nil); (w.tail != nil) != tc.fits {
-			t.Errorf("%v: worker sizes the tail %v, want %v", tc.p, w.tail != nil, tc.fits)
+		if start := tailStart(g, pl); start != tc.start {
+			t.Errorf("%v: worker sizes a tail from level %d, want %d", tc.p, start, tc.start)
 		}
+	}
+	want := new(big.Int).Binomial(1<<17, 8)
+	want.And(want, new(big.Int).SetUint64(math.MaxUint64))
+	if got := Count(t, g, pattern.Star(9), Options{Threads: 2}); got != want.Uint64() {
+		t.Errorf("8-star on a 2¹⁷-leaf star = %d, want C(2¹⁷, 8) mod 2⁶⁴ = %v", got, want)
 	}
 }
 
@@ -136,23 +146,21 @@ func TestCountModeTails(t *testing.T) {
 		wheel(16),
 		gen.ErdosRenyi(gen.ERConfig{Vertices: 20, Edges: 80, Seed: 5}),
 	}
-	for _, tc := range []struct {
-		text string
-		tail bool // sized by a Tail with symmetry breaking
-	}{
-		{"0-1 0-2 0-3", true},
-		{"0-1 0-2 0-3 0-4 0-5", true},
-		{"0-1 0-3 0-4 1-2", true},             // chair: classes of one and two
-		{"0-1 1-2 2-0 0-3 1-4", true},         // bull: a two-list class beside its operands
-		{"0-1 1-2 2-0 0-3 0-4 1-5", true},     // two tails on one corner, one on the next
-		{"0-1 1-2 0-3 3-4 0-5", true},         // spider: three classes of one
-		{"0-2 1-2 0-4 3-4 0-5", false},        // spider, leaves ordered across classes
-		{"0-1 0-2 0-3 1-4 1-5", true},         // double star: a tail after one leaf
-		{"0-1 0-2 1-2 0-3 1-3 0-4 1-4", true}, // three vertices on one edge
+	// Every shape's completion is one Tail, sized from its first level.
+	for _, text := range []string{
+		"0-1 0-2 0-3",
+		"0-1 0-2 0-3 0-4 0-5",
+		"0-1 0-3 0-4 1-2",             // chair: classes of one and two
+		"0-1 1-2 2-0 0-3 1-4",         // bull: a two-list class beside its operands
+		"0-1 1-2 2-0 0-3 0-4 1-5",     // two tails on one corner, one on the next
+		"0-1 1-2 0-3 3-4 0-5",         // spider: three classes of one
+		"0-2 1-2 0-4 3-4 0-5",         // spider respelled: its orders stay on the core
+		"0-1 0-2 0-3 1-4 1-5",         // double star: two chained pairs
+		"0-1 0-2 1-2 0-3 1-3 0-4 1-4", // three vertices on one edge
 	} {
-		p := pattern.MustParse(tc.text)
-		if w := newWorker(graphs[0], mustPlan(t, p), nil, &multiWorker{}, nil); (w.tail != nil) != tc.tail {
-			t.Fatalf("%v: worker sizes a tail %v, want %v", p, w.tail != nil, tc.tail)
+		p := pattern.MustParse(text)
+		if start := tailStart(graphs[0], mustPlan(t, p)); start != 0 {
+			t.Fatalf("%v: worker sizes a tail from level %d, want 0", p, start)
 		}
 		for _, noSym := range []bool{false, true} {
 			for gi, g := range graphs {

@@ -12,39 +12,61 @@ import (
 	"peregrine/internal/ref"
 )
 
+// sevenVertexCuts are the 7-vertex spiders and double stars, which have
+// cuts of one or two vertices leaving components of at most two
+// (cutMaxVertices is 7).
+var sevenVertexCuts = []string{
+	"0-1 1-2 0-3 3-4 0-5 5-6", // spider, legs 2 2 2
+	"0-1 1-2 0-3 3-4 0-5 0-6", // spider, legs 2 2 1 1
+	"0-1 1-2 0-3 0-4 0-5 0-6", // spider, legs 2 1 1 1 1
+	"0-1 0-2 1-3 1-4 1-5 1-6", // double star, leaves 1 and 4
+	"0-1 0-2 0-3 1-4 1-5 1-6", // double star, leaves 2 and 3
+}
+
 // The shrinkage identity, V = Σ_π |Aut(P/π)|·count(P/π), for every cut of
-// every connected pattern of five and six vertices that has one, on an
-// ER and an RMAT graph: V by brute force from the cut's definition, the
-// counts from internal/ref. It checks the relation Decompositions derives,
-// whatever the engine's walks do with it (internal/core checks those).
+// every connected pattern of five and six vertices that has one, and of
+// the 7-vertex spiders and double stars, on an ER and an RMAT graph: V by
+// brute force from the cut's definition, the counts from internal/ref. It
+// checks the relation Decompositions derives, whatever the engine's walks
+// do with it (internal/core checks those).
 func TestShrinkageIdentity(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"er":   gen.ErdosRenyi(gen.ERConfig{Vertices: 30, Edges: 70, Seed: 3}),
 		"rmat": gen.RMAT(gen.RMATConfig{Vertices: 32, Edges: 80, Seed: 4}),
 	}
+	pats := append(pattern.GenerateAllVertexInduced(5), pattern.GenerateAllVertexInduced(6)...)
+	sevens := sevenVertexCuts
+	if testing.Short() {
+		sevens = nil
+	}
+	for _, text := range sevens {
+		p := pattern.MustParse(text)
+		if len(Decompositions(p)) == 0 {
+			t.Fatalf("%v: no decomposition", p)
+		}
+		pats = append(pats, p)
+	}
 	cuts := 0
-	for _, size := range []int{5, 6} {
-		for _, p := range pattern.GenerateAllVertexInduced(size) {
-			seen := map[string]bool{}
-			for _, d := range Decompositions(p) {
-				verts := slices.Clone(d.Plan.Cut.Verts)
-				slices.Sort(verts)
-				if key := fmt.Sprint(verts); seen[key] {
-					continue // the other orientation: the same tuples
-				} else {
-					seen[key] = true
+	for _, p := range pats {
+		seen := map[string]bool{}
+		for _, d := range Decompositions(p) {
+			verts := slices.Clone(d.Plan.Cut.Verts)
+			slices.Sort(verts)
+			if key := fmt.Sprint(verts); seen[key] {
+				continue // the other orientation: the same tuples
+			} else {
+				seen[key] = true
+			}
+			cuts++
+			for name, g := range graphs {
+				want := new(big.Int).SetUint64(uniqueCount(g, p))
+				want.Mul(want, big.NewInt(d.Div))
+				for _, tm := range d.Terms {
+					term := new(big.Int).SetUint64(uniqueCount(g, tm.Pat))
+					want.Add(want, term.Mul(term, big.NewInt(tm.Coef)))
 				}
-				cuts++
-				for name, g := range graphs {
-					want := new(big.Int).SetUint64(uniqueCount(g, p))
-					want.Mul(want, big.NewInt(d.Div))
-					for _, tm := range d.Terms {
-						term := new(big.Int).SetUint64(uniqueCount(g, tm.Pat))
-						want.Add(want, term.Mul(term, big.NewInt(tm.Coef)))
-					}
-					if v := bruteCutTuples(g, p, d.Plan.Cut); v.Cmp(want) != 0 {
-						t.Errorf("%s: %v cut at %v: V = %v, relation gives %v", name, p, d.Plan.Cut.Verts, v, want)
-					}
+				if v := bruteCutTuples(g, p, d.Plan.Cut); v.Cmp(want) != 0 {
+					t.Errorf("%s: %v cut at %v: V = %v, relation gives %v", name, p, d.Plan.Cut.Verts, v, want)
 				}
 			}
 		}
@@ -248,6 +270,7 @@ func TestDecomposeDecisions(t *testing.T) {
 		"0-2 0-4 1-2 1-3",             // P5: 9.7 → 0.1
 		"0-1 0-3 0-4 1-2",             // 1.7 → 0.1
 		"0-1 0-2 0-4 1-2 1-3",         // 0.7 → 0.8 (1.1 both on seed 2)
+		"0-1 0-2 0-3 0-4 1-2",         // 0.73 → 0.70, 0.79 → 0.76, 1.02 → 0.96 (three rounds)
 		"0-2 0-3 0-4 1-2 1-3",         // 5.7 → 1.2
 		"0-2 0-3 0-4 1-2 1-3 1-4",     // 4.5 → 1.3
 		"0-1 0-4 1-2 1-3 2-3",         // 6.2 → 0.8

@@ -303,10 +303,13 @@ func (m costModel) pass(l pattern.Label) float64 {
 //   - Completion, per core match and per sequence of the order. Walked
 //     non-core levels are priced like core steps and multiply the binding
 //     count. With no anti-vertex check the last level, when Unfiltered,
-//     costs one set computation, and an Unfiltered last pair one merge of
-//     two sets; a plan's Tail costs one set per class and, for each
+//     costs one set computation, and a plan's Tail one set per class, a
+//     search of it per vertex matched before the tail and, for each
 //     subset of two or more classes its terms name, a merge of those
-//     classes' sets — the engine's count-mode tails.
+//     classes' sets — the engine's count-mode tails. The searches keep
+//     a tail sized with no merge, like the edge-induced diamond's two
+//     twin leaves, from pricing per core match like a clipped core step
+//     (TestMorphDefaultShapeStable).
 //   - Each anti-vertex check costs one k-list intersection per match.
 //   - A decomposed plan (pl.Cut) costs, per task, its components' walks
 //     for each binding of the cut: m1 bindings of an adjacent second cut
@@ -350,22 +353,17 @@ func CostOf(pl *Plan, s Shape) float64 {
 // anti-vertex checks of every match it completes to.
 func (m costModel) completion(pl *Plan, start int) float64 {
 	nc := pl.NonCore
-	size := func(st *NonCoreStep) float64 {
-		return m.set(len(st.CoreNbrs), slices.Contains(st.CoreNbrs, start), len(st.LowerBound) > 0, len(st.UpperBound) > 0)
-	}
 	counted := len(pl.Checks) == 0 // count mode sizes unfiltered tails
 	cost, bind := 1.0, 1.0
 	for i := range nc {
 		st := &nc[i]
-		k, n := len(st.CoreNbrs), size(st)
+		k := len(st.CoreNbrs)
+		n := m.set(k, slices.Contains(st.CoreNbrs, start), len(st.LowerBound) > 0, len(st.UpperBound) > 0)
 		switch {
 		case pl.Tail != nil && i == pl.Tail.Start:
 			return cost + bind*m.tail(pl, start)
 		case counted && i == len(nc)-1 && st.Unfiltered():
 			return cost + bind*m.compute(k, 1)
-		case counted && i == len(nc)-2 && st.Unfiltered() && nc[i+1].Unfiltered():
-			last := &nc[i+1]
-			return cost + bind*(m.compute(k, 1)+m.compute(len(last.CoreNbrs), 1)+n+size(last))
 		}
 		cost += bind * (m.compute(k, n) + n*float64(len(st.CoreAnti))*m.search)
 		bind *= n * m.pass(st.Label)
@@ -377,16 +375,18 @@ func (m costModel) completion(pl *Plan, start int) float64 {
 }
 
 // tail prices sizing pl.Tail once, for a core match whose start vertex is
-// pattern vertex start: each class's set, then a merge over the sets of
-// every subset of two or more classes.
+// pattern vertex start: each class's set and a search of it for every
+// vertex matched before the tail, then a merge over the sets of every
+// subset of two or more classes.
 func (m costModel) tail(pl *Plan, start int) float64 {
 	tl := pl.Tail
 	sets := make([]float64, len(tl.Classes))
+	matched := float64(len(pl.Core) + tl.Start)
 	var cost float64
 	for c, cl := range tl.Classes {
 		nbrs := pl.NonCore[cl.Step].CoreNbrs
 		sets[c] = m.set(len(nbrs), slices.Contains(nbrs, start), len(cl.Lower) > 0, len(cl.Upper) > 0)
-		cost += m.compute(len(nbrs), 1)
+		cost += m.compute(len(nbrs), 1) + matched*m.search
 	}
 	for _, mask := range tl.Subsets[len(tl.Classes):] {
 		for c := range tl.Classes {

@@ -22,6 +22,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"peregrine/internal/pattern"
@@ -92,8 +93,8 @@ type NonCoreStep struct {
 // Unfiltered reports whether every vertex of st's candidate set that is
 // not already in the match completes it: no label to test, no anti-edge
 // to reject on. A count sizes such a level instead of walking it when it
-// is the last, one of the last two, or in the plan's Tail (internal/core's
-// count mode), and CostOf prices it that way.
+// is the last or in the plan's Tail (internal/core's count mode), and
+// CostOf prices it that way.
 func (st *NonCoreStep) Unfiltered() bool {
 	return st.Label == pattern.Wildcard && len(st.CoreAnti) == 0
 }
@@ -119,8 +120,8 @@ type Plan struct {
 	NonCore []NonCoreStep // in completion order
 	Checks  []AntiVertexCheck
 
-	// Tail is the suffix of NonCore a count sizes in closed form, or nil
-	// (see TailOf).
+	// Tail is the suffix of two or more NonCore steps a count sizes in
+	// closed form, or nil (see TailOf).
 	Tail *Tail
 
 	// Cut, when set, makes this a decomposed plan (see Decompositions):
@@ -148,17 +149,15 @@ func New(p *pattern.Pattern, opt Options) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	pl := &Plan{Pat: p}
-	if !opt.NoSymmetryBreaking {
-		pl.Conds = BreakSymmetries(p)
-	}
-	pl.Anti = p.AntiVertices()
-
+	pl := &Plan{Pat: p, Anti: p.AntiVertices()}
 	core, err := MinConnectedVertexCover(p)
 	if err != nil {
 		return nil, err
 	}
 	pl.Core = core
+	if !opt.NoSymmetryBreaking {
+		pl.Conds = BreakSymmetries(p, core)
+	}
 
 	pl.Orders = matchingOrders(p, core, pl.Conds)
 	if len(pl.Orders) == 0 {
@@ -166,7 +165,7 @@ func New(p *pattern.Pattern, opt Options) (*Plan, error) {
 	}
 	pl.NonCore = nonCoreSteps(p, core, pl.Conds)
 	pl.Checks = antiChecks(p)
-	pl.Tail = TailOf(pl)
+	pl.Tail = TailOf(pl, 0)
 	return pl, nil
 }
 
@@ -179,37 +178,36 @@ func New(p *pattern.Pattern, opt Options) (*Plan, error) {
 // automorphisms never mix anti and regular vertices (edge colors are
 // preserved), so such conditions are unenforceable no-ops.
 //
+// Any pivot sequence down the stabilizer chain breaks every symmetry;
+// this one fixes the core first. Each round pivots on the vertex with
+// the largest orbit under the stabilizer of the pivots so far, ties
+// broken by smallest id, taken among core vertices while any of them
+// still has an orbit of two or more. Once the core is fixed pointwise an
+// automorphism can only exchange non-core twins — vertices with the same
+// core neighbours, label and anti-edges, one candidate set — so every
+// later condition orders two members of one twin class, and each class
+// closes to a chain. A core pivot bounds whole classes: exchanging two
+// twins fixes every core vertex, so its orbit holds all twins of any
+// member. So no condition orders two completion vertices with different
+// candidate sets, which is what lets plan.Tail size any unfiltered
+// completion suffix (tail.go). core is the plan's core; with nil every
+// round picks among all vertices.
+//
 // Orbits under the shrinking stabilizer subgroup are computed with
 // pairwise automorphism queries (pattern.HasAutomorphism) rather than by
 // materializing the group, which keeps factorially symmetric patterns
 // like the Table 6 14-clique (|Aut| = 14!) tractable.
-func BreakSymmetries(p *pattern.Pattern) []Cond {
+func BreakSymmetries(p *pattern.Pattern, core []int) []Cond {
 	var conds []Cond
 	var fixed []int
 	n := p.N()
 	isFixed := make([]bool, n)
 	for {
-		// Find the pivot with the largest orbit under the stabilizer of
-		// the already-fixed vertices; ties broken by smallest id.
-		pivot, pivotOrbit := -1, []int(nil)
-		for v := 0; v < n; v++ {
-			if isFixed[v] {
-				continue
-			}
-			orbit := []int{v}
-			for u := 0; u < n; u++ {
-				if u == v || isFixed[u] {
-					continue
-				}
-				if p.HasAutomorphism(fixed, v, u) {
-					orbit = append(orbit, u)
-				}
-			}
-			if len(orbit) > len(pivotOrbit) {
-				pivot, pivotOrbit = v, orbit
-			}
+		pivot, pivotOrbit := pickPivot(p, fixed, isFixed, core)
+		if len(pivotOrbit) <= 1 {
+			pivot, pivotOrbit = pickPivot(p, fixed, isFixed, nil)
 		}
-		if pivot == -1 || len(pivotOrbit) <= 1 {
+		if len(pivotOrbit) <= 1 {
 			return conds // stabilizer is trivial: symmetries fully broken
 		}
 		for _, u := range pivotOrbit {
@@ -224,6 +222,29 @@ func BreakSymmetries(p *pattern.Pattern) []Cond {
 		fixed = append(fixed, pivot)
 		isFixed[pivot] = true
 	}
+}
+
+// pickPivot returns the vertex of among — every vertex when among is
+// nil — with the largest orbit under the stabilizer of fixed, ties
+// broken by smallest id, and that orbit.
+func pickPivot(p *pattern.Pattern, fixed []int, isFixed []bool, among []int) (pivot int, orbit []int) {
+	n := p.N()
+	pivot = -1
+	for v := 0; v < n; v++ {
+		if isFixed[v] || among != nil && !slices.Contains(among, v) {
+			continue
+		}
+		o := []int{v}
+		for u := 0; u < n; u++ {
+			if u != v && !isFixed[u] && p.HasAutomorphism(fixed, v, u) {
+				o = append(o, u)
+			}
+		}
+		if len(o) > len(orbit) {
+			pivot, orbit = v, o
+		}
+	}
+	return pivot, orbit
 }
 
 // MinConnectedVertexCover returns the lexicographically first minimum

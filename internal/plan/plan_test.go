@@ -16,6 +16,17 @@ func mustPlan(t *testing.T, p *pattern.Pattern) *Plan {
 	return pl
 }
 
+// coreFirstConds returns BreakSymmetries' conditions for p with its
+// plan's core, as New computes them.
+func coreFirstConds(t *testing.T, p *pattern.Pattern) []Cond {
+	t.Helper()
+	core, err := MinConnectedVertexCover(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return BreakSymmetries(p, core)
+}
+
 func TestBreakSymmetriesLeavesIdentityOnly(t *testing.T) {
 	// After applying the conditions as constraints, the only automorphism
 	// consistent with them must be the identity.
@@ -29,7 +40,7 @@ func TestBreakSymmetriesLeavesIdentityOnly(t *testing.T) {
 		pattern.MustParse("0-1 1-2 2-3 3-0 0-2"),
 	}
 	for _, p := range pats {
-		conds := BreakSymmetries(p)
+		conds := coreFirstConds(t, p)
 		count := 0
 		for _, a := range p.Automorphisms() {
 			ok := true
@@ -76,7 +87,7 @@ func condOrderPreserved(a []int, conds []Cond, c Cond) bool {
 }
 
 func TestBreakSymmetriesTriangle(t *testing.T) {
-	conds := BreakSymmetries(pattern.Clique(3))
+	conds := coreFirstConds(t, pattern.Clique(3))
 	// A triangle needs a total order: 2 pivot rounds, 3 conditions total
 	// (0<1, 0<2 then 1<2) or equivalent.
 	if len(conds) != 3 {
@@ -85,7 +96,7 @@ func TestBreakSymmetriesTriangle(t *testing.T) {
 }
 
 func TestBreakSymmetriesChain(t *testing.T) {
-	conds := BreakSymmetries(pattern.Chain(4))
+	conds := coreFirstConds(t, pattern.Chain(4))
 	// Path reversal is the only symmetry: one condition suffices.
 	if len(conds) != 1 {
 		t.Fatalf("chain conditions = %v, want exactly 1", conds)
@@ -96,7 +107,7 @@ func TestBreakSymmetriesAsymmetric(t *testing.T) {
 	// The paw (triangle + pendant) still has one symmetry (the two
 	// triangle vertices not attached to the tail); a labeled edge with
 	// distinct labels has none.
-	conds := BreakSymmetries(pattern.MustParse("0-1 [0:1] [1:2]"))
+	conds := coreFirstConds(t, pattern.MustParse("0-1 [0:1] [1:2]"))
 	if len(conds) != 0 {
 		t.Fatalf("asymmetric pattern got conditions %v", conds)
 	}
@@ -105,7 +116,7 @@ func TestBreakSymmetriesAsymmetric(t *testing.T) {
 func TestBreakSymmetriesLargeClique(t *testing.T) {
 	// 14-clique: must terminate quickly with a full total order
 	// (13+12+...+1 = 91 conditions) without enumerating 14!.
-	conds := BreakSymmetries(pattern.Clique(14))
+	conds := coreFirstConds(t, pattern.Clique(14))
 	if len(conds) != 91 {
 		t.Fatalf("14-clique conditions = %d, want 91", len(conds))
 	}

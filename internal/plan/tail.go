@@ -24,7 +24,9 @@ package plan
 // partition has the same number of blocks, hence the same sign, so no
 // merged term cancels. A class whose orders close to a chain takes one
 // ordering of each of its placements' value sets out of |class|!, so the
-// ordered count is the injective one divided by Π |class|!.
+// ordered count is the injective one divided by Π |class|! over the
+// chained classes; a class with no orders (no symmetry breaking) keeps
+// every ordering.
 
 import (
 	"fmt"
@@ -37,21 +39,23 @@ import (
 const maxTailSteps = 8
 
 // Tail is the part of a plan that a count sizes in one step: the longest
-// suffix of NonCore, of three or more steps, that is Unfiltered in a plan
+// suffix of NonCore, of two or more steps, that is Unfiltered in a plan
 // with no anti-vertex check, whose steps group into classes — one
 // candidate set each: the same CoreNbrs and the same bounds on vertices
 // matched before the tail — with every order between two tail vertices
-// inside a class, and each class's orders closing to a chain.
+// inside a class, and each class either chained (its orders close to a
+// total order) or wholly unordered. BreakSymmetries' core-first pivots
+// make the unfiltered suffix of a plan with no anti-vertex check such a
+// tail, up to maxTailSteps of it; an unordered class of two or more
+// comes from Options.NoSymmetryBreaking.
 //
 // A core match's completions through the tail number
 //
 //	Σ_t t.Coef · Π_{s ∈ t.Factors} size(Subsets[s]) / Div,
 //
 // where size(mask) is the number of vertices, not yet in the match, that
-// lie in the candidate set of every class in mask. The shorter tails —
-// the last level alone, or the last two — are not Tails: internal/core
-// sizes them on its own, including orders between two different sets,
-// which a Tail never holds.
+// lie in the candidate set of every class in mask. A lone last level is
+// not a Tail: internal/core sizes it on its own.
 type Tail struct {
 	Start   int // NonCore index of the tail's first step
 	Classes []TailClass
@@ -61,7 +65,7 @@ type Tail struct {
 	// of two or more classes' sets follow.
 	Subsets []uint32
 	Terms   []TailTerm
-	Div     uint64 // Π (class size)!
+	Div     uint64 // Π (class size)! over the chained classes
 }
 
 // TailClass is one group of tail steps sharing a candidate set.
@@ -80,15 +84,16 @@ type TailTerm struct {
 	Factors []int // indices into Subsets, one per block, ascending
 }
 
-// TailOf derives pl's Tail from its NonCore steps and Checks, or returns
-// nil when pl has none. plan.New sets pl.Tail to it; a plan whose steps
-// are edited afterwards must derive it again.
-func TailOf(pl *Plan) *Tail {
+// TailOf derives pl's Tail from its NonCore steps and Checks: the
+// longest that starts at step from or later, or nil when there is none.
+// plan.New sets pl.Tail to TailOf(pl, 0); a plan whose steps are edited
+// afterwards must derive it again.
+func TailOf(pl *Plan, from int) *Tail {
 	if len(pl.Checks) > 0 {
 		return nil
 	}
-	for k := min(len(pl.NonCore), maxTailSteps); k >= 3; k-- {
-		if tl := tailFrom(pl.NonCore, len(pl.NonCore)-k); tl != nil {
+	for start := max(from, len(pl.NonCore)-maxTailSteps); start <= len(pl.NonCore)-2; start++ {
+		if tl := tailFrom(pl.NonCore, start); tl != nil {
 			return tl
 		}
 	}
@@ -141,8 +146,8 @@ func tailFrom(nc []NonCoreStep, start int) *Tail {
 		}
 		classes[class[i]].Size++
 	}
-	// Close the orders (Warshall), then every pair in a class must be
-	// ordered and no pair across classes may be.
+	// Close the orders (Warshall). No pair across classes may be ordered,
+	// and a class's pairs must be all ordered (a chain) or none.
 	for m := range n {
 		for i := range n {
 			if below[i][m] {
@@ -152,26 +157,39 @@ func tailFrom(nc []NonCoreStep, start int) *Tail {
 			}
 		}
 	}
+	ordered := make([]int, len(classes)) // per class: its ordered pairs
 	for i := range n {
 		for j := i + 1; j < n; j++ {
-			if ordered := below[i][j] || below[j][i]; ordered != (class[i] == class[j]) {
-				return nil
+			if below[i][j] || below[j][i] {
+				if class[i] != class[j] {
+					return nil
+				}
+				ordered[class[i]]++
 			}
 		}
 	}
 	sizes := make([]int, len(classes))
-	for c := range classes {
-		sizes[c] = classes[c].Size
+	for c, cl := range classes {
+		sizes[c] = cl.Size
+		if ordered[c] != 0 && ordered[c] != cl.Size*(cl.Size-1)/2 {
+			return nil
+		}
 	}
 	tl := ClassTail(sizes...)
 	tl.Start = start
 	tl.Classes = classes
+	for c, cl := range classes {
+		for k := 2; ordered[c] == 0 && k <= cl.Size; k++ {
+			tl.Div /= uint64(k) // an unordered class keeps every ordering
+		}
+	}
 	return tl
 }
 
 // ClassTail returns the algebra of a tail whose classes have the given
-// sizes — Subsets, Terms and Div, with Classes holding the sizes alone —
-// for the tail's vertices listed class by class.
+// sizes, every class chained — Subsets, Terms and Div, with Classes
+// holding the sizes alone — for the tail's vertices listed class by
+// class.
 func ClassTail(sizes ...int) *Tail {
 	tl := &Tail{Div: 1}
 	var of []int // class of each tail vertex

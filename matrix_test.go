@@ -67,17 +67,16 @@ const plainForm, viForm, mixedForm, antiForm, labeledVIForm, bothForm, tailForm,
 var formNames = []string{"plain", "vertex-induced", "mixed-labels", "anti-vertex", "labeled-vertex-induced", "plain+vertex-induced", "tails", "cuts"}
 
 // tailPatterns have completion tails of three or more levels, which a
-// count sizes in closed form (plan.Tail), and spellings whose orders
-// join two of the tail's classes, so that a shorter tail runs or the
-// last two levels are sized as pairs.
+// count sizes in closed form (plan.Tail); the spider comes in three
+// spellings, each sized whole.
 var tailPatterns = sync.OnceValue(func() (out []*Pattern) {
 	for _, text := range []string{
 		"0-1 0-2 0-3 0-4 0-5",     // K1,5: one class of five leaves
 		"0-1 0-2 0-3 0-4 0-5 0-6", // K1,6
 		"0-1 1-2 0-3 3-4 0-5",     // spider: three classes of one
-		"0-2 1-2 0-4 3-4 0-5",     // the spider, its first two leaves ordered: no tail
-		"0-1 0-3 2-3 0-4 4-5",     // the spider, its last two leaves ordered: sized as pairs
-		"0-1 0-2 0-3 1-4 1-5",     // double star: a leaf ordered below the other three, then a tail of three
+		"0-2 1-2 0-4 3-4 0-5",     // the spider respelled
+		"0-1 0-3 2-3 0-4 4-5",     // and again
+		"0-1 0-2 0-3 1-4 1-5",     // double star: two chained pairs
 		"0-1 0-2 0-3 0-4 1-5 1-6", // double star, three leaves and two
 	} {
 		out = append(out, pattern.MustParse(text))

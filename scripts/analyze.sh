@@ -9,8 +9,8 @@
 #   4. inlinable rows  — Graph.Adj/Label/Degree/OrigID, the engine's
 #                        innermost calls, must fit the inlining budget
 #   5. inlinable kernels — intersectMerge, lowerBound, containsSorted
-#                        likewise (the operand skip lives in the
-#                        dispatcher, not in the merge)
+#                        and intersectCount likewise (the operand skip
+#                        lives in the dispatcher, not in the merge)
 #   6. sorted lists only — internal/core (tests included) must not
 #                        import internal/bitset: the engine intersects
 #                        sorted lists alone
@@ -51,7 +51,7 @@ done
 
 echo "== intersection kernels inlinable =="
 inl=$(go build -gcflags=-m ./internal/core 2>&1)
-for f in intersectMerge lowerBound containsSorted; do
+for f in intersectMerge lowerBound containsSorted intersectCount; do
   if ! grep -qE "can inline $f( |$)" <<<"$inl"; then
     echo "$f no longer inlines: every merge or probe pays a call for it"
     fail=1
