@@ -1,6 +1,8 @@
 package peregrine
 
 import (
+	"slices"
+
 	"peregrine/internal/core"
 	"peregrine/internal/plan"
 )
@@ -31,9 +33,12 @@ import (
 // relatives compile through are the first query's: a batch is one
 // execution, so its members share them.
 func countBatch(g *Graph, queries []*PreparedQuery, opts []Option) ([][]Stats, MultiStats, error) {
-	m1, m2 := g.DegreeMoments()
-	shape := plan.Shape{Vertices: g.NumVertices(), MeanDeg: m1, MeanSqDeg: m2, Labels: g.NumLabels(), MaxDeg: g.MaxDegree()}
-	cp, err := planCount(queries, opts, shape)
+	for _, q := range queries {
+		if err := q.CutsFit(g); err != nil {
+			return nil, MultiStats{}, err
+		}
+	}
+	cp, err := PlanCount(ShapeOf(g), queries, opts...)
 	if err != nil || cp == nil {
 		return nil, MultiStats{}, err
 	}
@@ -41,39 +46,51 @@ func countBatch(g *Graph, queries []*PreparedQuery, opts []Option) ([][]Stats, M
 	return per, ms, nil
 }
 
+// Shape is what count planning knows of a data graph: its vertex count,
+// degree moments, label count and largest degree (ShapeOf). The cost
+// model prices the rewrite for it, and only a Shape with MaxDeg lets the
+// rewrite decompose. The zero Shape stands for a sparse default: Poisson
+// degrees of mean 8 on 2²⁰ vertices, with no MaxDeg.
+type Shape = plan.Shape
+
+// ShapeOf returns the Shape a count on g plans for, from g's memoised
+// degree pass.
+func ShapeOf(g *Graph) Shape {
+	m1, m2 := g.DegreeMoments()
+	return Shape{Vertices: g.NumVertices(), MeanDeg: m1, MeanSqDeg: m2, Labels: g.NumLabels(), MaxDeg: g.MaxDegree()}
+}
+
 // CountPlan is the plan half of a counting execution: the pattern set
 // to execute in place of the one requested, and what Finish needs to
 // turn the executed set's counts back into the requested ones. Between
 // the two halves the executed set may run anywhere, in any number of
 // disjoint task ranges: recovery is a linear map over counts and ranged
-// counts of one pattern sum exactly (WithTaskRange), so recovering the
+// counts of one plan sum exactly (WithTaskRange) — a decomposed plan's V
+// too, since a task binds its cut's first vertex — so recovering the
 // per-pattern sums once equals recovering a whole-graph run. A
 // coordinator does exactly that — rewrite once above its range fan-out,
-// execute by range on the nodes, sum, recover once at the merge.
+// execute by range on the nodes (PrepareExecuted), sum, recover once at
+// the merge.
 type CountPlan struct {
 	cfg  config
-	exec []*plan.Plan    // what to execute: the deduplicated plans, or their morph rewrite
+	exec []*plan.Plan    // what to execute: the deduplicated plans, or their rewrite
 	mp   *plan.MorphPlan // nil when the batch executes as given
 	slot [][]int         // slot[q][p]: unique-plan index serving that pattern
 }
 
 // PlanCount runs countBatch's planning stages — resolve, dedup,
 // rewrite — over queries and returns the plan, or nil for no queries.
-// With no graph at hand it prices the rewrite for the cost model's
-// sparse default (plan.Shape's zero value): Poisson degrees of mean 8 on
-// 2²⁰ vertices. A coordinator, which never loads the graphs it fans out
-// over, plans this way.
-func PlanCount(queries []*PreparedQuery, opts ...Option) (*CountPlan, error) {
-	return planCount(queries, opts, plan.Shape{})
-}
-
-// planCount is PlanCount pricing the rewrite for a graph of shape s.
-func planCount(queries []*PreparedQuery, opts []Option, s plan.Shape) (*CountPlan, error) {
+// It prices the rewrite for a graph of shape s, as a count on a graph g
+// does for ShapeOf(g): with the same s, a coordinator's executed set is
+// the one a node would execute in-process. The zero Shape prices for the
+// cost model's sparse default and never decomposes; a coordinator plans
+// with it until a node reports its graph's Shape.
+func PlanCount(s Shape, queries []*PreparedQuery, opts ...Option) (*CountPlan, error) {
 	if len(queries) == 0 {
 		return nil, nil
 	}
 	cp := &CountPlan{slot: make([][]int, len(queries))}
-	noSym := false
+	noSym, cuts := false, false
 	idx := make(map[*plan.Plan]int)
 	var plans []*plan.Plan
 	for qi, q := range queries {
@@ -86,6 +103,7 @@ func planCount(queries []*PreparedQuery, opts []Option, s plan.Shape) (*CountPla
 			cp.cfg = c
 		}
 		noSym = noSym || c.opts.NoSymmetryBreaking
+		cuts = cuts || q.cuts
 		cp.slot[qi] = make([]int, len(pps))
 		for pi := range pps {
 			p := pps[pi].plan
@@ -102,17 +120,20 @@ func planCount(queries []*PreparedQuery, opts []Option, s plan.Shape) (*CountPla
 
 	// The morph gate — the only one. Counting batches with anti-edge
 	// patterns execute cheaper anti-edge-free relatives and recover the
-	// requested counts algebraically, unless the caller ablated morphing,
-	// or a member runs without symmetry breaking (its counts are
-	// per-automorphism enumerations the recovery weights do not cover), or
-	// the run scans a task sub-range: a pattern and its relatives can have
+	// requested counts algebraically, and plans with a vertex cut may run
+	// decomposed, unless the caller ablated morphing, or a member runs
+	// without symmetry breaking (its counts are per-automorphism
+	// enumerations the recovery weights do not cover), or a member is an
+	// executed set shipped with its cuts (PrepareExecuted: its rows are
+	// what a rewrite chose, and a decomposed row counts V), or the run
+	// scans a task sub-range: a pattern and its relatives can have
 	// different cores, so one vertex set roots at different tasks and the
 	// algebra only balances over the whole task space (see WithTaskRange).
 	// Recovery is a linear map applied after execution, which is why it is
 	// a stage here rather than a property of each entry point — and why a
 	// coordinator does hoist rewrite/recover above its range fan-out.
 	cp.exec = plans
-	if !cfg.noMorph && !noSym && !cfg.taskRanged() {
+	if !cfg.noMorph && !noSym && !cuts && !cfg.taskRanged() {
 		if cp.mp = plan.MorphBatch(plans, cfg.cache(), plan.Options{Shape: s}); cp.mp != nil {
 			cp.exec = cp.mp.Exec
 		}
@@ -122,11 +143,30 @@ func planCount(queries []*PreparedQuery, opts []Option, s plan.Shape) (*CountPla
 
 // Executed returns the patterns to execute, in the row order Finish
 // expects. They carry every constraint as written — anti-edges, labels —
-// so they run edge-induced, whatever the request's semantics were.
+// so they run edge-induced, whatever the request's semantics were. A row
+// Cuts names a cut for runs decomposed: ship the two together.
 func (cp *CountPlan) Executed() []*Pattern {
 	out := make([]*Pattern, len(cp.exec))
 	for i, pl := range cp.exec {
 		out[i] = pl.Pat
+	}
+	return out
+}
+
+// Cuts returns, per row of Executed, the vertices of the cut the row runs
+// decomposed at, the task's vertex first, or nil for a row counted as
+// given; nil throughout when nothing decomposes. A decomposed row counts
+// V, its tuples through the cut, not its pattern's matches: run the rows
+// with PrepareExecuted, which rebuilds each cut from the pattern as given.
+func (cp *CountPlan) Cuts() [][]int {
+	var out [][]int
+	for i, pl := range cp.exec {
+		if pl.Cut != nil {
+			if out == nil {
+				out = make([][]int, len(cp.exec))
+			}
+			out[i] = slices.Clone(pl.Cut.Verts)
+		}
 	}
 	return out
 }
@@ -138,10 +178,11 @@ func (cp *CountPlan) Rewritten() bool { return cp.mp != nil }
 
 // Finish runs countBatch's closing stages — recover, demux — over the
 // statistics of an execution of Executed (executed.Per holds one row
-// per executed pattern; rows summed over disjoint task ranges count as
-// one run). It returns, per query, the Stats rows in that query's own
-// pattern order, and the execution's MultiStats with Per reshaped to
-// one row per unique requested plan.
+// per executed pattern, and executed.MatchesHi the high 64 bits of the
+// decomposed rows' V; rows summed over disjoint task ranges, in 128
+// bits, count as one run). It returns, per query, the Stats rows in that
+// query's own pattern order, and the execution's MultiStats with Per
+// reshaped to one row per unique requested plan.
 func (cp *CountPlan) Finish(executed MultiStats) ([][]Stats, MultiStats) {
 	ms := executed
 	if cp.mp != nil {
@@ -175,6 +216,7 @@ func recoverCounts(ms MultiStats, mp *plan.MorphPlan) MultiStats {
 		} else {
 			per[i] = Stats{
 				Matches:   counts[i],
+				Tasks:     ms.Tasks,
 				Stopped:   ms.Stopped,
 				MatchTime: ms.MatchTime,
 				Threads:   int32(ms.Threads),

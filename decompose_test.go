@@ -18,20 +18,28 @@ func cutBatches() (edge, vi []*Pattern) {
 	return edge, vi
 }
 
-// A coordinator ships PlanCount's executed set as pattern text, and a
-// decomposed plan counts tuples, not its pattern's matches: PlanCount must
-// never hold one, even for batches an in-process count decomposes.
+// PlanCount decomposes only where it knows the graph: priced for the
+// zero Shape — a coordinator before any node has reported its graph — it
+// never holds a decomposed plan, even for batches an in-process count
+// decomposes; priced for the graph's Shape, it decomposes as that count
+// does.
 func TestPlanCountNeverDecomposes(t *testing.T) {
 	edge, vi := cutBatches()
 	for name, b := range map[string][]*Pattern{"edge-induced": edge, "vertex-induced": vi} {
 		for _, graph := range []string{"er-48", "er-64", "rmat-64"} {
-			_, ms, err := CountManyWithStats(matrixGraph(graph), b, WithThreads(2))
+			g := matrixGraph(graph)
+			_, ms, err := CountManyWithStats(g, b, WithThreads(2))
 			must(t, err)
 			if ms.Morph.Decomposed == 0 {
 				t.Errorf("%s %s: the in-process count decomposed nothing: %+v", name, graph, ms.Morph)
 			}
+			cp, err := PlanCount(ShapeOf(g), []*PreparedQuery{mustPrepare(t, b)})
+			must(t, err)
+			if cp.mp == nil || cp.mp.Stats != ms.Morph {
+				t.Errorf("%s %s: PlanCount for the graph's Shape rewrites %+v, the count %+v", name, graph, cp.mp, ms.Morph)
+			}
 		}
-		cp, err := PlanCount([]*PreparedQuery{mustPrepare(t, b)})
+		cp, err := PlanCount(Shape{}, []*PreparedQuery{mustPrepare(t, b)})
 		must(t, err)
 		for i, pl := range cp.exec {
 			if pl.Cut != nil {
@@ -40,6 +48,9 @@ func TestPlanCountNeverDecomposes(t *testing.T) {
 		}
 		if cp.mp != nil && cp.mp.Stats.Decomposed != 0 {
 			t.Errorf("%s: PlanCount reports %d decomposed plans", name, cp.mp.Stats.Decomposed)
+		}
+		if cp.Cuts() != nil {
+			t.Errorf("%s: PlanCount ships cuts %v", name, cp.Cuts())
 		}
 	}
 }

@@ -10,13 +10,15 @@
 // coordinator therefore needs no cross-node communication at all: one
 // HTTP round per shard, then addition.
 //
-// Pattern morphing happens here, above the fan-out, because a ranged
-// run cannot morph on its own (a pattern and its relatives root one
-// vertex set at different tasks). Its recovery is a linear map over
-// counts, so it commutes with the range sum: the coordinator plans a
-// request as a node would (server.PlanFanout: the same compile, the
-// same 400s), sends the rewritten pattern set out by range as ordinary
-// pattern text, adds the answers per executed pattern, and recovers the
+// The rewrite happens here, above the fan-out, because a ranged run
+// cannot rewrite on its own (a pattern and its relatives root one vertex
+// set at different tasks). Its recovery is a linear map over counts, so
+// it commutes with the range sum: the coordinator plans a request as a
+// node would (server.PlanFanout: the same compile, the same 400s, priced
+// for the same graph Shape, which it reads once from a node's GET
+// /v1/graphs), sends the executed set out by range as ordinary pattern
+// text plus the cuts of the rows that run decomposed, adds the answers
+// per executed row — a decomposed row's V in 128 bits — and recovers the
 // requested counts once at the merge.
 //
 // Each shard carries a replica list of nodes that can serve it; a node
@@ -34,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net/http"
 	"sort"
 	"strings"
@@ -80,6 +83,10 @@ type Coordinator struct {
 	// nodes' ranged runs never morph, so their counters cannot.
 	plans *peregrine.PlanCache
 	morph server.MorphCounters
+
+	// shape is the Shape of the graph the nodes serve, once one has
+	// reported it loaded (planShape); nil until then.
+	shape atomic.Pointer[peregrine.Shape]
 
 	// Per-shard failover state: preferred replica index, advanced when
 	// a replica fails so later queries skip straight to the survivor.
@@ -197,7 +204,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// A node's order: the request must compile (400) before its graph is
 	// looked up (404).
-	fan, err := server.PlanFanout(req, c.plans)
+	fan, err := server.PlanFanout(req, c.plans, c.planShape(r.Context()))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -209,7 +216,17 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	created := time.Now().UTC()
 	id := fmt.Sprintf("coord-%d", c.jobSeq.Add(1))
-	merged, err := c.fanOut(r.Context(), fan.Request())
+	sub := fan.Request()
+	merged, err := c.fanOut(r.Context(), sub)
+	if ce := (*clientError)(nil); errors.As(err, &ce) && ce.code == http.StatusBadRequest && sub.Cuts != nil {
+		// A node refuses a cut of a request the coordinator accepted when
+		// the kept Shape is not its graph's (the graph changed under its
+		// name): read the Shape afresh and plan once more.
+		c.shape.Store(nil)
+		if fan, err = server.PlanFanout(req, c.plans, c.planShape(r.Context())); err == nil {
+			merged, err = c.fanOut(r.Context(), fan.Request())
+		}
+	}
 	if err == nil {
 		merged = fan.Finish(merged)
 		if st := merged.Stats; st != nil && st.Morphing != nil {
@@ -235,6 +252,52 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusBadGateway)
 	}
 	_ = json.NewEncoder(w).Encode(info)
+}
+
+// shapeWait bounds planShape's ask of the nodes (or Config.Timeout, if
+// shorter): a query waits no longer for a Shape before it plans for the
+// zero one.
+const shapeWait = 2 * time.Second
+
+// planShape returns the Shape the coordinator plans for: its graph's,
+// as the first node to list it loaded reports it, kept from then on — the
+// Shape a node's in-process count plans for, so both execute one set. Until
+// a node has the graph loaded it asks every node on every query, all at
+// once and for at most shapeWait, so a hung node costs no more than that,
+// and returns the zero Shape, the cost model's sparse default, which never
+// decomposes.
+func (c *Coordinator) planShape(ctx context.Context) peregrine.Shape {
+	if s := c.shape.Load(); s != nil {
+		return *s
+	}
+	ctx, cancel := context.WithTimeout(ctx, min(shapeWait, c.cfg.Timeout))
+	defer cancel()
+	nodes := c.Nodes()
+	found := make(chan peregrine.Shape, len(nodes))
+	var wg sync.WaitGroup
+	for _, node := range nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, err := c.getJSON(ctx, node, "/v1/graphs")
+			var list []server.GraphInfo
+			if err != nil || json.Unmarshal(body, &list) != nil {
+				return
+			}
+			for _, gi := range list {
+				if gi.Name == c.cfg.Graph && gi.Loaded {
+					found <- gi.Shape()
+					return
+				}
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(found) }()
+	if s, ok := <-found; ok {
+		c.shape.Store(&s)
+		return s
+	}
+	return peregrine.Shape{}
 }
 
 // fanOut runs req once per shard, each restricted to the shard's task
@@ -363,10 +426,11 @@ func (c *Coordinator) postQuery(ctx context.Context, node string, sub server.Req
 }
 
 // mergeResults adds per-shard counts — exact by task-range additivity,
-// postQuery having checked each part's range and shape — and folds the
-// execution stats with RunStats.Add: counters sum, while wall-clock
-// times (the shards ran concurrently) and per-batch constants take the
-// max.
+// postQuery having checked each part's range and shape; per-pattern rows
+// add as 128-bit (countHi, count) pairs, a decomposed row's V passing 64
+// bits before the count it recovers does — and folds the execution stats
+// with RunStats.Add: counters sum, while wall-clock times (the shards ran
+// concurrently) and per-batch constants take the max.
 func mergeResults(parts []*server.Result) *server.Result {
 	out := &server.Result{}
 	for _, p := range parts {
@@ -375,8 +439,11 @@ func mergeResults(parts []*server.Result) *server.Result {
 			out.PerPattern = make([]server.PatternCount, len(p.PerPattern))
 		}
 		for i, pc := range p.PerPattern {
-			out.PerPattern[i].Pattern = pc.Pattern
-			out.PerPattern[i].Count += pc.Count
+			row := &out.PerPattern[i]
+			var carry uint64
+			row.Pattern = pc.Pattern
+			row.Count, carry = bits.Add64(row.Count, pc.Count, 0)
+			row.CountHi += pc.CountHi + carry
 		}
 		if p.Stats != nil {
 			if out.Stats == nil {

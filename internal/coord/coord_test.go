@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math/big"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -32,9 +34,14 @@ const testShards = 4
 // aborts query connections — the "node died mid-query" failure the
 // coordinator must survive.
 type testNode struct {
-	ts      *httptest.Server
-	down    atomic.Bool
-	queries atomic.Int64 // POST /v1/query requests received
+	ts       *httptest.Server
+	down     atomic.Bool
+	queries  atomic.Int64 // POST /v1/query requests received
+	listings atomic.Int64 // GET /v1/graphs requests received
+	// swapped acts out a graph re-registered under its name with a shape
+	// no shipped cut fits: the node refuses every cut, as CutsFit would,
+	// and lists the graph unloaded.
+	swapped atomic.Bool
 
 	mu     sync.Mutex
 	bodies [][]byte // their bodies, as received
@@ -69,6 +76,13 @@ func newTestNodeOn(t *testing.T, g *graph.Graph, shards int) *testNode {
 	n := &testNode{}
 	inner := s.Handler()
 	n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/graphs" {
+			n.listings.Add(1)
+			if n.swapped.Load() {
+				_, _ = io.WriteString(w, `[{"name":"g","source":"swapped","loaded":false}]`)
+				return
+			}
+		}
 		if strings.HasPrefix(r.URL.Path, "/v1/query") {
 			n.queries.Add(1)
 			body, err := io.ReadAll(r.Body)
@@ -79,6 +93,10 @@ func newTestNodeOn(t *testing.T, g *graph.Graph, shards int) *testNode {
 			n.mu.Lock()
 			n.bodies = append(n.bodies, body)
 			n.mu.Unlock()
+			if n.swapped.Load() && bytes.Contains(body, []byte(`"cuts"`)) {
+				http.Error(w, `{"error":"the decomposed count could overflow 128 bits"}`, http.StatusBadRequest)
+				return
+			}
 		}
 		if n.down.Load() && strings.HasPrefix(r.URL.Path, "/v1/query") {
 			// Drop the connection without a response: the client sees a
@@ -290,6 +308,10 @@ func TestCoordinatorCancelReachesNodes(t *testing.T) {
 	release := make(chan struct{})
 	stub := func() string {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/query" {
+				http.NotFound(w, r) // no graph listing: the coordinator plans for the zero Shape
+				return
+			}
 			// As a node does: a server watches for the peer hanging up
 			// only once the request body is consumed.
 			_, _ = io.Copy(io.Discard, r.Body)
@@ -421,6 +443,10 @@ func testRefusesWrongParts(t *testing.T, countBody string) {
 		"wrong pattern count": func(info *server.JobInfo) { info.Result.PerPattern = info.Result.PerPattern[:1] },
 	} {
 		stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/query" {
+				http.NotFound(w, r) // no graph listing: the coordinator asks the good node
+				return
+			}
 			info := server.JobInfo{Status: server.StatusDone, Result: &server.Result{Count: 1}}
 			if err := json.NewDecoder(r.Body).Decode(&info.Request); err != nil {
 				t.Error(err)
@@ -447,11 +473,11 @@ func testRefusesWrongParts(t *testing.T, countBody string) {
 
 // TestCoordinatorMorphsAboveFanout runs requests through a 3-shard,
 // 2-node fleet with uneven ranges and checks every answer against the
-// brute-force oracle: the coordinator rewrites a batch exactly where
-// the library's PlanCount does with no graph at hand (the cost model's
-// sparse default, not the fleet's graph), the nodes receive the executed
-// set as plain pattern text over their shard's range, and the answer
-// names the requested patterns with the recovered counts.
+// brute-force oracle: once a node has loaded the graph, the coordinator
+// rewrites a batch exactly where the library's PlanCount does for the
+// graph's Shape, the nodes receive the executed set as pattern text, and
+// its cuts, over their shard's range, and the answer names the requested
+// patterns with the recovered counts.
 func TestCoordinatorMorphsAboveFanout(t *testing.T) {
 	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 48, Edges: 110, Seed: 11, Labels: 2})
 	a, b := newTestNodeOn(t, g, 3), newTestNodeOn(t, g, 3)
@@ -462,6 +488,11 @@ func TestCoordinatorMorphsAboveFanout(t *testing.T) {
 	}
 	coord := httptest.NewServer(c.Handler())
 	t.Cleanup(coord.Close)
+	// The first query loads the graph, and from the next one on the
+	// coordinator plans for its Shape.
+	if code, _ := postCount(t, coord.URL, countBody); code != http.StatusOK {
+		t.Fatalf("warm-up query: code %d", code)
+	}
 
 	var small, labeled []*pattern.Pattern
 	for size := 2; size <= 4; size++ {
@@ -474,7 +505,9 @@ func TestCoordinatorMorphsAboveFanout(t *testing.T) {
 		}
 	}
 	five := pattern.GenerateAllVertexInduced(5)
-	five = []*pattern.Pattern{five[0], five[len(five)/2], five[len(five)-1]}
+	// The 5-star, K5, and "0-1 0-2 0-3 0-4 1-2 1-3 1-4", which morphs for
+	// this graph's Shape.
+	five = []*pattern.Pattern{five[0], five[8], five[len(five)-1]}
 	star, path := pattern.Star(4), pattern.Chain(4)
 
 	type tcase struct {
@@ -548,7 +581,7 @@ func TestCoordinatorMorphsAboveFanout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cp, err := peregrine.PlanCount([]*peregrine.PreparedQuery{q})
+			cp, err := peregrine.PlanCount(peregrine.ShapeOf(g), []*peregrine.PreparedQuery{q})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -606,42 +639,352 @@ func TestCoordinatorMorphsAboveFanout(t *testing.T) {
 }
 
 // A node counting vertex-induced 5-motifs over its whole graph decomposes
-// some of their relatives at a vertex cut; the coordinator, which plans
-// with no graph and fans out by range, never does. Their counts must
-// agree, pattern by pattern.
+// some of their relatives at a vertex cut. Once the node has loaded the
+// graph, the coordinator plans for its Shape and rewrites, decomposition
+// included, exactly as the node does: the same stats.morphing, and the
+// same counts, pattern by pattern.
 func TestCoordinatorVI5MotifsMatchSingleNode(t *testing.T) {
 	a, b := newTestNode(t), newTestNode(t)
 	coord := newTestCoordinator(t, a.ts.URL, b.ts.URL)
-	req := server.Request{Kind: server.KindCount, VertexInduced: true, Wait: true}
+	req := server.Request{Graph: "g", Kind: server.KindCount, VertexInduced: true, Wait: true}
 	for _, p := range pattern.GenerateAllVertexInduced(5) {
 		req.Patterns = append(req.Patterns, p.String())
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, got := postCount(t, coord.URL, string(body))
-	if code != http.StatusOK || got.Status != server.StatusDone {
-		t.Fatalf("coordinator: code %d, %+v", code, got)
-	}
-	req.Graph = "g"
-	nodeBody, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, single := postCount(t, a.ts.URL, string(nodeBody))
-	if code != http.StatusOK || single.Status != server.StatusDone {
-		t.Fatalf("node: code %d, %+v", code, single)
-	}
+	single := postRequest(t, a.ts.URL, req)
+	got := postRequest(t, coord.URL, req)
 	if m := single.Result.Stats.Morphing; m == nil || m.Decomposed == 0 {
 		t.Errorf("the node's whole-graph count decomposed nothing: %+v", m)
 	}
-	if m := got.Result.Stats.Morphing; m == nil || m.Decomposed != 0 {
-		t.Errorf("the coordinator's rewrite: %+v, want morphing without decomposition", m)
+	if m, want := got.Result.Stats.Morphing, single.Result.Stats.Morphing; m == nil || want == nil || *m != *want {
+		t.Errorf("the coordinator's rewrite: %+v, the node's %+v", m, want)
 	}
 	if !reflect.DeepEqual(got.Result.PerPattern, single.Result.PerPattern) || got.Result.Count != single.Result.Count {
 		t.Errorf("coordinator %d %+v\nsingle node %d %+v", got.Result.Count, got.Result.PerPattern, single.Result.Count, single.Result.PerPattern)
 	}
+	if len(a.received())+len(b.received()) != 1+testShards {
+		t.Errorf("want the node's own query and one per shard")
+	}
+}
+
+// coordShardedGraph is the bench's coord_sharded graph at seed 1: ER with
+// 4096 vertices, 20,480 edges and degrees capped at 100.
+func coordShardedGraph() *graph.Graph {
+	return gen.ErdosRenyi(gen.ERConfig{Vertices: 4096, Edges: 20480, MaxDegree: 100, Seed: 1})
+}
+
+// Once a node has reported the graph's Shape, the coordinator ships a
+// node's in-process executed set — pattern texts and cuts — for every one
+// of coord_sharded's 15 pairs of vertex-induced 4-motifs, and answers as
+// a node counting the pair whole does. The pairs holding the 4-path or
+// the 4-cycle run them decomposed, tallying two-paths per endpoint on the
+// nodes; the coordinator recovers their counts from the summed V.
+func TestCoordinatorShipsNodesExecutedSet(t *testing.T) {
+	g := coordShardedGraph()
+	a, b := newTestNodeOn(t, g, testShards), newTestNodeOn(t, g, testShards)
+	c, err := New(Config{Graph: "g", Shards: Assign(SplitRange(g.NumVertices(), testShards), []string{a.ts.URL, b.ts.URL}, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := httptest.NewServer(c.Handler())
+	t.Cleanup(coord.Close)
+
+	motifs := pattern.GenerateAllVertexInduced(4)
+	decomposed := 0
+	for i := range motifs {
+		for j := i + 1; j < len(motifs); j++ {
+			pair := []*pattern.Pattern{motifs[i], motifs[j]}
+			req := server.Request{Graph: "g", Kind: server.KindCount, VertexInduced: true, Wait: true,
+				Patterns: []string{pair[0].String(), pair[1].String()}}
+			single := postRequest(t, a.ts.URL, req) // loads the graph on the first pair
+			a.received()
+			got := postRequest(t, coord.URL, req)
+			if !reflect.DeepEqual(got.Result.PerPattern, single.Result.PerPattern) {
+				t.Errorf("%v: coordinator %+v, node %+v", req.Patterns, got.Result.PerPattern, single.Result.PerPattern)
+			}
+			if m, want := got.Result.Stats.Morphing, single.Result.Stats.Morphing; (m == nil) != (want == nil) || m != nil && *m != *want {
+				t.Errorf("%v: coordinator's rewrite %+v, the node's %+v", req.Patterns, m, want)
+			}
+
+			q, err := peregrine.PrepareWith([]peregrine.Option{peregrine.VertexInduced()}, pair...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := peregrine.PlanCount(peregrine.ShapeOf(g), []*peregrine.PreparedQuery{q})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for k, p := range cp.Executed() {
+				var cut []int
+				if cp.Cuts() != nil {
+					cut = cp.Cuts()[k]
+				}
+				want = append(want, rowKey(p, cut))
+			}
+			subs := append(nodeRequests(t, a), nodeRequests(t, b)...)
+			if len(subs) != testShards {
+				t.Fatalf("%v: %d node requests, want %d", req.Patterns, len(subs), testShards)
+			}
+			for _, sub := range subs {
+				if !cp.Rewritten() {
+					if !slices.Equal(sub.Patterns, req.Patterns) || !sub.VertexInduced || sub.Cuts != nil {
+						t.Errorf("%v: a pair left as given went out as %+v", req.Patterns, sub)
+					}
+					continue
+				}
+				var rows []string
+				for k, text := range sub.Patterns {
+					var cut []int
+					if sub.Cuts != nil {
+						cut = sub.Cuts[k]
+					}
+					rows = append(rows, rowKey(pattern.MustParse(text), cut))
+				}
+				if !slices.Equal(rows, want) {
+					t.Errorf("%v: node asked for %q cuts %v; in-process executes %v cuts %v",
+						req.Patterns, sub.Patterns, sub.Cuts, cp.Executed(), cp.Cuts())
+				}
+			}
+			if cp.Cuts() != nil {
+				decomposed++
+			}
+		}
+	}
+	// Nine pairs hold the 4-path or the 4-cycle; all but (tailed
+	// triangle, 4-cycle), which runs the vertex-induced 4-cycle directly,
+	// execute one of them.
+	if decomposed != 8 {
+		t.Errorf("%d of 15 pairs decomposed, want 8", decomposed)
+	}
+}
+
+// A coordinator whose nodes have not loaded the graph plans for the zero
+// Shape — no cuts go out — and still answers exactly; the query loads the
+// graph, the next one reads the Shape from a node's listing and ships
+// cuts, and from then on no query asks again.
+func TestCoordinatorPlansZeroShapeUntilLoaded(t *testing.T) {
+	a, b := newTestNode(t), newTestNode(t)
+	coord := newTestCoordinator(t, a.ts.URL, b.ts.URL)
+	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 80, Edges: 220, Seed: 3}) // newTestNode's
+	req := server.Request{Kind: server.KindCount, Wait: true, Patterns: []string{"0-1 1-2 2-3 3-0", "0-1 1-2 2-3"}}
+	var want []server.PatternCount
+	for _, text := range req.Patterns {
+		want = append(want, server.PatternCount{Pattern: text, Count: ref.CountUnique(g, pattern.MustParse(text))})
+	}
+	var listed int64
+	for i, wantCuts := range []bool{false, true, true} {
+		if i == 2 {
+			listed = a.listings.Load() + b.listings.Load()
+		}
+		got := postRequest(t, coord.URL, req)
+		if !reflect.DeepEqual(got.Result.PerPattern, want) {
+			t.Errorf("query %d: %+v, want %+v", i, got.Result.PerPattern, want)
+		}
+		for _, sub := range append(nodeRequests(t, a), nodeRequests(t, b)...) {
+			if (sub.Cuts != nil) != wantCuts {
+				t.Errorf("query %d: node request cuts %v, want cuts: %v", i, sub.Cuts, wantCuts)
+			}
+		}
+	}
+	if n := a.listings.Load() + b.listings.Load(); n != listed {
+		t.Errorf("the third query listed the graphs again (%d listings, %d before it): the Shape was not kept", n, listed)
+	}
+	if n := a.listings.Load() + b.listings.Load(); n < 3 || n > 4 {
+		t.Errorf("%d graph listings over three queries, want 3 or 4: both nodes unloaded at the first, the first loaded answer kept at the second", n)
+	}
+
+	// A fresh coordinator over the loaded nodes: concurrent first queries
+	// race to read and keep the Shape, and every answer stays exact.
+	fresh := newTestCoordinator(t, a.ts.URL, b.ts.URL)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp, err := http.Post(fresh.URL+"/v1/query", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var info server.JobInfo
+			if err := json.NewDecoder(resp.Body).Decode(&info); err != nil || info.Result == nil ||
+				!reflect.DeepEqual(info.Result.PerPattern, want) {
+				t.Errorf("concurrent query: %v, %+v, want %+v", err, info.Result, want)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// A node listed first that never answers its graph listing costs a cold
+// query no more than shapeWait: the coordinator asks every node at once
+// and plans for the first loaded answer, here the replica's.
+func TestCoordinatorShapeSkipsHungNode(t *testing.T) {
+	a := newTestNode(t)
+	release := make(chan struct{})
+	hung := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/graphs" {
+			panic(http.ErrAbortHandler) // a query fails over to the replica at once
+		}
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
+	}))
+	t.Cleanup(hung.Close)
+	t.Cleanup(func() { close(release) })
+	c, err := New(Config{Graph: "g", Shards: Assign(SplitRange(80, testShards), []string{hung.URL, a.ts.URL}, 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord := httptest.NewServer(c.Handler())
+	t.Cleanup(coord.Close)
+	if nodes := c.Nodes(); nodes[0] != hung.URL {
+		t.Fatalf("nodes %v: the hung node must be listed first", nodes)
+	}
+
+	req := server.Request{Graph: "g", Kind: server.KindCount, Wait: true, Patterns: []string{"0-1 1-2 2-3 3-0"}}
+	single := postRequest(t, a.ts.URL, req) // loads the graph on the replica
+	a.received()
+	start := time.Now()
+	got := postRequest(t, coord.URL, req)
+	if took := time.Since(start); took >= shapeWait {
+		t.Errorf("the query took %v behind a hung node; want under %v", took, shapeWait)
+	}
+	if !reflect.DeepEqual(got.Result.PerPattern, single.Result.PerPattern) {
+		t.Errorf("coordinator %+v, node %+v", got.Result.PerPattern, single.Result.PerPattern)
+	}
+	for _, sub := range nodeRequests(t, a) {
+		if sub.Cuts == nil {
+			t.Errorf("node request %+v ships no cuts: the replica's Shape was not read", sub)
+		}
+	}
+}
+
+// A coordinator whose kept Shape a node refuses — the graph changed under
+// its name and a shipped cut no longer fits it — drops the Shape, plans
+// the query again from the nodes' listing, and answers exactly.
+func TestCoordinatorReplansOnStaleShape(t *testing.T) {
+	a, b := newTestNode(t), newTestNode(t)
+	coord := newTestCoordinator(t, a.ts.URL, b.ts.URL)
+	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 80, Edges: 220, Seed: 3}) // newTestNode's
+	req := server.Request{Kind: server.KindCount, Wait: true, Patterns: []string{"0-1 1-2 2-3 3-0"}}
+	want := []server.PatternCount{{Pattern: req.Patterns[0], Count: ref.CountUnique(g, pattern.MustParse(req.Patterns[0]))}}
+	for range 2 { // the first loads the graph, the second keeps its Shape
+		postRequest(t, coord.URL, req)
+	}
+	nodeRequests(t, a)
+	nodeRequests(t, b)
+
+	a.swapped.Store(true)
+	b.swapped.Store(true)
+	got := postRequest(t, coord.URL, req)
+	if !reflect.DeepEqual(got.Result.PerPattern, want) {
+		t.Errorf("after the swap: %+v, want %+v", got.Result.PerPattern, want)
+	}
+	var refused, plain int
+	for _, sub := range append(nodeRequests(t, a), nodeRequests(t, b)...) {
+		if sub.Cuts != nil {
+			refused++
+		} else {
+			plain++
+		}
+	}
+	if refused != testShards || plain != testShards {
+		t.Errorf("%d requests with cuts and %d without; want %d refused, then %d planned for the zero Shape",
+			refused, plain, testShards, testShards)
+	}
+}
+
+// Merging adds per-pattern rows in 128 bits, and recovery reads the high
+// word: a decomposed row whose V passes 2⁶⁴ only in the sum over shards
+// recovers the exact count.
+func TestMergeRecoversWideV(t *testing.T) {
+	g := coordShardedGraph()
+	req := server.Request{Graph: "g", Kind: server.KindCount, Wait: true, Patterns: []string{"0-1 1-2 2-3 3-0"}}
+	fan, err := server.PlanFanout(req, peregrine.NewPlanCache(0), peregrine.ShapeOf(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := fan.Request()
+	if len(sub.Cuts) != 2 || len(sub.Cuts[0]) != 2 || sub.Cuts[1] != nil {
+		t.Fatalf("the 4-cycle goes out as %q cuts %v, want its diagonal and the wedge beside it", sub.Patterns, sub.Cuts)
+	}
+	// V = 8·count(C4) + 2·count(wedge) (plan/cut.go's relation for the
+	// 4-cycle at a diagonal), split over four shards that each stay
+	// below 2⁶⁴.
+	count, wedges := new(big.Int).Lsh(big.NewInt(1), 61), big.NewInt(1000) // V = 2⁶⁴ + 2000
+	v := new(big.Int).Mul(count, big.NewInt(8))
+	v.Add(v, new(big.Int).Mul(wedges, big.NewInt(2)))
+	quarter := new(big.Int).Rsh(v, 2)
+	var parts []*server.Result
+	for k := range 4 {
+		part := new(big.Int).Set(quarter)
+		if k == 3 {
+			part.Sub(v, new(big.Int).Mul(quarter, big.NewInt(3)))
+		}
+		if part.BitLen() > 64 {
+			t.Fatalf("a shard's V %v does not fit in 64 bits", part)
+		}
+		parts = append(parts, &server.Result{PerPattern: []server.PatternCount{
+			{Pattern: sub.Patterns[0], Count: part.Uint64()},
+			{Pattern: sub.Patterns[1], Count: wedges.Uint64() / 4},
+		}})
+	}
+	merged := mergeResults(parts)
+	if merged.PerPattern[0].CountHi == 0 {
+		t.Fatalf("the merged V %+v does not pass 64 bits", merged.PerPattern[0])
+	}
+	got := fan.Finish(merged)
+	if !count.IsUint64() || got.PerPattern[0].Count != count.Uint64() || got.Count != count.Uint64() {
+		t.Errorf("recovered %+v 4-cycles, want %v", got.PerPattern, count)
+	}
+}
+
+// rowKey names an executed row up to isomorphism: the canonical code of
+// its pattern with the cut's vertices, if any, labeled in their order, so
+// two caches' spellings of one row compare equal.
+func rowKey(p *pattern.Pattern, cut []int) string {
+	q := p.Clone()
+	for i, v := range cut {
+		q.SetLabel(v, pattern.Label(100+i))
+	}
+	return q.CanonicalCode()
+}
+
+// postRequest posts req and returns the terminal job, failing unless it
+// is done.
+func postRequest(t *testing.T, base string, req server.Request) server.JobInfo {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, info := postCount(t, base, string(body))
+	if code != http.StatusOK || info.Status != server.StatusDone {
+		t.Fatalf("%s: code %d, %+v", base, code, info)
+	}
+	return info
+}
+
+// nodeRequests decodes the query bodies n has received, and forgets them.
+func nodeRequests(t *testing.T, n *testNode) []server.Request {
+	t.Helper()
+	var out []server.Request
+	for _, raw := range n.received() {
+		var sub server.Request
+		if err := json.Unmarshal(raw, &sub); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, sub)
+	}
+	return out
 }
 
 // canonicalCodes parses pattern texts and returns their sorted canonical
@@ -727,6 +1070,11 @@ func TestCoordinatorStats(t *testing.T) {
 	if st.MorphRuns != 1 || st.MorphPatternsReplaced != m.PatternsReplaced ||
 		st.MorphStepsDirect != m.StepsDirect || st.MorphStepsMorphed != m.StepsMorphed {
 		t.Errorf("fleet stats %+v after one rewritten query with %+v", st, m)
+	}
+	// The first query loaded the graph, so this one planned for its Shape
+	// and ran the 4-path decomposed: the coordinator counts that too.
+	if m.Decomposed == 0 || st.MorphDecomposed != m.Decomposed {
+		t.Errorf("morphDecomposed = %d after a rewrite that decomposed %d plans", st.MorphDecomposed, m.Decomposed)
 	}
 }
 

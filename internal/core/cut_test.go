@@ -19,7 +19,7 @@ func wideMatches(ms MultiStats, i int) *big.Int {
 	return v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(ms.Per[i].Matches))
 }
 
-// Every decomposition of every connected pattern of five and six
+// Every decomposition of every connected pattern of four, five and six
 // vertices, and of the 7-vertex spiders and double stars — each cut, each
 // choice of the task's vertex — counts, as its V, what
 // its relation says: |Aut(P)|·count(P) plus each shrinkage pattern's
@@ -33,7 +33,7 @@ func TestCutTuplesMatchRelation(t *testing.T) {
 		"er":    gen.ErdosRenyi(gen.ERConfig{Vertices: 40, Edges: 120, Seed: 6}),
 		"rmat":  gen.RMAT(gen.RMATConfig{Vertices: 64, Edges: 200, Seed: 7}),
 	}
-	pats := pattern.GenerateAllVertexInduced(5)
+	pats := append(pattern.GenerateAllVertexInduced(4), pattern.GenerateAllVertexInduced(5)...)
 	if !testing.Short() {
 		pats = append(pats, pattern.GenerateAllVertexInduced(6)...)
 		for _, text := range []string{

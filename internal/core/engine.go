@@ -59,9 +59,10 @@
 // (fitTail); two steps always fit. A filter on a tail step or an
 // anti-vertex check walks as before.
 //
-// A decomposed plan (plan.Cut, chosen by plan.MorphBatch for in-process
-// counts only) has no core: it runs in the same task scan, after the
-// trie, with no symmetry breaking. The task binds the cut's first vertex;
+// A decomposed plan (plan.Cut, chosen by plan.MorphBatch in-process or
+// above a coordinator's fan-out, whose nodes run it by range) has no
+// core: it runs in the same task scan, after the trie, with no symmetry
+// breaking. The task binds the cut's first vertex;
 // the second, if any, is bound from its list when the two are adjacent.
 // Each component of the pattern less the cut — one or two vertices — is
 // counted by a short rooted walk over the set kernels that avoids the
@@ -283,7 +284,8 @@ type MultiStats struct {
 	// (plan.Cut), and nil otherwise: a decomposed plan's tuple count V can
 	// pass 64 bits before its pattern's count does, so its row's Matches
 	// holds V's low 64 bits and MatchesHi its high 64; 0 for every other
-	// plan. Recovery consumes it (peregrine's CountPlan.Finish drops it).
+	// plan. Recovery consumes it (peregrine's CountPlan.Finish drops it);
+	// a ranged run of a shipped plan hands it to whoever sums the ranges.
 	MatchesHi []uint64
 
 	// Intersections totals the completion-side adjacency intersections of
@@ -296,9 +298,9 @@ type MultiStats struct {
 	// (plan.MorphBatch): zero-valued when the batch ran as given. When
 	// Morph.Active(), Per rows describe the patterns the caller asked
 	// for — counts are algebraically recovered — and traversal-side
-	// figures (CoreMatches, Tasks, Intersections) are attributed to the
+	// figures (CoreMatches, Intersections) are attributed to the
 	// executed morphed plans, reported per original only when it ran
-	// directly.
+	// directly; a replaced original's Tasks is the batch's.
 	Morph plan.MorphStats
 }
 

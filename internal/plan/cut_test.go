@@ -24,7 +24,7 @@ var sevenVertexCuts = []string{
 }
 
 // The shrinkage identity, V = Σ_π |Aut(P/π)|·count(P/π), for every cut of
-// every connected pattern of five and six vertices that has one, and of
+// every connected pattern of four, five and six vertices that has one, and of
 // the 7-vertex spiders and double stars, on an ER and an RMAT graph: V by
 // brute force from the cut's definition, the counts from internal/ref. It
 // checks the relation Decompositions derives, whatever the engine's walks
@@ -34,7 +34,7 @@ func TestShrinkageIdentity(t *testing.T) {
 		"er":   gen.ErdosRenyi(gen.ERConfig{Vertices: 30, Edges: 70, Seed: 3}),
 		"rmat": gen.RMAT(gen.RMATConfig{Vertices: 32, Edges: 80, Seed: 4}),
 	}
-	pats := append(pattern.GenerateAllVertexInduced(5), pattern.GenerateAllVertexInduced(6)...)
+	pats := slices.Concat(pattern.GenerateAllVertexInduced(4), pattern.GenerateAllVertexInduced(5), pattern.GenerateAllVertexInduced(6))
 	sevens := sevenVertexCuts
 	if testing.Short() {
 		sevens = nil
@@ -146,7 +146,9 @@ func bruteCutTuples(g *graph.Graph, p *pattern.Pattern, ct *Cut) *big.Int {
 // Which cuts the patterns the decomposition exists for get, and their
 // relations: P5 at its middle vertex, two 2-vertex paths; the 5-cycle at
 // two non-adjacent vertices, with the paw as its only shrinkage; the
-// 6-cycle at opposite vertices. Patterns outside the gates have none.
+// 6-cycle at opposite vertices; the 4-cycle at a diagonal, with the wedge
+// as its shrinkage; every 4-vertex pattern but the clique. Patterns
+// outside the gates have none.
 func TestDecompositionsShapes(t *testing.T) {
 	code := func(text string) string { return pattern.MustParse(text).CanonicalCode() }
 	relation := func(d Decomposition) map[string]int64 {
@@ -181,9 +183,25 @@ func TestDecompositionsShapes(t *testing.T) {
 			t.Errorf("C6 cut at %v, want opposite vertices", v)
 		}
 	}
+	c4 := Decompositions(pattern.Cycle(4))
+	if len(c4) != 1 || !c4[0].Plan.Cut.Scatter() || c4[0].Div != 8 || !equalMaps(relation(c4[0]), map[string]int64{code("0-1 1-2"): 2}) {
+		t.Errorf("C4: %+v, want one scatter cut at a diagonal, V = 8·count(C4) + 2·count(wedge)", c4)
+	}
+	// An inner vertex, or the middle edge, of the 4-path; the degree-3
+	// vertex, or an edge from it to a degree-2 or -1 vertex, task vertex
+	// either end, of the 3-star and of the tailed triangle; the diamond's
+	// middle edge.
+	for text, want := range map[string]int{
+		"0-1 1-2 2-3": 2, "0-1 0-2 0-3": 3, "0-1 0-2 0-3 1-2": 3,
+		"0-1 1-2 2-3 3-0": 1, "0-1 0-2 0-3 1-2 1-3": 1, "0-1 0-2 0-3 1-2 1-3 2-3": 0,
+	} {
+		if got := len(Decompositions(pattern.MustParse(text))); got != want {
+			t.Errorf("%s has %d decompositions, want %d", text, got, want)
+		}
+	}
 	labeled := pattern.Chain(5)
 	labeled.SetLabel(0, 1)
-	for _, p := range []*pattern.Pattern{pattern.Chain(4), pattern.Clique(5), labeled,
+	for _, p := range []*pattern.Pattern{pattern.Chain(3), pattern.Clique(3), pattern.Clique(5), labeled,
 		pattern.VertexInduced(pattern.Chain(5)), pattern.Chain(cutMaxVertices + 1)} {
 		if ds := Decompositions(p); ds != nil {
 			t.Errorf("%v has %d decompositions, want none", p, len(ds))
@@ -215,12 +233,14 @@ func TestCutFits(t *testing.T) {
 		{5, Shape{}, false},
 		{5, Shape{Vertices: 512, MaxDeg: 0}, false},
 		{5, Shape{Vertices: 512, MaxDeg: 100}, true},
-		{6, Shape{Vertices: 1 << 20, MaxDeg: 1 << 20}, true},   // 2^120
-		{7, Shape{Vertices: 1 << 20, MaxDeg: 1 << 20}, false},  // 2^140
-		{5, Shape{Vertices: 1<<32 - 1, MaxDeg: 1 << 24}, true}, // 2^128 less a little
+		{6, Shape{Vertices: 1 << 20, MaxDeg: 1 << 20}, true},     // 2^120
+		{7, Shape{Vertices: 1 << 20, MaxDeg: 1 << 20}, false},    // 2^140
+		{5, Shape{Vertices: 1<<32 - 1, MaxDeg: 1 << 24}, true},   // 2^128 less a little
+		{4, Shape{Vertices: 1<<32 - 1, MaxDeg: 1<<32 - 1}, true}, // (2^32 − 1)^4: every 4-vertex V fits
+		{5, Shape{Vertices: 1<<32 - 1, MaxDeg: 1<<32 - 1}, false},
 	} {
-		if got := cutFits(tc.n, tc.s); got != tc.want {
-			t.Errorf("cutFits(%d, %+v) = %v, want %v", tc.n, tc.s, got, tc.want)
+		if got := CutFits(tc.n, tc.s); got != tc.want {
+			t.Errorf("CutFits(%d, %+v) = %v, want %v", tc.n, tc.s, got, tc.want)
 		}
 	}
 }
@@ -252,6 +272,8 @@ func motifRelatives(t *testing.T, cache *Cache) []*Plan {
 // against the chosen cut, in ms. The 5-cycle and P5 are the two the
 // decomposition was built for; the shrinkage patterns the set lacks, the
 // wedge and the triangle, join it. Together the set went 59.2 → 23.3 ms.
+// The three 4-vertex plans were timed in two rounds, on a box running
+// about twice as slow as for the others.
 func TestDecomposeDecisions(t *testing.T) {
 	cache := NewCache()
 	pls := motifRelatives(t, cache)
@@ -277,6 +299,9 @@ func TestDecomposeDecisions(t *testing.T) {
 		"0-1 0-2 0-3 0-4 1-4 2-3",     // 2.5 → 1.0
 		"0-1 0-3 0-4 1-2 1-4 2-3",     // 5.1 → 1.0
 		"0-2 0-3 0-4 1-2 1-3 1-4 2-3", // 2.8 → 0.9
+		"0-2 0-3 1-2 1-3",             // C4: 3.71 → 1.09, 2.60 → 0.85
+		"0-1 0-3 1-2",                 // P4: 1.20 → 0.12, 0.82 → 0.07
+		"0-1 0-2 0-3 1-2",             // tailed triangle: 1.13 → 1.10, 0.80 → 0.78
 	}
 	slices.Sort(got)
 	slices.Sort(want)
@@ -306,11 +331,20 @@ func TestDecomposeDecisions(t *testing.T) {
 	if mp := MorphBatch(pls, cache, Options{Shape: motifBatchShape, NoSymmetryBreaking: true}); mp != nil {
 		t.Errorf("NoSymmetryBreaking batch was rewritten: %+v", mp.Stats)
 	}
-	// Where the largest degree could overflow V's 128 bits, plans run direct.
+	// Where the largest degree could overflow V's 128 bits, plans run
+	// direct: every 5-vertex plan at the largest Shape. A 4-vertex V fits
+	// in 128 bits at any Shape (TestCutFits), so the 4-vertex plans still
+	// decompose.
 	wide := motifBatchShape
-	wide.Vertices, wide.MaxDeg = 1<<32-1, 1<<31
-	if mp := MorphBatch(pls, cache, Options{Shape: wide}); mp != nil {
-		t.Errorf("a graph whose degrees overflow V decomposed: %+v", mp.Stats)
+	wide.Vertices, wide.MaxDeg = 1<<32-1, 1<<32-1
+	if mp := MorphBatch(pls, cache, Options{Shape: wide}); mp == nil || mp.Stats.Decomposed == 0 {
+		t.Errorf("no 4-vertex plan decomposed at the largest Shape: %+v", mp)
+	} else {
+		for _, pl := range mp.Exec {
+			if pl.Cut != nil && pl.Pat.N() > 4 {
+				t.Errorf("%v decomposed on a graph whose degrees could overflow its V", pl.Pat)
+			}
+		}
 	}
 }
 

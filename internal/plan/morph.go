@@ -212,7 +212,7 @@ type Shape struct {
 	Labels    int     // distinct vertex labels; 0 for an unlabeled graph
 
 	// MaxDeg is the largest degree (graph.MaxDegree). It bounds a
-	// decomposed count's tally (cutFits); 0, unknown, rules decomposition
+	// decomposed count's tally (CutFits); 0, unknown, rules decomposition
 	// out and prices nothing else.
 	MaxDeg uint32
 }
@@ -474,7 +474,7 @@ type MorphPlan struct {
 // execute, it weighs running it against running one of its
 // decompositions (Decompositions) and the shrinkage patterns the set does
 // not count already — where the shape bounds a decomposed count's tally
-// (cutFits), which a Shape without MaxDeg never does. The morph choice
+// (CutFits), which a Shape without MaxDeg never does. The morph choice
 // prices relatives as direct plans: a relative's decomposition does not
 // draw the first pass towards morphing.
 // It returns the cheaper equivalent execution with its recovery
@@ -584,7 +584,7 @@ func (mp *MorphPlan) decompose(cache *Cache, s Shape) {
 		fixed[pl] = true
 	}
 	for _, pl := range mp.Exec {
-		if pl.Pat.N() < cutMinVertices || !cutFits(pl.Pat.N(), s) {
+		if !decomposable(pl.Pat) || !CutFits(pl.Pat.N(), s) {
 			continue
 		}
 		var best *morphRelation

@@ -162,7 +162,7 @@ func TestCoalescedJobStatsTelemetry(t *testing.T) {
 	_, sts, _ := newShardTestServer(t)
 	direct := []string{
 		"coreMatches", "matchMicros", "matches",
-		"morphing.candidates", "morphing.morphsChosen", "morphing.patternsReplaced",
+		"morphing.candidates", "morphing.decomposed", "morphing.morphsChosen", "morphing.patternsReplaced",
 		"morphing.recoveryTerms", "morphing.stepsDirect", "morphing.stepsMorphed",
 		"planMicros",
 		"sharing.intersections", "sharing.intersectionsSaved", "sharing.programSteps",
@@ -396,7 +396,7 @@ func TestStatsEndpointFlat(t *testing.T) {
 		"coalesceIntersectionsSaved", "coalescePatterns", "coalesceRequests",
 		"coalesceTraversalsSaved", "coalesceUniquePlans",
 		"graphsLoaded", "graphsPinned", "graphsRegistered",
-		"morphCandidates", "morphPatternsReplaced", "morphRecoveryTerms", "morphRuns",
+		"morphCandidates", "morphDecomposed", "morphPatternsReplaced", "morphRecoveryTerms", "morphRuns",
 		"morphStepsDirect", "morphStepsMorphed", "morphsChosen",
 		"planCacheEntries", "planCacheHitRate", "planCacheHits", "planCacheMisses",
 		"registryResidentBytes",

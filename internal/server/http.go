@@ -136,6 +136,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v: %q", ErrUnknownGraph, req.Graph)
 		return
 	}
+	if len(req.Cuts) > 0 {
+		// A cut whose V could overflow on this node's graph is the
+		// sender's error — it planned for another graph — so it is a 400
+		// here, not a failed job. This loads the graph in the POST, as a
+		// shipped executed set's sender, a coordinator, waits anyway. A
+		// failed load is left to the job, which reports it.
+		var fit error
+		if s.registry.With(req.Graph, func(g *graph.Graph) error { fit = q.prepared.CutsFit(g); return nil }) == nil && fit != nil {
+			writeError(w, http.StatusBadRequest, "%v", fit)
+			return
+		}
+	}
 
 	// The graph is resolved inside the job so a slow first load (large
 	// edge-list file) does not block the POST: async clients get their

@@ -52,6 +52,7 @@ func TestMorphingStatsTelemetry(t *testing.T) {
 		{"coalesced", ""},
 		{"direct", `,"threads":2`},
 	}
+	var decomposed uint64 // the runs' stats.morphing.decomposed, summed
 	for i, tc := range paths {
 		t.Run(tc.name, func(t *testing.T) {
 			_, info := postQuery(t, ts, motifBodyVI("tri5", motifTexts(4), tc.extra))
@@ -76,9 +77,13 @@ func TestMorphingStatsTelemetry(t *testing.T) {
 			if info.Result.Count != 0 {
 				t.Errorf("count = %d, want 0 on disjoint triangles", info.Result.Count)
 			}
+			decomposed += m.Decomposed
 			st := s.Stats()
 			if st.MorphRuns != uint64(i+1) {
 				t.Errorf("morphRuns = %d after %d morphing runs", st.MorphRuns, i+1)
+			}
+			if st.MorphDecomposed != decomposed {
+				t.Errorf("morphDecomposed = %d, the runs decomposed %d", st.MorphDecomposed, decomposed)
 			}
 			if st.MorphPatternsReplaced == 0 || st.MorphStepsMorphed >= st.MorphStepsDirect {
 				t.Errorf("server morph counters = %+v", st)
@@ -97,7 +102,7 @@ func TestMorphingStatsTelemetry(t *testing.T) {
 	}
 	for _, key := range []string{
 		"morphRuns", "morphCandidates", "morphsChosen", "morphPatternsReplaced",
-		"morphRecoveryTerms", "morphStepsDirect", "morphStepsMorphed",
+		"morphRecoveryTerms", "morphStepsDirect", "morphStepsMorphed", "morphDecomposed",
 	} {
 		if _, ok := flat[key]; !ok {
 			t.Errorf("GET /v1/stats missing %q", key)

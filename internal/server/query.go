@@ -64,13 +64,23 @@ type Request struct {
 	// taskHi) — the distribution primitive: disjoint ranges' counts sum
 	// to the whole-graph counts, so a coordinator fans one query out as
 	// per-shard ranged jobs and adds the answers. taskHi 0 means "to the
-	// end". Ranged count queries run their patterns as given, without
-	// pattern morphing (recovery is only valid over the whole task space
-	// — so a coordinator rewrites before it fans out and recovers from
-	// the summed answers, see Fanout), and bypass cross-request coalescing
-	// (merged batches must share one range).
+	// end". Ranged count queries run their patterns as given, with no
+	// rewrite — no morphing and no decomposition, whose recovery is only
+	// valid over the whole task space — so a coordinator rewrites before
+	// it fans out, ships the executed set (with Cuts), and recovers from
+	// the summed answers (see Fanout). They also bypass cross-request
+	// coalescing: merged batches must share one range.
 	TaskLo uint32 `json:"taskLo,omitempty"`
 	TaskHi uint32 `json:"taskHi,omitempty"`
+	// Cuts runs rows of a ranged count decomposed: one entry per entry of
+	// Patterns, empty for a row counted as given, otherwise the pattern
+	// vertices of the row's cut, the task's vertex first (a coordinator's
+	// executed set, peregrine.CountPlan.Cuts). Such a row answers V, the
+	// tuples through the cut — in 128 bits, Count and CountHi — not its
+	// pattern's count. The node rebuilds each cut from the pattern text as
+	// sent and refuses (400) one that is not a decomposition of it, or
+	// whose V could overflow 128 bits on the node's graph.
+	Cuts [][]int `json:"cuts,omitempty"`
 }
 
 // taskRanged reports whether the request restricts its task range.
@@ -80,6 +90,9 @@ func (r Request) taskRanged() bool { return r.TaskLo != 0 || r.TaskHi != 0 }
 type PatternCount struct {
 	Pattern string `json:"pattern"`
 	Count   uint64 `json:"count"`
+	// CountHi is the high 64 bits of a decomposed row's V (Request.Cuts),
+	// whose low 64 are Count; absent on every other row.
+	CountHi uint64 `json:"countHi,omitempty"`
 }
 
 // Result carries the outcome of one query.
@@ -206,6 +219,13 @@ func (q *compiledQuery) countResult(per []peregrine.Stats, ms peregrine.MultiSta
 		res.PerPattern = make([]PatternCount, len(q.texts))
 		for i, text := range q.texts {
 			res.PerPattern[i] = PatternCount{Pattern: text, Count: per[i].Matches}
+			if len(q.req.Cuts) > 0 && ms.MatchesHi != nil {
+				// A ranged request runs as a batch of its own, and an
+				// executed set's rows are distinct plans
+				// (peregrine.PrepareExecuted): the execution's rows are
+				// the request's.
+				res.PerPattern[i].CountHi = ms.MatchesHi[i]
+			}
 		}
 	}
 	return res
@@ -227,6 +247,16 @@ type compiledQuery struct {
 // process-wide default). Errors are client errors (HTTP 400); the
 // graph is resolved separately so unknown graphs can map to 404.
 func compile(req Request, plans *peregrine.PlanCache) (*compiledQuery, error) {
+	if len(req.Cuts) > 0 {
+		switch {
+		case req.Kind != KindCount:
+			return nil, fmt.Errorf("cuts apply to count queries only")
+		case !req.taskRanged():
+			return nil, fmt.Errorf("cuts need a task range: a decomposed row's V is recovered from at the merge of a fan-out")
+		case len(req.Cuts) != len(req.Patterns):
+			return nil, fmt.Errorf("cuts has %d entries for %d patterns; want one per entry of patterns", len(req.Cuts), len(req.Patterns))
+		}
+	}
 	switch req.Kind {
 	case KindCount, KindExists, KindMatches:
 		texts := req.Patterns
@@ -279,7 +309,9 @@ func compile(req Request, plans *peregrine.PlanCache) (*compiledQuery, error) {
 		if plans != nil {
 			prepOpts = append(prepOpts, peregrine.WithPlanCache(plans))
 		}
-		prepared, err := peregrine.PrepareWith(prepOpts, pats...)
+		// With cuts, the patterns are a shipped executed set; without,
+		// PrepareExecuted is PrepareWith.
+		prepared, err := peregrine.PrepareExecuted(prepOpts, pats, req.Cuts)
 		if err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"sync"
 
+	"peregrine"
 	"peregrine/internal/gen"
 	"peregrine/internal/graph"
 )
@@ -42,6 +43,21 @@ type GraphInfo struct {
 	// manifest-backed sharded graphs. A sharded graph is loaded, charged,
 	// pinned and evicted whole, so the columns above say the rest.
 	Shards int `json:"shards,omitempty"`
+
+	// MeanDeg, MeanSqDeg and MaxDeg are the loaded graph's degree moments
+	// and largest degree, from its memoised degree pass (taken at load);
+	// absent while the graph is unloaded. With Vertices and Labels they
+	// are the Shape a count on the graph plans for (Shape), which a
+	// coordinator reads here to plan as its nodes would.
+	MeanDeg   float64 `json:"meanDeg,omitempty"`
+	MeanSqDeg float64 `json:"meanSqDeg,omitempty"`
+	MaxDeg    uint32  `json:"maxDeg,omitempty"`
+}
+
+// Shape is the Shape a count on the described graph plans for
+// (peregrine.ShapeOf), when the graph is loaded.
+func (gi GraphInfo) Shape() peregrine.Shape {
+	return peregrine.Shape{Vertices: gi.Vertices, MeanDeg: gi.MeanDeg, MeanSqDeg: gi.MeanSqDeg, Labels: gi.Labels, MaxDeg: gi.MaxDeg}
 }
 
 // graphEntry is one named graph behind its Source. The Source is the
@@ -126,6 +142,7 @@ func (r *Registry) AddSource(name string, src graph.Source) {
 	e := &graphEntry{name: name, src: src, shared: graph.Shared(src)}
 	if e.shared {
 		if g, err := src.Load(); err == nil {
+			g.MaxDegree() // the degree pass List reads, outside the lock
 			st := graph.SourceStatOf(g)
 			e.g = g
 			e.bytes = st.Bytes
@@ -260,6 +277,7 @@ func (r *Registry) load(e *graphEntry) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	g.MaxDegree() // the degree pass List reads, taken here outside r.mu
 	// A real load is also the best answer for the entry's listing after
 	// a future eviction.
 	st := graph.SourceStatOf(g)
@@ -388,6 +406,10 @@ func (r *Registry) List() []GraphInfo {
 		if st := e.stat; st != nil {
 			info.Vertices, info.Edges, info.Labels = st.Vertices, st.Edges, st.Labels
 			info.Bytes, info.Shards = st.Bytes, st.Shards
+		}
+		if e.g != nil {
+			s := peregrine.ShapeOf(e.g) // memoised at load: no pass under r.mu
+			info.MeanDeg, info.MeanSqDeg, info.MaxDeg = s.MeanDeg, s.MeanSqDeg, s.MaxDeg
 		}
 		return info
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"peregrine"
 	"peregrine/internal/graph"
 )
 
@@ -474,7 +475,8 @@ func TestServersHaveIsolatedPlanCaches(t *testing.T) {
 // GET /v1/graphs metadata for a .pgr- or manifest-backed graph must be
 // available before the graph is ever loaded, straight from the headers,
 // and say what the load then makes true: the row before the first query
-// and the row after it differ in "loaded" alone.
+// and the row after it differ in "loaded" and in the degree figures only
+// a load can read — the Shape a coordinator plans for.
 func TestRegistryStatBeforeLoad(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		r := NewRegistry()
@@ -500,7 +502,11 @@ func TestRegistryStatBeforeLoad(t *testing.T) {
 			}
 		})
 		gi.Loaded = true
-		if after := r.List()[0]; after != gi {
+		use(t, r, "g", func(g *graph.Graph) {
+			s := peregrine.ShapeOf(g)
+			gi.MeanDeg, gi.MeanSqDeg, gi.MaxDeg = s.MeanDeg, s.MeanSqDeg, s.MaxDeg
+		})
+		if after := r.List()[0]; after != gi || gi.MaxDeg == 0 {
 			t.Fatalf("shards=%d: row after the load %+v, before it %+v", shards, after, gi)
 		}
 	}

@@ -46,6 +46,7 @@ func (m *MorphCounters) AddTo(st *ServerStats) {
 	st.MorphRecoveryTerms += mt.RecoveryTerms
 	st.MorphStepsDirect += mt.StepsDirect
 	st.MorphStepsMorphed += mt.StepsMorphed
+	st.MorphDecomposed += mt.Decomposed
 }
 
 // ServerStats is the body of GET /v1/stats.
@@ -70,7 +71,8 @@ type ServerStats struct {
 	// Morphing totals across every count execution (direct and
 	// coalesced). MorphRuns counts executions whose batch was rewritten;
 	// MorphStepsDirect minus MorphStepsMorphed is the share-trie program
-	// work the rewrites avoided.
+	// work the rewrites avoided; MorphDecomposed counts the plans they ran
+	// decomposed at a vertex cut.
 	MorphRuns             uint64 `json:"morphRuns"`
 	MorphCandidates       uint64 `json:"morphCandidates"`
 	MorphsChosen          uint64 `json:"morphsChosen"`
@@ -78,6 +80,7 @@ type ServerStats struct {
 	MorphRecoveryTerms    uint64 `json:"morphRecoveryTerms"`
 	MorphStepsDirect      uint64 `json:"morphStepsDirect"`
 	MorphStepsMorphed     uint64 `json:"morphStepsMorphed"`
+	MorphDecomposed       uint64 `json:"morphDecomposed"`
 
 	// Plan-cache totals for this server's own cache handle.
 	PlanCacheHits    uint64  `json:"planCacheHits"`

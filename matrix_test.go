@@ -19,6 +19,7 @@ package peregrine
 import (
 	"hash/fnv"
 	"maps"
+	"math/bits"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -85,11 +86,13 @@ var tailPatterns = sync.OnceValue(func() (out []*Pattern) {
 })
 
 // cutPatterns have a vertex cut the count can decompose at (plan.Cut):
-// the 5-cycle, P5, the 6-cycle, the house and the bull, each in two
-// spellings, edge- and vertex-induced — the latter morph first, and their
-// relatives decompose.
+// the 4-cycle, P4, the 5-cycle, P5, the 6-cycle, the house and the bull,
+// each in two spellings, edge- and vertex-induced — the latter morph
+// first, and their relatives decompose.
 var cutPatterns = sync.OnceValue(func() (out []*Pattern) {
 	for _, text := range []string{
+		"0-1 1-2 2-3 3-0",         // C4: a diagonal
+		"0-1 1-2 2-3",             // P4: an inner vertex, or the middle edge
 		"0-1 1-2 2-3 3-4 4-0",     // C5: two non-adjacent vertices
 		"0-1 1-2 2-3 3-4",         // P5: its middle vertex
 		"0-1 1-2 2-3 3-4 4-5 5-0", // C6: two opposite vertices
@@ -714,20 +717,41 @@ func (r cellRun) count(t *testing.T, b []*Pattern) ([]*Pattern, []uint64) {
 			add(matchCounts(slices.Concat(per...)), err)
 		}
 	case viaPlanCount:
-		// As a coordinator would: rewrite once, count the executed set by
-		// range as plain patterns, recover once.
-		cp, err := PlanCount([]*PreparedQuery{r.prepare(t, b)}, r.opts...)
+		// As a coordinator would once a node has reported the graph's
+		// Shape: rewrite once, count the executed set and its cuts by range
+		// where they are shipped, sum in 128 bits, recover once.
+		cp, err := PlanCount(ShapeOf(r.g), []*PreparedQuery{r.prepare(t, b)}, r.opts...)
 		must(t, err)
-		executed := cp.Executed()
-		got = make([]uint64, len(executed))
-		for _, rg := range r.ranges() {
-			add(CountMany(r.g, executed, at(r.opts, rg, WithoutMorphing())...))
-		}
-		got = finish(cp, got)
+		per, _ := cp.Finish(runExecuted(t, r.g, cp, r.ranges(), r.opts...))
+		got = matchCounts(per[0])
 	case viaMotifs:
 		got = r.motifs(t, b)
 	}
 	return b, got
+}
+
+// runExecuted counts cp's executed set as a node it is shipped to does —
+// PrepareExecuted with its cuts, a ranged count that never rewrites — over
+// each of ranges, and sums the rows in 128 bits, as a coordinator's merge
+// does.
+func runExecuted(t *testing.T, g *Graph, cp *CountPlan, ranges [][2]uint32, opts ...Option) MultiStats {
+	t.Helper()
+	q, err := PrepareExecuted(opts, cp.Executed(), cp.Cuts())
+	must(t, err)
+	sum := MultiStats{Per: make([]Stats, len(cp.Executed())), MatchesHi: make([]uint64, len(cp.Executed()))}
+	for _, rg := range ranges {
+		_, ms, err := q.CountEachWithStats(g, at(opts, rg, WithoutMorphing())...)
+		must(t, err)
+		for i := range sum.Per {
+			var carry uint64
+			sum.Per[i].Matches, carry = bits.Add64(sum.Per[i].Matches, ms.Per[i].Matches, 0)
+			sum.MatchesHi[i] += carry
+			if ms.MatchesHi != nil {
+				sum.MatchesHi[i] += ms.MatchesHi[i]
+			}
+		}
+	}
+	return sum
 }
 
 // finish recovers a CountPlan's requested counts from its executed ones.
@@ -747,7 +771,7 @@ func finish(cp *CountPlan, executed []uint64) []uint64 {
 // automorphic representative depends on the id order.
 func (r cellRun) runPlans(t *testing.T, b []*Pattern) []uint64 {
 	t.Helper()
-	cp, err := PlanCount([]*PreparedQuery{r.prepare(t, b)}, r.opts...)
+	cp, err := PlanCount(Shape{}, []*PreparedQuery{r.prepare(t, b)}, r.opts...) // no cuts: they enumerate nothing
 	must(t, err)
 	enum, sorted := r.c.v[axEntry] == viaRunEnum, r.c.v[axSym] == 0
 	counts := make([]uint64, len(cp.exec))

@@ -200,9 +200,9 @@ func WithoutMorphing() Option { return func(c *config) { c.noMorph = true } }
 // and its morphed relatives can have different cores, so the same
 // vertex set roots at different tasks and the recovery algebra only
 // balances over the whole graph. Sharing and symmetry breaking apply
-// unchanged. To morph a count that is split over ranges, rewrite first
-// and recover from the per-pattern sums: PlanCount, the executed set by
-// range, CountPlan.Finish.
+// unchanged. To rewrite a count that is split over ranges, rewrite first
+// and recover from the per-row sums: PlanCount, the executed set and its
+// cuts by range (PrepareExecuted), CountPlan.Finish.
 func WithTaskRange(lo, hi uint32) Option {
 	return func(c *config) { c.opts.TaskLo, c.opts.TaskHi = lo, hi }
 }

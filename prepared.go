@@ -12,6 +12,7 @@ package peregrine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"iter"
 	"sync/atomic"
@@ -82,6 +83,9 @@ type PreparedQuery struct {
 	// planCache is the cache the query was prepared in (WithPlanCache);
 	// nil means the process-wide default. Recompiles go back to it.
 	planCache *plan.Cache
+	// cuts marks an executed set with decomposed rows (PrepareExecuted):
+	// it only counts, as prepared.
+	cuts bool
 }
 
 // Prepare compiles patterns into a reusable query. Plans come from the
@@ -123,14 +127,93 @@ func PrepareWith(opts []Option, patterns ...*Pattern) (*PreparedQuery, error) {
 func compilePatterns(ps []*Pattern, c config) ([]preparedPattern, error) {
 	out := make([]preparedPattern, len(ps))
 	for i, p := range ps {
-		eff := c.pattern(p)
-		cached, err := c.cache().Get(eff, c.planOptions())
+		pp, err := compilePattern(p, c)
 		if err != nil {
 			return nil, fmt.Errorf("peregrine: pattern %d (%v): %w", i, p, err)
 		}
-		out[i] = preparedPattern{pat: eff, plan: cached.Plan, remap: cached.Remap}
+		out[i] = pp
 	}
 	return out, nil
+}
+
+// compilePattern resolves one pattern as compilePatterns does.
+func compilePattern(p *Pattern, c config) (preparedPattern, error) {
+	eff := c.pattern(p)
+	cached, err := c.cache().Get(eff, c.planOptions())
+	if err != nil {
+		return preparedPattern{}, err
+	}
+	return preparedPattern{pat: eff, plan: cached.Plan, remap: cached.Remap}, nil
+}
+
+// PrepareExecuted prepares, where it runs, an executed set a CountPlan
+// planned elsewhere: Executed's patterns, and Cuts' vertex lists (nil,
+// or one entry per pattern, empty for a row counted as given). A row with
+// a cut is its pattern's decomposed plan, built by plan.NewCut from the
+// pattern as given — never through the plan cache, whose entry may number
+// the pattern differently from the cut — and counts V: its low 64 bits in
+// Stats.Matches, its high 64 in MultiStats.MatchesHi. The other rows
+// compile as PrepareWith's do.
+//
+// The rows must be distinct plans, so that a count's MultiStats rows are
+// indexed like them. The query only counts, under the options it was
+// prepared with, and a count never rewrites it: summed over disjoint task
+// ranges, its rows are what CountPlan.Finish takes.
+func PrepareExecuted(opts []Option, patterns []*Pattern, cuts [][]int) (*PreparedQuery, error) {
+	if cuts == nil || len(patterns) == 0 {
+		return PrepareWith(opts, patterns...)
+	}
+	if len(cuts) != len(patterns) {
+		return nil, fmt.Errorf("peregrine: %d cuts for %d patterns", len(cuts), len(patterns))
+	}
+	c := buildConfig(opts)
+	q := &PreparedQuery{
+		orig:          append([]*Pattern(nil), patterns...),
+		compiled:      make([]preparedPattern, len(patterns)),
+		vertexInduced: c.vertexInduced,
+		noSym:         c.opts.NoSymmetryBreaking,
+		planCache:     c.planCache,
+	}
+	seen := make(map[*plan.Plan]bool)
+	for i, p := range q.orig {
+		pp := &q.compiled[i]
+		var err error
+		if verts := cuts[i]; len(verts) > 0 {
+			eff := c.pattern(p)
+			var pl *plan.Plan
+			pl, err = plan.NewCut(eff, verts)
+			*pp = preparedPattern{pat: eff, plan: pl}
+			q.cuts = true
+		} else {
+			*pp, err = compilePattern(p, c)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("peregrine: pattern %d (%v): %w", i, p, err)
+		}
+		if seen[pp.plan] {
+			return nil, fmt.Errorf("peregrine: pattern %d (%v) repeats an earlier row", i, pp.pat)
+		}
+		seen[pp.plan] = true
+	}
+	return q, nil
+}
+
+// CutsFit returns an error when a decomposed row of q (PrepareExecuted)
+// could overflow its 128-bit tally of V on g, as plan.CutFits bounds it:
+// the planner that chose the cut priced another graph. A count of q on g
+// returns the same error.
+func (q *PreparedQuery) CutsFit(g *Graph) error {
+	if !q.cuts {
+		return nil
+	}
+	s := ShapeOf(g)
+	for _, pp := range q.compiled {
+		if pp.plan.Cut != nil && !plan.CutFits(pp.pat.N(), s) {
+			return fmt.Errorf("peregrine: the decomposed count of %v could overflow 128 bits on a graph of %d vertices and largest degree %d",
+				pp.pat, s.Vertices, s.MaxDeg)
+		}
+	}
+	return nil
 }
 
 // buildConfig resolves per-call options over the query's prepare-time
@@ -155,8 +238,17 @@ func (q *PreparedQuery) resolve(c config) ([]preparedPattern, error) {
 	if c.vertexInduced == q.vertexInduced && c.opts.NoSymmetryBreaking == q.noSym {
 		return q.compiled, nil
 	}
+	if q.cuts {
+		return nil, errCutsOptions
+	}
 	return compilePatterns(q.orig, c)
 }
+
+// An executed set with decomposed rows only counts, as prepared.
+var (
+	errCutsEnumerate = errors.New("peregrine: a decomposed row counts tuples through its cut and delivers no matches")
+	errCutsOptions   = errors.New("peregrine: an executed set with decomposed rows runs under the options it was prepared with")
+)
 
 // Patterns returns the prepared patterns in query order.
 func (q *PreparedQuery) Patterns() []*Pattern {
@@ -228,6 +320,9 @@ func adaptCallback(pps []preparedPattern, threads int, f func(ctx *Ctx, pat int,
 // MatchFunc, f runs concurrently on worker threads and the Match's
 // Mapping is reused between invocations.
 func (q *PreparedQuery) ForEach(g *Graph, f func(ctx *Ctx, pat int, m *Match), opts ...Option) (MultiStats, error) {
+	if q.cuts {
+		return MultiStats{}, errCutsEnumerate
+	}
 	c := q.buildConfig(opts)
 	pps, err := q.resolve(c)
 	if err != nil {
@@ -308,6 +403,9 @@ func (q *PreparedQuery) Matches(g *Graph, opts ...Option) (iter.Seq2[int, Match]
 // context fired — so checking st.Stopped afterwards distinguishes a
 // truncated stream from a complete one (bufio.Scanner.Err-style).
 func (q *PreparedQuery) MatchesWithStats(g *Graph, opts ...Option) (iter.Seq2[int, Match], *MultiStats, error) {
+	if q.cuts {
+		return nil, nil, errCutsEnumerate
+	}
 	c := q.buildConfig(opts)
 	pps, err := q.resolve(c)
 	if err != nil {

@@ -337,6 +337,25 @@ func TestPrepareErrors(t *testing.T) {
 	}
 }
 
+// TestPrepareExecutedCutsBypassCache: a shipped executed set compiles
+// only its plain rows through the plan cache; a row with a cut is built
+// from its pattern as given and never looked up.
+func TestPrepareExecutedCutsBypassCache(t *testing.T) {
+	pc := NewPlanCache(0)
+	c4, p3 := pattern.MustParse("0-1 1-2 2-3 3-0"), pattern.Chain(3)
+	q, err := PrepareExecuted([]Option{WithPlanCache(pc)}, []*Pattern{c4, p3}, [][]int{{0, 2}, nil})
+	must(t, err)
+	if hits, misses := pc.Stats(); hits != 0 || misses != 1 || pc.Len() != 1 {
+		t.Errorf("plan cache after PrepareExecuted: %d hits, %d misses, %d entries; want the plain row's one miss", hits, misses, pc.Len())
+	}
+	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 40, Edges: 90, Seed: 3})
+	_, ms, err := q.CountEachWithStats(g)
+	must(t, err)
+	if ms.Per[0].Matches == 0 || ms.Per[1].Matches == 0 {
+		t.Errorf("executed set counted %+v; want V and the chain count both nonzero", ms.Per)
+	}
+}
+
 // TestCountEntryPointsAgree: the counting entry points are adapters over
 // one pipeline. For each vertex-induced 3- and 4-motif, Count,
 // CountMany, CountEach and CountEachMerged report the same morph and
@@ -366,28 +385,24 @@ func TestCountEntryPointsAgree(t *testing.T) {
 			_, one, err2 := CountManyWithStats(g, []*Pattern{vip}, WithThreads(4))
 			_, each, err3 := q.CountEachWithStats(g, WithThreads(4))
 			_, merged, err4 := CountEachMerged(g, []*PreparedQuery{q}, WithThreads(4))
-			cp, err5 := PlanCount([]*PreparedQuery{q})
+			cp, err5 := PlanCount(ShapeOf(g), []*PreparedQuery{q})
 			must(t, errors.Join(err1, err2, err3, err4, err5))
 			if !sameWork(st, one.Per[0]) || each.Morph != one.Morph || each.Share != one.Share ||
 				merged.Morph != one.Morph || merged.Share != one.Share || cp.Rewritten() != one.Morph.Active() {
 				t.Errorf("%v: Count %+v, CountMany %+v %+v, CountEach %+v, CountEachMerged %+v, PlanCount rewritten %v",
 					vip, st, one.Per[0], one.Morph, each.Morph, merged.Morph, cp.Rewritten())
 			}
-			executed := cp.Executed()
-			ranged := MultiStats{Per: make([]Stats, len(executed))}
-			for _, cut := range [][2]uint32{{0, v / 4}, {v / 4, v / 2}, {v / 2, 3 * v / 4}, {3 * v / 4, 0}} {
+			ranges := [][2]uint32{{0, v / 4}, {v / 4, v / 2}, {v / 2, 3 * v / 4}, {3 * v / 4, 0}}
+			for _, cut := range ranges {
 				rg := WithTaskRange(cut[0], cut[1])
-				_, part, err1 := CountManyWithStats(g, executed, WithThreads(4), rg)
 				_, st, err2 := CountWithStats(g, vip, WithThreads(4), rg)
 				_, solo, err3 := CountManyWithStats(g, []*Pattern{vip}, WithThreads(4), rg)
-				must(t, errors.Join(err1, err2, err3))
+				must(t, errors.Join(err2, err3))
 				if solo.Morph.Active() || !sameWork(st, solo.Per[0]) {
 					t.Errorf("%v range %v: morph %+v; Count ran %+v, CountMany %+v", vip, cut, solo.Morph, st, solo.Per[0])
 				}
-				for j := range part.Per {
-					ranged.Per[j].Matches += part.Per[j].Matches
-				}
 			}
+			executed, ranged := cp.Executed(), runExecuted(t, g, cp, ranges, WithThreads(4))
 			if per, finished := cp.Finish(ranged); per[0][0].Matches != one.Per[0].Matches || finished.Morph != one.Morph {
 				t.Errorf("%v: executed set %v by range, finished once = %d (morph %+v), whole run %d (morph %+v)",
 					vip, executed, per[0][0].Matches, finished.Morph, one.Per[0].Matches, one.Morph)
@@ -659,15 +674,16 @@ func TestMorphTelemetryInvariant(t *testing.T) {
 	}
 }
 
-// TestMorphBypassesEdgeInduced: anti-edge-free batches run exactly as
-// given — no rewrite, no telemetry.
+// TestMorphBypassesEdgeInduced: anti-edge-free batches never morph — no
+// relative is considered or chosen — and the one rewrite they may see is
+// decomposition at a vertex cut, which replaces nothing else.
 func TestMorphBypassesEdgeInduced(t *testing.T) {
 	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 48, Edges: 110, Seed: 11})
 	batch := []*Pattern{pattern.Clique(3), pattern.Chain(4), pattern.Star(4)}
 	morphed, ms, err := CountManyWithStats(g, batch, WithThreads(4))
 	must(t, err)
-	if ms.Morph.Active() || ms.Morph.MorphsChosen != 0 {
-		t.Errorf("edge-induced batch reports morphing: %+v", ms.Morph)
+	if m := ms.Morph; m.Candidates != 0 || m.MorphsChosen != 0 || m.PatternsReplaced != m.Decomposed {
+		t.Errorf("edge-induced batch reports morphing: %+v", m)
 	}
 	direct, err := CountMany(g, batch, WithThreads(4), WithoutMorphing())
 	must(t, err)

@@ -10,6 +10,9 @@
 # an edge-induced pair, which fans out as given, and for a vertex-induced
 # pair, which the coordinator rewrites above the fan-out and recovers at
 # the merge (its answer must say so: stats.morphing.patternsReplaced > 0).
+# By then a node has loaded the graph and reported its shape, so the
+# rewrite decomposes the pair's 4-path at a vertex cut, as a node would,
+# and ships the cut: stats.morphing.decomposed > 0.
 #
 # Serving numbers through a coordinator come from `go run ./bench
 # -workload coord_sharded`, not from this script.
@@ -57,18 +60,24 @@ count_vi() {
 }
 
 # check_vi <when> — the coordinator's vertex-induced answer must equal
-# the single node's ($SINGLE_VI) and report its rewrite
+# the single node's ($SINGLE_VI) and report its rewrite, decomposition
+# included
 check_vi() {
-  local merged replaced
+  local merged replaced decomposed
   merged=$(count_vi "http://127.0.0.1:$COORD" "$WORK/vi.json")
   replaced=$(grep -o '"patternsReplaced":[0-9]*' "$WORK/vi.json" | cut -d: -f2 || true)
-  say "$1: vertex-induced merged $merged patternsReplaced=${replaced:-none}"
+  decomposed=$(grep -o '"decomposed":[0-9]*' "$WORK/vi.json" | cut -d: -f2 || true)
+  say "$1: vertex-induced merged $merged patternsReplaced=${replaced:-none} decomposed=${decomposed:-none}"
   if [ -z "$SINGLE_VI" ] || [ "$SINGLE_VI" != "$merged" ]; then
     say "FAIL: $1: vertex-induced merged counts diverge from single node $SINGLE_VI"
     exit 1
   fi
   if [ "${replaced:-0}" -lt 1 ]; then
     say "FAIL: $1: the coordinator did not rewrite the vertex-induced pair: $(cat "$WORK/vi.json")"
+    exit 1
+  fi
+  if [ "${decomposed:-0}" -lt 1 ]; then
+    say "FAIL: $1: the coordinator's rewrite decomposed nothing: $(cat "$WORK/vi.json")"
     exit 1
   fi
 }
@@ -153,4 +162,4 @@ if [ -z "$FAILOVERS" ] || [ "$FAILOVERS" -lt 1 ]; then
 fi
 stop_all
 
-say "OK: missing fragment failed the job, merged counts exact as given and rewritten, failover survived"
+say "OK: missing fragment failed the job, merged counts exact as given and rewritten (decomposed), failover survived"
