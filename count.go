@@ -209,10 +209,10 @@ func (cp *CountPlan) Finish(executed MultiStats) ([][]Stats, MultiStats) {
 // relatives).
 func recoverCounts(ms MultiStats, mp *plan.MorphPlan) MultiStats {
 	counts := mp.RecoverWide(matchCounts(ms.Per), ms.MatchesHi)
-	per := make([]Stats, len(mp.Recov))
-	for i := range mp.Recov {
-		if d := mp.Recov[i].Direct; d >= 0 {
-			per[i] = ms.Per[d]
+	per := make([]Stats, len(mp.Out))
+	for i, j := range mp.Out {
+		if j < len(mp.Exec) {
+			per[i] = ms.Per[j]
 		} else {
 			per[i] = Stats{
 				Matches:   counts[i],

@@ -2,6 +2,9 @@ package peregrine
 
 import (
 	"testing"
+
+	"peregrine/internal/gen"
+	"peregrine/internal/pattern"
 )
 
 // cutBatches are batches of the cut form that in-process counting
@@ -85,6 +88,24 @@ func TestTaskRangesSumForDecomposedBatch(t *testing.T) {
 				t.Errorf("%s: %v: ranges sum to %d, the whole graph counts %d", name, p, sum[i], whole[i])
 			}
 		}
+	}
+}
+
+// A requested pattern that runs decomposed reports its relation's terms:
+// the edge-induced 4-cycle on motif_batch's graph is V at a diagonal less
+// twice the wedges, two terms.
+func TestDirectDecompositionRecoveryTerms(t *testing.T) {
+	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 512, Edges: 2560, MaxDegree: 100, Seed: 1})
+	c4 := pattern.Cycle(4)
+	got, ms, err := CountManyWithStats(g, []*Pattern{c4})
+	must(t, err)
+	if m := ms.Morph; m.PatternsReplaced != 1 || m.RecoveryTerms != 2 || m.Decomposed != 1 {
+		t.Errorf("morphing %+v, want 1 replaced, 2 recovery terms, 1 decomposed", m)
+	}
+	direct, err := Count(g, c4, WithoutMorphing())
+	must(t, err)
+	if got[0] != direct {
+		t.Errorf("decomposed count %d, direct %d", got[0], direct)
 	}
 }
 

@@ -62,15 +62,11 @@ type cacheEntry struct {
 	inv     []int         // canonical position -> plan pattern vertex
 	lastUse atomic.Uint64 // Cache.tick stamp of the most recent Get
 
-	// The pattern's morph relation, compiled on first use by MorphBatch
-	// (morphRelation) and dropped with the entry.
-	morphOnce sync.Once
-	morph     *morphRelation
-
-	// The pattern's decompositions, compiled on first use by MorphBatch
-	// (cutRelations).
-	cutOnce sync.Once
-	cuts    []*morphRelation
+	// The relations the pattern's count can be recovered from — its morph
+	// relation, or its decompositions — compiled on first use by
+	// MorphBatch (Cache.relations) and dropped with the entry.
+	relOnce sync.Once
+	rels    []*relation
 }
 
 // Cached is a cache lookup result: the plan plus the vertex translation

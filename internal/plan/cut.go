@@ -396,33 +396,6 @@ func shrinkage(p *pattern.Pattern, comps [][]int) []MorphTerm {
 	return terms
 }
 
-// cutRelations returns the decompositions of p's shape compiled against c,
-// as relations MorphBatch reads like morph relations: the decomposed plan
-// with coefficient 1, each shrinkage pattern's cached plan with −c_q, and
-// Div |Aut(p)|. A decomposition a term of which fails to compile is
-// dropped. Like morphRelation they are kept on the shape's cache entry.
-func (c *Cache) cutRelations(p *pattern.Pattern, opt Options) []*morphRelation {
-	e, _, err := c.entry(p, opt)
-	if err != nil {
-		return nil
-	}
-	e.cutOnce.Do(func() {
-	decompositions:
-		for _, d := range Decompositions(e.plan.Pat) {
-			rel := &morphRelation{div: d.Div, terms: []compiledTerm{{pl: d.Plan, coef: 1}}}
-			for _, t := range d.Terms {
-				cached, err := c.Get(t.Pat, opt)
-				if err != nil {
-					continue decompositions
-				}
-				rel.terms = append(rel.terms, compiledTerm{pl: cached.Plan, coef: -t.Coef})
-			}
-			e.cuts = append(e.cuts, rel)
-		}
-	})
-	return e.cuts
-}
-
 // CutFits reports whether the engine's 128-bit tally of V is exact for a
 // pattern of n vertices on a graph of shape s. A tuple binds its task's
 // vertex, then each other vertex among a bound neighbour's neighbours, so

@@ -282,8 +282,8 @@ func TestDecomposeDecisions(t *testing.T) {
 		t.Fatal("motif_batch's relatives were not rewritten")
 	}
 	var got []string
-	for i, r := range mp.Recov {
-		if r.Direct < 0 {
+	for i, j := range mp.Out {
+		if j >= len(mp.Exec) {
 			got = append(got, pls[i].Pat.String())
 		}
 	}
@@ -348,18 +348,15 @@ func TestDecomposeDecisions(t *testing.T) {
 	}
 }
 
-// Derived counts are recovered before the relations that read them, from
-// 128-bit executed counts: a decomposed plan's V passes 64 bits here while
-// every count stays below.
+// Relations are evaluated from 128-bit executed counts: a decomposed
+// plan's V passes 64 bits here while every count stays below.
 func TestRecoverWide(t *testing.T) {
-	// Exec: [V of P (2^64 + 40), count(q) = 10]; Derived[0] = count(P) =
-	// (V − 4·count(q)) / 2^32 ... and the one original reads it directly.
+	// Exec: [V of P (2^64 + 40), count(q) = 10]; Rels[0] = count(P) =
+	// (V − 4·count(q)) / 2^32, read by the first position.
 	mp := &MorphPlan{
-		Derived: []Recovery{{Direct: -1, Div: 1 << 32, Terms: []RecoveryTerm{{Exec: 0, Coef: 1}, {Exec: 1, Coef: -4}}}},
-		Recov: []Recovery{
-			{Direct: -1, Div: 1, Terms: []RecoveryTerm{{Exec: 2, Coef: 1}}},
-			{Direct: 1},
-		},
+		Exec: make([]*Plan, 2),
+		Rels: []Recovery{{Div: 1 << 32, Terms: []RecoveryTerm{{Count: 0, Coef: 1}, {Count: 1, Coef: -4}}}},
+		Out:  []int{2, 1},
 	}
 	got := mp.RecoverWide([]uint64{40, 10}, []uint64{1, 0})
 	if want := []uint64{1 << 32, 10}; !slices.Equal(got, want) {

@@ -155,10 +155,12 @@ func MorphTerms(p *pattern.Pattern) ([]MorphTerm, int64) {
 	return terms, int64(len(p.Automorphisms()))
 }
 
-// morphRelation is a pattern's recovery relation compiled against one
-// cache: MorphTerms with every relative resolved to that cache's plan
-// for it, so isomorphic relatives of different patterns are one *Plan.
-type morphRelation struct {
+// relation is a count recovered from cheaper ones, compiled against one
+// cache: count = Σ coef·count(term) / div. A pattern's morph relation
+// (MorphTerms) and its decompositions (Decompositions) both take this
+// form, with every other pattern they name resolved to that cache's plan
+// for it, so isomorphic terms of different relations are one *Plan.
+type relation struct {
 	terms []compiledTerm
 	div   int64
 }
@@ -168,38 +170,48 @@ type compiledTerm struct {
 	coef int64
 }
 
-// morphRelation returns p's compiled relation, or nil when p does not
-// morph (not Morphable, or a relative fails to compile — which
-// disqualifies the pattern from morphing, not the batch). The relation
-// depends on p's shape alone, so it is kept on the shape's cache entry:
-// expanded and canonicalised — 2^|anti-edges| subsets — once per cache,
-// not once per batch. It lives per cache rather than on the Plan because
-// MorphBatch and its callers dedup relatives by plan pointer, and a
-// pointer means one pattern only within one cache. A relative evicted
-// and recompiled while p's entry survives leaves the relation naming the
-// old plan: counts stay exact, and only the dedup against a fresh lookup
-// of that relative is lost.
-func (c *Cache) morphRelation(p *pattern.Pattern, opt Options) *morphRelation {
-	if !Morphable(p) {
-		return nil
-	}
+// relations returns the relations p's count can be recovered from: its
+// morph relation when p has anti-edges, its decompositions — the
+// decomposed plan with coefficient 1, each shrinkage pattern with −c_q —
+// when it has none. Either is nil outside its gates, which callers check
+// (Morphable; decomposable and CutFits) before the lookup. A relation a
+// term of which fails to compile is dropped: that disqualifies the
+// relation, not the batch. The relations depend on p's shape alone, so
+// they are kept on the shape's cache entry: expanded and canonicalised
+// once per cache, not once per batch. They live per cache rather than on
+// the Plan because MorphBatch and its callers dedup terms by plan
+// pointer, and a pointer means one pattern only within one cache. A term
+// evicted and recompiled while p's entry survives leaves the relation
+// naming the old plan: counts stay exact, and only the dedup against a
+// fresh lookup of that term is lost.
+func (c *Cache) relations(p *pattern.Pattern, opt Options) []*relation {
 	e, _, err := c.entry(p, opt)
 	if err != nil {
 		return nil
 	}
-	e.morphOnce.Do(func() {
-		terms, div := MorphTerms(e.plan.Pat)
-		rel := &morphRelation{div: div, terms: make([]compiledTerm, len(terms))}
-		for i, t := range terms {
-			cached, err := c.Get(t.Pat, opt)
-			if err != nil {
-				return
+	e.relOnce.Do(func() {
+		add := func(rel *relation, terms []MorphTerm, sign int64) {
+			for _, t := range terms {
+				cached, err := c.Get(t.Pat, opt)
+				if err != nil {
+					return
+				}
+				rel.terms = append(rel.terms, compiledTerm{pl: cached.Plan, coef: sign * t.Coef})
 			}
-			rel.terms[i] = compiledTerm{pl: cached.Plan, coef: t.Coef}
+			e.rels = append(e.rels, rel)
 		}
-		e.morph = rel
+		pat := e.plan.Pat
+		if pat.NumAntiEdges() > 0 {
+			if terms, div := MorphTerms(pat); terms != nil {
+				add(&relation{div: div}, terms, 1)
+			}
+			return
+		}
+		for _, d := range Decompositions(pat) {
+			add(&relation{div: d.Div, terms: []compiledTerm{{pl: d.Plan, coef: 1}}}, d.Terms, -1)
+		}
 	})
-	return e.morph
+	return e.rels
 }
 
 // Shape is what the cost model knows of a data graph: its vertex count,
@@ -398,20 +410,17 @@ func (m costModel) tail(pl *Plan, start int) float64 {
 	return cost
 }
 
-// RecoveryTerm references one count in a recovery relation: an executed
-// plan's, or one MorphPlan.Derived recovers.
-type RecoveryTerm struct {
-	Exec int   // index into MorphPlan.Exec, or len(Exec)+k for Derived[k]
-	Coef int64 // signed weight (multiplicity × |Aut| of the relative)
+// Recovery is one relation of a MorphPlan: a count recovered from
+// earlier ones as Σ Coef·count(Terms[i].Count) / Div.
+type Recovery struct {
+	Terms []RecoveryTerm
+	Div   int64
 }
 
-// Recovery states how one original pattern's count is obtained from the
-// executed batch: directly (Direct >= 0 indexes Exec) or by evaluating
-// the linear relation Σ Coef·count(Exec[Term.Exec]) / Div.
-type Recovery struct {
-	Direct int // executed plan serving this pattern; -1 when morphed
-	Terms  []RecoveryTerm
-	Div    int64
+// RecoveryTerm reads one count of a MorphPlan's program.
+type RecoveryTerm struct {
+	Count int   // index of the count: Exec[Count], or Rels[Count−len(Exec)]
+	Coef  int64 // signed weight (multiplicity × |Aut| of the term's pattern)
 }
 
 // MorphStats quantifies one batch's morphing decisions. StepsDirect and
@@ -419,21 +428,19 @@ type Recovery struct {
 // versus as executed — the exact pattern-side measure of how much
 // guided-traversal structure morphing removed; runtime savings in
 // core-traversal adjacency intersections (ShareStats.Intersections) are
-// data-dependent and are measured against the WithoutMorphing ablation
-// (IntersectionsSaved is filled by harnesses that run both
-// configurations, never fabricated at runtime). Morphing trades those
-// core intersections for completion-side ones over already-narrowed
-// candidate lists — MultiStats.Intersections reports that side.
+// data-dependent and are measured against the WithoutMorphing ablation.
+// Morphing trades those core intersections for completion-side ones over
+// already-narrowed candidate lists — MultiStats.Intersections reports
+// that side.
 // The JSON tags are the wire names of a job result's stats.morphing.
 type MorphStats struct {
-	Candidates         uint64 `json:"candidates"`           // morph relatives constructed across the batch
-	MorphsChosen       uint64 `json:"morphsChosen"`         // relatives added to the executed set
-	PatternsReplaced   uint64 `json:"patternsReplaced"`     // originals replaced by recovery relations
-	RecoveryTerms      uint64 `json:"recoveryTerms"`        // relation terms across all replaced patterns
-	StepsDirect        uint64 `json:"stepsDirect"`          // trie program steps of the batch as given
-	StepsMorphed       uint64 `json:"stepsMorphed"`         // trie program steps of the executed set
-	Decomposed         uint64 `json:"decomposed,omitempty"` // plans that ran decomposed (MorphPlan.Derived)
-	IntersectionsSaved uint64 `json:"-"`                    // core intersections vs ablation; 0 in a lone run
+	Candidates       uint64 `json:"candidates"`           // morph relatives constructed across the batch
+	MorphsChosen     uint64 `json:"morphsChosen"`         // relatives added to the executed set
+	PatternsReplaced uint64 `json:"patternsReplaced"`     // originals replaced by recovery relations
+	RecoveryTerms    uint64 `json:"recoveryTerms"`        // relation terms across all replaced patterns
+	StepsDirect      uint64 `json:"stepsDirect"`          // trie program steps of the batch as given
+	StepsMorphed     uint64 `json:"stepsMorphed"`         // trie program steps of the executed set
+	Decomposed       uint64 `json:"decomposed,omitempty"` // plans that ran decomposed
 }
 
 // Add folds another batch's morphing decisions into s; every field is a
@@ -446,43 +453,38 @@ func (s *MorphStats) Add(o MorphStats) {
 	s.StepsDirect += o.StepsDirect
 	s.StepsMorphed += o.StepsMorphed
 	s.Decomposed += o.Decomposed
-	s.IntersectionsSaved += o.IntersectionsSaved
 }
 
 // Active reports whether morphing changed the executed set.
 func (s *MorphStats) Active() bool { return s.PatternsReplaced > 0 }
 
-// MorphPlan is a morphed execution of a counting batch: run Exec, then
-// Recover each original count from the executed counts.
+// MorphPlan is a rewritten counting batch as one recovery program: run
+// Exec, whose counts are counts 0 to len(Exec)−1; evaluate Rels in
+// order, Rels[k] giving count len(Exec)+k from counts before it; and read
+// each requested position's count at Out.
 type MorphPlan struct {
 	Exec  []*Plan    // deduplicated executed plan set
-	Recov []Recovery // one per original batch position
-
-	// Derived recovers, in order and before Recov, the counts of the plans
-	// the rewrite ran decomposed: Derived[k] is count number len(Exec)+k,
-	// a relation over the executed counts and the Derived before it.
-	Derived []Recovery
-
+	Rels  []Recovery // each after every count it reads
+	Out   []int      // per requested position, the index of its count
 	Stats MorphStats
 }
 
-// MorphBatch rewrites a counting batch in two passes, each choosing by
-// CostOf for opt.Shape. First, for each morphable pattern it weighs
-// direct execution against executing its anti-edge-free relatives
-// (compiled and deduplicated through cache — isomorphic relatives of
-// different patterns become one plan). Then, for each plan that would
-// execute, it weighs running it against running one of its
-// decompositions (Decompositions) and the shrinkage patterns the set does
-// not count already — where the shape bounds a decomposed count's tally
-// (CutFits), which a Shape without MaxDeg never does. The morph choice
-// prices relatives as direct plans: a relative's decomposition does not
-// draw the first pass towards morphing.
-// It returns the cheaper equivalent execution with its recovery
-// relations, or nil when neither pass changed anything — callers then
-// run the batch as given. Counting semantics only: callers that need
-// real embeddings (ForEach/Exists/Matches) must not morph. Batches
-// compiled without symmetry breaking are not morphed: their counts are
-// per-automorphism enumerations and the |Aut| weights above do not apply.
+// MorphBatch rewrites a counting batch by one substitution step applied
+// twice, each choosing by CostOf for opt.Shape: first over the requested
+// plans and their morph relations — a pattern with anti-edges weighed
+// against its anti-edge-free relatives, compiled and deduplicated through
+// cache, so isomorphic relatives of different patterns become one plan —
+// then over the executed set and its decompositions (Decompositions),
+// where the shape bounds a decomposed count's tally (CutFits), which a
+// Shape without MaxDeg never does. The first step prices relatives as
+// direct plans: a relative's decomposition does not draw it towards
+// morphing.
+// It returns the program that runs the cheaper equivalent execution, or
+// nil when neither step changed anything — callers then run the batch as
+// given. Counting semantics only: callers that need real embeddings
+// (ForEach/Exists/Matches) must not morph. Batches compiled without
+// symmetry breaking are not morphed: their counts are per-automorphism
+// enumerations and the |Aut| weights above do not apply.
 func MorphBatch(pls []*Plan, cache *Cache, opt Options) *MorphPlan {
 	if opt.NoSymmetryBreaking || len(pls) == 0 {
 		return nil
@@ -490,204 +492,170 @@ func MorphBatch(pls []*Plan, cache *Cache, opt Options) *MorphPlan {
 	if cache == nil {
 		cache = NewCache()
 	}
-	mp := morph(pls, cache, opt)
-	mp.decompose(cache, opt.Shape)
-	if !mp.Stats.Active() {
+	s := opt.Shape
+	rw := rewrite{shape: s, by: make(map[*Plan]*relation)}
+	for _, pl := range pls {
+		if !slices.Contains(rw.exec, pl) {
+			rw.exec = append(rw.exec, pl)
+		}
+	}
+	var stats MorphStats
+	stats.Candidates, stats.MorphsChosen = rw.substitute(func(pl *Plan) []*relation {
+		if !Morphable(pl.Pat) {
+			return nil
+		}
+		return cache.relations(pl.Pat, opt)
+	})
+	rw.substitute(func(pl *Plan) []*relation {
+		if !decomposable(pl.Pat) || !CutFits(pl.Pat.N(), s) {
+			return nil
+		}
+		return cache.relations(pl.Pat, opt)
+	})
+	if len(rw.by) == 0 {
 		return nil
 	}
-	mp.Stats.StepsDirect = programSteps(pls)
-	mp.Stats.StepsMorphed = programSteps(mp.Exec)
-	return mp
-}
-
-// morph is MorphBatch's first pass. Its plan runs pls as given, less
-// duplicates, where no pattern morphs.
-func morph(pls []*Plan, cache *Cache, opt Options) *MorphPlan {
-	// One selection group per distinct morphable plan; duplicates in the
-	// batch share the decision and the executed plans.
-	groups := make(map[*Plan]*group)
-	var groupOrder []*Plan
-	fixed := make(map[*Plan]bool) // plans that execute regardless
-	var stats MorphStats
-	for _, pl := range pls {
-		if _, seen := groups[pl]; seen || fixed[pl] {
-			continue
-		}
-		rel := cache.morphRelation(pl.Pat, opt)
-		if rel == nil {
-			fixed[pl] = true
-			continue
-		}
-		stats.Candidates += uint64(len(rel.terms))
-		groups[pl] = &group{morphRelation: rel, cost: CostOf(pl, opt.Shape)}
-		groupOrder = append(groupOrder, pl)
-	}
-	assign := choose(groupOrder, groups, fixed, opt.Shape)
-
-	// Assemble the executed set: originals that still run (in batch
-	// order, deduplicated), then chosen relatives in first-use order.
-	mp := &MorphPlan{Recov: make([]Recovery, len(pls))}
-	execIdx := make(map[*Plan]int)
-	add := func(pl *Plan) int {
-		if j, ok := execIdx[pl]; ok {
-			return j
-		}
-		j := len(mp.Exec)
-		execIdx[pl] = j
-		mp.Exec = append(mp.Exec, pl)
-		return j
-	}
-	for _, pl := range pls {
-		if fixed[pl] || !assign[pl] {
-			add(pl)
+	mp := rw.lower(pls)
+	for _, j := range mp.Out {
+		if k := j - len(mp.Exec); k >= 0 {
+			stats.PatternsReplaced++
+			stats.RecoveryTerms += uint64(len(mp.Rels[k].Terms))
 		}
 	}
-	before := len(mp.Exec)
-	for _, pl := range pls {
-		if !fixed[pl] && assign[pl] {
-			for _, t := range groups[pl].terms {
-				add(t.pl)
-			}
+	for _, pl := range mp.Exec {
+		if pl.Cut != nil {
+			stats.Decomposed++
 		}
 	}
-	stats.MorphsChosen = uint64(len(mp.Exec) - before)
-	for i, pl := range pls {
-		if fixed[pl] || !assign[pl] {
-			mp.Recov[i] = Recovery{Direct: execIdx[pl]}
-			continue
-		}
-		g := groups[pl]
-		r := Recovery{Direct: -1, Div: g.div, Terms: make([]RecoveryTerm, len(g.terms))}
-		for ti, t := range g.terms {
-			r.Terms[ti] = RecoveryTerm{Exec: execIdx[t.pl], Coef: t.coef}
-		}
-		mp.Recov[i] = r
-		stats.PatternsReplaced++
-		stats.RecoveryTerms += uint64(len(r.Terms))
-	}
+	stats.StepsDirect = programSteps(pls)
+	stats.StepsMorphed = programSteps(mp.Exec)
 	mp.Stats = stats
 	return mp
 }
 
-// decompose is MorphBatch's second pass: each executed plan with a
-// decomposition the shape admits is a group whose relation is its
-// cheapest decomposition, every executed plan's count is at hand — run or
-// recovered — and choose picks the plans to replace. A replaced plan's
-// count moves to Derived, fewest vertices first, since a shrinkage
-// pattern has fewer vertices than the plan that names it, and every
-// reference to it follows.
-func (mp *MorphPlan) decompose(cache *Cache, s Shape) {
-	groups := make(map[*Plan]*group)
-	var groupOrder []*Plan
-	fixed := make(map[*Plan]bool, len(mp.Exec))
-	for _, pl := range mp.Exec {
+// rewrite is a batch between MorphBatch's steps: the plans that execute,
+// and the relation each replaced plan's count comes from.
+type rewrite struct {
+	shape Shape
+	exec  []*Plan
+	by    map[*Plan]*relation
+}
+
+// substitute is MorphBatch's rewrite step. Each executing plan relsOf
+// gives relations for is a group whose alternative is the cheapest of
+// them, and choose picks the plans to replace. A plan that executes
+// before the step has its count at hand, run or recovered, so it costs a
+// relation nothing. A replaced plan leaves exec for by, and the terms of
+// its relation not at hand join exec in first-use order. It returns how
+// many terms the groups' relations have and how many plans joined exec.
+func (rw *rewrite) substitute(relsOf func(*Plan) []*relation) (terms, joined uint64) {
+	fixed := make(map[*Plan]bool, len(rw.exec))
+	for _, pl := range rw.exec {
 		fixed[pl] = true
 	}
-	for _, pl := range mp.Exec {
-		if !decomposable(pl.Pat) || !CutFits(pl.Pat.N(), s) {
-			continue
-		}
-		var best *morphRelation
-		bestCost := 0.0
-		for _, rel := range cache.cutRelations(pl.Pat, Options{}) {
+	groups := make(map[*Plan]*group)
+	var order []*Plan
+	for _, pl := range rw.exec {
+		rels := relsOf(pl)
+		var best *group
+		bestCost := math.Inf(1)
+		for _, rel := range rels {
+			g := &group{relation: rel}
 			cost := 0.0
 			for _, t := range rel.terms {
 				if !fixed[t.pl] {
-					cost += CostOf(t.pl, s)
+					g.open = append(g.open, t.pl)
+					if len(rels) > 1 {
+						cost += CostOf(t.pl, rw.shape)
+					}
 				}
 			}
-			if best == nil || cost < bestCost {
-				best, bestCost = rel, cost
+			if cost < bestCost {
+				best, bestCost = g, cost
 			}
 		}
-		if best != nil {
-			groups[pl] = &group{morphRelation: best, cost: CostOf(pl, s)}
-			groupOrder = append(groupOrder, pl)
-		}
-	}
-	assign := choose(groupOrder, groups, fixed, s)
-	var cut []*Plan
-	for _, pl := range groupOrder {
-		if assign[pl] {
-			cut = append(cut, pl)
-		}
-	}
-	if len(cut) == 0 {
-		return
-	}
-	slices.SortStableFunc(cut, func(a, b *Plan) int { return a.Pat.N() - b.Pat.N() })
-
-	old := mp.Exec
-	mp.Exec = nil
-	at := make(map[*Plan]int) // executed plan, or replaced one once derived -> its count's index
-	add := func(pl *Plan) {
-		if _, ok := at[pl]; !ok {
-			at[pl] = len(mp.Exec)
-			mp.Exec = append(mp.Exec, pl)
-		}
-	}
-	for _, pl := range old {
-		if !assign[pl] {
-			add(pl)
-		}
-	}
-	for _, pl := range cut {
-		for _, t := range groups[pl].terms {
-			if !fixed[t.pl] {
-				add(t.pl)
-			}
-		}
-	}
-	for _, pl := range cut {
-		g := groups[pl]
-		r := Recovery{Direct: -1, Div: g.div, Terms: make([]RecoveryTerm, len(g.terms))}
-		for ti, t := range g.terms {
-			r.Terms[ti] = RecoveryTerm{Exec: at[t.pl], Coef: t.coef}
-		}
-		at[pl] = len(mp.Exec) + len(mp.Derived)
-		mp.Derived = append(mp.Derived, r)
-	}
-	for i := range mp.Recov {
-		r := &mp.Recov[i]
-		if r.Direct < 0 {
-			for ti := range r.Terms {
-				r.Terms[ti].Exec = at[old[r.Terms[ti].Exec]]
-			}
+		if best == nil {
 			continue
 		}
-		if pl := old[r.Direct]; assign[pl] {
-			*r = Recovery{Direct: -1, Div: 1, Terms: []RecoveryTerm{{Exec: at[pl], Coef: 1}}}
-			mp.Stats.PatternsReplaced++
-			mp.Stats.RecoveryTerms++
-		} else {
-			r.Direct = at[pl]
+		terms += uint64(len(best.terms))
+		best.cost = CostOf(pl, rw.shape)
+		groups[pl] = best
+		order = append(order, pl)
+	}
+	assign := choose(order, groups, rw.shape)
+	var exec []*Plan
+	for _, pl := range rw.exec {
+		if !assign[pl] {
+			exec = append(exec, pl)
 		}
 	}
-	mp.Stats.Decomposed = uint64(len(cut))
+	for _, pl := range order {
+		if !assign[pl] {
+			continue
+		}
+		rw.by[pl] = groups[pl].relation
+		for _, t := range groups[pl].open {
+			if !slices.Contains(exec, t) {
+				exec = append(exec, t)
+				joined++
+			}
+		}
+	}
+	rw.exec = exec
+	return terms, joined
+}
+
+// lower writes the rewrite of the requested plans pls as a MorphPlan:
+// depth first from each requested plan, a replaced plan's relation goes
+// after the relations of the replaced plans it reads.
+func (rw *rewrite) lower(pls []*Plan) *MorphPlan {
+	mp := &MorphPlan{Exec: rw.exec, Out: make([]int, len(pls))}
+	at := make(map[*Plan]int, len(rw.exec))
+	for j, pl := range rw.exec {
+		at[pl] = j
+	}
+	var count func(pl *Plan) int
+	count = func(pl *Plan) int {
+		if j, ok := at[pl]; ok {
+			return j
+		}
+		rel := rw.by[pl]
+		r := Recovery{Div: rel.div, Terms: make([]RecoveryTerm, len(rel.terms))}
+		for i, t := range rel.terms {
+			r.Terms[i] = RecoveryTerm{Count: count(t.pl), Coef: t.coef}
+		}
+		at[pl] = len(rw.exec) + len(mp.Rels)
+		mp.Rels = append(mp.Rels, r)
+		return at[pl]
+	}
+	for i, pl := range pls {
+		mp.Out[i] = count(pl)
+	}
+	return mp
 }
 
 // group is one plan's alternative to running directly: a relation whose
 // terms run instead.
 type group struct {
-	*morphRelation
+	*relation
 	cost float64 // CostOf running the plan directly
+	open []*Plan // the relation's terms whose counts are not at hand
 }
 
 // choose decides, per group of order, between running its plan (false)
-// and running its relation's terms (true), for the least total CostOf
-// over shape s of what executes: steepest-descent hill climbing.
+// and running its relation's open terms (true), for the least total
+// CostOf over shape s of what executes: steepest-descent hill climbing.
 // Shared terms make the objective non-separable — a term costs once
-// however many groups use it, and costs nothing if it is fixed (it
-// executes, or its count is at hand, regardless) — so descent runs from
-// both extreme starts: all-relation converges right when terms overlap
-// (motif batches), all-direct when they don't (a lone expensive
-// expansion).
-func choose(order []*Plan, groups map[*Plan]*group, fixed map[*Plan]bool, s Shape) map[*Plan]bool {
+// however many groups use it; a term whose count is at hand regardless is
+// not open and costs nothing — so descent runs from both extreme starts:
+// all-relation converges right when terms overlap (motif batches),
+// all-direct when they don't (a lone expensive expansion).
+func choose(order []*Plan, groups map[*Plan]*group, s Shape) map[*Plan]bool {
 	termCost := make(map[*Plan]float64)
 	for _, gp := range order {
-		for _, t := range groups[gp].terms {
-			if _, ok := termCost[t.pl]; !ok {
-				termCost[t.pl] = CostOf(t.pl, s)
+		for _, t := range groups[gp].open {
+			if _, ok := termCost[t]; !ok {
+				termCost[t] = CostOf(t, s)
 			}
 		}
 	}
@@ -699,10 +667,10 @@ func choose(order []*Plan, groups map[*Plan]*group, fixed map[*Plan]bool, s Shap
 				total += groups[gp].cost
 				continue
 			}
-			for _, t := range groups[gp].terms {
-				if !fixed[t.pl] && !use[t.pl] {
-					use[t.pl] = true
-					total += termCost[t.pl]
+			for _, t := range groups[gp].open {
+				if !use[t] {
+					use[t] = true
+					total += termCost[t]
 				}
 			}
 		}
@@ -714,8 +682,8 @@ func choose(order []*Plan, groups map[*Plan]*group, fixed map[*Plan]bool, s Shap
 		for _, gp := range order {
 			assign[gp] = start
 			if start {
-				for _, t := range groups[gp].terms {
-					use[t.pl]++
+				for _, t := range groups[gp].open {
+					use[t]++
 				}
 			}
 		}
@@ -728,17 +696,17 @@ func choose(order []*Plan, groups map[*Plan]*group, fixed map[*Plan]bool, s Shap
 				if assign[gp] {
 					// relation -> direct: pay the plan, drop sole-use terms.
 					delta = g.cost
-					for _, t := range g.terms {
-						if !fixed[t.pl] && use[t.pl] == 1 {
-							delta -= termCost[t.pl]
+					for _, t := range g.open {
+						if use[t] == 1 {
+							delta -= termCost[t]
 						}
 					}
 				} else {
 					// direct -> relation: pay unshared terms, drop the plan.
 					delta = -g.cost
-					for _, t := range g.terms {
-						if !fixed[t.pl] && use[t.pl] == 0 {
-							delta += termCost[t.pl]
+					for _, t := range g.open {
+						if use[t] == 0 {
+							delta += termCost[t]
 						}
 					}
 				}
@@ -754,8 +722,8 @@ func choose(order []*Plan, groups map[*Plan]*group, fixed map[*Plan]bool, s Shap
 				d = -1
 			}
 			assign[best] = !assign[best]
-			for _, t := range groups[best].terms {
-				use[t.pl] += d
+			for _, t := range groups[best].open {
+				use[t] += d
 			}
 		}
 		return assign, objective(assign)
@@ -792,7 +760,7 @@ func (mp *MorphPlan) Recover(counts []uint64) []uint64 { return mp.RecoverWide(c
 // their high 64 bits, where a decomposed plan's V passes 64 bits before
 // the count does, or is nil when every count fits in lo.
 func (mp *MorphPlan) RecoverWide(lo, hi []uint64) []uint64 {
-	vals := make([]big.Int, len(lo)+len(mp.Derived))
+	vals := make([]big.Int, len(lo)+len(mp.Rels))
 	for i, n := range lo {
 		vals[i].SetUint64(n)
 		if hi != nil && hi[i] != 0 {
@@ -801,36 +769,21 @@ func (mp *MorphPlan) RecoverWide(lo, hi []uint64) []uint64 {
 		}
 	}
 	var tmp, coef big.Int
-	// eval sets acc to r's value, or to zero and reports false when that
-	// would be negative.
-	eval := func(r *Recovery, acc *big.Int) bool {
-		acc.SetInt64(0)
+	for k, r := range mp.Rels {
+		acc := &vals[len(lo)+k]
 		for _, t := range r.Terms {
-			acc.Add(acc, tmp.Mul(&vals[t.Exec], coef.SetInt64(t.Coef)))
+			acc.Add(acc, tmp.Mul(&vals[t.Count], coef.SetInt64(t.Coef)))
 		}
 		if acc.Sign() < 0 {
-			acc.SetInt64(0)
-			return false // truncated run: no complete count to report
+			acc.SetInt64(0) // truncated run: no complete count to report
+		} else {
+			acc.Quo(acc, coef.SetInt64(r.Div))
 		}
-		acc.Quo(acc, coef.SetInt64(r.Div))
-		return true
 	}
-	for k := range mp.Derived {
-		eval(&mp.Derived[k], &vals[len(lo)+k])
-	}
-	out := make([]uint64, len(mp.Recov))
-	var acc big.Int
-	for i := range mp.Recov {
-		r := &mp.Recov[i]
-		if r.Direct >= 0 {
-			out[i] = lo[r.Direct]
-			continue
-		}
-		if !eval(r, &acc) {
-			continue
-		}
-		if acc.IsUint64() {
-			out[i] = acc.Uint64()
+	out := make([]uint64, len(mp.Out))
+	for i, j := range mp.Out {
+		if vals[j].IsUint64() {
+			out[i] = vals[j].Uint64()
 		} else {
 			out[i] = ^uint64(0)
 		}

@@ -142,8 +142,8 @@ func morphed(t *testing.T, pats []*pattern.Pattern, s Shape) []bool {
 	}
 	out := make([]bool, len(pats))
 	if mp := MorphBatch(pls, cache, Options{Shape: s}); mp != nil {
-		for i, r := range mp.Recov {
-			out[i] = r.Direct < 0
+		for i, j := range mp.Out {
+			out[i] = j >= len(mp.Exec)
 		}
 	}
 	return out
@@ -252,58 +252,75 @@ func TestMorphStepsAreTrieProgramSteps(t *testing.T) {
 
 // A motif batch (every full vertex-induced pattern of one size) is the
 // canonical win: the relatives of the different patterns overlap almost
-// entirely, so morphing replaces the bulk of the batch.
+// entirely, so morphing replaces the bulk of the batch. With the 5-motifs
+// first, on motif_batch's graph, morph relations read relatives that run
+// decomposed, so some relations read others: the program must still put
+// each relation after every count it reads.
 func TestMorphBatchMotifs(t *testing.T) {
-	cache := NewCache()
-	var pls []*Plan
-	for _, skel := range pattern.GenerateAllVertexInduced(4) {
-		c, err := cache.Get(pattern.VertexInduced(skel), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pls = append(pls, c.Plan)
-	}
-	mp := MorphBatch(pls, cache, Options{})
-	if mp == nil {
-		t.Fatal("motif batch did not morph")
-	}
-	if !mp.Stats.Active() || mp.Stats.PatternsReplaced == 0 {
-		t.Fatalf("stats = %+v, want patterns replaced", mp.Stats)
-	}
-	if mp.Stats.StepsMorphed >= mp.Stats.StepsDirect {
-		t.Errorf("stepsMorphed = %d, want < stepsDirect = %d",
-			mp.Stats.StepsMorphed, mp.Stats.StepsDirect)
-	}
-	if len(mp.Recov) != len(pls) {
-		t.Fatalf("recoveries = %d, want one per original = %d", len(mp.Recov), len(pls))
-	}
-	for i, r := range mp.Recov {
-		if r.Direct >= 0 {
-			if r.Direct >= len(mp.Exec) || mp.Exec[r.Direct] != pls[i] {
-				t.Errorf("recovery %d: direct index %d does not serve its plan", i, r.Direct)
-			}
-			continue
-		}
-		if len(r.Terms) == 0 || r.Div <= 0 {
-			t.Errorf("recovery %d malformed: %+v", i, r)
-		}
-		for _, tm := range r.Terms {
-			if tm.Exec < 0 || tm.Exec >= len(mp.Exec) {
-				t.Errorf("recovery %d references executed plan %d of %d", i, tm.Exec, len(mp.Exec))
+	for _, tc := range []struct {
+		sizes []int
+		shape Shape
+	}{
+		{[]int{4}, Shape{}},
+		{[]int{5, 4}, motifBatchShape},
+	} {
+		cache := NewCache()
+		var pls []*Plan
+		for _, k := range tc.sizes {
+			for _, skel := range pattern.GenerateAllVertexInduced(k) {
+				c, err := cache.Get(pattern.VertexInduced(skel), Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pls = append(pls, c.Plan)
 			}
 		}
-	}
-	// The executed set must be anti-edge-free wherever a replacement
-	// happened: replaced originals' plans disappear from Exec.
-	replaced := make(map[*Plan]bool)
-	for i, r := range mp.Recov {
-		if r.Direct < 0 {
-			replaced[pls[i]] = true
+		mp := MorphBatch(pls, cache, Options{Shape: tc.shape})
+		if mp == nil {
+			t.Fatalf("%v-motif batch did not morph", tc.sizes)
 		}
-	}
-	for _, pl := range mp.Exec {
-		if replaced[pl] {
-			t.Errorf("replaced plan %v still in the executed set", pl.Pat)
+		if !mp.Stats.Active() || mp.Stats.PatternsReplaced == 0 {
+			t.Fatalf("%v: stats = %+v, want patterns replaced", tc.sizes, mp.Stats)
+		}
+		if mp.Stats.StepsMorphed >= mp.Stats.StepsDirect {
+			t.Errorf("%v: stepsMorphed = %d, want < stepsDirect = %d",
+				tc.sizes, mp.Stats.StepsMorphed, mp.Stats.StepsDirect)
+		}
+		nested := false
+		for k, r := range mp.Rels {
+			if len(r.Terms) == 0 || r.Div <= 0 {
+				t.Errorf("%v: relation %d malformed: %+v", tc.sizes, k, r)
+			}
+			for _, tm := range r.Terms {
+				if tm.Count < 0 || tm.Count >= len(mp.Exec)+k {
+					t.Errorf("%v: relation %d reads count %d, not before it (%d executed)", tc.sizes, k, tm.Count, len(mp.Exec))
+				}
+				nested = nested || tm.Count >= len(mp.Exec)
+			}
+		}
+		if len(tc.sizes) > 1 && (!nested || mp.Stats.Decomposed == 0) {
+			t.Errorf("%v: no relation reads a decomposed relative (%d decomposed)", tc.sizes, mp.Stats.Decomposed)
+		}
+		if len(mp.Out) != len(pls) {
+			t.Fatalf("%v: %d outputs, want one per original = %d", tc.sizes, len(mp.Out), len(pls))
+		}
+		// Replaced originals' plans disappear from Exec; the others are
+		// read where they execute.
+		replaced := make(map[*Plan]bool)
+		for i, j := range mp.Out {
+			switch {
+			case j < 0 || j >= len(mp.Exec)+len(mp.Rels):
+				t.Errorf("%v: output %d reads count %d of %d", tc.sizes, i, j, len(mp.Exec)+len(mp.Rels))
+			case j >= len(mp.Exec):
+				replaced[pls[i]] = true
+			case mp.Exec[j] != pls[i]:
+				t.Errorf("%v: output %d reads executed plan %d, not its own", tc.sizes, i, j)
+			}
+		}
+		for _, pl := range mp.Exec {
+			if replaced[pl] {
+				t.Errorf("%v: replaced plan %v still in the executed set", tc.sizes, pl.Pat)
+			}
 		}
 	}
 }
@@ -366,16 +383,16 @@ func TestMorphRelationMemo(t *testing.T) {
 
 	// A renumbered pattern reads the same relation.
 	vi := pattern.VertexInduced(pattern.Chain(4))
-	a, b := cache.morphRelation(vi, Options{}), cache.morphRelation(vi.Renumber([]int{2, 0, 3, 1}), Options{})
-	if a == nil || a != b {
+	a, b := cache.relations(vi, Options{}), cache.relations(vi.Renumber([]int{2, 0, 3, 1}), Options{})
+	if len(a) != 1 || len(b) != 1 || a[0] != b[0] {
 		t.Fatalf("relations of two numberings of %v: %p and %p", vi, a, b)
 	}
 
 	// Evicting the entry drops its relation with it.
 	small := NewCacheSize(1)
-	r1 := small.morphRelation(vi, Options{}) // compiling its relatives evicts vi's own entry
-	r2 := small.morphRelation(vi, Options{})
-	if r1 == nil || r2 == nil || r1 == r2 {
+	r1 := small.relations(vi, Options{}) // compiling its relatives evicts vi's own entry
+	r2 := small.relations(vi, Options{})
+	if len(r1) != 1 || len(r2) != 1 || r1[0] == r2[0] {
 		t.Fatalf("relation survived its entry's eviction: %p then %p", r1, r2)
 	}
 }
@@ -398,10 +415,10 @@ func TestMorphBatchDuplicates(t *testing.T) {
 	if mp == nil {
 		t.Fatal("wedge+triangle batch did not morph")
 	}
-	if mp.Recov[0].Direct >= 0 || mp.Recov[2].Direct >= 0 {
-		t.Fatalf("duplicate vi-wedges not both morphed: %+v", mp.Recov)
+	if mp.Out[0] < len(mp.Exec) || mp.Out[2] < len(mp.Exec) {
+		t.Fatalf("duplicate vi-wedges not both morphed: %+v", mp.Out)
 	}
-	if mp.Recov[1].Direct < 0 {
+	if mp.Out[1] >= len(mp.Exec) {
 		t.Errorf("anti-edge-free triangle was morphed")
 	}
 	seen := make(map[*Plan]bool)
@@ -445,16 +462,14 @@ func TestMorphBatchNothingMorphable(t *testing.T) {
 }
 
 // Recover evaluates the linear relations exactly: the vi-wedge relation
-// (2·wedges − 6·triangles)/2 on hand counts, pass-through for direct
-// rows, and clamping (not wrapping) when a truncated run drives a
+// (2·wedges − 6·triangles)/2 on hand counts, pass-through for executed
+// counts, and clamping (not wrapping) when a truncated run drives a
 // relation negative.
 func TestRecoverArithmetic(t *testing.T) {
 	mp := &MorphPlan{
 		Exec: make([]*Plan, 2),
-		Recov: []Recovery{
-			{Direct: -1, Terms: []RecoveryTerm{{Exec: 0, Coef: 2}, {Exec: 1, Coef: -6}}, Div: 2},
-			{Direct: 1},
-		},
+		Rels: []Recovery{{Terms: []RecoveryTerm{{Count: 0, Coef: 2}, {Count: 1, Coef: -6}}, Div: 2}},
+		Out:  []int{2, 1},
 	}
 	got := mp.Recover([]uint64{10, 2})
 	if got[0] != 4 {

@@ -650,11 +650,6 @@ func TestMorphTelemetryInvariant(t *testing.T) {
 	if im > id {
 		t.Fatalf("morphed run did MORE core intersections: %d > %d", im, id)
 	}
-	ms.Morph.IntersectionsSaved = id - im
-	if im+ms.Morph.IntersectionsSaved != id {
-		t.Errorf("intersections: morphed %d + saved %d != direct %d",
-			im, ms.Morph.IntersectionsSaved, id)
-	}
 	if !testing.Short() && id*10 < im*13 {
 		t.Errorf("5-motif batch saves only %d of %d core intersections, want >= 1.3x", id-im, id)
 	}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# One-shot static analysis: everything CI's analysis gates run, in the
-# same order, so a clean local run means a clean CI run.
+# One-shot static analysis: CI's analysis step runs this script, so a
+# clean local run means a clean CI run.
 #
 #   1. gofmt           — formatting gate (diff listed, not rewritten)
 #   2. go vet          — the stock analyzers, test files included
