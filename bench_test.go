@@ -71,28 +71,35 @@ func BenchmarkPreparedVsSerialMotifs(b *testing.B) {
 // per-order chains (WithoutSharing — the pre-sharing engine's work).
 // Morphing is off in both modes so the motif batches execute the
 // vertex-induced patterns as given (BenchmarkMorphedVsDirect measures
-// the rewrite layer).
+// the rewrite layer) — except in 5-motifs-decomposed, which morphs, so
+// that its executed set runs many plans through a vertex cut and shares
+// their component walks (the component table) or, unshared, walks each
+// instance.
 // The intersections/op metric is the adjacency candidate-set
 // computations performed; sharing keeps it well below the unshared
 // figure (~3-4x fewer on motif batches, ~2.7x on the clique batch),
-// while tasks/op shows the single shared scan either way. Motif
-// counting is completion-dominated, so its wall time moves little; the
-// clique batch is all core, so there the saved intersections are
-// wall-clock (~25% on patents).
+// while tasks/op shows the single shared scan either way. saved/op is
+// what sharing spared, trie nodes and component walks together, and
+// shared-visits/op how many trie nodes and component walks served more
+// than one reader. Motif counting is completion-dominated, so its wall
+// time moves little; the clique batch is all core, so there the saved
+// intersections are wall-clock (~25% on patents).
 func BenchmarkSharedVsUnshared(b *testing.B) {
 	motifGraph := gen.ErdosRenyi(gen.ERConfig{Vertices: 512, Edges: 2000, Seed: 5})
 	batches := []struct {
-		name string
-		g    *Graph
-		pats []*Pattern
+		name  string
+		g     *Graph
+		pats  []*Pattern
+		morph bool
 	}{
-		{"4-motifs", motifGraph, nil},
-		{"5-motifs", motifGraph, nil},
+		{"4-motifs", motifGraph, nil, false},
+		{"5-motifs", motifGraph, nil, false},
+		{"5-motifs-decomposed", motifGraph, nil, true},
 		{"cliques-3-6", benchPatents(), []*Pattern{
 			pattern.Clique(3), pattern.Clique(4), pattern.Clique(5), pattern.Clique(6),
-		}},
+		}, false},
 	}
-	for i, size := range []int{4, 5} {
+	for i, size := range []int{4, 5, 5} {
 		motifs := pattern.GenerateAllVertexInduced(size)
 		for _, m := range motifs {
 			batches[i].pats = append(batches[i].pats, pattern.VertexInduced(m))
@@ -107,17 +114,25 @@ func BenchmarkSharedVsUnshared(b *testing.B) {
 			name string
 			opts []Option
 		}{
-			{"shared", []Option{WithoutMorphing()}},
-			{"unshared", []Option{WithoutSharing(), WithoutMorphing()}},
+			{"shared", nil},
+			{"unshared", []Option{WithoutSharing()}},
 		} {
+			opts := mode.opts
+			if !batch.morph {
+				opts = append(opts, WithoutMorphing())
+			}
 			b.Run(fmt.Sprintf("%s/%s", batch.name, mode.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					_, ms, err := q.CountEachWithStats(batch.g, mode.opts...)
+					_, ms, err := q.CountEachWithStats(batch.g, opts...)
 					if err != nil {
 						b.Fatal(err)
 					}
+					if batch.morph && ms.Morph.Decomposed == 0 {
+						b.Fatal("nothing decomposed")
+					}
 					b.ReportMetric(float64(ms.Share.Intersections), "intersections/op")
 					b.ReportMetric(float64(ms.Share.IntersectionsSaved), "saved/op")
+					b.ReportMetric(float64(ms.Share.SharedNodeVisits), "shared-visits/op")
 					b.ReportMetric(float64(ms.Tasks), "tasks/op")
 				}
 			})

@@ -4,7 +4,10 @@ package core
 // task and multiplies its components' placements, each counted by a
 // rooted walk of one or two levels over the set kernels. What the plan
 // yields is V, the tuple count plan.MorphBatch recovers the pattern's
-// count from (see plan/cut.go), summed over tasks in 128 bits.
+// count from (see plan/cut.go), summed over tasks in 128 bits. The walks
+// are the entries of the batch's component table (plan.ShareTrie.Cuts):
+// each is computed once per binding of the cut slots it reads, whatever
+// number of plans name it.
 
 import (
 	"peregrine/internal/graph"
@@ -14,52 +17,87 @@ import (
 // cutCounter runs one decomposed plan on one thread: each task adds its
 // tuples to v, which RunPlans sums over threads.
 type cutCounter struct {
-	g    *graph.Graph
-	cut  *plan.Cut
-	plan int    // the plan's index in the batch
-	st   *Stats // the plan's row: tasks and intersections
-	sc   *cutScratch
-	slot [4]uint32 // the bindings of plan.Cut's slots
-	v    u128
+	t     *cutTable
+	cut   *plan.Cut
+	comps []int  // the table entry of each of cut.Comps
+	plan  int    // the plan's index in the batch
+	st    *Stats // the plan's row: tasks and intersections
+	v     u128
 }
 
-// cutScratch is one thread's scratch for its decomposed plans, which run
-// one after another in each task, so one copy serves them all.
-type cutScratch struct {
-	bufs  [3][]uint32 // per walk level: its set, when it merges two or more lists
-	lists [][]uint32  // for gathering a level's lists
+// cutTable is one thread's copy of the batch's component table and the
+// state its walks bind. Decomposed plans run one after another in each
+// task, so one table serves them all.
+type cutTable struct {
+	g       *graph.Graph
+	entries []plan.CutEntry
+	vals    []cutVal // indexed like entries
 
-	// A scatter's per-vertex tallies: acc[i][c] counts component i's
-	// placements that bind c as the second cut vertex, for every component
-	// but the last, whose walk multiplies them out instead. touched lists
-	// the c with acc[0][c] > 0, the only ones the other tallies fill, so a
-	// task zeroes what it used and nothing else.
-	acc     [][]uint64
+	// gen[s] advances on every binding of cut slot s: an entry is current
+	// while its stamp equals the counter of its Depth, so a new binding
+	// invalidates it without touching it.
+	gen  [2]uint64
+	slot [4]uint32 // the bindings of plan.Cut's slots
+
+	st      *Stats      // the row charged for merges: the plan whose read computes an entry
+	share   *ShareStats // credited with every read the table serves
+	tv      *cutVal     // the tally the walk in progress fills
+	factors [][]uint64  // a scatter's tallies, gathered for its sum
+	bufs    [3][]uint32 // per walk level: its set, when it merges two or more lists
+	lists   [][]uint32  // for gathering a level's lists
+}
+
+// cutVal is a table entry's value for the current binding of its cut
+// slots.
+type cutVal struct {
+	stamp  uint64
+	n      uint64 // a walk's placements; for a tally, how many candidates it touched
+	merges uint64 // the merges computing it took: what each later read saves
+
+	// A tally's placements per candidate for the second cut vertex, and
+	// the candidates with a nonzero tally in touched's first n slots —
+	// one more slot than there are vertices, as add writes one past the
+	// end. Sized on first use.
+	tally   []uint64
 	touched []uint32
 }
 
-// task adds the tuples whose first cut vertex is a.
-func (cc *cutCounter) task(a uint32) {
-	cc.slot[0] = a
+func newCutTable(g *graph.Graph, trie *plan.ShareTrie, share *ShareStats) *cutTable {
+	return &cutTable{g: g, entries: trie.Cuts, vals: make([]cutVal, len(trie.Cuts)), share: share}
+}
+
+// bind starts task a: it binds the first cut vertex, which makes every
+// entry stale.
+func (t *cutTable) bind(a uint32) {
+	t.slot[0] = a
+	t.gen[0]++
+}
+
+// task adds the tuples of the bound task.
+func (cc *cutCounter) task() {
+	t := cc.t
+	t.st = cc.st
 	switch ct := cc.cut; {
-	case len(ct.Verts) == 1:
-		cc.product()
+	case ct.Scatter():
+		cc.scatter()
 	case ct.Adjacent:
-		for _, c := range cc.g.Adj(a) {
-			cc.slot[1] = c
+		for _, c := range t.g.Adj(t.slot[0]) {
+			t.slot[1] = c
+			t.gen[1]++
 			cc.product()
 		}
 	default:
-		cc.scatter()
+		cc.product()
 	}
 }
 
 // product adds, for the bound cut, the product of every component's
-// placements.
+// placements. Entries are read lazily, so a zero factor spares the
+// components after it.
 func (cc *cutCounter) product() {
 	p := u128{lo: 1}
-	for i := range cc.cut.Comps {
-		n := cc.ext(&cc.cut.Comps[i], 0, i)
+	for _, id := range cc.comps {
+		n := cc.t.read(id).n
 		if n == 0 {
 			return
 		}
@@ -69,142 +107,163 @@ func (cc *cutCounter) product() {
 }
 
 // scatter adds the task's tuples of a cut whose second vertex is free:
-// every component's walk binds it on the way, the first ones tally their
-// placements per candidate, and the last one's multiplies the tallies
-// out.
+// Σ_c Π_i tally_i[c] over the candidates c for it, walking the shortest
+// touched list — a candidate missing from any list adds nothing.
 func (cc *cutCounter) scatter() {
-	comps, sc := cc.cut.Comps, cc.sc
-	for len(sc.acc) < len(comps)-1 {
-		sc.acc = append(sc.acc, make([]uint64, cc.g.NumVertices()))
-	}
-	for i := range comps {
-		cc.ext(&comps[i], 0, i)
-		if len(sc.touched) == 0 {
-			break
+	t := cc.t
+	var short *cutVal
+	t.factors = t.factors[:0]
+	for _, id := range cc.comps {
+		tv := t.read(id)
+		if tv.n == 0 {
+			return
 		}
-	}
-	for _, c := range sc.touched {
-		for _, a := range sc.acc[:len(comps)-1] {
-			a[c] = 0
+		if short == nil || tv.n < short.n {
+			short = tv
 		}
+		t.factors = append(t.factors, tv.tally)
 	}
-	sc.touched = sc.touched[:0]
-}
-
-// ext counts component i's placements from level j on, the last level
-// sized and the ones before it walked — unless a level binds the second
-// cut vertex of a scatter, which tallies per candidate instead (tally),
-// and ext returns 0.
-func (cc *cutCounter) ext(comp *plan.CutComp, j, i int) uint64 {
-	lv := &comp.Levels[j]
-	set := cc.set(lv, j)
-	if lv.Slot == 1 {
-		cc.tally(comp, j, i, set)
-		return 0
-	}
-	if j == len(comp.Levels)-1 {
-		n := len(set) - lv.Sure
-		for _, s := range lv.Skip[lv.Sure:] {
-			if containsSorted(set, cc.slot[s]) {
-				n--
-			}
-		}
-		return uint64(max(n, 0)) // negative only where a file's lists are not symmetric
-	}
-	var n uint64
-	x0, x1 := cc.excluded(lv)
-	for _, x := range set {
-		if x != x0 && x != x1 {
-			cc.slot[lv.Slot] = x
-			n += cc.ext(comp, j+1, i)
-		}
-	}
-	return n
-}
-
-// tally binds the second cut vertex to each usable member of set, the
-// candidates of component i's level j, and counts the placements of the
-// levels after it: into the component's tally, or, for the last
-// component, into V as a product with the others' tallies. A candidate
-// the first component's walk never reached contributes nothing after it.
-func (cc *cutCounter) tally(comp *plan.CutComp, j, i int, set []uint32) {
-	x0, x1 := cc.excluded(&comp.Levels[j])
-	sized := j+1 < len(comp.Levels)
-	acc := cc.sc.acc[:len(cc.cut.Comps)-1]
-	first := acc[0]
-	if i < len(acc) {
-		own := acc[i]
-		for _, c := range set {
-			if c == x0 || c == x1 || i > 0 && first[c] == 0 {
-				continue
-			}
-			n := uint64(1)
-			if sized {
-				cc.slot[1] = c
-				if n = cc.ext(comp, j+1, i); n == 0 {
-					continue
-				}
-			}
-			if i == 0 && own[c] == 0 {
-				cc.sc.touched = append(cc.sc.touched, c)
-			}
-			own[c] += n
-		}
-		return
-	}
+	first, rest := t.factors[0], t.factors[1:]
 	v := cc.v
-	for _, c := range set {
-		t := first[c]
-		if t == 0 || c == x0 || c == x1 {
-			continue
-		}
-		p := u128{lo: t}
-		if sized {
-			cc.slot[1] = c
-			n := cc.ext(comp, j+1, i)
-			if n == 0 {
-				continue
-			}
-			p, _ = p.mul(n)
-		}
-		for _, a := range acc[1:] {
-			p, _ = p.mul(a[c])
+	for _, c := range short.touched[:short.n] {
+		p := u128{lo: first[c]}
+		for _, f := range rest {
+			p, _ = p.mul(f[c])
 		}
 		v, _ = v.add(p)
 	}
 	cc.v = v
 }
 
+// read returns entry id for the bound cut: computed now when stale,
+// otherwise served as computed, which the share telemetry counts as a
+// walk and its merges saved.
+func (t *cutTable) read(id int) *cutVal {
+	e, tv := &t.entries[id], &t.vals[id]
+	if gen := t.gen[e.Depth]; tv.stamp != gen {
+		tv.stamp = gen
+		before := t.st.Intersections
+		if e.Tally {
+			t.reset(tv)
+			t.walk(e.Levels, 0)
+		} else {
+			tv.n = t.walk(e.Levels, 0)
+		}
+		tv.merges = t.st.Intersections - before
+		return tv
+	}
+	t.share.SharedNodeVisits++
+	t.share.IntersectionsSaved += tv.merges
+	return tv
+}
+
+// reset empties tally tv through its touched list, sizing it on first
+// use, and makes it the one the walk fills.
+func (t *cutTable) reset(tv *cutVal) {
+	if tv.tally == nil {
+		n := t.g.NumVertices()
+		tv.tally, tv.touched = make([]uint64, n), make([]uint32, n+1)
+	}
+	for _, c := range tv.touched[:tv.n] {
+		tv.tally[c] = 0
+	}
+	tv.n = 0
+	t.tv = tv
+}
+
+// walk counts the placements of levels[j:], the last level sized and the
+// ones before it walked — unless a level binds the second cut vertex of
+// a scatter, which tallies per candidate instead (tally), and walk
+// returns 0.
+func (t *cutTable) walk(levels []plan.CutLevel, j int) uint64 {
+	lv := &levels[j]
+	set := t.set(lv, j)
+	if lv.Slot == 1 {
+		t.tally(levels, j, set)
+		return 0
+	}
+	if j == len(levels)-1 {
+		n := len(set) - lv.Sure
+		for _, s := range lv.Skip[lv.Sure:] {
+			if containsSorted(set, t.slot[s]) {
+				n--
+			}
+		}
+		return uint64(max(n, 0)) // negative only where a file's lists are not symmetric
+	}
+	var n uint64
+	x0, x1 := t.excluded(lv)
+	for _, x := range set {
+		if x != x0 && x != x1 {
+			t.slot[lv.Slot] = x
+			n += t.walk(levels, j+1)
+		}
+	}
+	return n
+}
+
+// tally binds the second cut vertex to each usable member of set, the
+// candidates of level j, and adds the placements of the levels after it
+// to the tally in progress.
+func (t *cutTable) tally(levels []plan.CutLevel, j int, set []uint32) {
+	x0, x1 := t.excluded(&levels[j])
+	tv := t.tv
+	if j == len(levels)-1 {
+		for _, c := range set {
+			if c != x0 && c != x1 {
+				tv.add(c, 1)
+			}
+		}
+		return
+	}
+	for _, c := range set {
+		if c != x0 && c != x1 {
+			t.slot[1] = c
+			if n := t.walk(levels, j+1); n > 0 {
+				tv.add(c, n)
+			}
+		}
+	}
+}
+
+// add counts n > 0 placements more at c. The touched list grows without
+// a branch: c is written past its end every time, and the end advances
+// over it when c's tally was zero.
+func (tv *cutVal) add(c uint32, n uint64) {
+	tv.touched[tv.n] = c
+	tv.n += (tv.tally[c] - 1) >> 63
+	tv.tally[c] += n
+}
+
 // set returns level lv's candidates before the skip test: the one list
 // as a view, or the merge of several into level j's buffer, which counts
 // as an intersection. Read-only, like every candidate set.
-func (cc *cutCounter) set(lv *plan.CutLevel, j int) []uint32 {
+func (t *cutTable) set(lv *plan.CutLevel, j int) []uint32 {
 	if len(lv.Ops) == 1 {
-		return cc.g.Adj(cc.slot[lv.Ops[0]])
+		return t.g.Adj(t.slot[lv.Ops[0]])
 	}
-	sc := cc.sc
-	sc.lists = sc.lists[:0]
+	t.lists = t.lists[:0]
 	for _, s := range lv.Ops {
-		sc.lists = append(sc.lists, cc.g.Adj(cc.slot[s]))
+		t.lists = append(t.lists, t.g.Adj(t.slot[s]))
 	}
-	out := intersectSetsInto(sc.bufs[j], sc.lists, noLo, noHi)
-	if cap(out) > cap(sc.bufs[j]) {
-		sc.bufs[j] = out[:0:cap(out)]
+	out := intersectSetsInto(t.bufs[j], t.lists, noLo, noHi)
+	if cap(out) > cap(t.bufs[j]) {
+		t.bufs[j] = out[:0:cap(out)]
 	}
-	cc.st.Intersections++
+	t.st.Intersections++
 	return out
 }
 
 // excluded returns the bindings of lv.Skip, NoVertex where it names
 // fewer than two: a candidate equal to either is not one.
-func (cc *cutCounter) excluded(lv *plan.CutLevel) (x0, x1 uint32) {
+func (t *cutTable) excluded(lv *plan.CutLevel) (x0, x1 uint32) {
 	x0, x1 = NoVertex, NoVertex
 	switch len(lv.Skip) {
 	case 2:
-		x1 = cc.slot[lv.Skip[1]]
+		x1 = t.slot[lv.Skip[1]]
 		fallthrough
 	case 1:
-		x0 = cc.slot[lv.Skip[0]]
+		x0 = t.slot[lv.Skip[0]]
 	}
 	return x0, x1
 }

@@ -134,3 +134,86 @@ func TestCutTupleCountPast64Bits(t *testing.T) {
 		t.Fatalf("recovered 4-star count %v, want C(2¹⁷, 4) = %v", v, binom)
 	}
 }
+
+// The component table serves every decomposed row of motif_batch's
+// executed set (every 4- and 5-motif, vertex-induced, rewritten for the
+// workload's ER graph): its 15 decomposed rows name 33 component
+// instances, 11 of them distinct walks. Each row's V in the batch must
+// equal the row run alone, whatever it shares with the others, on one
+// thread and on three, shared and unshared. Run alone, the decomposed
+// rows report the walks the table served, and their merges performed
+// plus saved are the unshared run's merges exactly.
+func TestCutComponentsShared(t *testing.T) {
+	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 512, Edges: 2560, MaxDegree: 100, Seed: 1})
+	m1, m2 := g.DegreeMoments()
+	shape := plan.Shape{Vertices: g.NumVertices(), MeanDeg: m1, MeanSqDeg: m2, MaxDeg: g.MaxDegree()}
+	cache := plan.NewCache()
+	var pls []*plan.Plan
+	for _, k := range []int{4, 5} {
+		for _, p := range pattern.GenerateAllVertexInduced(k) {
+			c, err := cache.Get(pattern.VertexInduced(p), plan.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pls = append(pls, c.Plan)
+		}
+	}
+	mp := plan.MorphBatch(pls, cache, plan.Options{Shape: shape})
+	if mp == nil {
+		t.Fatal("motif_batch's set was not rewritten")
+	}
+	exec := mp.Exec
+	var cuts []int // indices of the decomposed rows
+	instances := 0
+	for i, pl := range exec {
+		if pl.Cut != nil {
+			cuts = append(cuts, i)
+			instances += len(pl.Cut.Comps)
+		}
+	}
+	if len(cuts) != 15 || instances != 33 {
+		t.Fatalf("%d decomposed rows with %d components, want 15 with 33", len(cuts), instances)
+	}
+	for _, tc := range []struct {
+		tr   *plan.ShareTrie
+		want int
+	}{{plan.BuildShareTrie(exec), 11}, {plan.BuildUnsharedTrie(exec), instances}} {
+		named := 0
+		for i, ids := range tc.tr.CutComps {
+			if exec[i].Cut == nil && ids != nil || exec[i].Cut != nil && len(ids) != len(exec[i].Cut.Comps) {
+				t.Errorf("row %d (%v) names table entries %v", i, exec[i].Pat, ids)
+			}
+			named += len(ids)
+		}
+		if len(tc.tr.Cuts) != tc.want || named != instances {
+			t.Errorf("table of %d entries for %d instances, want %d for %d", len(tc.tr.Cuts), named, tc.want, instances)
+		}
+	}
+
+	alone := make(map[int]*big.Int)
+	for _, i := range cuts {
+		alone[i] = wideMatches(RunPlans(g, exec[i:i+1], nil, Options{Threads: 1}), 0)
+	}
+	decomposed := make([]*plan.Plan, 0, len(cuts))
+	for _, i := range cuts {
+		decomposed = append(decomposed, exec[i])
+	}
+	for _, opt := range []Options{{Threads: 1}, {Threads: 3}, {Threads: 1, NoSharing: true}, {Threads: 3, NoSharing: true}} {
+		ms := RunPlans(g, exec, nil, opt)
+		for _, i := range cuts {
+			if got := wideMatches(ms, i); got.Cmp(alone[i]) != 0 {
+				t.Errorf("%+v: %v cut at %v: V = %v in the batch, %v alone", opt, exec[i].Pat, exec[i].Cut.Verts, got, alone[i])
+			}
+		}
+	}
+	for _, threads := range []int{1, 3} {
+		sh := RunPlans(g, decomposed, nil, Options{Threads: threads})
+		un := RunPlans(g, decomposed, nil, Options{Threads: threads, NoSharing: true})
+		if sh.Share.SharedNodeVisits == 0 || un.Share.SharedNodeVisits != 0 || un.Share.IntersectionsSaved != 0 {
+			t.Errorf("%d threads: walks served %d shared, %d unshared", threads, sh.Share.SharedNodeVisits, un.Share.SharedNodeVisits)
+		}
+		if sh.Intersections+sh.Share.IntersectionsSaved != un.Intersections {
+			t.Errorf("%d threads: %d merges performed + %d saved != %d unshared", threads, sh.Intersections, sh.Share.IntersectionsSaved, un.Intersections)
+		}
+	}
+}

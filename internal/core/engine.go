@@ -69,10 +69,22 @@
 // cut's vertices, its last level sized rather than walked, and the
 // components' counts multiply. When the second cut vertex is not adjacent
 // to the first, each component's walk binds it on the way instead and
-// tallies its counts per candidate in per-thread vertex-indexed arrays,
-// reset through a touched list, and the task adds Σ_c Π_i tally_i[c]. The
-// sum over tasks is V, in 128 bits (MultiStats.MatchesHi), from which the
-// rewrite recovers the pattern's count.
+// tallies its counts per candidate, and the task adds Σ_c Π_i tally_i[c]
+// over the shortest tally's candidates. The sum over tasks is V, in 128
+// bits (MultiStats.MatchesHi), from which the rewrite recovers the
+// pattern's count.
+//
+// The walks are the entries of the batch's component table
+// (plan.ShareTrie.Cuts): one per distinct level program, which every
+// component instance of every decomposed plan names. A thread computes
+// an entry on its first read after the cut slots it reads are bound and
+// serves it to every later read until they are bound again — stamped,
+// like completion slots, with a per-slot generation the task (or an
+// adjacent cut's loop) bumps. A single-vertex or adjacent cut's entry is
+// a count, read lazily, so a plan's product still stops at its first
+// zero factor; a scatter's is a per-thread vertex-indexed tally with its
+// own touched list, which grows without a branch and empties through
+// itself when the entry is next computed.
 //
 // Runs with a callback (Exists, Matches, ForEach, FSM) enumerate.
 package core
@@ -250,9 +262,13 @@ type ShareStats struct {
 	ProgramSteps uint64 `json:"programSteps"`
 
 	// SharedNodeVisits counts node expansions whose candidate set served
-	// more than one matching order. Intersections counts candidate-set
-	// computations performed; IntersectionsSaved counts the computations
-	// unshared execution would have performed on top of that.
+	// more than one matching order, and reads of a decomposed plan's
+	// component walk the component table served instead of walking again.
+	// Intersections counts the trie's candidate-set computations
+	// performed; IntersectionsSaved counts the computations unshared
+	// execution would have performed on top of that, plus the merges of
+	// the component walks served — unshared, the decomposed plans' own
+	// rows (Stats.Intersections) would have held those too.
 	SharedNodeVisits   uint64 `json:"sharedNodeVisits"`
 	Intersections      uint64 `json:"intersections"`
 	IntersectionsSaved uint64 `json:"intersectionsSaved"`
@@ -499,8 +515,7 @@ type multiWorker struct {
 	ctx  Ctx
 	pws  []*worker     // per-plan completion state, indexed like the plan slice
 	cuts []*cutCounter // the decomposed plans', run once per task after the trie
-
-	cutScratch *cutScratch // shared by cuts; nil without them
+	cutT *cutTable     // their component table; nil without them
 
 	data    []uint32   // visit index -> data id for the current partial binding
 	bufs    [][]uint32 // candidate scratch per trie depth (bufs[d-1] for depth d)
@@ -545,10 +560,10 @@ func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb P
 		}
 		mw.pws[pi] = newWorker(g, pl, wcb, mw, tb)
 		if pl.Cut != nil {
-			if mw.cutScratch == nil {
-				mw.cutScratch = new(cutScratch)
+			if mw.cutT == nil {
+				mw.cutT = newCutTable(g, trie, &mw.share)
 			}
-			mw.cuts = append(mw.cuts, &cutCounter{g: g, cut: pl.Cut, plan: pi, st: &mw.pws[pi].stats, sc: mw.cutScratch})
+			mw.cuts = append(mw.cuts, &cutCounter{t: mw.cutT, cut: pl.Cut, comps: trie.CutComps[pi], plan: pi, st: &mw.pws[pi].stats})
 		}
 	}
 	return mw
@@ -583,9 +598,10 @@ func (mw *multiWorker) runTask(v uint32) {
 	}
 	if len(mw.cuts) > 0 {
 		mw.tb.Enter(profile.StageNonCore)
+		mw.cutT.bind(v)
 		for _, cc := range mw.cuts {
 			cc.st.Tasks++
-			cc.task(v)
+			cc.task()
 		}
 	}
 }

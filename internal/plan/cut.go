@@ -413,14 +413,16 @@ func CutFits(n int, s Shape) bool {
 // cutUnit is what one unit of a decomposed plan's price costs in units of
 // a trie plan's: on motif_batch's graph, one thread, the twelve plans the
 // rewrite weighs ran at a median 2.75 µs per thousand units decomposed
-// and 1.5 directly (spread 2.3–3.8 and 0.8–6.9). A walk shares nothing
-// between the plans of a batch and breaks no symmetry, so each binding
-// pays its calls alone.
+// and 1.5 directly (spread 2.3–3.8 and 0.8–6.9). A walk breaks no
+// symmetry, so each binding pays its calls alone.
 const cutUnit = 1.8
 
 // cut prices one task of a decomposed plan: its components' walks once
 // per binding of the cut, plus, for a scatter, one pass over the second
-// cut vertex's candidates that the first walk reached, at cutUnit.
+// cut vertex's candidates that the first walk reached, at cutUnit. A
+// decomposed plan is priced alone: the engine's component table serves a
+// walk that several plans of a batch name once per task, and that
+// sharing is deliberately not priced.
 func (m costModel) cut(ct *Cut) float64 {
 	var total, reached float64
 	for i := range ct.Comps {

@@ -38,8 +38,17 @@ package plan
 // can: the triangle's completion set and the 4-clique's first two lists
 // are one slot on the depth-1 node, and each 4-clique pays one short
 // two-list intersection per triangle.
+//
+// Decomposed plans (Plan.Cut) have no matching orders; what they share
+// is their component walks. A walk's level program names cut slots and
+// component slots alone, so equal programs count alike for one binding
+// of the cut whatever plan they came from — the triangle on the task's
+// vertex, or the common-neighbour tally of a 4-cycle's diagonal, recurs
+// across a motif batch. The trie's component table (Cuts) holds each
+// distinct program once, and every component instance names its entry.
 
 import (
+	"slices"
 	"sort"
 
 	"peregrine/internal/pattern"
@@ -196,6 +205,59 @@ type ShareTrie struct {
 	// Slots are the batch's completion slots, named by index from the
 	// leaves' Slots and from one another's Prefix.
 	Slots []Slot
+
+	// Cuts is the batch's component table: the distinct component walks
+	// (CutComp level programs) of its decomposed plans, or, unshared, one
+	// per component instance. CutComps[pi][i] is the entry counting
+	// component i of plan pi's Cut; nil for a plan without a Cut.
+	Cuts     []CutEntry
+	CutComps [][]int
+}
+
+// CutEntry is one component walk of a batch's component table. The
+// engine computes it on its first read after the cut slots it reads are
+// bound, and serves it to every component instance naming it until they
+// are bound again: once per task, or, for an adjacent cut's component,
+// once per binding of the second cut vertex.
+type CutEntry struct {
+	Levels []CutLevel
+	// Depth is the deepest cut slot the walk reads without binding it: 0,
+	// bound by the task, or 1, bound by an adjacent cut's loop.
+	Depth int
+	// Tally marks a scatter's component, whose walk binds the second cut
+	// vertex and counts its placements per candidate for it.
+	Tally bool
+}
+
+// cutEntry returns the table entry walking cc.
+func cutEntry(cc *CutComp) CutEntry {
+	e := CutEntry{Levels: cc.Levels}
+	for _, lv := range cc.Levels {
+		if lv.Slot == 1 {
+			e.Tally = true
+			break
+		}
+		if slices.Contains(lv.Ops, 1) || slices.Contains(lv.Skip, 1) {
+			e.Depth = 1
+		}
+	}
+	return e
+}
+
+// cutKey serializes a component walk for exact comparison: two walks
+// with equal keys count alike for every binding of the cut.
+func cutKey(levels []CutLevel) string {
+	var buf []byte
+	for _, lv := range levels {
+		buf = append(buf, byte(lv.Slot), byte(lv.Sure), byte(len(lv.Ops)), byte(len(lv.Skip)))
+		for _, s := range lv.Ops {
+			buf = append(buf, byte(s))
+		}
+		for _, s := range lv.Skip {
+			buf = append(buf, byte(s))
+		}
+	}
+	return string(buf)
 }
 
 // BuildShareTrie merges the Step programs of every matching order of
@@ -290,6 +352,23 @@ func buildTrie(pls []*Plan, merge bool) *ShareTrie {
 		}
 	}
 	tr.pruneSlots()
+	tr.CutComps = make([][]int, len(pls))
+	cutByKey := make(map[string]int)
+	for pi, pl := range pls {
+		if pl.Cut == nil {
+			continue
+		}
+		for i := range pl.Cut.Comps {
+			key := cutKey(pl.Cut.Comps[i].Levels)
+			id, ok := cutByKey[key]
+			if !ok || !merge {
+				id = len(tr.Cuts)
+				tr.Cuts = append(tr.Cuts, cutEntry(&pl.Cut.Comps[i]))
+				cutByKey[key] = id
+			}
+			tr.CutComps[pi] = append(tr.CutComps[pi], id)
+		}
+	}
 	return tr
 }
 

@@ -10,7 +10,9 @@
 #                        innermost calls, must fit the inlining budget
 #   5. inlinable kernels — intersectMerge, lowerBound, containsSorted
 #                        and intersectCount likewise (the operand skip
-#                        lives in the dispatcher, not in the merge)
+#                        lives in the dispatcher, not in the merge), and
+#                        the component walks' per-candidate helpers
+#                        (*cutTable).excluded and (*cutVal).add
 #   6. sorted lists only — internal/core (tests included) must not
 #                        import internal/bitset: the engine intersects
 #                        sorted lists alone
@@ -54,6 +56,12 @@ inl=$(go build -gcflags=-m ./internal/core 2>&1)
 for f in intersectMerge lowerBound containsSorted intersectCount; do
   if ! grep -qE "can inline $f( |$)" <<<"$inl"; then
     echo "$f no longer inlines: every merge or probe pays a call for it"
+    fail=1
+  fi
+done
+for m in '(*cutTable).excluded' '(*cutVal).add'; do
+  if ! grep -qF "can inline $m" <<<"$inl"; then
+    echo "$m no longer inlines: every candidate of a component walk pays a call for it"
     fail=1
   fi
 done
