@@ -154,10 +154,12 @@ func (cp *CountPlan) Executed() []*Pattern {
 }
 
 // Cuts returns, per row of Executed, the vertices of the cut the row runs
-// decomposed at, the task's vertex first, or nil for a row counted as
-// given; nil throughout when nothing decomposes. A decomposed row counts
-// V, its tuples through the cut, not its pattern's matches: run the rows
-// with PrepareExecuted, which rebuilds each cut from the pattern as given.
+// decomposed at, in slot order (plan.Cut: the task's vertex first, then
+// a walked and a scattered vertex where the cut has them), or nil for a
+// row counted as given; nil throughout when nothing decomposes. A
+// decomposed row counts V, its tuples through the cut, not its pattern's
+// matches: run the rows with PrepareExecuted, which rebuilds each cut
+// from the pattern as given.
 func (cp *CountPlan) Cuts() [][]int {
 	var out [][]int
 	for i, pl := range cp.exec {
@@ -215,11 +217,10 @@ func recoverCounts(ms MultiStats, mp *plan.MorphPlan) MultiStats {
 			per[i] = ms.Per[j]
 		} else {
 			per[i] = Stats{
-				Matches:   counts[i],
-				Tasks:     ms.Tasks,
-				Stopped:   ms.Stopped,
-				MatchTime: ms.MatchTime,
-				Threads:   int32(ms.Threads),
+				Matches: counts[i],
+				Tasks:   ms.Tasks,
+				Stopped: ms.Stopped,
+				Threads: int32(ms.Threads),
 			}
 		}
 	}

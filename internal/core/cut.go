@@ -2,12 +2,16 @@ package core
 
 // Decomposed plans (plan.Cut): a count that binds a small vertex cut per
 // task and multiplies its components' placements, each counted by a
-// rooted walk of one or two levels over the set kernels. What the plan
-// yields is V, the tuple count plan.MorphBatch recovers the pattern's
-// count from (see plan/cut.go), summed over tasks in 128 bits. The walks
-// are the entries of the batch's component table (plan.ShareTrie.Cuts):
-// each is computed once per binding of the cut slots it reads, whatever
-// number of plans name it.
+// rooted walk of one to three levels over the set kernels. A task binds
+// the cut in two orthogonal steps: a loop over the task vertex's list
+// for a walked vertex, where the cut has one, then per binding either a
+// scatter's sum over the scattered vertex's candidates or the product of
+// the components' counts. What the plan yields is V, the tuple count
+// plan.MorphBatch recovers the pattern's count from (see plan/cut.go),
+// summed over tasks in 128 bits. The walks are the entries of the
+// batch's component table (plan.ShareTrie.Cuts): each is computed once
+// per binding of the cut slots it reads, whatever number of plans name
+// it.
 
 import (
 	"peregrine/internal/graph"
@@ -33,11 +37,12 @@ type cutTable struct {
 	entries []plan.CutEntry
 	vals    []cutVal // indexed like entries
 
-	// gen[s] advances on every binding of cut slot s: an entry is current
-	// while its stamp equals the counter of its Depth, so a new binding
-	// invalidates it without touching it.
-	gen  [2]uint64
-	slot [4]uint32 // the bindings of plan.Cut's slots
+	// gen[s] advances on every binding of cut slot s, the task's or the
+	// walked vertex's: an entry is current while its stamp equals the
+	// counter of its Depth, so a new binding invalidates it without
+	// touching it.
+	gen  [plan.SlotWalked + 1]uint64
+	slot [plan.NumSlots]uint32 // the bindings of plan.Cut's slots
 
 	st      *Stats      // the row charged for merges: the plan whose read computes an entry
 	share   *ShareStats // credited with every read the table serves
@@ -54,7 +59,7 @@ type cutVal struct {
 	n      uint64 // a walk's placements; for a tally, how many candidates it touched
 	merges uint64 // the merges computing it took: what each later read saves
 
-	// A tally's placements per candidate for the second cut vertex, and
+	// A tally's placements per candidate for the scattered vertex, and
 	// the candidates with a nonzero tally in touched's first n slots —
 	// one more slot than there are vertices, as add writes one past the
 	// end. Sized on first use.
@@ -66,27 +71,34 @@ func newCutTable(g *graph.Graph, trie *plan.ShareTrie, share *ShareStats) *cutTa
 	return &cutTable{g: g, entries: trie.Cuts, vals: make([]cutVal, len(trie.Cuts)), share: share}
 }
 
-// bind starts task a: it binds the first cut vertex, which makes every
+// bind starts task a: it binds the task's cut vertex, which makes every
 // entry stale.
 func (t *cutTable) bind(a uint32) {
-	t.slot[0] = a
-	t.gen[0]++
+	t.slot[plan.SlotTask] = a
+	t.gen[plan.SlotTask]++
 }
 
-// task adds the tuples of the bound task.
+// task adds the tuples of the bound task: those of each binding of the
+// walked vertex, where the cut has one, or of the task's binding alone.
 func (cc *cutCounter) task() {
 	t := cc.t
 	t.st = cc.st
-	switch ct := cc.cut; {
-	case ct.Scatter():
+	if !cc.cut.Walked {
+		cc.binding()
+		return
+	}
+	for _, c := range t.g.Adj(t.slot[plan.SlotTask]) {
+		t.slot[plan.SlotWalked] = c
+		t.gen[plan.SlotWalked]++
+		cc.binding()
+	}
+}
+
+// binding adds the tuples of the bound cut slots.
+func (cc *cutCounter) binding() {
+	if cc.cut.Scatter() {
 		cc.scatter()
-	case ct.Adjacent:
-		for _, c := range t.g.Adj(t.slot[0]) {
-			t.slot[1] = c
-			t.gen[1]++
-			cc.product()
-		}
-	default:
+	} else {
 		cc.product()
 	}
 }
@@ -106,9 +118,10 @@ func (cc *cutCounter) product() {
 	cc.v, _ = cc.v.add(p) // exact: plan.MorphBatch decomposes only where V fits
 }
 
-// scatter adds the task's tuples of a cut whose second vertex is free:
-// Σ_c Π_i tally_i[c] over the candidates c for it, walking the shortest
-// touched list — a candidate missing from any list adds nothing.
+// scatter adds the tuples of a binding of a cut whose scattered vertex
+// is free: Σ_c Π_i tally_i[c] over the candidates c for it, walking the
+// shortest touched list — a candidate missing from any list adds
+// nothing.
 func (cc *cutCounter) scatter() {
 	t := cc.t
 	var short *cutVal
@@ -172,13 +185,12 @@ func (t *cutTable) reset(tv *cutVal) {
 }
 
 // walk counts the placements of levels[j:], the last level sized and the
-// ones before it walked — unless a level binds the second cut vertex of
-// a scatter, which tallies per candidate instead (tally), and walk
-// returns 0.
+// ones before it walked — unless a level binds the scattered vertex,
+// which tallies per candidate instead (tally), and walk returns 0.
 func (t *cutTable) walk(levels []plan.CutLevel, j int) uint64 {
 	lv := &levels[j]
 	set := t.set(lv, j)
-	if lv.Slot == 1 {
+	if lv.Slot == plan.SlotScatter {
 		t.tally(levels, j, set)
 		return 0
 	}
@@ -192,9 +204,9 @@ func (t *cutTable) walk(levels []plan.CutLevel, j int) uint64 {
 		return uint64(max(n, 0)) // negative only where a file's lists are not symmetric
 	}
 	var n uint64
-	x0, x1 := t.excluded(lv)
+	x0, x1, x2 := t.excluded(lv)
 	for _, x := range set {
-		if x != x0 && x != x1 {
+		if x != x0 && x != x1 && x != x2 {
 			t.slot[lv.Slot] = x
 			n += t.walk(levels, j+1)
 		}
@@ -202,23 +214,23 @@ func (t *cutTable) walk(levels []plan.CutLevel, j int) uint64 {
 	return n
 }
 
-// tally binds the second cut vertex to each usable member of set, the
+// tally binds the scattered vertex to each usable member of set, the
 // candidates of level j, and adds the placements of the levels after it
 // to the tally in progress.
 func (t *cutTable) tally(levels []plan.CutLevel, j int, set []uint32) {
-	x0, x1 := t.excluded(&levels[j])
+	x0, x1, x2 := t.excluded(&levels[j])
 	tv := t.tv
 	if j == len(levels)-1 {
 		for _, c := range set {
-			if c != x0 && c != x1 {
+			if c != x0 && c != x1 && c != x2 {
 				tv.add(c, 1)
 			}
 		}
 		return
 	}
 	for _, c := range set {
-		if c != x0 && c != x1 {
-			t.slot[1] = c
+		if c != x0 && c != x1 && c != x2 {
+			t.slot[plan.SlotScatter] = c
 			if n := t.walk(levels, j+1); n > 0 {
 				tv.add(c, n)
 			}
@@ -255,15 +267,18 @@ func (t *cutTable) set(lv *plan.CutLevel, j int) []uint32 {
 }
 
 // excluded returns the bindings of lv.Skip, NoVertex where it names
-// fewer than two: a candidate equal to either is not one.
-func (t *cutTable) excluded(lv *plan.CutLevel) (x0, x1 uint32) {
-	x0, x1 = NoVertex, NoVertex
+// fewer than three: a candidate equal to any is not one.
+func (t *cutTable) excluded(lv *plan.CutLevel) (x0, x1, x2 uint32) {
+	x0, x1, x2 = NoVertex, NoVertex, NoVertex
 	switch len(lv.Skip) {
+	case 3:
+		x2 = t.slot[lv.Skip[2]]
+		fallthrough
 	case 2:
 		x1 = t.slot[lv.Skip[1]]
 		fallthrough
 	case 1:
 		x0 = t.slot[lv.Skip[0]]
 	}
-	return x0, x1
+	return x0, x1, x2
 }

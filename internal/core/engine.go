@@ -234,12 +234,11 @@ type Stats struct {
 	// set-intersection work attributable — the figure pattern morphing
 	// trades against.
 	Intersections uint64
-	PlanTime      time.Duration // exploration-plan generation time
-	MatchTime     time.Duration // wall time of the parallel exploration
 
 	// Threads is the run's worker count, an int32 so that with Stopped it
-	// fills one word: a row is 56 bytes, and a count returns — and its
-	// callers often keep — one per requested pattern.
+	// fills one word: a row is 40 bytes, and a count returns — and its
+	// callers often keep — one per requested pattern. Run-wide figures,
+	// MultiStats.MatchTime among them, live on MultiStats alone.
 	Threads int32
 	Stopped bool // true if exploration terminated early
 }
@@ -498,7 +497,6 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 		// Per-plan snapshots share the batch-wide traversal figures so
 		// each reads as a complete Stats on its own.
 		ms.Per[pi].Stopped = ms.Stopped
-		ms.Per[pi].MatchTime = ms.MatchTime
 		ms.Per[pi].Threads = int32(threads)
 	}
 	return ms
@@ -1043,6 +1041,6 @@ func (w *worker) checkAntiVertices() bool {
 
 // String renders stats compactly for logs and tables.
 func (s Stats) String() string {
-	return fmt.Sprintf("matches=%d core=%d tasks=%d threads=%d plan=%v match=%v stopped=%v",
-		s.Matches, s.CoreMatches, s.Tasks, s.Threads, s.PlanTime, s.MatchTime, s.Stopped)
+	return fmt.Sprintf("matches=%d core=%d tasks=%d threads=%d stopped=%v",
+		s.Matches, s.CoreMatches, s.Tasks, s.Threads, s.Stopped)
 }

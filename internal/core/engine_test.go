@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"peregrine/internal/gen"
 	"peregrine/internal/graph"
@@ -266,5 +267,15 @@ func TestLabeledMatching(t *testing.T) {
 	cnt = Count(t, g, pattern.MustParse("0-1 [0:1] [1:3]"), Options{Threads: 2})
 	if cnt != 0 {
 		t.Fatalf("labeled edge with absent label count = %d, want 0", cnt)
+	}
+}
+
+// A count returns one Stats row per requested pattern, and callers keep
+// them: the benchmark holds every op's MultiStats for its whole run, so
+// on a fast engine a row's bytes are resident memory that grows with the
+// ops completed. Run-wide figures belong on MultiStats, not in each row.
+func TestStatsRowSize(t *testing.T) {
+	if n := unsafe.Sizeof(Stats{}); n > 40 {
+		t.Errorf("a Stats row is %d bytes, want at most 40 (four counters, Threads and Stopped)", n)
 	}
 }

@@ -2,18 +2,18 @@ package plan
 
 // Counting through a vertex cut (DwarvesGraph's pattern decomposition,
 // PAPERS.md). Take an anti-edge-free, unlabeled pattern P and a cut of one
-// or two of its vertices whose removal leaves two or more components of
+// to three of its vertices whose removal leaves two or more components of
 // at most two vertices each — P5 at its middle vertex, the 5-cycle at two
-// non-adjacent vertices, the 6-cycle at two opposite ones. Once the cut
-// is bound, each component's placements depend on the cut's binding
-// alone. So the tuples that map every edge of P onto an edge, injective
-// on the cut plus any one component but free to collide across
-// components, number
+// non-adjacent vertices, the 6-cycle at two opposite ones, the wheel W4
+// at its hub and two opposite rim vertices. Once the cut is bound, each
+// component's placements depend on the cut's binding alone. So the
+// tuples that map every edge of P onto an edge, injective on the cut plus
+// any one component but free to collide across components, number
 //
 //	V = Σ over bindings of the cut of Π_i ext_i,
 //
 // where ext_i counts component i's placements; internal/core counts each
-// with a rooted walk of one or two levels over adjacency lists.
+// with a rooted walk of one to three levels over adjacency lists.
 //
 // The algebra. A tuple's collisions form a partition π of the component
 // vertices whose blocks hold at most one vertex of each component.
@@ -31,6 +31,20 @@ package plan
 // q. Every q has fewer vertices than P. MorphBatch runs the decomposed
 // plan plus whichever q the batch does not count already, and recovers
 // count(P) next to the morph relations, exactly and once.
+//
+// W4, worked through. The wheel 0-1 0-2 0-3 0-4 1-3 1-4 2-3 2-4 has hub
+// 0 and rim 1-3-2-4. Cut at {0, 1, 2}, the hub and two opposite rim
+// vertices, it leaves the singletons {3} and {4}, each adjacent to all
+// three cut vertices. The task binds v to 0, a loop over N(v) binds x to
+// 1 (the walked vertex), and each singleton's walk binds a from
+// N(v)∩N(x), then y, the scattered vertex 2, from N(a)∩N(v) less x. So
+//
+//	V = Σ_v Σ_{x∈N(v)} Σ_{y∈N(v), y≠x} w(y)²,  w(y) = |N(v)∩N(x)∩N(y)|.
+//
+// The only partition other than ⊥ merges 3 with 4; its quotient is the
+// diamond 0-1 0-2 0-a 1-a 2-a, with |Aut| = 4. |Aut(W4)| = 8, so
+//
+//	count(W4) = (V − 4·count(diamond)) / 8.
 
 import (
 	"fmt"
@@ -55,34 +69,52 @@ const (
 	cutMaxVertices = MorphMaxVertices
 )
 
-// Cut is how the engine counts a decomposed plan. Its walks bind slots:
-// slot 0 is Verts[0], bound by the task; slot 1 is Verts[1] in a
-// two-vertex cut; slots 2 and 3 are a component's first and second
-// vertex. With one cut vertex, or two adjacent ones — the second bound
-// from the first's list — every binding of the cut multiplies the
-// components' counts. With two non-adjacent ones each component's walk
-// binds the second cut vertex on the way, tallying its placements per
-// candidate for it (a scatter), and the task's V sums the products of
-// the tallies over the candidates.
+// The slots a cut's walks bind, which CutLevel names.
+const (
+	SlotTask    = 0 // Verts[0], bound by the task
+	SlotWalked  = 1 // the walked cut vertex, bound from the task vertex's list
+	SlotScatter = 2 // the scattered cut vertex, bound by every component's walk
+	SlotComp    = 3 // a component's root; its second vertex binds SlotComp+1
+	NumSlots    = 5
+)
+
+// Cut is how the engine counts a decomposed plan. The task binds
+// Verts[0]; the cut may add a walked and a scattered vertex, in that
+// order, and the two compose:
+//
+//   - A walked vertex is adjacent to the task's and bound by a loop over
+//     the task vertex's list; each of its bindings counts the components
+//     anew.
+//   - A scattered vertex is bound by every component's walk on the way,
+//     which tallies its placements per candidate for it (a scatter); a
+//     binding of the cut adds the sum over the candidates of the
+//     products of the tallies.
+//
+// Without a scattered vertex a binding of the cut adds the product of
+// the components' counts. A two-vertex cut's second vertex is walked
+// when adjacent to the first and scattered when not; a three-vertex
+// cut's second is walked and its third scattered.
 type Cut struct {
-	Verts    []int // the cut's pattern vertices
-	Adjacent bool  // two cut vertices joined by an edge of the pattern
-	Comps    []CutComp
+	Verts  []int // the cut's pattern vertices, in slot order
+	Walked bool  // Verts[1] is walked
+	Comps  []CutComp
 }
 
-// Scatter reports whether the components' walks end at the second cut
-// vertex: a two-vertex cut whose vertices are not adjacent.
-func (ct *Cut) Scatter() bool { return len(ct.Verts) == 2 && !ct.Adjacent }
+// Scatter reports whether the components' walks end at a scattered
+// cut vertex, the last of Verts.
+func (ct *Cut) Scatter() bool {
+	return len(ct.Verts) == 3 || len(ct.Verts) == 2 && !ct.Walked
+}
 
 // CutComp is one component of the pattern less the cut, walked from a
 // root adjacent to a bound cut vertex.
 type CutComp struct {
-	V []int // pattern vertices, root first: V[j] binds slot 2+j
+	V []int // pattern vertices, root first: V[j] binds slot SlotComp+j
 
-	// Levels bind V's vertices and, in a scatter, the second cut vertex —
+	// Levels bind V's vertices and, in a scatter, the scattered vertex —
 	// as soon as a bound vertex touches it, so that a component vertex
 	// that does not is sized per candidate rather than walked before it.
-	// The last level is sized, unless it binds the second cut vertex.
+	// The last level is sized, unless it binds the scattered vertex.
 	Levels []CutLevel
 }
 
@@ -91,7 +123,7 @@ type CutComp struct {
 // — pattern neighbours of the level's vertex, so never empty — that
 // differ from every bound slot. A slot in Ops is never in the set (no
 // vertex is its own neighbour); Skip lists the other bound slots, at
-// most two, and the first Sure of them lie in the set whatever the
+// most three, and the first Sure of them lie in the set whatever the
 // binding, being adjacent in the pattern to every Ops vertex.
 type CutLevel struct {
 	Slot int
@@ -110,89 +142,136 @@ type Decomposition struct {
 }
 
 // Decompositions returns the decompositions of p the engine can count —
-// one per cut and choice of the task's vertex, up to p's automorphisms —
-// or nil when p is labeled, has anti-edges, lies outside the size gates
-// or has no such cut. The plans are NewCut's: p's with a Cut and nothing
-// else.
+// one per cut and order of its vertices, up to p's automorphisms — or
+// nil when p is labeled, has anti-edges, lies outside the size gates or
+// has no such cut. Cuts come by size, one vertex first. The plans are
+// the ones NewCut builds: p's with a Cut and nothing else.
 func Decompositions(p *pattern.Pattern) []Decomposition {
 	if !decomposable(p) {
 		return nil
 	}
-	n := p.N()
 	autos := p.Automorphisms()
 	div := int64(len(autos))
 	var out []Decomposition
-	// An automorphism maps a cut, task vertex first, onto one that walks
-	// and counts alike: one per orbit is kept.
-	seen := make(map[[2]int]bool)
-	add := func(verts []int, comps [][]int) {
+	// An automorphism maps a cut, in slot order, onto one that walks and
+	// counts alike: one per orbit is kept.
+	seen := make(map[[3]int]bool)
+	key := func(order, a []int) [3]int { // order's image under a, or order for a nil
+		k := [3]int{-1, -1, -1}
+		for i, v := range order {
+			if a != nil {
+				v = a[v]
+			}
+			k[i] = v
+		}
+		return k
+	}
+	for _, set := range cutSets(p.N()) {
+		comps := componentsWithout(p, set)
+		if !qualifies(comps) {
+			continue
+		}
 		var terms []MorphTerm
-		for _, order := range [][]int{verts, {verts[len(verts)-1], verts[0]}}[:len(verts)] {
-			key := [2]int{order[0], order[len(order)-1]}
-			if seen[key] {
+		for _, order := range orderings(set) {
+			if seen[key(order, nil)] {
 				continue
 			}
 			for _, a := range autos {
-				seen[[2]int{a[key[0]], a[key[1]]}] = true
+				seen[key(order, a)] = true
 			}
-			pl, err := NewCut(p, order)
+			ct, err := newCut(p, order, comps)
 			if err != nil {
 				continue
 			}
 			if terms == nil {
 				terms = shrinkage(p, comps)
 			}
-			out = append(out, Decomposition{Plan: pl, Terms: terms, Div: div})
-		}
-	}
-	for a := range n {
-		if comps := componentsWithout(p, a, -1); qualifies(comps) {
-			add([]int{a}, comps)
-		}
-	}
-	for a := range n {
-		for c := a + 1; c < n; c++ {
-			if comps := componentsWithout(p, a, c); qualifies(comps) {
-				add([]int{a, c}, comps)
-			}
+			out = append(out, Decomposition{Plan: &Plan{Pat: p, Cut: ct}, Terms: terms, Div: div})
 		}
 	}
 	return out
 }
 
-// NewCut returns p's decomposed plan at the cut verts, the task's vertex
-// first: the constructor every Decomposition's plan comes from, and the
+// cutSets returns the sets of one to three of n vertices, by size, then
+// in lexicographic order, each ascending.
+func cutSets(n int) [][]int {
+	var out [][]int
+	var pick func(set []int, from, k int)
+	pick = func(set []int, from, k int) {
+		if len(set) == k {
+			out = append(out, slices.Clone(set))
+			return
+		}
+		for v := from; v < n; v++ {
+			pick(append(set, v), v+1, k)
+		}
+	}
+	for k := 1; k <= 3; k++ {
+		pick(nil, 0, k)
+	}
+	return out
+}
+
+// orderings returns every order of set's vertices, in lexicographic
+// order of positions.
+func orderings(set []int) [][]int {
+	if len(set) <= 1 {
+		return [][]int{set}
+	}
+	var out [][]int
+	for i, v := range set {
+		for _, rest := range orderings(slices.Delete(slices.Clone(set), i, i+1)) {
+			out = append(out, append([]int{v}, rest...))
+		}
+	}
+	return out
+}
+
+// CutError is NewCut's refusal: the pattern, the cut as given, and why
+// it is not a decomposition of the pattern the engine can count.
+type CutError struct {
+	Pat    *pattern.Pattern
+	Verts  []int
+	Reason string
+}
+
+func (e *CutError) Error() string { return fmt.Sprintf("cut %v of %v: %s", e.Verts, e.Pat, e.Reason) }
+
+func cutError(p *pattern.Pattern, verts []int, format string, args ...any) *CutError {
+	return &CutError{Pat: p, Verts: verts, Reason: fmt.Sprintf(format, args...)}
+}
+
+// NewCut returns p's decomposed plan at the cut verts, in slot order (see
+// Cut): the constructor every Decomposition's plan comes from, and the
 // one a node rebuilds a shipped cut with from the pattern as sent. It
-// fails unless p passes the gates Decompositions applies and verts are
-// one or two distinct vertices of p whose removal leaves two or more
-// components of at most two vertices, each touching both cut vertices
-// when they are not adjacent.
+// fails with a *CutError unless p passes the gates Decompositions applies
+// and verts are one to three distinct vertices of p, the second adjacent
+// to the first when there are three, whose removal leaves two or more
+// components of at most two vertices, each touching a bound cut vertex
+// and, in a scatter, the scattered one.
 func NewCut(p *pattern.Pattern, verts []int) (*Plan, error) {
 	if !decomposable(p) {
-		return nil, fmt.Errorf("%v cannot decompose: that takes a connected, unlabeled pattern of %d to %d vertices without anti-edges",
-			p, cutMinVertices, cutMaxVertices)
+		return nil, cutError(p, verts, "cannot decompose: that takes a connected, unlabeled pattern of %d to %d vertices without anti-edges",
+			cutMinVertices, cutMaxVertices)
 	}
-	if len(verts) != 1 && len(verts) != 2 {
-		return nil, fmt.Errorf("a cut has one or two vertices, not %d", len(verts))
+	if len(verts) < 1 || len(verts) > 3 {
+		return nil, cutError(p, verts, "a cut has one to three vertices, not %d", len(verts))
 	}
-	for _, v := range verts {
+	for i, v := range verts {
 		if v < 0 || v >= p.N() {
-			return nil, fmt.Errorf("cut vertex %d is not a vertex of %v", v, p)
+			return nil, cutError(p, verts, "%d is not a vertex of the pattern", v)
+		}
+		if slices.Contains(verts[:i], v) {
+			return nil, cutError(p, verts, "vertex %d is named twice", v)
 		}
 	}
-	c := -1
-	if len(verts) == 2 {
-		if c = verts[1]; c == verts[0] {
-			return nil, fmt.Errorf("cut %v names a vertex twice", verts)
-		}
-	}
-	comps := componentsWithout(p, verts[0], c)
+	comps := componentsWithout(p, verts)
 	if !qualifies(comps) {
-		return nil, fmt.Errorf("removing %v from %v leaves components %v, not two or more of at most two vertices", verts, p, comps)
+		return nil, cutError(p, verts, "it leaves components %v, not two or more of at most two vertices", comps)
 	}
-	ct := newCut(p, verts, comps)
-	if ct == nil {
-		return nil, fmt.Errorf("a component of %v less %v does not touch both cut vertices", p, verts)
+	ct, err := newCut(p, verts, comps)
+	if err != nil {
+		return nil, err
 	}
 	return &Plan{Pat: p, Cut: ct}, nil
 }
@@ -206,13 +285,12 @@ func decomposable(p *pattern.Pattern) bool {
 		p.Validate() == nil && p.ConnectedRegular()
 }
 
-// componentsWithout returns the connected components of p less vertices
-// a and c (c may be -1), each ascending, in order of their least vertex.
-func componentsWithout(p *pattern.Pattern, a, c int) [][]int {
+// componentsWithout returns the connected components of p less the
+// vertices cut, each ascending, in order of their least vertex.
+func componentsWithout(p *pattern.Pattern, cut []int) [][]int {
 	seen := make([]bool, p.N())
-	seen[a] = true
-	if c >= 0 {
-		seen[c] = true
+	for _, v := range cut {
+		seen[v] = true
 	}
 	var comps [][]int
 	for v := range seen {
@@ -222,8 +300,8 @@ func componentsWithout(p *pattern.Pattern, a, c int) [][]int {
 		seen[v] = true
 		comp := []int{v}
 		for i := 0; i < len(comp); i++ {
-			for _, u := range p.Neighbors(comp[i]) {
-				if !seen[u] {
+			for u := range seen {
+				if !seen[u] && p.HasEdge(comp[i], u) {
 					seen[u] = true
 					comp = append(comp, u)
 				}
@@ -239,25 +317,34 @@ func qualifies(comps [][]int) bool {
 	return len(comps) >= 2 && !slices.ContainsFunc(comps, func(c []int) bool { return len(c) > 2 })
 }
 
-// newCut lays out the walks of the cut verts (the task's vertex first)
-// over comps, or returns nil when a scatter cut has a component that
-// does not touch both cut vertices: its walk could not start at the
-// first or bind the second.
-func newCut(p *pattern.Pattern, verts []int, comps [][]int) *Cut {
-	ct := &Cut{Verts: verts, Adjacent: len(verts) == 2 && p.HasEdge(verts[0], verts[1])}
+// newCut lays out the walks of the cut verts, in slot order, over comps,
+// the components they leave. It fails when a three-vertex cut's second
+// vertex is not adjacent to its first, or a component's walk could not
+// start — no vertex of it touches a bound cut vertex — or could not bind
+// the scattered vertex.
+func newCut(p *pattern.Pattern, verts []int, comps [][]int) (*Cut, error) {
+	ct := &Cut{Verts: verts, Walked: len(verts) > 1 && p.HasEdge(verts[0], verts[1])}
+	if len(verts) == 3 && !ct.Walked {
+		return nil, cutError(p, verts, "the walked vertex %d is not adjacent to the task's vertex %d", verts[1], verts[0])
+	}
 	scatter := ct.Scatter()
+	y := -1 // the scattered vertex
+	if scatter {
+		y = verts[len(verts)-1]
+	}
 	for _, comp := range comps {
-		slot := []int{verts[0], -1, -1, -1} // slot -> pattern vertex
-		bound := []int{0}
-		if len(verts) == 2 {
-			slot[1] = verts[1]
-			if ct.Adjacent {
-				bound = append(bound, 1)
-			}
+		if scatter && !slices.ContainsFunc(comp, func(v int) bool { return p.HasEdge(v, y) }) {
+			return nil, cutError(p, verts, "component %v does not touch the scattered vertex %d", comp, y)
+		}
+		slot := []int{verts[0], -1, y, -1, -1} // slot -> pattern vertex
+		bound := []int{SlotTask}
+		if ct.Walked {
+			slot[SlotWalked] = verts[1]
+			bound = append(bound, SlotWalked)
 		}
 		// The root: the vertex adjacent to the most bound cut vertices —
-		// the fewest candidates — then to the task's vertex, then, in a
-		// scatter, to the second cut vertex.
+		// the fewest candidates — then to the task's vertex, then to the
+		// scattered vertex.
 		score := func(v int) int {
 			s := 0
 			for _, b := range bound {
@@ -268,7 +355,7 @@ func newCut(p *pattern.Pattern, verts []int, comps [][]int) *Cut {
 			if p.HasEdge(verts[0], v) {
 				s++
 			}
-			if scatter && p.HasEdge(verts[1], v) {
+			if scatter && p.HasEdge(y, v) {
 				s++
 			}
 			return s
@@ -283,29 +370,27 @@ func newCut(p *pattern.Pattern, verts []int, comps [][]int) *Cut {
 			cc.Levels = append(cc.Levels, level(p, slot, bound, s))
 			bound = append(bound, s)
 		}
-		bind(2, order[0])
-		// Bind the second cut vertex next where the root touches it and
+		bind(SlotComp, order[0])
+		// Bind the scattered vertex next where the root touches it and
 		// what is left is a pendant of the root alone, sized per candidate
 		// from one list; a vertex with more lists is walked first, so that
 		// its merge runs once per root, not once per candidate.
-		if scatter && p.HasEdge(order[0], verts[1]) &&
-			(len(order) == 1 || !p.HasEdge(order[1], verts[0]) && !p.HasEdge(order[1], verts[1])) {
-			bind(1, verts[1])
+		if scatter && p.HasEdge(order[0], y) &&
+			(len(order) == 1 || !slices.ContainsFunc(verts, func(c int) bool { return p.HasEdge(order[1], c) })) {
+			bind(SlotScatter, y)
 		}
 		if len(order) == 2 {
-			bind(3, order[1])
+			bind(SlotComp+1, order[1])
 		}
-		if scatter && !slices.Contains(bound, 1) {
-			bind(1, verts[1])
+		if scatter && !slices.Contains(bound, SlotScatter) {
+			bind(SlotScatter, y)
 		}
-		for _, lv := range cc.Levels {
-			if len(lv.Ops) == 0 {
-				return nil
-			}
+		if len(cc.Levels[0].Ops) == 0 {
+			return nil, cutError(p, verts, "component %v touches no cut vertex bound before its walk", comp)
 		}
 		ct.Comps = append(ct.Comps, cc)
 	}
-	return ct
+	return ct, nil
 }
 
 // level is the walk level binding slot s after the bound slots.
@@ -417,12 +502,13 @@ func CutFits(n int, s Shape) bool {
 // symmetry, so each binding pays its calls alone.
 const cutUnit = 1.8
 
-// cut prices one task of a decomposed plan: its components' walks once
-// per binding of the cut, plus, for a scatter, one pass over the second
-// cut vertex's candidates that the first walk reached, at cutUnit. A
-// decomposed plan is priced alone: the engine's component table serves a
-// walk that several plans of a batch name once per task, and that
-// sharing is deliberately not priced.
+// cut prices one task of a decomposed plan at cutUnit: its components'
+// walks plus, for a scatter, one pass over the scattered vertex's
+// candidates that the first walk reached — once per binding of the
+// walked vertex where there is one, once otherwise. A decomposed plan is
+// priced alone: the engine's component table serves a walk that several
+// plans of a batch name once per binding, and that sharing is
+// deliberately not priced.
 func (m costModel) cut(ct *Cut) float64 {
 	var total, reached float64
 	for i := range ct.Comps {
@@ -432,32 +518,32 @@ func (m costModel) cut(ct *Cut) float64 {
 			reached = scattered
 		}
 	}
-	switch {
-	case ct.Adjacent:
-		total = m.start * (1 + total)
-	case ct.Scatter():
+	if ct.Scatter() {
 		total += reached
+	}
+	if ct.Walked {
+		total = m.start * (1 + total)
 	}
 	return cutUnit * total
 }
 
 // walk prices one component's walk for one binding of the bound cut
-// vertices, and returns how many candidates its level binding the second
-// cut vertex yields: a level's set is priced like a completion step's,
-// from the task's list when Ops names slot 0; a sized last level costs
-// one set computation plus a probe per slot it may hold.
+// vertices, and returns how many candidates its level binding the
+// scattered vertex yields: a level's set is priced like a completion
+// step's, from the task's list when Ops names SlotTask; a sized last
+// level costs one set computation plus a probe per slot it may hold.
 func (m costModel) walk(cc *CutComp) (cost, scattered float64) {
 	bind := 1.0
 	for j := range cc.Levels {
 		lv := &cc.Levels[j]
 		k := len(lv.Ops)
-		n := m.set(k, slices.Contains(lv.Ops, 0), false, false)
-		if lv.Slot != 1 && j == len(cc.Levels)-1 {
+		n := m.set(k, slices.Contains(lv.Ops, SlotTask), false, false)
+		if lv.Slot != SlotScatter && j == len(cc.Levels)-1 {
 			return cost + bind*(m.compute(k, 1)+float64(len(lv.Skip)-lv.Sure)*m.search), scattered
 		}
 		cost += bind * m.compute(k, n)
 		bind *= n
-		if lv.Slot == 1 {
+		if lv.Slot == SlotScatter {
 			scattered = bind
 		}
 	}

@@ -324,12 +324,13 @@ func (m costModel) pass(l pattern.Label) float64 {
 //     (TestMorphDefaultShapeStable).
 //   - Each anti-vertex check costs one k-list intersection per match.
 //   - A decomposed plan (pl.Cut) costs, per task, its components' walks
-//     for each binding of the cut: m1 bindings of an adjacent second cut
-//     vertex, one otherwise. A walk's levels are priced like completion
-//     steps, its last level sized in one set computation; a scatter (a
-//     non-adjacent cut) also pays a pass over the candidates the first
-//     walk tallied. Every unit is weighted by cutUnit, what a decomposed
-//     walk was measured to cost per unit against a trie plan.
+//     for each binding of the cut: m1 bindings of a walked cut vertex,
+//     one otherwise. A walk's levels are priced like completion steps,
+//     its last level sized in one set computation; a scatter (a cut
+//     with a scattered vertex) also pays, per binding, a pass over the
+//     candidates the first walk tallied. Every unit is weighted by
+//     cutUnit, what a decomposed walk was measured to cost per unit
+//     against a trie plan.
 //
 // Trie prefix sharing and completion slots are left out: they discount
 // plans that share work, MorphBatch's objective already charges a

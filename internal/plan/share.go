@@ -217,14 +217,15 @@ type ShareTrie struct {
 // CutEntry is one component walk of a batch's component table. The
 // engine computes it on its first read after the cut slots it reads are
 // bound, and serves it to every component instance naming it until they
-// are bound again: once per task, or, for an adjacent cut's component,
-// once per binding of the second cut vertex.
+// are bound again: once per task, or, for a walked cut's component, once
+// per binding of the walked vertex.
 type CutEntry struct {
 	Levels []CutLevel
-	// Depth is the deepest cut slot the walk reads without binding it: 0,
-	// bound by the task, or 1, bound by an adjacent cut's loop.
+	// Depth is the deepest cut slot the walk reads without binding it:
+	// SlotTask, bound by the task, or SlotWalked, bound by a walked cut's
+	// loop.
 	Depth int
-	// Tally marks a scatter's component, whose walk binds the second cut
+	// Tally marks a scatter's component, whose walk binds the scattered
 	// vertex and counts its placements per candidate for it.
 	Tally bool
 }
@@ -233,12 +234,9 @@ type CutEntry struct {
 func cutEntry(cc *CutComp) CutEntry {
 	e := CutEntry{Levels: cc.Levels}
 	for _, lv := range cc.Levels {
-		if lv.Slot == 1 {
-			e.Tally = true
-			break
-		}
-		if slices.Contains(lv.Ops, 1) || slices.Contains(lv.Skip, 1) {
-			e.Depth = 1
+		e.Tally = e.Tally || lv.Slot == SlotScatter
+		if slices.Contains(lv.Ops, SlotWalked) || slices.Contains(lv.Skip, SlotWalked) {
+			e.Depth = SlotWalked
 		}
 	}
 	return e

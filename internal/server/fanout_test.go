@@ -51,11 +51,11 @@ func TestRangedCutsAnswerV(t *testing.T) {
 
 // A node refuses, as the client's error, every cuts field it cannot run
 // exactly: cuts outside a ranged count, a cut that is not a decomposition
-// of its pattern as sent, rows that do not line up, and a cut whose V
-// could overflow on the node's own graph.
+// of its pattern as sent — three-vertex cuts included — rows that do not
+// line up, and a cut whose V could overflow on the node's own graph.
 func TestCutsRejected(t *testing.T) {
 	_, ts, _ := newShardTestServer(t)
-	const c4 = `"0-1 1-2 2-3 3-0"`
+	const c4, w4 = `"0-1 1-2 2-3 3-0"`, `"0-1 0-2 0-3 0-4 1-3 1-4 2-3 2-4"`
 	ranged := `,"taskLo":0,"taskHi":40,"wait":true}`
 	for _, tc := range []struct {
 		name, body string
@@ -66,7 +66,13 @@ func TestCutsRejected(t *testing.T) {
 		{"a negative vertex", `{"graph":"whole","kind":"count","patterns":[` + c4 + `],"cuts":[[-1]]` + ranged, http.StatusBadRequest},
 		{"a vertex named twice", `{"graph":"whole","kind":"count","patterns":[` + c4 + `],"cuts":[[2,2]]` + ranged, http.StatusBadRequest},
 		{"not a decomposition", `{"graph":"whole","kind":"count","patterns":[` + c4 + `],"cuts":[[0,1]]` + ranged, http.StatusBadRequest},
-		{"three cut vertices", `{"graph":"whole","kind":"count","patterns":[` + c4 + `],"cuts":[[0,1,2]]` + ranged, http.StatusBadRequest},
+		{"three cut vertices leaving one component", `{"graph":"whole","kind":"count","patterns":[` + c4 + `],"cuts":[[0,1,2]]` + ranged, http.StatusBadRequest},
+		{"W4 at three vertices", `{"graph":"whole","kind":"count","patterns":[` + w4 + `],"cuts":[[0,1,2]]` + ranged, http.StatusOK},
+		{"W4, a vertex repeated", `{"graph":"whole","kind":"count","patterns":[` + w4 + `],"cuts":[[0,1,1]]` + ranged, http.StatusBadRequest},
+		{"W4 at four vertices", `{"graph":"whole","kind":"count","patterns":[` + w4 + `],"cuts":[[0,1,2,3]]` + ranged, http.StatusBadRequest},
+		{"W4, a vertex out of range", `{"graph":"whole","kind":"count","patterns":[` + w4 + `],"cuts":[[0,1,5]]` + ranged, http.StatusBadRequest},
+		{"W4, the walked vertex not adjacent", `{"graph":"whole","kind":"count","patterns":[` + w4 + `],"cuts":[[1,2,0]]` + ranged, http.StatusBadRequest},
+		{"a component missing the scattered vertex", `{"graph":"whole","kind":"count","patterns":["0-1 0-2 0-3 0-4 1-3 1-4 2-3"],"cuts":[[0,1,2]]` + ranged, http.StatusBadRequest},
 		{"fewer cuts than patterns", `{"graph":"whole","kind":"count","patterns":[` + c4 + `,"0-1 1-2"],"cuts":[[0,2]]` + ranged, http.StatusBadRequest},
 		{"the pattern form", `{"graph":"whole","kind":"count","pattern":` + c4 + `,"cuts":[[0,2]]` + ranged, http.StatusBadRequest},
 		{"a repeated row", `{"graph":"whole","kind":"count","patterns":[` + c4 + `,"0-1 1-2","1-2 0-1"],"cuts":[[0,2],[],[]]` + ranged, http.StatusBadRequest},

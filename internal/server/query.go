@@ -74,11 +74,15 @@ type Request struct {
 	TaskHi uint32 `json:"taskHi,omitempty"`
 	// Cuts runs rows of a ranged count decomposed: one entry per entry of
 	// Patterns, empty for a row counted as given, otherwise the pattern
-	// vertices of the row's cut, the task's vertex first (a coordinator's
-	// executed set, peregrine.CountPlan.Cuts). Such a row answers V, the
-	// tuples through the cut — in 128 bits, Count and CountHi — not its
-	// pattern's count. The node rebuilds each cut from the pattern text as
-	// sent and refuses (400) one that is not a decomposition of it, or
+	// vertices of the row's cut in slot order (a coordinator's executed
+	// set, peregrine.CountPlan.Cuts): the task's vertex, then a walked
+	// vertex adjacent to it, then a scattered one — one to three in all,
+	// as plan.Cut reads them. Such a row answers V, the tuples through the
+	// cut — in 128 bits, Count and CountHi — not its pattern's count. The
+	// node rebuilds each cut from the pattern text as sent and refuses
+	// (400) one that is not a decomposition of it (plan.CutError: a vertex
+	// repeated or out of range, four or more, a walked vertex not adjacent
+	// to the task's, a component that misses the scattered vertex, …), or
 	// whose V could overflow 128 bits on the node's graph.
 	Cuts [][]int `json:"cuts,omitempty"`
 }

@@ -86,18 +86,20 @@ var tailPatterns = sync.OnceValue(func() (out []*Pattern) {
 })
 
 // cutPatterns have a vertex cut the count can decompose at (plan.Cut):
-// the 4-cycle, P4, the 5-cycle, P5, the 6-cycle, the house and the bull,
-// each in two spellings, edge- and vertex-induced — the latter morph
-// first, and their relatives decompose.
+// the 4-cycle, P4, the 5-cycle, P5, the 6-cycle, the house, the bull and
+// the wheel W4, whose only cuts have three vertices, each in two
+// spellings, edge- and vertex-induced — the latter morph first, and
+// their relatives decompose.
 var cutPatterns = sync.OnceValue(func() (out []*Pattern) {
 	for _, text := range []string{
-		"0-1 1-2 2-3 3-0",         // C4: a diagonal
-		"0-1 1-2 2-3",             // P4: an inner vertex, or the middle edge
-		"0-1 1-2 2-3 3-4 4-0",     // C5: two non-adjacent vertices
-		"0-1 1-2 2-3 3-4",         // P5: its middle vertex
-		"0-1 1-2 2-3 3-4 4-5 5-0", // C6: two opposite vertices
-		"0-1 1-2 2-3 3-0 0-4 1-4", // the house
-		"0-1 1-2 2-0 0-3 1-4",     // the bull: its triangle's edge
+		"0-1 1-2 2-3 3-0",                 // C4: a diagonal
+		"0-1 1-2 2-3",                     // P4: an inner vertex, or the middle edge
+		"0-1 1-2 2-3 3-4 4-0",             // C5: two non-adjacent vertices
+		"0-1 1-2 2-3 3-4",                 // P5: its middle vertex
+		"0-1 1-2 2-3 3-4 4-5 5-0",         // C6: two opposite vertices
+		"0-1 1-2 2-3 3-0 0-4 1-4",         // the house
+		"0-1 1-2 2-0 0-3 1-4",             // the bull: its triangle's edge
+		"0-1 0-2 0-3 0-4 1-3 1-4 2-3 2-4", // W4: its hub and two opposite rim vertices
 	} {
 		p := pattern.MustParse(text)
 		for _, q := range []*Pattern{p, p.Renumber(rand.New(rand.NewSource(int64(p.N()))).Perm(p.N()))} {

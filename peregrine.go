@@ -264,12 +264,10 @@ func (c config) pattern(p *Pattern) *Pattern {
 // pattern's plan comes from the process-wide cache: repeated calls for
 // the same pattern shape skip analysis entirely.
 func ForEachMatch(g *Graph, p *Pattern, f MatchFunc, opts ...Option) (Stats, error) {
-	t0 := time.Now()
 	q, err := PrepareWith(opts, p)
 	if err != nil {
 		return Stats{}, err
 	}
-	planTime := time.Since(t0)
 	var pf func(ctx *Ctx, pat int, m *Match)
 	if f != nil {
 		pf = func(ctx *Ctx, _ int, m *Match) { f(ctx, m) }
@@ -278,9 +276,7 @@ func ForEachMatch(g *Graph, p *Pattern, f MatchFunc, opts ...Option) (Stats, err
 	if err != nil {
 		return Stats{}, err
 	}
-	st := ms.Per[0]
-	st.PlanTime = planTime
-	return st, nil
+	return ms.Per[0], nil
 }
 
 // Count returns the number of matches of p in g — the paper's count().
@@ -293,21 +289,17 @@ func Count(g *Graph, p *Pattern, opts ...Option) (uint64, error) {
 // statistics. It is the one-pattern case of CountMany and counts the
 // same way: a pattern with anti-edges may execute as cheaper relatives
 // (see WithoutMorphing), in which case Stats carries the recovered
-// count with the run's time and thread figures only.
+// count with the run's task and thread figures only.
 func CountWithStats(g *Graph, p *Pattern, opts ...Option) (uint64, Stats, error) {
-	t0 := time.Now()
 	q, err := PrepareWith(opts, p)
 	if err != nil {
 		return 0, Stats{}, err
 	}
-	planTime := time.Since(t0)
 	_, ms, err := q.CountEachWithStats(g, opts...)
 	if err != nil {
 		return 0, Stats{}, err
 	}
-	st := ms.Per[0]
-	st.PlanTime = planTime
-	return st.Matches, st, nil
+	return ms.Per[0].Matches, ms.Per[0], nil
 }
 
 // Exists reports whether p has at least one match in g, terminating the

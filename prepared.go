@@ -146,6 +146,13 @@ func compilePattern(p *Pattern, c config) (preparedPattern, error) {
 	return preparedPattern{pat: eff, plan: cached.Plan, remap: cached.Remap}, nil
 }
 
+// CutError is PrepareExecuted's refusal of a cut that is not a
+// decomposition of its row's pattern: a vertex named twice or out of
+// range, more than three vertices, a three-vertex cut whose walked
+// vertex is not adjacent to the task's, components the cut does not
+// leave small, or one a walk could not start or scatter from.
+type CutError = plan.CutError
+
 // PrepareExecuted prepares, where it runs, an executed set a CountPlan
 // planned elsewhere: Executed's patterns, and Cuts' vertex lists (nil,
 // or one entry per pattern, empty for a row counted as given). A row with
@@ -153,7 +160,8 @@ func compilePattern(p *Pattern, c config) (preparedPattern, error) {
 // pattern as given — never through the plan cache, whose entry may number
 // the pattern differently from the cut — and counts V: its low 64 bits in
 // Stats.Matches, its high 64 in MultiStats.MatchesHi. The other rows
-// compile as PrepareWith's do.
+// compile as PrepareWith's do. A cut that is not a decomposition of its
+// pattern fails with an error wrapping a *CutError.
 //
 // The rows must be distinct plans, so that a count's MultiStats rows are
 // indexed like them. The query only counts, under the options it was

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -685,6 +687,38 @@ func TestMorphBypassesEdgeInduced(t *testing.T) {
 	for i := range batch {
 		if morphed[i] != direct[i] {
 			t.Errorf("pattern %v: %d != %d", batch[i], morphed[i], direct[i])
+		}
+	}
+}
+
+// TestPrepareExecutedRefusesBadCuts: a shipped cut that is not a
+// decomposition of its pattern fails with a *CutError, whatever is wrong
+// with it; W4's cut at its hub, a rim vertex and the opposite one is
+// accepted, in either of its orbits' orders.
+func TestPrepareExecutedRefusesBadCuts(t *testing.T) {
+	w4 := pattern.MustParse("0-1 0-2 0-3 0-4 1-3 1-4 2-3 2-4")
+	for _, cut := range [][]int{{0, 1, 2}, {1, 0, 2}} {
+		if _, err := PrepareExecuted(nil, []*Pattern{w4}, [][]int{cut}); err != nil {
+			t.Errorf("W4 cut at %v: %v", cut, err)
+		}
+	}
+	for _, tc := range []struct {
+		name, reason string // reason: what the refusal says
+		p            *Pattern
+		cut          []int
+	}{
+		{"a repeated vertex", "named twice", w4, []int{0, 1, 1}},
+		{"four vertices", "one to three vertices", w4, []int{0, 1, 2, 3}},
+		{"a vertex out of range", "not a vertex", w4, []int{0, 1, 5}},
+		{"a walked vertex not adjacent to the task's", "not adjacent", w4, []int{1, 2, 0}},
+		// W4 less the rim edge 2-4: vertex 4 no longer touches 2.
+		{"a component missing the scattered vertex", "does not touch the scattered vertex",
+			pattern.MustParse("0-1 0-2 0-3 0-4 1-3 1-4 2-3"), []int{0, 1, 2}},
+	} {
+		_, err := PrepareExecuted(nil, []*Pattern{tc.p}, [][]int{tc.cut})
+		var ce *CutError
+		if !errors.As(err, &ce) || !slices.Equal(ce.Verts, tc.cut) || !strings.Contains(ce.Reason, tc.reason) {
+			t.Errorf("%s: %v cut at %v: error %v, want a *CutError saying %q", tc.name, tc.p, tc.cut, err, tc.reason)
 		}
 	}
 }

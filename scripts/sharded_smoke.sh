@@ -12,7 +12,15 @@
 # the merge (its answer must say so: stats.morphing.patternsReplaced > 0).
 # By then a node has loaded the graph and reported its shape, so the
 # rewrite decomposes the pair's 4-path at a vertex cut, as a node would,
-# and ships the cut: stats.morphing.decomposed > 0.
+# and ships the cut: stats.morphing.decomposed > 0. The edge-induced
+# wheel W4 has no cut of fewer than three vertices; the coordinator
+# decomposes it at its hub and two opposite rim vertices and ships that
+# three-vertex cut, which the nodes rebuild — its count must equal the
+# single node's too, before and after the kill, decomposed. The wheel
+# (and the diamond its relation reads) counts 0 on this graph, so this
+# checks the cut's path over the wire, not the tally's arithmetic:
+# `go test ./internal/core -run Cut` and `go test . -run
+# TestDifferentialCountCuts` check that.
 #
 # Serving numbers through a coordinator come from `go run ./bench
 # -workload coord_sharded`, not from this script.
@@ -32,6 +40,7 @@ NODE_B=18082
 COORD=18090
 PATTERNS='["0-1 1-2 2-0","0-1 0-2 0-3"]'
 VI_PATTERNS='["0-1 0-2 0-3","0-1 1-2 2-3"]'
+W4_PATTERNS='["0-1 0-2 0-3 0-4 1-3 1-4 2-3 2-4"]'
 
 say() { echo "sharded_smoke: $*" >&2; }
 
@@ -51,35 +60,41 @@ count() {
     | grep -o '"count":[0-9]*' | head -1 | cut -d: -f2
 }
 
-# count_vi <base-url> <answer-file> — run the vertex-induced pair, keep
-# the whole answer, print its per-pattern rows
-count_vi() {
+# count_rows <base-url> <answer-file> <patterns> <vertexInduced> — run a
+# count, keep the whole answer, print its per-pattern rows
+count_rows() {
   curl -sf -X POST "$1/v1/query" -o "$2" \
-    -d "{\"graph\":\"patents\",\"kind\":\"count\",\"patterns\":$VI_PATTERNS,\"vertexInduced\":true,\"wait\":true}"
+    -d "{\"graph\":\"patents\",\"kind\":\"count\",\"patterns\":$3,\"vertexInduced\":$4,\"wait\":true}"
   grep -o '"perPattern":\[[^]]*\]' "$2" || true
 }
 
-# check_vi <when> — the coordinator's vertex-induced answer must equal
-# the single node's ($SINGLE_VI) and report its rewrite, decomposition
-# included
-check_vi() {
+# check_rewrite <when> <what> <patterns> <vertexInduced> <single-node rows>
+# — the coordinator's answer must equal the single node's and report its
+# rewrite, decomposition included
+check_rewrite() {
   local merged replaced decomposed
-  merged=$(count_vi "http://127.0.0.1:$COORD" "$WORK/vi.json")
-  replaced=$(grep -o '"patternsReplaced":[0-9]*' "$WORK/vi.json" | cut -d: -f2 || true)
-  decomposed=$(grep -o '"decomposed":[0-9]*' "$WORK/vi.json" | cut -d: -f2 || true)
-  say "$1: vertex-induced merged $merged patternsReplaced=${replaced:-none} decomposed=${decomposed:-none}"
-  if [ -z "$SINGLE_VI" ] || [ "$SINGLE_VI" != "$merged" ]; then
-    say "FAIL: $1: vertex-induced merged counts diverge from single node $SINGLE_VI"
+  merged=$(count_rows "http://127.0.0.1:$COORD" "$WORK/rewrite.json" "$3" "$4")
+  replaced=$(grep -o '"patternsReplaced":[0-9]*' "$WORK/rewrite.json" | cut -d: -f2 || true)
+  decomposed=$(grep -o '"decomposed":[0-9]*' "$WORK/rewrite.json" | cut -d: -f2 || true)
+  say "$1: $2 merged $merged patternsReplaced=${replaced:-none} decomposed=${decomposed:-none}"
+  if [ -z "$5" ] || [ "$5" != "$merged" ]; then
+    say "FAIL: $1: $2 merged counts diverge from single node $5"
     exit 1
   fi
   if [ "${replaced:-0}" -lt 1 ]; then
-    say "FAIL: $1: the coordinator did not rewrite the vertex-induced pair: $(cat "$WORK/vi.json")"
+    say "FAIL: $1: the coordinator did not rewrite the $2: $(cat "$WORK/rewrite.json")"
     exit 1
   fi
   if [ "${decomposed:-0}" -lt 1 ]; then
-    say "FAIL: $1: the coordinator's rewrite decomposed nothing: $(cat "$WORK/vi.json")"
+    say "FAIL: $1: the coordinator's rewrite of the $2 decomposed nothing: $(cat "$WORK/rewrite.json")"
     exit 1
   fi
+}
+
+# check_rewrites <when> — both rewritten queries, through the coordinator
+check_rewrites() {
+  check_rewrite "$1" "vertex-induced pair" "$VI_PATTERNS" true "$SINGLE_VI"
+  check_rewrite "$1" "edge-induced W4" "$W4_PATTERNS" false "$SINGLE_W4"
 }
 
 start_node() { # port [extra serve flags...]
@@ -140,8 +155,9 @@ if [ -z "$SINGLE" ] || [ "$SINGLE" != "$MERGED" ]; then
   say "FAIL: merged counts diverge from single node"
   exit 1
 fi
-SINGLE_VI=$(count_vi "http://127.0.0.1:$NODE_A" "$WORK/vi-single.json")
-check_vi "healthy fleet"
+SINGLE_VI=$(count_rows "http://127.0.0.1:$NODE_A" "$WORK/vi-single.json" "$VI_PATTERNS" true)
+SINGLE_W4=$(count_rows "http://127.0.0.1:$NODE_A" "$WORK/w4-single.json" "$W4_PATTERNS" false)
+check_rewrites "healthy fleet"
 
 say "killing node B, re-querying through the coordinator"
 kill "${PIDS[1]}" 2>/dev/null || true
@@ -152,7 +168,7 @@ if [ "$AFTER" != "$SINGLE" ]; then
   say "FAIL: counts changed after node death ($AFTER != $SINGLE)"
   exit 1
 fi
-check_vi "after node death"
+check_rewrites "after node death"
 FAILOVERS=$(curl -sf "http://127.0.0.1:$COORD/v1/coord" \
   | grep -o '"failovers":[0-9]*' | cut -d: -f2 | awk '{s+=$1} END{print s+0}')
 say "coordinator failovers=$FAILOVERS"
@@ -162,4 +178,4 @@ if [ -z "$FAILOVERS" ] || [ "$FAILOVERS" -lt 1 ]; then
 fi
 stop_all
 
-say "OK: missing fragment failed the job, merged counts exact as given and rewritten (decomposed), failover survived"
+say "OK: missing fragment failed the job, merged counts exact as given and rewritten (decomposed, W4 at a three-vertex cut), failover survived"
