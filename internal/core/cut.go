@@ -44,6 +44,7 @@ type cutTable struct {
 	gen  [plan.SlotWalked + 1]uint64
 	slot [plan.NumSlots]uint32 // the bindings of plan.Cut's slots
 
+	tm      *taskMarks  // the thread's marks of the task vertex's list
 	st      *Stats      // the row charged for merges: the plan whose read computes an entry
 	share   *ShareStats // credited with every read the table serves
 	tv      *cutVal     // the tally the walk in progress fills
@@ -67,8 +68,8 @@ type cutVal struct {
 	touched []uint32
 }
 
-func newCutTable(g *graph.Graph, trie *plan.ShareTrie, share *ShareStats) *cutTable {
-	return &cutTable{g: g, entries: trie.Cuts, vals: make([]cutVal, len(trie.Cuts)), share: share}
+func newCutTable(g *graph.Graph, trie *plan.ShareTrie, tm *taskMarks, share *ShareStats) *cutTable {
+	return &cutTable{g: g, entries: trie.Cuts, vals: make([]cutVal, len(trie.Cuts)), tm: tm, share: share}
 }
 
 // bind starts task a: it binds the task's cut vertex, which makes every
@@ -258,7 +259,7 @@ func (t *cutTable) set(lv *plan.CutLevel, j int) []uint32 {
 	for _, s := range lv.Ops {
 		t.lists = append(t.lists, t.g.Adj(t.slot[s]))
 	}
-	out := intersectSetsInto(t.bufs[j], t.lists, noLo, noHi)
+	out := t.tm.intersect(t.bufs[j], t.lists, noLo, noHi)
 	if cap(out) > cap(t.bufs[j]) {
 		t.bufs[j] = out[:0:cap(out)]
 	}

@@ -30,7 +30,27 @@
 // set, reading it once per computation — intersects its lists itself.
 // For a triangle and a 4-clique this makes the triangle's set and the
 // 4-clique's first two lists one slot per edge, and leaves the 4-clique
-// one short two-list intersection per triangle.
+// one fill per triangle: its third vertex's list scanned through the
+// marks of that slot (below).
+//
+// Marked operands: the task vertex v is the maximum-id core vertex, so
+// on Build's degree-ascending layout N(v) is the longest list of the
+// match, and almost every multi-list step of the task names it — trie
+// steps, completion slots, slotless completion levels, anti-vertex
+// checks and decomposed plans' walk levels. A thread marks N(v) in a
+// bitmap over vertex ids on the task's first such step (taskMarks) and
+// computes every step naming it by scanning the shortest other operand,
+// clipped to the window, through the marks: one word load per candidate,
+// where a merge or a gallop would walk N(v) again for every binding. A
+// slot that is another's prefix keeps its set marked the same way for
+// the fills extending it. One rule (markedDriver) picks the path for
+// every site: the marks, unless the other operands are so much longer
+// than the marked list that galloping it through them costs less —
+// intersectSetsInto's own choice, which a hubs-first file's short task
+// lists often make. The marks are cleared by walking the list marked,
+// never the bitmap, and the sets, hence every count and counter, are the
+// ones intersectSetsInto computes. Adjacency stays sorted lists: the
+// bitmaps are a thread's scratch, ⌈V/64⌉ words each.
 //
 // Count mode: a run with no callback needs how many matches there are,
 // never which. Non-core vertices are an independent set, so the last
@@ -515,6 +535,7 @@ type multiWorker struct {
 	cuts []*cutCounter // the decomposed plans', run once per task after the trie
 	cutT *cutTable     // their component table; nil without them
 
+	tm      taskMarks  // the task vertex's list, marked for the multi-list steps naming it
 	data    []uint32   // visit index -> data id for the current partial binding
 	bufs    [][]uint32 // candidate scratch per trie depth (bufs[d-1] for depth d)
 	listArg [][]uint32 // scratch for gathering adjacency list operands
@@ -535,6 +556,7 @@ func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb P
 		g:       g,
 		trie:    trie,
 		ctx:     Ctx{Thread: tid, G: g, stop: stop},
+		tm:      taskMarks{g: g, marked: NoVertex},
 		pws:     make([]*worker, len(pls)),
 		data:    make([]uint32, trie.MaxCore),
 		listArg: make([][]uint32, 0, trie.MaxCore),
@@ -544,8 +566,11 @@ func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb P
 		slots: make([]slotState, len(trie.Slots)),
 		tb:    tb,
 	}
-	for id := range mw.slots {
-		mw.slots[id].depth = trie.Slots[id].Depth
+	for id, sl := range trie.Slots {
+		mw.slots[id].depth = sl.Depth
+		if sl.Prefix >= 0 && mw.slots[sl.Prefix].marks == nil {
+			mw.slots[sl.Prefix].marks = new(markSet)
+		}
 	}
 	if trie.MaxCore > 1 {
 		mw.bufs = make([][]uint32, trie.MaxCore-1)
@@ -559,7 +584,7 @@ func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb P
 		mw.pws[pi] = newWorker(g, pl, wcb, mw, tb)
 		if pl.Cut != nil {
 			if mw.cutT == nil {
-				mw.cutT = newCutTable(g, trie, &mw.share)
+				mw.cutT = newCutTable(g, trie, &mw.tm, &mw.share)
 			}
 			mw.cuts = append(mw.cuts, &cutCounter{t: mw.cutT, cut: pl.Cut, comps: trie.CutComps[pi], plan: pi, st: &mw.pws[pi].stats})
 		}
@@ -572,6 +597,7 @@ func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb P
 // and the trie walk matches the remaining core positions downward.
 func (mw *multiWorker) runTask(v uint32) {
 	vlabel := pattern.Label(mw.g.Label(v))
+	mw.tm.bind(v)
 	for pi := range mw.touched {
 		mw.touched[pi] = false
 	}
@@ -634,7 +660,7 @@ func (mw *multiWorker) descend(n *plan.ShareNode) {
 		// cands is read-only below: with one list it aliases graph
 		// adjacency storage (see the intersectSetsInto ownership
 		// contract), so nothing here may write through it.
-		cands := intersectSetsInto(mw.bufs[d], lists, lo, hi)
+		cands := mw.tm.intersect(mw.bufs[d], lists, lo, hi)
 		if len(lists) > 1 && cap(cands) > cap(mw.bufs[d]) {
 			// Keep the grown buffer for future tasks. Single-list results
 			// are views into graph storage and must not be adopted.
@@ -698,11 +724,17 @@ type slotState struct {
 	gen   uint64
 	depth int
 	set   []uint32
+
+	// marks holds set for the fills of the slots it is the Prefix of:
+	// marked by the first of them after each computation, released by
+	// the next computation before it overwrites set. nil on a slot that
+	// is no slot's prefix.
+	marks *markSet
 }
 
-// fillSlot computes slot id: its prefix slot (itself computed on demand)
-// or its first operand's list, intersected with the rest inside the
-// slot's window.
+// fillSlot computes slot id: its prefix slot (itself computed on demand,
+// and intersected through its marks) or its first operand's list,
+// intersected with the rest inside the slot's window.
 func (mw *multiWorker) fillSlot(id int, st *Stats) []uint32 {
 	sl := &mw.trie.Slots[id]
 	var prefix []uint32
@@ -729,12 +761,52 @@ func (mw *multiWorker) fillSlot(id int, st *Stats) []uint32 {
 	if cap(s.set) == 0 {
 		s.set = make([]uint32, 0, 256)
 	}
+	if s.marks != nil {
+		s.marks.release() // while the set it holds is still there
+	}
 	// Two or more lists: the result is slot storage, never a graph view,
 	// and a grown buffer is kept for the next computation.
-	s.set = intersectSetsInto(s.set, lists, lo, hi)
+	if sl.Prefix >= 0 {
+		pm := mw.slots[sl.Prefix].marks
+		if pm.held == nil {
+			pm.hold(prefix, int(mw.g.NumVertices()))
+		}
+		s.set = pm.intersect(s.set, lists, lo, hi)
+	} else {
+		s.set = mw.tm.intersect(s.set, lists, lo, hi)
+	}
 	s.gen = mw.gen[s.depth]
 	st.Intersections++
 	return s.set
+}
+
+// taskMarks is one thread's marks of its task vertex's list, N(v) (see
+// the package comment). Every multi-list step of a task, whatever its
+// site, intersects through intersect. The bitmap is keyed on the task
+// vertex itself — data[0] is stale on a task no root's label gate
+// admits — and marked on the task's first multi-list step, so a task
+// with none costs nothing.
+type taskMarks struct {
+	g      *graph.Graph
+	task   uint32   // the task vertex
+	adj    []uint32 // its list
+	marked uint32   // the vertex whose list ms holds, NoVertex before the first
+	ms     markSet
+}
+
+// bind starts task v.
+func (tm *taskMarks) bind(v uint32) {
+	tm.task, tm.adj = v, tm.g.Adj(v)
+}
+
+// intersect is intersectSetsInto for a step of the bound task, through
+// the marks where they pay: the same set, the same ownership contract.
+func (tm *taskMarks) intersect(buf []uint32, lists [][]uint32, lo, hi int64) []uint32 {
+	if len(lists) > 1 && tm.marked != tm.task {
+		tm.ms.hold(tm.adj, int(tm.g.NumVertices()))
+		tm.marked = tm.task
+	}
+	return tm.ms.intersect(buf, lists, lo, hi)
 }
 
 // rejectAnti reports whether candidate c is adjacent to the binding of
@@ -895,7 +967,7 @@ func (w *worker) completeFrom(i int) {
 		if cap(w.ncBufs[i]) == 0 {
 			w.ncBufs[i] = make([]uint32, 0, 256)
 		}
-		cands = intersectSetsInto(w.ncBufs[i], lists, lo, hi)
+		cands = w.mw.tm.intersect(w.ncBufs[i], lists, lo, hi)
 		if len(lists) > 1 {
 			w.stats.Intersections++
 			if cap(cands) > cap(w.ncBufs[i]) {
@@ -989,7 +1061,7 @@ func (w *worker) levelSet(i int, lower, upper []int) (cands []uint32, ok bool) {
 	if cap(w.ncBufs[i]) == 0 {
 		w.ncBufs[i] = make([]uint32, 0, 256)
 	}
-	cands = intersectSetsInto(w.ncBufs[i], lists, lo, hi)
+	cands = w.mw.tm.intersect(w.ncBufs[i], lists, lo, hi)
 	if len(lists) > 1 {
 		w.stats.Intersections++
 		if cap(cands) > cap(w.ncBufs[i]) {
@@ -1017,7 +1089,7 @@ func (w *worker) checkAntiVertices() bool {
 		}
 		// common is only iterated, never written: with one list it is a
 		// view of that vertex's adjacency (ownership contract).
-		common := intersectSetsInto(w.ncBufs[len(w.pl.NonCore)], lists, noLo, noHi)
+		common := w.mw.tm.intersect(w.ncBufs[len(w.pl.NonCore)], lists, noLo, noHi)
 		if len(lists) > 1 {
 			w.stats.Intersections++
 		}

@@ -10,6 +10,14 @@ package core
 // branch-lean linear merge for comparable lengths, galloping when one
 // list dwarfs the other. Sorted lists are the only adjacency form.
 //
+// Beside them sits the marked kernel: where one operand is held in a
+// markSet, a bitmap over vertex ids (for the engine, the task vertex's
+// list or a prefix slot's set), (*markSet).intersect scans the shortest
+// other operand through the marks, one word load per candidate, and
+// filters by the rest in place. markedDriver is its one selection rule;
+// where it declines, the call is intersectSetsInto's. The result is the
+// same sorted set under the same ownership contract.
+//
 // # Result ownership
 //
 // intersectSetsInto has a split ownership contract that every caller
@@ -310,13 +318,7 @@ func intersectSetsSkip(buf []uint32, lists [][]uint32, lo, hi int64, skip int) [
 		if i == shortest {
 			continue
 		}
-		if len(l) >= skip && !gallops(len(out), len(l)) {
-			// Nothing below the running set's first element can match, and a
-			// merge would walk all of it (a gallop's first probe skips it
-			// anyway). The skip lives here so that the kernels below stay
-			// inlinable.
-			l = l[gallopLowerBound(l, 0, out[0]):]
-		}
+		l = skipTo(l, len(out), out[0], skip)
 		switch {
 		case !first:
 			out = intersectInPlace(out, l)
@@ -328,6 +330,116 @@ func intersectSetsSkip(buf []uint32, lists [][]uint32, lo, hi int64, skip int) [
 		first = false
 		if len(out) == 0 {
 			return out
+		}
+	}
+	return out
+}
+
+// skipTo returns operand l less its elements below first, the running
+// set's first element, from length skip on where a running set of n
+// elements would be merged against it: nothing below first can match,
+// and a merge would walk all of it (a gallop's first probe skips it
+// anyway). The skip lives here so that the kernels stay inlinable.
+func skipTo(l []uint32, n int, first uint32, skip int) []uint32 {
+	if len(l) < skip || gallops(n, len(l)) {
+		return l
+	}
+	return l[gallopLowerBound(l, 0, first):]
+}
+
+// markSet is a bitmap over vertex ids that holds one sorted list at a
+// time: a thread's marks of its task vertex's list, or of a prefix
+// slot's set. A hold clears the list held before by walking that list,
+// never by sweeping the bitmap, so it costs the two lists' lengths
+// whatever the number of vertices.
+type markSet struct {
+	bits []uint64 // one bit per vertex id; allocated by the first hold
+	held []uint32 // the list marked in bits
+}
+
+// hold marks sorted list s, whose ids are below n, in place of the list
+// held until now.
+func (ms *markSet) hold(s []uint32, n int) {
+	if ms.bits == nil {
+		ms.bits = make([]uint64, (n+63)/64)
+	}
+	ms.release()
+	for _, x := range s {
+		ms.bits[x>>6] |= 1 << (x & 63)
+	}
+	ms.held = s
+}
+
+// release unmarks the list held, walking it, and holds none.
+func (ms *markSet) release() {
+	for _, x := range ms.held {
+		ms.bits[x>>6] &^= 1 << (x & 63)
+	}
+	ms.held = nil
+}
+
+// hit is the marked kernel's per-candidate test, one word load: 1 if x
+// is in the held list, else 0.
+func (ms *markSet) hit(x uint32) int { return int(ms.bits[x>>6] >> (x & 63) & 1) }
+
+// markedDriver is the selection rule of the marked kernel: m is the index
+// of held in lists (the same storage, not merely equal contents) and d
+// that of the shortest other list, or d < 0 where the marks do not pay —
+// held is not among two or more lists, or every other list is so much
+// longer than held that galloping held through it costs less than
+// scanning it.
+func markedDriver(lists [][]uint32, held []uint32) (m, d int) {
+	m, d = -1, -1
+	if len(lists) < 2 || len(held) == 0 {
+		return m, d
+	}
+	for i, l := range lists {
+		switch {
+		case m < 0 && len(l) == len(held) && &l[0] == &held[0]:
+			m = i
+		case d < 0 || len(l) < len(lists[d]):
+			d = i
+		}
+	}
+	if m < 0 || gallops(len(held), len(lists[d])) {
+		return m, -1
+	}
+	return m, d
+}
+
+// intersect is intersectSetsInto through the marks where markedDriver
+// says they pay: the same set, under the same ownership contract.
+func (ms *markSet) intersect(buf []uint32, lists [][]uint32, lo, hi int64) []uint32 {
+	m, d := markedDriver(lists, ms.held)
+	if d < 0 {
+		return intersectSetsInto(buf, lists, lo, hi)
+	}
+	return intersectMarked(buf, lists, m, d, ms, lo, hi)
+}
+
+// intersectMarked is intersectSetsInto for lists of which lists[m] is the
+// list ms holds and lists[d] the driver markedDriver picked: it scans
+// lists[d], clipped to (lo, hi), through the marks — one word load per
+// candidate, however long the marked list — and filters the running set
+// in place by every other list. The result is the same sorted set, in
+// buf's storage, which grows to the clipped driver's length.
+func intersectMarked(buf []uint32, lists [][]uint32, m, d int, ms *markSet, lo, hi int64) []uint32 {
+	drv := clip(lists[d], lo, hi)
+	if cap(buf) < len(drv) {
+		buf = make([]uint32, len(drv), max(len(drv), 2*cap(buf)))
+	}
+	out, w := buf[:len(drv)], 0
+	for _, x := range drv {
+		out[w] = x // branch-free: written always, kept if marked
+		w += ms.hit(x)
+	}
+	out = out[:w]
+	for i, l := range lists {
+		if len(out) == 0 {
+			break
+		}
+		if i != m && i != d {
+			out = intersectInPlace(out, skipTo(l, len(out), out[0], skipMin))
 		}
 	}
 	return out

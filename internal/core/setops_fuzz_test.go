@@ -29,7 +29,7 @@ func decodeSortedList(data []byte) []uint32 {
 
 // FuzzSetOps differentially fuzzes every intersection kernel against
 // the naive map-based reference: raw kernels, the adaptive dispatchers,
-// clipped bounds and the |a ∩ b| kernel. Seed corpus lives under
+// clipped bounds, the |a ∩ b| kernel and the marked kernel. Seed corpus lives under
 // testdata/fuzz/FuzzSetOps.
 func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 1, 0}, []byte{2, 0, 2, 0}, uint32(0), uint32(0))
@@ -108,6 +108,31 @@ func FuzzSetOps(f *testing.F) {
 				if got := intersectSetsInto(make([]uint32, 0, 4), three, lo, hi); !equalU32(got, wantClipped) {
 					t.Fatalf("intersectSetsInto(3 lists) = %v, want %v", got, wantClipped)
 				}
+			}
+		}
+
+		// The marked kernel, holding each list in turn at every position,
+		// scanning or falling back as the lengths say; releasing the last
+		// hold must leave no bit set.
+		n := 1
+		for _, l := range lists {
+			if len(l) > 0 {
+				n = max(n, int(l[len(l)-1])+1)
+			}
+		}
+		var ms markSet
+		for _, held := range lists {
+			ms.hold(held, n)
+			for _, ops := range [][][]uint32{{a, b}, {b, a}, {a, b, a}, {b, a, b}} {
+				if got := ms.intersect(make([]uint32, 0, 4), ops, lo, hi); !equalU32(got, wantClipped) {
+					t.Fatalf("marked intersect(%d lists) = %v, want %v", len(ops), got, wantClipped)
+				}
+			}
+		}
+		ms.release()
+		for i, w := range ms.bits {
+			if w != 0 {
+				t.Fatalf("word %d = %#x after release", i, w)
 			}
 		}
 	})

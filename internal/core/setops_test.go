@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -288,6 +289,101 @@ func TestEngineDoesNotScribbleAdjacency(t *testing.T) {
 	for v := uint32(0); v < n; v++ {
 		if !equalU32(g.Adj(v), snapshot[v]) {
 			t.Fatalf("adjacency of vertex %d changed during mining", v)
+		}
+	}
+}
+
+// TestMarkedKernelDifferential checks the marked kernel against the
+// reference and intersectSetsInto: two to four random sorted lists of
+// skewed lengths, a random window, and each list held in turn, so that
+// the held list sits at every position. A copy of the held list, equal
+// in contents but not in storage, joins some trials as one more operand:
+// it is scanned or filtered like any other list. Both of markedDriver's
+// outcomes must occur — the scan, and the fallback to intersectSetsInto
+// where every other list is long enough to gallop through.
+func TestMarkedKernelDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	const span = 1 << 11
+	var ms markSet
+	var scans, fallbacks int
+	buf := make([]uint32, 0, 4)
+	for trial := 0; trial < 2000; trial++ {
+		lists := make([][]uint32, 2+rng.Intn(3))
+		for i := range lists {
+			lists[i] = sortedRand(rng, rng.Intn(2<<rng.Intn(10)), span)
+		}
+		lo, hi := noLo, noHi
+		if rng.Intn(2) == 0 {
+			lo = int64(rng.Intn(span))
+		}
+		if rng.Intn(2) == 0 {
+			hi = int64(rng.Intn(span))
+		}
+		for m := range lists {
+			ms.hold(lists[m], span)
+			ops := lists
+			if trial%5 == 0 {
+				ops = append(append([][]uint32(nil), lists...), append([]uint32(nil), lists[m]...))
+			}
+			want := refIntersect(ops, lo, hi)
+			if _, d := markedDriver(ops, ms.held); d < 0 {
+				fallbacks++
+			} else {
+				scans++
+			}
+			got := ms.intersect(buf, ops, lo, hi)
+			if !equalU32(got, want) {
+				t.Fatalf("trial %d, %d lists, held at %d, window (%d, %d): %v, want %v", trial, len(ops), m, lo, hi, got, want)
+			}
+			if plain := intersectSetsInto(nil, ops, lo, hi); !equalU32(got, plain) {
+				t.Fatalf("trial %d: marked %v, intersectSetsInto %v", trial, got, plain)
+			}
+		}
+	}
+	ms.release()
+	t.Logf("%d scans, %d fallbacks", scans, fallbacks)
+	if scans == 0 || fallbacks == 0 {
+		t.Fatalf("%d scans, %d fallbacks: both branches must be taken", scans, fallbacks)
+	}
+	for i, w := range ms.bits {
+		if w != 0 {
+			t.Fatalf("word %d = %#x after release", i, w)
+		}
+	}
+}
+
+// TestMarkSetHoldsExactlyItsList runs random hold and release cycles:
+// after each hold the bitmap holds exactly the list's members, and after
+// the last release not one bit is left. A leaked bit would make a later
+// task's intersections keep a vertex its list does not hold.
+func TestMarkSetHoldsExactlyItsList(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	const span = 1000 // not a multiple of 64: the last word is partial
+	var ms markSet
+	for cycle := 0; cycle < 500; cycle++ {
+		if rng.Intn(4) == 0 {
+			ms.release()
+			continue
+		}
+		l := sortedRand(rng, rng.Intn(1<<rng.Intn(11)), span)
+		ms.hold(l, span)
+		n := 0
+		for _, w := range ms.bits {
+			n += bits.OnesCount64(w)
+		}
+		if n != len(l) {
+			t.Fatalf("cycle %d: %d bits set holding %d ids", cycle, n, len(l))
+		}
+		for _, x := range l {
+			if ms.hit(x) != 1 {
+				t.Fatalf("cycle %d: %d held but not marked", cycle, x)
+			}
+		}
+	}
+	ms.release()
+	for i, w := range ms.bits {
+		if w != 0 {
+			t.Fatalf("word %d = %#x after release", i, w)
 		}
 	}
 }

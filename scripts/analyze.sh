@@ -10,12 +10,14 @@
 #                        innermost calls, must fit the inlining budget
 #   5. inlinable kernels — intersectMerge, lowerBound, containsSorted
 #                        and intersectCount likewise (the operand skip
-#                        lives in the dispatcher, not in the merge), and
-#                        the component walks' per-candidate helpers
-#                        (*cutTable).excluded and (*cutVal).add
+#                        lives in the dispatcher, not in the merge), the
+#                        component walks' per-candidate helpers
+#                        (*cutTable).excluded and (*cutVal).add, and the
+#                        marked kernel's per-candidate test (*markSet).hit
 #   6. sorted lists only — internal/core (tests included) must not
-#                        import internal/bitset: the engine intersects
-#                        sorted lists alone
+#                        import internal/bitset: adjacency stays sorted
+#                        lists (a thread's marks of one list are its own
+#                        scratch, not an adjacency encoding)
 #   7. staticcheck     — if installed; CI pins and installs its own
 #                        copy, so locally this warns and continues
 #
@@ -65,6 +67,10 @@ for m in '(*cutTable).excluded' '(*cutVal).add'; do
     fail=1
   fi
 done
+if ! grep -qF "can inline (*markSet).hit" <<<"$inl"; then
+  echo "(*markSet).hit no longer inlines: every candidate scanned through the marks pays a call for it"
+  fail=1
+fi
 
 echo "== engine free of bitmaps =="
 # Direct imports: internal/graph still imports internal/bitset for the
