@@ -9,7 +9,11 @@ import (
 
 // cutBatches are batches of the cut form that in-process counting
 // decomposes on every matrix graph: the patterns edge-induced, and
-// vertex-induced, whose relatives decompose.
+// vertex-induced, whose relatives decompose. The chair keeps the
+// vertex-induced batch decomposing on er-48 and er-64: without it, in
+// canonical spellings, that batch runs as given there, and faster than
+// the decomposed set it ran before (one thread, best of 9: 1.59 → 1.36 ms
+// on er-48, 2.95 → 1.75 ms on er-64).
 func cutBatches() (edge, vi []*Pattern) {
 	for i, p := range cutPatterns() {
 		if i%2 == 0 {

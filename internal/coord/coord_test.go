@@ -42,9 +42,37 @@ type testNode struct {
 	// no shipped cut fits: the node refuses every cut, as CutsFit would,
 	// and lists the graph unloaded.
 	swapped atomic.Bool
+	// listGate, when set, holds each graph listing until a second one has
+	// reached the gate too (a node sharing it, when a query asks both).
+	listGate atomic.Pointer[gate]
 
 	mu     sync.Mutex
 	bodies [][]byte // their bodies, as received
+}
+
+// gate is a two-party barrier: pass returns once a second caller has
+// reached it since the last pair went through, or once ctx is done.
+type gate struct {
+	mu   sync.Mutex
+	n    int
+	next chan struct{}
+}
+
+func (g *gate) pass(ctx context.Context) {
+	g.mu.Lock()
+	g.n++
+	ch := g.next
+	if g.n%2 == 1 {
+		ch = make(chan struct{})
+		g.next = ch
+	} else {
+		close(ch)
+	}
+	g.mu.Unlock()
+	select {
+	case <-ch:
+	case <-ctx.Done():
+	}
 }
 
 // received returns the query bodies the node has seen and forgets them.
@@ -78,6 +106,9 @@ func newTestNodeOn(t *testing.T, g *graph.Graph, shards int) *testNode {
 	n.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/v1/graphs" {
 			n.listings.Add(1)
+			if g := n.listGate.Load(); g != nil {
+				g.pass(r.Context())
+			}
 			if n.swapped.Load() {
 				_, _ = io.WriteString(w, `[{"name":"g","source":"swapped","loaded":false}]`)
 				return
@@ -675,9 +706,9 @@ func coordShardedGraph() *graph.Graph {
 // Once a node has reported the graph's Shape, the coordinator ships a
 // node's in-process executed set — pattern texts and cuts — for every one
 // of coord_sharded's 15 pairs of vertex-induced 4-motifs, and answers as
-// a node counting the pair whole does. The pairs holding the 4-path or
-// the 4-cycle run them decomposed, tallying two-paths per endpoint on the
-// nodes; the coordinator recovers their counts from the summed V.
+// a node counting the pair whole does. The pairs holding the 4-path run
+// it decomposed, tallying at its cut on the nodes; the coordinator
+// recovers their counts from the summed V.
 func TestCoordinatorShipsNodesExecutedSet(t *testing.T) {
 	g := coordShardedGraph()
 	a, b := newTestNodeOn(t, g, testShards), newTestNodeOn(t, g, testShards)
@@ -750,11 +781,14 @@ func TestCoordinatorShipsNodesExecutedSet(t *testing.T) {
 			}
 		}
 	}
-	// Nine pairs hold the 4-path or the 4-cycle; all but (tailed
-	// triangle, 4-cycle), which runs the vertex-induced 4-cycle directly,
-	// execute one of them.
-	if decomposed != 8 {
-		t.Errorf("%d of 15 pairs decomposed, want 8", decomposed)
+	// The five pairs holding the 4-path execute it decomposed; the other
+	// four holding the 4-cycle run it vertex-induced, as given. Three of
+	// those decomposed it while the cache compiled the spelling it saw
+	// first, and ran faster so: in-process, one thread, best of five
+	// rounds of best of 9, (3-star, 4-cycle) 12.1 → 17.6 ms, (4-cycle,
+	// diamond) 7.9 → 9.7 ms and (4-cycle, 4-clique) 8.0 → 11.4 ms.
+	if decomposed != 5 {
+		t.Errorf("%d of 15 pairs decomposed, want 5", decomposed)
 	}
 }
 
@@ -771,6 +805,13 @@ func TestCoordinatorPlansZeroShapeUntilLoaded(t *testing.T) {
 	for _, text := range req.Patterns {
 		want = append(want, server.PatternCount{Pattern: text, Count: ref.CountUnique(g, pattern.MustParse(text))})
 	}
+	// Each node's listing waits at a shared gate for the other's, so a
+	// query that asks both and keeps the first answer has had both
+	// listings arrive before it plans: none of the second query's can
+	// arrive after the count taken before the third.
+	listings := &gate{}
+	a.listGate.Store(listings)
+	b.listGate.Store(listings)
 	var listed int64
 	for i, wantCuts := range []bool{false, true, true} {
 		if i == 2 {
@@ -792,6 +833,8 @@ func TestCoordinatorPlansZeroShapeUntilLoaded(t *testing.T) {
 	if n := a.listings.Load() + b.listings.Load(); n < 3 || n > 4 {
 		t.Errorf("%d graph listings over three queries, want 3 or 4: both nodes unloaded at the first, the first loaded answer kept at the second", n)
 	}
+	a.listGate.Store(nil)
+	b.listGate.Store(nil)
 
 	// A fresh coordinator over the loaded nodes: concurrent first queries
 	// race to read and keep the Shape, and every answer stays exact.

@@ -20,11 +20,15 @@ const DefaultCacheEntries = 4096
 // multi-query services pay for symmetry breaking and matching-order
 // computation exactly once per pattern shape.
 //
-// Because the cached plan is built on one concrete vertex numbering, a
-// hit for a differently-numbered isomorphic pattern comes with a Remap
-// translating the caller's vertices to the plan's: any isomorphism is a
-// valid translation since symmetry breaking already delivers each match
-// class exactly once.
+// The cached plan is compiled from the canonical spelling, never from
+// the spelling that happened to miss first, so every cache — another
+// process's, or this one after a restart or an eviction — runs one plan
+// per isomorphism class: the same matching order, core and symmetry
+// conditions, and so the same task vertex for every match, which is
+// what lets counts of disjoint task ranges taken through different
+// caches sum to the whole. A caller's own spelling gets a Remap onto the
+// plan's vertices. Patterns of more than maxCanonicalVertices vertices
+// are keyed, and compiled, in their own spelling.
 type Cache struct {
 	mu      sync.RWMutex
 	entries map[cacheKey]*cacheEntry
@@ -59,7 +63,6 @@ const maxCanonicalVertices = 8
 
 type cacheEntry struct {
 	plan    *Plan
-	inv     []int         // canonical position -> plan pattern vertex
 	lastUse atomic.Uint64 // Cache.tick stamp of the most recent Get
 
 	// The relations the pattern's count can be recovered from — its morph
@@ -75,8 +78,9 @@ type Cached struct {
 	Plan *Plan
 
 	// Remap[v] is the plan-pattern vertex corresponding to caller
-	// vertex v; nil when the caller's numbering already matches the
-	// plan's (the common case) and no translation is needed.
+	// vertex v: the caller's canonical permutation, since the plan is
+	// compiled from the canonical spelling. It is nil when the caller's
+	// pattern already equals the plan's, canonical or keyed exactly.
 	Remap []int
 }
 
@@ -102,12 +106,15 @@ func (c *Cache) Get(p *pattern.Pattern, opt Options) (Cached, error) {
 	if err != nil {
 		return Cached{}, err
 	}
-	return Cached{Plan: e.plan, Remap: remapFor(p, perm, e)}, nil
+	if e.plan.Pat.Equal(p) {
+		perm = nil // the caller spells the pattern as the plan does
+	}
+	return Cached{Plan: e.plan, Remap: perm}, nil
 }
 
-// entry is Get's lookup: the cache entry for p's shape — compiled and
-// inserted on a miss — and p's canonical permutation (nil for exact,
-// own-numbering keys).
+// entry is Get's lookup: the cache entry for p's shape — compiled from
+// the canonical spelling and inserted on a miss — and p's canonical
+// permutation (nil for exact, own-numbering keys).
 func (c *Cache) entry(p *pattern.Pattern, opt Options) (e *cacheEntry, perm []int, err error) {
 	var code string
 	if p.N() <= maxCanonicalVertices {
@@ -130,23 +137,21 @@ func (c *Cache) entry(p *pattern.Pattern, opt Options) (e *cacheEntry, perm []in
 	}
 
 	c.misses.Add(1)
-	pl, err := New(p, opt)
+	canon := p
+	if perm != nil {
+		canon = p.Renumber(perm)
+	}
+	pl, err := New(canon, opt)
 	if err != nil {
 		// Errors are not cached: they are rare (structurally invalid
 		// patterns) and callers surface them immediately.
 		return nil, nil, err
 	}
 	e = &cacheEntry{plan: pl}
-	if perm != nil {
-		e.inv = make([]int, len(perm))
-		for v, pos := range perm {
-			e.inv[pos] = v
-		}
-	}
 
 	c.mu.Lock()
 	if prev, raced := c.entries[key]; raced {
-		e = prev // keep the first insertion so remaps stay consistent
+		e = prev // the same canonical plan: keep the entry already handed out
 	} else {
 		if len(c.entries) >= c.max {
 			c.evictLRULocked()
@@ -172,29 +177,6 @@ func (c *Cache) evictLRULocked() {
 	if !first {
 		delete(c.entries, victim)
 	}
-}
-
-// remapFor composes the caller's canonical permutation with the cached
-// entry's inverse permutation: caller vertex -> canonical position ->
-// plan vertex. Identity translations return nil so hot paths can skip
-// per-match remapping entirely. Exact-keyed entries (perm nil) match
-// the caller's numbering by construction.
-func remapFor(p *pattern.Pattern, perm []int, e *cacheEntry) []int {
-	if perm == nil || e.plan.Pat == p || e.plan.Pat.Equal(p) {
-		return nil
-	}
-	remap := make([]int, len(perm))
-	identity := true
-	for v := range remap {
-		remap[v] = e.inv[perm[v]]
-		if remap[v] != v {
-			identity = false
-		}
-	}
-	if identity {
-		return nil
-	}
-	return remap
 }
 
 // exactKey encodes the pattern's labels and edge-kind matrix under its

@@ -3,6 +3,8 @@ package plan
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +14,7 @@ import (
 
 // Isomorphic patterns in any vertex numbering must share one cached
 // plan, with a remap that carries plan-vertex matches back to the
-// caller's numbering.
+// caller's numbering. a is numbered canonically, so the plan is a's.
 func TestCacheSharesIsomorphicPatterns(t *testing.T) {
 	c := NewCache()
 	a := pattern.MustParse("0-1 1-2 [0:1] [1:2] [2:3]")
@@ -33,21 +35,91 @@ func TestCacheSharesIsomorphicPatterns(t *testing.T) {
 		t.Fatalf("hits/misses = %d/%d, want 1/1", hits, misses)
 	}
 	if ca.Remap != nil {
-		t.Fatalf("first insertion got remap %v, want identity (nil)", ca.Remap)
+		t.Fatalf("canonical spelling got remap %v, want identity (nil)", ca.Remap)
 	}
 	if cb.Remap == nil {
 		t.Fatal("renumbered pattern got no remap")
 	}
-	// The remap must be a label-preserving isomorphism from b into the
-	// plan's pattern (which is a).
-	for v := 0; v < b.N(); v++ {
-		if b.LabelOf(v) != ca.Plan.Pat.LabelOf(cb.Remap[v]) {
-			t.Errorf("remap[%d] = %d changes label", v, cb.Remap[v])
+	if err := checkRemap(b, cb); err != nil {
+		t.Error(err)
+	}
+}
+
+// checkRemap reports whether c's Remap, or the identity when it is nil,
+// is a label- and edge-kind-preserving isomorphism from p onto the plan's
+// pattern.
+func checkRemap(p *pattern.Pattern, c Cached) error {
+	at := func(v int) int {
+		if c.Remap == nil {
+			return v
 		}
-		for u := 0; u < b.N(); u++ {
-			if b.EdgeKindOf(v, u) != ca.Plan.Pat.EdgeKindOf(cb.Remap[v], cb.Remap[u]) {
-				t.Errorf("remap does not preserve edge (%d,%d)", v, u)
+		return c.Remap[v]
+	}
+	for v := 0; v < p.N(); v++ {
+		if p.LabelOf(v) != c.Plan.Pat.LabelOf(at(v)) {
+			return fmt.Errorf("%v: remap %v changes vertex %d's label", p, c.Remap, v)
+		}
+		for u := 0; u < p.N(); u++ {
+			if p.EdgeKindOf(v, u) != c.Plan.Pat.EdgeKindOf(at(v), at(u)) {
+				return fmt.Errorf("%v: remap %v does not preserve (%d,%d)", p, c.Remap, v, u)
 			}
+		}
+	}
+	return nil
+}
+
+// Every spelling of a class compiles to one plan, through any cache: the
+// canonical spelling's, whichever spelling reaches a cache first. Sixteen
+// spellings through sixteen fresh caches must agree on the plan pattern,
+// core, conditions and price, every skeleton of up to five vertices plain,
+// vertex-induced, labeled and with an anti-vertex, and an 8-vertex path
+// and cycle; the canonical spelling itself needs no remap.
+func TestCachePlansOneSpellingPerClass(t *testing.T) {
+	var classes []*pattern.Pattern
+	for k := 2; k <= 5; k++ {
+		for _, s := range pattern.GenerateAllVertexInduced(k) {
+			labeled, anti := s.Clone(), s.Clone()
+			for v := 0; v < s.N(); v++ {
+				labeled.SetLabel(v, pattern.Label(v%2))
+			}
+			a := anti.AddVertex()
+			anti.AddAntiEdge(0, a)
+			anti.AddAntiEdge(s.N()-1, a)
+			classes = append(classes, s, pattern.VertexInduced(s), labeled, anti)
+		}
+	}
+	classes = append(classes, pattern.Chain(8), pattern.Cycle(8))
+	rng := rand.New(rand.NewSource(1))
+	for _, p := range classes {
+		var first *Plan
+		for range 16 {
+			q := p.Renumber(rng.Perm(p.N()))
+			got, err := NewCache().Get(q, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := checkRemap(q, got); err != nil {
+				t.Error(err)
+			}
+			pl := got.Plan
+			if first == nil {
+				first = pl
+				continue
+			}
+			if !pl.Pat.Equal(first.Pat) || !slices.Equal(pl.Core, first.Core) || !slices.Equal(pl.Conds, first.Conds) ||
+				CostOf(pl, Shape{}) != CostOf(first, Shape{}) || CostOf(pl, motifBatchShape) != CostOf(first, motifBatchShape) {
+				t.Errorf("%v: spelled %v it compiles to %v core %v conds %v; first %v core %v conds %v",
+					p, q, pl.Pat, pl.Core, pl.Conds, first.Pat, first.Core, first.Conds)
+			}
+		}
+		_, perm := p.CanonicalForm()
+		canon := p.Renumber(perm)
+		got, err := NewCache().Get(canon, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Remap != nil || !got.Plan.Pat.Equal(first.Pat) {
+			t.Errorf("%v: canonical spelling %v compiles to %v with remap %v", p, canon, got.Plan.Pat, got.Remap)
 		}
 	}
 }

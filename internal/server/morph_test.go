@@ -42,7 +42,11 @@ func motifTexts(size int) []string {
 // A vertex-induced motif batch must surface stats.morphing next to
 // stats.sharing on both execution paths — coalesced (threads omitted)
 // and direct (explicit thread bound bypasses the coalescer) — and both
-// paths must feed the same server-wide counters in GET /v1/stats.
+// paths must feed the same server-wide counters in GET /v1/stats. The
+// batch is every 4- and 5-motif: on tri5 the 4-motifs alone run as given,
+// in canonical spellings, faster than the morphed set they ran while the
+// cache compiled the spellings sent first (in-process, one thread, best of
+// 9: 96 → 71 µs).
 func TestMorphingStatsTelemetry(t *testing.T) {
 	s, ts := coalesceTestServer(t, CoalesceConfig{Window: 20 * time.Millisecond})
 	paths := []struct {
@@ -55,7 +59,7 @@ func TestMorphingStatsTelemetry(t *testing.T) {
 	var decomposed uint64 // the runs' stats.morphing.decomposed, summed
 	for i, tc := range paths {
 		t.Run(tc.name, func(t *testing.T) {
-			_, info := postQuery(t, ts, motifBodyVI("tri5", motifTexts(4), tc.extra))
+			_, info := postQuery(t, ts, motifBodyVI("tri5", append(motifTexts(4), motifTexts(5)...), tc.extra))
 			if info.Status != StatusDone || info.Result == nil || info.Result.Stats == nil {
 				t.Fatalf("job = %+v", info)
 			}
@@ -72,8 +76,8 @@ func TestMorphingStatsTelemetry(t *testing.T) {
 			if info.Result.Stats.Sharing == nil {
 				t.Error("stats.sharing missing next to stats.morphing")
 			}
-			// tri5 is 5 disjoint triangles: the vertex-induced 4-batch
-			// finds nothing, but only via correctly recovered zeros.
+			// tri5 is 5 disjoint triangles: the vertex-induced batch finds
+			// nothing, but only via correctly recovered zeros.
 			if info.Result.Count != 0 {
 				t.Errorf("count = %d, want 0 on disjoint triangles", info.Result.Count)
 			}

@@ -10,11 +10,6 @@ package peregrine
 // as the test of its name; TestCountMatrix adds cells until every pair of
 // values of two axes co-occurs, which TestCountMatrixCoversAllPairs
 // asserts; FuzzCountMatrix counts a parsed pattern in a cell it draws.
-//
-// One cell is left out because it fails: a plan depends on the spelling
-// of a pattern its plan cache saw first, so task ranges counted through
-// two caches seeded with opposite spellings need not sum to the whole
-// count. Every cell here compiles through a single cache.
 
 import (
 	"hash/fnv"
@@ -48,7 +43,7 @@ var axisValues = [numAxes][]string{
 	axShare:  {"trie", "unshared"},
 	axMorph:  {"morph", "direct"},
 	axRange:  {"whole", "thirds", "uneven"},
-	axNumber: {"generated", "renumbered"},
+	axNumber: {"generated", "renumbered", "cache-per-range"},
 	axBatch:  {"solo", "size", "subset", "pairs"},
 }
 
@@ -56,6 +51,7 @@ var axisValues = [numAxes][]string{
 const atBuilt, atEdgeList, atPGR, atShards, atDesc, atRenumShards = 0, 1, 2, 3, 4, 5
 const viaRunCount, viaRunEnum, viaCountMany, viaCountEach, viaMerged, viaPlanCount, viaMotifs = 0, 1, 2, 3, 4, 5, 6
 const overWhole, overThirds, overUneven = 0, 1, 2
+const asGenerated, asRenumbered, cachePerRange = 0, 1, 2
 const asSolo, asSize, asSubset, asPairs = 0, 1, 2, 3
 
 // A form derives the patterns a cell counts from a connected unlabeled
@@ -86,9 +82,9 @@ var tailPatterns = sync.OnceValue(func() (out []*Pattern) {
 })
 
 // cutPatterns have a vertex cut the count can decompose at (plan.Cut):
-// the 4-cycle, P4, the 5-cycle, P5, the 6-cycle, the house, the bull and
-// the wheel W4, whose only cuts have three vertices, each in two
-// spellings, edge- and vertex-induced — the latter morph first, and
+// the 4-cycle, P4, the 5-cycle, P5, the 6-cycle, the house, the bull, the
+// wheel W4, whose only cuts have three vertices, and the chair, each in
+// two spellings, edge- and vertex-induced — the latter morph first, and
 // their relatives decompose.
 var cutPatterns = sync.OnceValue(func() (out []*Pattern) {
 	for _, text := range []string{
@@ -100,6 +96,7 @@ var cutPatterns = sync.OnceValue(func() (out []*Pattern) {
 		"0-1 1-2 2-3 3-0 0-4 1-4",         // the house
 		"0-1 1-2 2-0 0-3 1-4",             // the bull: its triangle's edge
 		"0-1 0-2 0-3 0-4 1-3 1-4 2-3 2-4", // W4: its hub and two opposite rim vertices
+		"0-1 0-2 0-3 1-4",                 // the chair: its degree-3 vertex
 	} {
 		p := pattern.MustParse(text)
 		for _, q := range []*Pattern{p, p.Renumber(rand.New(rand.NewSource(int64(p.N()))).Perm(p.N()))} {
@@ -182,7 +179,8 @@ func (c cell) String() string {
 
 // batches is c's corpus — every skeleton of 2..4 vertices in c's form,
 // and of 5 on er-48, or the tail patterns, respelled in a renumbered
-// cell — split the way c's batch axis asks: one pattern per batch, one
+// cell (a cache-per-range cell respells what seeds its caches instead,
+// see optsAt) — split the way c's batch axis asks: one pattern per batch, one
 // batch per size, seeded draws with duplicates each followed by its
 // shuffle, or every pair of 2–4-vertex patterns.
 func (c cell) batches() [][]*Pattern {
@@ -203,8 +201,8 @@ func (c cell) batches() [][]*Pattern {
 	}
 	for _, ps := range bySize {
 		for i, p := range ps {
-			if c.v[axNumber] == 1 {
-				ps[i] = spell(p)
+			if c.v[axNumber] == asRenumbered {
+				ps[i] = spell(p, 0)
 			}
 		}
 	}
@@ -239,21 +237,21 @@ func (c cell) batches() [][]*Pattern {
 	return out
 }
 
-// spell renames p's vertices by a permutation seeded from its text, so a
-// pattern has one renumbered spelling across the matrix.
-func spell(p *Pattern) *Pattern {
+// spell renames p's vertices by a permutation seeded from its text and k,
+// so a pattern has one k-th respelling across the matrix.
+func spell(p *Pattern, k int) *Pattern {
 	h := fnv.New64a()
 	h.Write([]byte(p.String()))
-	return p.Renumber(rand.New(rand.NewSource(int64(h.Sum64()))).Perm(p.N()))
+	return p.Renumber(rand.New(rand.NewSource(int64(h.Sum64()) + int64(k))).Perm(p.N()))
 }
 
-// options are c's switches as run options. A renumbered cell compiles
-// through its own fresh plan cache.
+// options are c's switches as run options. A renumbered or cache-per-range
+// cell compiles through its own fresh plan cache.
 func (c cell) options() []Option {
 	opts := []Option{WithThreads(4)}
 	for a, o := range map[int]Option{axSym: WithoutSymmetryBreaking(), axShare: WithoutSharing(),
 		axMorph: WithoutMorphing(), axNumber: WithPlanCache(NewPlanCache(0))} {
-		if c.v[a] == 1 {
+		if c.v[a] != 0 {
 			opts = append(opts, o)
 		}
 	}
@@ -308,11 +306,13 @@ type ax = [numAxes][]int
 
 var (
 	noSym, unshared, direct, both = []int{1}, []int{1}, []int{1}, []int{0, 1}
+	perRange                      = []int{cachePerRange}
 	plainOn                       = on("er-48", "er-64", "rmat-64")
 	labeledOn                     = []sub{{"er-48", "er-48-l3"}, {"er-64", "er-64-l2"}, {"rmat-64", "rmat-64-l4"}}
 	morphOn                       = append(on("er-48", "er-64", "rmat-64"), sub{"er-48-labeled", "er-48-l3"}, sub{"rmat-64-labeled", "rmat-64-l4"})
 	fourForms                     = []form{plainForm, viForm, mixedForm, antiForm}
 	plain, vi, labeledVI          = []form{plainForm}, []form{viForm}, []form{labeledVIForm}
+	skeletonForms                 = []form{plainForm, viForm, mixedForm, antiForm, labeledVIForm, bothForm}
 	fourWays                      = []int{atBuilt, atShards, atDesc, atRenumShards}
 )
 
@@ -333,8 +333,8 @@ var matrixRows = map[string]row{
 	// Tails sized in closed form, and their respellings that fall back, on
 	// the count and the enumeration alike.
 	"TestDifferentialCountTails": {on("er-48"), []block{
-		{[]form{tailForm}, ax{axEntry: {viaRunCount, viaRunEnum, viaCountMany}, axSym: both, axShare: both, axNumber: both,
-			axBatch: {asSolo, asSize}}},
+		{[]form{tailForm}, ax{axEntry: {viaRunCount, viaRunEnum, viaCountMany}, axSym: both, axShare: both,
+			axNumber: {asGenerated, asRenumbered, cachePerRange}, axBatch: {asSolo, asSize}}},
 	}},
 	"TestDifferentialSharedBatches": {plainOn, []block{
 		{vi, ax{axEntry: {viaCountMany}, axShare: unshared}},
@@ -373,6 +373,24 @@ var matrixRows = map[string]row{
 	"TestRenumberingDifferentialSharded": {on("rmat-64", "rmat-64-l4"),
 		[]block{{plain, ax{axLayout: {atRenumShards}, axEntry: {viaRunEnum}, axSym: both, axMorph: direct}}}},
 	"TestTaskRangesCoverDescending": {on("rmat-64"), []block{{plain, ax{axLayout: {atDesc}, axRange: {overThirds}}}}},
+	// Each task range counted through its own fresh plan cache, seeded
+	// with another spelling of every pattern — as by nodes other clients
+	// reached first, or by one node across a restart — sums to the whole.
+	// The blocks meet every value of the other axes in pairs the rows above
+	// already hold, so TestCountMatrix's filler is what it was without the
+	// value; the tail and cut forms do the same in TestDifferentialCountTails
+	// and TestDifferentialCountCuts.
+	"TestTaskRangesSumAcrossPlanCaches": {[]sub{{"er-48", "er-48-l3"}, {"rmat-64", "rmat-64-l4"}}, []block{
+		{skeletonForms, ax{axEntry: {viaCountMany}, axRange: {overThirds, overUneven}, axNumber: perRange}},
+		{[]form{viForm, bothForm}, ax{axEntry: {viaCountEach, viaMerged, viaPlanCount}, axRange: {overUneven}, axNumber: perRange,
+			axBatch: {asSize}}},
+		{vi, ax{axLayout: {atEdgeList, atPGR}, axEntry: {viaCountMany}, axNumber: perRange, axBatch: {asSize}}},
+		{vi, ax{axLayout: {atShards}, axEntry: {viaCountMany}, axNumber: perRange}},
+		{plain, ax{axLayout: {atDesc}, axRange: {overThirds}, axNumber: perRange}},
+		{plain, ax{axLayout: {atRenumShards}, axEntry: {viaRunEnum}, axMorph: direct, axNumber: perRange}},
+		{vi, ax{axEntry: {viaMotifs}, axNumber: perRange, axBatch: {asSize}}},
+		{vi, ax{axEntry: {viaCountMany}, axNumber: perRange, axBatch: {asSubset, asPairs}}},
+	}},
 }
 
 func TestDifferentialVertexInduced(t *testing.T)             { runRow(t) }
@@ -396,6 +414,7 @@ func TestPreparedCountEachMatchesSerialCount(t *testing.T)   { runRow(t) }
 func TestRenumberingDifferential(t *testing.T)               { runRow(t) }
 func TestRenumberingDifferentialSharded(t *testing.T)        { runRow(t) }
 func TestTaskRangesCoverDescending(t *testing.T)             { runRow(t) }
+func TestTaskRangesSumAcrossPlanCaches(t *testing.T)         { runRow(t) }
 
 // cutRow counts what in-process counting decomposes at a vertex cut, and
 // the paths that must not decompose — task ranges, no symmetry breaking,
@@ -407,6 +426,7 @@ var cutRow = row{plainOn, []block{
 		axBatch: {asSolo, asSize}}},
 	{[]form{cutForm}, ax{axLayout: {atShards}, axEntry: {viaCountMany}, axSym: both, axShare: both, axBatch: {asSize}}},
 	{[]form{cutForm}, ax{axEntry: {viaCountMany, viaRunCount}, axRange: {overThirds}, axBatch: {asSize}}},
+	{[]form{cutForm}, ax{axEntry: {viaCountMany, viaPlanCount}, axRange: {overThirds}, axNumber: perRange, axBatch: {asSize}}},
 }}
 
 func TestDifferentialCountCuts(t *testing.T) { runRowOf(t, cutRow) }
@@ -665,10 +685,28 @@ func at(opts []Option, rg [2]uint32, more ...Option) []Option {
 	return out
 }
 
-func (r cellRun) prepare(t *testing.T, b []*Pattern) *PreparedQuery {
-	q, err := PrepareWith(r.opts, b...)
+func (r cellRun) prepare(t *testing.T, opts []Option, b []*Pattern) *PreparedQuery {
+	q, err := PrepareWith(opts, b...)
 	must(t, err)
 	return q
+}
+
+// optsAt is the cell's options for its k-th task range. A cache-per-range
+// cell counts each range through a fresh plan cache that first compiled
+// the k-th respelling of every pattern of seed, as a node other clients
+// reached first, or one restarted, would.
+func (r cellRun) optsAt(t *testing.T, k int, seed []*Pattern) []Option {
+	t.Helper()
+	if r.c.v[axNumber] != cachePerRange {
+		return r.opts
+	}
+	opts := append(slices.Clone(r.opts), WithPlanCache(NewPlanCache(0)))
+	respelled := make([]*Pattern, len(seed))
+	for i, p := range seed {
+		respelled[i] = spell(p, k+1)
+	}
+	r.prepare(t, opts, respelled)
+	return opts
 }
 
 func must(t *testing.T, err error) {
@@ -693,13 +731,13 @@ func (r cellRun) count(t *testing.T, b []*Pattern) ([]*Pattern, []uint64) {
 	case viaRunCount, viaRunEnum:
 		return b, r.runPlans(t, b)
 	case viaCountMany:
-		for _, rg := range r.ranges() {
-			add(CountMany(r.g, b, at(r.opts, rg)...))
+		for k, rg := range r.ranges() {
+			add(CountMany(r.g, b, at(r.optsAt(t, k, b), rg)...))
 		}
 	case viaCountEach:
-		q := r.prepare(t, b)
-		for _, rg := range r.ranges() {
-			add(q.CountEach(r.g, at(r.opts, rg)...))
+		for k, rg := range r.ranges() {
+			opts := r.optsAt(t, k, b)
+			add(r.prepare(t, opts, b).CountEach(r.g, at(opts, rg)...))
 		}
 	case viaMerged:
 		// As a coalescer would: the batch split over up to three queries,
@@ -708,23 +746,24 @@ func (r cellRun) count(t *testing.T, b []*Pattern) ([]*Pattern, []uint64) {
 		if len(b) == 1 {
 			parts = append(parts, b)
 		}
-		qs := make([]*PreparedQuery, len(parts))
-		for i := range parts {
-			qs[i] = r.prepare(t, parts[i])
-		}
 		b = slices.Concat(parts...)
 		got = make([]uint64, len(b))
-		for _, rg := range r.ranges() {
-			per, _, err := CountEachMerged(r.g, qs, at(r.opts, rg)...)
+		for k, rg := range r.ranges() {
+			opts := r.optsAt(t, k, b)
+			qs := make([]*PreparedQuery, len(parts))
+			for i := range parts {
+				qs[i] = r.prepare(t, opts, parts[i])
+			}
+			per, _, err := CountEachMerged(r.g, qs, at(opts, rg)...)
 			add(matchCounts(slices.Concat(per...)), err)
 		}
 	case viaPlanCount:
 		// As a coordinator would once a node has reported the graph's
 		// Shape: rewrite once, count the executed set and its cuts by range
 		// where they are shipped, sum in 128 bits, recover once.
-		cp, err := PlanCount(ShapeOf(r.g), []*PreparedQuery{r.prepare(t, b)}, r.opts...)
+		cp, err := PlanCount(ShapeOf(r.g), []*PreparedQuery{r.prepare(t, r.opts, b)}, r.opts...)
 		must(t, err)
-		per, _ := cp.Finish(runExecuted(t, r.g, cp, r.ranges(), r.opts...))
+		per, _ := cp.Finish(runExecuted(t, r.g, cp, r.ranges(), func(k int) []Option { return r.optsAt(t, k, cp.Executed()) }))
 		got = matchCounts(per[0])
 	case viaMotifs:
 		got = r.motifs(t, b)
@@ -732,16 +771,17 @@ func (r cellRun) count(t *testing.T, b []*Pattern) ([]*Pattern, []uint64) {
 	return b, got
 }
 
-// runExecuted counts cp's executed set as a node it is shipped to does —
+// runExecuted counts cp's executed set as the nodes it is shipped to do —
 // PrepareExecuted with its cuts, a ranged count that never rewrites — over
-// each of ranges, and sums the rows in 128 bits, as a coordinator's merge
-// does.
-func runExecuted(t *testing.T, g *Graph, cp *CountPlan, ranges [][2]uint32, opts ...Option) MultiStats {
+// each of ranges, the k-th under optsAt(k), and sums the rows in 128 bits,
+// as a coordinator's merge does.
+func runExecuted(t *testing.T, g *Graph, cp *CountPlan, ranges [][2]uint32, optsAt func(k int) []Option) MultiStats {
 	t.Helper()
-	q, err := PrepareExecuted(opts, cp.Executed(), cp.Cuts())
-	must(t, err)
 	sum := MultiStats{Per: make([]Stats, len(cp.Executed())), MatchesHi: make([]uint64, len(cp.Executed()))}
-	for _, rg := range ranges {
+	for k, rg := range ranges {
+		opts := optsAt(k)
+		q, err := PrepareExecuted(opts, cp.Executed(), cp.Cuts())
+		must(t, err)
 		_, ms, err := q.CountEachWithStats(g, at(opts, rg, WithoutMorphing())...)
 		must(t, err)
 		for i := range sum.Per {
@@ -767,26 +807,36 @@ func finish(cp *CountPlan, executed []uint64) []uint64 {
 }
 
 // runPlans runs PlanCount's executed plans through core.RunPlans range by
-// range, then Finish. An enumerating cell also runs each range with a
-// callback: the calls must equal the count and the OrigID-mapped matches
-// the oracle's — each sorted under symmetry breaking, whose choice of
-// automorphic representative depends on the id order.
+// range, planned per range under optsAt, then Finish. An enumerating cell
+// also runs each range with a callback: the calls must equal the count and
+// the OrigID-mapped matches the oracle's — each sorted under symmetry
+// breaking, whose choice of automorphic representative depends on the id
+// order.
 func (r cellRun) runPlans(t *testing.T, b []*Pattern) []uint64 {
 	t.Helper()
-	cp, err := PlanCount(Shape{}, []*PreparedQuery{r.prepare(t, b)}, r.opts...) // no cuts: they enumerate nothing
-	must(t, err)
 	enum, sorted := r.c.v[axEntry] == viaRunEnum, r.c.v[axSym] == 0
-	counts := make([]uint64, len(cp.exec))
-	calls := make([]atomic.Uint64, len(cp.exec))
-	sums := make([]atomic.Uint64, len(cp.exec))
-	for _, rg := range r.ranges() {
-		o := cp.cfg.opts
+	var cp *CountPlan
+	var counts []uint64
+	var calls, sums []atomic.Uint64
+	for k, rg := range r.ranges() {
+		opts := r.optsAt(t, k, b)
+		cpk, err := PlanCount(Shape{}, []*PreparedQuery{r.prepare(t, opts, b)}, opts...) // no cuts: they enumerate nothing
+		must(t, err)
+		if cp == nil {
+			cp = cpk
+			counts = make([]uint64, len(cp.exec))
+			calls = make([]atomic.Uint64, len(cp.exec))
+			sums = make([]atomic.Uint64, len(cp.exec))
+		} else if !slices.EqualFunc(cpk.exec, cp.exec, func(p, q *plan.Plan) bool { return p.Pat.Equal(q.Pat) }) {
+			t.Fatalf("%v: range %v executes %v, the first range %v", r.c, rg, cpk.Executed(), cp.Executed())
+		}
+		o := cpk.cfg.opts
 		o.TaskLo, o.TaskHi = rg[0], rg[1]
-		for i, s := range core.RunPlans(r.g, cp.exec, nil, o).Per {
+		for i, s := range core.RunPlans(r.g, cpk.exec, nil, o).Per {
 			counts[i] += s.Matches
 		}
 		if enum {
-			core.RunPlans(r.g, cp.exec, func(_ *core.Ctx, i int, m *core.Match) {
+			core.RunPlans(r.g, cpk.exec, func(_ *core.Ctx, i int, m *core.Match) {
 				calls[i].Add(1)
 				sums[i].Add(matchHash(r.g, m.Mapping, sorted))
 			}, o)
@@ -818,8 +868,9 @@ func (r cellRun) motifs(t *testing.T, b []*Pattern) []uint64 {
 	size := b[0].N()
 	got := make([]uint64, len(b))
 	classes := map[string]MotifCount{}
-	for _, rg := range r.ranges() {
-		mc, err := MotifCounts(r.g, size, at(r.opts, rg)...)
+	for k, rg := range r.ranges() {
+		opts := r.optsAt(t, k, b)
+		mc, err := MotifCounts(r.g, size, at(opts, rg)...)
 		must(t, err)
 		for i := range mc {
 			got[i] += mc[i].Count
@@ -827,7 +878,7 @@ func (r cellRun) motifs(t *testing.T, b []*Pattern) []uint64 {
 		if !r.g.Labeled() {
 			continue
 		}
-		lm, err := LabeledMotifCounts(r.g, size, at(r.opts, rg)...)
+		lm, err := LabeledMotifCounts(r.g, size, at(opts, rg)...)
 		must(t, err)
 		for code, m := range lm {
 			m.Count += classes[code].Count
@@ -933,10 +984,18 @@ func FuzzCountMatrix(f *testing.F) {
 		"0-1 0-2 0-3 0-4 1!2 3!4", "0-1 1-2 2-3 3-4 4-0 0!2 1!3"} {
 		f.Add(uint64(0), s)
 	}
-	// Past every axis (6912 cells) and the graph, pick draws a cut pattern:
-	// the 5-cycle beside a triangle, the 6-cycle beside a vertex-induced P4.
-	f.Add(uint64(6912*2*1), "0-1 1-2 2-0")
-	f.Add(uint64(6912*2*(1+2*8)), "0-1 1-2 2-3 0!2 0!3 1!3")
+	// Past every axis and the graph, pick draws a cut pattern: the 4-cycle
+	// beside a triangle, the 5-cycle beside a vertex-induced P4.
+	cells := uint64(1)
+	for a, vals := range axisValues {
+		n := uint64(len(vals))
+		if a == axEntry {
+			n-- // as the draw below
+		}
+		cells *= n
+	}
+	f.Add(cells*2*1, "0-1 1-2 2-0")
+	f.Add(cells*2*(1+2*8), "0-1 1-2 2-3 0!2 0!3 1!3")
 	f.Fuzz(func(t *testing.T, pick uint64, text string) {
 		p, err := ParsePattern(text)
 		if err != nil || p.Validate() != nil || !p.ConnectedRegular() || p.N() < 2 || p.N() > 5 {
@@ -956,14 +1015,14 @@ func FuzzCountMatrix(f *testing.F) {
 		pick /= 2
 		b := []*Pattern{p}
 		if c.v[axBatch] != asSolo {
-			b = append(b, spell(p), p)
+			b = append(b, spell(p, 0), p)
 		}
 		if pick%2 == 1 {
 			c.form = cutForm
 			b = append(b, cutPatterns()[pick/2%uint64(len(cutPatterns()))])
 		}
-		if c.v[axNumber] == 1 {
-			b[0] = spell(p)
+		if c.v[axNumber] == asRenumbered {
+			b[0] = spell(p, 0)
 		}
 		r := cellRun{c, (&layouts{t, map[string]*Graph{}}).get(c.graph, c.v[axLayout]), c.options()}
 		r.check(t, b)

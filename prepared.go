@@ -157,11 +157,12 @@ type CutError = plan.CutError
 // planned elsewhere: Executed's patterns, and Cuts' vertex lists (nil,
 // or one entry per pattern, empty for a row counted as given). A row with
 // a cut is its pattern's decomposed plan, built by plan.NewCut from the
-// pattern as given — never through the plan cache, whose entry may number
-// the pattern differently from the cut — and counts V: its low 64 bits in
-// Stats.Matches, its high 64 in MultiStats.MatchesHi. The other rows
-// compile as PrepareWith's do. A cut that is not a decomposition of its
-// pattern fails with an error wrapping a *CutError.
+// pattern as given, whose vertices the cut names — never through the plan
+// cache, whose entry is the direct plan of the canonical spelling — and
+// counts V: its low 64 bits in Stats.Matches, its high 64 in
+// MultiStats.MatchesHi. The other rows compile as PrepareWith's do. A cut
+// that is not a decomposition of its pattern fails with an error wrapping
+// a *CutError.
 //
 // The rows must be distinct plans, so that a count's MultiStats rows are
 // indexed like them. The query only counts, under the options it was

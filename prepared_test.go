@@ -404,7 +404,7 @@ func TestCountEntryPointsAgree(t *testing.T) {
 					t.Errorf("%v range %v: morph %+v; Count ran %+v, CountMany %+v", vip, cut, solo.Morph, st, solo.Per[0])
 				}
 			}
-			executed, ranged := cp.Executed(), runExecuted(t, g, cp, ranges, WithThreads(4))
+			executed, ranged := cp.Executed(), runExecuted(t, g, cp, ranges, func(int) []Option { return []Option{WithThreads(4)} })
 			if per, finished := cp.Finish(ranged); per[0][0].Matches != one.Per[0].Matches || finished.Morph != one.Morph {
 				t.Errorf("%v: executed set %v by range, finished once = %d (morph %+v), whole run %d (morph %+v)",
 					vip, executed, per[0][0].Matches, finished.Morph, one.Per[0].Matches, one.Morph)

@@ -20,7 +20,10 @@
 # (and the diamond its relation reads) counts 0 on this graph, so this
 # checks the cut's path over the wire, not the tally's arithmetic:
 # `go test ./internal/core -run Cut` and `go test . -run
-# TestDifferentialCountCuts` check that.
+# TestDifferentialCountCuts` check that. Each node's plan cache first
+# compiles the vertex-induced tailed triangle, which the coordinator runs
+# as given, from a different spelling; the nodes still run one plan for
+# it, so the coordinator's merged count equals a single node's.
 #
 # Serving numbers through a coordinator come from `go run ./bench
 # -workload coord_sharded`, not from this script.
@@ -41,6 +44,8 @@ COORD=18090
 PATTERNS='["0-1 1-2 2-0","0-1 0-2 0-3"]'
 VI_PATTERNS='["0-1 0-2 0-3","0-1 1-2 2-3"]'
 W4_PATTERNS='["0-1 0-2 0-3 0-4 1-3 1-4 2-3 2-4"]'
+SPELLING_A='["0-1 1-2 1-3 2-3"]' # the tailed triangle, as node A first sees it
+SPELLING_B='["0-1 0-2 0-3 1-2"]' # and as node B does
 
 say() { echo "sharded_smoke: $*" >&2; }
 
@@ -95,6 +100,22 @@ check_rewrite() {
 check_rewrites() {
   check_rewrite "$1" "vertex-induced pair" "$VI_PATTERNS" true "$SINGLE_VI"
   check_rewrite "$1" "edge-induced W4" "$W4_PATTERNS" false "$SINGLE_W4"
+}
+
+# check_spellings — node A and node B each count the vertex-induced tailed
+# triangle first in their own spelling; the coordinator's merged count of
+# B's spelling must equal node A's whole-graph count of it
+check_spellings() {
+  local single merged
+  count_rows "http://127.0.0.1:$NODE_A" "$WORK/spelling.json" "$SPELLING_A" true >/dev/null
+  count_rows "http://127.0.0.1:$NODE_B" "$WORK/spelling.json" "$SPELLING_B" true >/dev/null
+  single=$(count_rows "http://127.0.0.1:$NODE_A" "$WORK/spelling.json" "$SPELLING_B" true)
+  merged=$(count_rows "http://127.0.0.1:$COORD" "$WORK/spelling.json" "$SPELLING_B" true)
+  say "nodes seeded with two spellings: tailed triangle single $single merged $merged"
+  if [ -z "$single" ] || [ "$single" != "$merged" ]; then
+    say "FAIL: nodes that first saw different spellings sum to $merged, a single node counts $single"
+    exit 1
+  fi
 }
 
 start_node() { # port [extra serve flags...]
@@ -158,6 +179,7 @@ fi
 SINGLE_VI=$(count_rows "http://127.0.0.1:$NODE_A" "$WORK/vi-single.json" "$VI_PATTERNS" true)
 SINGLE_W4=$(count_rows "http://127.0.0.1:$NODE_A" "$WORK/w4-single.json" "$W4_PATTERNS" false)
 check_rewrites "healthy fleet"
+check_spellings
 
 say "killing node B, re-querying through the coordinator"
 kill "${PIDS[1]}" 2>/dev/null || true
@@ -178,4 +200,4 @@ if [ -z "$FAILOVERS" ] || [ "$FAILOVERS" -lt 1 ]; then
 fi
 stop_all
 
-say "OK: missing fragment failed the job, merged counts exact as given and rewritten (decomposed, W4 at a three-vertex cut), failover survived"
+say "OK: missing fragment failed the job, merged counts exact as given, rewritten (decomposed, W4 at a three-vertex cut) and over nodes that saw other spellings first, failover survived"
