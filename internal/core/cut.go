@@ -259,12 +259,8 @@ func (t *cutTable) set(lv *plan.CutLevel, j int) []uint32 {
 	for _, s := range lv.Ops {
 		t.lists = append(t.lists, t.g.Adj(t.slot[s]))
 	}
-	out := t.tm.intersect(t.bufs[j], t.lists, noLo, noHi)
-	if cap(out) > cap(t.bufs[j]) {
-		t.bufs[j] = out[:0:cap(out)]
-	}
 	t.st.Intersections++
-	return out
+	return t.tm.set(&t.bufs[j], t.lists, noLo, noHi)
 }
 
 // excluded returns the bindings of lv.Skip, NoVertex where it names

@@ -594,7 +594,7 @@ func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb P
 
 // runTask explores all matches whose maximum-id core vertex is v (§5.1):
 // v binds visit index 0 of every root whose start-label gate admits it,
-// and the trie walk matches the remaining core positions downward.
+// and the trie walk binds the remaining visit indices below it.
 func (mw *multiWorker) runTask(v uint32) {
 	vlabel := pattern.Label(mw.g.Label(v))
 	mw.tm.bind(v)
@@ -653,19 +653,10 @@ func (mw *multiWorker) descend(n *plan.ShareNode) {
 		for _, t := range st.Nbr {
 			lists = append(lists, mw.g.Adj(mw.data[t]))
 		}
-		d := child.Depth - 1
-		if cap(mw.bufs[d]) == 0 {
-			mw.bufs[d] = make([]uint32, 0, 256)
-		}
 		// cands is read-only below: with one list it aliases graph
 		// adjacency storage (see the intersectSetsInto ownership
 		// contract), so nothing here may write through it.
-		cands := mw.tm.intersect(mw.bufs[d], lists, lo, hi)
-		if len(lists) > 1 && cap(cands) > cap(mw.bufs[d]) {
-			// Keep the grown buffer for future tasks. Single-list results
-			// are views into graph storage and must not be adopted.
-			mw.bufs[d] = cands[:0:cap(cands)]
-		}
+		cands := mw.tm.set(&mw.bufs[child.Depth-1], lists, lo, hi)
 		mw.share.Intersections++
 		if child.MOs > 1 {
 			mw.share.SharedNodeVisits++
@@ -695,15 +686,11 @@ func (mw *multiWorker) descend(n *plan.ShareNode) {
 	}
 }
 
-// deliver hands a complete ordered-view binding to the owning plan's
-// completion worker: the visit-space binding is translated back to the
-// matching order's position space and completed per §4.1.
+// deliver hands a complete ordered-view binding, mw.data, to the owning
+// plan's completion worker, which completes it per §4.1.
 func (mw *multiWorker) deliver(lf *plan.ShareLeaf) {
 	pw := mw.pws[lf.Plan]
 	pw.stats.CoreMatches++
-	for t, pos := range lf.MO.Visit {
-		pw.coreData[pos] = mw.data[t]
-	}
 	pw.completeCore(lf)
 }
 
@@ -809,6 +796,21 @@ func (tm *taskMarks) intersect(buf []uint32, lists [][]uint32, lo, hi int64) []u
 	return tm.ms.intersect(buf, lists, lo, hi)
 }
 
+// set is intersect into a site's own buffer *buf, allocated on first
+// use and replaced by the result when that grew, so a site allocates
+// only while its sets outgrow every earlier one. With one list the
+// result is a view of graph storage and *buf is left alone.
+func (tm *taskMarks) set(buf *[]uint32, lists [][]uint32, lo, hi int64) []uint32 {
+	if cap(*buf) == 0 {
+		*buf = make([]uint32, 0, 256)
+	}
+	out := tm.intersect(*buf, lists, lo, hi)
+	if len(lists) > 1 && cap(out) > cap(*buf) {
+		*buf = out[:0:cap(out)]
+	}
+	return out
+}
+
 // rejectAnti reports whether candidate c is adjacent to the binding of
 // any anti-adjacent visit index (anti-edge enforcement inside the core).
 func (mw *multiWorker) rejectAnti(c uint32, anti []int) bool {
@@ -831,7 +833,6 @@ type worker struct {
 	mw  *multiWorker // the owning thread's trie walker, which holds the completion slots
 
 	match    []uint32 // pattern vertex -> data id for the current match
-	coreData []uint32 // matching-order position -> data id
 	assigned []uint32 // data ids matched so far (core + completed non-core)
 
 	// slots is the delivered leaf's slot per NonCore step under the core
@@ -867,7 +868,6 @@ func newWorker(g *graph.Graph, pl *plan.Plan, cb Callback, mw *multiWorker, tb *
 		ctx:      &mw.ctx,
 		mw:       mw,
 		match:    make([]uint32, n),
-		coreData: make([]uint32, len(pl.Core)),
 		assigned: make([]uint32, 0, n),
 		ncBufs:   make([][]uint32, len(pl.NonCore)+1),
 		listArg:  make([][]uint32, 0, n),
@@ -887,20 +887,22 @@ func newWorker(g *graph.Graph, pl *plan.Plan, cb Callback, mw *multiWorker, tb *
 	return w
 }
 
-// completeCore converts the matched ordered view into core matches — one
-// per sequence (§4.1: "a match for pMi results in 1 match for pC per
-// valid vertex sequence") — and completes each.
+// completeCore converts the matched ordered view, the trie walker's
+// binding of visit t at mw.data[t], into core matches — one per sequence
+// (§4.1: "a match for pMi results in 1 match for pC per valid vertex
+// sequence"), each naming visit t's pattern vertex at seq[t] — and
+// completes each.
 func (w *worker) completeCore(lf *plan.ShareLeaf) {
-	w.tb.Enter(profile.StageOther) // remapping positions to pattern vertices
+	w.tb.Enter(profile.StageOther) // mapping visits to pattern vertices
 	for s, seq := range lf.MO.Seqs {
 		if w.ctx.stop.Load() {
 			return
 		}
 		w.slots = lf.Slots[s]
 		w.assigned = w.assigned[:0]
-		for pos, pv := range seq {
-			w.match[pv] = w.coreData[pos]
-			w.assigned = append(w.assigned, w.coreData[pos])
+		for t, pv := range seq {
+			w.match[pv] = w.mw.data[t]
+			w.assigned = append(w.assigned, w.mw.data[t])
 		}
 		w.completeFrom(0)
 		for _, pv := range seq {
@@ -934,46 +936,13 @@ func (w *worker) completeFrom(i int) {
 		return
 	}
 	st := &w.pl.NonCore[i]
-
-	w.tb.Enter(profile.StagePO)
-	lo, hi := noLo, noHi
-	for _, pv := range st.LowerBound {
-		if d := int64(w.match[pv]); d > lo {
-			lo = d
-		}
-	}
-	for _, pv := range st.UpperBound {
-		if d := int64(w.match[pv]); d < hi {
-			hi = d
-		}
-	}
-	if lo+1 >= hi { // both bounds are exclusive
-		w.tb.Enter(profile.StageOther)
-		return
-	}
-
-	w.tb.Enter(profile.StageNonCore)
 	// cands is read-only below: a slot's set is shared by every step
 	// naming it, and single-list results alias graph adjacency storage
 	// (intersectSetsInto ownership contract).
-	var cands []uint32
-	if id := w.slots[i]; id >= 0 {
-		cands = clip(w.mw.slot(id, &w.stats), lo, hi)
-	} else {
-		lists := w.listArg[:0]
-		for _, pv := range st.CoreNbrs {
-			lists = append(lists, w.g.Adj(w.match[pv]))
-		}
-		if cap(w.ncBufs[i]) == 0 {
-			w.ncBufs[i] = make([]uint32, 0, 256)
-		}
-		cands = w.mw.tm.intersect(w.ncBufs[i], lists, lo, hi)
-		if len(lists) > 1 {
-			w.stats.Intersections++
-			if cap(cands) > cap(w.ncBufs[i]) {
-				w.ncBufs[i] = cands[:0:cap(cands)]
-			}
-		}
+	cands, ok := w.levelSet(i, st.LowerBound, st.UpperBound)
+	if !ok {
+		w.tb.Enter(profile.StageOther)
+		return
 	}
 
 	// Count mode: with no callback and no anti-vertex check, every
@@ -1026,13 +995,12 @@ outer:
 	}
 }
 
-// levelSet computes completion level i's candidate set before the level
-// is reached, for a count-mode tail: completeFrom's own
-// window-and-intersect steps (kept apart from them so that the
-// enumerating path stays the code it was, call-free), with lower and
-// upper for the step's bounds — those on vertices already matched. ok
-// is false when the id window is empty. The set is read-only: it is a
-// slot's set, or lives in level i's ncBufs slot or in graph storage.
+// levelSet computes completion level i's candidate set, with lower and
+// upper for the step's bounds — those on vertices already matched: all
+// of the step's when completeFrom reaches the level, fewer when a
+// count-mode tail sizes it beforehand. ok is false when the id window is
+// empty. The set is read-only: it is a slot's set, or lives in level i's
+// ncBufs slot or in graph storage.
 func (w *worker) levelSet(i int, lower, upper []int) (cands []uint32, ok bool) {
 	w.tb.Enter(profile.StagePO)
 	lo, hi := noLo, noHi
@@ -1058,15 +1026,9 @@ func (w *worker) levelSet(i int, lower, upper []int) (cands []uint32, ok bool) {
 	for _, pv := range w.pl.NonCore[i].CoreNbrs {
 		lists = append(lists, w.g.Adj(w.match[pv]))
 	}
-	if cap(w.ncBufs[i]) == 0 {
-		w.ncBufs[i] = make([]uint32, 0, 256)
-	}
-	cands = w.mw.tm.intersect(w.ncBufs[i], lists, lo, hi)
+	cands = w.mw.tm.set(&w.ncBufs[i], lists, lo, hi)
 	if len(lists) > 1 {
 		w.stats.Intersections++
-		if cap(cands) > cap(w.ncBufs[i]) {
-			w.ncBufs[i] = cands[:0:cap(cands)]
-		}
 	}
 	return cands, true
 }
@@ -1084,12 +1046,9 @@ func (w *worker) checkAntiVertices() bool {
 		for _, u := range chk.Nbrs {
 			lists = append(lists, w.g.Adj(w.match[u]))
 		}
-		if cap(w.ncBufs[len(w.pl.NonCore)]) == 0 {
-			w.ncBufs[len(w.pl.NonCore)] = make([]uint32, 0, 256)
-		}
 		// common is only iterated, never written: with one list it is a
 		// view of that vertex's adjacency (ownership contract).
-		common := w.mw.tm.intersect(w.ncBufs[len(w.pl.NonCore)], lists, noLo, noHi)
+		common := w.mw.tm.set(&w.ncBufs[len(w.pl.NonCore)], lists, noLo, noHi)
 		if len(lists) > 1 {
 			w.stats.Intersections++
 		}

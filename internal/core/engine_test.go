@@ -8,6 +8,7 @@ import (
 	"peregrine/internal/gen"
 	"peregrine/internal/graph"
 	"peregrine/internal/pattern"
+	"peregrine/internal/plan"
 	"peregrine/internal/ref"
 )
 
@@ -277,5 +278,26 @@ func TestLabeledMatching(t *testing.T) {
 func TestStatsRowSize(t *testing.T) {
 	if n := unsafe.Sizeof(Stats{}); n > 40 {
 		t.Errorf("a Stats row is %d bytes, want at most 40 (four counters, Threads and Stopped)", n)
+	}
+}
+
+// An anti-vertex check's common-neighbour set lives in a buffer its
+// worker keeps, grown buffer included, like every other candidate set:
+// counting edges with no common neighbour on K300, where each of the
+// 44,850 edges' checks merges two 299-vertex lists into 298 common
+// neighbours — past the buffer's first size — allocates per run, not
+// per check.
+func TestAntiVertexCheckKeepsItsBuffer(t *testing.T) {
+	g := completeGraph(300)
+	pls := []*plan.Plan{mustPlan(t, pattern.MustParse("0-1 0!2 1!2"))}
+	var ms MultiStats
+	allocs := testing.AllocsPerRun(1, func() {
+		ms = RunPlans(g, pls, nil, Options{Threads: 1})
+	})
+	if ms.Per[0].Matches != 0 || ms.Per[0].Intersections != 44850 {
+		t.Fatalf("matches = %d, intersections = %d, want 0 and 44850", ms.Per[0].Matches, ms.Per[0].Intersections)
+	}
+	if allocs >= 1000 {
+		t.Errorf("a count allocates %.0f times, want fewer than 1000", allocs)
 	}
 }

@@ -15,7 +15,6 @@ package pattern
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -346,7 +345,3 @@ func (p *Pattern) Renumber(perm []int) *Pattern {
 	}
 	return q
 }
-
-// SortInts sorts a small int slice; a tiny helper shared by this package
-// and the planner.
-func SortInts(s []int) { sort.Ints(s) }

@@ -184,7 +184,7 @@ func TestLabelKeysSeparateCongruentLabels(t *testing.T) {
 		if exactKey(pa) == exactKey(pb) {
 			t.Errorf("labels %d and %d share an exact key", a, b)
 		}
-		sa, sb := ProgStep{Lo: -1, Hi: -1, Label: a}, ProgStep{Lo: -1, Hi: -1, Label: b}
+		sa, sb := Step{Lo: -1, Hi: -1, Label: a}, Step{Lo: -1, Hi: -1, Label: b}
 		if sa.key() == sb.key() {
 			t.Errorf("labels %d and %d share a step key", a, b)
 		}

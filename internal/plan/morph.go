@@ -345,17 +345,16 @@ func CostOf(pl *Plan, s Shape) float64 {
 	}
 	var total float64
 	for _, mo := range pl.Orders {
-		start := mo.Visit[0]
-		bind := m.pass(mo.Labels[start])
+		bind := m.pass(mo.Start)
 		for i := range mo.Steps {
 			st := &mo.Steps[i]
-			k := len(st.NbrVisited)
-			n := m.set(k, slices.Contains(st.NbrVisited, start), st.LoPos >= 0, st.HiPos >= 0)
-			total += bind * (m.compute(k, n) + n*float64(len(st.AntiVisited))*m.search)
+			k := len(st.Nbr)
+			n := m.set(k, slices.Contains(st.Nbr, 0), st.Lo >= 0, st.Hi >= 0)
+			total += bind * (m.compute(k, n) + n*float64(len(st.Anti))*m.search)
 			bind *= n * m.pass(st.Label)
 		}
 		for _, seq := range mo.Seqs {
-			total += bind * m.completion(pl, seq[start])
+			total += bind * m.completion(pl, seq[0])
 		}
 	}
 	return total

@@ -113,23 +113,26 @@ func matchingOrders(p *pattern.Pattern, core []int, conds []Cond) []*MatchingOrd
 			groups[key] = mo
 			out = append(out, mo)
 		}
-		mo.Seqs = append(mo.Seqs, seq)
+		vseq := make([]int, k)
+		for t, pos := range mo.Visit {
+			vseq[t] = seq[pos]
+		}
+		mo.Seqs = append(mo.Seqs, vseq)
 	}
 	return out
 }
 
-// buildOrder constructs the traversal program for the ordered graph
+// buildOrder constructs the traversal steps for the ordered graph
 // induced by seq. Traversal starts at the highest position (the start
 // vertex of a task) and repeatedly visits the highest-position unvisited
 // vertex adjacent to the visited set — the paper's "follow matching
-// orders high-to-low" rule (§5.2) generalized to stay connected.
+// orders high-to-low" rule (§5.2) generalized to stay connected. Each
+// step names the visits before it: the ones it must neighbour or not,
+// and the nearest ones below and above its position, which bound its
+// candidates' ids.
 func buildOrder(p *pattern.Pattern, seq []int) *MatchingOrder {
 	k := len(seq)
-	mo := &MatchingOrder{K: k}
-	mo.Labels = make([]pattern.Label, k)
-	for i, v := range seq {
-		mo.Labels[i] = p.LabelOf(v)
-	}
+	mo := &MatchingOrder{Start: p.LabelOf(seq[k-1])}
 	adj := func(i, j int) pattern.EdgeKind { return p.EdgeKindOf(seq[i], seq[j]) }
 
 	visited := make([]bool, k)
@@ -155,19 +158,19 @@ func buildOrder(p *pattern.Pattern, seq []int) *MatchingOrder {
 			// The core is connected, so this cannot happen; guard anyway.
 			panic(fmt.Sprintf("plan: disconnected core traversal for %v", p))
 		}
-		step := Step{Pos: next, LoPos: -1, HiPos: -1, Label: mo.Labels[next]}
-		for _, w := range mo.Visit {
+		step := Step{Lo: -1, Hi: -1, Label: p.LabelOf(seq[next])}
+		for t, w := range mo.Visit {
 			switch adj(next, w) {
 			case pattern.Regular:
-				step.NbrVisited = append(step.NbrVisited, w)
+				step.Nbr = append(step.Nbr, t)
 			case pattern.Anti:
-				step.AntiVisited = append(step.AntiVisited, w)
+				step.Anti = append(step.Anti, t)
 			}
-			if w < next && (step.LoPos == -1 || w > step.LoPos) {
-				step.LoPos = w
+			if w < next && (step.Lo == -1 || w > mo.Visit[step.Lo]) {
+				step.Lo = t
 			}
-			if w > next && (step.HiPos == -1 || w < step.HiPos) {
-				step.HiPos = w
+			if w > next && (step.Hi == -1 || w < mo.Visit[step.Hi]) {
+				step.Hi = t
 			}
 		}
 		mo.Steps = append(mo.Steps, step)
@@ -243,11 +246,6 @@ func nonCoreSteps(p *pattern.Pattern, core []int, conds []Cond) []NonCoreStep {
 		matchedBefore[v] = true
 		steps = append(steps, st)
 	}
-	// Second pass: conditions between non-core pairs where the other
-	// endpoint completes later were skipped above (matchedBefore was
-	// false at the time); they are enforced when the later vertex is
-	// placed, which the loop above already handles because bounds are
-	// collected against matchedBefore. Nothing further to do.
 	return steps
 }
 

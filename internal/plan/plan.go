@@ -34,41 +34,42 @@ type Cond struct {
 	Less, Greater int
 }
 
-// Step describes how the engine matches one core position during the
-// guided traversal of a matching order.
+// Step is one step of a matching order, in visit-index space: visit 0
+// is the task's start vertex and Steps[t-1] binds visit t. A step is
+// described purely by how it extends the bindings before it, so two
+// orders — of one plan or of different plans — whose steps are equal up
+// to depth t enumerate the same partial bindings up to depth t: the
+// share trie merges them on that (share.go), and the engine executes
+// the steps as built.
 type Step struct {
-	Pos int // position being matched (data ids increase with position)
+	// Nbr are earlier visit indices regular-adjacent to the new vertex:
+	// candidates are the intersection of their bindings' adjacency
+	// lists. Sorted; never empty (traversal grows a connected frontier).
+	Nbr []int
 
-	// NbrVisited are previously visited positions regular-adjacent to
-	// Pos; candidates are the intersection of their matches' adjacency
-	// lists. Non-empty for every step because the core is connected and
-	// the traversal grows a connected frontier.
-	NbrVisited []int
+	// Anti are earlier visit indices anti-adjacent to the new vertex:
+	// candidates adjacent to any of their bindings are rejected. Sorted.
+	Anti []int
 
-	// AntiVisited are previously visited positions anti-adjacent to Pos;
-	// candidates adjacent to any of their matches are rejected.
-	AntiVisited []int
+	// Lo and Hi are the visit indices whose bindings bound the candidate
+	// id window (exclusive); -1 means unbounded on that side.
+	Lo, Hi int
 
-	// LoPos and HiPos are the visited positions that bound the candidate
-	// id window: the candidate must be greater than the match of LoPos
-	// and smaller than the match of HiPos. Either may be -1 (unbounded).
-	LoPos, HiPos int
-
-	// Label constrains candidates' data labels; Wildcard accepts any.
+	// Label filters candidates' data labels; Wildcard accepts any.
 	Label pattern.Label
 }
 
-// MatchingOrder is an ordered view of the pattern core (§4.1). Positions
-// 0..K-1 are totally ordered: matched data ids strictly increase with
-// position. Two linear extensions of the partial order that induce the
-// same ordered graph share a MatchingOrder; each data-side match of the
-// ordered view yields one core match per sequence in Seqs.
+// MatchingOrder is an ordered view of the pattern core (§4.1). Its
+// positions 0..K-1 (K = len(Visit)) are totally ordered: matched data
+// ids strictly increase with position. Two linear extensions of the
+// partial order that induce the same ordered graph share a
+// MatchingOrder; each data-side match of the ordered view yields one
+// core match per sequence in Seqs.
 type MatchingOrder struct {
-	K      int
-	Visit  []int           // traversal order over positions; Visit[0] == K-1 (§5.2: high-to-low)
-	Steps  []Step          // Steps[t] matches Visit[t+1]; len == K-1
-	Labels []pattern.Label // label per position
-	Seqs   [][]int         // Seqs[s][pos] = core pattern vertex at that position
+	Start pattern.Label // the start vertex's label; Wildcard accepts any
+	Visit []int         // Visit[t] is the position visit t binds; Visit[0] == K-1 (§5.2: high-to-low)
+	Steps []Step        // Steps[t-1] binds visit t; len == K-1
+	Seqs  [][]int       // Seqs[s][t] = core pattern vertex bound by visit t
 }
 
 // NonCoreStep describes completing one non-core vertex. Non-core

@@ -220,16 +220,17 @@ func TestMatchingOrderVisitsHighToLowConnected(t *testing.T) {
 		pattern.MustParse("0-1 1-2 2-3 3-0 0-2"),
 	} {
 		pl := mustPlan(t, p)
+		k := len(pl.Core)
 		for _, mo := range pl.Orders {
-			if mo.Visit[0] != mo.K-1 {
+			if mo.Visit[0] != k-1 {
 				t.Errorf("order does not start at highest position: %v", mo.Visit)
 			}
-			if len(mo.Steps) != mo.K-1 {
-				t.Errorf("steps = %d, want %d", len(mo.Steps), mo.K-1)
+			if len(mo.Steps) != k-1 {
+				t.Errorf("steps = %d, want %d", len(mo.Steps), k-1)
 			}
-			for _, st := range mo.Steps {
-				if len(st.NbrVisited) == 0 {
-					t.Errorf("step for pos %d has no visited neighbors (disconnected traversal)", st.Pos)
+			for i, st := range mo.Steps {
+				if len(st.Nbr) == 0 {
+					t.Errorf("step for pos %d has no visited neighbors (disconnected traversal)", mo.Visit[i+1])
 				}
 			}
 		}
@@ -290,20 +291,62 @@ func TestPlanRejectsInvalidPatterns(t *testing.T) {
 	}
 }
 
+// Each step's window is bounded by the visits at the nearest positions
+// below and above its own: Lo by the highest visited position under it,
+// Hi by the lowest visited position over it, -1 where none is visited.
 func TestStepBoundsPointAtNearestPositions(t *testing.T) {
-	pl := mustPlan(t, pattern.Clique(4))
-	mo := pl.Orders[0]
-	for i, st := range mo.Steps {
-		// Visiting descending positions K-1, K-2, ...: each step's HiPos
-		// must be the smallest already-visited position above it.
-		wantHi := st.Pos + 1
-		if st.HiPos != wantHi {
-			t.Errorf("step %d: HiPos = %d, want %d", i, st.HiPos, wantHi)
+	for _, tc := range []struct {
+		p      *pattern.Pattern
+		order  int
+		lo, hi []int // per step, the visit index bounding it
+	}{
+		// Visiting descending positions 2, 1, 0: each step is bounded
+		// above by the visit just before it, never below.
+		{pattern.Clique(4), 0, []int{-1, -1}, []int{0, 1}},
+		// P5's third order visits positions 2, 0, 1: its second step, at
+		// position 1, lies between visits 1 (position 0) and 0 (position 2).
+		{pattern.MustParse("0-1 1-2 2-3 3-4"), 2, []int{-1, 1}, []int{0, 0}},
+	} {
+		pl := mustPlan(t, tc.p)
+		if len(pl.Orders) <= tc.order {
+			t.Fatalf("%v: %d orders, want more than %d", tc.p, len(pl.Orders), tc.order)
 		}
-		if st.LoPos != -1 {
-			t.Errorf("step %d: LoPos = %d, want -1 (descending visit)", i, st.LoPos)
+		mo := pl.Orders[tc.order]
+		if len(mo.Steps) != len(tc.lo) {
+			t.Fatalf("%v order %d: %d steps, want %d", tc.p, tc.order, len(mo.Steps), len(tc.lo))
+		}
+		for i, st := range mo.Steps {
+			if st.Lo != tc.lo[i] || st.Hi != tc.hi[i] {
+				t.Errorf("%v order %d (visits %v) step %d: (Lo, Hi) = (%d, %d), want (%d, %d)",
+					tc.p, tc.order, mo.Visit, i, st.Lo, st.Hi, tc.lo[i], tc.hi[i])
+			}
+			// The bounds' positions are the nearest visited ones.
+			pos := mo.Visit[i+1]
+			wantLo, wantHi := -1, -1
+			for _, w := range mo.Visit[:i+1] {
+				if w < pos && (wantLo < 0 || w > wantLo) {
+					wantLo = w
+				}
+				if w > pos && (wantHi < 0 || w < wantHi) {
+					wantHi = w
+				}
+			}
+			if got := posOf(mo, st.Lo); got != wantLo {
+				t.Errorf("%v order %d step %d: Lo at position %d, want %d", tc.p, tc.order, i, got, wantLo)
+			}
+			if got := posOf(mo, st.Hi); got != wantHi {
+				t.Errorf("%v order %d step %d: Hi at position %d, want %d", tc.p, tc.order, i, got, wantHi)
+			}
 		}
 	}
+}
+
+// posOf is the position visit t binds, -1 for none.
+func posOf(mo *MatchingOrder, t int) int {
+	if t < 0 {
+		return -1
+	}
+	return mo.Visit[t]
 }
 
 func TestPlanDeterminism(t *testing.T) {

@@ -3,33 +3,31 @@ package plan
 // Cross-pattern traversal sharing (ROADMAP: "deeper cross-pattern
 // sharing"; Pattern Morphing / DwarvesGraph-style computation reuse).
 //
-// A MatchingOrder's Steps are expressed in position space: every
-// reference is an absolute core position, so two orders from different
-// plans — or with different core sizes — never compare equal even when
-// they explore identically. ProgramOf re-expresses an order in
-// visit-index space, where step t is described purely by how it extends
-// the first t bindings: which earlier visits' adjacency lists are
-// intersected, which bound the candidate id window, which reject by
-// anti-adjacency, and what label filters candidates. Two programs with
-// equal step descriptors up to depth t enumerate exactly the same
-// partial bindings up to depth t, whatever patterns they came from —
-// the candidate set at each step is a function of the descriptor and
+// A MatchingOrder's Steps are built in visit-index space: step t is
+// described purely by how it extends the first t bindings — which
+// earlier visits' adjacency lists are intersected, which bound the
+// candidate id window, which reject by anti-adjacency, and what label
+// filters candidates — never by an absolute core position. So two orders
+// with equal steps up to depth t enumerate exactly the same partial
+// bindings up to depth t, whatever patterns or core sizes they came
+// from: the candidate set at each step is a function of the step and
 // the bindings alone.
 //
-// BuildShareTrie merges the programs of every matching order of every
-// plan in a batch into a prefix trie keyed on those descriptors. The
-// engine executes the trie instead of the per-plan orders: each node's
-// candidate set is computed once per partial binding and reused by
-// every matching order in the node's subtree, so patterns whose
-// matching orders induce identical ordered-view prefixes (a 4-clique
-// and a triangle; most of a motif batch) stop re-walking the same
-// adjacency intersections.
+// BuildShareTrie merges the steps of every matching order of every plan
+// in a batch into a prefix trie keyed on them. The engine executes the
+// trie instead of the per-plan orders: each node's candidate set is
+// computed once per partial binding and reused by every matching order
+// in the node's subtree, so patterns whose matching orders induce
+// identical ordered-view prefixes (a 4-clique and a triangle; most of a
+// motif batch) stop re-walking the same adjacency intersections. A
+// leaf's sequences are in visit order too, so a core binding reaches
+// its pattern vertices with no translation.
 //
 // Completion sets join the trie as slots. A non-core step's candidate
 // set under one core sequence is, before its dynamic window, a function
 // of the core binding alone: the intersection of some visits' adjacency
 // lists inside a window bounded by two visits. Translated into that
-// visit-space form (a ProgStep with no anti-edges and no label), the set
+// visit-space form (a Step with no anti-edges and no label), the set
 // belongs at the node binding the deepest visit it names, where every
 // leaf below the node — of any plan, any sequence — can reuse it until
 // that visit is rebound. A slot over three or more lists is its prefix
@@ -54,34 +52,12 @@ import (
 	"peregrine/internal/pattern"
 )
 
-// ProgStep is one step of a matching order's canonical Step program.
-// All references are visit indices: 0 names the task's start vertex,
-// t names the binding made by step t (steps are 1-based in binding
-// space; Program.Steps[i] binds visit index i+1).
-type ProgStep struct {
-	// Nbr are earlier visit indices regular-adjacent to the new vertex:
-	// candidates are the intersection of their bindings' adjacency
-	// lists. Sorted; never empty (traversal grows a connected frontier).
-	Nbr []int
-
-	// Anti are earlier visit indices anti-adjacent to the new vertex:
-	// candidates adjacent to any of their bindings are rejected. Sorted.
-	Anti []int
-
-	// Lo and Hi are the visit indices whose bindings bound the candidate
-	// id window (exclusive); -1 means unbounded on that side.
-	Lo, Hi int
-
-	// Label filters candidates' data labels; Wildcard accepts any.
-	Label pattern.Label
-}
-
-// key serializes the step for exact descriptor comparison during trie
+// key serializes the step for exact comparison during trie
 // construction. Visit indices are < 256 for any plannable core; the
 // label uses pattern.LabelCode, the one lossless encoding every
 // structural key must share — a truncated label here would merge steps
 // of different labels and silently corrupt batched counts.
-func (s *ProgStep) key() string {
+func (s *Step) key() string {
 	buf := make([]byte, 0, len(s.Nbr)+len(s.Anti)+8)
 	lb := pattern.LabelCode(s.Label)
 	buf = append(buf, lb[:]...)
@@ -95,46 +71,7 @@ func (s *ProgStep) key() string {
 	return string(buf)
 }
 
-// Program is the canonical executable form of one matching order: the
-// start vertex's label constraint plus one descriptor per remaining
-// core position, in traversal order. len(Steps) == K-1.
-type Program struct {
-	Start pattern.Label
-	Steps []ProgStep
-}
-
-// ProgramOf compiles mo into visit-index space. The translation is
-// lossless for exploration: executing the program binds visit indices
-// 0..K-1, and mo.Visit maps each visit index back to its core position.
-func ProgramOf(mo *MatchingOrder) Program {
-	posToVis := make([]int, mo.K)
-	for t, p := range mo.Visit {
-		posToVis[p] = t
-	}
-	pr := Program{Start: mo.Labels[mo.Visit[0]], Steps: make([]ProgStep, len(mo.Steps))}
-	for i := range mo.Steps {
-		st := &mo.Steps[i]
-		ps := ProgStep{Lo: -1, Hi: -1, Label: st.Label}
-		for _, p := range st.NbrVisited {
-			ps.Nbr = append(ps.Nbr, posToVis[p])
-		}
-		sort.Ints(ps.Nbr)
-		for _, p := range st.AntiVisited {
-			ps.Anti = append(ps.Anti, posToVis[p])
-		}
-		sort.Ints(ps.Anti)
-		if st.LoPos >= 0 {
-			ps.Lo = posToVis[st.LoPos]
-		}
-		if st.HiPos >= 0 {
-			ps.Hi = posToVis[st.HiPos]
-		}
-		pr.Steps[i] = ps
-	}
-	return pr
-}
-
-// ShareLeaf marks a matching order whose program ends at a trie node:
+// ShareLeaf marks a matching order whose steps end at a trie node:
 // every complete binding reaching the node is one ordered-view match of
 // that order, owed to plan index Plan of the executed batch.
 type ShareLeaf struct {
@@ -157,7 +94,7 @@ type ShareLeaf struct {
 // first use after its node binds and keeps it until the node binds
 // again.
 type Slot struct {
-	Step ProgStep
+	Step Step
 	// Depth is the visit index of the deepest reference in Step (operand
 	// or bound), hence the depth of the node the slot hangs on.
 	Depth int
@@ -171,12 +108,12 @@ type Slot struct {
 // visit index 0 (the task's start vertex, label-gated by Step.Label);
 // every other node extends the binding by one vertex per Step.
 type ShareNode struct {
-	Step     ProgStep
+	Step     Step
 	Depth    int // visit index this node binds; 0 for roots
 	Children []*ShareNode
 	Leaves   []ShareLeaf
 
-	// MOs counts the matching orders whose programs pass through this
+	// MOs counts the matching orders whose steps pass through this
 	// node (leaves here or below): computing the node's candidate set
 	// once serves all of them, where unshared execution would compute
 	// it MOs times.
@@ -198,7 +135,7 @@ type ShareTrie struct {
 	Nodes        uint64
 	ProgramSteps uint64
 
-	// MaxCore is the deepest binding any program makes (the largest
+	// MaxCore is the deepest binding any order makes (the largest
 	// core size in the batch); executors size per-depth scratch by it.
 	MaxCore int
 
@@ -258,8 +195,8 @@ func cutKey(levels []CutLevel) string {
 	return string(buf)
 }
 
-// BuildShareTrie merges the Step programs of every matching order of
-// every plan into a prefix-sharing trie. Construction is
+// BuildShareTrie merges the steps of every matching order of every plan
+// into a prefix-sharing trie. Construction is
 // order-insensitive in everything the execution observes: whatever
 // order plans or matching orders are inserted, the same set of
 // (prefix, leaf) pairs exists, so per-plan match counts cannot depend
@@ -283,16 +220,15 @@ func buildTrie(pls []*Plan, merge bool) *ShareTrie {
 	for pi, pl := range pls {
 		visitOf := make([]int, pl.Pat.N()) // pattern vertex -> visit index under one sequence; -1 off the core
 		for _, mo := range pl.Orders {
-			prog := ProgramOf(mo)
 			var root *ShareNode
 			if merge {
-				root = rootByLabel[prog.Start]
+				root = rootByLabel[mo.Start]
 			}
 			if root == nil {
-				root = &ShareNode{Step: ProgStep{Lo: -1, Hi: -1, Label: prog.Start}}
+				root = &ShareNode{Step: Step{Lo: -1, Hi: -1, Label: mo.Start}}
 				tr.Roots = append(tr.Roots, root)
 				if merge {
-					rootByLabel[prog.Start] = root
+					rootByLabel[mo.Start] = root
 				}
 			}
 			if planSeen[root] == nil {
@@ -305,8 +241,8 @@ func buildTrie(pls []*Plan, merge bool) *ShareTrie {
 			n := root
 			n.MOs++
 			path = append(path[:0], root)
-			for si := range prog.Steps {
-				st := &prog.Steps[si]
+			for si := range mo.Steps {
+				st := &mo.Steps[si]
 				tr.ProgramSteps++
 				var child *ShareNode
 				if merge {
@@ -332,8 +268,8 @@ func buildTrie(pls []*Plan, merge bool) *ShareTrie {
 				for v := range visitOf {
 					visitOf[v] = -1
 				}
-				for t, pos := range mo.Visit {
-					visitOf[seq[pos]] = t
+				for t, pv := range seq {
+					visitOf[pv] = t
 				}
 				lf.Slots[s] = make([]int, len(pl.NonCore))
 				for i := range pl.NonCore {
@@ -453,11 +389,11 @@ func (tr *ShareTrie) leaves() []leafRef {
 // core lower bounds only the highest-position one binds, and of the
 // upper bounds the lowest. ok is false for a step with one core
 // neighbour, whose set is a view of one list and needs no slot.
-func completionStep(st *NonCoreStep, mo *MatchingOrder, visitOf []int) (ps ProgStep, ok bool) {
+func completionStep(st *NonCoreStep, mo *MatchingOrder, visitOf []int) (ps Step, ok bool) {
 	if len(st.CoreNbrs) < 2 {
-		return ProgStep{}, false
+		return Step{}, false
 	}
-	ps = ProgStep{Lo: -1, Hi: -1, Label: pattern.Wildcard}
+	ps = Step{Lo: -1, Hi: -1, Label: pattern.Wildcard}
 	for _, pv := range st.CoreNbrs {
 		ps.Nbr = append(ps.Nbr, visitOf[pv])
 	}
@@ -479,7 +415,7 @@ func completionStep(st *NonCoreStep, mo *MatchingOrder, visitOf []int) (ps ProgS
 // current leaf, adding it (and, for three or more operands, its prefix
 // slot) to the node binding ps's deepest reference unless that node
 // already holds one with the same descriptor.
-func (tr *ShareTrie) slot(path []*ShareNode, ps ProgStep, byKey map[*ShareNode]map[string]int) int {
+func (tr *ShareTrie) slot(path []*ShareNode, ps Step, byKey map[*ShareNode]map[string]int) int {
 	last := len(ps.Nbr) - 1
 	n := path[max(ps.Nbr[last], ps.Lo, ps.Hi)]
 	key := ps.key()

@@ -16,22 +16,22 @@ func planFor(t *testing.T, p *pattern.Pattern) *Plan {
 	return pl
 }
 
-// ProgramOf must re-express a matching order in pure visit-index space:
-// the triangle's single core step intersects the start vertex's
-// adjacency list below the start vertex's id.
+// A matching order is built in pure visit-index space: the triangle's
+// single core step intersects the start vertex's adjacency list below
+// the start vertex's id.
 func TestProgramOfTriangle(t *testing.T) {
 	pl := planFor(t, pattern.Clique(3))
 	if len(pl.Orders) != 1 {
 		t.Fatalf("triangle orders = %d, want 1", len(pl.Orders))
 	}
-	prog := ProgramOf(pl.Orders[0])
-	if prog.Start != pattern.Wildcard {
-		t.Errorf("start label = %v, want wildcard", prog.Start)
+	mo := pl.Orders[0]
+	if mo.Start != pattern.Wildcard {
+		t.Errorf("start label = %v, want wildcard", mo.Start)
 	}
-	if len(prog.Steps) != 1 {
-		t.Fatalf("steps = %d, want 1", len(prog.Steps))
+	if len(mo.Steps) != 1 {
+		t.Fatalf("steps = %d, want 1", len(mo.Steps))
 	}
-	st := prog.Steps[0]
+	st := mo.Steps[0]
 	if len(st.Nbr) != 1 || st.Nbr[0] != 0 {
 		t.Errorf("Nbr = %v, want [0]", st.Nbr)
 	}
