@@ -81,6 +81,13 @@ func TestHubGraph(t *testing.T) {
 // is off — and a wrong subtraction changes the count. The 4-star's
 // last leaf is also the shape whose window is bounded by an earlier
 // non-core vertex rather than a core one.
+//
+// The cliques and cycles are plans whose whole completion is one level,
+// sized at the core binding (plan.NonCoreStep.Distinct lists what it
+// subtracts): K4 and K5 subtract nothing; the edge-induced C4 and C5
+// subtract one and two core vertices without symmetry breaking, and the
+// second C5 spelling, with it, subtracts one on a trie node sized for
+// all of its candidates in one loop (plan.ShareNode.Sized).
 func TestCountModeSubtractsAssigned(t *testing.T) {
 	g := hubGraph()
 	star := pattern.Star(4)
@@ -100,6 +107,11 @@ func TestCountModeSubtractsAssigned(t *testing.T) {
 		pattern.Star(5),
 		pattern.MustParse("0-1 1-2 2-0 0-3 0-4"), // triangle, two tails on one corner
 		pattern.MustParse("0-1 1-2 2-0 0-3 1-4"), // triangle, tails on two corners
+		pattern.Clique(4),
+		pattern.Clique(5),
+		pattern.MustParse("0-2 0-3 1-2 1-3"),     // C4: core 0, 1, 2; 3 may equal 2
+		pattern.MustParse("0-3 0-4 1-2 1-4 2-3"), // C5: core 0..3; 4 may equal 2 or 3
+		pattern.MustParse("0-1 0-2 1-3 2-4 3-4"), // C5, sized per node
 	} {
 		for _, noSym := range []bool{false, true} {
 			want := ref.CountUnique(g, p)

@@ -29,9 +29,9 @@
 // without a slot — one core neighbour, or the only reader of a two-list
 // set, reading it once per computation — intersects its lists itself.
 // For a triangle and a 4-clique this makes the triangle's set and the
-// 4-clique's first two lists one slot per edge, and leaves the 4-clique
-// one fill per triangle: its third vertex's list scanned through the
-// marks of that slot (below).
+// 4-clique's first two lists one slot per edge; a count reads the
+// 4-clique's own set, one per triangle, only as a size (Count mode,
+// below).
 //
 // Marked operands: the task vertex v is the maximum-id core vertex, so
 // on Build's degree-ascending layout N(v) is the longest list of the
@@ -59,9 +59,20 @@
 // run adds that level's contribution to Stats.Matches in one step: no
 // per-candidate distinctness scan, recursion or match slot update. With
 // only an id window and distinctness to satisfy, the contribution is
-// the candidate set's size minus the already-assigned vertices in it; a
-// label or anti-edge filter on the last vertex still reads the
-// candidates but counts them in place.
+// the candidate set's size minus the matched vertices in it — only those
+// its step's plan.NonCoreStep.Distinct says it may hold — counted, not
+// written (countLevel); a label or anti-edge filter on the last vertex
+// still reads the candidates but counts them in place.
+//
+// A plan whose whole completion is that one level (every k-clique) is
+// sized for all of a trie node's candidates at once where the trie marks
+// the node Sized (plan.ShareNode): per leaf and sequence, one loop over
+// the candidates, each a scan of the candidate's list, clipped to the
+// window, through the marks of the level's one other operand — its
+// prefix slot's set, or N(v) — or markedDriver's gallop where that costs
+// less. No candidate is bound, no leaf delivered, and the leaf's own
+// slot, which nothing else reads, is never materialized: the 4-clique
+// costs one marked scan per triangle.
 //
 // An unfiltered suffix of two or more levels is sized whole when its
 // plan has a plan.Tail: steps grouped into classes that share one
@@ -245,7 +256,10 @@ type Stats struct {
 	// or more lists, a count-mode Tail's merges of two or more class
 	// sets, and a decomposed plan's walk levels that merged two or more
 	// lists (single-list candidate sets are zero-copy views, not set
-	// computations). A slot is computed once per binding of its trie
+	// computations). A count-mode level of two or more lists that is
+	// sized, not written — a slotless one, or a Sized node's Counted slot
+	// — counts as the one intersection it stands for, per core match, as
+	// its walk would. A slot is computed once per binding of its trie
 	// node and charged to the plan whose completion read it first; every
 	// later read, by any plan of the batch, is free — so a plan's figure
 	// depends on the batch it ran in, and counting and enumerating runs
@@ -531,14 +545,18 @@ type multiWorker struct {
 	g    *graph.Graph
 	trie *plan.ShareTrie
 	ctx  Ctx
-	pws  []*worker     // per-plan completion state, indexed like the plan slice
-	cuts []*cutCounter // the decomposed plans', run once per task after the trie
-	cutT *cutTable     // their component table; nil without them
+	// counts is true in a run with no callback (count mode), which sizes
+	// Sized nodes without binding their candidates.
+	counts bool
+	pws    []*worker     // per-plan completion state, indexed like the plan slice
+	cuts   []*cutCounter // the decomposed plans', run once per task after the trie
+	cutT   *cutTable     // their component table; nil without them
 
 	tm      taskMarks  // the task vertex's list, marked for the multi-list steps naming it
 	data    []uint32   // visit index -> data id for the current partial binding
 	bufs    [][]uint32 // candidate scratch per trie depth (bufs[d-1] for depth d)
 	listArg [][]uint32 // scratch for gathering adjacency list operands
+	taken   []uint32   // scratch for the bindings a sized level may hold
 	touched []bool     // per-plan task-attribution flags, reset per task
 
 	// Completion slots (plan.Slot), indexed like trie.Slots. gen[d]
@@ -556,6 +574,7 @@ func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb P
 		g:       g,
 		trie:    trie,
 		ctx:     Ctx{Thread: tid, G: g, stop: stop},
+		counts:  cb == nil,
 		tm:      taskMarks{g: g, marked: NoVertex},
 		pws:     make([]*worker, len(pls)),
 		data:    make([]uint32, trie.MaxCore),
@@ -662,14 +681,15 @@ func (mw *multiWorker) descend(n *plan.ShareNode) {
 			mw.share.SharedNodeVisits++
 			mw.share.IntersectionsSaved += uint64(child.MOs - 1)
 		}
+		if child.Sized && mw.counts {
+			mw.sizeNode(child, cands)
+			continue
+		}
 
 		// Candidate filtering and descent are part of matching the core
 		// (Figure 11's "Core" stage); deeper levels re-attribute themselves.
 		for _, c := range cands {
-			if st.Label != pattern.Wildcard && pattern.Label(mw.g.Label(c)) != st.Label {
-				continue
-			}
-			if mw.rejectAnti(c, st.Anti) {
+			if !mw.admits(st, c) {
 				continue
 			}
 			mw.data[child.Depth] = c
@@ -692,6 +712,89 @@ func (mw *multiWorker) deliver(lf *plan.ShareLeaf) {
 	pw := mw.pws[lf.Plan]
 	pw.stats.CoreMatches++
 	pw.completeCore(lf)
+}
+
+// sizeNode sizes the leaves of n, a Sized node, for all of its
+// candidates cands without binding any: per leaf and sequence, one loop
+// over cands (sizeCands). It is the Non-Core stage, and charges each
+// candidate the core match and the intersection its walk would take.
+func (mw *multiWorker) sizeNode(n *plan.ShareNode, cands []uint32) {
+	mw.tb.Enter(profile.StageNonCore)
+	st := &n.Step
+	admitted := uint64(len(cands))
+	if st.Label != pattern.Wildcard || len(st.Anti) > 0 {
+		admitted = 0
+		for _, c := range cands {
+			if mw.admits(st, c) {
+				admitted++
+			}
+		}
+	}
+	if admitted == 0 {
+		return
+	}
+	for i := range n.Leaves {
+		lf := &n.Leaves[i]
+		ps := &mw.pws[lf.Plan].stats
+		ps.CoreMatches += admitted
+		for s := range lf.Levels {
+			if mw.ctx.stop.Load() {
+				return
+			}
+			ps.Matches += mw.sizeCands(lf, s, n, cands, admitted, ps)
+		}
+	}
+}
+
+// sizeCands returns the matches sequence s of leaf lf completes over the
+// candidates cands of its Sized node n, admitted of them past the node's
+// filters. The level's window and its operand other than the
+// candidate's list are bound above n and resolved once: a Counted slot's
+// prefix, marked, or a slotless level's other list, through the task
+// marks. Each candidate's count is then its list, clipped to the window,
+// scanned through those marks, less the bindings of Taken it holds
+// (countLevel).
+func (mw *multiWorker) sizeCands(lf *plan.ShareLeaf, s int, n *plan.ShareNode, cands []uint32, admitted uint64, ps *Stats) (m uint64) {
+	lv := &lf.Levels[s]
+	lo, hi := noLo, noHi
+	if lv.Step.Lo >= 0 {
+		lo = int64(mw.data[lv.Step.Lo])
+	}
+	if lv.Step.Hi >= 0 {
+		hi = int64(mw.data[lv.Step.Hi])
+	}
+	if lo+1 >= hi {
+		return 0
+	}
+	var fixed []uint32
+	var ms *markSet
+	if id := lf.Slots[s][0]; id >= 0 {
+		fixed, ms = mw.prefix(mw.trie.Slots[id].Prefix, ps)
+	} else if len(lv.Step.Nbr) == 2 {
+		fixed = mw.g.Adj(mw.data[lv.Step.Nbr[0]])
+		ms = mw.tm.marks()
+	}
+	lists := append(mw.listArg[:0], fixed, nil)
+	if ms == nil {
+		lists = lists[1:]
+	} else {
+		ps.Intersections += admitted
+	}
+	taken := mw.taken[:0]
+	for _, t := range lv.Taken {
+		taken = append(taken, mw.data[t])
+	}
+	mw.taken = taken
+	last := len(lists) - 1
+	filtered := admitted < uint64(len(cands))
+	for _, c := range cands {
+		if filtered && !mw.admits(&n.Step, c) {
+			continue
+		}
+		lists[last] = mw.g.Adj(c)
+		m += countLevel(lists, ms, lo, hi, taken)
+	}
+	return m
 }
 
 // slot returns completion slot id's set for the current binding,
@@ -719,14 +822,26 @@ type slotState struct {
 	marks *markSet
 }
 
+// prefix returns slot id, a slot that is another's Prefix, as slot does,
+// and its marks, holding it: what a slot extending it is scanned through.
+func (mw *multiWorker) prefix(id int, st *Stats) ([]uint32, *markSet) {
+	set := mw.slot(id, st)
+	ms := mw.slots[id].marks
+	if ms.held == nil {
+		ms.hold(set, int(mw.g.NumVertices()))
+	}
+	return set, ms
+}
+
 // fillSlot computes slot id: its prefix slot (itself computed on demand,
 // and intersected through its marks) or its first operand's list,
 // intersected with the rest inside the slot's window.
 func (mw *multiWorker) fillSlot(id int, st *Stats) []uint32 {
 	sl := &mw.trie.Slots[id]
 	var prefix []uint32
+	var pm *markSet
 	if sl.Prefix >= 0 {
-		prefix = mw.slot(sl.Prefix, st) // before the gather: it reuses listArg
+		prefix, pm = mw.prefix(sl.Prefix, st) // before the gather: it reuses listArg
 	}
 	lo, hi := noLo, noHi
 	if sl.Step.Lo >= 0 {
@@ -754,10 +869,6 @@ func (mw *multiWorker) fillSlot(id int, st *Stats) []uint32 {
 	// Two or more lists: the result is slot storage, never a graph view,
 	// and a grown buffer is kept for the next computation.
 	if sl.Prefix >= 0 {
-		pm := mw.slots[sl.Prefix].marks
-		if pm.held == nil {
-			pm.hold(prefix, int(mw.g.NumVertices()))
-		}
 		s.set = pm.intersect(s.set, lists, lo, hi)
 	} else {
 		s.set = mw.tm.intersect(s.set, lists, lo, hi)
@@ -786,12 +897,21 @@ func (tm *taskMarks) bind(v uint32) {
 	tm.task, tm.adj = v, tm.g.Adj(v)
 }
 
+// marks returns the marks of the task vertex's list, marking it on the
+// task's first call.
+func (tm *taskMarks) marks() *markSet {
+	if tm.marked != tm.task {
+		tm.ms.hold(tm.adj, int(tm.g.NumVertices()))
+		tm.marked = tm.task
+	}
+	return &tm.ms
+}
+
 // intersect is intersectSetsInto for a step of the bound task, through
 // the marks where they pay: the same set, the same ownership contract.
 func (tm *taskMarks) intersect(buf []uint32, lists [][]uint32, lo, hi int64) []uint32 {
 	if len(lists) > 1 && tm.marked != tm.task {
-		tm.ms.hold(tm.adj, int(tm.g.NumVertices()))
-		tm.marked = tm.task
+		tm.marks()
 	}
 	return tm.ms.intersect(buf, lists, lo, hi)
 }
@@ -811,15 +931,19 @@ func (tm *taskMarks) set(buf *[]uint32, lists [][]uint32, lo, hi int64) []uint32
 	return out
 }
 
-// rejectAnti reports whether candidate c is adjacent to the binding of
-// any anti-adjacent visit index (anti-edge enforcement inside the core).
-func (mw *multiWorker) rejectAnti(c uint32, anti []int) bool {
-	for _, t := range anti {
+// admits reports whether candidate c passes trie step st's filters: its
+// label, and no edge to the binding of an anti-adjacent visit index
+// (anti-edge enforcement inside the core).
+func (mw *multiWorker) admits(st *plan.Step, c uint32) bool {
+	if st.Label != pattern.Wildcard && pattern.Label(mw.g.Label(c)) != st.Label {
+		return false
+	}
+	for _, t := range st.Anti {
 		if mw.g.HasEdge(c, mw.data[t]) {
-			return true
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // worker holds one plan's completion state on one thread: once the trie
@@ -936,29 +1060,22 @@ func (w *worker) completeFrom(i int) {
 		return
 	}
 	st := &w.pl.NonCore[i]
+	// Count mode: with no callback and no anti-vertex check, every
+	// candidate of the last level is exactly one match, so the level
+	// contributes a number and nothing below it needs visiting. With
+	// only distinctness left to satisfy that number is the set's size
+	// minus the matched vertices in it (sizeLast).
+	last := w.countLast && i == len(w.pl.NonCore)-1
+	if last && st.Unfiltered() {
+		w.stats.Matches += w.sizeLast(i)
+		return
+	}
 	// cands is read-only below: a slot's set is shared by every step
 	// naming it, and single-list results alias graph adjacency storage
 	// (intersectSetsInto ownership contract).
 	cands, ok := w.levelSet(i, st.LowerBound, st.UpperBound)
 	if !ok {
 		w.tb.Enter(profile.StageOther)
-		return
-	}
-
-	// Count mode: with no callback and no anti-vertex check, every
-	// candidate of the last level is exactly one match, so the level
-	// contributes a number and nothing below it needs visiting. With
-	// only distinctness left to satisfy that number is the set's size
-	// minus the already-assigned vertices in it.
-	last := w.countLast && i == len(w.pl.NonCore)-1
-	if last && st.Unfiltered() {
-		n := len(cands)
-		for _, used := range w.assigned {
-			if containsSorted(cands, used) {
-				n--
-			}
-		}
-		w.stats.Matches += uint64(n)
 		return
 	}
 
@@ -995,15 +1112,45 @@ outer:
 	}
 }
 
-// levelSet computes completion level i's candidate set, with lower and
-// upper for the step's bounds — those on vertices already matched: all
-// of the step's when completeFrom reaches the level, fewer when a
-// count-mode tail sizes it beforehand. ok is false when the id window is
-// empty. The set is read-only: it is a slot's set, or lives in level i's
-// ncBufs slot or in graph storage.
-func (w *worker) levelSet(i int, lower, upper []int) (cands []uint32, ok bool) {
+// sizeLast returns the matches of last completion level i, unfiltered,
+// in count mode: the size of its set — its slot's, or its lists'
+// intersection counted through the task marks — inside the level's
+// window, less the matches of its step's Distinct vertices it holds
+// (countLevel).
+func (w *worker) sizeLast(i int) uint64 {
+	st := &w.pl.NonCore[i]
+	lo, hi, ok := w.window(st.LowerBound, st.UpperBound)
+	if !ok {
+		w.tb.Enter(profile.StageOther)
+		return 0
+	}
+	w.tb.Enter(profile.StageNonCore)
+	var ms *markSet
+	lists := w.listArg[:0]
+	if id := w.slots[i]; id >= 0 {
+		lists = append(lists, w.mw.slot(id, &w.stats))
+	} else {
+		for _, pv := range st.CoreNbrs {
+			lists = append(lists, w.g.Adj(w.match[pv]))
+		}
+		if len(lists) > 1 {
+			ms = w.mw.tm.marks()
+			w.stats.Intersections++
+		}
+	}
+	taken := w.mw.taken[:0]
+	for _, pv := range st.Distinct {
+		taken = append(taken, w.match[pv])
+	}
+	w.mw.taken = taken
+	return countLevel(lists, ms, lo, hi, taken)
+}
+
+// window returns the id window (lo, hi) the matches of lower and upper
+// set, timed as the PO stage; ok is false when it is empty.
+func (w *worker) window(lower, upper []int) (lo, hi int64, ok bool) {
 	w.tb.Enter(profile.StagePO)
-	lo, hi := noLo, noHi
+	lo, hi = noLo, noHi
 	for _, pv := range lower {
 		if d := int64(w.match[pv]); d > lo {
 			lo = d
@@ -1014,7 +1161,18 @@ func (w *worker) levelSet(i int, lower, upper []int) (cands []uint32, ok bool) {
 			hi = d
 		}
 	}
-	if lo+1 >= hi {
+	return lo, hi, lo+1 < hi
+}
+
+// levelSet computes completion level i's candidate set, with lower and
+// upper for the step's bounds — those on vertices already matched: all
+// of the step's when completeFrom reaches the level, fewer when a
+// count-mode tail sizes it beforehand. ok is false when the id window is
+// empty. The set is read-only: it is a slot's set, or lives in level i's
+// ncBufs slot or in graph storage.
+func (w *worker) levelSet(i int, lower, upper []int) (cands []uint32, ok bool) {
+	lo, hi, ok := w.window(lower, upper)
+	if !ok {
 		return nil, false
 	}
 

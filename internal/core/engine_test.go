@@ -301,3 +301,37 @@ func TestAntiVertexCheckKeepsItsBuffer(t *testing.T) {
 		t.Errorf("a count allocates %.0f times, want fewer than 1000", allocs)
 	}
 }
+
+// A count-mode level that may hold matched vertices gathers their
+// bindings into scratch its thread keeps, like the anti-vertex check's
+// set: counting the edge-induced C5 on K20 — with symmetry breaking on
+// Sized nodes, without it through the last level, each time with core
+// vertices to subtract, thousands of times — allocates per run,
+// not per level.
+func TestSizedLevelKeepsItsScratch(t *testing.T) {
+	g := completeGraph(20)
+	const cycles = 15504 * 12 // C(20, 5) vertex sets, 4!/2 cycles on each
+	for _, noSym := range []bool{false, true} {
+		pl, err := plan.New(pattern.MustParse("0-1 0-2 1-3 2-4 3-4"), plan.Options{NoSymmetryBreaking: noSym})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pl.NonCore) != 1 || len(pl.NonCore[0].Distinct) == 0 {
+			t.Fatalf("noSym=%v: completion %+v, want one step that may hold core vertices", noSym, pl.NonCore)
+		}
+		var ms MultiStats
+		allocs := testing.AllocsPerRun(1, func() {
+			ms = RunPlans(g, []*plan.Plan{pl}, nil, Options{Threads: 1, NoSymmetryBreaking: noSym})
+		})
+		want := uint64(cycles)
+		if noSym {
+			want *= 10 // |Aut(C5)|
+		}
+		if ms.Per[0].Matches != want {
+			t.Fatalf("noSym=%v: matches = %d, want %d", noSym, ms.Per[0].Matches, want)
+		}
+		if allocs >= 1000 {
+			t.Errorf("noSym=%v: a count allocates %.0f times, want fewer than 1000", noSym, allocs)
+		}
+	}
+}

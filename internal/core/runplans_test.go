@@ -219,3 +219,66 @@ func TestRunPlansEdgeCases(t *testing.T) {
 		t.Errorf("empty graph: Per[0] = %+v, want Threads=3, not stopped", ms.Per[0])
 	}
 }
+
+// A count and an enumeration of one batch do the same work: per plan,
+// the same matches, core matches, tasks and intersections. Count mode
+// sizes a plan whose completion is one level at its core binding — for
+// all of a trie node's candidates in one loop where the trie marks the
+// node Sized — and charges each candidate the core match and the
+// intersection its walk would take; this pins that accounting. The
+// batch holds cliques, which such nodes size, and cycles whose level
+// may hold core vertices; both symmetry settings, shared and unshared
+// tries, one and four threads, and a task range split in two, whose
+// halves must sum alike.
+func TestCountAndEnumerationDoTheSameWork(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Vertices: 64, Edges: 500, Seed: 2})
+	texts := []string{
+		"0-1 1-2 2-0",
+		"0-1 0-2 0-3 1-2 1-3 2-3",
+		"0-1 0-2 0-3 0-4 1-2 1-3 1-4 2-3 2-4 3-4",
+		"0-2 0-3 1-2 1-3",
+		"0-3 0-4 1-2 1-4 2-3",
+		"0-1 0-2 1-3 2-4 3-4",
+	}
+	noop := func(*Ctx, int, *Match) {}
+	for _, noSym := range []bool{false, true} {
+		var pls []*plan.Plan
+		for _, text := range texts {
+			pl, err := plan.New(pattern.MustParse(text), plan.Options{NoSymmetryBreaking: noSym})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pls = append(pls, pl)
+		}
+		for _, noSharing := range []bool{false, true} {
+			for _, threads := range []int{1, 4} {
+				for _, split := range []bool{false, true} {
+					run := func(cb PlanCallback) []Stats {
+						opt := Options{Threads: threads, NoSymmetryBreaking: noSym, NoSharing: noSharing}
+						if !split {
+							return RunPlans(g, pls, cb, opt).Per
+						}
+						opt.TaskHi = g.NumVertices() / 2
+						per := RunPlans(g, pls, cb, opt).Per
+						opt.TaskLo, opt.TaskHi = opt.TaskHi, 0
+						for i, s := range RunPlans(g, pls, cb, opt).Per {
+							per[i].Matches += s.Matches
+							per[i].CoreMatches += s.CoreMatches
+							per[i].Tasks += s.Tasks
+							per[i].Intersections += s.Intersections
+						}
+						return per
+					}
+					count, enum := run(nil), run(noop)
+					for i, text := range texts {
+						c, e := count[i], enum[i]
+						if c.Matches != e.Matches || c.CoreMatches != e.CoreMatches || c.Tasks != e.Tasks || c.Intersections != e.Intersections {
+							t.Errorf("%s noSym=%v noSharing=%v threads=%d split=%v: count %v intersections=%d, enumeration %v intersections=%d",
+								text, noSym, noSharing, threads, split, c, c.Intersections, e, e.Intersections)
+						}
+					}
+				}
+			}
+		}
+	}
+}

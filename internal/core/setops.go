@@ -277,7 +277,7 @@ func intersectCountSkew(a, b []uint32, ratio int) (n uint64) {
 
 // gallops reports whether intersecting a driver of length small against
 // a list of length big should gallop through the list rather than merge.
-func gallops(small, big int) bool { return big/(small+1) >= gallopRatio }
+func gallops(small, big int) bool { return big >= gallopRatio*(small+1) }
 
 // intersectSetsInto intersects all sorted lists, clipped to (lo, hi),
 // writing the result into buf (whose contents are overwritten). lists
@@ -382,6 +382,15 @@ func (ms *markSet) release() {
 // is in the held list, else 0.
 func (ms *markSet) hit(x uint32) int { return int(ms.bits[x>>6] >> (x & 63) & 1) }
 
+// count returns how many of s the marks hold: the marked kernel's scan,
+// counting instead of writing.
+func (ms *markSet) count(s []uint32) (n int) {
+	for _, x := range s {
+		n += ms.hit(x)
+	}
+	return n
+}
+
 // markedDriver is the selection rule of the marked kernel: m is the index
 // of held in lists (the same storage, not merely equal contents) and d
 // that of the shortest other list, or d < 0 where the marks do not pay —
@@ -443,4 +452,48 @@ func intersectMarked(buf []uint32, lists [][]uint32, m, d int, ms *markSet, lo, 
 		}
 	}
 	return out
+}
+
+// countSets returns the size of the intersection of one or two sorted
+// lists inside (lo, hi): intersectSetsInto's set, counted, not written.
+// Two lists go through ms's marks where markedDriver says they pay (ms
+// may be nil); otherwise the clipped shorter list is galloped or merged
+// through the other as intersectSetsInto would.
+func countSets(lists [][]uint32, ms *markSet, lo, hi int64) uint64 {
+	if len(lists) == 1 {
+		return uint64(len(clip(lists[0], lo, hi)))
+	}
+	if ms != nil {
+		if _, d := markedDriver(lists, ms.held); d >= 0 {
+			return uint64(ms.count(clip(lists[d], lo, hi)))
+		}
+	}
+	a, b := lists[0], lists[1]
+	if len(b) < len(a) {
+		a, b = b, a
+	}
+	if a = clip(a, lo, hi); len(a) == 0 {
+		return 0
+	}
+	return intersectCount(a, skipTo(b, len(a), a[0], skipMin))
+}
+
+// countLevel returns countSets' size less the vertices of taken inside
+// (lo, hi) and in every list: a count-mode completion level's matches,
+// when taken holds the bindings its candidates may equal.
+func countLevel(lists [][]uint32, ms *markSet, lo, hi int64, taken []uint32) uint64 {
+	n := countSets(lists, ms, lo, hi)
+next:
+	for _, x := range taken {
+		if int64(x) <= lo || int64(x) >= hi {
+			continue
+		}
+		for _, l := range lists {
+			if !containsSorted(l, x) {
+				continue next
+			}
+		}
+		n--
+	}
+	return n
 }

@@ -217,13 +217,37 @@ func nonCoreSteps(p *pattern.Pattern, core []int, conds []Cond) []NonCoreStep {
 		return rest[i] < rest[j]
 	})
 
+	// ordered[u][w]: the conditions put u below w, directly or through
+	// other vertices.
+	n := p.N()
+	ordered := make([][]bool, n)
+	for u := range ordered {
+		ordered[u] = make([]bool, n)
+	}
+	for _, c := range conds {
+		ordered[c.Less][c.Greater] = true
+	}
+	for k := range n {
+		for u := range n {
+			for w := range n {
+				ordered[u][w] = ordered[u][w] || ordered[u][k] && ordered[k][w]
+			}
+		}
+	}
+
 	matchedBefore := make(map[int]bool, p.N())
 	for _, v := range core {
 		matchedBefore[v] = true
 	}
+	before := append([]int(nil), core...) // in match order
 	steps := make([]NonCoreStep, 0, len(rest))
 	for _, v := range rest {
 		st := NonCoreStep{V: v, Label: p.LabelOf(v)}
+		for _, u := range before {
+			if !p.HasEdge(u, v) && !ordered[u][v] && !ordered[v][u] {
+				st.Distinct = append(st.Distinct, u)
+			}
+		}
 		for _, u := range p.Neighbors(v) {
 			// Every regular edge has a cover endpoint, so u is core.
 			st.CoreNbrs = append(st.CoreNbrs, u)
@@ -244,6 +268,7 @@ func nonCoreSteps(p *pattern.Pattern, core []int, conds []Cond) []NonCoreStep {
 			}
 		}
 		matchedBefore[v] = true
+		before = append(before, v)
 		steps = append(steps, st)
 	}
 	return steps

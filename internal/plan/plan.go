@@ -88,6 +88,17 @@ type NonCoreStep struct {
 	LowerBound []int
 	UpperBound []int
 
+	// Distinct lists the vertices matched before V — core vertices, then
+	// earlier NonCore steps' — whose match a candidate may equal: those
+	// neither regular-adjacent to V (a candidate neighbours the match of
+	// each core neighbour, and no vertex neighbours itself) nor ordered
+	// against V by the closure of Conds (every condition holds in a
+	// complete match, so V's match differs from theirs). A count sizing
+	// the last level subtracts only these; a plan edited by hand must
+	// keep the list a superset of the vertices its level can hold. K3, K4
+	// and K5 have none.
+	Distinct []int
+
 	Label pattern.Label
 }
 
@@ -98,6 +109,15 @@ type NonCoreStep struct {
 // CostOf prices it that way.
 func (st *NonCoreStep) Unfiltered() bool {
 	return st.Label == pattern.Wildcard && len(st.CoreAnti) == 0
+}
+
+// SizedAtCore reports whether a count sizes pl's whole completion at its
+// core binding (internal/core's count mode): the completion is one
+// unfiltered step and no anti-vertex check follows it. Every k-clique,
+// the triangle included, is such a plan; the share trie gives their
+// leaves the step in visit space (ShareLeaf.Levels).
+func (pl *Plan) SizedAtCore() bool {
+	return pl.Cut == nil && len(pl.NonCore) == 1 && pl.NonCore[0].Unfiltered() && len(pl.Checks) == 0
 }
 
 // AntiVertexCheck precomputes the §4.3 constraint for one anti-vertex:

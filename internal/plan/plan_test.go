@@ -2,6 +2,7 @@ package plan
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"peregrine/internal/pattern"
@@ -361,6 +362,58 @@ func TestPlanDeterminism(t *testing.T) {
 	for i := range a.Orders {
 		if !reflect.DeepEqual(a.Orders[i].Seqs, b.Orders[i].Seqs) {
 			t.Fatalf("order %d sequences differ", i)
+		}
+	}
+}
+
+// A completion step's Distinct lists the vertices matched before it that
+// a candidate may equal: not adjacent to it, and not ordered against it
+// by the conditions, directly or through other vertices. A k-clique's
+// non-core vertex neighbours the whole core; without symmetry breaking
+// the edge-induced C4 and C5 leave one and two core vertices it may
+// equal, and symmetry breaking orders them away in C4 but not in C5.
+func TestNonCoreDistinct(t *testing.T) {
+	for _, tc := range []struct {
+		text     string
+		noSym    bool
+		core     []int
+		nonCore  int
+		distinct []int
+	}{
+		{text: "0-1 1-2 2-0", core: []int{0, 1}, nonCore: 2},
+		{text: "0-1 1-2 2-0", noSym: true, core: []int{0, 1}, nonCore: 2},
+		{text: "0-1 0-2 0-3 1-2 1-3 2-3", core: []int{0, 1, 2}, nonCore: 3},
+		{text: "0-1 0-2 0-3 1-2 1-3 2-3", noSym: true, core: []int{0, 1, 2}, nonCore: 3},
+		{text: "0-1 0-2 0-3 0-4 1-2 1-3 1-4 2-3 2-4 3-4", core: []int{0, 1, 2, 3}, nonCore: 4},
+		{text: "0-1 0-2 0-3 0-4 1-2 1-3 1-4 2-3 2-4 3-4", noSym: true, core: []int{0, 1, 2, 3}, nonCore: 4},
+		{text: "0-2 0-3 1-2 1-3", core: []int{0, 1, 2}, nonCore: 3},
+		{text: "0-2 0-3 1-2 1-3", noSym: true, core: []int{0, 1, 2}, nonCore: 3, distinct: []int{2}},
+		{text: "0-3 0-4 1-2 1-4 2-3", core: []int{0, 1, 2, 3}, nonCore: 4, distinct: []int{2, 3}},
+		{text: "0-3 0-4 1-2 1-4 2-3", noSym: true, core: []int{0, 1, 2, 3}, nonCore: 4, distinct: []int{2, 3}},
+	} {
+		pl, err := New(pattern.MustParse(tc.text), Options{NoSymmetryBreaking: tc.noSym})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(pl.Core, tc.core) || len(pl.NonCore) != 1 || pl.NonCore[0].V != tc.nonCore {
+			t.Fatalf("%s noSym=%v: core %v, completion %+v; want core %v completed by %d", tc.text, tc.noSym, pl.Core, pl.NonCore, tc.core, tc.nonCore)
+		}
+		if got := pl.NonCore[0].Distinct; !slices.Equal(got, tc.distinct) {
+			t.Errorf("%s noSym=%v: Distinct %v, want %v", tc.text, tc.noSym, got, tc.distinct)
+		}
+		if !pl.SizedAtCore() {
+			t.Errorf("%s noSym=%v: not sized at its core binding", tc.text, tc.noSym)
+		}
+	}
+	// A star's leaves neighbour the center and are ordered among
+	// themselves: none may equal a vertex matched before it.
+	pl, err := New(pattern.Star(5), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range pl.NonCore {
+		if len(st.Distinct) != 0 {
+			t.Errorf("star: step %+v may equal %v, want nothing", st, st.Distinct)
 		}
 	}
 }

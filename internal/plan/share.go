@@ -34,8 +34,10 @@ package plan
 // slot (the same window, the deepest operand left out) intersected with
 // one more list, so the expensive part sits as high in the trie as it
 // can: the triangle's completion set and the 4-clique's first two lists
-// are one slot on the depth-1 node, and each 4-clique pays one short
-// two-list intersection per triangle.
+// are one slot on the depth-1 node, which the 4-clique's own slot
+// extends by one list per triangle. A count never writes that last set:
+// its one reader's node is Sized, and the slot Counted, so a count scans
+// each triangle's third list through the depth-1 slot's marks instead.
 //
 // Decomposed plans (Plan.Cut) have no matching orders; what they share
 // is their component walks. A walk's level program names cut slots and
@@ -82,6 +84,21 @@ type ShareLeaf struct {
 	// step reads one list (its set is a clipped view of it), or it is the
 	// only reader of a two-list set, once per computation (pruneSlots).
 	Slots [][]int
+
+	// Levels[s], on a leaf of a plan a count sizes at its core binding
+	// (Plan.SizedAtCore), is that plan's one completion step under
+	// MO.Seqs[s] in visit space; nil on every other leaf.
+	Levels []LeafLevel
+}
+
+// LeafLevel is a sized leaf's completion step under one sequence.
+type LeafLevel struct {
+	// Step is the step's core neighbours' visits (Nbr, sorted, one or
+	// more) and the window its core bounds set (Lo, Hi), in a Slot's form.
+	Step Step
+	// Taken are the visits binding the step's NonCoreStep.Distinct
+	// vertices: the bindings a candidate may equal.
+	Taken []int
 }
 
 // Slot is one completion set computed at a trie node: the intersection
@@ -102,6 +119,12 @@ type Slot struct {
 	// operand with the same window, from which this one is computed by
 	// one more intersection; -1 when Step has two operands.
 	Prefix int
+	// Counted marks a slot whose one read is a sized leaf's (ShareLeaf.
+	// Levels) at the slot's own node, and which is no slot's prefix. On a
+	// Sized node a count scans its deepest operand through its prefix's
+	// marks and never materializes it; anywhere else it is computed like
+	// any other slot.
+	Counted bool
 }
 
 // ShareNode is one node of the shared-prefix execution trie. Roots bind
@@ -123,6 +146,14 @@ type ShareNode struct {
 	// this subtree. Populated on roots only, for per-plan task
 	// attribution.
 	Plans []int
+
+	// Sized marks a node with leaves and no children whose every leaf
+	// level (ShareLeaf.Levels) reads the list of the vertex the node binds
+	// and, besides it, only what nodes above bind: one operand (a Counted
+	// slot's prefix, or a list) and the window. A count sizes such a node's
+	// leaves for all of its candidates in one loop per leaf and sequence,
+	// binding none of them.
+	Sized bool
 }
 
 // ShareTrie is the merged execution trie for one plan batch.
@@ -264,6 +295,9 @@ func buildTrie(pls []*Plan, merge bool) *ShareTrie {
 				path = append(path, n)
 			}
 			lf := ShareLeaf{Plan: pi, MO: mo, Slots: make([][]int, len(mo.Seqs))}
+			if pl.SizedAtCore() {
+				lf.Levels = make([]LeafLevel, len(mo.Seqs))
+			}
 			for s, seq := range mo.Seqs {
 				for v := range visitOf {
 					visitOf[v] = -1
@@ -274,8 +308,16 @@ func buildTrie(pls []*Plan, merge bool) *ShareTrie {
 				lf.Slots[s] = make([]int, len(pl.NonCore))
 				for i := range pl.NonCore {
 					lf.Slots[s][i] = -1
-					if st, ok := completionStep(&pl.NonCore[i], mo, visitOf); ok {
+					st := completionStep(&pl.NonCore[i], mo, visitOf)
+					if len(st.Nbr) > 1 {
 						lf.Slots[s][i] = tr.slot(path, st, slotByKey)
+					}
+					if lf.Levels != nil {
+						lv := LeafLevel{Step: st}
+						for _, pv := range pl.NonCore[i].Distinct {
+							lv.Taken = append(lv.Taken, visitOf[pv])
+						}
+						lf.Levels[s] = lv
 					}
 				}
 			}
@@ -286,6 +328,7 @@ func buildTrie(pls []*Plan, merge bool) *ShareTrie {
 		}
 	}
 	tr.pruneSlots()
+	tr.markSized()
 	tr.CutComps = make([][]int, len(pls))
 	cutByKey := make(map[string]int)
 	for pi, pl := range pls {
@@ -310,9 +353,11 @@ func buildTrie(pls []*Plan, merge bool) *ShareTrie {
 // read once per computation — by one step of one sequence of one leaf,
 // the first completion step, at the leaf's own depth. Such a step
 // computes its set directly, as the slot would, without the slot's
-// bookkeeping. A slot that is another's prefix is always kept.
+// bookkeeping. A slot that is another's prefix is always kept; a kept
+// slot read that way by a sized leaf is Counted.
 func (tr *ShareTrie) pruneSlots() {
 	reads := make([]int, len(tr.Slots))
+	sized := make([]bool, len(tr.Slots)) // whether a sized leaf reads it
 	for _, sl := range tr.Slots {
 		if sl.Prefix >= 0 {
 			reads[sl.Prefix] += 2
@@ -331,6 +376,7 @@ func (tr *ShareTrie) pruneSlots() {
 				if i > 0 || tr.Slots[id].Depth < lf.depth {
 					reads[id]++
 				}
+				sized[id] = sized[id] || lf.Levels != nil
 			}
 		}
 	}
@@ -343,6 +389,7 @@ func (tr *ShareTrie) pruneSlots() {
 			if sl.Prefix >= 0 {
 				sl.Prefix = newID[sl.Prefix] // prefixes come first and are kept
 			}
+			sl.Counted = reads[id] == 1 && sized[id]
 			kept = append(kept, sl)
 		}
 	}
@@ -356,6 +403,37 @@ func (tr *ShareTrie) pruneSlots() {
 			}
 		}
 	}
+}
+
+// markSized sets Sized on the nodes it applies to. It runs after
+// pruneSlots, which decides the slots a level reads.
+func (tr *ShareTrie) markSized() {
+	var walk func(n *ShareNode)
+	walk = func(n *ShareNode) {
+		n.Sized = n.Depth > 0 && len(n.Children) == 0 && len(n.Leaves) > 0
+		for i := range n.Leaves {
+			lf := &n.Leaves[i]
+			n.Sized = n.Sized && lf.Levels != nil
+			for s := 0; n.Sized && s < len(lf.Levels); s++ {
+				n.Sized = tr.perNode(lf.Levels[s].Step, lf.Slots[s][0], n.Depth)
+			}
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	for _, r := range tr.Roots {
+		walk(r)
+	}
+}
+
+// perNode reports whether a leaf level at depth d — its visit-space step
+// st, read through slot id — intersects the list of visit d with at most
+// one operand bound above d, inside a window bound above d. A slotless
+// level reads one or two lists; a slot read at d alone is Counted, and
+// its prefix, the window's and every other operand's, hangs above d.
+func (tr *ShareTrie) perNode(st Step, id, d int) bool {
+	return slices.Contains(st.Nbr, d) && st.Lo != d && st.Hi != d && (id < 0 || tr.Slots[id].Counted)
 }
 
 // leafRef is a leaf and the depth of its node.
@@ -387,13 +465,10 @@ func (tr *ShareTrie) leaves() []leafRef {
 // the core): its core neighbours' visits, and the window its bounds on
 // core vertices impose. Matched data ids rise with position, so of the
 // core lower bounds only the highest-position one binds, and of the
-// upper bounds the lowest. ok is false for a step with one core
-// neighbour, whose set is a view of one list and needs no slot.
-func completionStep(st *NonCoreStep, mo *MatchingOrder, visitOf []int) (ps Step, ok bool) {
-	if len(st.CoreNbrs) < 2 {
-		return Step{}, false
-	}
-	ps = Step{Lo: -1, Hi: -1, Label: pattern.Wildcard}
+// upper bounds the lowest. A step with one core neighbour needs no slot:
+// its set is a view of one list.
+func completionStep(st *NonCoreStep, mo *MatchingOrder, visitOf []int) Step {
+	ps := Step{Lo: -1, Hi: -1, Label: pattern.Wildcard}
 	for _, pv := range st.CoreNbrs {
 		ps.Nbr = append(ps.Nbr, visitOf[pv])
 	}
@@ -408,7 +483,7 @@ func completionStep(st *NonCoreStep, mo *MatchingOrder, visitOf []int) (ps Step,
 			ps.Hi = t
 		}
 	}
-	return ps, true
+	return ps
 }
 
 // slot returns the index of the slot computing ps on the path to the

@@ -324,3 +324,94 @@ func TestShareTrieSlotsAboveLeaf(t *testing.T) {
 		t.Errorf("no slot above its leaf's depth: %+v", tr.Slots)
 	}
 }
+
+// nodesOf returns the nodes holding a leaf of plan pi.
+func nodesOf(tr *ShareTrie, pi int) []*ShareNode {
+	var out []*ShareNode
+	var walk func(n *ShareNode)
+	walk = func(n *ShareNode) {
+		for _, lf := range n.Leaves {
+			if lf.Plan == pi {
+				out = append(out, n)
+				break
+			}
+		}
+		for _, c := range n.Children {
+			walk(c)
+		}
+	}
+	for _, r := range tr.Roots {
+		walk(r)
+	}
+	return out
+}
+
+// A count sizes a childless node's leaves for all its candidates when
+// every leaf level reads the candidate's list and one operand bound
+// above (Sized); a slot whose one read is such a level is Counted, never
+// materialized. In a clique chain only the deepest clique's node is
+// Sized, and only its slot Counted: the smaller cliques' nodes have
+// children, and their slots are the next one's prefix. Unshared, every
+// chain's leaf node is Sized. Without symmetry breaking a clique's
+// sequences share one slot, so nothing is. A label on the completion
+// makes the plan walk its level, and its leaves carry no Levels.
+func TestShareTrieSizedNodes(t *testing.T) {
+	var cliques []*Plan
+	for k := 3; k <= 5; k++ {
+		cliques = append(cliques, planFor(t, pattern.Clique(k)))
+	}
+	for _, tc := range []struct {
+		name  string
+		tr    *ShareTrie
+		sized []bool // per plan: whether its leaf's node is Sized
+	}{
+		{"K3", BuildShareTrie(cliques[:1]), []bool{true}},
+		{"K3 K4", BuildShareTrie(cliques[:2]), []bool{false, true}},
+		{"K3 K4 K5", BuildShareTrie(cliques), []bool{false, false, true}},
+		{"K3 K4 K5 unshared", BuildUnsharedTrie(cliques), []bool{true, true, true}},
+	} {
+		for pi, want := range tc.sized {
+			ns := nodesOf(tc.tr, pi)
+			if len(ns) != 1 || ns[0].Sized != want {
+				t.Errorf("%s: plan %d's nodes %+v, want one with Sized %v", tc.name, pi, ns, want)
+			}
+			lf := leafOf(t, tc.tr, pi)
+			if len(lf.Levels) != 1 || !slices.Equal(lf.Levels[0].Step.Nbr, []int{0, 1, 2, 3}[:pi+2]) || len(lf.Levels[0].Taken) != 0 {
+				t.Errorf("%s: plan %d's levels %+v, want its clique's one over every core visit", tc.name, pi, lf.Levels)
+			}
+			if id := lf.Slots[0][0]; id >= 0 && tc.tr.Slots[id].Counted != want {
+				t.Errorf("%s: plan %d's slot %+v, want Counted %v", tc.name, pi, tc.tr.Slots[id], want)
+			}
+		}
+		for _, sl := range tc.tr.Slots {
+			if sl.Counted && (sl.Prefix < 0 || sl.Depth != len(sl.Step.Nbr)-1) {
+				t.Errorf("%s: Counted slot %+v is not a three-list slot read at its own node", tc.name, sl)
+			}
+		}
+	}
+
+	noSym, err := New(pattern.Clique(4), Options{NoSymmetryBreaking: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ns := nodesOf(BuildShareTrie([]*Plan{noSym}), 0); len(ns) != 1 || ns[0].Sized {
+		t.Errorf("unbroken 4-clique: nodes %+v, want one not Sized", ns)
+	}
+
+	// A C5 spelling whose leaves size per node yet may hold core vertices.
+	c5 := BuildShareTrie([]*Plan{planFor(t, pattern.MustParse("0-1 0-2 1-3 2-4 3-4"))})
+	taken := false
+	for _, n := range nodesOf(c5, 0) {
+		for _, lf := range n.Leaves {
+			taken = taken || n.Sized && len(lf.Levels[0].Taken) > 0
+		}
+	}
+	if !taken {
+		t.Error("C5: no Sized node whose level may hold a core vertex")
+	}
+
+	labeled := planFor(t, pattern.MustParse("0-1 1-2 2-0 [2:1]"))
+	if lf := leafOf(t, BuildShareTrie([]*Plan{labeled}), 0); labeled.SizedAtCore() || lf.Levels != nil {
+		t.Errorf("labeled completion: sized at core %v, levels %+v; want a walk", labeled.SizedAtCore(), lf.Levels)
+	}
+}

@@ -8,12 +8,15 @@
 #                        no field can mix atomic and plain access
 #   4. inlinable rows  — Graph.Adj/Label/Degree/OrigID, the engine's
 #                        innermost calls, must fit the inlining budget
-#   5. inlinable kernels — intersectMerge, lowerBound, containsSorted
-#                        and intersectCount likewise (the operand skip
-#                        lives in the dispatcher, not in the merge), the
-#                        component walks' per-candidate helpers
-#                        (*cutTable).excluded and (*cutVal).add, and the
-#                        marked kernel's per-candidate test (*markSet).hit
+#   5. inlinable kernels — intersectMerge, lowerBound, upperBound,
+#                        containsSorted, intersectCount and gallops
+#                        likewise (the operand skip lives in the
+#                        dispatcher, not in the merge), the component
+#                        walks' per-candidate helpers (*cutTable).excluded
+#                        and (*cutVal).add, the marked kernel's
+#                        per-candidate test (*markSet).hit, and the scan a
+#                        sized count level makes per candidate,
+#                        (*markSet).count
 #   6. sorted lists only — internal/core (tests included) must not
 #                        import internal/bitset: adjacency stays sorted
 #                        lists (a thread's marks of one list are its own
@@ -55,9 +58,9 @@ done
 
 echo "== intersection kernels inlinable =="
 inl=$(go build -gcflags=-m ./internal/core 2>&1)
-for f in intersectMerge lowerBound containsSorted intersectCount; do
+for f in intersectMerge lowerBound upperBound containsSorted intersectCount gallops; do
   if ! grep -qE "can inline $f( |$)" <<<"$inl"; then
-    echo "$f no longer inlines: every merge or probe pays a call for it"
+    echo "$f no longer inlines: every merge, probe or kernel choice pays a call for it"
     fail=1
   fi
 done
@@ -67,10 +70,12 @@ for m in '(*cutTable).excluded' '(*cutVal).add'; do
     fail=1
   fi
 done
-if ! grep -qF "can inline (*markSet).hit" <<<"$inl"; then
-  echo "(*markSet).hit no longer inlines: every candidate scanned through the marks pays a call for it"
-  fail=1
-fi
+for m in '(*markSet).hit' '(*markSet).count'; do
+  if ! grep -qF "can inline $m" <<<"$inl"; then
+    echo "$m no longer inlines: every candidate scanned through the marks pays a call for it"
+    fail=1
+  fi
+done
 
 echo "== engine free of bitmaps =="
 # Direct imports: internal/graph still imports internal/bitset for the
