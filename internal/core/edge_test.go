@@ -88,6 +88,11 @@ func TestHubGraph(t *testing.T) {
 // subtract one and two core vertices without symmetry breaking, and the
 // second C5 spelling, with it, subtracts one on a trie node sized for
 // all of its candidates in one loop (plan.ShareNode.Sized).
+//
+// The partially labeled wedge, on a labeled hub graph, completes a
+// filtered leaf and then an unfiltered last one with no Tail: that last
+// level is walked and counted in place, skipping the filtered leaf's
+// binding, which its set holds.
 func TestCountModeSubtractsAssigned(t *testing.T) {
 	g := hubGraph()
 	star := pattern.Star(4)
@@ -124,6 +129,38 @@ func TestCountModeSubtractsAssigned(t *testing.T) {
 			}
 		}
 	}
+
+	lg := labeledWheel(50)
+	wedge := pattern.MustParse("0-1 0-2 [1:1]")
+	for _, noSym := range []bool{false, true} {
+		pl, err := plan.New(wedge, plan.Options{NoSymmetryBreaking: noSym})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nc := pl.NonCore; len(nc) != 2 || nc[0].Unfiltered() || !nc[1].Unfiltered() || len(nc[1].Distinct) == 0 || pl.Tail != nil {
+			t.Fatalf("%v noSym=%v: completion %+v, tail %v; want a filtered step, then an unfiltered last that may hold its binding, and no tail", wedge, noSym, nc, pl.Tail)
+		}
+		want := ref.CountUnique(lg, wedge)
+		if noSym {
+			want = ref.CountAll(lg, wedge)
+		}
+		if got := countPlanBothWays(t, lg, pl, Options{Threads: 4, NoSymmetryBreaking: noSym}); got != want {
+			t.Errorf("%v noSym=%v on labeled hub graph = %d, want %d", wedge, noSym, got, want)
+		}
+	}
+}
+
+// labeledWheel is wheel(n) with every odd vertex labeled 1, the rest 0.
+func labeledWheel(n uint32) *graph.Graph {
+	b := graph.NewBuilder()
+	for i := uint32(1); i <= n; i++ {
+		b.AddEdge(0, i)
+		b.AddEdge(i, i%n+1)
+	}
+	for i := uint32(0); i <= n; i++ {
+		b.SetLabel(i, i%2)
+	}
+	return b.Build()
 }
 
 // tailStart returns the completion level from which a count-mode worker

@@ -29,9 +29,9 @@
 // without a slot — one core neighbour, or the only reader of a two-list
 // set, reading it once per computation — intersects its lists itself.
 // For a triangle and a 4-clique this makes the triangle's set and the
-// 4-clique's first two lists one slot per edge; a count reads the
-// 4-clique's own set, one per triangle, only as a size (Count mode,
-// below).
+// 4-clique's first two lists one slot per edge; a count reads both the
+// triangle's set and the 4-clique's own, one per triangle, only as sizes
+// (Count mode, below).
 //
 // Marked operands: the task vertex v is the maximum-id core vertex, so
 // on Build's degree-ascending layout N(v) is the longest list of the
@@ -55,24 +55,28 @@
 // Count mode: a run with no callback needs how many matches there are,
 // never which. Non-core vertices are an independent set, so the last
 // one's candidate set is fixed before it is visited and — when the plan
-// has no anti-vertex check — each member is exactly one match. Such a
-// run adds that level's contribution to Stats.Matches in one step: no
-// per-candidate distinctness scan, recursion or match slot update. With
-// only an id window and distinctness to satisfy, the contribution is
-// the candidate set's size minus the matched vertices in it — only those
-// its step's plan.NonCoreStep.Distinct says it may hold — counted, not
-// written (countLevel); a label or anti-edge filter on the last vertex
-// still reads the candidates but counts them in place.
+// has no anti-vertex check — each member that passes its filters and is
+// not already matched is exactly one match. A count completes a plan in
+// one of three ways: a one-level completion sized, a Tail sized, or a
+// walk whose last level is counted in place, with no recursion or match
+// slot update.
 //
-// A plan whose whole completion is that one level (every k-clique) is
-// sized for all of a trie node's candidates at once where the trie marks
-// the node Sized (plan.ShareNode): per leaf and sequence, one loop over
-// the candidates, each a scan of the candidate's list, clipped to the
+// A plan whose whole completion is one unfiltered level
+// (plan.Plan.SizedAtCore: every k-clique) is sized by one routine,
+// sizeCands: the level's set inside its window, less the matched
+// vertices in it — only those its step's plan.NonCoreStep.Distinct says
+// it may hold — counted, not written (countLevel). Where the trie marks
+// a node Sized (plan.ShareNode) it sizes the leaves for all of the
+// node's candidates at once: per leaf and sequence, one loop over the
+// candidates, each a scan of the candidate's list, clipped to the
 // window, through the marks of the level's one other operand — its
 // prefix slot's set, or N(v) — or markedDriver's gallop where that costs
 // less. No candidate is bound, no leaf delivered, and the leaf's own
 // slot, which nothing else reads, is never materialized: the 4-clique
-// costs one marked scan per triangle.
+// costs one marked scan per triangle. Anywhere else it sizes a delivered
+// leaf for its one binding, reading a slot shared with other leaves as
+// a size: the triangle beside a 4-clique costs a clip of the edge's
+// slot.
 //
 // An unfiltered suffix of two or more levels is sized whole when its
 // plan has a plan.Tail: steps grouped into classes that share one
@@ -88,7 +92,7 @@
 // of the tail is walked. On a graph whose largest degree could overflow
 // the terms a worker sizes the longest suffix that fits instead
 // (fitTail); two steps always fit. A filter on a tail step or an
-// anti-vertex check walks as before.
+// anti-vertex check walks as before, and so does any other completion.
 //
 // A decomposed plan (plan.Cut, chosen by plan.MorphBatch in-process or
 // above a coordinator's fan-out, whose nodes run it by range) has no
@@ -241,8 +245,9 @@ type Options struct {
 type Stats struct {
 	// Matches is the number of complete matches: callback invocations,
 	// or, with no callback, the same number reached without visiting the
-	// members of the last completion level, or of a plan's whole Tail
-	// (see the package comment).
+	// members of the last completion level: counted in place, or, for a
+	// one-level completion or a plan's whole Tail, sized (see the package
+	// comment).
 	//
 	// A decomposed plan (plan.Cut) yields no matches: Matches holds the
 	// low 64 bits of its tuple count V, which MorphBatch's recovery turns
@@ -256,9 +261,9 @@ type Stats struct {
 	// or more lists, a count-mode Tail's merges of two or more class
 	// sets, and a decomposed plan's walk levels that merged two or more
 	// lists (single-list candidate sets are zero-copy views, not set
-	// computations). A count-mode level of two or more lists that is
-	// sized, not written — a slotless one, or a Sized node's Counted slot
-	// — counts as the one intersection it stands for, per core match, as
+	// computations). A sized one-level completion of two or more lists
+	// that is counted, not written — a slotless one, or a Counted slot —
+	// counts as the one intersection it stands for, per core match, as
 	// its walk would. A slot is computed once per binding of its trie
 	// node and charged to the plan whose completion read it first; every
 	// later read, by any plan of the batch, is free — so a plan's figure
@@ -557,6 +562,7 @@ type multiWorker struct {
 	bufs    [][]uint32 // candidate scratch per trie depth (bufs[d-1] for depth d)
 	listArg [][]uint32 // scratch for gathering adjacency list operands
 	taken   []uint32   // scratch for the bindings a sized level may hold
+	kept    []uint32   // scratch for the bindings a count sizes: a node's past its filters, or one delivered
 	touched []bool     // per-plan task-attribution flags, reset per task
 
 	// Completion slots (plan.Slot), indexed like trie.Slots. gen[d]
@@ -635,7 +641,7 @@ func (mw *multiWorker) runTask(v uint32) {
 		mw.data[0] = v
 		mw.gen[0]++
 		for i := range root.Leaves {
-			mw.deliver(&root.Leaves[i])
+			mw.deliver(&root.Leaves[i], 0)
 		}
 		mw.descend(root)
 	}
@@ -696,7 +702,7 @@ func (mw *multiWorker) descend(n *plan.ShareNode) {
 			mw.gen[child.Depth]++
 			if len(child.Leaves) > 0 {
 				for i := range child.Leaves {
-					mw.deliver(&child.Leaves[i])
+					mw.deliver(&child.Leaves[i], child.Depth)
 				}
 				mw.tb.Enter(profile.StageCore)
 			}
@@ -707,54 +713,74 @@ func (mw *multiWorker) descend(n *plan.ShareNode) {
 }
 
 // deliver hands a complete ordered-view binding, mw.data, to the owning
-// plan's completion worker, which completes it per §4.1.
-func (mw *multiWorker) deliver(lf *plan.ShareLeaf) {
+// plan's completion worker, which completes it per §4.1 — or, in count
+// mode, sizes a leaf whose plan is SizedAtCore for the one binding of
+// visit d, its node's, as sizeNode sizes a Sized node's candidates.
+func (mw *multiWorker) deliver(lf *plan.ShareLeaf, d int) {
 	pw := mw.pws[lf.Plan]
+	if mw.counts && lf.Levels != nil {
+		mw.tb.Enter(profile.StageNonCore)
+		mw.kept = append(mw.kept[:0], mw.data[d])
+		mw.sizeLeaf(lf, d, mw.kept, &pw.stats)
+		return
+	}
 	pw.stats.CoreMatches++
 	pw.completeCore(lf)
 }
 
 // sizeNode sizes the leaves of n, a Sized node, for all of its
-// candidates cands without binding any: per leaf and sequence, one loop
-// over cands (sizeCands). It is the Non-Core stage, and charges each
-// candidate the core match and the intersection its walk would take.
+// candidates cands without binding any: those past the node's filters,
+// per leaf (sizeLeaf). It is the Non-Core stage.
 func (mw *multiWorker) sizeNode(n *plan.ShareNode, cands []uint32) {
 	mw.tb.Enter(profile.StageNonCore)
-	st := &n.Step
-	admitted := uint64(len(cands))
-	if st.Label != pattern.Wildcard || len(st.Anti) > 0 {
-		admitted = 0
+	if st := &n.Step; st.Label != pattern.Wildcard || len(st.Anti) > 0 {
+		kept := mw.kept[:0]
 		for _, c := range cands {
 			if mw.admits(st, c) {
-				admitted++
+				kept = append(kept, c)
 			}
 		}
+		mw.kept, cands = kept, kept
 	}
-	if admitted == 0 {
+	if len(cands) == 0 {
 		return
 	}
 	for i := range n.Leaves {
 		lf := &n.Leaves[i]
-		ps := &mw.pws[lf.Plan].stats
-		ps.CoreMatches += admitted
-		for s := range lf.Levels {
-			if mw.ctx.stop.Load() {
-				return
-			}
-			ps.Matches += mw.sizeCands(lf, s, n, cands, admitted, ps)
-		}
+		mw.sizeLeaf(lf, n.Depth, cands, &mw.pws[lf.Plan].stats)
 	}
 }
 
-// sizeCands returns the matches sequence s of leaf lf completes over the
-// candidates cands of its Sized node n, admitted of them past the node's
-// filters. The level's window and its operand other than the
-// candidate's list are bound above n and resolved once: a Counted slot's
-// prefix, marked, or a slotless level's other list, through the task
-// marks. Each candidate's count is then its list, clipped to the window,
-// scanned through those marks, less the bindings of Taken it holds
-// (countLevel).
-func (mw *multiWorker) sizeCands(lf *plan.ShareLeaf, s int, n *plan.ShareNode, cands []uint32, admitted uint64, ps *Stats) (m uint64) {
+// sizeLeaf adds to ps the matches leaf lf, of a SizedAtCore plan,
+// completes over cands, bindings of visit d past its node's filters: one
+// sizeCands per sequence. Each binding is charged the core match its walk
+// would take.
+func (mw *multiWorker) sizeLeaf(lf *plan.ShareLeaf, d int, cands []uint32, ps *Stats) {
+	ps.CoreMatches += uint64(len(cands))
+	for s := range lf.Levels {
+		if mw.ctx.stop.Load() {
+			return
+		}
+		ps.Matches += mw.sizeCands(lf, s, d, cands, ps)
+	}
+}
+
+// sizeCands returns the matches sequence s of leaf lf completes over
+// cands, bindings of visit d past their node's filters, and charges ps the
+// intersection each one's walk would take. A shared slot (one not
+// Counted) is read as a size: its set inside the level's window, less the
+// bindings of Taken it holds (countLevel). Otherwise the operands bound
+// above d are resolved once — a Counted slot's prefix, marked, or the
+// level's lists, two of them through the task marks — and each
+// candidate's count is its own list, the level's deepest operand, scanned
+// through those marks.
+//
+// On a Sized node every level reads visit d's list, through no shared
+// slot, inside a window bound above d (plan.ShareNode.Sized). Any other
+// level is a delivered binding's, the one candidate, bound at mw.data[d]:
+// its window may name d, and a level whose deepest operand is bound above
+// d is sized once.
+func (mw *multiWorker) sizeCands(lf *plan.ShareLeaf, s, d int, cands []uint32, ps *Stats) (m uint64) {
 	lv := &lf.Levels[s]
 	lo, hi := noLo, noHi
 	if lv.Step.Lo >= 0 {
@@ -766,31 +792,38 @@ func (mw *multiWorker) sizeCands(lf *plan.ShareLeaf, s int, n *plan.ShareNode, c
 	if lo+1 >= hi {
 		return 0
 	}
-	var fixed []uint32
-	var ms *markSet
-	if id := lf.Slots[s][0]; id >= 0 {
-		fixed, ms = mw.prefix(mw.trie.Slots[id].Prefix, ps)
-	} else if len(lv.Step.Nbr) == 2 {
-		fixed = mw.g.Adj(mw.data[lv.Step.Nbr[0]])
-		ms = mw.tm.marks()
-	}
-	lists := append(mw.listArg[:0], fixed, nil)
-	if ms == nil {
-		lists = lists[1:]
-	} else {
-		ps.Intersections += admitted
-	}
 	taken := mw.taken[:0]
 	for _, t := range lv.Taken {
 		taken = append(taken, mw.data[t])
 	}
 	mw.taken = taken
-	last := len(lists) - 1
-	filtered := admitted < uint64(len(cands))
-	for _, c := range cands {
-		if filtered && !mw.admits(&n.Step, c) {
-			continue
+	nbr := lv.Step.Nbr
+	lists := mw.listArg[:0] // a fill below gathers in it too, before this gather does
+	var ms *markSet
+	if id := lf.Slots[s][0]; id >= 0 {
+		sl := &mw.trie.Slots[id]
+		if !sl.Counted {
+			return countLevel(append(lists, mw.slot(id, ps)), nil, lo, hi, taken)
 		}
+		var prefix []uint32
+		prefix, ms = mw.prefix(sl.Prefix, ps)
+		lists = append(lists, prefix)
+		nbr = nbr[len(nbr)-1:]
+	} else if len(nbr) == 2 {
+		ms = mw.tm.marks()
+	}
+	for _, t := range nbr {
+		// On a Sized node data[d] is stale: each candidate replaces its list.
+		lists = append(lists, mw.g.Adj(mw.data[t]))
+	}
+	if len(lists) > 1 {
+		ps.Intersections += uint64(len(cands))
+	}
+	if nbr[len(nbr)-1] != d {
+		return countLevel(lists, ms, lo, hi, taken)
+	}
+	last := len(lists) - 1
+	for _, c := range cands {
 		lists[last] = mw.g.Adj(c)
 		m += countLevel(lists, ms, lo, hi, taken)
 	}
@@ -969,7 +1002,8 @@ type worker struct {
 
 	// countLast marks count mode: nobody reads the embeddings (no
 	// callback) and a complete assignment is a match without further
-	// checks, so the last completion level is aggregated, not walked.
+	// checks, so the last completion level is counted in place, not
+	// recursed into.
 	countLast bool
 
 	// tail extends count mode to a Tail, two or more levels sized in
@@ -1061,15 +1095,9 @@ func (w *worker) completeFrom(i int) {
 	}
 	st := &w.pl.NonCore[i]
 	// Count mode: with no callback and no anti-vertex check, every
-	// candidate of the last level is exactly one match, so the level
-	// contributes a number and nothing below it needs visiting. With
-	// only distinctness left to satisfy that number is the set's size
-	// minus the matched vertices in it (sizeLast).
+	// candidate of the last level that passes its filters is exactly one
+	// match, counted in place with nothing below it to visit.
 	last := w.countLast && i == len(w.pl.NonCore)-1
-	if last && st.Unfiltered() {
-		w.stats.Matches += w.sizeLast(i)
-		return
-	}
 	// cands is read-only below: a slot's set is shared by every step
 	// naming it, and single-list results alias graph adjacency storage
 	// (intersectSetsInto ownership contract).
@@ -1100,7 +1128,7 @@ outer:
 			}
 		}
 		if last {
-			w.stats.Matches++ // a filtered last level counts in place
+			w.stats.Matches++ // the last level counts in place
 			continue
 		}
 		w.match[st.V] = c
@@ -1112,45 +1140,15 @@ outer:
 	}
 }
 
-// sizeLast returns the matches of last completion level i, unfiltered,
-// in count mode: the size of its set — its slot's, or its lists'
-// intersection counted through the task marks — inside the level's
-// window, less the matches of its step's Distinct vertices it holds
-// (countLevel).
-func (w *worker) sizeLast(i int) uint64 {
-	st := &w.pl.NonCore[i]
-	lo, hi, ok := w.window(st.LowerBound, st.UpperBound)
-	if !ok {
-		w.tb.Enter(profile.StageOther)
-		return 0
-	}
-	w.tb.Enter(profile.StageNonCore)
-	var ms *markSet
-	lists := w.listArg[:0]
-	if id := w.slots[i]; id >= 0 {
-		lists = append(lists, w.mw.slot(id, &w.stats))
-	} else {
-		for _, pv := range st.CoreNbrs {
-			lists = append(lists, w.g.Adj(w.match[pv]))
-		}
-		if len(lists) > 1 {
-			ms = w.mw.tm.marks()
-			w.stats.Intersections++
-		}
-	}
-	taken := w.mw.taken[:0]
-	for _, pv := range st.Distinct {
-		taken = append(taken, w.match[pv])
-	}
-	w.mw.taken = taken
-	return countLevel(lists, ms, lo, hi, taken)
-}
-
-// window returns the id window (lo, hi) the matches of lower and upper
-// set, timed as the PO stage; ok is false when it is empty.
-func (w *worker) window(lower, upper []int) (lo, hi int64, ok bool) {
+// levelSet computes completion level i's candidate set, with lower and
+// upper for the step's bounds — those on vertices already matched: all
+// of the step's when completeFrom reaches the level, fewer when a
+// count-mode tail sizes it beforehand. ok is false when the id window is
+// empty. The set is read-only: it is a slot's set, or lives in level i's
+// ncBufs slot or in graph storage.
+func (w *worker) levelSet(i int, lower, upper []int) (cands []uint32, ok bool) {
 	w.tb.Enter(profile.StagePO)
-	lo, hi = noLo, noHi
+	lo, hi := noLo, noHi
 	for _, pv := range lower {
 		if d := int64(w.match[pv]); d > lo {
 			lo = d
@@ -1161,18 +1159,7 @@ func (w *worker) window(lower, upper []int) (lo, hi int64, ok bool) {
 			hi = d
 		}
 	}
-	return lo, hi, lo+1 < hi
-}
-
-// levelSet computes completion level i's candidate set, with lower and
-// upper for the step's bounds — those on vertices already matched: all
-// of the step's when completeFrom reaches the level, fewer when a
-// count-mode tail sizes it beforehand. ok is false when the id window is
-// empty. The set is read-only: it is a slot's set, or lives in level i's
-// ncBufs slot or in graph storage.
-func (w *worker) levelSet(i int, lower, upper []int) (cands []uint32, ok bool) {
-	lo, hi, ok := w.window(lower, upper)
-	if !ok {
+	if lo+1 >= hi {
 		return nil, false
 	}
 

@@ -305,9 +305,9 @@ func TestAntiVertexCheckKeepsItsBuffer(t *testing.T) {
 // A count-mode level that may hold matched vertices gathers their
 // bindings into scratch its thread keeps, like the anti-vertex check's
 // set: counting the edge-induced C5 on K20 — with symmetry breaking on
-// Sized nodes, without it through the last level, each time with core
-// vertices to subtract, thousands of times — allocates per run,
-// not per level.
+// Sized nodes, without it at each delivered core match, each time with
+// core vertices to subtract, thousands of times — allocates per run, not
+// per level.
 func TestSizedLevelKeepsItsScratch(t *testing.T) {
 	g := completeGraph(20)
 	const cycles = 15504 * 12 // C(20, 5) vertex sets, 4!/2 cycles on each

@@ -50,13 +50,6 @@ const (
 	// each element of the small list into the big one (galloping
 	// exponential search) beats the linear merge.
 	gallopRatio = 16
-
-	// skipMin is the operand length from which intersectSetsInto starts
-	// a non-driver operand it merges at the running set's first element,
-	// found by one gallop, instead of at its own first element: with the
-	// driver clipped to a symmetry-breaking window, most of a long operand
-	// lies below it, and a merge would walk all of that.
-	skipMin = 64
 )
 
 // lowerBound returns the least index i with s[i] >= x — a
@@ -189,7 +182,7 @@ func intersectInPlace(dst []uint32, b []uint32) []uint32 {
 		return dst[:0]
 	}
 	w := 0
-	if len(b)/(len(dst)+1) >= gallopRatio {
+	if gallops(len(dst), len(b)) {
 		j := 0
 		for _, x := range dst {
 			j = gallopLowerBound(b, j, x)
@@ -291,13 +284,6 @@ func gallops(small, big int) bool { return big >= gallopRatio*(small+1) }
 // read-only mapping). For two or more lists the result is caller-owned
 // buf storage. See the package comment.
 func intersectSetsInto(buf []uint32, lists [][]uint32, lo, hi int64) []uint32 {
-	return intersectSetsSkip(buf, lists, lo, hi, skipMin)
-}
-
-// intersectSetsSkip is intersectSetsInto skipping into operands from
-// length skip on: skipMin, or, for the test that times the skip against
-// this same body without it, never.
-func intersectSetsSkip(buf []uint32, lists [][]uint32, lo, hi int64, skip int) []uint32 {
 	// Start from the shortest list: intersection size is bounded by it.
 	shortest := 0
 	for i, l := range lists {
@@ -318,7 +304,6 @@ func intersectSetsSkip(buf []uint32, lists [][]uint32, lo, hi int64, skip int) [
 		if i == shortest {
 			continue
 		}
-		l = skipTo(l, len(out), out[0], skip)
 		switch {
 		case !first:
 			out = intersectInPlace(out, l)
@@ -333,18 +318,6 @@ func intersectSetsSkip(buf []uint32, lists [][]uint32, lo, hi int64, skip int) [
 		}
 	}
 	return out
-}
-
-// skipTo returns operand l less its elements below first, the running
-// set's first element, from length skip on where a running set of n
-// elements would be merged against it: nothing below first can match,
-// and a merge would walk all of it (a gallop's first probe skips it
-// anyway). The skip lives here so that the kernels stay inlinable.
-func skipTo(l []uint32, n int, first uint32, skip int) []uint32 {
-	if len(l) < skip || gallops(n, len(l)) {
-		return l
-	}
-	return l[gallopLowerBound(l, 0, first):]
 }
 
 // markSet is a bitmap over vertex ids that holds one sorted list at a
@@ -448,7 +421,7 @@ func intersectMarked(buf []uint32, lists [][]uint32, m, d int, ms *markSet, lo, 
 			break
 		}
 		if i != m && i != d {
-			out = intersectInPlace(out, skipTo(l, len(out), out[0], skipMin))
+			out = intersectInPlace(out, l)
 		}
 	}
 	return out
@@ -472,10 +445,7 @@ func countSets(lists [][]uint32, ms *markSet, lo, hi int64) uint64 {
 	if len(b) < len(a) {
 		a, b = b, a
 	}
-	if a = clip(a, lo, hi); len(a) == 0 {
-		return 0
-	}
-	return intersectCount(a, skipTo(b, len(a), a[0], skipMin))
+	return intersectCount(clip(a, lo, hi), b)
 }
 
 // countLevel returns countSets' size less the vertices of taken inside

@@ -233,69 +233,6 @@ func TestSkewedPairKernelNoSlower(t *testing.T) {
 	_ = sink
 }
 
-// topDriver returns n ids above the 90th percentile of sorted l, half
-// of them members of l: a short list clipped to the top of the id range,
-// the shape a symmetry-breaking window leaves a completion set's driver.
-func topDriver(rng *rand.Rand, l []uint32, n int) []uint32 {
-	p90 := l[len(l)*9/10]
-	top := l[len(l)*9/10+1:]
-	seen := make(map[uint32]bool, n)
-	for len(seen) < n/2 {
-		seen[top[rng.Intn(len(top))]] = true
-	}
-	for len(seen) < n {
-		seen[p90+1+rng.Uint32()%(top[len(top)-1]-p90)] = true
-	}
-	out := make([]uint32, 0, n)
-	for x := range seen {
-		out = append(out, x)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// TestOperandSkipSpeedup gates the operand skip in intersectSetsInto
-// against the same body with the skip turned off (intersectSetsSkip's
-// skip argument), so that both sides sit wherever the linker put the one
-// function: where a 32-id driver sits above the 90th percentile of a
-// 500-id list, short enough to be merged, the skip must pay (>= 1.5x;
-// about 5.5x measured). Elsewhere the skip is not entered — against a
-// list the dispatcher gallops through, whose first probe does the skip's
-// search, or one shorter than skipMin — or costs a probe or two, where
-// the running set starts at the operand's start; timing those equal
-// bodies measures only the machine's noise, so no row does.
-func TestOperandSkipSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	rng := rand.New(rand.NewSource(9))
-	mid := sortedRand(rng, 500, 1<<14)
-	lists := [][]uint32{topDriver(rng, mid, 32), mid}
-	buf := make([]uint32, 0, 1024)
-	want := refIntersect(lists, noLo, noHi)
-	if got := intersectSetsInto(buf, lists, noLo, noHi); !equalU32(got, want) {
-		t.Fatalf("%v, want %v", got, want)
-	}
-	if got := intersectSetsSkip(buf, lists, noLo, noHi, math.MaxInt); !equalU32(got, want) {
-		t.Fatalf("unskipped: %v, want %v", got, want)
-	}
-	const calls = 5000
-	skip, plain := fastest(40, func() {
-		for range calls {
-			buf = intersectSetsInto(buf[:0], lists, noLo, noHi)
-		}
-	}, func() {
-		for range calls {
-			buf = intersectSetsSkip(buf[:0], lists, noLo, noHi, math.MaxInt)
-		}
-	})
-	ratio := float64(plain) / float64(skip)
-	t.Logf("skip %v, unskipped %v per %d calls, ratio %.2fx", skip, plain, calls, ratio)
-	if ratio < 1.5 {
-		t.Errorf("skip at %.2fx the unskipped dispatcher, want >= 1.5x", ratio)
-	}
-}
-
 // TestMarkedOperandSpeedup gates the marked kernel: where a 20-id driver
 // meets a 1,200-id list of 4,096 ids held in marks — a hub's list against
 // a leaf's, the task's list against a short operand — scanning the

@@ -43,9 +43,9 @@ func FuzzSetOps(f *testing.F) {
 	f.Add(ramp, ramp, uint32(0), uint32(0))
 	f.Add(ramp, []byte{9, 0, 4, 0, 9, 0}, uint32(0), uint32(0))
 	f.Add([]byte{19, 0}, ramp, uint32(0), uint32(0))
-	// Operand-skip shapes (skipMin = 64): a driver starting past the
-	// operand's end; a driver starting inside an operand of exactly 64
-	// elements, and of 63 (no skip); a driver clipped to start mid-way.
+	// A driver starting past the operand's end; a driver starting inside
+	// an operand of 64 elements, and of 63; a driver clipped to start
+	// mid-way.
 	ramp64, ramp63 := bytes.Repeat([]byte{0, 0}, 64), bytes.Repeat([]byte{0, 0}, 63)
 	f.Add(ramp64, []byte{99, 0, 0, 0}, uint32(0), uint32(0))
 	f.Add(ramp64, []byte{31, 0, 9, 0, 22, 0}, uint32(0), uint32(0))
@@ -103,7 +103,7 @@ func FuzzSetOps(f *testing.F) {
 			if got := intersectSetsInto(make([]uint32, 0, 4), lists, lo, hi); !equalU32(got, wantClipped) {
 				t.Fatalf("intersectSetsInto = %v, want %v", got, wantClipped)
 			}
-			// A third operand takes the in-place path, skip included.
+			// A third operand takes the in-place path.
 			for _, three := range [][][]uint32{{a, b, a}, {b, a, b}} {
 				if got := intersectSetsInto(make([]uint32, 0, 4), three, lo, hi); !equalU32(got, wantClipped) {
 					t.Fatalf("intersectSetsInto(3 lists) = %v, want %v", got, wantClipped)

@@ -210,15 +210,6 @@ func (g *Graph) HubBits(v uint32) *bitset.Bitmap {
 	return g.hubBits[v]
 }
 
-// AvgDegree returns the average vertex degree.
-func (g *Graph) AvgDegree() float64 {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0
-	}
-	return float64(2*g.NumEdges()) / float64(n)
-}
-
 // DegreeMoments returns the mean degree and the mean squared degree, the
 // two moments a planner needs to predict how fast a traversal branches.
 // The first call makes one pass over the offsets of every piece; later

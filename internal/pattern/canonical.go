@@ -322,21 +322,6 @@ func orbitsOf(n int, autos [][]int) []int {
 	return out
 }
 
-// DedupeByCanonical removes patterns isomorphic to an earlier element,
-// preserving first-seen order.
-func DedupeByCanonical(ps []*Pattern) []*Pattern {
-	seen := make(map[string]bool, len(ps))
-	var out []*Pattern
-	for _, p := range ps {
-		c := p.CanonicalCode()
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // SortByCode orders patterns by canonical code; useful for deterministic
 // iteration in tests and tables.
 func SortByCode(ps []*Pattern) {

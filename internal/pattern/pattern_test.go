@@ -301,15 +301,6 @@ func TestVertexInducedTheorem(t *testing.T) {
 	}
 }
 
-func TestDedupeByCanonical(t *testing.T) {
-	tri1 := Clique(3)
-	tri2 := Clique(3).Renumber([]int{2, 0, 1})
-	out := DedupeByCanonical([]*Pattern{tri1, tri2, Star(3)})
-	if len(out) != 2 {
-		t.Fatalf("dedupe kept %d patterns, want 2", len(out))
-	}
-}
-
 func TestIsomorphicQuick(t *testing.T) {
 	// Renumbered patterns are isomorphic; patterns with an extra edge are
 	// not.

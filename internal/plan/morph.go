@@ -314,13 +314,13 @@ func (m costModel) pass(l pattern.Label) float64 {
 //     label test keeps one candidate in Labels (labels drawn uniformly).
 //   - Completion, per core match and per sequence of the order. Walked
 //     non-core levels are priced like core steps and multiply the binding
-//     count. With no anti-vertex check the last level, when Unfiltered,
-//     costs one set computation, and a plan's Tail one set per class, a
-//     search of it per vertex matched before the tail and, for each
-//     subset of two or more classes its terms name, a merge of those
-//     classes' sets — the engine's count-mode tails. The searches keep
-//     a tail sized with no merge, like the edge-induced diamond's two
-//     twin leaves, from pricing per core match like a clipped core step
+//     count, the last one too. A SizedAtCore plan's one level costs one
+//     set computation, and a plan's Tail one set per class, a search of
+//     it per vertex matched before the tail and, for each subset of two
+//     or more classes its terms name, a merge of those classes' sets —
+//     the engine's count-mode sizing. The searches keep a tail sized
+//     with no merge, like the edge-induced diamond's two twin leaves,
+//     from pricing per core match like a clipped core step
 //     (TestMorphDefaultShapeStable).
 //   - Each anti-vertex check costs one k-list intersection per match.
 //   - A decomposed plan (pl.Cut) costs, per task, its components' walks
@@ -365,7 +365,6 @@ func CostOf(pl *Plan, s Shape) float64 {
 // anti-vertex checks of every match it completes to.
 func (m costModel) completion(pl *Plan, start int) float64 {
 	nc := pl.NonCore
-	counted := len(pl.Checks) == 0 // count mode sizes unfiltered tails
 	cost, bind := 1.0, 1.0
 	for i := range nc {
 		st := &nc[i]
@@ -374,7 +373,7 @@ func (m costModel) completion(pl *Plan, start int) float64 {
 		switch {
 		case pl.Tail != nil && i == pl.Tail.Start:
 			return cost + bind*m.tail(pl, start)
-		case counted && i == len(nc)-1 && st.Unfiltered():
+		case pl.SizedAtCore():
 			return cost + bind*m.compute(k, 1)
 		}
 		cost += bind * (m.compute(k, n) + n*float64(len(st.CoreAnti))*m.search)

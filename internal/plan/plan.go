@@ -94,9 +94,9 @@ type NonCoreStep struct {
 	// each core neighbour, and no vertex neighbours itself) nor ordered
 	// against V by the closure of Conds (every condition holds in a
 	// complete match, so V's match differs from theirs). A count sizing
-	// the last level subtracts only these; a plan edited by hand must
-	// keep the list a superset of the vertices its level can hold. K3, K4
-	// and K5 have none.
+	// a SizedAtCore plan's level subtracts only these; a plan edited by
+	// hand must keep the list a superset of the vertices its level can
+	// hold. K3, K4 and K5 have none.
 	Distinct []int
 
 	Label pattern.Label
@@ -105,8 +105,8 @@ type NonCoreStep struct {
 // Unfiltered reports whether every vertex of st's candidate set that is
 // not already in the match completes it: no label to test, no anti-edge
 // to reject on. A count sizes such a level instead of walking it when it
-// is the last or in the plan's Tail (internal/core's count mode), and
-// CostOf prices it that way.
+// is a SizedAtCore plan's one level or in the plan's Tail (internal/core's
+// count mode), and CostOf prices it that way.
 func (st *NonCoreStep) Unfiltered() bool {
 	return st.Label == pattern.Wildcard && len(st.CoreAnti) == 0
 }
@@ -115,7 +115,9 @@ func (st *NonCoreStep) Unfiltered() bool {
 // core binding (internal/core's count mode): the completion is one
 // unfiltered step and no anti-vertex check follows it. Every k-clique,
 // the triangle included, is such a plan; the share trie gives their
-// leaves the step in visit space (ShareLeaf.Levels).
+// leaves the step in visit space (ShareLeaf.Levels). Outside a Tail it is
+// the one level a count sizes: the unfiltered last level of a longer
+// completion is walked and counted in place, like a filtered one.
 func (pl *Plan) SizedAtCore() bool {
 	return pl.Cut == nil && len(pl.NonCore) == 1 && pl.NonCore[0].Unfiltered() && len(pl.Checks) == 0
 }

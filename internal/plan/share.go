@@ -120,10 +120,9 @@ type Slot struct {
 	// one more intersection; -1 when Step has two operands.
 	Prefix int
 	// Counted marks a slot whose one read is a sized leaf's (ShareLeaf.
-	// Levels) at the slot's own node, and which is no slot's prefix. On a
-	// Sized node a count scans its deepest operand through its prefix's
-	// marks and never materializes it; anywhere else it is computed like
-	// any other slot.
+	// Levels) at the slot's own node, and which is no slot's prefix. A
+	// count scans its deepest operand through its prefix's marks and never
+	// materializes it; an enumeration computes it like any other slot.
 	Counted bool
 }
 
@@ -152,7 +151,8 @@ type ShareNode struct {
 	// and, besides it, only what nodes above bind: one operand (a Counted
 	// slot's prefix, or a list) and the window. A count sizes such a node's
 	// leaves for all of its candidates in one loop per leaf and sequence,
-	// binding none of them.
+	// binding none of them, and any other sized leaf once per binding
+	// delivered to it.
 	Sized bool
 }
 

@@ -55,7 +55,8 @@ const maxTailSteps = 8
 //
 // where size(mask) is the number of vertices, not yet in the match, that
 // lie in the candidate set of every class in mask. A lone last level is
-// not a Tail: internal/core sizes it on its own.
+// not a Tail: internal/core sizes it when it is a SizedAtCore plan's
+// whole completion, and walks it otherwise.
 type Tail struct {
 	Start   int // NonCore index of the tail's first step
 	Classes []TailClass

@@ -91,17 +91,6 @@ func (t *ThreadBreakdown) Close() {
 	t.parent.mu.Unlock()
 }
 
-// Totals returns the accumulated duration per stage.
-func (b *Breakdown) Totals() map[string]time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[string]time.Duration, int(numStages))
-	for s := Stage(0); s < numStages; s++ {
-		out[s.String()] = b.totals[s]
-	}
-	return out
-}
-
 // Ratios returns each stage's fraction of total time (Figure 11's bars).
 func (b *Breakdown) Ratios() map[string]float64 {
 	b.mu.Lock()

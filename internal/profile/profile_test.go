@@ -27,10 +27,9 @@ func TestBreakdownRatiosSumToOne(t *testing.T) {
 	if sum < 0.999 || sum > 1.001 {
 		t.Fatalf("ratios sum to %v, want 1", sum)
 	}
-	totals := b.Totals()
 	for _, stage := range []string{"PO", "Core", "Non-Core"} {
-		if totals[stage] < time.Millisecond {
-			t.Errorf("stage %s recorded %v, expected >= 1ms", stage, totals[stage])
+		if ratios[stage] <= 0 {
+			t.Errorf("stage %s recorded no time: %v", stage, ratios)
 		}
 	}
 }

@@ -10,13 +10,11 @@
 #                        innermost calls, must fit the inlining budget
 #   5. inlinable kernels — intersectMerge, lowerBound, upperBound,
 #                        containsSorted, intersectCount and gallops
-#                        likewise (the operand skip lives in the
-#                        dispatcher, not in the merge), the component
-#                        walks' per-candidate helpers (*cutTable).excluded
-#                        and (*cutVal).add, the marked kernel's
-#                        per-candidate test (*markSet).hit, and the scan a
-#                        sized count level makes per candidate,
-#                        (*markSet).count
+#                        likewise, the component walks' per-candidate
+#                        helpers (*cutTable).excluded and (*cutVal).add,
+#                        the marked kernel's per-candidate test
+#                        (*markSet).hit, and the scan a sized count level
+#                        makes per candidate, (*markSet).count
 #   6. sorted lists only — internal/core (tests included) must not
 #                        import internal/bitset: adjacency stays sorted
 #                        lists (a thread's marks of one list are its own
