@@ -1,6 +1,7 @@
 package peregrine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -60,11 +61,6 @@ func LabeledMotifCounts(g *Graph, size int, opts ...Option) (map[string]MotifCou
 		return nil, fmt.Errorf("peregrine: labeled motif counting requires a labeled graph")
 	}
 	motifs := pattern.GenerateAllVertexInduced(size)
-	type slot struct {
-		pat *Pattern
-		n   uint64
-	}
-	counts := make(map[string]*slot)
 	threads := buildConfig(opts).opts.Threads
 	if threads <= 0 {
 		threads = defaultThreads()
@@ -78,44 +74,55 @@ func LabeledMotifCounts(g *Graph, size int, opts ...Option) (map[string]MotifCou
 		return nil, err
 	}
 	// Discover labels: match the unlabeled motifs — all of them in one
-	// traversal — and bucket matches by the labels of their matched
-	// vertices, exactly like FSM's label discovery (§3.2.1). Each worker
-	// owns one bucket map; buckets merge after the run.
-	perThread := make([]map[string]*slot, threads)
+	// traversal — and tally matches by motif and the labels of their
+	// matched vertices, exactly like FSM's label discovery (§3.2.1). Each
+	// worker owns one tally; a key is the motif's index, then its
+	// vertices' labels, 4 bytes each. Keys are canonicalized after the
+	// run, once each.
+	type tally struct {
+		n   map[string]*uint64
+		key []byte
+	}
+	perThread := make([]tally, threads)
 	for i := range perThread {
-		perThread[i] = make(map[string]*slot)
+		perThread[i].n = make(map[string]*uint64)
 	}
 	all := append([]Option{WithThreads(threads)}, opts...)
 	_, err = q.ForEach(g, func(ctx *Ctx, pat int, mt *Match) {
-		m := motifs[pat]
-		labeled := m.Clone()
-		for _, v := range m.RegularVertices() {
-			labeled.SetLabel(v, Label(g.Label(mt.Mapping[v])))
+		t := &perThread[ctx.Thread]
+		t.key = binary.BigEndian.AppendUint32(t.key[:0], uint32(pat))
+		for _, v := range mt.Mapping {
+			t.key = binary.BigEndian.AppendUint32(t.key, g.Label(v))
 		}
-		code := labeled.CanonicalCode()
-		bucket := perThread[ctx.Thread]
-		s, ok := bucket[code]
-		if !ok {
-			s = &slot{pat: labeled}
-			bucket[code] = s
+		c := t.n[string(t.key)]
+		if c == nil {
+			c = new(uint64)
+			t.n[string(t.key)] = c
 		}
-		s.n++
+		*c++
 	}, all...)
 	if err != nil {
 		return nil, err
 	}
-	for _, bucket := range perThread {
-		for code, s := range bucket {
-			if dst, ok := counts[code]; ok {
-				dst.n += s.n
-			} else {
-				counts[code] = s
-			}
+	counts := make(map[string]uint64)
+	for _, t := range perThread {
+		for key, c := range t.n {
+			counts[key] += *c
 		}
 	}
-	out := make(map[string]MotifCount, len(counts))
-	for code, s := range counts {
-		out[code] = MotifCount{Pattern: s.pat, Count: s.n}
+	out := make(map[string]MotifCount)
+	for key, c := range counts {
+		labeled := motifs[binary.BigEndian.Uint32([]byte(key))].Clone()
+		for v := range labeled.N() {
+			labeled.SetLabel(v, Label(binary.BigEndian.Uint32([]byte(key[4+4*v:]))))
+		}
+		code := labeled.CanonicalCode()
+		mc := out[code]
+		if mc.Pattern == nil {
+			mc.Pattern = labeled
+		}
+		mc.Count += c
+		out[code] = mc
 	}
 	return out, nil
 }

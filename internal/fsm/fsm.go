@@ -6,9 +6,11 @@ package fsm
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"peregrine/internal/core"
@@ -91,15 +93,13 @@ func Mine(g *graph.Graph, maxEdges, support int, opts core.Options) (*Result, er
 		if sz := table.SizeBytes(); sz > res.DomainBytes {
 			res.DomainBytes = sz
 		}
-		var frequent []FrequentPattern
-		for _, d := range table.ByCode {
+		var frequent []FrequentPattern // in canonical-code order: the table's keys
+		for _, code := range slices.Sorted(maps.Keys(table.ByCode)) {
+			d := table.ByCode[code]
 			if s := d.Support(); s >= support {
 				frequent = append(frequent, FrequentPattern{Pattern: d.Pattern(), Support: s})
 			}
 		}
-		sort.Slice(frequent, func(i, j int) bool {
-			return frequent[i].Pattern.CanonicalCode() < frequent[j].Pattern.CanonicalCode()
-		})
 		res.Levels = append(res.Levels, Level{
 			Edges:             edges,
 			QueriesMatched:    len(queries),
@@ -180,11 +180,11 @@ func matchLevel(g *graph.Graph, queries []*pattern.Pattern, opts core.Options) (
 		ms := core.RunPlans(g, plans[lo:hi], func(ctx *core.Ctx, pat int, m *core.Match) {
 			w := workers[ctx.Thread]
 			q, reg := queries[lo+pat], regs[lo+pat]
-			// Label-discovery key: the labels of the matched vertices.
+			// Label-discovery key: the labels of the matched vertices,
+			// whole — labels sharing a key would share one labeling.
 			w.key = w.key[:0]
 			for _, v := range reg {
-				l := g.Label(m.Mapping[v])
-				w.key = append(w.key, byte(l>>8), byte(l))
+				w.key = binary.BigEndian.AppendUint32(w.key, g.Label(m.Mapping[v]))
 			}
 			if w.remaps[pat] == nil {
 				w.remaps[pat] = make(map[string]*labelRemap)

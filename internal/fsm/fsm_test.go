@@ -47,6 +47,25 @@ func TestMineSingleEdgeLevel(t *testing.T) {
 	}
 }
 
+// Labels that agree in their low 16 bits are still different labels:
+// an A-A edge and a B-B edge with B = A + 2¹⁶ are two patterns of
+// support 2, not one of support 4.
+func TestMineKeepsWideLabelsApart(t *testing.T) {
+	b := graph.NewBuilder()
+	b.AddEdge(0, 1)
+	b.AddEdge(2, 3)
+	for v, l := range []uint32{1, 1, 1 + 1<<16, 1 + 1<<16} {
+		b.SetLabel(uint32(v), l)
+	}
+	res, err := Mine(b.Build(), 1, 1, core.Options{Threads: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Frequent) != 2 || res.Frequent[0].Support != 2 || res.Frequent[1].Support != 2 {
+		t.Fatalf("frequent = %v, want two labeled edges of support 2", res.Frequent)
+	}
+}
+
 func TestMineWedgeLevel(t *testing.T) {
 	g := labeledPath()
 	// 2-edge patterns: wedges A-B-A (center B: vertices 1,3 -> two

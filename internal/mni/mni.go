@@ -27,15 +27,16 @@ type Domain struct {
 	orbitOf []int            // vertex -> orbit representative
 	bitmaps []*bitset.Bitmap // indexed by orbit representative (nil elsewhere)
 	roots   []int            // distinct orbit representatives of regular vertices
+	regular []int            // the regular vertices, ascending
 }
 
 // NewDomain prepares a domain for p. The orbit partition is computed
 // once per pattern; AddMatch is then O(regular vertices) bitmap inserts.
 func NewDomain(p *pattern.Pattern) *Domain {
 	orb := p.Orbits()
-	d := &Domain{pat: p, orbitOf: orb, bitmaps: make([]*bitset.Bitmap, p.N())}
+	d := &Domain{pat: p, orbitOf: orb, bitmaps: make([]*bitset.Bitmap, p.N()), regular: p.RegularVertices()}
 	seen := make(map[int]bool)
-	for _, v := range p.RegularVertices() {
+	for _, v := range d.regular {
 		r := orb[v]
 		if !seen[r] {
 			seen[r] = true
@@ -52,7 +53,7 @@ func (d *Domain) Pattern() *pattern.Pattern { return d.pat }
 // AddMatch folds one match mapping (indexed by pattern vertex) into the
 // domain. Anti-vertex slots are ignored.
 func (d *Domain) AddMatch(mapping []uint32) {
-	for _, v := range d.pat.RegularVertices() {
+	for _, v := range d.regular {
 		d.bitmaps[d.orbitOf[v]].Add(mapping[v])
 	}
 }

@@ -99,3 +99,14 @@ func TestDomainIgnoresAntiVertices(t *testing.T) {
 		t.Fatal("anti-vertex slot leaked into a domain")
 	}
 }
+
+// AddMatch runs once per FSM match: on a warmed domain it must not
+// allocate (it once rebuilt the regular-vertex list on every call).
+func TestAddMatchDoesNotAllocate(t *testing.T) {
+	d := NewDomain(pattern.MustParse("0-1 1-2 2-3 [0:1] [1:2] [2:1] [3:3]"))
+	match := []uint32{7, 8, 9, 10}
+	d.AddMatch(match)
+	if allocs := testing.AllocsPerRun(100, func() { d.AddMatch(match) }); allocs != 0 {
+		t.Fatalf("AddMatch allocates %.0f times per call, want 0", allocs)
+	}
+}

@@ -1,6 +1,10 @@
 package pattern
 
-import "sort"
+import (
+	"bytes"
+	"slices"
+	"strings"
+)
 
 // CanonicalCode returns a byte string that is identical for isomorphic
 // patterns and distinct for non-isomorphic ones. Isomorphism here
@@ -57,13 +61,11 @@ func (p *Pattern) CanonicalForm() (string, []int) {
 	bestPerm := make([]int, n)
 	used := make([]bool, n)
 
-	var rec func(pos, curLen int, worse bool)
-	rec = func(pos, curLen int, worse bool) {
+	var rec func(pos, curLen int)
+	rec = func(pos, curLen int) {
 		if pos == n {
-			if !worse {
-				copy(best, cur)
-				copy(bestPerm, perm)
-			}
+			copy(best, cur)
+			copy(bestPerm, perm)
 			return
 		}
 		for v := 0; v < n; v++ {
@@ -78,40 +80,26 @@ func (p *Pattern) CanonicalForm() (string, []int) {
 				row[4+i] = byte(p.kind[v][perm[i]])
 			}
 			// Compare against best's corresponding segment.
-			cmp := 0
-			if !worse {
-				for i, b := range row {
-					if b != best[curLen+i] {
-						if b < best[curLen+i] {
-							cmp = -1
-						} else {
-							cmp = 1
-						}
-						break
-					}
-				}
-			}
-			if !worse && cmp > 0 {
+			cmp := bytes.Compare(row, best[curLen:curLen+len(row)])
+			if cmp > 0 {
 				continue // prune: already lexicographically larger
 			}
-			childWorse := worse
-			if !worse && cmp < 0 {
+			if cmp < 0 {
 				// Strictly better prefix: remainder of best is obsolete.
 				for i := curLen + len(row); i < total; i++ {
 					best[i] = 0xFF
 				}
 				copy(best[curLen:], row)
-				childWorse = false
 			}
 			used[v] = true
 			perm = append(perm, v)
-			rec(pos+1, curLen+rowLen[pos], childWorse)
+			rec(pos+1, curLen+rowLen[pos])
 			perm = perm[:len(perm)-1]
 			used[v] = false
 		}
 	}
 	cur = cur[:total]
-	rec(0, 0, false)
+	rec(0, 0)
 	// bestPerm[i] holds the original vertex at canonical position i;
 	// invert it so out[v] is the canonical position of vertex v.
 	out := make([]int, n)
@@ -131,119 +119,92 @@ func (p *Pattern) IsIsomorphic(q *Pattern) bool {
 }
 
 // Automorphisms enumerates all label- and edge-color-preserving
-// permutations of p's vertices. Each returned slice a satisfies
-// kind[a[u]][a[v]] == kind[u][v] and label[a[u]] == label[u].
+// permutations of p's vertices, in lexicographic order. Each returned
+// slice a satisfies kind[a[u]][a[v]] == kind[u][v] and
+// label[a[u]] == label[u].
 //
 // Anti-edges participate as a distinct color and anti-vertices as
 // ordinary vertices, which is what exposes anti-vertex asymmetries to
 // symmetry breaking (§4.3): an anti-vertex can never be automorphic to a
 // regular vertex because automorphisms preserve edge colors.
 func (p *Pattern) Automorphisms() [][]int {
-	n := p.n
-	// Per-vertex invariant signature for pruning: (label, degree,
-	// anti-degree). Only vertices with equal signatures can map to each
-	// other.
-	type sig struct {
-		l        Label
-		deg, ant int
-	}
-	sigs := make([]sig, n)
-	for v := 0; v < n; v++ {
-		sigs[v] = sig{p.labels[v], p.Degree(v), p.AntiDegree(v)}
-	}
 	var out [][]int
-	a := make([]int, n)
-	used := make([]bool, n)
-	var rec func(u int)
-	rec = func(u int) {
-		if u == n {
-			out = append(out, append([]int(nil), a...))
-			return
-		}
-		for img := 0; img < n; img++ {
-			if used[img] || sigs[u] != sigs[img] {
-				continue
-			}
-			ok := true
-			for w := 0; w < u; w++ {
-				if p.kind[u][w] != p.kind[img][a[w]] {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			a[u] = img
-			used[img] = true
-			rec(u + 1)
-			used[img] = false
+	p.automorphisms(nil, -1, -1, func(a []int) bool {
+		out = append(out, append([]int(nil), a...))
+		return true
+	})
+	return out
+}
+
+// HasAutomorphism reports whether an automorphism of p exists that fixes
+// every vertex in fixed pointwise and maps u to v. It stops at the first
+// one; unlike Automorphisms it never materializes the group, so it
+// remains fast for highly symmetric patterns whose group is factorially
+// large (e.g. 14-cliques, |Aut| = 14!).
+func (p *Pattern) HasAutomorphism(fixed []int, u, v int) bool {
+	found := false
+	p.automorphisms(fixed, u, v, func([]int) bool {
+		found = true
+		return false
+	})
+	return found
+}
+
+// Orbit returns v's orbit under the automorphisms of p that fix every
+// vertex in fixed: v first, then the rest ascending. Like
+// HasAutomorphism, which it asks once per vertex, it never materializes
+// the group.
+func (p *Pattern) Orbit(fixed []int, v int) []int {
+	orbit := []int{v}
+	for u := 0; u < p.n; u++ {
+		if u != v && !slices.Contains(fixed, u) && p.HasAutomorphism(fixed, v, u) {
+			orbit = append(orbit, u)
 		}
 	}
-	rec(0)
-	return out
+	return orbit
 }
 
 // Orbits partitions vertices into automorphism orbits and returns
 // orbit[v] = smallest vertex in v's orbit. Vertices in the same orbit are
 // interchangeable in any match, which is how MNI domains are shared
-// across symmetric pattern vertices (see internal/mni). Orbits are
-// computed with pairwise automorphism queries, not full group
-// enumeration, so large symmetric patterns (cliques) stay cheap.
+// across symmetric pattern vertices (see internal/mni). Like Orbit it
+// asks HasAutomorphism, once per pair at most: a vertex no smaller
+// vertex reached is the least of its orbit.
 func (p *Pattern) Orbits() []int {
-	parent := make([]int, p.n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for u := 0; u < p.n; u++ {
-		for v := u + 1; v < p.n; v++ {
-			if find(u) == find(v) {
-				continue
-			}
-			if p.HasAutomorphism(nil, u, v) {
-				ru, rv := find(u), find(v)
-				if rv < ru {
-					ru, rv = rv, ru
-				}
-				parent[rv] = ru
-			}
-		}
-	}
 	out := make([]int, p.n)
 	for v := range out {
-		out[v] = find(v)
+		out[v] = v
+	}
+	for v := range out {
+		for u := v + 1; u < p.n && out[v] == v; u++ {
+			if out[u] == u && p.HasAutomorphism(nil, v, u) {
+				out[u] = v
+			}
+		}
 	}
 	return out
 }
 
-// HasAutomorphism reports whether an automorphism of p exists that fixes
-// every vertex in fixed pointwise and maps u to v. It is a bounded
-// backtracking search; unlike Automorphisms it never materializes the
-// group, so it remains fast for highly symmetric patterns whose group is
-// factorially large (e.g. 14-cliques, |Aut| = 14!).
-func (p *Pattern) HasAutomorphism(fixed []int, u, v int) bool {
+// automorphisms calls yield with each automorphism of p — img[v] is v's
+// image — that fixes every vertex in fixed and maps u to v (any, for a
+// negative u), in lexicographic order of img, until yield returns false.
+// img is reused between calls. The search is a backtracking one that
+// assigns vertices in ascending order and prunes an image as soon as its
+// label, degree, anti-degree or an edge color to an assigned vertex
+// differs; a query whose u and v differ in label fails at once.
+func (p *Pattern) automorphisms(fixed []int, u, v int, yield func(img []int) bool) {
 	n := p.n
 	img := make([]int, n)
 	used := make([]bool, n)
-	for i := range img {
-		img[i] = -1
+	for w := range img {
+		img[w] = -1
 	}
 	assign := func(a, b int) bool {
 		if img[a] == b {
 			return true
 		}
-		if img[a] != -1 || used[b] {
-			return false
-		}
-		if p.labels[a] != p.labels[b] || p.Degree(a) != p.Degree(b) || p.AntiDegree(a) != p.AntiDegree(b) {
+		if img[a] != -1 || used[b] || p.labels[a] != p.labels[b] ||
+			p.Degree(a) != p.Degree(b) || p.AntiDegree(a) != p.AntiDegree(b) {
 			return false
 		}
 		for w := 0; w < n; w++ {
@@ -257,75 +218,72 @@ func (p *Pattern) HasAutomorphism(fixed []int, u, v int) bool {
 	}
 	for _, f := range fixed {
 		if !assign(f, f) {
-			return false
+			return
 		}
 	}
-	if !assign(u, v) {
-		return false
+	if u >= 0 && !assign(u, v) {
+		return
 	}
-	var rec func(w int) bool
+	var rec func(w int) bool // false once yield has stopped the search
 	rec = func(w int) bool {
 		for w < n && img[w] != -1 {
 			w++
 		}
 		if w == n {
-			return true
+			return yield(img)
 		}
 		for b := 0; b < n; b++ {
-			if used[b] {
+			if !assign(w, b) {
 				continue
 			}
-			if assign(w, b) {
-				if rec(w + 1) {
-					return true
-				}
-				img[w] = -1
-				used[b] = false
+			more := rec(w + 1)
+			img[w] = -1
+			used[b] = false
+			if !more {
+				return false
 			}
 		}
-		return false
+		return true
 	}
-	return rec(0)
+	rec(0)
 }
 
-func orbitsOf(n int, autos [][]int) []int {
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+// Classes collects patterns by isomorphism class: the first pattern
+// added of a class represents it, and the class sums the weights added
+// to it. The zero value is empty and ready to use.
+type Classes struct {
+	List  []Class // first seen first
+	index map[string]int
+}
+
+// Class is one isomorphism class of a Classes.
+type Class struct {
+	Pat    *Pattern // the first pattern added of the class
+	code   string   // its canonical code
+	Weight int64    // the sum of the weights added to the class
+}
+
+// Add adds p, with weight w, to its class.
+func (c *Classes) Add(p *Pattern, w int64) {
+	code := p.CanonicalCode()
+	i, ok := c.index[code]
+	if !ok {
+		if c.index == nil {
+			c.index = make(map[string]int)
 		}
-		return x
+		i = len(c.List)
+		c.index[code] = i
+		c.List = append(c.List, Class{Pat: p, code: code})
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			if rb < ra {
-				ra, rb = rb, ra
-			}
-			parent[rb] = ra
-		}
-	}
-	for _, a := range autos {
-		for v, img := range a {
-			union(v, img)
-		}
-	}
-	out := make([]int, n)
-	for v := range out {
-		out[v] = find(v)
+	c.List[i].Weight += w
+}
+
+// Sorted returns the classes' representatives in canonical-code order,
+// the deterministic order of the generators.
+func (c *Classes) Sorted() []*Pattern {
+	var out []*Pattern
+	for _, cl := range slices.SortedFunc(slices.Values(c.List), func(a, b Class) int { return strings.Compare(a.code, b.code) }) {
+		out = append(out, cl.Pat)
 	}
 	return out
-}
-
-// SortByCode orders patterns by canonical code; useful for deterministic
-// iteration in tests and tables.
-func SortByCode(ps []*Pattern) {
-	sort.Slice(ps, func(i, j int) bool {
-		return ps[i].CanonicalCode() < ps[j].CanonicalCode()
-	})
 }

@@ -53,8 +53,7 @@ func GenerateAllVertexInduced(size int) []*Pattern {
 		return nil
 	}
 	pairs := allPairs(size)
-	var out []*Pattern
-	seen := make(map[string]bool)
+	var classes Classes
 	// Enumerate every subset of the complete graph's edges.
 	for mask := 0; mask < 1<<len(pairs); mask++ {
 		p := New(size)
@@ -63,17 +62,11 @@ func GenerateAllVertexInduced(size int) []*Pattern {
 				p.AddEdge(pr[0], pr[1])
 			}
 		}
-		if !p.ConnectedRegular() {
-			continue
-		}
-		c := p.CanonicalCode()
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, p)
+		if p.ConnectedRegular() {
+			classes.Add(p, 1)
 		}
 	}
-	SortByCode(out)
-	return out
+	return classes.Sorted()
 }
 
 // GenerateAllEdgeInduced returns all unique connected unlabeled patterns
@@ -83,32 +76,24 @@ func GenerateAllEdgeInduced(edges int) []*Pattern {
 	if edges < 1 {
 		return nil
 	}
-	var out []*Pattern
-	seen := make(map[string]bool)
+	var classes Classes
 	// A connected pattern with e edges has between 2 and e+1 vertices.
 	for n := 2; n <= edges+1 && n <= MaxVertices; n++ {
 		pairs := allPairs(n)
-		if len(pairs) < edges {
-			continue
-		}
-		combos := combinations(len(pairs), edges)
-		for _, combo := range combos {
+		Combinations(len(pairs), edges, func(combo []int) bool {
 			p := New(n)
 			for _, i := range combo {
 				p.AddEdge(pairs[i][0], pairs[i][1])
 			}
-			if !connectedNoIsolated(p) {
-				continue
+			// This also rejects an isolated vertex: a regular vertex in a
+			// component of its own.
+			if p.ConnectedRegular() {
+				classes.Add(p, 1)
 			}
-			c := p.CanonicalCode()
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, p)
-			}
-		}
+			return true
+		})
 	}
-	SortByCode(out)
-	return out
+	return classes.Sorted()
 }
 
 // ExtendByEdge grows each input pattern by one edge [C1]: either a new
@@ -117,15 +102,7 @@ func GenerateAllEdgeInduced(edges int) []*Pattern {
 // deduplicated up to isomorphism across all inputs, mirroring the FSM
 // growth step in Figure 4a.
 func ExtendByEdge(patterns []*Pattern) []*Pattern {
-	var out []*Pattern
-	seen := make(map[string]bool)
-	add := func(p *Pattern) {
-		c := p.CanonicalCode()
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, p)
-		}
-	}
+	var classes Classes
 	for _, p := range patterns {
 		n := p.N()
 		for u := 0; u < n; u++ {
@@ -133,7 +110,7 @@ func ExtendByEdge(patterns []*Pattern) []*Pattern {
 				if p.EdgeKindOf(u, v) == None && !p.IsAntiVertex(u) && !p.IsAntiVertex(v) {
 					q := p.Clone()
 					q.AddEdge(u, v)
-					add(q)
+					classes.Add(q, 1)
 				}
 			}
 		}
@@ -145,20 +122,18 @@ func ExtendByEdge(patterns []*Pattern) []*Pattern {
 				q := p.Clone()
 				w := q.AddVertex()
 				q.AddEdge(u, w)
-				add(q)
+				classes.Add(q, 1)
 			}
 		}
 	}
-	SortByCode(out)
-	return out
+	return classes.Sorted()
 }
 
 // ExtendByVertex grows each input pattern by one vertex [C2]: a new
 // wildcard vertex attached to every non-empty subset of the existing
 // regular vertices. Results are deduplicated up to isomorphism.
 func ExtendByVertex(patterns []*Pattern) []*Pattern {
-	var out []*Pattern
-	seen := make(map[string]bool)
+	var classes Classes
 	for _, p := range patterns {
 		if p.N() >= MaxVertices {
 			continue
@@ -172,15 +147,10 @@ func ExtendByVertex(patterns []*Pattern) []*Pattern {
 					q.AddEdge(u, w)
 				}
 			}
-			c := q.CanonicalCode()
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, q)
-			}
+			classes.Add(q, 1)
 		}
 	}
-	SortByCode(out)
-	return out
+	return classes.Sorted()
 }
 
 func allPairs(n int) [][2]int {
@@ -193,34 +163,25 @@ func allPairs(n int) [][2]int {
 	return pairs
 }
 
-// combinations returns all k-subsets of [0, n) as index slices.
-func combinations(n, k int) [][]int {
-	var out [][]int
+// Combinations calls f with each k-subset of [0, n), ascending, in
+// lexicographic order, until f returns false. The slice is reused
+// between calls.
+func Combinations(n, k int, f func([]int) bool) {
 	combo := make([]int, k)
-	var rec func(start, idx int)
-	rec = func(start, idx int) {
+	var rec func(start, idx int) bool
+	rec = func(start, idx int) bool {
 		if idx == k {
-			out = append(out, append([]int(nil), combo...))
-			return
+			return f(combo)
 		}
 		for i := start; i <= n-(k-idx); i++ {
 			combo[idx] = i
-			rec(i+1, idx+1)
+			if !rec(i+1, idx+1) {
+				return false
+			}
 		}
+		return true
 	}
 	rec(0, 0)
-	return out
-}
-
-// connectedNoIsolated reports whether every vertex has at least one
-// regular edge and the pattern is connected.
-func connectedNoIsolated(p *Pattern) bool {
-	for v := 0; v < p.N(); v++ {
-		if p.Degree(v) == 0 {
-			return false
-		}
-	}
-	return p.ConnectedRegular()
 }
 
 // VertexInduced returns the anti-edge augmentation of p per Theorem 3.1:

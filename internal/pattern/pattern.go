@@ -15,6 +15,7 @@ package pattern
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -233,26 +234,36 @@ func (p *Pattern) Clone() *Pattern {
 // graph under regular edges. Anti-vertices are excluded: they are never
 // matched and do not need to be reachable.
 func (p *Pattern) ConnectedRegular() bool {
-	reg := p.RegularVertices()
-	if len(reg) == 0 {
-		return false
+	return len(p.Components(p.RegularVertices())) == 1
+}
+
+// Components returns the connected components, under regular edges, of
+// the subgraph of p induced by the vertices vs: each ascending, in order
+// of their least vertex.
+func (p *Pattern) Components(vs []int) [][]int {
+	left := make([]bool, p.n) // in vs and in no component yet
+	for _, v := range vs {
+		left[v] = true
 	}
-	seen := make([]bool, p.n)
-	stack := []int{reg[0]}
-	seen[reg[0]] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for v := 0; v < p.n; v++ {
-			if p.kind[u][v] == Regular && !seen[v] {
-				seen[v] = true
-				count++
-				stack = append(stack, v)
+	var comps [][]int
+	for v := range left {
+		if !left[v] {
+			continue
+		}
+		left[v] = false
+		comp := []int{v}
+		for i := 0; i < len(comp); i++ {
+			for u := range left {
+				if left[u] && p.kind[comp[i]][u] == Regular {
+					left[u] = false
+					comp = append(comp, u)
+				}
 			}
 		}
+		slices.Sort(comp)
+		comps = append(comps, comp)
 	}
-	return count == len(reg)
+	return comps
 }
 
 // Validate checks the structural invariants the planner and engine rely

@@ -3,6 +3,8 @@ package pattern
 import (
 	"math/rand"
 	"os"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -210,6 +212,111 @@ func TestHasAutomorphismAgainstEnumeration(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Orbit under a stabilizer must list exactly the images of v under the
+// enumerated automorphisms that fix every vertex of fixed: v first, then
+// the rest ascending (BreakSymmetries pivots on that order).
+func TestOrbitAgainstEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(5)
+		p := randomPattern(rng, n)
+		if trial%3 == 0 {
+			p = Cycle(n + 1) // symmetric enough for non-trivial stabilizers
+			n++
+		}
+		fixed := rng.Perm(n)[:rng.Intn(3)]
+		autos := p.Automorphisms()
+		for v := 0; v < n; v++ {
+			if slices.Contains(fixed, v) {
+				continue
+			}
+			images := map[int]bool{}
+			for _, a := range autos {
+				if !slices.ContainsFunc(fixed, func(f int) bool { return a[f] != f }) {
+					images[a[v]] = true
+				}
+			}
+			want := []int{v}
+			for u := 0; u < n; u++ {
+				if u != v && images[u] {
+					want = append(want, u)
+				}
+			}
+			if got := p.Orbit(fixed, v); !slices.Equal(got, want) {
+				t.Fatalf("Orbit(%v, %d) of %v = %v, want %v", fixed, v, p, got, want)
+			}
+		}
+	}
+}
+
+func TestCombinations(t *testing.T) {
+	var got [][]int
+	Combinations(5, 3, func(c []int) bool {
+		got = append(got, slices.Clone(c))
+		return true
+	})
+	if len(got) != 10 || !slices.Equal(got[0], []int{0, 1, 2}) || !slices.Equal(got[9], []int{2, 3, 4}) {
+		t.Fatalf("Combinations(5, 3) = %v", got)
+	}
+	for i := 1; i < len(got); i++ {
+		if slices.Compare(got[i-1], got[i]) >= 0 {
+			t.Fatalf("not in lexicographic order: %v then %v", got[i-1], got[i])
+		}
+	}
+	calls := 0
+	Combinations(5, 2, func([]int) bool { calls++; return calls < 4 })
+	if calls != 4 {
+		t.Fatalf("Combinations kept going after f returned false: %d calls", calls)
+	}
+	Combinations(2, 3, func(c []int) bool { t.Fatalf("3-subset %v of 2 elements", c); return true })
+}
+
+func TestComponents(t *testing.T) {
+	house := MustParse("0-1 1-2 2-3 3-0 0-4 1-4")
+	cases := []struct {
+		p    *Pattern
+		vs   []int
+		want [][]int
+	}{
+		{Chain(5), []int{0, 1, 3, 4}, [][]int{{0, 1}, {3, 4}}},
+		{Star(5), []int{4, 2, 3, 1}, [][]int{{1}, {2}, {3}, {4}}},
+		{house, []int{4, 3, 2}, [][]int{{2, 3}, {4}}},
+		{house, []int{0, 1, 2, 3, 4}, [][]int{{0, 1, 2, 3, 4}}},
+		{house, nil, nil},
+		// Anti-edges do not connect.
+		{MustParse("0-1 1!2 2-3"), []int{0, 1, 2, 3}, [][]int{{0, 1}, {2, 3}}},
+	}
+	for _, c := range cases {
+		if got := c.p.Components(c.vs); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Components(%v) of %v = %v, want %v", c.vs, c.p, got, c.want)
+		}
+	}
+}
+
+// Classes keeps one class per isomorphism class: the first pattern
+// added represents it, weights sum, and Sorted orders by canonical code.
+func TestClasses(t *testing.T) {
+	var c Classes
+	c4 := MustParse("0-1 1-2 2-3 3-0")
+	c.Add(c4, 2)
+	c.Add(Chain(4), 5)
+	c.Add(MustParse("0-2 2-1 1-3 3-0"), -1) // C4 again
+	c.Add(MustParse("0-1 1-2 2-3 [3:1]"), 1)
+	if len(c.List) != 3 || c.List[0].Pat != c4 || c.List[0].Weight != 1 || c.List[1].Weight != 5 {
+		t.Fatalf("classes = %+v", c.List)
+	}
+	sorted := c.Sorted()
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i-1].CanonicalCode() >= sorted[i].CanonicalCode() {
+			t.Fatalf("Sorted out of canonical-code order: %v", sorted)
+		}
+	}
+	var empty Classes
+	if empty.Sorted() != nil {
+		t.Fatal("an empty Classes sorts to a non-nil slice")
 	}
 }
 

@@ -166,8 +166,15 @@ func Decompositions(p *pattern.Pattern) []Decomposition {
 		}
 		return k
 	}
-	for _, set := range cutSets(p.N()) {
-		comps := componentsWithout(p, set)
+	var sets [][]int // one to three vertices, by size, then lexicographic
+	for k := 1; k <= 3; k++ {
+		pattern.Combinations(p.N(), k, func(set []int) bool {
+			sets = append(sets, slices.Clone(set))
+			return true
+		})
+	}
+	for _, set := range sets {
+		comps := p.Components(rest(p.N(), set))
 		if !qualifies(comps) {
 			continue
 		}
@@ -188,26 +195,6 @@ func Decompositions(p *pattern.Pattern) []Decomposition {
 			}
 			out = append(out, Decomposition{Plan: &Plan{Pat: p, Cut: ct}, Terms: terms, Div: div})
 		}
-	}
-	return out
-}
-
-// cutSets returns the sets of one to three of n vertices, by size, then
-// in lexicographic order, each ascending.
-func cutSets(n int) [][]int {
-	var out [][]int
-	var pick func(set []int, from, k int)
-	pick = func(set []int, from, k int) {
-		if len(set) == k {
-			out = append(out, slices.Clone(set))
-			return
-		}
-		for v := from; v < n; v++ {
-			pick(append(set, v), v+1, k)
-		}
-	}
-	for k := 1; k <= 3; k++ {
-		pick(nil, 0, k)
 	}
 	return out
 }
@@ -265,7 +252,7 @@ func NewCut(p *pattern.Pattern, verts []int) (*Plan, error) {
 			return nil, cutError(p, verts, "vertex %d is named twice", v)
 		}
 	}
-	comps := componentsWithout(p, verts)
+	comps := p.Components(rest(p.N(), verts))
 	if !qualifies(comps) {
 		return nil, cutError(p, verts, "it leaves components %v, not two or more of at most two vertices", comps)
 	}
@@ -285,32 +272,15 @@ func decomposable(p *pattern.Pattern) bool {
 		p.Validate() == nil && p.ConnectedRegular()
 }
 
-// componentsWithout returns the connected components of p less the
-// vertices cut, each ascending, in order of their least vertex.
-func componentsWithout(p *pattern.Pattern, cut []int) [][]int {
-	seen := make([]bool, p.N())
-	for _, v := range cut {
-		seen[v] = true
-	}
-	var comps [][]int
-	for v := range seen {
-		if seen[v] {
-			continue
+// rest returns the vertices of [0, n) outside cut, ascending.
+func rest(n int, cut []int) []int {
+	var vs []int
+	for v := range n {
+		if !slices.Contains(cut, v) {
+			vs = append(vs, v)
 		}
-		seen[v] = true
-		comp := []int{v}
-		for i := 0; i < len(comp); i++ {
-			for u := range seen {
-				if !seen[u] && p.HasEdge(comp[i], u) {
-					seen[u] = true
-					comp = append(comp, u)
-				}
-			}
-		}
-		slices.Sort(comp)
-		comps = append(comps, comp)
 	}
-	return comps
+	return vs
 }
 
 func qualifies(comps [][]int) bool {
@@ -427,8 +397,7 @@ func shrinkage(p *pattern.Pattern, comps [][]int) []MorphTerm {
 			compOf = append(compOf, ci)
 		}
 	}
-	classes := make(map[string]int) // canonical code -> index in terms
-	var terms []MorphTerm
+	var classes pattern.Classes
 	block := make([]int, len(vs))
 	var blockComps []uint64 // per block: the components it holds a vertex of
 	var walk func(i int)
@@ -468,17 +437,10 @@ func shrinkage(p *pattern.Pattern, comps [][]int) []MorphTerm {
 				q.AddEdge(img[u], img[v])
 			}
 		}
-		code := q.CanonicalCode()
-		j, ok := classes[code]
-		if !ok {
-			j = len(terms)
-			classes[code] = j
-			terms = append(terms, MorphTerm{Pat: q})
-		}
-		terms[j].Coef += int64(len(q.Automorphisms()))
+		classes.Add(q, 1)
 	}
 	walk(0)
-	return terms
+	return morphTerms(&classes)
 }
 
 // CutFits reports whether the engine's 128-bit tally of V is exact for a

@@ -112,12 +112,7 @@ func MorphTerms(p *pattern.Pattern) ([]MorphTerm, int64) {
 		}
 	}
 	// Accumulate signed subset multiplicities per isomorphism class.
-	type acc struct {
-		pat  *pattern.Pattern
-		coef int64
-	}
-	classes := make(map[string]*acc)
-	var order []string
+	var classes pattern.Classes
 	for mask := 0; mask < 1<<len(anti); mask++ {
 		q := p.Clone()
 		for b, e := range anti {
@@ -131,28 +126,23 @@ func MorphTerms(p *pattern.Pattern) ([]MorphTerm, int64) {
 		if bits.OnesCount(uint(mask))%2 == 1 {
 			sign = -1
 		}
-		code := q.CanonicalCode()
-		if a, ok := classes[code]; ok {
-			a.coef += sign
-		} else {
-			classes[code] = &acc{pat: q, coef: sign}
-			order = append(order, code)
-		}
+		classes.Add(q, sign)
 	}
+	return morphTerms(&classes), int64(len(p.Automorphisms()))
+}
+
+// morphTerms returns the classes of nonzero weight, first seen first,
+// each weighted by its representative's automorphism count as well, so
+// that a relation over them applies directly to engine (unique-match)
+// counts.
+func morphTerms(classes *pattern.Classes) []MorphTerm {
 	var terms []MorphTerm
-	for _, code := range order {
-		a := classes[code]
-		if a.coef == 0 {
-			continue
+	for _, c := range classes.List {
+		if c.Weight != 0 {
+			terms = append(terms, MorphTerm{Pat: c.Pat, Coef: c.Weight * int64(len(c.Pat.Automorphisms()))})
 		}
-		// Fold the class representative's automorphism count so the
-		// relation applies directly to engine (unique-match) counts.
-		terms = append(terms, MorphTerm{
-			Pat:  a.pat,
-			Coef: a.coef * int64(len(a.pat.Automorphisms())),
-		})
 	}
-	return terms, int64(len(p.Automorphisms()))
+	return terms
 }
 
 // relation is a count recovered from cheaper ones, compiled against one

@@ -23,7 +23,6 @@ package plan
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"peregrine/internal/pattern"
 )
@@ -217,53 +216,40 @@ func New(p *pattern.Pattern, opt Options) (*Plan, error) {
 // round picks among all vertices.
 //
 // Orbits under the shrinking stabilizer subgroup are computed with
-// pairwise automorphism queries (pattern.HasAutomorphism) rather than by
+// pairwise automorphism queries (pattern.Orbit) rather than by
 // materializing the group, which keeps factorially symmetric patterns
 // like the Table 6 14-clique (|Aut| = 14!) tractable.
 func BreakSymmetries(p *pattern.Pattern, core []int) []Cond {
 	var conds []Cond
 	var fixed []int
-	n := p.N()
-	isFixed := make([]bool, n)
 	for {
-		pivot, pivotOrbit := pickPivot(p, fixed, isFixed, core)
+		pivot, pivotOrbit := pickPivot(p, fixed, core)
 		if len(pivotOrbit) <= 1 {
-			pivot, pivotOrbit = pickPivot(p, fixed, isFixed, nil)
+			pivot, pivotOrbit = pickPivot(p, fixed, nil)
 		}
 		if len(pivotOrbit) <= 1 {
 			return conds // stabilizer is trivial: symmetries fully broken
 		}
-		for _, u := range pivotOrbit {
-			if u == pivot {
-				continue
-			}
+		for _, u := range pivotOrbit[1:] {
 			if p.IsAntiVertex(pivot) && p.IsAntiVertex(u) {
 				continue
 			}
 			conds = append(conds, Cond{Less: pivot, Greater: u})
 		}
 		fixed = append(fixed, pivot)
-		isFixed[pivot] = true
 	}
 }
 
 // pickPivot returns the vertex of among — every vertex when among is
 // nil — with the largest orbit under the stabilizer of fixed, ties
-// broken by smallest id, and that orbit.
-func pickPivot(p *pattern.Pattern, fixed []int, isFixed []bool, among []int) (pivot int, orbit []int) {
-	n := p.N()
+// broken by smallest id, and that orbit (pattern.Orbit: pivot first).
+func pickPivot(p *pattern.Pattern, fixed, among []int) (pivot int, orbit []int) {
 	pivot = -1
-	for v := 0; v < n; v++ {
-		if isFixed[v] || among != nil && !slices.Contains(among, v) {
+	for v := 0; v < p.N(); v++ {
+		if slices.Contains(fixed, v) || among != nil && !slices.Contains(among, v) {
 			continue
 		}
-		o := []int{v}
-		for u := 0; u < n; u++ {
-			if u != v && !isFixed[u] && p.HasAutomorphism(fixed, v, u) {
-				o = append(o, u)
-			}
-		}
-		if len(o) > len(orbit) {
+		if o := p.Orbit(fixed, v); len(o) > len(orbit) {
 			pivot, orbit = v, o
 		}
 	}
@@ -306,68 +292,19 @@ func MinConnectedVertexCover(p *pattern.Pattern) ([]int, error) {
 		}
 		return true
 	}
-	connected := func(s []int) bool {
-		if len(s) <= 1 {
-			return true
-		}
-		idx := make(map[int]int, len(s))
-		for i, v := range s {
-			idx[v] = i
-		}
-		seen := make([]bool, len(s))
-		stack := []int{0}
-		seen[0] = true
-		cnt := 1
-		for len(stack) > 0 {
-			i := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for j, v := range s {
-				if !seen[j] && p.HasEdge(s[i], v) {
-					seen[j] = true
-					cnt++
-					stack = append(stack, j)
-				}
-			}
-		}
-		return cnt == len(s)
-	}
 	for size := 1; size <= len(reg); size++ {
-		var found []int
-		forEachCombination(len(reg), size, func(idx []int) bool {
-			s := make([]int, size)
+		s := make([]int, size)
+		found := false
+		pattern.Combinations(len(reg), size, func(idx []int) bool {
 			for i, j := range idx {
 				s[i] = reg[j]
 			}
-			if covers(s) && connected(s) {
-				found = s
-				return false // stop
-			}
-			return true
+			found = covers(s) && len(p.Components(s)) == 1
+			return !found
 		})
-		if found != nil {
-			sort.Ints(found)
-			return found, nil
+		if found {
+			return s, nil
 		}
 	}
 	return nil, fmt.Errorf("plan: no connected vertex cover exists (pattern %v)", p)
-}
-
-// forEachCombination invokes f on each k-subset of [0,n) in
-// lexicographic order until f returns false.
-func forEachCombination(n, k int, f func([]int) bool) {
-	combo := make([]int, k)
-	var rec func(start, idx int) bool
-	rec = func(start, idx int) bool {
-		if idx == k {
-			return f(combo)
-		}
-		for i := start; i <= n-(k-idx); i++ {
-			combo[idx] = i
-			if !rec(i+1, idx+1) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(0, 0)
 }
