@@ -23,9 +23,8 @@ import (
 type cutCounter struct {
 	t     *cutTable
 	cut   *plan.Cut
-	comps []int  // the table entry of each of cut.Comps
-	plan  int    // the plan's index in the batch
-	st    *Stats // the plan's row: tasks and intersections
+	comps []int    // the table entry of each of cut.Comps
+	r     *planRow // the plan's row: tasks and intersections
 	v     u128
 }
 
@@ -83,7 +82,7 @@ func (t *cutTable) bind(a uint32) {
 // walked vertex, where the cut has one, or of the task's binding alone.
 func (cc *cutCounter) task() {
 	t := cc.t
-	t.st = cc.st
+	t.st = &cc.r.stats
 	if !cc.cut.Walked {
 		cc.binding()
 		return

@@ -163,11 +163,11 @@ func labeledWheel(n uint32) *graph.Graph {
 	return b.Build()
 }
 
-// tailStart returns the completion level from which a count-mode worker
-// for pl sizes a Tail, or -1 when it sizes none.
+// tailStart returns the completion level from which a count of pl on g
+// sizes a Tail, or -1 when it sizes none.
 func tailStart(g *graph.Graph, pl *plan.Plan) int {
-	if w := newWorker(g, pl, nil, &multiWorker{}, nil); w.tail != nil {
-		return w.tail.tl.Start
+	if tl := fitTail(pl, g.MaxDegree()); tl != nil {
+		return tl.Start
 	}
 	return -1
 }

@@ -10,7 +10,12 @@
 // verifies anti-vertex constraints, and finally hands each complete
 // match to the user callback. Partial state lives only on the recursion
 // stack — the engine never materializes intermediate match sets, which
-// is the source of the paper's memory advantage (Figure 13).
+// is the source of the paper's memory advantage (Figure 13). A thread
+// explores one task at a time and completes one core match of one plan
+// at a time, so its completion state — the match, the level buffers,
+// the operand scratch — is per thread, sized for the batch's largest
+// plan; a plan keeps only a row per thread: its counters and, in a
+// count, how its completion ends.
 //
 // Completion slots: before the bounds that name other non-core
 // vertices, a non-core vertex's candidate set is a function of the core
@@ -90,7 +95,7 @@
 // signed products of those sizes over the set partitions of the tail,
 // divided by Π (chained class size)! — in 128-bit arithmetic. No level
 // of the tail is walked. On a graph whose largest degree could overflow
-// the terms a worker sizes the longest suffix that fits instead
+// the terms a count sizes the longest suffix that fits instead
 // (fitTail); two steps always fit. A filter on a tail step or an
 // anti-vertex check walks as before, and so does any other completion.
 //
@@ -128,6 +133,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -385,6 +391,10 @@ func (ms *MultiStats) Matches() uint64 {
 // independent traversals. MultiStats.Share reports the savings;
 // Options.NoSharing disables the merge for ablation.
 //
+// Each thread runs one walker (multiWorker) that walks the trie and
+// completes every plan's core matches with one set of completion state;
+// a plan keeps only its row (planRow) per thread, which RunPlans sums.
+//
 // Matches are tagged with the index of the plan that produced them via
 // cb's pat argument. The same plan pointer may appear more than once in
 // pls; each occurrence is matched and counted independently. A
@@ -423,15 +433,7 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 			}
 			return ms
 		}
-		watchDone := make(chan struct{})
-		defer close(watchDone)
-		go func() {
-			select {
-			case <-ctx.Done():
-				stop.Store(true)
-			case <-watchDone:
-			}
-		}()
+		defer context.AfterFunc(ctx, func() { stop.Store(true) })()
 	}
 	// The trie is pattern-side only and cheap to build (microseconds for
 	// mining-size batches), so it is rebuilt per run rather than cached.
@@ -458,24 +460,19 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 		next.Store(hi)
 	}
 
-	stats := make([][]Stats, threads)
-	cuts := make([][]*cutCounter, threads)
-	shares := make([]ShareStats, threads)
-	tasks := make([]uint64, threads)
+	mws := make([]*multiWorker, threads)
 	var wg sync.WaitGroup
-	for t := 0; t < threads; t++ {
+	for tid := range mws {
 		wg.Add(1)
-		go func(tid int) {
+		go func() {
 			defer wg.Done()
-			// The thread's trie walker and per-plan completion workers
-			// share one stage recorder: they run sequentially within the
-			// thread, so stage times attribute correctly across plans.
+			// The walker's trie walk and completions share one stage
+			// recorder: they run sequentially within the thread, so
+			// stage times attribute correctly across plans.
 			tb := opt.Breakdown.Thread()
 			mw := newMultiWorker(g, trie, pls, cb, tid, &stop, tb)
+			mws[tid] = mw
 			busyStart := time.Now()
-			// Accumulate locally: adjacent tasks[] slots share cache
-			// lines, and this counter bumps once per claimed vertex.
-			var done uint64
 			for {
 				var i int64
 				if hubsLow {
@@ -493,77 +490,80 @@ func RunPlans(g *graph.Graph, pls []*plan.Plan, cb PlanCallback, opt Options) Mu
 					break
 				}
 				mw.runTask(uint32(i))
-				done++
+				mw.tasks++
 			}
-			tasks[tid] = done
 			tb.Close()
 			finish := time.Now()
 			opt.LoadBalance.Report(tid, finish.Sub(busyStart), finish)
-			stats[tid] = make([]Stats, len(pls))
-			for pi, pw := range mw.pws {
-				stats[tid][pi] = pw.stats
-			}
-			shares[tid] = mw.share
-			cuts[tid] = mw.cuts
-		}(t)
+		}()
 	}
 	wg.Wait()
 
-	for tid := range stats {
-		ms.Tasks += tasks[tid]
-		ms.Share.Add(shares[tid])
-		for pi, s := range stats[tid] {
+	for _, mw := range mws {
+		ms.Tasks += mw.tasks
+		ms.Share.Add(mw.share)
+		for pi := range mw.rows {
+			s := &mw.rows[pi].stats
 			ms.Per[pi].Matches += s.Matches
 			ms.Per[pi].CoreMatches += s.CoreMatches
 			ms.Per[pi].Tasks += s.Tasks
 			ms.Per[pi].Intersections += s.Intersections
 			ms.Intersections += s.Intersections
 		}
-	}
-	// A decomposed plan's V, summed over threads in 128 bits.
-	for _, ccs := range cuts {
-		for _, cc := range ccs {
+		// A decomposed plan's V, summed over threads in 128 bits.
+		for _, cc := range mw.cuts {
 			if ms.MatchesHi == nil {
 				ms.MatchesHi = make([]uint64, len(pls))
 			}
-			v, _ := u128{ms.MatchesHi[cc.plan], ms.Per[cc.plan].Matches}.add(cc.v)
-			ms.MatchesHi[cc.plan], ms.Per[cc.plan].Matches = v.hi, v.lo
+			pi := cc.r.pi
+			v, _ := u128{ms.MatchesHi[pi], ms.Per[pi].Matches}.add(cc.v)
+			ms.MatchesHi[pi], ms.Per[pi].Matches = v.hi, v.lo
 		}
 	}
 	ms.Stopped = stop.Load()
 	ms.MatchTime = time.Since(start)
 	for pi := range ms.Per {
-		// Per-plan snapshots share the batch-wide traversal figures so
-		// each reads as a complete Stats on its own.
+		// Per-plan snapshots share the batch-wide stop so each reads as a
+		// complete Stats on its own.
 		ms.Per[pi].Stopped = ms.Stopped
-		ms.Per[pi].Threads = int32(threads)
 	}
 	return ms
 }
 
-// multiWorker is one thread's trie executor plus the per-plan
-// completion workers it feeds; tasks share nothing across threads but
-// the atomic task counter and the stop flag (§5.1: "tasks ... are
+// multiWorker is one thread's walker: it walks the share trie and
+// completes every core match a leaf delivers, whichever plan owns the
+// leaf, with one set of completion state sized for the batch's largest
+// plan — a thread completes one core match of one plan at a time, so a
+// plan keeps only its row (planRow). Tasks share nothing across threads
+// but the atomic task counter and the stop flag (§5.1: "tasks ... are
 // independent of each other"). All candidate-set sharing happens inside
 // one multiWorker — shared nodes never alias buffers between threads.
 type multiWorker struct {
-	g    *graph.Graph
-	trie *plan.ShareTrie
-	ctx  Ctx
-	// counts is true in a run with no callback (count mode), which sizes
-	// Sized nodes without binding their candidates.
-	counts bool
-	pws    []*worker     // per-plan completion state, indexed like the plan slice
-	cuts   []*cutCounter // the decomposed plans', run once per task after the trie
-	cutT   *cutTable     // their component table; nil without them
+	g     *graph.Graph
+	trie  *plan.ShareTrie
+	cb    PlanCallback // nil in count mode
+	ctx   Ctx
+	rows  []planRow     // per-plan state, indexed like the plan slice
+	cuts  []*cutCounter // the decomposed plans', run once per task after the trie
+	cutT  *cutTable     // their component table; nil without them
+	tasks uint64        // the tasks this thread claimed
 
 	tm      taskMarks  // the task vertex's list, marked for the multi-list steps naming it
 	data    []uint32   // visit index -> data id for the current partial binding
 	bufs    [][]uint32 // candidate scratch per trie depth (bufs[d-1] for depth d)
-	listArg [][]uint32 // scratch for gathering adjacency list operands
+	listArg [][]uint32 // scratch for gathering adjacency list operands, up to a pattern's vertex count
 	taken   []uint32   // scratch for the bindings a sized level may hold
 	kept    []uint32   // scratch for the bindings a count sizes: a node's past its filters, or one delivered
-	touched []bool     // per-plan task-attribution flags, reset per task
+
+	// The core match being completed, of one plan at a time.
+	match    []uint32 // pattern vertex -> data id; NoVertex where unmatched
+	assigned []uint32 // data ids matched so far (core + completed non-core)
+	// leafSlots is the delivered leaf's slot per NonCore step under the
+	// core sequence being completed (plan.ShareLeaf.Slots); a step
+	// without one (-1) intersects its lists itself.
+	leafSlots []int
+	ncBufs    [][]uint32 // scratch per completion level, then the anti-vertex check's
+	m         Match      // reused callback argument
 
 	// Completion slots (plan.Slot), indexed like trie.Slots. gen[d]
 	// advances whenever visit d is bound, so a new binding invalidates
@@ -575,18 +575,49 @@ type multiWorker struct {
 	tb    *profile.ThreadBreakdown
 }
 
+// planRow is what one plan keeps on one thread: its Stats and, in a
+// count, how its completion ends.
+type planRow struct {
+	pl    *plan.Plan
+	pi    int    // the plan's index in the batch, cb's pat argument
+	task  uint32 // the last task charged to stats.Tasks, NoVertex before the first
+	stats Stats
+
+	// countLast marks count mode: nobody reads the embeddings (no
+	// callback) and a complete assignment is a match without further
+	// checks, so the last completion level is counted in place, not
+	// recursed into.
+	countLast bool
+
+	// tail extends count mode to a Tail, two or more levels sized in
+	// closed form from one set per class (sizeTail): the plan's, or the
+	// longest suffix of it whose terms fit the graph (fitTail); nil
+	// without one.
+	tail *tailCounter
+}
+
 func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb PlanCallback, tid int, stop *atomic.Bool, tb *profile.ThreadBreakdown) *multiWorker {
+	// An anti-vertex check gathers a list per neighbour of its
+	// anti-vertex, which can outnumber the core.
+	n, levels := trie.MaxCore, 0
+	for _, pl := range pls {
+		n, levels = max(n, pl.Pat.N()), max(levels, len(pl.NonCore))
+	}
 	mw := &multiWorker{
 		g:       g,
 		trie:    trie,
+		cb:      cb,
 		ctx:     Ctx{Thread: tid, G: g, stop: stop},
-		counts:  cb == nil,
 		tm:      taskMarks{g: g, marked: NoVertex},
-		pws:     make([]*worker, len(pls)),
+		rows:    make([]planRow, len(pls)),
 		data:    make([]uint32, trie.MaxCore),
-		listArg: make([][]uint32, 0, trie.MaxCore),
-		touched: make([]bool, len(pls)),
+		listArg: make([][]uint32, 0, n),
 
+		match:    slices.Repeat([]uint32{NoVertex}, n),
+		assigned: make([]uint32, 0, n),
+		ncBufs:   make([][]uint32, levels+1),
+
+		bufs:  make([][]uint32, max(trie.MaxCore-1, 0)),
 		gen:   make([]uint64, trie.MaxCore),
 		slots: make([]slotState, len(trie.Slots)),
 		tb:    tb,
@@ -597,21 +628,20 @@ func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb P
 			mw.slots[sl.Prefix].marks = new(markSet)
 		}
 	}
-	if trie.MaxCore > 1 {
-		mw.bufs = make([][]uint32, trie.MaxCore-1)
-	}
 	for pi, pl := range pls {
-		var wcb Callback
-		if cb != nil {
-			pi := pi
-			wcb = func(ctx *Ctx, m *Match) { cb(ctx, pi, m) }
+		r := &mw.rows[pi]
+		r.pl, r.pi, r.task = pl, pi, NoVertex
+		r.countLast = cb == nil && len(pl.Checks) == 0
+		if r.countLast {
+			if tl := fitTail(pl, g.MaxDegree()); tl != nil {
+				r.tail = newTailCounter(tl)
+			}
 		}
-		mw.pws[pi] = newWorker(g, pl, wcb, mw, tb)
 		if pl.Cut != nil {
 			if mw.cutT == nil {
 				mw.cutT = newCutTable(g, trie, &mw.tm, &mw.share)
 			}
-			mw.cuts = append(mw.cuts, &cutCounter{t: mw.cutT, cut: pl.Cut, comps: trie.CutComps[pi], plan: pi, st: &mw.pws[pi].stats})
+			mw.cuts = append(mw.cuts, &cutCounter{t: mw.cutT, cut: pl.Cut, comps: trie.CutComps[pi], r: r})
 		}
 	}
 	return mw
@@ -623,9 +653,6 @@ func newMultiWorker(g *graph.Graph, trie *plan.ShareTrie, pls []*plan.Plan, cb P
 func (mw *multiWorker) runTask(v uint32) {
 	vlabel := pattern.Label(mw.g.Label(v))
 	mw.tm.bind(v)
-	for pi := range mw.touched {
-		mw.touched[pi] = false
-	}
 	for _, root := range mw.trie.Roots {
 		if root.Step.Label != pattern.Wildcard && root.Step.Label != vlabel {
 			continue
@@ -633,9 +660,9 @@ func (mw *multiWorker) runTask(v uint32) {
 		// Exact per-plan task attribution: a plan is charged a task when
 		// any of its matching orders is attempted on it, once per task.
 		for _, pi := range root.Plans {
-			if !mw.touched[pi] {
-				mw.touched[pi] = true
-				mw.pws[pi].stats.Tasks++
+			if r := &mw.rows[pi]; r.task != v {
+				r.task = v
+				r.stats.Tasks++
 			}
 		}
 		mw.data[0] = v
@@ -649,7 +676,7 @@ func (mw *multiWorker) runTask(v uint32) {
 		mw.tb.Enter(profile.StageNonCore)
 		mw.cutT.bind(v)
 		for _, cc := range mw.cuts {
-			cc.st.Tasks++
+			cc.r.stats.Tasks++
 			cc.task()
 		}
 	}
@@ -666,13 +693,7 @@ func (mw *multiWorker) descend(n *plan.ShareNode) {
 		st := &child.Step
 
 		mw.tb.Enter(profile.StagePO)
-		lo, hi := noLo, noHi
-		if st.Lo >= 0 {
-			lo = int64(mw.data[st.Lo])
-		}
-		if st.Hi >= 0 {
-			hi = int64(mw.data[st.Hi])
-		}
+		lo, hi := mw.window(st)
 		mw.tb.Enter(profile.StageCore)
 		lists := mw.listArg[:0]
 		for _, t := range st.Nbr {
@@ -687,7 +708,7 @@ func (mw *multiWorker) descend(n *plan.ShareNode) {
 			mw.share.SharedNodeVisits++
 			mw.share.IntersectionsSaved += uint64(child.MOs - 1)
 		}
-		if child.Sized && mw.counts {
+		if child.Sized && mw.cb == nil {
 			mw.sizeNode(child, cands)
 			continue
 		}
@@ -712,20 +733,33 @@ func (mw *multiWorker) descend(n *plan.ShareNode) {
 	}
 }
 
-// deliver hands a complete ordered-view binding, mw.data, to the owning
-// plan's completion worker, which completes it per §4.1 — or, in count
-// mode, sizes a leaf whose plan is SizedAtCore for the one binding of
-// visit d, its node's, as sizeNode sizes a Sized node's candidates.
+// window returns the id window of trie step st: the bindings of visits
+// st.Lo and st.Hi, noLo and noHi on a side it leaves unbounded.
+func (mw *multiWorker) window(st *plan.Step) (lo, hi int64) {
+	lo, hi = noLo, noHi
+	if st.Lo >= 0 {
+		lo = int64(mw.data[st.Lo])
+	}
+	if st.Hi >= 0 {
+		hi = int64(mw.data[st.Hi])
+	}
+	return lo, hi
+}
+
+// deliver completes mw.data, a complete ordered-view binding, for leaf
+// lf's plan per §4.1 — or, in count mode, sizes a leaf whose plan is
+// SizedAtCore for the one binding of visit d, its node's, as sizeNode
+// sizes a Sized node's candidates.
 func (mw *multiWorker) deliver(lf *plan.ShareLeaf, d int) {
-	pw := mw.pws[lf.Plan]
-	if mw.counts && lf.Levels != nil {
+	r := &mw.rows[lf.Plan]
+	if mw.cb == nil && lf.Levels != nil {
 		mw.tb.Enter(profile.StageNonCore)
 		mw.kept = append(mw.kept[:0], mw.data[d])
-		mw.sizeLeaf(lf, d, mw.kept, &pw.stats)
+		mw.sizeLeaf(lf, d, mw.kept, &r.stats)
 		return
 	}
-	pw.stats.CoreMatches++
-	pw.completeCore(lf)
+	r.stats.CoreMatches++
+	mw.completeCore(r, lf)
 }
 
 // sizeNode sizes the leaves of n, a Sized node, for all of its
@@ -747,7 +781,7 @@ func (mw *multiWorker) sizeNode(n *plan.ShareNode, cands []uint32) {
 	}
 	for i := range n.Leaves {
 		lf := &n.Leaves[i]
-		mw.sizeLeaf(lf, n.Depth, cands, &mw.pws[lf.Plan].stats)
+		mw.sizeLeaf(lf, n.Depth, cands, &mw.rows[lf.Plan].stats)
 	}
 }
 
@@ -782,13 +816,7 @@ func (mw *multiWorker) sizeLeaf(lf *plan.ShareLeaf, d int, cands []uint32, ps *S
 // d is sized once.
 func (mw *multiWorker) sizeCands(lf *plan.ShareLeaf, s, d int, cands []uint32, ps *Stats) (m uint64) {
 	lv := &lf.Levels[s]
-	lo, hi := noLo, noHi
-	if lv.Step.Lo >= 0 {
-		lo = int64(mw.data[lv.Step.Lo])
-	}
-	if lv.Step.Hi >= 0 {
-		hi = int64(mw.data[lv.Step.Hi])
-	}
+	lo, hi := mw.window(&lv.Step)
 	if lo+1 >= hi {
 		return 0
 	}
@@ -871,27 +899,17 @@ func (mw *multiWorker) prefix(id int, st *Stats) ([]uint32, *markSet) {
 // intersected with the rest inside the slot's window.
 func (mw *multiWorker) fillSlot(id int, st *Stats) []uint32 {
 	sl := &mw.trie.Slots[id]
-	var prefix []uint32
+	lists, nbr := mw.listArg[:0], sl.Step.Nbr
 	var pm *markSet
 	if sl.Prefix >= 0 {
-		prefix, pm = mw.prefix(sl.Prefix, st) // before the gather: it reuses listArg
-	}
-	lo, hi := noLo, noHi
-	if sl.Step.Lo >= 0 {
-		lo = int64(mw.data[sl.Step.Lo])
-	}
-	if sl.Step.Hi >= 0 {
-		hi = int64(mw.data[sl.Step.Hi])
-	}
-	lists := mw.listArg[:0]
-	nbr := sl.Step.Nbr
-	if sl.Prefix >= 0 {
-		lists = append(lists, prefix)
-		nbr = nbr[len(nbr)-1:]
+		var prefix []uint32
+		prefix, pm = mw.prefix(sl.Prefix, st) // a fill gathers in listArg too, before this gather does
+		lists, nbr = append(lists, prefix), nbr[len(nbr)-1:]
 	}
 	for _, t := range nbr {
 		lists = append(lists, mw.g.Adj(mw.data[t]))
 	}
+	lo, hi := mw.window(&sl.Step)
 	s := &mw.slots[id]
 	if cap(s.set) == 0 {
 		s.set = make([]uint32, 0, 256)
@@ -901,7 +919,7 @@ func (mw *multiWorker) fillSlot(id int, st *Stats) []uint32 {
 	}
 	// Two or more lists: the result is slot storage, never a graph view,
 	// and a grown buffer is kept for the next computation.
-	if sl.Prefix >= 0 {
+	if pm != nil {
 		s.set = pm.intersect(s.set, lists, lo, hi)
 	} else {
 		s.set = mw.tm.intersect(s.set, lists, lo, hi)
@@ -979,131 +997,67 @@ func (mw *multiWorker) admits(st *plan.Step, c uint32) bool {
 	return true
 }
 
-// worker holds one plan's completion state on one thread: once the trie
-// walk delivers a core binding, the worker completes non-core vertices,
-// verifies anti-vertex constraints, and invokes the callback.
-type worker struct {
-	g   *graph.Graph
-	pl  *plan.Plan
-	cb  Callback
-	ctx *Ctx         // the owning thread's context, shared across its workers
-	mw  *multiWorker // the owning thread's trie walker, which holds the completion slots
-
-	match    []uint32 // pattern vertex -> data id for the current match
-	assigned []uint32 // data ids matched so far (core + completed non-core)
-
-	// slots is the delivered leaf's slot per NonCore step under the core
-	// sequence being completed (plan.ShareLeaf.Slots); a step without
-	// one (-1) intersects its lists itself.
-	slots []int
-
-	ncBufs  [][]uint32 // scratch per completion depth
-	listArg [][]uint32 // scratch for gathering adjacency list operands
-
-	// countLast marks count mode: nobody reads the embeddings (no
-	// callback) and a complete assignment is a match without further
-	// checks, so the last completion level is counted in place, not
-	// recursed into.
-	countLast bool
-
-	// tail extends count mode to a Tail, two or more levels sized in
-	// closed form from one set per class (sizeTail): the plan's, or the
-	// longest suffix of it whose terms fit the graph (fitTail); nil
-	// without one.
-	tail *tailCounter
-
-	m     Match // reused callback argument
-	stats Stats
-	tb    *profile.ThreadBreakdown
-}
-
-func newWorker(g *graph.Graph, pl *plan.Plan, cb Callback, mw *multiWorker, tb *profile.ThreadBreakdown) *worker {
-	n := pl.Pat.N()
-	w := &worker{
-		g:        g,
-		pl:       pl,
-		cb:       cb,
-		ctx:      &mw.ctx,
-		mw:       mw,
-		match:    make([]uint32, n),
-		assigned: make([]uint32, 0, n),
-		ncBufs:   make([][]uint32, len(pl.NonCore)+1),
-		listArg:  make([][]uint32, 0, n),
-		tb:       tb,
-
-		countLast: cb == nil && len(pl.Checks) == 0,
-	}
-	for i := range w.match {
-		w.match[i] = NoVertex
-	}
-	w.m = Match{Pattern: pl.Pat, Mapping: w.match}
-	if w.countLast {
-		if tl := fitTail(pl, g.MaxDegree()); tl != nil {
-			w.tail = newTailCounter(tl)
-		}
-	}
-	return w
-}
-
-// completeCore converts the matched ordered view, the trie walker's
-// binding of visit t at mw.data[t], into core matches — one per sequence
+// completeCore converts the matched ordered view, the binding of visit
+// t at mw.data[t], into core matches of r's plan — one per sequence
 // (§4.1: "a match for pMi results in 1 match for pC per valid vertex
 // sequence"), each naming visit t's pattern vertex at seq[t] — and
 // completes each.
-func (w *worker) completeCore(lf *plan.ShareLeaf) {
-	w.tb.Enter(profile.StageOther) // mapping visits to pattern vertices
+func (mw *multiWorker) completeCore(r *planRow, lf *plan.ShareLeaf) {
+	mw.tb.Enter(profile.StageOther) // mapping visits to pattern vertices
+	mw.m = Match{Pattern: r.pl.Pat, Mapping: mw.match[:r.pl.Pat.N()]}
 	for s, seq := range lf.MO.Seqs {
-		if w.ctx.stop.Load() {
+		if mw.ctx.stop.Load() {
 			return
 		}
-		w.slots = lf.Slots[s]
-		w.assigned = w.assigned[:0]
+		mw.leafSlots = lf.Slots[s]
+		mw.assigned = mw.assigned[:0]
 		for t, pv := range seq {
-			w.match[pv] = w.mw.data[t]
-			w.assigned = append(w.assigned, w.mw.data[t])
+			mw.match[pv] = mw.data[t]
+			mw.assigned = append(mw.assigned, mw.data[t])
 		}
-		w.completeFrom(0)
+		mw.completeFrom(r, 0)
 		for _, pv := range seq {
-			w.match[pv] = NoVertex
+			mw.match[pv] = NoVertex
 		}
 	}
 }
 
-// completeFrom recursively assigns non-core vertices in plan order.
-// Candidates depend only on the core match (non-core vertices are an
-// independent set), plus ordering and distinctness constraints against
-// earlier assignments.
-func (w *worker) completeFrom(i int) {
-	if i == len(w.pl.NonCore) {
-		w.tb.Enter(profile.StageNonCore) // anti-vertex set intersections
-		if w.checkAntiVertices() {
-			w.stats.Matches++
-			if w.cb != nil {
-				w.tb.Enter(profile.StageOther)
-				w.cb(w.ctx, &w.m)
+// completeFrom recursively assigns r's plan's non-core vertices in plan
+// order. Candidates depend only on the core match (non-core vertices are
+// an independent set), plus ordering and distinctness constraints
+// against earlier assignments.
+func (mw *multiWorker) completeFrom(r *planRow, i int) {
+	nc := r.pl.NonCore
+	if i == len(nc) {
+		mw.tb.Enter(profile.StageNonCore) // anti-vertex set intersections
+		if mw.checkAntiVertices(r) {
+			r.stats.Matches++
+			if mw.cb != nil {
+				mw.tb.Enter(profile.StageOther)
+				mw.cb(&mw.ctx, r.pi, &mw.m)
 			}
 		}
 		return
 	}
-	if w.ctx.stop.Load() {
+	if mw.ctx.stop.Load() {
 		return
 	}
 	// Count mode, the whole tail at once: see sizeTail.
-	if w.tail != nil && i == w.tail.tl.Start {
-		w.stats.Matches += w.sizeTail()
+	if r.tail != nil && i == r.tail.tl.Start {
+		r.stats.Matches += mw.sizeTail(r)
 		return
 	}
-	st := &w.pl.NonCore[i]
+	st := &nc[i]
 	// Count mode: with no callback and no anti-vertex check, every
 	// candidate of the last level that passes its filters is exactly one
 	// match, counted in place with nothing below it to visit.
-	last := w.countLast && i == len(w.pl.NonCore)-1
+	last := r.countLast && i == len(nc)-1
 	// cands is read-only below: a slot's set is shared by every step
 	// naming it, and single-list results alias graph adjacency storage
 	// (intersectSetsInto ownership contract).
-	cands, ok := w.levelSet(i, st.LowerBound, st.UpperBound)
+	cands, ok := mw.levelSet(r, i, st.LowerBound, st.UpperBound)
 	if !ok {
-		w.tb.Enter(profile.StageOther)
+		mw.tb.Enter(profile.StageOther)
 		return
 	}
 
@@ -1111,10 +1065,10 @@ func (w *worker) completeFrom(i int) {
 	// part of completing the match (Figure 11's "Non-Core" stage).
 outer:
 	for _, c := range cands {
-		if st.Label != pattern.Wildcard && pattern.Label(w.g.Label(c)) != st.Label {
+		if st.Label != pattern.Wildcard && pattern.Label(mw.g.Label(c)) != st.Label {
 			continue
 		}
-		for _, used := range w.assigned {
+		for _, used := range mw.assigned {
 			if used == c {
 				continue outer
 			}
@@ -1123,20 +1077,20 @@ outer:
 		// any anti-adjacent core vertex (§4.2's set difference, applied
 		// per candidate with binary search).
 		for _, pv := range st.CoreAnti {
-			if w.g.HasEdge(c, w.match[pv]) {
+			if mw.g.HasEdge(c, mw.match[pv]) {
 				continue outer
 			}
 		}
 		if last {
-			w.stats.Matches++ // the last level counts in place
+			r.stats.Matches++ // the last level counts in place
 			continue
 		}
-		w.match[st.V] = c
-		w.assigned = append(w.assigned, c)
-		w.completeFrom(i + 1)
-		w.tb.Enter(profile.StageNonCore)
-		w.assigned = w.assigned[:len(w.assigned)-1]
-		w.match[st.V] = NoVertex
+		mw.match[st.V] = c
+		mw.assigned = append(mw.assigned, c)
+		mw.completeFrom(r, i+1)
+		mw.tb.Enter(profile.StageNonCore)
+		mw.assigned = mw.assigned[:len(mw.assigned)-1]
+		mw.match[st.V] = NoVertex
 	}
 }
 
@@ -1146,16 +1100,16 @@ outer:
 // count-mode tail sizes it beforehand. ok is false when the id window is
 // empty. The set is read-only: it is a slot's set, or lives in level i's
 // ncBufs slot or in graph storage.
-func (w *worker) levelSet(i int, lower, upper []int) (cands []uint32, ok bool) {
-	w.tb.Enter(profile.StagePO)
+func (mw *multiWorker) levelSet(r *planRow, i int, lower, upper []int) (cands []uint32, ok bool) {
+	mw.tb.Enter(profile.StagePO)
 	lo, hi := noLo, noHi
 	for _, pv := range lower {
-		if d := int64(w.match[pv]); d > lo {
+		if d := int64(mw.match[pv]); d > lo {
 			lo = d
 		}
 	}
 	for _, pv := range upper {
-		if d := int64(w.match[pv]); d < hi {
+		if d := int64(mw.match[pv]); d < hi {
 			hi = d
 		}
 	}
@@ -1163,39 +1117,39 @@ func (w *worker) levelSet(i int, lower, upper []int) (cands []uint32, ok bool) {
 		return nil, false
 	}
 
-	w.tb.Enter(profile.StageNonCore)
-	if id := w.slots[i]; id >= 0 {
-		return clip(w.mw.slot(id, &w.stats), lo, hi), true
+	mw.tb.Enter(profile.StageNonCore)
+	if id := mw.leafSlots[i]; id >= 0 {
+		return clip(mw.slot(id, &r.stats), lo, hi), true
 	}
-	lists := w.listArg[:0]
-	for _, pv := range w.pl.NonCore[i].CoreNbrs {
-		lists = append(lists, w.g.Adj(w.match[pv]))
+	lists := mw.listArg[:0]
+	for _, pv := range r.pl.NonCore[i].CoreNbrs {
+		lists = append(lists, mw.g.Adj(mw.match[pv]))
 	}
-	cands = w.mw.tm.set(&w.ncBufs[i], lists, lo, hi)
+	cands = mw.tm.set(&mw.ncBufs[i], lists, lo, hi)
 	if len(lists) > 1 {
-		w.stats.Intersections++
+		r.stats.Intersections++
 	}
 	return cands, true
 }
 
-// checkAntiVertices verifies the §4.3 constraint for every anti-vertex:
-// no data vertex may simultaneously (a) neighbor every match of the
-// anti-vertex's pattern neighbors and (b) avoid being the match of any
-// of those neighbors' own pattern neighbors.
-func (w *worker) checkAntiVertices() bool {
-	for ci := range w.pl.Checks {
-		chk := &w.pl.Checks[ci]
+// checkAntiVertices verifies the §4.3 constraint for every anti-vertex
+// of r's plan: no data vertex may simultaneously (a) neighbor every
+// match of the anti-vertex's pattern neighbors and (b) avoid being the
+// match of any of those neighbors' own pattern neighbors.
+func (mw *multiWorker) checkAntiVertices(r *planRow) bool {
+	for ci := range r.pl.Checks {
+		chk := &r.pl.Checks[ci]
 		// Intersect adjacency lists of the matched neighbors, smallest
 		// first, streaming the exclusion test.
-		lists := w.listArg[:0]
+		lists := mw.listArg[:0]
 		for _, u := range chk.Nbrs {
-			lists = append(lists, w.g.Adj(w.match[u]))
+			lists = append(lists, mw.g.Adj(mw.match[u]))
 		}
 		// common is only iterated, never written: with one list it is a
 		// view of that vertex's adjacency (ownership contract).
-		common := w.mw.tm.set(&w.ncBufs[len(w.pl.NonCore)], lists, noLo, noHi)
+		common := mw.tm.set(&mw.ncBufs[len(r.pl.NonCore)], lists, noLo, noHi)
 		if len(lists) > 1 {
-			w.stats.Intersections++
+			r.stats.Intersections++
 		}
 	candidates:
 		for _, x := range common {
@@ -1204,7 +1158,7 @@ func (w *worker) checkAntiVertices() bool {
 			// anti-vertex constraint is violated.
 			for i := range chk.Nbrs {
 				for _, pv := range chk.Exclude[i] {
-					if w.match[pv] == x {
+					if mw.match[pv] == x {
 						continue candidates // excluded by term i
 					}
 				}

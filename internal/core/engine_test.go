@@ -335,3 +335,36 @@ func TestSizedLevelKeepsItsScratch(t *testing.T) {
 		}
 	}
 }
+
+// A thread completes one core match of one plan at a time, so all a plan
+// keeps per thread is its row: the allocations each thread past the
+// first adds must not grow with the batch. Thirty-two copies of the
+// 4-cycle, each compiled on its own, against one, at four threads and at
+// one, counting and enumerating.
+func TestThreadStateDoesNotGrowWithPlans(t *testing.T) {
+	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 200, Edges: 600, Seed: 1})
+	batch := func(k int) []*plan.Plan {
+		pls := make([]*plan.Plan, k)
+		for i := range pls {
+			pls[i] = mustPlan(t, pattern.Cycle(4))
+		}
+		return pls
+	}
+	one, many := batch(1), batch(32)
+	noop := func(*Ctx, int, *Match) {}
+	for _, cb := range []PlanCallback{nil, noop} {
+		// extra is what the three threads past the first allocate.
+		extra := func(pls []*plan.Plan) float64 {
+			allocs := func(threads int) float64 {
+				return testing.AllocsPerRun(5, func() {
+					RunPlans(g, pls, cb, Options{Threads: threads})
+				})
+			}
+			return allocs(4) - allocs(1)
+		}
+		if growth := extra(many) - extra(one); growth >= float64(len(many)-1) {
+			t.Errorf("callback=%v: 3 more threads allocate %.0f times more for %d copies of a plan than for 1, want fewer than %d",
+				cb != nil, growth, len(many), len(many)-1)
+		}
+	}
+}

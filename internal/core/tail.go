@@ -13,23 +13,23 @@ import (
 // plan's Tail, which starts at the current level, without walking any of
 // it: one set per class, the class's slot or its own intersection
 // clipped to the class's window, then the tail's closed form
-// (tailCounter.count), whose merges count as intersections.
-func (w *worker) sizeTail() uint64 {
-	tc := w.tail
+// (tailCounter.count), whose merges count as intersections of r's plan.
+func (mw *multiWorker) sizeTail(r *planRow) uint64 {
+	tc := r.tail
 	for c := range tc.tl.Classes {
 		cl := &tc.tl.Classes[c]
-		set, ok := w.levelSet(cl.Step, cl.Lower, cl.Upper)
+		set, ok := mw.levelSet(r, cl.Step, cl.Lower, cl.Upper)
 		if !ok || len(set) < cl.Size {
 			return 0
 		}
 		tc.sets[c] = set
 	}
-	n, merges := tc.count(w.assigned)
-	w.stats.Intersections += merges
+	n, merges := tc.count(mw.assigned)
+	r.stats.Intersections += merges
 	return n
 }
 
-// tailCounter sizes a plan.Tail for one worker: given each class's
+// tailCounter sizes a plan.Tail for one plan on one thread: given each class's
 // candidate set and the vertices already matched, it evaluates the tail's
 // terms without walking any of its levels. Its slices are scratch reused
 // across core matches.
@@ -103,11 +103,11 @@ func (tc *tailCounter) count(skip []uint32) (n, merges uint64) {
 	return n, merges
 }
 
-// fitTail returns the tail a count-mode worker sizes for pl on a graph
-// whose largest degree is maxDeg: pl.Tail when its terms fit 128 bits
-// there (tailFits), else the longest suffix of it that fits — a
-// two-step one always does — or nil when pl has no Tail. It runs once
-// per worker, never per core match.
+// fitTail returns the tail a count sizes for pl on a graph whose largest
+// degree is maxDeg: pl.Tail when its terms fit 128 bits there
+// (tailFits), else the longest suffix of it that fits — a two-step one
+// always does — or nil when pl has no Tail. It runs once per plan per
+// thread, never per core match.
 func fitTail(pl *plan.Plan, maxDeg uint32) *plan.Tail {
 	tl := pl.Tail
 	for tl != nil && !tailFits(tl, maxDeg) {

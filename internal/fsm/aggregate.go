@@ -1,4 +1,4 @@
-package core
+package fsm
 
 import (
 	"sync"
@@ -6,22 +6,20 @@ import (
 	"time"
 )
 
-// OnTheFly implements the paper's asynchronous aggregation design
+// onTheFly implements the paper's asynchronous aggregation design
 // (§5.4): matching workers accumulate into thread-local values and
 // periodically hand them to an aggregator goroutine through per-thread
 // slots, so workers never block on aggregation. The aggregator merges
-// published values into a global value that Read can see while mining
-// is still in progress; nothing in the tree reads it mid-run. FSM, its
-// one user, reads only Close's final value, and existence queries stop
-// through Ctx.Stop, not through an aggregate. The aggregator still pays
-// for itself: a synchronous mutex merge every 4,096 matches measured
-// slower on FSM (ROADMAP, "Tried and dropped").
+// published values into a global value, which Close returns; FSM reads
+// only that final value. The aggregator still pays for itself: a
+// synchronous mutex merge every 4,096 matches measured slower on FSM
+// (ROADMAP, "Tried and dropped").
 //
 // The paper's matching threads set a flag and the aggregator waits for
 // all thread-local values; here each slot is an atomic pointer the
 // worker fills and the aggregator drains, which preserves the
 // non-blocking property for workers while being idiomatic Go.
-type OnTheFly[T any] struct {
+type onTheFly[T any] struct {
 	slots []atomic.Pointer[T]
 	fresh func() *T
 	merge func(dst, src *T)
@@ -33,15 +31,15 @@ type OnTheFly[T any] struct {
 	done chan struct{}
 }
 
-// NewOnTheFly starts an aggregator for the given number of worker
+// newOnTheFly starts an aggregator for the given number of worker
 // threads. fresh allocates an empty value; merge folds src into dst.
 // interval is how often published values are folded into the global
 // value; 0 selects a default.
-func NewOnTheFly[T any](threads int, interval time.Duration, fresh func() *T, merge func(dst, src *T)) *OnTheFly[T] {
+func newOnTheFly[T any](threads int, interval time.Duration, fresh func() *T, merge func(dst, src *T)) *onTheFly[T] {
 	if interval <= 0 {
 		interval = 2 * time.Millisecond
 	}
-	o := &OnTheFly[T]{
+	o := &onTheFly[T]{
 		slots:  make([]atomic.Pointer[T], threads),
 		fresh:  fresh,
 		merge:  merge,
@@ -69,7 +67,7 @@ func NewOnTheFly[T any](threads int, interval time.Duration, fresh func() *T, me
 // worker's slot is free the value is handed off and a fresh local value
 // is returned; otherwise the original is returned and the worker simply
 // keeps accumulating — it never blocks.
-func (o *OnTheFly[T]) Publish(tid int, local *T) *T {
+func (o *onTheFly[T]) Publish(tid int, local *T) *T {
 	if o.slots[tid].CompareAndSwap(nil, local) {
 		return o.fresh()
 	}
@@ -79,14 +77,14 @@ func (o *OnTheFly[T]) Publish(tid int, local *T) *T {
 // Flush hands off the worker's final local value, spinning briefly if
 // the slot is occupied (only happens at shutdown, never on the matching
 // hot path).
-func (o *OnTheFly[T]) Flush(tid int, local *T) {
+func (o *onTheFly[T]) Flush(tid int, local *T) {
 	for !o.slots[tid].CompareAndSwap(nil, local) {
 		o.drain()
 	}
 }
 
 // drain merges all published values into the global value.
-func (o *OnTheFly[T]) drain() {
+func (o *onTheFly[T]) drain() {
 	for i := range o.slots {
 		if v := o.slots[i].Swap(nil); v != nil {
 			o.mu.Lock()
@@ -96,17 +94,9 @@ func (o *OnTheFly[T]) drain() {
 	}
 }
 
-// Read invokes f with the current global value under the aggregator
-// lock. f must not retain the pointer.
-func (o *OnTheFly[T]) Read(f func(*T)) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	f(o.global)
-}
-
 // Close stops the aggregator, folds any remaining published values, and
 // returns the final global value.
-func (o *OnTheFly[T]) Close() *T {
+func (o *onTheFly[T]) Close() *T {
 	close(o.stop)
 	<-o.done
 	o.drain()
@@ -114,12 +104,3 @@ func (o *OnTheFly[T]) Close() *T {
 	defer o.mu.Unlock()
 	return o.global
 }
-
-// Counter is a tiny helper for OnTheFly aggregation of uint64 counts.
-type Counter struct{ N uint64 }
-
-// NewCounter allocates a zero counter.
-func NewCounter() *Counter { return &Counter{} }
-
-// MergeCounter folds src into dst.
-func MergeCounter(dst, src *Counter) { dst.N += src.N }

@@ -149,11 +149,7 @@ func matchLevel(g *graph.Graph, queries []*pattern.Pattern, opts core.Options) (
 		plans[i], regs[i] = pl, q.RegularVertices()
 	}
 
-	agg := core.NewOnTheFly[mni.Table](opts.Threads, 0, func() *mni.Table {
-		return mni.NewTable()
-	}, func(dst, src *mni.Table) {
-		mni.Merge(dst, src)
-	})
+	agg := newOnTheFly(opts.Threads, 0, mni.NewTable, mni.Merge)
 
 	type worker struct {
 		local   *mni.Table
@@ -163,12 +159,20 @@ func matchLevel(g *graph.Graph, queries []*pattern.Pattern, opts core.Options) (
 		// once. One cache per query: the same label vector names different
 		// structures under different queries.
 		remaps []map[string]*labelRemap
+		// An empty domain per canonical code, built on the code's first
+		// labeling: a fresh local table's miss copies its orbit layout
+		// instead of computing the orbits again.
+		empty  map[string]*mni.Domain
 		key    []byte
 		mapped []uint32
 	}
 	workers := make([]*worker, opts.Threads)
 	for i := range workers {
-		workers[i] = &worker{local: mni.NewTable(), remaps: make([]map[string]*labelRemap, min(len(queries), levelChunk))}
+		workers[i] = &worker{
+			local:  mni.NewTable(),
+			remaps: make([]map[string]*labelRemap, min(len(queries), levelChunk)),
+			empty:  make(map[string]*mni.Domain),
+		}
 	}
 
 	stopped := false
@@ -201,7 +205,12 @@ func matchLevel(g *graph.Graph, queries []*pattern.Pattern, opts core.Options) (
 			for _, v := range reg {
 				mapped[rm.perm[v]] = m.Mapping[v]
 			}
-			w.local.Get(rm.code, func() *mni.Domain { return mni.NewDomain(rm.canonical) }).AddMatch(mapped)
+			w.local.Get(rm.code, func() *mni.Domain {
+				if w.empty[rm.code] == nil {
+					w.empty[rm.code] = mni.NewDomain(rm.canonical)
+				}
+				return w.empty[rm.code].Empty()
+			}).AddMatch(mapped)
 			w.pending++
 			if w.pending >= 4096 {
 				w.local = agg.Publish(ctx.Thread, w.local)

@@ -47,6 +47,18 @@ func NewDomain(p *pattern.Pattern) *Domain {
 	return d
 }
 
+// Empty returns an empty domain of d's pattern: d's orbit layout, shared
+// read-only, with fresh bitmaps — NewDomain without computing the orbits
+// again.
+func (d *Domain) Empty() *Domain {
+	e := *d
+	e.bitmaps = make([]*bitset.Bitmap, len(d.bitmaps))
+	for _, r := range d.roots {
+		e.bitmaps[r] = bitset.New()
+	}
+	return &e
+}
+
 // Pattern returns the pattern this domain describes.
 func (d *Domain) Pattern() *pattern.Pattern { return d.pat }
 

@@ -110,3 +110,25 @@ func TestAddMatchDoesNotAllocate(t *testing.T) {
 		t.Fatalf("AddMatch allocates %.0f times per call, want 0", allocs)
 	}
 }
+
+func TestEmptyKeepsLayoutNotBitmaps(t *testing.T) {
+	// Wedge: the copy keeps the endpoints' shared orbit bitmap, and it
+	// fills apart from the original.
+	d := NewDomain(pattern.Star(3))
+	d.AddMatch([]uint32{7, 1, 2})
+	e := d.Empty()
+	if e.Pattern() != d.Pattern() || e.Support() != 0 {
+		t.Fatalf("empty copy: pattern %v, support %d; want %v, 0", e.Pattern(), e.Support(), d.Pattern())
+	}
+	if e.DomainOf(1) != e.DomainOf(2) {
+		t.Fatal("the copy's endpoints must share a domain bitmap")
+	}
+	e.AddMatch([]uint32{3, 4, 5})
+	e.AddMatch([]uint32{6, 4, 8})
+	if got := e.Support(); got != 2 {
+		t.Fatalf("copy's support = %d, want 2", got)
+	}
+	if got := d.DomainOf(1).Cardinality(); got != 2 {
+		t.Fatalf("filling the copy changed the original: endpoint domain %d, want 2", got)
+	}
+}

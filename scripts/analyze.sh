@@ -13,8 +13,10 @@
 #                        likewise, the component walks' per-candidate
 #                        helpers (*cutTable).excluded and (*cutVal).add,
 #                        the marked kernel's per-candidate test
-#                        (*markSet).hit, and the scan a sized count level
-#                        makes per candidate, (*markSet).count
+#                        (*markSet).hit, the scan a sized count level
+#                        makes per candidate, (*markSet).count, and the
+#                        id window a trie step reads per child, slot and
+#                        sized level, (*multiWorker).window
 #   6. sorted lists only — internal/core (tests included) must not
 #                        import internal/bitset: adjacency stays sorted
 #                        lists (a thread's marks of one list are its own
@@ -74,6 +76,10 @@ for m in '(*markSet).hit' '(*markSet).count'; do
     fail=1
   fi
 done
+if ! grep -qF "can inline (*multiWorker).window" <<<"$inl"; then
+  echo "(*multiWorker).window no longer inlines: every trie child, slot fill and sized level pays a call for it"
+  fail=1
+fi
 
 echo "== engine free of bitmaps =="
 # Direct imports: internal/graph still imports internal/bitset for the
