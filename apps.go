@@ -1,6 +1,7 @@
 package peregrine
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
@@ -55,13 +56,16 @@ func MotifCountsWithStats(g *Graph, size int, opts ...Option) ([]MotifCount, Mul
 // LabeledMotifCounts counts vertex-induced occurrences of every motif of
 // the given size for every discovered labeling (the labeled 3-/4-motif
 // workloads of §6.1). Counts are keyed by the canonical code of the
-// labeled pattern; the pattern for each code is also returned.
+// labeled pattern; the pattern for each code is also returned. A census
+// cut short by WithContext or WithDeadline returns the context's error
+// or context.DeadlineExceeded, and no counts.
 func LabeledMotifCounts(g *Graph, size int, opts ...Option) (map[string]MotifCount, error) {
 	if !g.Labeled() {
 		return nil, fmt.Errorf("peregrine: labeled motif counting requires a labeled graph")
 	}
 	motifs := pattern.GenerateAllVertexInduced(size)
-	threads := buildConfig(opts).opts.Threads
+	cfg := buildConfig(opts)
+	threads := cfg.opts.Threads
 	if threads <= 0 {
 		threads = defaultThreads()
 	}
@@ -88,7 +92,7 @@ func LabeledMotifCounts(g *Graph, size int, opts ...Option) (map[string]MotifCou
 		perThread[i].n = make(map[string]*uint64)
 	}
 	all := append([]Option{WithThreads(threads)}, opts...)
-	_, err = q.ForEach(g, func(ctx *Ctx, pat int, mt *Match) {
+	ms, err := q.ForEach(g, func(ctx *Ctx, pat int, mt *Match) {
 		t := &perThread[ctx.Thread]
 		t.key = binary.BigEndian.AppendUint32(t.key[:0], uint32(pat))
 		for _, v := range mt.Mapping {
@@ -103,6 +107,14 @@ func LabeledMotifCounts(g *Graph, size int, opts ...Option) (map[string]MotifCou
 	}, all...)
 	if err != nil {
 		return nil, err
+	}
+	if ms.Stopped {
+		// Nothing in the callback stops the run: a context or the
+		// deadline cut the census short, and a partial census is none.
+		if ctx := cfg.opts.Context; ctx != nil && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		return nil, context.DeadlineExceeded
 	}
 	counts := make(map[string]uint64)
 	for _, t := range perThread {

@@ -345,12 +345,15 @@ func BenchmarkPlanCache(b *testing.B) {
 
 // BenchmarkFSM mines the 3-edge frequent patterns of the mico stand-in
 // (harness.BenchDataset("mico", 1)) at support 12, a Table 3 and
-// Figure 10 cell that finishes in a fraction of a second. FSM's time is MNI
-// aggregation in the match callback (mni.Domain.AddMatch per match), so
-// a per-match cost there shows up here and nowhere else in the smoke.
-// frequent/op and domain-bytes/op are answers, fixed for the graph.
+// Figure 10 cell that finishes in a fraction of a second. FSM's time is
+// the match callback's tally (one map lookup and a bitmap insert per
+// regular vertex per match) and the fold after each chunk of queries, so
+// a per-match cost there shows up here, in time and allocs/op, and
+// nowhere else in the smoke. frequent/op and domain-bytes/op are
+// answers, fixed for the graph.
 func BenchmarkFSM(b *testing.B) {
 	mico := gen.RMAT(gen.RMATConfig{Vertices: 1024, Edges: 9000, Seed: 1, Labels: 29})
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r, err := FSM(mico, 3, 12)
 		if err != nil {

@@ -79,7 +79,7 @@ func formatRow(r harness.Row) string {
 	}
 	// Deterministic order for extra metrics.
 	for _, k := range []string{"explored", "canonicality", "isomorphism", "PO", "Core", "Non-Core", "Other",
-		"threads", "speedup", "peakMB", "spreadMs", "min", "max", "goroutines", "heapMB", "allocMBps"} {
+		"threads", "speedup", "peakMB", "domainMB", "spreadMs", "min", "max", "goroutines", "heapMB", "allocMBps"} {
 		if v, ok := r.Metrics[k]; ok {
 			if v >= 1000 {
 				fmt.Fprintf(&b, " %s=%.3g", k, v)

@@ -1,7 +1,6 @@
 // Package fsm implements frequent subgraph mining (paper Figure 4a):
 // level-wise growth of labeled patterns with MNI support and dynamic
-// label discovery (§3.2.1), executed on the pattern-aware engine with
-// on-the-fly aggregation (§5.4).
+// label discovery (§3.2.1), executed on the pattern-aware engine.
 package fsm
 
 import (
@@ -124,20 +123,20 @@ func Mine(g *graph.Graph, maxEdges, support int, opts core.Options) (*Result, er
 }
 
 // levelChunk is how many query patterns of a level share one traversal.
-// A level's time is MNI aggregation in the callback, not the scan, so
-// the batch size hardly moves it (64, 256 and a whole 2,000-query level
-// measured alike); what grows with the batch is memory — the per-thread
-// remap caches, and thread-local tables whose matches spread over every
-// labeling of the batch between publishes.
+// Each thread's tally holds a chunk's images until the chunk is folded,
+// so the chunk bounds that memory; one traversal per whole level measured
+// slower and larger (ROADMAP, "Tried and dropped").
 const levelChunk = 64
 
 // matchLevel matches every query pattern of one FSM level — levelChunk
-// of them per traversal of g, through the share trie — and aggregates
-// MNI domains keyed by discovered labeled pattern; it also reports
-// whether a traversal was cut short. Aggregation follows the paper's
-// on-the-fly design (§5.4): workers accumulate into thread-local tables
-// and periodically publish them to an asynchronous aggregator; the
-// matching threads never block.
+// of them per traversal of g, through the share trie — and returns the
+// MNI domains of the discovered labeled patterns, keyed by canonical
+// code; it also reports whether a traversal was cut short. Labels are
+// discovered as in LabeledMotifCounts (§3.2.1): a worker tallies its
+// matches by query and the labels of the matched vertices, one bitmap of
+// images per regular query vertex, and never canonicalizes. After each
+// chunk the calling goroutine folds every worker's tally into the table,
+// canonicalizing each distinct (query, labeling) key once.
 func matchLevel(g *graph.Graph, queries []*pattern.Pattern, opts core.Options) (*mni.Table, bool, error) {
 	plans := make([]*plan.Plan, len(queries))
 	regs := make([][]int, len(queries))
@@ -149,97 +148,71 @@ func matchLevel(g *graph.Graph, queries []*pattern.Pattern, opts core.Options) (
 		plans[i], regs[i] = pl, q.RegularVertices()
 	}
 
-	agg := newOnTheFly(opts.Threads, 0, mni.NewTable, mni.Merge)
-
-	type worker struct {
-		local   *mni.Table
-		pending int
-		// Per-query caches of the canonical remapping by discovered label
-		// vector, so each distinct labeling pays the canonicalization cost
-		// once. One cache per query: the same label vector names different
-		// structures under different queries.
-		remaps []map[string]*labelRemap
-		// An empty domain per canonical code, built on the code's first
-		// labeling: a fresh local table's miss copies its orbit layout
-		// instead of computing the orbits again.
-		empty  map[string]*mni.Domain
+	// A key is the query's index in the level, then the labels of its
+	// regular vertices, 4 bytes each: whole labels, since labels sharing
+	// a key would share one labeling.
+	type tally struct {
+		images map[string]mni.Images
 		key    []byte
-		mapped []uint32
 	}
-	workers := make([]*worker, opts.Threads)
-	for i := range workers {
-		workers[i] = &worker{
-			local:  mni.NewTable(),
-			remaps: make([]map[string]*labelRemap, min(len(queries), levelChunk)),
-			empty:  make(map[string]*mni.Domain),
+	tallies := make([]tally, opts.Threads)
+	table := mni.NewTable()
+	for lo := 0; lo < len(queries); lo += levelChunk {
+		for i := range tallies {
+			tallies[i].images = make(map[string]mni.Images)
 		}
-	}
-
-	stopped := false
-	for lo := 0; lo < len(queries) && !stopped; lo += levelChunk {
-		hi := min(lo+levelChunk, len(queries))
-		for _, w := range workers {
-			clear(w.remaps)
-		}
-		ms := core.RunPlans(g, plans[lo:hi], func(ctx *core.Ctx, pat int, m *core.Match) {
-			w := workers[ctx.Thread]
-			q, reg := queries[lo+pat], regs[lo+pat]
-			// Label-discovery key: the labels of the matched vertices,
-			// whole — labels sharing a key would share one labeling.
-			w.key = w.key[:0]
+		ms := core.RunPlans(g, plans[lo:min(lo+levelChunk, len(queries))], func(ctx *core.Ctx, pat int, m *core.Match) {
+			t := &tallies[ctx.Thread]
+			reg := regs[lo+pat]
+			t.key = binary.BigEndian.AppendUint32(t.key[:0], uint32(lo+pat))
 			for _, v := range reg {
-				w.key = binary.BigEndian.AppendUint32(w.key, g.Label(m.Mapping[v]))
+				t.key = binary.BigEndian.AppendUint32(t.key, g.Label(m.Mapping[v]))
 			}
-			if w.remaps[pat] == nil {
-				w.remaps[pat] = make(map[string]*labelRemap)
+			im := t.images[string(t.key)]
+			if im == nil {
+				im = mni.NewImages(len(reg))
+				t.images[string(t.key)] = im
 			}
-			rm, ok := w.remaps[pat][string(w.key)]
-			if !ok {
-				rm = newLabelRemap(g, q, m.Mapping)
-				w.remaps[pat][string(w.key)] = rm
-			}
-			if cap(w.mapped) < q.N() {
-				w.mapped = make([]uint32, q.N())
-			}
-			mapped := w.mapped[:q.N()]
-			for _, v := range reg {
-				mapped[rm.perm[v]] = m.Mapping[v]
-			}
-			w.local.Get(rm.code, func() *mni.Domain {
-				if w.empty[rm.code] == nil {
-					w.empty[rm.code] = mni.NewDomain(rm.canonical)
-				}
-				return w.empty[rm.code].Empty()
-			}).AddMatch(mapped)
-			w.pending++
-			if w.pending >= 4096 {
-				w.local = agg.Publish(ctx.Thread, w.local)
-				w.pending = 0
+			for i, v := range reg {
+				im[i].Add(m.Mapping[v])
 			}
 		}, opts)
-		stopped = ms.Stopped
+		if ms.Stopped {
+			return nil, true, nil
+		}
+		// The fold: each distinct key is canonicalized once, and its
+		// images land in its code's domain through the canonical
+		// permutation (at[i] is the canonical vertex of reg[i]).
+		type target struct {
+			d  *mni.Domain
+			at []int
+		}
+		folded := make(map[string]target)
+		for _, t := range tallies {
+			for key, im := range t.images {
+				tg, ok := folded[key]
+				if !ok {
+					qi := binary.BigEndian.Uint32([]byte(key))
+					reg := regs[qi]
+					labeled := queries[qi].Clone()
+					for i, v := range reg {
+						labeled.SetLabel(v, pattern.Label(binary.BigEndian.Uint32([]byte(key[4+4*i:]))))
+					}
+					code, perm := labeled.CanonicalForm()
+					tg.d = table.ByCode[code]
+					if tg.d == nil {
+						tg.d = mni.NewDomain(labeled.Renumber(perm))
+						table.ByCode[code] = tg.d
+					}
+					tg.at = make([]int, len(reg))
+					for i, v := range reg {
+						tg.at[i] = perm[v]
+					}
+					folded[key] = tg
+				}
+				tg.d.Fold(im, tg.at)
+			}
+		}
 	}
-	for i, w := range workers {
-		agg.Flush(i, w.local)
-	}
-	return agg.Close(), stopped, nil
-}
-
-// labelRemap caches, for one (query pattern, discovered labeling) pair,
-// the canonical labeled pattern and the permutation from query vertices
-// to canonical positions. Folding matches through the permutation lets
-// isomorphic labelings discovered from different queries share domains.
-type labelRemap struct {
-	canonical *pattern.Pattern
-	code      string
-	perm      []int
-}
-
-func newLabelRemap(g *graph.Graph, q *pattern.Pattern, mapping []uint32) *labelRemap {
-	labeled := q.Clone()
-	for _, v := range q.RegularVertices() {
-		labeled.SetLabel(v, pattern.Label(g.Label(mapping[v])))
-	}
-	code, perm := labeled.CanonicalForm()
-	return &labelRemap{canonical: labeled.Renumber(perm), code: code, perm: perm}
+	return table, false, nil
 }

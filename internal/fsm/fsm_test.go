@@ -1,6 +1,7 @@
 package fsm
 
 import (
+	"fmt"
 	"testing"
 
 	"peregrine/internal/core"
@@ -152,8 +153,7 @@ func TestMineWithoutSymmetryBreakingAgrees(t *testing.T) {
 
 // TestBatchedLevelEqualsPerQuery runs one large level both ways: all
 // queries through matchLevel's shared traversals, and one matchLevel per
-// query — each with remap caches of its own — merged. Every discovered
-// labeling must get the same support.
+// query, merged. Every discovered labeling must get the same support.
 func TestBatchedLevelEqualsPerQuery(t *testing.T) {
 	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 80, Edges: 240, Seed: 52, Labels: 6})
 	opts := core.Options{Threads: 3}
@@ -179,7 +179,16 @@ func TestBatchedLevelEqualsPerQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mni.Merge(serial, one)
+		for code, d := range one.ByCode {
+			dst := serial.ByCode[code]
+			if dst == nil {
+				serial.ByCode[code] = d
+				continue
+			}
+			for _, v := range d.Pattern().RegularVertices() {
+				dst.DomainOf(v).Or(d.DomainOf(v))
+			}
+		}
 	}
 	if len(batched.ByCode) != len(serial.ByCode) {
 		t.Fatalf("batched level discovered %d labelings, per-query %d", len(batched.ByCode), len(serial.ByCode))
@@ -205,29 +214,60 @@ func TestMineValidation(t *testing.T) {
 	}
 }
 
-func TestLabelRemapSharing(t *testing.T) {
-	// Two label vectors of the same query that are isomorphic as labeled
-	// patterns must canonicalize to the same code and share domains.
+// Two labelings of one query that are isomorphic as labeled patterns
+// fold into one domain: the wedges centered at path vertices 1 and 3
+// (center B, ends A and A) share the code, and the wedge centered at 2
+// (center A) gets its own.
+func TestIsomorphicLabelingsShareDomain(t *testing.T) {
 	g := labeledPath()
-	q := pattern.Star(3) // wedge, wildcard labels
-	// Engine ids are degree-ordered; translate original path ids 0..4.
-	engine := make(map[uint32]uint32)
-	for v := uint32(0); v < g.NumVertices(); v++ {
-		engine[g.OrigID(v)] = v
+	table, stopped, err := matchLevel(g, []*pattern.Pattern{pattern.Star(3)}, core.Options{Threads: 2})
+	if err != nil || stopped {
+		t.Fatalf("matchLevel: stopped %v, err %v", stopped, err)
 	}
-	// Two wedges centered at original vertices 1 and 3: both discover
-	// labels (center B, ends A, A) and must share one canonical domain.
-	m1 := []uint32{engine[1], engine[0], engine[2]}
-	rm1 := newLabelRemap(g, q, m1)
-	m2 := []uint32{engine[3], engine[2], engine[4]}
-	rm2 := newLabelRemap(g, q, m2)
-	if rm1.code != rm2.code {
-		t.Fatalf("isomorphic labelings got distinct codes")
+	if len(table.ByCode) != 2 {
+		t.Fatalf("discovered %d labeled wedges, want 2", len(table.ByCode))
 	}
-	// A differently-labeled wedge (center A) must get a different code.
-	m3 := []uint32{engine[2], engine[1], engine[3]}
-	rm3 := newLabelRemap(g, q, m3)
-	if rm3.code == rm1.code {
-		t.Fatalf("distinct labelings share a code")
+	supports := make(map[pattern.Label]int) // by the center's label
+	for _, d := range table.ByCode {
+		p := d.Pattern()
+		center := 0
+		for v := range p.N() {
+			if p.Degree(v) == 2 {
+				center = v
+			}
+		}
+		supports[p.LabelOf(center)] = d.Support()
+	}
+	// Center B: centers {1,3}, ends {0,2,4}. Center A: center {2}.
+	if supports[1] != 2 || supports[0] != 1 {
+		t.Fatalf("supports by center label = %v, want B:2 A:1", supports)
+	}
+}
+
+// Each thread tallies its own matches and the fold merges the tallies:
+// the frequent set, its supports and the domain memory must not depend
+// on how many threads matched. The third level has over 200 queries,
+// so its tallies are folded chunk by chunk.
+func TestMineThreadCountInvariance(t *testing.T) {
+	g := gen.RMAT(gen.RMATConfig{Vertices: 256, Edges: 1500, Seed: 7, Labels: 8})
+	summary := func(threads int) (string, int) {
+		res, err := Mine(g, 3, 10, core.Options{Threads: threads})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Frequent) == 0 {
+			t.Fatalf("threads %d: nothing frequent", threads)
+		}
+		s := ""
+		for _, f := range res.Frequent {
+			s += fmt.Sprintf("%s:%d ", f.Pattern.CanonicalCode(), f.Support)
+		}
+		return s, res.DomainBytes
+	}
+	want, wantBytes := summary(1)
+	for _, threads := range []int{2, 7} {
+		if got, bytes := summary(threads); got != want || bytes != wantBytes {
+			t.Errorf("threads %d: %d domain bytes, frequent %q; one thread: %d, %q", threads, bytes, got, wantBytes, want)
+		}
 	}
 }

@@ -14,6 +14,11 @@
 // one bitmap per orbit and folds every matched data vertex of an orbit's
 // members into it — exact MNI with one write per unique match, which is
 // the §6.6 symmetry-breaking-for-FSM win.
+//
+// FSM's matching threads do not touch domains: each tallies Images per
+// (query, labeling) pair, and Fold moves a pair's images into its
+// canonical pattern's domain once the traversal is done. AddMatch serves
+// callers that hold a domain while they match.
 package mni
 
 import (
@@ -47,18 +52,6 @@ func NewDomain(p *pattern.Pattern) *Domain {
 	return d
 }
 
-// Empty returns an empty domain of d's pattern: d's orbit layout, shared
-// read-only, with fresh bitmaps — NewDomain without computing the orbits
-// again.
-func (d *Domain) Empty() *Domain {
-	e := *d
-	e.bitmaps = make([]*bitset.Bitmap, len(d.bitmaps))
-	for _, r := range d.roots {
-		e.bitmaps[r] = bitset.New()
-	}
-	return &e
-}
-
 // Pattern returns the pattern this domain describes.
 func (d *Domain) Pattern() *pattern.Pattern { return d.pat }
 
@@ -90,11 +83,25 @@ func (d *Domain) Support() int {
 // vertex v.
 func (d *Domain) DomainOf(v int) *bitset.Bitmap { return d.bitmaps[d.orbitOf[v]] }
 
-// Merge folds other (a domain of the same pattern, e.g. from another
-// worker thread) into d.
-func (d *Domain) Merge(other *Domain) {
-	for _, r := range d.roots {
-		d.bitmaps[r].Or(other.bitmaps[r])
+// Images holds, per regular vertex of a query in query order, the data
+// vertices its matches mapped there: what an FSM worker tallies for one
+// (query, labeling) pair before the pair is canonicalized.
+type Images []*bitset.Bitmap
+
+// NewImages returns n empty image bitmaps.
+func NewImages(n int) Images {
+	im := make(Images, n)
+	for i := range im {
+		im[i] = bitset.New()
+	}
+	return im
+}
+
+// Fold ORs im into the domain: im[i] holds images of pattern vertex
+// at[i], and lands in that vertex's orbit bitmap.
+func (d *Domain) Fold(im Images, at []int) {
+	for i, b := range im {
+		d.bitmaps[d.orbitOf[at[i]]].Or(b)
 	}
 }
 
@@ -108,36 +115,14 @@ func (d *Domain) SizeBytes() int {
 	return n
 }
 
-// Table aggregates domains for many labeled patterns, keyed by canonical
-// code. It is the value type FSM threads accumulate locally and the
-// aggregator merges (§5.4).
+// Table holds the domains of many labeled patterns, keyed by canonical
+// code: one FSM level's discovered labelings.
 type Table struct {
 	ByCode map[string]*Domain
 }
 
 // NewTable returns an empty table.
 func NewTable() *Table { return &Table{ByCode: make(map[string]*Domain)} }
-
-// Get returns the domain for code, creating it with mk on first use.
-func (t *Table) Get(code string, mk func() *Domain) *Domain {
-	d, ok := t.ByCode[code]
-	if !ok {
-		d = mk()
-		t.ByCode[code] = d
-	}
-	return d
-}
-
-// Merge folds src into t.
-func Merge(t, src *Table) {
-	for code, d := range src.ByCode {
-		if dst, ok := t.ByCode[code]; ok {
-			dst.Merge(d)
-		} else {
-			t.ByCode[code] = d
-		}
-	}
-}
 
 // SizeBytes estimates total bitmap memory across the table.
 func (t *Table) SizeBytes() int {

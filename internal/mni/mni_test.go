@@ -55,31 +55,31 @@ func TestWedgeOrbits(t *testing.T) {
 	}
 }
 
-func TestMergeAndTable(t *testing.T) {
-	p := pattern.Clique(3)
-	a, b := NewDomain(p), NewDomain(p)
-	a.AddMatch([]uint32{1, 2, 3})
-	b.AddMatch([]uint32{4, 5, 6})
-	a.Merge(b)
-	if got := a.Support(); got != 6 {
-		t.Fatalf("merged support = %d, want 6", got)
+// Fold lands the images of both ends of a wedge in their one orbit
+// bitmap, wherever the query spelled them.
+func TestFoldIntoOrbits(t *testing.T) {
+	d := NewDomain(pattern.Star(3)) // center 0, ends 1 and 2
+	im := NewImages(3)
+	for i, vs := range [][]uint32{{7}, {1, 2}, {3}} {
+		for _, v := range vs {
+			im[i].Add(v)
+		}
 	}
-
-	t1, t2 := NewTable(), NewTable()
-	code := p.CanonicalCode()
-	t1.Get(code, func() *Domain { return NewDomain(p) }).AddMatch([]uint32{1, 2, 3})
-	t2.Get(code, func() *Domain { return NewDomain(p) }).AddMatch([]uint32{7, 8, 9})
-	other := pattern.MustParse("0-1")
-	t2.Get(other.CanonicalCode(), func() *Domain { return NewDomain(other) }).AddMatch([]uint32{1, 2})
-	Merge(t1, t2)
-	if len(t1.ByCode) != 2 {
-		t.Fatalf("merged table has %d entries, want 2", len(t1.ByCode))
+	d.Fold(im, []int{1, 0, 2}) // the query's vertex 1 is the center
+	if got := d.DomainOf(1).Cardinality(); got != 2 {
+		t.Fatalf("end domain = %d, want 2 ({7, 3})", got)
 	}
-	if got := t1.ByCode[code].Support(); got != 6 {
-		t.Fatalf("merged domain support = %d, want 6", got)
+	if got := d.DomainOf(0).Cardinality(); got != 2 {
+		t.Fatalf("center domain = %d, want 2 ({1, 2})", got)
 	}
-	if t1.SizeBytes() <= 0 {
-		t.Fatal("SizeBytes should be positive")
+	d.Fold(im, []int{0, 1, 2})
+	if got := d.DomainOf(2).Cardinality(); got != 4 {
+		t.Fatalf("end domain after a second fold = %d, want 4 ({1, 2, 3, 7})", got)
+	}
+	tab := NewTable()
+	tab.ByCode["wedge"] = d
+	if tab.SizeBytes() != d.SizeBytes() || d.SizeBytes() <= 0 {
+		t.Fatalf("table bytes %d, domain bytes %d", tab.SizeBytes(), d.SizeBytes())
 	}
 }
 
@@ -108,27 +108,5 @@ func TestAddMatchDoesNotAllocate(t *testing.T) {
 	d.AddMatch(match)
 	if allocs := testing.AllocsPerRun(100, func() { d.AddMatch(match) }); allocs != 0 {
 		t.Fatalf("AddMatch allocates %.0f times per call, want 0", allocs)
-	}
-}
-
-func TestEmptyKeepsLayoutNotBitmaps(t *testing.T) {
-	// Wedge: the copy keeps the endpoints' shared orbit bitmap, and it
-	// fills apart from the original.
-	d := NewDomain(pattern.Star(3))
-	d.AddMatch([]uint32{7, 1, 2})
-	e := d.Empty()
-	if e.Pattern() != d.Pattern() || e.Support() != 0 {
-		t.Fatalf("empty copy: pattern %v, support %d; want %v, 0", e.Pattern(), e.Support(), d.Pattern())
-	}
-	if e.DomainOf(1) != e.DomainOf(2) {
-		t.Fatal("the copy's endpoints must share a domain bitmap")
-	}
-	e.AddMatch([]uint32{3, 4, 5})
-	e.AddMatch([]uint32{6, 4, 8})
-	if got := e.Support(); got != 2 {
-		t.Fatalf("copy's support = %d, want 2", got)
-	}
-	if got := d.DomainOf(1).Cardinality(); got != 2 {
-		t.Fatalf("filling the copy changed the original: endpoint domain %d, want 2", got)
 	}
 }

@@ -1,6 +1,7 @@
 package peregrine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -209,6 +210,18 @@ func TestWithoutSymmetryBreakingCountsAutomorphisms(t *testing.T) {
 	}
 	if all != unique*6 {
 		t.Fatalf("PRG-U triangle count = %d, want 6×%d", all, unique)
+	}
+}
+
+// A census cut short is an error, not a smaller census: with a
+// cancelled context LabeledMotifCounts returns the context's error and
+// no counts.
+func TestLabeledMotifCountsCancelledSaysSo(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	counts, err := LabeledMotifCounts(smallLabeled(t), 3, WithThreads(2), WithContext(ctx))
+	if !errors.Is(err, context.Canceled) || counts != nil {
+		t.Fatalf("cancelled census: %d classes, err %v; want none and context.Canceled", len(counts), err)
 	}
 }
 
