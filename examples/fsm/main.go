@@ -39,5 +39,5 @@ func main() {
 		}
 		fmt.Printf("  %-44v support=%d\n", f.Pattern, f.Support)
 	}
-	fmt.Printf("domain bitmap memory: %.1f KiB\n", float64(res.DomainBytes)/1024)
+	fmt.Printf("MNI domain memory: %.1f KiB\n", float64(res.DomainBytes)/1024)
 }

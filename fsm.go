@@ -20,8 +20,9 @@ type FSMLevel = fsm.Level
 // single unlabeled edge, discovers frequent labelings dynamically
 // (§3.2.1), and grows frequent patterns edge by edge, relying on MNI's
 // anti-monotonicity to prune. Support is the minimum node image (MNI)
-// measure (§2.1); domains are compressed bitmaps shared across
-// automorphism orbits, so symmetry breaking costs no precision (§6.6).
+// measure (§2.1); a domain is one vertex set per automorphism orbit — a
+// sorted list while small, a bitmap over the graph's vertices once that
+// is smaller — so symmetry breaking costs no precision (§6.6).
 //
 // WithDeadline bounds the whole mine and WithContext cancels it; a mine
 // cut short reports FSMResult.Stopped and no frequent patterns.

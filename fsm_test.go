@@ -86,17 +86,23 @@ func allLabelings(p *Pattern, labels []pattern.Label) []*Pattern {
 }
 
 func TestFSMAgainstBruteForce(t *testing.T) {
-	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 30, Edges: 70, Seed: 41, Labels: 2})
+	// On 30 vertices a domain's dense form is one word, so nearly every
+	// orbit set turns dense; on 200 it is four, and sets of up to eight
+	// ids stay lists, so the second graph's supports must straddle that.
+	small := gen.ErdosRenyi(gen.ERConfig{Vertices: 30, Edges: 70, Seed: 41, Labels: 2})
+	big := gen.ErdosRenyi(gen.ERConfig{Vertices: 200, Edges: 500, Seed: 44, Labels: 4})
 	for _, tc := range []struct {
+		g              *Graph
 		edges, support int
 	}{
-		{1, 2}, {1, 10}, {2, 3}, {2, 8}, {3, 5},
+		{small, 1, 2}, {small, 1, 10}, {small, 2, 3}, {small, 2, 8}, {small, 3, 5},
+		{big, 3, 3},
 	} {
-		res, err := FSM(g, tc.edges, tc.support, WithThreads(4))
+		res, err := FSM(tc.g, tc.edges, tc.support, WithThreads(4))
 		if err != nil {
 			t.Fatalf("FSM(%d,%d): %v", tc.edges, tc.support, err)
 		}
-		want := bruteFSM(g, tc.edges, tc.support)
+		want := bruteFSM(tc.g, tc.edges, tc.support)
 		got := make(map[string]int)
 		for _, f := range res.Frequent {
 			got[f.Pattern.CanonicalCode()] = f.Support
@@ -105,11 +111,21 @@ func TestFSMAgainstBruteForce(t *testing.T) {
 			t.Fatalf("FSM(%d,%d): %d frequent patterns, oracle has %d\n got=%v\nwant=%v",
 				tc.edges, tc.support, len(got), len(want), got, want)
 		}
+		lists, dense := 0, 0
 		for code, sup := range want {
 			if got[code] != sup {
 				t.Errorf("FSM(%d,%d): support mismatch for %q: got %d want %d",
 					tc.edges, tc.support, code, got[code], sup)
 			}
+			if sup <= 2*int(tc.g.NumVertices()+63)/64 {
+				lists++
+			} else {
+				dense++
+			}
+		}
+		if tc.g == big && (lists == 0 || dense == 0) {
+			t.Errorf("FSM(%d,%d) on %d vertices: %d supports within a list, %d past it, want both",
+				tc.edges, tc.support, tc.g.NumVertices(), lists, dense)
 		}
 	}
 }

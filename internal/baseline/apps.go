@@ -131,7 +131,7 @@ func FSMBFSBudget(g *graph.Graph, maxEdges, support, maxStored int) (int, Metric
 			code, perm := p.CanonicalForm()
 			d, ok := domains[code]
 			if !ok {
-				d = mni.NewDomain(p.Renumber(perm))
+				d = mni.NewDomain(p.Renumber(perm), n)
 				domains[code] = d
 			}
 			mapped := make([]uint32, p.N())

@@ -1,28 +1,19 @@
-// Package bitset implements compressed bitmaps in the style of Roaring
-// bitmaps (Chambi et al., cited by the paper in §5.5): the 32-bit key
-// space is split into 2^16 chunks, each stored either as a sorted array
-// of 16-bit values (sparse) or as a 64-kilobit bitmap (dense). The
-// paper uses compressed bitmaps for FSM's MNI domains because they are
-// far smaller than dense bitmaps when domains cover a small fraction of
-// a large vertex set.
-//
-// Beyond the operations MNI aggregation needs (Add, Contains, Or,
-// Cardinality, size accounting), the package provides intersection
-// kernels over hub adjacency bitmaps: FromSorted (bulk construction from
-// a sorted adjacency list), FilterSortedInto (bitset∩sorted), and
-// AndSortedInto (bitset∩bitset), all emitting ascending uint32 values.
-// The matching engine no longer uses them; they stay only for the
-// benchmark ladder's bitset rung.
+// Package bitset holds read-only compressed bitmaps of hub adjacency
+// lists, in the style of Roaring bitmaps (Chambi et al., cited by the
+// paper in §5.5): the 32-bit key space is split into 2^16 chunks, each
+// stored either as a sorted array of 16-bit values (sparse) or as a
+// 64-kilobit bitmap (dense). FromSortedDense builds one from a sorted
+// adjacency list; FilterSortedInto (bitset∩sorted) and AndSortedInto
+// (bitset∩bitset) intersect it, emitting ascending uint32 values.
+// Neither the matching engine nor FSM uses them: they serve only
+// graph.BuildHubBitsets and the benchmark ladder's bitset rung.
 package bitset
 
-import (
-	"math/bits"
-	"sort"
-)
+import "math/bits"
 
-// arrayToBitmapThreshold is the container cardinality at which a sorted
-// array is converted to a bitmap: 4096 values × 2 bytes = 8 KiB, the
-// size of the fixed bitmap, matching the Roaring paper's threshold.
+// arrayToBitmapThreshold is the largest chunk kept as a sorted array:
+// 4096 values × 2 bytes = 8 KiB, the size of the fixed bitmap, matching
+// the Roaring paper's threshold.
 const arrayToBitmapThreshold = 4096
 
 const bitmapWords = 1 << 10 // 65536 bits / 64
@@ -31,101 +22,9 @@ const bitmapWords = 1 << 10 // 65536 bits / 64
 type container struct {
 	array []uint16 // sorted, used while small
 	bits  []uint64 // len bitmapWords when in bitmap mode
-	card  int
 }
 
 func (c *container) isBitmap() bool { return c.bits != nil }
-
-func (c *container) add(low uint16) bool {
-	if c.isBitmap() {
-		w, b := low>>6, uint64(1)<<(low&63)
-		if c.bits[w]&b != 0 {
-			return false
-		}
-		c.bits[w] |= b
-		c.card++
-		return true
-	}
-	i := sort.Search(len(c.array), func(i int) bool { return c.array[i] >= low })
-	if i < len(c.array) && c.array[i] == low {
-		return false
-	}
-	c.array = append(c.array, 0)
-	copy(c.array[i+1:], c.array[i:])
-	c.array[i] = low
-	c.card++
-	if c.card > arrayToBitmapThreshold {
-		c.toBitmap()
-	}
-	return true
-}
-
-func (c *container) contains(low uint16) bool {
-	if c.isBitmap() {
-		return c.bits[low>>6]&(uint64(1)<<(low&63)) != 0
-	}
-	i := sort.Search(len(c.array), func(i int) bool { return c.array[i] >= low })
-	return i < len(c.array) && c.array[i] == low
-}
-
-func (c *container) toBitmap() {
-	bits := make([]uint64, bitmapWords)
-	for _, v := range c.array {
-		bits[v>>6] |= uint64(1) << (v & 63)
-	}
-	c.bits = bits
-	c.array = nil
-}
-
-// or merges other into c.
-func (c *container) or(other *container) {
-	if other.isBitmap() && !c.isBitmap() {
-		c.toBitmap()
-	}
-	if c.isBitmap() {
-		if other.isBitmap() {
-			card := 0
-			for i := range c.bits {
-				c.bits[i] |= other.bits[i]
-				card += popcount(c.bits[i])
-			}
-			c.card = card
-			return
-		}
-		for _, v := range other.array {
-			w, b := v>>6, uint64(1)<<(v&63)
-			if c.bits[w]&b == 0 {
-				c.bits[w] |= b
-				c.card++
-			}
-		}
-		return
-	}
-	// array | array: merge.
-	merged := make([]uint16, 0, len(c.array)+len(other.array))
-	i, j := 0, 0
-	for i < len(c.array) && j < len(other.array) {
-		switch {
-		case c.array[i] < other.array[j]:
-			merged = append(merged, c.array[i])
-			i++
-		case c.array[i] > other.array[j]:
-			merged = append(merged, other.array[j])
-			j++
-		default:
-			merged = append(merged, c.array[i])
-			i++
-			j++
-		}
-	}
-	merged = append(merged, c.array[i:]...)
-	merged = append(merged, other.array[j:]...)
-	c.array = merged
-	c.card = len(merged)
-	if c.card > arrayToBitmapThreshold {
-		c.toBitmap()
-	}
-}
 
 func (c *container) sizeBytes() int {
 	if c.isBitmap() {
@@ -134,78 +33,13 @@ func (c *container) sizeBytes() int {
 	return len(c.array) * 2
 }
 
-func popcount(x uint64) int { return bits.OnesCount64(x) }
-
 // Bitmap is a compressed set of uint32 values.
 type Bitmap struct {
 	keys []uint16     // sorted high-16 chunk keys
 	cts  []*container // parallel to keys
 }
 
-// New returns an empty bitmap.
-func New() *Bitmap { return &Bitmap{} }
-
-// Add inserts x, reporting whether it was newly added.
-func (b *Bitmap) Add(x uint32) bool {
-	key, low := uint16(x>>16), uint16(x)
-	i := sort.Search(len(b.keys), func(i int) bool { return b.keys[i] >= key })
-	if i == len(b.keys) || b.keys[i] != key {
-		b.keys = append(b.keys, 0)
-		b.cts = append(b.cts, nil)
-		copy(b.keys[i+1:], b.keys[i:])
-		copy(b.cts[i+1:], b.cts[i:])
-		b.keys[i] = key
-		b.cts[i] = &container{}
-	}
-	return b.cts[i].add(low)
-}
-
-// Contains reports whether x is in the set.
-func (b *Bitmap) Contains(x uint32) bool {
-	key, low := uint16(x>>16), uint16(x)
-	i := sort.Search(len(b.keys), func(i int) bool { return b.keys[i] >= key })
-	if i == len(b.keys) || b.keys[i] != key {
-		return false
-	}
-	return b.cts[i].contains(low)
-}
-
-// Cardinality returns the number of elements.
-func (b *Bitmap) Cardinality() int {
-	n := 0
-	for _, c := range b.cts {
-		n += c.card
-	}
-	return n
-}
-
-// Or merges other into b (b |= other).
-func (b *Bitmap) Or(other *Bitmap) {
-	for i, key := range other.keys {
-		j := sort.Search(len(b.keys), func(j int) bool { return b.keys[j] >= key })
-		if j == len(b.keys) || b.keys[j] != key {
-			// Copy the container so future mutation of either bitmap is
-			// independent.
-			cp := &container{card: other.cts[i].card}
-			if other.cts[i].isBitmap() {
-				cp.bits = append([]uint64(nil), other.cts[i].bits...)
-			} else {
-				cp.array = append([]uint16(nil), other.cts[i].array...)
-			}
-			b.keys = append(b.keys, 0)
-			b.cts = append(b.cts, nil)
-			copy(b.keys[j+1:], b.keys[j:])
-			copy(b.cts[j+1:], b.cts[j:])
-			b.keys[j] = key
-			b.cts[j] = cp
-			continue
-		}
-		b.cts[j].or(other.cts[i])
-	}
-}
-
-// SizeBytes estimates the heap footprint of the container payloads,
-// used by the Figure 13 memory accounting.
+// SizeBytes estimates the heap footprint of the container payloads.
 func (b *Bitmap) SizeBytes() int {
 	n := len(b.keys) * 10 // keys + container headers, approximate
 	for _, c := range b.cts {
@@ -214,61 +48,17 @@ func (b *Bitmap) SizeBytes() int {
 	return n
 }
 
-// ForEach visits elements in ascending order until f returns false.
-func (b *Bitmap) ForEach(f func(uint32) bool) {
-	for i, key := range b.keys {
-		hi := uint32(key) << 16
-		c := b.cts[i]
-		if c.isBitmap() {
-			for w, word := range c.bits {
-				for word != 0 {
-					bit := word & (-word)
-					lz := trailingZeros(word)
-					if !f(hi | uint32(w<<6) | uint32(lz)) {
-						return
-					}
-					word ^= bit
-				}
-			}
-			continue
-		}
-		for _, v := range c.array {
-			if !f(hi | uint32(v)) {
-				return
-			}
-		}
-	}
-}
-
-func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
-
-// FromSorted builds a bitmap from a strictly ascending slice in one
-// pass: values are grouped into chunks without any per-value search,
-// and chunks past the array threshold materialize directly in bitmap
-// mode, without paying Add's insertion cost per value.
-func FromSorted(vals []uint32) *Bitmap {
-	return fromSorted(vals, arrayToBitmapThreshold+1)
-}
-
-// FromSortedDense is FromSorted with a lower array→bitmap threshold:
-// chunks holding at least denseMin values materialize as bitmaps even
-// though a sorted array would be smaller. Membership tests and
-// intersections against bitmap chunks are O(1) word operations instead
-// of binary searches, so callers that probe a bitmap far more often
-// than they store it (graph.BuildHubBitsets) trade up to 8 KiB per chunk
-// for constant-time lookups. denseMin values below 1
-// are treated as 1 (every non-empty chunk becomes a bitmap).
+// FromSortedDense builds a bitmap from a strictly ascending slice in one
+// pass. Chunks holding at least denseMin values materialize as bitmaps
+// even though a sorted array would be smaller, and chunks past the
+// array threshold always do. Membership tests and intersections against
+// bitmap chunks are O(1) word operations instead of binary searches, so
+// callers that probe a bitmap far more often than they store it
+// (graph.BuildHubBitsets) trade up to 8 KiB per chunk for constant-time
+// lookups. denseMin values below 1 are treated as 1 (every non-empty
+// chunk becomes a bitmap).
 func FromSortedDense(vals []uint32, denseMin int) *Bitmap {
-	if denseMin < 1 {
-		denseMin = 1
-	}
-	if denseMin > arrayToBitmapThreshold+1 {
-		denseMin = arrayToBitmapThreshold + 1
-	}
-	return fromSorted(vals, denseMin)
-}
-
-func fromSorted(vals []uint32, bitmapMin int) *Bitmap {
+	denseMin = min(max(denseMin, 1), arrayToBitmapThreshold+1)
 	b := &Bitmap{}
 	for i := 0; i < len(vals); {
 		key := uint16(vals[i] >> 16)
@@ -276,15 +66,15 @@ func fromSorted(vals []uint32, bitmapMin int) *Bitmap {
 		for j < len(vals) && uint16(vals[j]>>16) == key {
 			j++
 		}
-		c := &container{card: j - i}
-		if c.card >= bitmapMin {
+		c := &container{}
+		if j-i >= denseMin {
 			c.bits = make([]uint64, bitmapWords)
 			for _, v := range vals[i:j] {
 				low := uint16(v)
 				c.bits[low>>6] |= uint64(1) << (low & 63)
 			}
 		} else {
-			c.array = make([]uint16, c.card)
+			c.array = make([]uint16, j-i)
 			for k, v := range vals[i:j] {
 				c.array[k] = uint16(v)
 			}
@@ -408,7 +198,7 @@ func andContainers(dst []uint32, hi uint32, a, b *container) []uint32 {
 			word := a.bits[w] & b.bits[w]
 			base := hi | uint32(w)<<6
 			for word != 0 {
-				dst = append(dst, base|uint32(trailingZeros(word)))
+				dst = append(dst, base|uint32(bits.TrailingZeros64(word)))
 				word &= word - 1
 			}
 		}

@@ -2,203 +2,14 @@ package bitset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-func TestAddContains(t *testing.T) {
-	b := New()
-	values := []uint32{0, 1, 63, 64, 65535, 65536, 1 << 20, 1<<31 + 7}
-	for _, v := range values {
-		if !b.Add(v) {
-			t.Errorf("Add(%d) reported duplicate on first insert", v)
-		}
-	}
-	for _, v := range values {
-		if b.Add(v) {
-			t.Errorf("Add(%d) reported new on duplicate insert", v)
-		}
-		if !b.Contains(v) {
-			t.Errorf("Contains(%d) = false", v)
-		}
-	}
-	for _, v := range []uint32{2, 66, 65537, 1<<20 + 1} {
-		if b.Contains(v) {
-			t.Errorf("Contains(%d) = true for absent value", v)
-		}
-	}
-	if b.Cardinality() != len(values) {
-		t.Fatalf("Cardinality = %d, want %d", b.Cardinality(), len(values))
-	}
-}
-
-func TestArrayToBitmapConversion(t *testing.T) {
-	b := New()
-	// Push one chunk past the conversion threshold.
-	for i := uint32(0); i < arrayToBitmapThreshold+100; i++ {
-		b.Add(i * 3 % 65536)
-	}
-	want := make(map[uint32]bool)
-	for i := uint32(0); i < arrayToBitmapThreshold+100; i++ {
-		want[i*3%65536] = true
-	}
-	if b.Cardinality() != len(want) {
-		t.Fatalf("Cardinality = %d, want %d", b.Cardinality(), len(want))
-	}
-	for v := range want {
-		if !b.Contains(v) {
-			t.Fatalf("lost %d after conversion", v)
-		}
-	}
-}
-
-func TestModelEquivalence(t *testing.T) {
-	// Property: Bitmap behaves exactly like map[uint32]bool under a
-	// random operation sequence.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := New()
-		model := make(map[uint32]bool)
-		for i := 0; i < 2000; i++ {
-			// Mix of clustered values (same chunk) and scattered ones.
-			var v uint32
-			if rng.Intn(2) == 0 {
-				v = uint32(rng.Intn(5000))
-			} else {
-				v = rng.Uint32()
-			}
-			addedB := b.Add(v)
-			addedM := !model[v]
-			model[v] = true
-			if addedB != addedM {
-				return false
-			}
-		}
-		if b.Cardinality() != len(model) {
-			return false
-		}
-		for v := range model {
-			if !b.Contains(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOr(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a, b := New(), New()
-		model := make(map[uint32]bool)
-		for i := 0; i < 1500; i++ {
-			v := uint32(rng.Intn(200000))
-			if rng.Intn(2) == 0 {
-				a.Add(v)
-			} else {
-				b.Add(v)
-			}
-			model[v] = true
-		}
-		a.Or(b)
-		if a.Cardinality() != len(model) {
-			return false
-		}
-		for v := range model {
-			if !a.Contains(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOrDoesNotAliasSource(t *testing.T) {
-	a, b := New(), New()
-	b.Add(5)
-	a.Or(b)
-	a.Add(6)
-	if b.Contains(6) {
-		t.Fatal("Or aliased the source container")
-	}
-	b.Add(7)
-	if a.Contains(7) {
-		t.Fatal("Or aliased the destination container")
-	}
-}
-
-func TestOrMixedContainerKinds(t *testing.T) {
-	// array|bitmap, bitmap|array, bitmap|bitmap within one chunk.
-	mk := func(n int) *Bitmap {
-		b := New()
-		for i := 0; i < n; i++ {
-			b.Add(uint32(i * 2))
-		}
-		return b
-	}
-	small, big := mk(100), mk(arrayToBitmapThreshold+500)
-	cases := []struct{ x, y *Bitmap }{
-		{mk(100), mk(arrayToBitmapThreshold + 500)},
-		{mk(arrayToBitmapThreshold + 500), mk(100)},
-		{mk(arrayToBitmapThreshold + 500), mk(arrayToBitmapThreshold + 600)},
-	}
-	_ = small
-	_ = big
-	for i, c := range cases {
-		before := c.y.Cardinality()
-		c.x.Or(c.y)
-		if c.x.Cardinality() < before {
-			t.Errorf("case %d: union smaller than operand", i)
-		}
-		bad := false
-		c.y.ForEach(func(v uint32) bool {
-			if !c.x.Contains(v) {
-				bad = true
-				return false
-			}
-			return true
-		})
-		if bad {
-			t.Errorf("case %d: union missing source values", i)
-		}
-	}
-}
-
-func TestForEachAscending(t *testing.T) {
-	b := New()
-	vals := []uint32{9, 100000, 3, 70000, 50, 1 << 25}
-	for _, v := range vals {
-		b.Add(v)
-	}
-	var got []uint32
-	b.ForEach(func(v uint32) bool {
-		got = append(got, v)
-		return true
-	})
-	if len(got) != len(vals) {
-		t.Fatalf("ForEach visited %d values, want %d", len(got), len(vals))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatalf("ForEach not ascending: %v", got)
-		}
-	}
-	// Early stop.
-	count := 0
-	b.ForEach(func(v uint32) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Fatalf("ForEach early stop visited %d", count)
-	}
-}
+// sparse builds b with the Roaring threshold alone: chunks of at most
+// arrayToBitmapThreshold values stay sorted arrays.
+func sparse(vals []uint32) *Bitmap { return FromSortedDense(vals, arrayToBitmapThreshold+1) }
 
 // randSorted returns a strictly ascending slice of n values drawn from
 // [0, span), mixing dense and sparse chunks.
@@ -217,43 +28,37 @@ func randSorted(rng *rand.Rand, n int, span uint32) []uint32 {
 	for v := range seen {
 		out = append(out, v)
 	}
-	sortU32(out)
+	slices.Sort(out)
 	return out
 }
 
-func sortU32(s []uint32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
+// holds reports whether b's members among the ascending probe, read
+// through FilterSortedInto, are exactly those in want.
+func holds(b *Bitmap, probe []uint32, want map[uint32]bool) bool {
+	var model []uint32
+	for _, v := range probe {
+		if want[v] {
+			model = append(model, v)
 		}
 	}
+	return slices.Equal(b.FilterSortedInto(nil, probe), model)
+}
+
+func setOf(vals []uint32) map[uint32]bool {
+	m := make(map[uint32]bool, len(vals))
+	for _, v := range vals {
+		m[v] = true
+	}
+	return m
 }
 
 func TestFromSortedEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		vals := randSorted(rng, 1+rng.Intn(6000), 1<<22)
-		b := FromSorted(vals)
-		ref := New()
-		for _, v := range vals {
-			ref.Add(v)
-		}
-		if b.Cardinality() != ref.Cardinality() {
-			return false
-		}
-		for _, v := range vals {
-			if !b.Contains(v) {
-				return false
-			}
-		}
-		// Spot-check absent values.
-		for i := 0; i < 200; i++ {
-			v := rng.Uint32()
-			if b.Contains(v) != ref.Contains(v) {
-				return false
-			}
-		}
-		return true
+		probe := randSorted(rng, 1+rng.Intn(2000), 1<<22)
+		b, in := sparse(vals), setOf(vals)
+		return holds(b, vals, in) && holds(b, probe, in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 		t.Fatal(err)
@@ -264,28 +69,24 @@ func TestFromSortedDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		vals := randSorted(rng, 1+rng.Intn(3000), 1<<20)
+		probe := randSorted(rng, 1+rng.Intn(1000), 1<<20)
+		in := setOf(vals)
+		perChunk := make(map[uint16]int)
+		for _, v := range vals {
+			perChunk[uint16(v>>16)]++
+		}
 		for _, denseMin := range []int{0, 1, 64, 512, arrayToBitmapThreshold + 2} {
 			b := FromSortedDense(vals, denseMin)
-			if b.Cardinality() != len(vals) {
+			if !holds(b, vals, in) || !holds(b, probe, in) {
 				return false
-			}
-			for _, v := range vals {
-				if !b.Contains(v) {
-					return false
-				}
-			}
-			for i := 0; i < 100; i++ {
-				v := rng.Uint32()
-				if b.Contains(v) != FromSorted(vals).Contains(v) {
-					return false
-				}
 			}
 			// Every chunk at or above the threshold must be bitmap-mode;
 			// a denseMin of <=1 forces every chunk dense.
-			for _, c := range b.cts {
-				wantDense := c.card >= denseMin || denseMin <= 1
+			for i, c := range b.cts {
+				card := perChunk[b.keys[i]]
+				wantDense := card >= denseMin || denseMin <= 1
 				if denseMin > arrayToBitmapThreshold+1 {
-					wantDense = c.card > arrayToBitmapThreshold
+					wantDense = card > arrayToBitmapThreshold
 				}
 				if c.isBitmap() != wantDense {
 					return false
@@ -306,20 +107,19 @@ func TestFromSortedBitmapMode(t *testing.T) {
 	for i := 0; i < arrayToBitmapThreshold+512; i++ {
 		vals = append(vals, uint32(i*3))
 	}
-	b := FromSorted(vals)
+	b := sparse(vals)
 	if !b.cts[0].isBitmap() {
 		t.Fatal("dense chunk not in bitmap mode")
 	}
-	if b.Cardinality() != len(vals) {
-		t.Fatalf("Cardinality = %d, want %d", b.Cardinality(), len(vals))
+	if got := b.FilterSortedInto(nil, vals); !slices.Equal(got, vals) {
+		t.Fatalf("lost %d of %d values", len(vals)-len(got), len(vals))
 	}
-	for _, v := range vals {
-		if !b.Contains(v) {
-			t.Fatalf("lost %d", v)
-		}
-		if b.Contains(v + 1) {
-			t.Fatalf("phantom %d", v+1)
-		}
+	phantoms := make([]uint32, len(vals))
+	for i, v := range vals {
+		phantoms[i] = v + 1
+	}
+	if got := b.FilterSortedInto(nil, phantoms); len(got) != 0 {
+		t.Fatalf("phantoms %v", got[:min(len(got), 5)])
 	}
 }
 
@@ -340,7 +140,7 @@ func TestFilterSortedInto(t *testing.T) {
 			}
 		}
 		// Array-mode and dense (hub-adjacency) chunk layouts must agree.
-		for _, b := range []*Bitmap{FromSorted(hub), FromSortedDense(hub, 1)} {
+		for _, b := range []*Bitmap{sparse(hub), FromSortedDense(hub, 1)} {
 			got := b.FilterSortedInto(nil, probe)
 			if len(got) != len(want) {
 				return false
@@ -389,8 +189,8 @@ func TestAndSortedInto(t *testing.T) {
 		}
 		// Array-vs-array, mixed, and dense-vs-dense chunk pairings.
 		for _, pair := range [][2]*Bitmap{
-			{FromSorted(xs), FromSorted(ys)},
-			{FromSortedDense(xs, 1), FromSorted(ys)},
+			{sparse(xs), sparse(ys)},
+			{FromSortedDense(xs, 1), sparse(ys)},
 			{FromSortedDense(xs, 1), FromSortedDense(ys, 1)},
 		} {
 			got := pair[0].AndSortedInto(nil, pair[1])
@@ -413,13 +213,13 @@ func TestAndSortedInto(t *testing.T) {
 func TestSizeBytesCompression(t *testing.T) {
 	// A sparse set must be far smaller than a dense bitmap over the same
 	// key range — the reason the paper uses Roaring-style bitmaps (§5.5).
-	sparse := New()
-	for i := 0; i < 1000; i++ {
-		sparse.Add(uint32(i * 4096))
+	vals := make([]uint32, 1000)
+	for i := range vals {
+		vals[i] = uint32(i * 4096)
 	}
 	denseEquivalent := (1000 * 4096) / 8
-	if sparse.SizeBytes() >= denseEquivalent/10 {
+	if b := sparse(vals); b.SizeBytes() >= denseEquivalent/10 {
 		t.Fatalf("sparse set uses %d bytes; dense equivalent %d — compression missing",
-			sparse.SizeBytes(), denseEquivalent)
+			b.SizeBytes(), denseEquivalent)
 	}
 }

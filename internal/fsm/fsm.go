@@ -40,7 +40,7 @@ type Level struct {
 type Result struct {
 	Frequent    []FrequentPattern
 	Levels      []Level // the levels that ran to completion
-	DomainBytes int     // peak bitmap memory across levels (Figure 13 accounting)
+	DomainBytes int     // peak MNI domain memory across levels (Figure 13 accounting)
 	// Stopped reports that a deadline or a cancelled context cut a level
 	// short. Supports computed from a truncated scan are not supports, so
 	// Frequent is nil: "nothing is frequent" is Stopped == false.
@@ -81,7 +81,8 @@ func Mine(g *graph.Graph, maxEdges, support int, opts core.Options) (*Result, er
 	queries := pattern.GenerateAllEdgeInduced(1) // the single unlabeled edge
 	for edges := 1; edges <= maxEdges; edges++ {
 		lvlStart := time.Now()
-		table, stopped, err := matchLevel(g, queries, opts)
+		table := mni.NewTable()
+		stopped, err := matchLevel(g, queries, table, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -129,21 +130,21 @@ func Mine(g *graph.Graph, maxEdges, support int, opts core.Options) (*Result, er
 const levelChunk = 64
 
 // matchLevel matches every query pattern of one FSM level — levelChunk
-// of them per traversal of g, through the share trie — and returns the
-// MNI domains of the discovered labeled patterns, keyed by canonical
-// code; it also reports whether a traversal was cut short. Labels are
-// discovered as in LabeledMotifCounts (§3.2.1): a worker tallies its
-// matches by query and the labels of the matched vertices, one bitmap of
+// of them per traversal of g, through the share trie — and folds the
+// MNI domains of the discovered labeled patterns into table, keyed by
+// canonical code; it reports whether a traversal was cut short. Labels
+// are discovered as in LabeledMotifCounts (§3.2.1): a worker tallies its
+// matches by query and the labels of the matched vertices, one set of
 // images per regular query vertex, and never canonicalizes. After each
 // chunk the calling goroutine folds every worker's tally into the table,
 // canonicalizing each distinct (query, labeling) key once.
-func matchLevel(g *graph.Graph, queries []*pattern.Pattern, opts core.Options) (*mni.Table, bool, error) {
+func matchLevel(g *graph.Graph, queries []*pattern.Pattern, table *mni.Table, opts core.Options) (bool, error) {
 	plans := make([]*plan.Plan, len(queries))
 	regs := make([][]int, len(queries))
 	for i, q := range queries {
 		pl, err := plan.New(q, plan.Options{NoSymmetryBreaking: opts.NoSymmetryBreaking})
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		plans[i], regs[i] = pl, q.RegularVertices()
 	}
@@ -156,7 +157,6 @@ func matchLevel(g *graph.Graph, queries []*pattern.Pattern, opts core.Options) (
 		key    []byte
 	}
 	tallies := make([]tally, opts.Threads)
-	table := mni.NewTable()
 	for lo := 0; lo < len(queries); lo += levelChunk {
 		for i := range tallies {
 			tallies[i].images = make(map[string]mni.Images)
@@ -170,7 +170,7 @@ func matchLevel(g *graph.Graph, queries []*pattern.Pattern, opts core.Options) (
 			}
 			im := t.images[string(t.key)]
 			if im == nil {
-				im = mni.NewImages(len(reg))
+				im = make(mni.Images, len(reg))
 				t.images[string(t.key)] = im
 			}
 			for i, v := range reg {
@@ -178,7 +178,7 @@ func matchLevel(g *graph.Graph, queries []*pattern.Pattern, opts core.Options) (
 			}
 		}, opts)
 		if ms.Stopped {
-			return nil, true, nil
+			return true, nil
 		}
 		// The fold: each distinct key is canonicalized once, and its
 		// images land in its code's domain through the canonical
@@ -201,7 +201,7 @@ func matchLevel(g *graph.Graph, queries []*pattern.Pattern, opts core.Options) (
 					code, perm := labeled.CanonicalForm()
 					tg.d = table.ByCode[code]
 					if tg.d == nil {
-						tg.d = mni.NewDomain(labeled.Renumber(perm))
+						tg.d = mni.NewDomain(labeled.Renumber(perm), g.NumVertices())
 						table.ByCode[code] = tg.d
 					}
 					tg.at = make([]int, len(reg))
@@ -214,5 +214,5 @@ func matchLevel(g *graph.Graph, queries []*pattern.Pattern, opts core.Options) (
 			}
 		}
 	}
-	return table, false, nil
+	return false, nil
 }

@@ -153,7 +153,8 @@ func TestMineWithoutSymmetryBreakingAgrees(t *testing.T) {
 
 // TestBatchedLevelEqualsPerQuery runs one large level both ways: all
 // queries through matchLevel's shared traversals, and one matchLevel per
-// query, merged. Every discovered labeling must get the same support.
+// query into one table. Every discovered labeling must get the same support
+// and the same domain bytes.
 func TestBatchedLevelEqualsPerQuery(t *testing.T) {
 	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 80, Edges: 240, Seed: 52, Labels: 6})
 	opts := core.Options{Threads: 3}
@@ -169,33 +170,26 @@ func TestBatchedLevelEqualsPerQuery(t *testing.T) {
 	if len(queries) <= levelChunk {
 		t.Fatalf("level has %d queries, want more than one chunk (%d)", len(queries), levelChunk)
 	}
-	batched, _, err := matchLevel(g, queries, opts)
-	if err != nil {
+	batched := mni.NewTable()
+	if _, err := matchLevel(g, queries, batched, opts); err != nil {
 		t.Fatal(err)
 	}
 	serial := mni.NewTable()
 	for i := range queries {
-		one, _, err := matchLevel(g, queries[i:i+1], opts)
-		if err != nil {
+		if _, err := matchLevel(g, queries[i:i+1], serial, opts); err != nil {
 			t.Fatal(err)
-		}
-		for code, d := range one.ByCode {
-			dst := serial.ByCode[code]
-			if dst == nil {
-				serial.ByCode[code] = d
-				continue
-			}
-			for _, v := range d.Pattern().RegularVertices() {
-				dst.DomainOf(v).Or(d.DomainOf(v))
-			}
 		}
 	}
 	if len(batched.ByCode) != len(serial.ByCode) {
 		t.Fatalf("batched level discovered %d labelings, per-query %d", len(batched.ByCode), len(serial.ByCode))
 	}
 	for code, d := range serial.ByCode {
-		if got := batched.ByCode[code]; got == nil || got.Support() != d.Support() {
-			t.Errorf("labeling %q: per-query support %d, batched %v", code, d.Support(), got)
+		got := batched.ByCode[code]
+		if got == nil {
+			t.Errorf("labeling %q: missing from the batched level", code)
+		} else if got.Support() != d.Support() || got.SizeBytes() != d.SizeBytes() {
+			t.Errorf("labeling %q: per-query support %d in %d bytes, batched %d in %d",
+				code, d.Support(), d.SizeBytes(), got.Support(), got.SizeBytes())
 		}
 	}
 }
@@ -220,7 +214,8 @@ func TestMineValidation(t *testing.T) {
 // (center A) gets its own.
 func TestIsomorphicLabelingsShareDomain(t *testing.T) {
 	g := labeledPath()
-	table, stopped, err := matchLevel(g, []*pattern.Pattern{pattern.Star(3)}, core.Options{Threads: 2})
+	table := mni.NewTable()
+	stopped, err := matchLevel(g, []*pattern.Pattern{pattern.Star(3)}, table, core.Options{Threads: 2})
 	if err != nil || stopped {
 		t.Fatalf("matchLevel: stopped %v, err %v", stopped, err)
 	}

@@ -139,50 +139,62 @@ func Fig12b(cfg Config) []Row {
 // --- Figure 13: peak memory usage ----------------------------------------
 
 // Fig13 compares peak memory across systems for k-cliques, k-motifs, and
-// FSM. Peregrine's peak is measured with a heap sampler (it holds no
-// intermediate matches); baselines report their materialized embedding
-// bytes, which dominate their footprint.
+// FSM. Every row's peakMB is the same quantity: the heap peak a sampler
+// sees above the heap before the run. Baseline rows add storedMB, the
+// embedding bytes they materialized at their peak, and Peregrine's FSM
+// rows add domainMB, the peak of their MNI domains.
 func Fig13(cfg Config) []Row {
 	var rows []Row
-	add := func(app, ds, system string, bytes uint64, failed string) {
+	add := func(app, ds, system string, peak uint64, failed string) map[string]float64 {
 		rows = append(rows, Row{Experiment: "fig13", App: app, Dataset: ds, System: system,
-			Failed: failed, Metrics: map[string]float64{"peakMB": float64(bytes) / (1 << 20)}})
+			Failed: failed, Metrics: map[string]float64{"peakMB": float64(peak) / (1 << 20)}})
+		return rows[len(rows)-1].Metrics
+	}
+	base := func(app, ds, system string, run func() baseline.Metrics) {
+		var m baseline.Metrics
+		peak := measurePeak(func() { m = run() })
+		add(app, ds, system, peak, failReason(m))["storedMB"] = float64(m.PeakStoredBytes) / (1 << 20)
 	}
 	for _, ds := range []string{"mico", "patents"} {
 		g := cfg.graph(ds)
 		for _, k := range []int{3, 4, 5} {
 			app := fmt.Sprintf("%d-cliques", k)
 			add(app, ds, "PRG", measurePeak(func() { prgCliques(g, k, cfg.prg()) }), "")
-			m := baseline.BFS(g, baseline.BFSOptions{Size: k, Filter: cliqueFilter(g), MaxStored: cfg.Budget})
-			add(app, ds, "ABQ", m.PeakStoredBytes, failReason(m))
-			md := baseline.DFS(g, baseline.DFSOptions{Size: k, Threads: cfg.Threads, Filter: cliqueFilter(g), MaxExplored: uint64(cfg.Budget)})
-			add(app, ds, "FCL", md.PeakStoredBytes, failReason(md))
-			mr := baseline.RStream(g, baseline.RStreamOptions{Size: k, CliqueFilter: true, MaxRows: cfg.Budget})
-			add(app, ds, "RS", mr.PeakStoredBytes, failReason(mr))
+			base(app, ds, "ABQ", func() baseline.Metrics {
+				return baseline.BFS(g, baseline.BFSOptions{Size: k, Filter: cliqueFilter(g), MaxStored: cfg.Budget})
+			})
+			base(app, ds, "FCL", func() baseline.Metrics {
+				return baseline.DFS(g, baseline.DFSOptions{Size: k, Threads: cfg.Threads, Filter: cliqueFilter(g), MaxExplored: uint64(cfg.Budget)})
+			})
+			base(app, ds, "RS", func() baseline.Metrics {
+				return baseline.RStream(g, baseline.RStreamOptions{Size: k, CliqueFilter: true, MaxRows: cfg.Budget})
+			})
 		}
 		for _, size := range []int{3, 4} {
 			app := fmt.Sprintf("%d-motifs", size)
 			add(app, ds, "PRG", measurePeak(func() { prgMotifCensus(g, size, cfg.prg()) }), "")
-			m := baseline.BFS(g, baseline.BFSOptions{Size: size, Classify: true, MaxStored: cfg.Budget})
-			add(app, ds, "ABQ", m.PeakStoredBytes, failReason(m))
-			md := baseline.DFS(g, baseline.DFSOptions{Size: size, Threads: cfg.Threads, Classify: true, MaxExplored: uint64(cfg.Budget)})
-			add(app, ds, "FCL", md.PeakStoredBytes, failReason(md))
-			mr := baseline.RStream(g, baseline.RStreamOptions{Size: size, Classify: true, MaxRows: cfg.Budget})
-			add(app, ds, "RS", mr.PeakStoredBytes, failReason(mr))
+			base(app, ds, "ABQ", func() baseline.Metrics {
+				return baseline.BFS(g, baseline.BFSOptions{Size: size, Classify: true, MaxStored: cfg.Budget})
+			})
+			base(app, ds, "FCL", func() baseline.Metrics {
+				return baseline.DFS(g, baseline.DFSOptions{Size: size, Threads: cfg.Threads, Classify: true, MaxExplored: uint64(cfg.Budget)})
+			})
+			base(app, ds, "RS", func() baseline.Metrics {
+				return baseline.RStream(g, baseline.RStreamOptions{Size: size, Classify: true, MaxRows: cfg.Budget})
+			})
 		}
 	}
-	// FSM memory: Peregrine's row is a heap peak like the others, with
-	// the peak of its MNI domain bitmaps beside it (domainMB); the BFS
-	// baseline holds embedding levels too.
 	for _, ds := range []string{"mico", "patents-labeled"} {
 		g := cfg.graph(ds)
 		tau := fsmSupports(ds, cfg)[0]
 		app := fmt.Sprintf("fsm τ=%d", tau)
 		var res *peregrine.FSMResult
-		add(app, ds, "PRG", measurePeak(func() { res = prgMine(g, tau, cfg.prg()) }), "")
-		rows[len(rows)-1].Metrics["domainMB"] = float64(res.DomainBytes) / (1 << 20)
-		_, m := baseline.FSMBFS(g, 3, tau)
-		add(app, ds, "ABQ", m.PeakStoredBytes, failReason(m))
+		peak := measurePeak(func() { res = prgMine(g, tau, cfg.prg()) })
+		add(app, ds, "PRG", peak, "")["domainMB"] = float64(res.DomainBytes) / (1 << 20)
+		base(app, ds, "ABQ", func() baseline.Metrics {
+			_, m := baseline.FSMBFS(g, 3, tau)
+			return m
+		})
 	}
 	return rows
 }

@@ -5,15 +5,17 @@
 // vertices v, of the number of distinct data vertices that appear as the
 // image of v in some match.
 //
-// Domains are "a vector of bitmaps representing the data vertices that
-// can be mapped to each pattern vertex" (§5.5), stored as compressed
-// bitmaps. One subtlety of a symmetry-broken engine: each unique match
-// is reported once, but MNI's definition quantifies over all
-// isomorphisms, including automorphic variants. Pattern vertices in the
-// same automorphism orbit have identical domains, so this package keeps
-// one bitmap per orbit and folds every matched data vertex of an orbit's
-// members into it — exact MNI with one write per unique match, which is
-// the §6.6 symmetry-breaking-for-FSM win.
+// The paper keeps a domain as "a vector of bitmaps representing the data
+// vertices that can be mapped to each pattern vertex" (§5.5). Here each
+// is a Set: a sorted list of ids while that is smaller, one bit per data
+// vertex once it is not — the compressed-bitmap trade, made once per set
+// rather than per 64K-id chunk. One subtlety of a symmetry-broken engine:
+// each unique match is reported once, but MNI's definition quantifies
+// over all isomorphisms, including automorphic variants. Pattern vertices
+// in the same automorphism orbit have identical domains, so this package
+// keeps one set per orbit and folds every matched data vertex of an
+// orbit's members into it — exact MNI with one write per unique match,
+// which is the §6.6 symmetry-breaking-for-FSM win.
 //
 // FSM's matching threads do not touch domains: each tallies Images per
 // (query, labeling) pair, and Fold moves a pair's images into its
@@ -21,32 +23,28 @@
 // callers that hold a domain while they match.
 package mni
 
-import (
-	"peregrine/internal/bitset"
-	"peregrine/internal/pattern"
-)
+import "peregrine/internal/pattern"
 
 // Domain accumulates the MNI domain of one (labeled) pattern.
 type Domain struct {
 	pat     *pattern.Pattern
-	orbitOf []int            // vertex -> orbit representative
-	bitmaps []*bitset.Bitmap // indexed by orbit representative (nil elsewhere)
-	roots   []int            // distinct orbit representatives of regular vertices
-	regular []int            // the regular vertices, ascending
+	orbitOf []int // vertex -> orbit representative
+	sets    []Set // indexed by orbit representative (empty elsewhere)
+	roots   []int // distinct orbit representatives of regular vertices
+	regular []int // the regular vertices, ascending
+	words   int   // a dense set's length: ⌈V/64⌉ for V data vertices
 }
 
-// NewDomain prepares a domain for p. The orbit partition is computed
-// once per pattern; AddMatch is then O(regular vertices) bitmap inserts.
-func NewDomain(p *pattern.Pattern) *Domain {
+// NewDomain prepares a domain for p over a graph of the given number of
+// vertices. The orbit partition is computed once per pattern; AddMatch
+// is then O(regular vertices) set inserts.
+func NewDomain(p *pattern.Pattern, vertices uint32) *Domain {
 	orb := p.Orbits()
-	d := &Domain{pat: p, orbitOf: orb, bitmaps: make([]*bitset.Bitmap, p.N()), regular: p.RegularVertices()}
-	seen := make(map[int]bool)
+	d := &Domain{pat: p, orbitOf: orb, sets: make([]Set, p.N()), regular: p.RegularVertices(),
+		words: int((uint64(vertices) + 63) / 64)}
 	for _, v := range d.regular {
-		r := orb[v]
-		if !seen[r] {
-			seen[r] = true
-			d.roots = append(d.roots, r)
-			d.bitmaps[r] = bitset.New()
+		if orb[v] == v { // orbits never mix regular and anti-vertices
+			d.roots = append(d.roots, v)
 		}
 	}
 	return d
@@ -59,58 +57,45 @@ func (d *Domain) Pattern() *pattern.Pattern { return d.pat }
 // domain. Anti-vertex slots are ignored.
 func (d *Domain) AddMatch(mapping []uint32) {
 	for _, v := range d.regular {
-		d.bitmaps[d.orbitOf[v]].Add(mapping[v])
+		d.sets[d.orbitOf[v]].Add(mapping[v])
 	}
 }
 
-// Support returns the MNI support: the minimum domain cardinality over
-// pattern vertices (equivalently over orbits).
+// Support returns the MNI support: the minimum domain size over pattern
+// vertices (equivalently over orbits).
 func (d *Domain) Support() int {
-	minCard := -1
+	minLen := -1
 	for _, r := range d.roots {
-		c := d.bitmaps[r].Cardinality()
-		if minCard < 0 || c < minCard {
-			minCard = c
+		if n := d.sets[r].Len(); minLen < 0 || n < minLen {
+			minLen = n
 		}
 	}
-	if minCard < 0 {
-		return 0
-	}
-	return minCard
+	return max(minLen, 0)
 }
 
-// DomainOf returns the bitmap of data vertices mappable to pattern
-// vertex v.
-func (d *Domain) DomainOf(v int) *bitset.Bitmap { return d.bitmaps[d.orbitOf[v]] }
+// DomainOf returns the set of data vertices mappable to pattern vertex v.
+func (d *Domain) DomainOf(v int) *Set { return &d.sets[d.orbitOf[v]] }
 
 // Images holds, per regular vertex of a query in query order, the data
 // vertices its matches mapped there: what an FSM worker tallies for one
-// (query, labeling) pair before the pair is canonicalized.
-type Images []*bitset.Bitmap
+// (query, labeling) pair before the pair is canonicalized. Its sets are
+// lists.
+type Images []Set
 
-// NewImages returns n empty image bitmaps.
-func NewImages(n int) Images {
-	im := make(Images, n)
-	for i := range im {
-		im[i] = bitset.New()
-	}
-	return im
-}
-
-// Fold ORs im into the domain: im[i] holds images of pattern vertex
-// at[i], and lands in that vertex's orbit bitmap.
+// Fold adds im to the domain: im[i] holds images of pattern vertex at[i],
+// and lands in that vertex's orbit set.
 func (d *Domain) Fold(im Images, at []int) {
-	for i, b := range im {
-		d.bitmaps[d.orbitOf[at[i]]].Or(b)
+	for i := range im {
+		d.sets[d.orbitOf[at[i]]].fold(im[i].ids, d.words)
 	}
 }
 
-// SizeBytes estimates the memory held by the domain's bitmaps, used for
-// the Figure 13 FSM memory accounting.
+// SizeBytes is the memory held by the domain's sets, used for the
+// Figure 13 FSM memory accounting.
 func (d *Domain) SizeBytes() int {
 	n := 0
 	for _, r := range d.roots {
-		n += d.bitmaps[r].SizeBytes()
+		n += d.sets[r].SizeBytes()
 	}
 	return n
 }
@@ -124,7 +109,7 @@ type Table struct {
 // NewTable returns an empty table.
 func NewTable() *Table { return &Table{ByCode: make(map[string]*Domain)} }
 
-// SizeBytes estimates total bitmap memory across the table.
+// SizeBytes is the total set memory across the table.
 func (t *Table) SizeBytes() int {
 	n := 0
 	for _, d := range t.ByCode {

@@ -17,10 +17,13 @@
 #                        makes per candidate, (*markSet).count, and the
 #                        id window a trie step reads per child, slot and
 #                        sized level, (*multiWorker).window
-#   6. sorted lists only — internal/core (tests included) must not
-#                        import internal/bitset: adjacency stays sorted
-#                        lists (a thread's marks of one list are its own
-#                        scratch, not an adjacency encoding)
+#   6. one bitmap client — no package but internal/graph and bench
+#                        (tests included) imports internal/bitset: the
+#                        engine intersects sorted lists (a thread's marks
+#                        of one list are its own scratch, not an adjacency
+#                        encoding) and FSM's MNI domains are internal/mni's
+#                        own sets; the hub bitmaps serve the benchmark
+#                        ladder only
 #   7. staticcheck     — if installed; CI pins and installs its own
 #                        copy, so locally this warns and continues
 #
@@ -81,11 +84,17 @@ if ! grep -qF "can inline (*multiWorker).window" <<<"$inl"; then
   fail=1
 fi
 
-echo "== engine free of bitmaps =="
-# Direct imports: internal/graph still imports internal/bitset for the
-# benchmark ladder's BuildHubBitsets, so go list -deps would list it.
-if go list -f '{{join .Imports "\n"}}{{"\n"}}{{join .TestImports "\n"}}' ./internal/core | grep -qx 'peregrine/internal/bitset'; then
-  echo "internal/core imports internal/bitset: the engine intersects sorted lists only"
+echo "== bitmaps for the ladder only =="
+# Direct imports: most packages reach internal/graph, which imports
+# internal/bitset for the benchmark ladder's BuildHubBitsets, so go list
+# -deps would list it everywhere.
+importers=$(go list -f '{{.ImportPath}}{{range .Imports}} {{.}}{{end}}{{range .TestImports}} {{.}}{{end}}{{range .XTestImports}} {{.}}{{end}}' ./... |
+  awk '{for (i = 2; i <= NF; i++) if ($i == "peregrine/internal/bitset") print $1}' | sort -u |
+  grep -vx -e 'peregrine/internal/graph' -e 'peregrine/bench')
+if [ -n "$importers" ]; then
+  echo "internal/bitset imported by:"
+  echo "$importers"
+  echo "only internal/graph and bench may import it: the engine intersects sorted lists and FSM's domains are mni.Set"
   fail=1
 fi
 
