@@ -2,10 +2,10 @@ package peregrine
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
+	"peregrine/internal/fsm"
 	"peregrine/internal/pattern"
 )
 
@@ -56,85 +56,47 @@ func MotifCountsWithStats(g *Graph, size int, opts ...Option) ([]MotifCount, Mul
 // LabeledMotifCounts counts vertex-induced occurrences of every motif of
 // the given size for every discovered labeling (the labeled 3-/4-motif
 // workloads of §6.1). Counts are keyed by the canonical code of the
-// labeled pattern; the pattern for each code is also returned. A census
-// cut short by WithContext or WithDeadline returns the context's error
-// or context.DeadlineExceeded, and no counts.
+// labeled pattern; the pattern for each code is also returned. Labels are
+// discovered as FSM discovers them (§3.2.1), by the same routine: the
+// unlabeled motifs are matched and each thread counts its matches by
+// motif and labels; each labeling is canonicalized once. The motifs' plans
+// are built for this call, not taken from the plan cache. A census cut
+// short by WithContext or WithDeadline returns the context's error or
+// context.DeadlineExceeded, and no counts.
 func LabeledMotifCounts(g *Graph, size int, opts ...Option) (map[string]MotifCount, error) {
+	if size < 2 {
+		return nil, fmt.Errorf("peregrine: motif size %d < 2", size)
+	}
 	if !g.Labeled() {
 		return nil, fmt.Errorf("peregrine: labeled motif counting requires a labeled graph")
 	}
 	motifs := pattern.GenerateAllVertexInduced(size)
-	cfg := buildConfig(opts)
-	threads := cfg.opts.Threads
-	if threads <= 0 {
-		threads = defaultThreads()
-	}
 	vind := make([]*Pattern, len(motifs))
 	for i, m := range motifs {
 		vind[i] = pattern.VertexInduced(m)
 	}
-	q, err := Prepare(vind...)
+	cfg := buildConfig(opts)
+	out := make(map[string]MotifCount)
+	stopped, err := fsm.Discover(g, vind, motifs, cfg.opts, func(n *uint64, _ []int, _ *Match) {
+		*n++
+	}, func(labeled *Pattern, code string, _ []int, n *uint64) {
+		mc := out[code]
+		if mc.Pattern == nil {
+			mc.Pattern = labeled
+		}
+		mc.Count += *n
+		out[code] = mc
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Discover labels: match the unlabeled motifs — all of them in one
-	// traversal — and tally matches by motif and the labels of their
-	// matched vertices, exactly like FSM's label discovery (§3.2.1). Each
-	// worker owns one tally; a key is the motif's index, then its
-	// vertices' labels, 4 bytes each. Keys are canonicalized after the
-	// run, once each.
-	type tally struct {
-		n   map[string]*uint64
-		key []byte
-	}
-	perThread := make([]tally, threads)
-	for i := range perThread {
-		perThread[i].n = make(map[string]*uint64)
-	}
-	all := append([]Option{WithThreads(threads)}, opts...)
-	ms, err := q.ForEach(g, func(ctx *Ctx, pat int, mt *Match) {
-		t := &perThread[ctx.Thread]
-		t.key = binary.BigEndian.AppendUint32(t.key[:0], uint32(pat))
-		for _, v := range mt.Mapping {
-			t.key = binary.BigEndian.AppendUint32(t.key, g.Label(v))
-		}
-		c := t.n[string(t.key)]
-		if c == nil {
-			c = new(uint64)
-			t.n[string(t.key)] = c
-		}
-		*c++
-	}, all...)
-	if err != nil {
-		return nil, err
-	}
-	if ms.Stopped {
+	if stopped {
 		// Nothing in the callback stops the run: a context or the
 		// deadline cut the census short, and a partial census is none.
 		if ctx := cfg.opts.Context; ctx != nil && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		return nil, context.DeadlineExceeded
-	}
-	counts := make(map[string]uint64)
-	for _, t := range perThread {
-		for key, c := range t.n {
-			counts[key] += *c
-		}
-	}
-	out := make(map[string]MotifCount)
-	for key, c := range counts {
-		labeled := motifs[binary.BigEndian.Uint32([]byte(key))].Clone()
-		for v := range labeled.N() {
-			labeled.SetLabel(v, Label(binary.BigEndian.Uint32([]byte(key[4+4*v:]))))
-		}
-		code := labeled.CanonicalCode()
-		mc := out[code]
-		if mc.Pattern == nil {
-			mc.Pattern = labeled
-		}
-		mc.Count += c
-		out[code] = mc
 	}
 	return out, nil
 }

@@ -1,14 +1,14 @@
 // Package fsm implements frequent subgraph mining (paper Figure 4a):
-// level-wise growth of labeled patterns with MNI support and dynamic
-// label discovery (§3.2.1), executed on the pattern-aware engine.
+// level-wise growth of labeled patterns with MNI support, executed on the
+// pattern-aware engine. Its dynamic label discovery (§3.2.1), Discover,
+// is the one copy of that mechanism: FSM and the labeled motif census
+// both match unlabeled patterns, tally the matches by the labels they
+// landed on, and canonicalize each labeling once.
 package fsm
 
 import (
-	"context"
-	"encoding/binary"
 	"fmt"
 	"maps"
-	"runtime"
 	"slices"
 	"time"
 
@@ -16,7 +16,6 @@ import (
 	"peregrine/internal/graph"
 	"peregrine/internal/mni"
 	"peregrine/internal/pattern"
-	"peregrine/internal/plan"
 )
 
 // FrequentPattern is one result: a fully labeled pattern and its MNI
@@ -62,27 +61,15 @@ func Mine(g *graph.Graph, maxEdges, support int, opts core.Options) (*Result, er
 	if support < 1 {
 		return nil, fmt.Errorf("fsm: needs support >= 1")
 	}
-	if opts.Threads <= 0 {
-		opts.Threads = runtime.GOMAXPROCS(0)
-	}
-	if opts.Deadline > 0 {
-		// The engine arms Deadline afresh on every run; one context
-		// deadline spans the levels.
-		ctx := opts.Context
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		ctx, cancel := context.WithTimeout(ctx, opts.Deadline)
-		defer cancel()
-		opts.Context, opts.Deadline = ctx, 0
-	}
+	opts, cancel := spanDeadline(opts) // one deadline spans the levels
+	defer cancel()
 
 	res := &Result{}
 	queries := pattern.GenerateAllEdgeInduced(1) // the single unlabeled edge
 	for edges := 1; edges <= maxEdges; edges++ {
 		lvlStart := time.Now()
-		table := mni.NewTable()
-		stopped, err := matchLevel(g, queries, table, opts)
+		domains := make(map[string]*mni.Domain)
+		stopped, err := matchLevel(g, queries, domains, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -90,20 +77,20 @@ func Mine(g *graph.Graph, maxEdges, support int, opts core.Options) (*Result, er
 			res.Stopped = true
 			break
 		}
-		if sz := table.SizeBytes(); sz > res.DomainBytes {
-			res.DomainBytes = sz
-		}
-		var frequent []FrequentPattern // in canonical-code order: the table's keys
-		for _, code := range slices.Sorted(maps.Keys(table.ByCode)) {
-			d := table.ByCode[code]
+		var frequent []FrequentPattern // in canonical-code order
+		size := 0
+		for _, code := range slices.Sorted(maps.Keys(domains)) {
+			d := domains[code]
+			size += d.SizeBytes()
 			if s := d.Support(); s >= support {
 				frequent = append(frequent, FrequentPattern{Pattern: d.Pattern(), Support: s})
 			}
 		}
+		res.DomainBytes = max(res.DomainBytes, size)
 		res.Levels = append(res.Levels, Level{
 			Edges:             edges,
 			QueriesMatched:    len(queries),
-			LabeledDiscovered: len(table.ByCode),
+			LabeledDiscovered: len(domains),
 			LabeledFrequent:   len(frequent),
 			Elapsed:           time.Since(lvlStart),
 		})
@@ -123,96 +110,26 @@ func Mine(g *graph.Graph, maxEdges, support int, opts core.Options) (*Result, er
 	return res, nil
 }
 
-// levelChunk is how many query patterns of a level share one traversal.
-// Each thread's tally holds a chunk's images until the chunk is folded,
-// so the chunk bounds that memory; one traversal per whole level measured
-// slower and larger (ROADMAP, "Tried and dropped").
-const levelChunk = 64
-
-// matchLevel matches every query pattern of one FSM level — levelChunk
-// of them per traversal of g, through the share trie — and folds the
-// MNI domains of the discovered labeled patterns into table, keyed by
-// canonical code; it reports whether a traversal was cut short. Labels
-// are discovered as in LabeledMotifCounts (§3.2.1): a worker tallies its
-// matches by query and the labels of the matched vertices, one set of
-// images per regular query vertex, and never canonicalizes. After each
-// chunk the calling goroutine folds every worker's tally into the table,
-// canonicalizing each distinct (query, labeling) key once.
-func matchLevel(g *graph.Graph, queries []*pattern.Pattern, table *mni.Table, opts core.Options) (bool, error) {
-	plans := make([]*plan.Plan, len(queries))
-	regs := make([][]int, len(queries))
-	for i, q := range queries {
-		pl, err := plan.New(q, plan.Options{NoSymmetryBreaking: opts.NoSymmetryBreaking})
-		if err != nil {
-			return false, err
+// matchLevel matches every query pattern of one FSM level through
+// Discover and folds the MNI domains of the discovered labeled patterns
+// into domains, keyed by canonical code; it reports whether a traversal
+// was cut short. A thread's tally for a (query, labeling) key is one set
+// of images per query vertex; its fold lands them in the code's domain
+// through the canonical permutation.
+func matchLevel(g *graph.Graph, queries []*pattern.Pattern, domains map[string]*mni.Domain, opts core.Options) (bool, error) {
+	return Discover(g, queries, queries, opts, func(im *[]mni.Set, reg []int, m *core.Match) {
+		if *im == nil {
+			*im = make([]mni.Set, len(m.Mapping))
 		}
-		plans[i], regs[i] = pl, q.RegularVertices()
-	}
-
-	// A key is the query's index in the level, then the labels of its
-	// regular vertices, 4 bytes each: whole labels, since labels sharing
-	// a key would share one labeling.
-	type tally struct {
-		images map[string]mni.Images
-		key    []byte
-	}
-	tallies := make([]tally, opts.Threads)
-	for lo := 0; lo < len(queries); lo += levelChunk {
-		for i := range tallies {
-			tallies[i].images = make(map[string]mni.Images)
+		for _, v := range reg {
+			(*im)[v].Add(m.Mapping[v], g.NumVertices())
 		}
-		ms := core.RunPlans(g, plans[lo:min(lo+levelChunk, len(queries))], func(ctx *core.Ctx, pat int, m *core.Match) {
-			t := &tallies[ctx.Thread]
-			reg := regs[lo+pat]
-			t.key = binary.BigEndian.AppendUint32(t.key[:0], uint32(lo+pat))
-			for _, v := range reg {
-				t.key = binary.BigEndian.AppendUint32(t.key, g.Label(m.Mapping[v]))
-			}
-			im := t.images[string(t.key)]
-			if im == nil {
-				im = make(mni.Images, len(reg))
-				t.images[string(t.key)] = im
-			}
-			for i, v := range reg {
-				im[i].Add(m.Mapping[v])
-			}
-		}, opts)
-		if ms.Stopped {
-			return true, nil
+	}, func(labeled *pattern.Pattern, code string, perm []int, im *[]mni.Set) {
+		d := domains[code]
+		if d == nil {
+			d = mni.NewDomain(labeled.Renumber(perm), g.NumVertices())
+			domains[code] = d
 		}
-		// The fold: each distinct key is canonicalized once, and its
-		// images land in its code's domain through the canonical
-		// permutation (at[i] is the canonical vertex of reg[i]).
-		type target struct {
-			d  *mni.Domain
-			at []int
-		}
-		folded := make(map[string]target)
-		for _, t := range tallies {
-			for key, im := range t.images {
-				tg, ok := folded[key]
-				if !ok {
-					qi := binary.BigEndian.Uint32([]byte(key))
-					reg := regs[qi]
-					labeled := queries[qi].Clone()
-					for i, v := range reg {
-						labeled.SetLabel(v, pattern.Label(binary.BigEndian.Uint32([]byte(key[4+4*i:]))))
-					}
-					code, perm := labeled.CanonicalForm()
-					tg.d = table.ByCode[code]
-					if tg.d == nil {
-						tg.d = mni.NewDomain(labeled.Renumber(perm), g.NumVertices())
-						table.ByCode[code] = tg.d
-					}
-					tg.at = make([]int, len(reg))
-					for i, v := range reg {
-						tg.at[i] = perm[v]
-					}
-					folded[key] = tg
-				}
-				tg.d.Fold(im, tg.at)
-			}
-		}
-	}
-	return false, nil
+		d.Fold(*im, perm)
+	})
 }

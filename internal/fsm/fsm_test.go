@@ -153,8 +153,8 @@ func TestMineWithoutSymmetryBreakingAgrees(t *testing.T) {
 
 // TestBatchedLevelEqualsPerQuery runs one large level both ways: all
 // queries through matchLevel's shared traversals, and one matchLevel per
-// query into one table. Every discovered labeling must get the same support
-// and the same domain bytes.
+// query into one map of domains. Every discovered labeling must get the
+// same support and the same domain bytes.
 func TestBatchedLevelEqualsPerQuery(t *testing.T) {
 	g := gen.ErdosRenyi(gen.ERConfig{Vertices: 80, Edges: 240, Seed: 52, Labels: 6})
 	opts := core.Options{Threads: 3}
@@ -170,21 +170,21 @@ func TestBatchedLevelEqualsPerQuery(t *testing.T) {
 	if len(queries) <= levelChunk {
 		t.Fatalf("level has %d queries, want more than one chunk (%d)", len(queries), levelChunk)
 	}
-	batched := mni.NewTable()
+	batched := make(map[string]*mni.Domain)
 	if _, err := matchLevel(g, queries, batched, opts); err != nil {
 		t.Fatal(err)
 	}
-	serial := mni.NewTable()
+	serial := make(map[string]*mni.Domain)
 	for i := range queries {
 		if _, err := matchLevel(g, queries[i:i+1], serial, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(batched.ByCode) != len(serial.ByCode) {
-		t.Fatalf("batched level discovered %d labelings, per-query %d", len(batched.ByCode), len(serial.ByCode))
+	if len(batched) != len(serial) {
+		t.Fatalf("batched level discovered %d labelings, per-query %d", len(batched), len(serial))
 	}
-	for code, d := range serial.ByCode {
-		got := batched.ByCode[code]
+	for code, d := range serial {
+		got := batched[code]
 		if got == nil {
 			t.Errorf("labeling %q: missing from the batched level", code)
 		} else if got.Support() != d.Support() || got.SizeBytes() != d.SizeBytes() {
@@ -214,16 +214,16 @@ func TestMineValidation(t *testing.T) {
 // (center A) gets its own.
 func TestIsomorphicLabelingsShareDomain(t *testing.T) {
 	g := labeledPath()
-	table := mni.NewTable()
-	stopped, err := matchLevel(g, []*pattern.Pattern{pattern.Star(3)}, table, core.Options{Threads: 2})
+	domains := make(map[string]*mni.Domain)
+	stopped, err := matchLevel(g, []*pattern.Pattern{pattern.Star(3)}, domains, core.Options{Threads: 2})
 	if err != nil || stopped {
 		t.Fatalf("matchLevel: stopped %v, err %v", stopped, err)
 	}
-	if len(table.ByCode) != 2 {
-		t.Fatalf("discovered %d labeled wedges, want 2", len(table.ByCode))
+	if len(domains) != 2 {
+		t.Fatalf("discovered %d labeled wedges, want 2", len(domains))
 	}
 	supports := make(map[pattern.Label]int) // by the center's label
-	for _, d := range table.ByCode {
+	for _, d := range domains {
 		p := d.Pattern()
 		center := 0
 		for v := range p.N() {

@@ -17,22 +17,23 @@
 // orbit's members into it — exact MNI with one write per unique match,
 // which is the §6.6 symmetry-breaking-for-FSM win.
 //
-// FSM's matching threads do not touch domains: each tallies Images per
-// (query, labeling) pair, and Fold moves a pair's images into its
-// canonical pattern's domain once the traversal is done. AddMatch serves
-// callers that hold a domain while they match.
+// FSM's matching threads do not touch domains: each tallies one Set of
+// images per query vertex for each (query, labeling) pair, and Fold moves
+// a pair's images into its canonical pattern's domain once the traversal
+// is done. AddMatch serves callers that hold a domain while they match.
+// Tallies and orbit sets follow one form rule (see Set).
 package mni
 
 import "peregrine/internal/pattern"
 
 // Domain accumulates the MNI domain of one (labeled) pattern.
 type Domain struct {
-	pat     *pattern.Pattern
-	orbitOf []int // vertex -> orbit representative
-	sets    []Set // indexed by orbit representative (empty elsewhere)
-	roots   []int // distinct orbit representatives of regular vertices
-	regular []int // the regular vertices, ascending
-	words   int   // a dense set's length: ⌈V/64⌉ for V data vertices
+	pat      *pattern.Pattern
+	orbitOf  []int  // vertex -> orbit representative
+	sets     []Set  // indexed by orbit representative (empty elsewhere)
+	roots    []int  // distinct orbit representatives of regular vertices
+	regular  []int  // the regular vertices, ascending
+	vertices uint32 // data vertices: a dense set has ⌈vertices/64⌉ words
 }
 
 // NewDomain prepares a domain for p over a graph of the given number of
@@ -41,7 +42,7 @@ type Domain struct {
 func NewDomain(p *pattern.Pattern, vertices uint32) *Domain {
 	orb := p.Orbits()
 	d := &Domain{pat: p, orbitOf: orb, sets: make([]Set, p.N()), regular: p.RegularVertices(),
-		words: int((uint64(vertices) + 63) / 64)}
+		vertices: vertices}
 	for _, v := range d.regular {
 		if orb[v] == v { // orbits never mix regular and anti-vertices
 			d.roots = append(d.roots, v)
@@ -57,7 +58,7 @@ func (d *Domain) Pattern() *pattern.Pattern { return d.pat }
 // domain. Anti-vertex slots are ignored.
 func (d *Domain) AddMatch(mapping []uint32) {
 	for _, v := range d.regular {
-		d.sets[d.orbitOf[v]].Add(mapping[v])
+		d.sets[d.orbitOf[v]].Add(mapping[v], d.vertices)
 	}
 }
 
@@ -76,17 +77,12 @@ func (d *Domain) Support() int {
 // DomainOf returns the set of data vertices mappable to pattern vertex v.
 func (d *Domain) DomainOf(v int) *Set { return &d.sets[d.orbitOf[v]] }
 
-// Images holds, per regular vertex of a query in query order, the data
-// vertices its matches mapped there: what an FSM worker tallies for one
-// (query, labeling) pair before the pair is canonicalized. Its sets are
-// lists.
-type Images []Set
-
-// Fold adds im to the domain: im[i] holds images of pattern vertex at[i],
-// and lands in that vertex's orbit set.
-func (d *Domain) Fold(im Images, at []int) {
-	for i := range im {
-		d.sets[d.orbitOf[at[i]]].fold(im[i].ids, d.words)
+// Fold adds a query's tally to the domain: im[v] holds the images of the
+// query's vertex v, and lands in the orbit set of the domain's vertex
+// perm[v]. The tally's sets may be lists or dense.
+func (d *Domain) Fold(im []Set, perm []int) {
+	for v := range im {
+		d.sets[d.orbitOf[perm[v]]].fold(&im[v], d.vertices)
 	}
 }
 
@@ -96,24 +92,6 @@ func (d *Domain) SizeBytes() int {
 	n := 0
 	for _, r := range d.roots {
 		n += d.sets[r].SizeBytes()
-	}
-	return n
-}
-
-// Table holds the domains of many labeled patterns, keyed by canonical
-// code: one FSM level's discovered labelings.
-type Table struct {
-	ByCode map[string]*Domain
-}
-
-// NewTable returns an empty table.
-func NewTable() *Table { return &Table{ByCode: make(map[string]*Domain)} }
-
-// SizeBytes is the total set memory across the table.
-func (t *Table) SizeBytes() int {
-	n := 0
-	for _, d := range t.ByCode {
-		n += d.SizeBytes()
 	}
 	return n
 }

@@ -60,10 +60,10 @@ func TestWedgeOrbits(t *testing.T) {
 // set, wherever the query spelled them.
 func TestFoldIntoOrbits(t *testing.T) {
 	d := NewDomain(pattern.Star(3), 1<<10) // center 0, ends 1 and 2
-	im := make(Images, 3)
+	im := make([]Set, 3)
 	for i, vs := range [][]uint32{{7}, {1, 2}, {3}} {
 		for _, v := range vs {
-			im[i].Add(v)
+			im[i].Add(v, d.vertices)
 		}
 	}
 	d.Fold(im, []int{1, 0, 2}) // the query's vertex 1 is the center
@@ -77,10 +77,8 @@ func TestFoldIntoOrbits(t *testing.T) {
 	if got := d.DomainOf(2).Len(); got != 4 {
 		t.Fatalf("end domain after a second fold = %d, want 4 ({1, 2, 3, 7})", got)
 	}
-	tab := NewTable()
-	tab.ByCode["wedge"] = d
-	if tab.SizeBytes() != d.SizeBytes() || d.SizeBytes() <= 0 {
-		t.Fatalf("table bytes %d, domain bytes %d", tab.SizeBytes(), d.SizeBytes())
+	if d.SizeBytes() != 4*(3+4) {
+		t.Fatalf("domain bytes %d, want 28 (seven listed ids)", d.SizeBytes())
 	}
 }
 
@@ -112,27 +110,33 @@ func TestAddMatchDoesNotAllocate(t *testing.T) {
 }
 
 // A domain's orbit sets against a map model, over graphs small enough
-// that orbits cross into the dense form: every size agrees in both
-// forms, so does membership (folding or adding one id grows its orbit
-// set exactly when the model lacks it), each fold leaves the form and
-// bytes its size calls for, and folding the same tallies in the reverse
-// order gives the same sizes and bytes.
+// that tallies and orbits cross into the dense form: every size agrees in
+// both forms, so does membership (folding or adding one id grows its
+// orbit set exactly when the model lacks it), each fold leaves the form
+// and bytes its size calls for, and folding the same tallies in the
+// reverse order gives the same sizes and bytes. The model holds the ids
+// the test added to each tally; both tally forms must occur.
 func TestSetMatchesMapModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	p := pattern.Star(3) // orbits {0} and {1, 2}
-	forms := map[bool]int{}
+	forms, tallyForms := map[bool]int{}, map[bool]int{}
 	for range 200 {
 		vertices := 64 + rng.Intn(2000)
-		var tallies []Images
+		words := (vertices + 63) / 64
+		var tallies [][]Set
+		var added [][][]uint32 // the ids added to each tally's sets
 		var ats [][]int
 		for range 1 + rng.Intn(12) {
-			im := make(Images, 3)
+			im, ids := make([]Set, 3), make([][]uint32, 3)
 			for i := range im {
-				for range rng.Intn(40) {
-					im[i].Add(uint32(rng.Intn(vertices)))
+				for range rng.Intn(80) {
+					x := uint32(rng.Intn(vertices))
+					im[i].Add(x, uint32(vertices))
+					ids[i] = append(ids[i], x)
 				}
+				tallyForms[im[i].words != nil]++
 			}
-			tallies = append(tallies, im)
+			tallies, added = append(tallies, im), append(added, ids)
 			ats = append(ats, rng.Perm(3))
 		}
 		d, rev := NewDomain(p, uint32(vertices)), NewDomain(p, uint32(vertices))
@@ -160,17 +164,14 @@ func TestSetMatchesMapModel(t *testing.T) {
 		for k, im := range tallies {
 			d.Fold(im, ats[k])
 			for i, v := range ats[k] {
-				for _, x := range im[i].ids {
+				for _, x := range added[k][i] {
 					put(d.orbitOf[v], x)
 				}
 			}
 			// The form follows the size alone: a normalized list, or
 			// ⌈V/64⌉ words once 4 bytes an id would be more.
 			for o := range 2 {
-				want := 4 * size[o]
-				if words := (vertices + 63) / 64; want > 8*words {
-					want = 8 * words
-				}
+				want := min(4*size[o], 8*words)
 				if got := d.sets[o].SizeBytes(); got != want {
 					t.Fatalf("V=%d: orbit %d holds %d ids in %d bytes, want %d", vertices, o, size[o], got, want)
 				}
@@ -192,8 +193,8 @@ func TestSetMatchesMapModel(t *testing.T) {
 			x, v := uint32(rng.Intn(vertices)), rng.Intn(3)
 			before := d.DomainOf(v).Len()
 			if rng.Intn(2) == 0 {
-				one := make(Images, 1)
-				one[0].Add(x)
+				one := make([]Set, 1)
+				one[0].Add(x, uint32(vertices))
 				d.Fold(one, []int{v})
 			} else {
 				d.AddMatch([]uint32{x, x, x}) // into both orbits
@@ -207,5 +208,8 @@ func TestSetMatchesMapModel(t *testing.T) {
 	}
 	if forms[false] == 0 || forms[true] == 0 {
 		t.Fatalf("orbit sets ended %d times as lists and %d times dense, want both", forms[false], forms[true])
+	}
+	if tallyForms[false] == 0 || tallyForms[true] == 0 {
+		t.Fatalf("tally sets were %d times lists and %d times dense, want both", tallyForms[false], tallyForms[true])
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -222,6 +224,50 @@ func TestLabeledMotifCountsCancelledSaysSo(t *testing.T) {
 	counts, err := LabeledMotifCounts(smallLabeled(t), 3, WithThreads(2), WithContext(ctx))
 	if !errors.Is(err, context.Canceled) || counts != nil {
 		t.Fatalf("cancelled census: %d classes, err %v; want none and context.Canceled", len(counts), err)
+	}
+}
+
+// A motif has at least two vertices: smaller sizes are refused in
+// MotifCounts' words, not answered with an empty census.
+func TestLabeledMotifCountsRejectsSmallSizes(t *testing.T) {
+	for _, size := range []int{-1, 0, 1} {
+		counts, err := LabeledMotifCounts(smallLabeled(t), size, WithThreads(2))
+		if want := fmt.Sprintf("motif size %d < 2", size); err == nil || !strings.Contains(err.Error(), want) || counts != nil {
+			t.Errorf("size %d: %d classes, err %v; want none and %q", size, len(counts), err, want)
+		}
+	}
+}
+
+// Each thread counts its own matches by motif and labels, and the fold
+// adds the threads' counts: the census must not depend on how many
+// threads matched, and every class is keyed by its pattern's canonical
+// code.
+func TestLabeledMotifCountsThreadCountInvariance(t *testing.T) {
+	g := smallLabeled(t)
+	for _, size := range []int{3, 4} {
+		census := func(threads int) map[string]uint64 {
+			counts, err := LabeledMotifCounts(g, size, WithThreads(threads))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := make(map[string]uint64, len(counts))
+			for code, mc := range counts {
+				if got := mc.Pattern.CanonicalCode(); got != code {
+					t.Fatalf("size %d, %d threads: class %q holds %v, whose code is %q", size, threads, code, mc.Pattern, got)
+				}
+				out[code] = mc.Count
+			}
+			return out
+		}
+		want := census(1)
+		if len(want) < 2 {
+			t.Fatalf("size %d: %d classes, want several", size, len(want))
+		}
+		for _, threads := range []int{2, 7} {
+			if got := census(threads); !maps.Equal(got, want) {
+				t.Errorf("size %d: %d threads give %d classes, one thread %d; equal maps: false", size, threads, len(got), len(want))
+			}
+		}
 	}
 }
 
