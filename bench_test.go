@@ -316,6 +316,112 @@ func BenchmarkCountVsEnumerate(b *testing.B) {
 	}
 }
 
+// BenchmarkCliqueVsOrientedLoop holds the engine against a hand-written
+// loop on clique_skew's op: the triangle and the 4-clique counted on
+// RMAT 4096/50,000 (seed 1), one thread. The loop is Pangolin-style
+// oriented clique listing over upper lists N⁺(v) = {u ∈ N(v) : u > v},
+// taken once before the timing: mark N⁺(v); for u ∈ N⁺(v), S is N⁺(u)
+// through those marks; mark S; for w ∈ S, count N⁺(w) through S's
+// marks. After one untimed round, each iteration times both,
+// alternating which runs first; the metrics are the fastest of each and
+// engine/loop, their ratio. The counts must agree.
+func BenchmarkCliqueVsOrientedLoop(b *testing.B) {
+	g := gen.RMAT(gen.RMATConfig{Vertices: 4096, Edges: 50000, Seed: 1})
+	ps := []*Pattern{pattern.Clique(3), pattern.Clique(4)}
+	n := g.NumVertices()
+	up := make([][]uint32, n)
+	for v := range n {
+		adj := g.Adj(v)
+		i := 0
+		for i < len(adj) && adj[i] <= v {
+			i++
+		}
+		up[v] = adj[i:]
+	}
+	marks := func() []uint64 { return make([]uint64, (n+63)/64) }
+	nv, ns := marks(), marks()
+	set := func(m []uint64, s []uint32, on bool) {
+		for _, x := range s {
+			if on {
+				m[x>>6] |= 1 << (x & 63)
+			} else {
+				m[x>>6] &^= 1 << (x & 63)
+			}
+		}
+	}
+	hit := func(m []uint64, x uint32) bool { return m[x>>6]>>(x&63)&1 == 1 }
+	var sbuf []uint32
+	loop := func() (k3, k4 uint64) {
+		for v := range n {
+			set(nv, up[v], true)
+			for _, u := range up[v] {
+				sbuf = sbuf[:0]
+				for _, w := range up[u] {
+					if hit(nv, w) {
+						sbuf = append(sbuf, w)
+					}
+				}
+				k3 += uint64(len(sbuf))
+				set(ns, sbuf, true)
+				for _, w := range sbuf {
+					for _, x := range up[w] {
+						if hit(ns, x) {
+							k4++
+						}
+					}
+				}
+				set(ns, sbuf, false)
+			}
+			set(nv, up[v], false)
+		}
+		return k3, k4
+	}
+	timed := func(f func()) time.Duration {
+		start := time.Now()
+		f()
+		return time.Since(start)
+	}
+	var counts []uint64
+	var k3, k4 uint64
+	runEngine := func() {
+		var err error
+		if counts, err = CountMany(g, ps, WithThreads(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runLoop := func() { k3, k4 = loop() }
+	check := func() {
+		if counts[0] != k3 || counts[1] != k4 {
+			b.Fatalf("engine counts %v, oriented loop %d and %d", counts, k3, k4)
+		}
+	}
+	// One untimed round first, so that one timed iteration (CI's
+	// -benchtime=1x) reads warm caches like every later one.
+	runEngine()
+	runLoop()
+	check()
+	b.ResetTimer()
+	var engine, oriented time.Duration
+	for i := 0; i < b.N; i++ {
+		var te, tl time.Duration
+		if i%2 == 0 {
+			te, tl = timed(runEngine), timed(runLoop)
+		} else {
+			tl, te = timed(runLoop), timed(runEngine)
+		}
+		check()
+		if i == 0 || te < engine {
+			engine = te
+		}
+		if i == 0 || tl < oriented {
+			oriented = tl
+		}
+	}
+	b.ReportMetric(float64(engine.Microseconds())/1e3, "engine_ms")
+	b.ReportMetric(float64(oriented.Microseconds())/1e3, "loop_ms")
+	b.ReportMetric(float64(engine)/float64(oriented), "engine/loop")
+}
+
 // BenchmarkPlanCache isolates the compile-once claim: a cache hit is a
 // canonicalization plus a map lookup, a miss pays full pattern analysis
 // (symmetry breaking, core extraction, matching orders).

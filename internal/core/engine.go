@@ -44,9 +44,10 @@
 // steps, completion slots, slotless completion levels, anti-vertex
 // checks and decomposed plans' walk levels. A thread marks N(v) in a
 // bitmap over vertex ids on the task's first such step (taskMarks) and
-// computes every step naming it by scanning the shortest other operand,
-// clipped to the window, through the marks: one word load per candidate,
-// where a merge or a gallop would walk N(v) again for every binding. A
+// computes every step naming it by scanning the shortest other operand
+// through the marks, from the window's lower bound up to its upper one,
+// where the scan stops: one word load per candidate, where a merge or a
+// gallop would walk N(v) again for every binding. A
 // slot that is another's prefix keeps its set marked the same way for
 // the fills extending it. One rule (markedDriver) picks the path for
 // every site: the marks, unless the other operands are so much longer
@@ -73,15 +74,22 @@
 // it may hold — counted, not written (countLevel). Where the trie marks
 // a node Sized (plan.ShareNode) it sizes the leaves for all of the
 // node's candidates at once: per leaf and sequence, one loop over the
-// candidates, each a scan of the candidate's list, clipped to the
-// window, through the marks of the level's one other operand — its
-// prefix slot's set, or N(v) — or markedDriver's gallop where that costs
-// less. No candidate is bound, no leaf delivered, and the leaf's own
-// slot, which nothing else reads, is never materialized: the 4-clique
-// costs one marked scan per triangle. Anywhere else it sizes a delivered
-// leaf for its one binding, reading a slot shared with other leaves as
-// a size: the triangle beside a 4-clique costs a clip of the edge's
-// slot.
+// candidates, each a scan of the candidate's list through the marks of
+// the level's one other operand — its prefix slot's set, or N(v). Where
+// the window is bounded below only and nothing bound may be taken away
+// — every k-clique: x > v — and the layout is Build's, the scan starts
+// at the top of the candidate's list and stops at the first id <= v
+// (countAbove, scansAbove): the candidate lies below v, so it reads at
+// most the candidate's neighbours above itself, and searches nothing.
+// Any other level clips the candidate's list to the window, or takes
+// markedDriver's gallop where that costs less (countLevel). No candidate
+// is bound, no leaf delivered, and the leaf's own slot, which nothing
+// else reads, is never materialized: the 4-clique costs one marked scan
+// per triangle. Anywhere else it sizes a delivered leaf for its one
+// binding, reading a slot shared with other leaves as a size: the
+// triangle beside a 4-clique reads the size of the edge's slot, which
+// its window, computed once with the slot's, cannot cut (clip's
+// endpoint test).
 //
 // An unfiltered suffix of two or more levels is sized whole when its
 // plan has a plan.Tail: steps grouped into classes that share one
@@ -807,7 +815,7 @@ func (mw *multiWorker) sizeLeaf(lf *plan.ShareLeaf, d int, cands []uint32, ps *S
 // above d are resolved once — a Counted slot's prefix, marked, or the
 // level's lists, two of them through the task marks — and each
 // candidate's count is its own list, the level's deepest operand, scanned
-// through those marks.
+// through those marks: down to the bound where scansAbove says so.
 //
 // On a Sized node every level reads visit d's list, through no shared
 // slot, inside a window bound above d (plan.ShareNode.Sized). Any other
@@ -851,11 +859,31 @@ func (mw *multiWorker) sizeCands(lf *plan.ShareLeaf, s, d int, cands []uint32, p
 		return countLevel(lists, ms, lo, hi, taken)
 	}
 	last := len(lists) - 1
+	if mw.scansAbove(lists, ms, lo, hi, taken) {
+		for _, c := range cands {
+			m += uint64(ms.countAbove(mw.g.Adj(c), uint32(lo)))
+		}
+		return m
+	}
 	for _, c := range cands {
 		lists[last] = mw.g.Adj(c)
 		m += countLevel(lists, ms, lo, hi, taken)
 	}
 	return m
+}
+
+// scansAbove reports whether a sized level over lists, whose last operand
+// each candidate replaces, counts every candidate by (*markSet).countAbove:
+// the two lists' intersection above lo, with lists[0] the list ms holds,
+// no binding to take away and no upper bound — every k-clique's last
+// level — on Build's degree-ascending layout. countAbove reads the ids
+// the marked scan of countLevel reads, less a binary search, but never
+// gallops: on a hubs-first graph, where a candidate's list may be far
+// longer than the marked one, markedDriver's gallop pays, and
+// countAbove measured slower there (ROADMAP P).
+func (mw *multiWorker) scansAbove(lists [][]uint32, ms *markSet, lo, hi int64, taken []uint32) bool {
+	return len(lists) == 2 && ms != nil && len(taken) == 0 && lo != noLo && hi == noHi &&
+		!mw.g.DegreeDescending() && sameList(lists[0], ms.held)
 }
 
 // slot returns completion slot id's set for the current binding,

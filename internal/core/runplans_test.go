@@ -229,9 +229,15 @@ func TestRunPlansEdgeCases(t *testing.T) {
 // batch holds cliques, which such nodes size, and cycles whose level
 // may hold core vertices; both symmetry settings, shared and unshared
 // tries, one and four threads, and a task range split in two, whose
-// halves must sum alike.
+// halves must sum alike — on Build's layout, where a clique's sized
+// level scans each candidate's list down to its bound, and hubs-first,
+// where it does not.
 func TestCountAndEnumerationDoTheSameWork(t *testing.T) {
-	g := gen.RMAT(gen.RMATConfig{Vertices: 64, Edges: 500, Seed: 2})
+	built := gen.RMAT(gen.RMATConfig{Vertices: 64, Edges: 500, Seed: 2})
+	desc, err := graph.RenumberDescending(built)
+	if err != nil {
+		t.Fatal(err)
+	}
 	texts := []string{
 		"0-1 1-2 2-0",
 		"0-1 0-2 0-3 1-2 1-3 2-3",
@@ -241,40 +247,46 @@ func TestCountAndEnumerationDoTheSameWork(t *testing.T) {
 		"0-1 0-2 1-3 2-4 3-4",
 	}
 	noop := func(*Ctx, int, *Match) {}
-	for _, noSym := range []bool{false, true} {
-		var pls []*plan.Plan
-		for _, text := range texts {
-			pl, err := plan.New(pattern.MustParse(text), plan.Options{NoSymmetryBreaking: noSym})
-			if err != nil {
-				t.Fatal(err)
+	for _, layout := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"ascending", built}, {"hubs-first", desc}} {
+		g := layout.g
+		for _, noSym := range []bool{false, true} {
+			var pls []*plan.Plan
+			for _, text := range texts {
+				pl, err := plan.New(pattern.MustParse(text), plan.Options{NoSymmetryBreaking: noSym})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pls = append(pls, pl)
 			}
-			pls = append(pls, pl)
-		}
-		for _, noSharing := range []bool{false, true} {
-			for _, threads := range []int{1, 4} {
-				for _, split := range []bool{false, true} {
-					run := func(cb PlanCallback) []Stats {
-						opt := Options{Threads: threads, NoSymmetryBreaking: noSym, NoSharing: noSharing}
-						if !split {
-							return RunPlans(g, pls, cb, opt).Per
+			for _, noSharing := range []bool{false, true} {
+				for _, threads := range []int{1, 4} {
+					for _, split := range []bool{false, true} {
+						run := func(cb PlanCallback) []Stats {
+							opt := Options{Threads: threads, NoSymmetryBreaking: noSym, NoSharing: noSharing}
+							if !split {
+								return RunPlans(g, pls, cb, opt).Per
+							}
+							opt.TaskHi = g.NumVertices() / 2
+							per := RunPlans(g, pls, cb, opt).Per
+							opt.TaskLo, opt.TaskHi = opt.TaskHi, 0
+							for i, s := range RunPlans(g, pls, cb, opt).Per {
+								per[i].Matches += s.Matches
+								per[i].CoreMatches += s.CoreMatches
+								per[i].Tasks += s.Tasks
+								per[i].Intersections += s.Intersections
+							}
+							return per
 						}
-						opt.TaskHi = g.NumVertices() / 2
-						per := RunPlans(g, pls, cb, opt).Per
-						opt.TaskLo, opt.TaskHi = opt.TaskHi, 0
-						for i, s := range RunPlans(g, pls, cb, opt).Per {
-							per[i].Matches += s.Matches
-							per[i].CoreMatches += s.CoreMatches
-							per[i].Tasks += s.Tasks
-							per[i].Intersections += s.Intersections
-						}
-						return per
-					}
-					count, enum := run(nil), run(noop)
-					for i, text := range texts {
-						c, e := count[i], enum[i]
-						if c.Matches != e.Matches || c.CoreMatches != e.CoreMatches || c.Tasks != e.Tasks || c.Intersections != e.Intersections {
-							t.Errorf("%s noSym=%v noSharing=%v threads=%d split=%v: count %v intersections=%d, enumeration %v intersections=%d",
-								text, noSym, noSharing, threads, split, c, c.Intersections, e, e.Intersections)
+						count, enum := run(nil), run(noop)
+						for i, text := range texts {
+							c, e := count[i], enum[i]
+							if c.Matches != e.Matches || c.CoreMatches != e.CoreMatches || c.Tasks != e.Tasks || c.Intersections != e.Intersections {
+								t.Errorf("%s %s noSym=%v noSharing=%v threads=%d split=%v: count %v intersections=%d, enumeration %v intersections=%d",
+									layout.name, text, noSym, noSharing, threads, split, c, c.Intersections, e, e.Intersections)
+							}
 						}
 					}
 				}

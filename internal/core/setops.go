@@ -18,6 +18,13 @@ package core
 // where it declines, the call is intersectSetsInto's. The result is the
 // same sorted set under the same ownership contract.
 //
+// A scan stops at the window's bound instead of searching for it where
+// the bound is where the scan starts: intersectMarked scans its driver
+// up to hi, and (*markSet).countAbove, a sized clique level's count per
+// candidate, scans from the top of a list down to lo. Only the bound on
+// the other side is found by binary search, and clip skips even that
+// for a list whose first and last ids are already inside the window.
+//
 // # Result ownership
 //
 // intersectSetsInto has a split ownership contract that every caller
@@ -112,11 +119,13 @@ func gallopLowerBound(s []uint32, from int, x uint32) int {
 }
 
 // clip returns the subslice of sorted s whose elements x satisfy
-// lo < x < hi (both bounds exclusive). The unbounded case — both
-// sentinels, e.g. every anti-vertex common-neighborhood check — returns
-// s itself without any search.
+// lo < x < hi (both bounds exclusive). A list the window cannot cut —
+// its first and last ids already inside, as under both sentinels (every
+// anti-vertex common-neighborhood check) or for a slot read in the
+// window it was computed in — is s itself, after two compares and no
+// search.
 func clip(s []uint32, lo, hi int64) []uint32 {
-	if lo == noLo && hi == noHi {
+	if len(s) == 0 || int64(s[0]) > lo && int64(s[len(s)-1]) < hi {
 		return s
 	}
 	i := 0
@@ -364,6 +373,16 @@ func (ms *markSet) count(s []uint32) (n int) {
 	return n
 }
 
+// countAbove returns how many ids of s above lo the marks hold: count of
+// clip(s, lo, noHi), scanned from the top down to the first id <= lo, so
+// it reads only the ids it counts and one more, and searches nothing.
+func (ms *markSet) countAbove(s []uint32, lo uint32) (n int) {
+	for i := len(s) - 1; i >= 0 && s[i] > lo; i-- {
+		n += ms.hit(s[i])
+	}
+	return n
+}
+
 // markedDriver is the selection rule of the marked kernel: m is the index
 // of held in lists (the same storage, not merely equal contents) and d
 // that of the shortest other list, or d < 0 where the marks do not pay —
@@ -377,7 +396,7 @@ func markedDriver(lists [][]uint32, held []uint32) (m, d int) {
 	}
 	for i, l := range lists {
 		switch {
-		case m < 0 && len(l) == len(held) && &l[0] == &held[0]:
+		case m < 0 && sameList(l, held):
 			m = i
 		case d < 0 || len(l) < len(lists[d]):
 			d = i
@@ -387,6 +406,12 @@ func markedDriver(lists [][]uint32, held []uint32) (m, d int) {
 		return m, -1
 	}
 	return m, d
+}
+
+// sameList reports whether a and b are one non-empty list: the same
+// storage, not merely equal contents.
+func sameList(a, b []uint32) bool {
+	return len(a) > 0 && len(a) == len(b) && &a[0] == &b[0]
 }
 
 // intersect is intersectSetsInto through the marks where markedDriver
@@ -401,17 +426,22 @@ func (ms *markSet) intersect(buf []uint32, lists [][]uint32, lo, hi int64) []uin
 
 // intersectMarked is intersectSetsInto for lists of which lists[m] is the
 // list ms holds and lists[d] the driver markedDriver picked: it scans
-// lists[d], clipped to (lo, hi), through the marks — one word load per
+// lists[d] inside (lo, hi) through the marks — one word load per
 // candidate, however long the marked list — and filters the running set
-// in place by every other list. The result is the same sorted set, in
-// buf's storage, which grows to the clipped driver's length.
+// in place by every other list. The driver is clipped below lo by a
+// search and scanned up to hi, where the scan stops: no search finds hi.
+// The result is the same sorted set, in buf's storage, which grows to
+// the length of the driver above lo.
 func intersectMarked(buf []uint32, lists [][]uint32, m, d int, ms *markSet, lo, hi int64) []uint32 {
-	drv := clip(lists[d], lo, hi)
+	drv := clip(lists[d], lo, noHi)
 	if cap(buf) < len(drv) {
 		buf = make([]uint32, len(drv), max(len(drv), 2*cap(buf)))
 	}
 	out, w := buf[:len(drv)], 0
 	for _, x := range drv {
+		if int64(x) >= hi {
+			break
+		}
 		out[w] = x // branch-free: written always, kept if marked
 		w += ms.hit(x)
 	}

@@ -29,7 +29,8 @@ func decodeSortedList(data []byte) []uint32 {
 
 // FuzzSetOps differentially fuzzes every intersection kernel against
 // the naive map-based reference: raw kernels, the adaptive dispatchers,
-// clipped bounds, the |a ∩ b| kernel and the marked kernel. Seed corpus lives under
+// clipped bounds, the |a ∩ b| kernel and the marked kernels, the scans
+// that stop at a window's bound among them. Seed corpus lives under
 // testdata/fuzz/FuzzSetOps.
 func FuzzSetOps(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 0, 1, 0}, []byte{2, 0, 2, 0}, uint32(0), uint32(0))
@@ -121,11 +122,22 @@ func FuzzSetOps(f *testing.F) {
 			}
 		}
 		var ms markSet
-		for _, held := range lists {
+		for h, held := range lists {
 			ms.hold(held, n)
 			for _, ops := range [][][]uint32{{a, b}, {b, a}, {a, b, a}, {b, a, b}} {
 				if got := ms.intersect(make([]uint32, 0, 4), ops, lo, hi); !equalU32(got, wantClipped) {
 					t.Fatalf("marked intersect(%d lists) = %v, want %v", len(ops), got, wantClipped)
+				}
+			}
+			// The scan of the other list through these marks, whatever
+			// markedDriver would pick: up to hi, and counted above lo.
+			other := lists[1-h]
+			if got := intersectMarked(make([]uint32, 0, 4), lists, h, 1-h, &ms, lo, hi); !equalU32(got, wantClipped) {
+				t.Fatalf("intersectMarked(driver %v, %d, %d) = %v, want %v", other, lo, hi, got, wantClipped)
+			}
+			if lo != noLo {
+				if got, want := ms.countAbove(other, uint32(lo)), len(refIntersect(lists, lo, noHi)); got != want {
+					t.Fatalf("countAbove(%v, %d) = %d, want %d", other, lo, got, want)
 				}
 			}
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -386,4 +387,64 @@ func TestMarkSetHoldsExactlyItsList(t *testing.T) {
 			t.Fatalf("word %d = %#x after release", i, w)
 		}
 	}
+}
+
+// boundsOf returns the window bounds a bounded-kernel trial draws from
+// for list s over [0, span): its first and last ids and two others, a
+// random id, and ids below and above all of s. Like the engine's, every
+// bound is a vertex id, never negative; noLo and noHi come on top for
+// the kernels that take them.
+func boundsOf(rng *rand.Rand, s []uint32, span uint32) []int64 {
+	b := []int64{0, int64(span), int64(rng.Intn(int(span)))}
+	if len(s) > 0 {
+		b = append(b, int64(s[0]), int64(s[len(s)-1]), max(int64(s[0])-1, 0), int64(s[len(s)-1])+1,
+			int64(s[rng.Intn(len(s))]), int64(s[rng.Intn(len(s))]))
+	}
+	return b
+}
+
+// TestBoundedKernelsMatchReference checks the kernels that stop at a
+// window's bound against the reference over random lists, empty ones
+// among them, and every bound boundsOf draws — members of the list,
+// bounds above and below every id, the sentinels: countAbove against
+// the marked filter of the list above lo; intersectMarked, the driver
+// at either position, and clip, whose endpoint test returns a list the
+// window cannot cut, against refIntersect.
+func TestBoundedKernelsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	const span = 600
+	var ms markSet
+	buf := make([]uint32, 0, 4)
+	for trial := 0; trial < 1000; trial++ {
+		s := sortedRand(rng, rng.Intn(2<<rng.Intn(8)), span)
+		held := sortedRand(rng, rng.Intn(2<<rng.Intn(9)), span)
+		if trial%10 == 0 {
+			s = nil
+		}
+		ms.hold(held, span)
+		bounds := boundsOf(rng, s, span)
+		for _, lo := range bounds {
+			want := len(refIntersect([][]uint32{s, held}, lo, noHi))
+			if got := ms.countAbove(s, uint32(lo)); got != want {
+				t.Fatalf("countAbove(%v, %d) holding %v = %d, want %d", s, lo, held, got, want)
+			}
+		}
+		for _, lo := range slices.Concat(bounds, []int64{noLo}) {
+			for _, hi := range slices.Concat(bounds, []int64{noHi}) {
+				if got, want := clip(s, lo, hi), refIntersect([][]uint32{s}, lo, hi); !equalU32(got, want) {
+					t.Fatalf("clip(%v, %d, %d) = %v, want %v", s, lo, hi, got, want)
+				}
+				lists := [][]uint32{s, held}
+				want := refIntersect(lists, lo, hi)
+				if got := intersectMarked(buf, lists, 1, 0, &ms, lo, hi); !equalU32(got, want) {
+					t.Fatalf("intersectMarked(%v through %v, %d, %d) = %v, want %v", s, held, lo, hi, got, want)
+				}
+				lists = [][]uint32{held, s, held}
+				if got := intersectMarked(buf, lists, 0, 1, &ms, lo, hi); !equalU32(got, want) {
+					t.Fatalf("intersectMarked(3 lists, %d, %d) = %v, want %v", lo, hi, got, want)
+				}
+			}
+		}
+	}
+	ms.release()
 }

@@ -13,10 +13,12 @@
 #                        likewise, the component walks' per-candidate
 #                        helpers (*cutTable).excluded and (*cutVal).add,
 #                        the marked kernel's per-candidate test
-#                        (*markSet).hit, the scan a sized count level
-#                        makes per candidate, (*markSet).count, and the
-#                        id window a trie step reads per child, slot and
-#                        sized level, (*multiWorker).window
+#                        (*markSet).hit, the scans a sized count level
+#                        makes per candidate — (*markSet).countAbove for
+#                        a window bounded below only (every k-clique),
+#                        (*markSet).count otherwise — and the id window a
+#                        trie step reads per child, slot and sized level,
+#                        (*multiWorker).window
 #   6. one bitmap client — no package but internal/graph and bench
 #                        (tests included) imports internal/bitset: the
 #                        engine intersects sorted lists (a thread's marks
@@ -73,8 +75,9 @@ for m in '(*cutTable).excluded' '(*cutVal).add'; do
     fail=1
   fi
 done
-for m in '(*markSet).hit' '(*markSet).count'; do
-  if ! grep -qF "can inline $m" <<<"$inl"; then
+# Whole names: "can inline (*markSet).count" is also a prefix of countAbove's line.
+for m in '(*markSet).hit' '(*markSet).count' '(*markSet).countAbove'; do
+  if ! grep -oE 'can inline [^ ]+' <<<"$inl" | grep -qxF "can inline $m"; then
     echo "$m no longer inlines: every candidate scanned through the marks pays a call for it"
     fail=1
   fi
