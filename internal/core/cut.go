@@ -11,7 +11,11 @@ package core
 // summed over tasks in 128 bits. The walks are the entries of the
 // batch's component table (plan.ShareTrie.Cuts): each is computed once
 // per binding of the cut slots it reads, whatever number of plans name
-// it.
+// it. A halved cut (plan.Cut.Half) binds its second vertex only above the
+// task's — a walked vertex by starting its loop there, a scattered one
+// through its tallies' Above levels — and adds each binding's tuples
+// twice; a task's share of V then depends on the halving, while V does
+// not.
 
 import (
 	"peregrine/internal/graph"
@@ -87,7 +91,11 @@ func (cc *cutCounter) task() {
 		cc.binding()
 		return
 	}
-	for _, c := range t.g.Adj(t.slot[plan.SlotTask]) {
+	adj := t.g.Adj(t.slot[plan.SlotTask])
+	if cc.cut.Half {
+		adj = adj[upperBound(adj, t.slot[plan.SlotTask]):]
+	}
+	for _, c := range adj {
 		t.slot[plan.SlotWalked] = c
 		t.gen[plan.SlotWalked]++
 		cc.binding()
@@ -104,10 +112,13 @@ func (cc *cutCounter) binding() {
 }
 
 // product adds, for the bound cut, the product of every component's
-// placements. Entries are read lazily, so a zero factor spares the
-// components after it.
+// placements, twice for a halved cut. Entries are read lazily, so a zero
+// factor spares the components after it.
 func (cc *cutCounter) product() {
 	p := u128{lo: 1}
+	if cc.cut.Half {
+		p.lo = 2
+	}
 	for _, id := range cc.comps {
 		n := cc.t.read(id).n
 		if n == 0 {
@@ -121,7 +132,8 @@ func (cc *cutCounter) product() {
 // scatter adds the tuples of a binding of a cut whose scattered vertex
 // is free: Σ_c Π_i tally_i[c] over the candidates c for it, walking the
 // shortest touched list — a candidate missing from any list adds
-// nothing.
+// nothing. A halved cut's tallies hold only the candidates above the
+// task's vertex, and its sum counts twice.
 func (cc *cutCounter) scatter() {
 	t := cc.t
 	var short *cutVal
@@ -137,15 +149,18 @@ func (cc *cutCounter) scatter() {
 		t.factors = append(t.factors, tv.tally)
 	}
 	first, rest := t.factors[0], t.factors[1:]
-	v := cc.v
+	var sum u128
 	for _, c := range short.touched[:short.n] {
 		p := u128{lo: first[c]}
 		for _, f := range rest {
 			p, _ = p.mul(f[c])
 		}
-		v, _ = v.add(p)
+		sum, _ = sum.add(p)
 	}
-	cc.v = v
+	if cc.cut.Half {
+		sum, _ = sum.add(sum)
+	}
+	cc.v, _ = cc.v.add(sum)
 }
 
 // read returns entry id for the bound cut: computed now when stale,
@@ -216,20 +231,27 @@ func (t *cutTable) walk(levels []plan.CutLevel, j int) uint64 {
 
 // tally binds the scattered vertex to each usable member of set, the
 // candidates of level j, and adds the placements of the levels after it
-// to the tally in progress.
+// to the tally in progress. It scans set from the top down; an Above
+// level stops at the first candidate not above the task's vertex, so it
+// reads only the ones it keeps and one more, and searches nothing.
 func (t *cutTable) tally(levels []plan.CutLevel, j int, set []uint32) {
-	x0, x1, x2 := t.excluded(&levels[j])
+	lv := &levels[j]
+	x0, x1, x2 := t.excluded(lv)
+	floor := noLo
+	if lv.Above {
+		floor = int64(t.slot[plan.SlotTask])
+	}
 	tv := t.tv
 	if j == len(levels)-1 {
-		for _, c := range set {
-			if c != x0 && c != x1 && c != x2 {
+		for i := len(set) - 1; i >= 0 && int64(set[i]) > floor; i-- {
+			if c := set[i]; c != x0 && c != x1 && c != x2 {
 				tv.add(c, 1)
 			}
 		}
 		return
 	}
-	for _, c := range set {
-		if c != x0 && c != x1 && c != x2 {
+	for i := len(set) - 1; i >= 0 && int64(set[i]) > floor; i-- {
+		if c := set[i]; c != x0 && c != x1 && c != x2 {
 			t.slot[plan.SlotScatter] = c
 			if n := t.walk(levels, j+1); n > 0 {
 				tv.add(c, n)
@@ -249,7 +271,8 @@ func (tv *cutVal) add(c uint32, n uint64) {
 
 // set returns level lv's candidates before the skip test: the one list
 // as a view, or the merge of several into level j's buffer, which counts
-// as an intersection. Read-only, like every candidate set.
+// as an intersection — above the task's vertex for an Above level, which
+// tally bounds again on a view. Read-only, like every candidate set.
 func (t *cutTable) set(lv *plan.CutLevel, j int) []uint32 {
 	if len(lv.Ops) == 1 {
 		return t.g.Adj(t.slot[lv.Ops[0]])
@@ -259,7 +282,11 @@ func (t *cutTable) set(lv *plan.CutLevel, j int) []uint32 {
 		t.lists = append(t.lists, t.g.Adj(t.slot[s]))
 	}
 	t.st.Intersections++
-	return t.tm.set(&t.bufs[j], t.lists, noLo, noHi)
+	lo := noLo
+	if lv.Above {
+		lo = int64(t.slot[plan.SlotTask])
+	}
+	return t.tm.set(&t.bufs[j], t.lists, lo, noHi)
 }
 
 // excluded returns the bindings of lv.Skip, NoVertex where it names

@@ -26,7 +26,10 @@ func wideMatches(ms MultiStats, i int) *big.Int {
 // coefficient times its count (plan's TestShrinkageIdentity checks the
 // relation against brute force). The decomposed plans run in one batch
 // with P's and the shrinkage patterns' own plans, whose counts the
-// relation reads, shared and unshared, on one thread and on three.
+// relation reads, shared and unshared, on one thread and on three. A
+// halved cut (plan.Cut.Half) moves V between tasks, so the decomposed
+// plans also run over three disjoint task ranges, whose V must sum to
+// the whole range's.
 func TestCutTuplesMatchRelation(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"wheel": wheel(12),
@@ -88,6 +91,24 @@ func TestCutTuplesMatchRelation(t *testing.T) {
 						t.Errorf("%s: %v cut at %v: tasks %d, core matches %d; want every task, none", name, p, d.Plan.Cut.Verts, row.Tasks, row.CoreMatches)
 					}
 				}
+				ranged := make([]*big.Int, len(ds))
+				for di := range ranged {
+					ranged[di] = new(big.Int)
+				}
+				n := g.NumVertices()
+				for _, r := range [][2]uint32{{0, n / 4}, {n / 4, n/2 + 1}, {n/2 + 1, n}} {
+					ropt := opt
+					ropt.TaskLo, ropt.TaskHi = r[0], r[1]
+					rs := RunPlans(g, pls[first:], nil, ropt)
+					for di := range ds {
+						ranged[di].Add(ranged[di], wideMatches(rs, di))
+					}
+				}
+				for di, d := range ds {
+					if whole := wideMatches(ms, first+di); ranged[di].Cmp(whole) != 0 {
+						t.Errorf("%s %+v: %v cut at %v: V = %v over three task ranges, %v over all", name, opt, p, d.Plan.Cut.Verts, ranged[di], whole)
+					}
+				}
 				checked += len(ds)
 			}
 		}
@@ -138,12 +159,16 @@ func TestCutTupleCountPast64Bits(t *testing.T) {
 // The component table serves every decomposed row of motif_batch's
 // executed set (every 4- and 5-motif, vertex-induced, rewritten for the
 // workload's ER graph): its 17 decomposed rows name 37 component
-// instances, 14 of them distinct walks — W4's two components, at its
+// instances, 15 of them distinct walks — W4's two components, at its
 // three-vertex cut, are one. The 17th row, 0-3 0-4 1-2 1-4 2-3 2-4 3-4,
 // joined when the cache began to compile canonical spellings: one thread,
 // best of 9, its cut takes 0.40 ms, where it ran direct in 0.26 ms as the
 // batch spelled it before (2.9 ms spelled canonically), and the whole set
-// 7.9 → 8.7 ms, 12 → 14 walks. Each row's V in the batch must
+// 7.9 → 8.7 ms, 12 → 14 walks. The 15th walk is a halved twin: the
+// common-neighbour tally the halved cuts read (the 4-cycle's, K2,3's,
+// the 5-cycle's) keeps only candidates above the task's vertex, so
+// 0-3 0-4 1-2 1-4 2-3 3-4 at [3 1], which does not halve, walks its own
+// full tally. Each row's V in the batch must
 // equal the row run alone, whatever it shares with the others, on one
 // thread and on three, shared and unshared. Run alone, the decomposed
 // rows report the walks the table served, and their merges performed
@@ -182,7 +207,7 @@ func TestCutComponentsShared(t *testing.T) {
 	for _, tc := range []struct {
 		tr   *plan.ShareTrie
 		want int
-	}{{plan.BuildShareTrie(exec), 14}, {plan.BuildUnsharedTrie(exec), instances}} {
+	}{{plan.BuildShareTrie(exec), 15}, {plan.BuildUnsharedTrie(exec), instances}} {
 		named := 0
 		for i, ids := range tc.tr.CutComps {
 			if exec[i].Cut == nil && ids != nil || exec[i].Cut != nil && len(ids) != len(exec[i].Cut.Comps) {

@@ -34,6 +34,12 @@ type Cache struct {
 	entries map[cacheKey]*cacheEntry
 	max     int
 
+	// owned finds the entry of a plan the cache compiled without
+	// canonicalizing its pattern again: MorphBatch looks up the relations
+	// of every plan of a batch, and the batch's plans mostly came from
+	// Get. It holds exactly the plans of entries.
+	owned map[*Plan]*cacheEntry
+
 	// tick is a monotonically increasing use counter; each Get stamps
 	// the entry it touched. Recency lives in per-entry atomics rather
 	// than a linked list so the hot hit path stays under the read lock;
@@ -95,7 +101,7 @@ func NewCacheSize(max int) *Cache {
 	if max <= 0 {
 		max = DefaultCacheEntries
 	}
-	return &Cache{entries: make(map[cacheKey]*cacheEntry), max: max}
+	return &Cache{entries: make(map[cacheKey]*cacheEntry), owned: make(map[*Plan]*cacheEntry), max: max}
 }
 
 // Get returns the plan for p under opt, computing and caching it on
@@ -157,6 +163,7 @@ func (c *Cache) entry(p *pattern.Pattern, opt Options) (e *cacheEntry, perm []in
 			c.evictLRULocked()
 		}
 		c.entries[key] = e
+		c.owned[pl] = e
 	}
 	e.lastUse.Store(c.tick.Add(1))
 	c.mu.Unlock()
@@ -175,8 +182,24 @@ func (c *Cache) evictLRULocked() {
 		}
 	}
 	if !first {
+		delete(c.owned, c.entries[victim].plan)
 		delete(c.entries, victim)
 	}
+}
+
+// ownEntry returns the entry of pl when the cache compiled it and holds
+// it still, counted and stamped as a hit, like a lookup of its pattern.
+func (c *Cache) ownEntry(pl *Plan) (*cacheEntry, bool) {
+	c.mu.RLock()
+	e, ok := c.owned[pl]
+	if ok {
+		e.lastUse.Store(c.tick.Add(1))
+	}
+	c.mu.RUnlock()
+	if ok {
+		c.hits.Add(1)
+	}
+	return e, ok
 }
 
 // exactKey encodes the pattern's labels and edge-kind matrix under its

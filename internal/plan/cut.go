@@ -15,6 +15,14 @@ package plan
 // where ext_i counts component i's placements; internal/core counts each
 // with a rooted walk of one to three levels over adjacency lists.
 //
+// Symmetry breaking, as Peregrine's partial orders do it (§4), applies to
+// the cut too. Where an automorphism of P swaps the two vertices of a
+// two-vertex cut, it maps the tuples of a binding (v, y) onto those of
+// (y, v), and (v, v) binds none; so V = 2·Σ_v Σ_{y>v} Π_i ext_i(v, y),
+// over half the bindings (Cut.Half). The 4-cycle at a diagonal, the
+// 5-cycle at two non-adjacent vertices, K2,3 at its pair and the 4-path at
+// its middle edge halve.
+//
 // The algebra. A tuple's collisions form a partition π of the component
 // vertices whose blocks hold at most one vertex of each component.
 // Vertices of different components are never adjacent, so the quotient
@@ -94,9 +102,15 @@ const (
 // the components' counts. A two-vertex cut's second vertex is walked
 // when adjacent to the first and scattered when not; a three-vertex
 // cut's second is walked and its third scattered.
+//
+// A two-vertex cut whose vertices an automorphism of the pattern swaps
+// is Half: it counts only the bindings whose second vertex lies above
+// the task's, and adds each twice. V is unchanged, and so is its sum over
+// any split of the tasks; each task's share is not.
 type Cut struct {
 	Verts  []int // the cut's pattern vertices, in slot order
 	Walked bool  // Verts[1] is walked
+	Half   bool  // an automorphism swaps Verts[0] and Verts[1]
 	Comps  []CutComp
 }
 
@@ -124,12 +138,15 @@ type CutComp struct {
 // differ from every bound slot. A slot in Ops is never in the set (no
 // vertex is its own neighbour); Skip lists the other bound slots, at
 // most three, and the first Sure of them lie in the set whatever the
-// binding, being adjacent in the pattern to every Ops vertex.
+// binding, being adjacent in the pattern to every Ops vertex. Above, set
+// on the level binding a halved cut's scattered vertex, keeps only the
+// candidates above the task's binding.
 type CutLevel struct {
-	Slot int
-	Ops  []int
-	Skip []int
-	Sure int
+	Slot  int
+	Ops   []int
+	Skip  []int
+	Sure  int
+	Above bool
 }
 
 // Decomposition is one way to count a pattern p through a vertex cut: run
@@ -264,12 +281,17 @@ func NewCut(p *pattern.Pattern, verts []int) (*Plan, error) {
 }
 
 // decomposable reports whether p passes the gates every decomposition
-// does: connected, unlabeled, free of anti-edges, and of cutMinVertices
-// to cutMaxVertices vertices.
+// does: valid — so connected, once free of anti-edges — and cuttable.
 func decomposable(p *pattern.Pattern) bool {
+	return cuttable(p) && p.Validate() == nil
+}
+
+// cuttable is decomposable for a valid pattern, such as a plan's:
+// unlabeled, free of anti-edges, and of cutMinVertices to cutMaxVertices
+// vertices.
+func cuttable(p *pattern.Pattern) bool {
 	n := p.N()
-	return n >= cutMinVertices && n <= cutMaxVertices && p.NumAntiEdges() == 0 && !p.Labeled() &&
-		p.Validate() == nil && p.ConnectedRegular()
+	return n >= cutMinVertices && n <= cutMaxVertices && p.NumAntiEdges() == 0 && !p.Labeled()
 }
 
 // rest returns the vertices of [0, n) outside cut, ascending.
@@ -297,6 +319,9 @@ func newCut(p *pattern.Pattern, verts []int, comps [][]int) (*Cut, error) {
 	if len(verts) == 3 && !ct.Walked {
 		return nil, cutError(p, verts, "the walked vertex %d is not adjacent to the task's vertex %d", verts[1], verts[0])
 	}
+	ct.Half = len(verts) == 2 && slices.ContainsFunc(p.Automorphisms(), func(a []int) bool {
+		return a[verts[0]] == verts[1] && a[verts[1]] == verts[0]
+	})
 	scatter := ct.Scatter()
 	y := -1 // the scattered vertex
 	if scatter {
@@ -337,7 +362,9 @@ func newCut(p *pattern.Pattern, verts []int, comps [][]int) (*Cut, error) {
 		cc := CutComp{V: order}
 		bind := func(s, v int) {
 			slot[s] = v
-			cc.Levels = append(cc.Levels, level(p, slot, bound, s))
+			lv := level(p, slot, bound, s)
+			lv.Above = ct.Half && s == SlotScatter
+			cc.Levels = append(cc.Levels, lv)
 			bound = append(bound, s)
 		}
 		bind(SlotComp, order[0])
@@ -460,8 +487,10 @@ func CutFits(n int, s Shape) bool {
 // cutUnit is what one unit of a decomposed plan's price costs in units of
 // a trie plan's: on motif_batch's graph, one thread, the twelve plans the
 // rewrite weighs ran at a median 2.75 µs per thousand units decomposed
-// and 1.5 directly (spread 2.3–3.8 and 0.8–6.9). A walk breaks no
-// symmetry, so each binding pays its calls alone.
+// and 1.5 directly (spread 2.3–3.8 and 0.8–6.9). It was measured before
+// cuts halved (Cut.Half), and the price still charges a halved cut every
+// binding, so it overprices one by about 2×; plan choices are those of
+// the unhalved engine.
 const cutUnit = 1.8
 
 // cut prices one task of a decomposed plan at cutUnit: its components'

@@ -151,7 +151,7 @@ func bruteCutTuples(g *graph.Graph, p *pattern.Pattern, ct *Cut) *big.Int {
 // two opposite rim vertices, task vertex the hub or a rim vertex, with the
 // diamond as its shrinkage; the 4-cycle at a diagonal, with the wedge as
 // its shrinkage; every 4-vertex pattern but the clique. Patterns outside
-// the gates have none.
+// the gates have none. And which two-vertex cuts halve (Cut.Half).
 func TestDecompositionsShapes(t *testing.T) {
 	code := func(text string) string { return pattern.MustParse(text).CanonicalCode() }
 	relation := func(d Decomposition) map[string]int64 {
@@ -219,6 +219,42 @@ func TestDecompositionsShapes(t *testing.T) {
 	} {
 		if got := len(Decompositions(pattern.MustParse(text))); got != want {
 			t.Errorf("%s has %d decompositions, want %d", text, got, want)
+		}
+	}
+	// A two-vertex cut halves where an automorphism swaps its vertices:
+	// the 4-cycle at a diagonal, the 5-cycle at two non-adjacent vertices,
+	// K2,3 at its pair, all scattered, and the 4-path at its middle edge,
+	// walked. W4's three-vertex cut and the tailed triangle's one-vertex
+	// cut do not, nor does 0-3 0-4 1-2 1-4 2-3 3-4 at [3 1], where 3 has
+	// degree 3 and 1 degree 2. Exactly a halved scatter's levels binding
+	// the scattered vertex keep only candidates above the task's.
+	for _, tc := range []struct {
+		text  string
+		verts []int
+		half  bool
+	}{
+		{"0-1 1-2 2-3 3-0", []int{0, 2}, true},
+		{"0-1 1-2 2-3 3-4 4-0", []int{0, 2}, true},
+		{"0-2 0-3 0-4 1-2 1-3 1-4", []int{0, 1}, true},
+		{"0-1 1-2 2-3", []int{1, 2}, true},
+		{"0-1 0-2 0-3 0-4 1-3 1-4 2-3 2-4", []int{0, 1, 2}, false},
+		{"0-1 0-2 1-2 0-3", []int{0}, false},
+		{"0-3 0-4 1-2 1-4 2-3 3-4", []int{3, 1}, false},
+	} {
+		pl, err := NewCut(pattern.MustParse(tc.text), tc.verts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct := pl.Cut
+		if ct.Half != tc.half {
+			t.Errorf("%s cut at %v: half %v, want %v", tc.text, tc.verts, ct.Half, tc.half)
+		}
+		for _, cc := range ct.Comps {
+			for _, lv := range cc.Levels {
+				if lv.Above != (ct.Half && lv.Slot == SlotScatter) {
+					t.Errorf("%s cut at %v: the level binding slot %d has Above %v", tc.text, tc.verts, lv.Slot, lv.Above)
+				}
+			}
 		}
 	}
 	labeled := pattern.Chain(5)

@@ -160,11 +160,11 @@ type compiledTerm struct {
 	coef int64
 }
 
-// relations returns the relations p's count can be recovered from: its
-// morph relation when p has anti-edges, its decompositions — the
-// decomposed plan with coefficient 1, each shrinkage pattern with −c_q —
-// when it has none. Either is nil outside its gates, which callers check
-// (Morphable; decomposable and CutFits) before the lookup. A relation a
+// relations returns the relations pl's count can be recovered from: its
+// morph relation when its pattern p has anti-edges, its decompositions —
+// the decomposed plan with coefficient 1, each shrinkage pattern with
+// −c_q — when it has none. Either is nil outside its gates, which callers
+// check (Morphable; cuttable and CutFits) before the lookup. A relation a
 // term of which fails to compile is dropped: that disqualifies the
 // relation, not the batch. The relations depend on p's shape alone, so
 // they are kept on the shape's cache entry: expanded and canonicalised
@@ -173,11 +173,15 @@ type compiledTerm struct {
 // pointer, and a pointer means one pattern only within one cache. A term
 // evicted and recompiled while p's entry survives leaves the relation
 // naming the old plan: counts stay exact, and only the dedup against a
-// fresh lookup of that term is lost.
-func (c *Cache) relations(p *pattern.Pattern, opt Options) []*relation {
-	e, _, err := c.entry(p, opt)
-	if err != nil {
-		return nil
+// fresh lookup of that term is lost. A plan the cache compiled finds its
+// entry directly; any other plan looks its pattern up.
+func (c *Cache) relations(pl *Plan, opt Options) []*relation {
+	e, ok := c.ownEntry(pl)
+	if !ok {
+		var err error
+		if e, _, err = c.entry(pl.Pat, opt); err != nil {
+			return nil
+		}
 	}
 	e.relOnce.Do(func() {
 		add := func(rel *relation, terms []MorphTerm, sign int64) {
@@ -493,13 +497,13 @@ func MorphBatch(pls []*Plan, cache *Cache, opt Options) *MorphPlan {
 		if !Morphable(pl.Pat) {
 			return nil
 		}
-		return cache.relations(pl.Pat, opt)
+		return cache.relations(pl, opt)
 	})
 	rw.substitute(func(pl *Plan) []*relation {
-		if !decomposable(pl.Pat) || !CutFits(pl.Pat.N(), s) {
+		if !cuttable(pl.Pat) || !CutFits(pl.Pat.N(), s) {
 			return nil
 		}
-		return cache.relations(pl.Pat, opt)
+		return cache.relations(pl, opt)
 	})
 	if len(rw.by) == 0 {
 		return nil

@@ -381,17 +381,36 @@ func TestMorphRelationMemo(t *testing.T) {
 			hits1-hits0, misses1-misses0, cache.Len()-size, callers*morphable)
 	}
 
-	// A renumbered pattern reads the same relation.
+	// A plan of a renumbered pattern reads the same relation, and so does
+	// the cache's own plan, found with no lookup of its pattern.
 	vi := pattern.VertexInduced(pattern.Chain(4))
-	a, b := cache.relations(vi, Options{}), cache.relations(vi.Renumber([]int{2, 0, 3, 1}), Options{})
+	foreign := func(p *pattern.Pattern) *Plan {
+		pl, err := New(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pl
+	}
+	a, b := cache.relations(foreign(vi), Options{}), cache.relations(foreign(vi.Renumber([]int{2, 0, 3, 1})), Options{})
 	if len(a) != 1 || len(b) != 1 || a[0] != b[0] {
 		t.Fatalf("relations of two numberings of %v: %p and %p", vi, a, b)
+	}
+	own, err := cache.Get(vi, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits2, misses2 := cache.Stats()
+	if c := cache.relations(own.Plan, Options{}); len(c) != 1 || c[0] != a[0] {
+		t.Fatalf("relations of the cache's own plan of %v: %p, want %p", vi, c, a)
+	}
+	if hits3, misses3 := cache.Stats(); hits3 != hits2+1 || misses3 != misses2 {
+		t.Fatalf("reading an owned plan's relations moved the cache by %d hits, %d misses; want 1, 0", hits3-hits2, misses3-misses2)
 	}
 
 	// Evicting the entry drops its relation with it.
 	small := NewCacheSize(1)
-	r1 := small.relations(vi, Options{}) // compiling its relatives evicts vi's own entry
-	r2 := small.relations(vi, Options{})
+	r1 := small.relations(foreign(vi), Options{}) // compiling its relatives evicts vi's own entry
+	r2 := small.relations(foreign(vi), Options{})
 	if len(r1) != 1 || len(r2) != 1 || r1[0] == r2[0] {
 		t.Fatalf("relation survived its entry's eviction: %p then %p", r1, r2)
 	}

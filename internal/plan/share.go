@@ -211,11 +211,17 @@ func cutEntry(cc *CutComp) CutEntry {
 }
 
 // cutKey serializes a component walk for exact comparison: two walks
-// with equal keys count alike for every binding of the cut.
+// with equal keys count alike for every binding of the cut. A halved
+// cut's tally (CutLevel.Above) holds only candidates above the task's
+// vertex, so it never serves an unhalved one.
 func cutKey(levels []CutLevel) string {
 	var buf []byte
 	for _, lv := range levels {
-		buf = append(buf, byte(lv.Slot), byte(lv.Sure), byte(len(lv.Ops)), byte(len(lv.Skip)))
+		above := byte(0)
+		if lv.Above {
+			above = 1
+		}
+		buf = append(buf, byte(lv.Slot), byte(lv.Sure), above, byte(len(lv.Ops)), byte(len(lv.Skip)))
 		for _, s := range lv.Ops {
 			buf = append(buf, byte(s))
 		}
